@@ -18,7 +18,7 @@ from .circuit import CircuitError, decompose_to_basis
 from .machine import GRID_KINDS, CapacityError, GeometryError, build_layout, generate_grid, load_params
 from .metrics import build_report
 from .qasm import QasmError, parse_qasm
-from .schedule import schedule_to_json
+from .schedule import _schedule_json_chunks
 from .scheduler import TECHNIQUES, Compiler
 from .verifier import EQUIVALENCE_QUBIT_CAP, equivalence_check, validate_schedule
 
@@ -64,8 +64,17 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _compile_file(path: str, technique: str, grid_kind: str, params,
                   scale: str, serial: bool):
-    """Parse, lower, and compile one file. Returns (schedule, report, extras)."""
-    text = Path(path).read_text(encoding="utf-8")
+    """Parse, lower, and compile one file. Returns (schedule, report, extras).
+
+    An unreadable or non-UTF-8 file raises QasmError, like a syntax error.
+    """
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except OSError as e:
+        raise QasmError(f"cannot read {path}: {e.strerror or e}") from e
+    except UnicodeDecodeError as e:
+        raise QasmError(f"{path} is not UTF-8 text: {e.reason} at byte "
+                        f"{e.start}") from e
     raw = parse_qasm(text, name=Path(path).stem)
     t0 = time.perf_counter()
     circuit = decompose_to_basis(raw)
@@ -91,8 +100,8 @@ def run_compile(args) -> int:
     except (CapacityError, GeometryError) as e:
         print(f"capacity/geometry error: {e}", file=sys.stderr)
         return EXIT_CAPACITY
-    Path(args.out_schedule).write_text(schedule_to_json(schedule),
-                                       encoding="utf-8")
+    with open(args.out_schedule, "w", encoding="utf-8") as fh:
+        fh.writelines(_schedule_json_chunks(schedule))
     Path(args.out_report).write_text(report.to_json(), encoding="utf-8")
     if args.validate:
         violations = validate_schedule(schedule, layout, grid, params, circuit)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from collections.abc import Iterator
 from dataclasses import asdict, dataclass, field
 
 from .machine import PhysParams
@@ -232,22 +233,45 @@ def _event_from_dict(d: dict) -> Event:
     raise ValueError(f"unknown event kind {kind!r}")
 
 
-def schedule_to_json(schedule: Schedule) -> str:
-    doc = {
-        "meta": {
-            "technique": schedule.technique,
-            "grid": schedule.grid,
-            "params_hash": schedule.params_hash(),
-            "source_name": schedule.source_name,
-            "num_qubits": schedule.num_qubits,
-            "serial_movement": schedule.serial_movement,
-            "swap_count": schedule.swap_count,
-            "trap_change_count": schedule.trap_change_count,
-        },
-        "events": [_event_dict(ev) for ev in schedule.events],
-        "final_mapping": {str(q): a for q, a in sorted(schedule.final_mapping.items())},
+def _schedule_json_chunks(schedule: Schedule) -> Iterator[str]:
+    """Yield the text of `json.dumps(doc, indent=1)` for the schedule
+    document in parts, so only one event's dict and chunks are alive at a
+    time and no whole-document tree or chunk list is built.
+
+    Each part is encoded at nesting depth 0 and re-indented by prefixing
+    every line after the first. That is exact because JSON escapes newlines
+    inside strings: every raw newline in an encoding is structural.
+    """
+    encode = json.JSONEncoder(indent=1).encode
+
+    def nested(obj, depth: int) -> str:
+        return encode(obj).replace("\n", "\n" + " " * depth)
+
+    meta = {
+        "technique": schedule.technique,
+        "grid": schedule.grid,
+        "params_hash": schedule.params_hash(),
+        "source_name": schedule.source_name,
+        "num_qubits": schedule.num_qubits,
+        "serial_movement": schedule.serial_movement,
+        "swap_count": schedule.swap_count,
+        "trap_change_count": schedule.trap_change_count,
     }
-    return json.dumps(doc, indent=1)
+    yield '{\n "meta": ' + nested(meta, 1) + ',\n "events": '
+    if schedule.events:
+        sep = "[\n  "
+        for ev in schedule.events:
+            yield sep + nested(_event_dict(ev), 2)
+            sep = ",\n  "
+        yield "\n ]"
+    else:
+        yield "[]"
+    final_mapping = {str(q): a for q, a in sorted(schedule.final_mapping.items())}
+    yield ',\n "final_mapping": ' + nested(final_mapping, 1) + "\n}"
+
+
+def schedule_to_json(schedule: Schedule) -> str:
+    return "".join(_schedule_json_chunks(schedule))
 
 
 def schedule_from_json(text: str, params: PhysParams | None = None) -> Schedule:

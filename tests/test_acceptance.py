@@ -4,17 +4,26 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the lines as the
 criteria execute.
 """
 import csv
+import hashlib
+import json
 import math
 import random
 import statistics
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from pachinqo.circuit import Circuit, cz, decompose_swap, u3
 from pachinqo.cli import CSV_HEADER, main
-from pachinqo.machine import PhysParams, build_layout, generate_grid
+from pachinqo.machine import (
+    CapacityError,
+    GeometryError,
+    PhysParams,
+    build_layout,
+    generate_grid,
+)
 from pachinqo.metrics import (
     composed_swap_error,
     esp,
@@ -44,6 +53,7 @@ from corpus import (
 )
 
 PARAMS = PhysParams()
+GOLDEN_DIGESTS = Path(__file__).with_name("golden_digests.json")
 
 
 def _report(criterion: int, ok: bool, detail: str) -> None:
@@ -61,15 +71,53 @@ def _compile(circ, technique="pachinqo", grid_kind="large-square",
 
 
 # ---------------------------------------------------------------------------
-@pytest.fixture(scope="module")
-def corpus_results():
-    """Compile the full random corpus once; shared by criteria 4, 5, 8."""
+def _compile_corpus():
     results = []
     for circ, technique, grid_kind in corpus_cases(count=208, seed=2024):
         sched, layout, grid = _compile(circ, technique, grid_kind)
         violations = validate_schedule(sched, layout, grid, PARAMS, circ)
         results.append((circ, technique, grid_kind, sched, violations))
     return results
+
+
+@pytest.fixture(scope="module")
+def corpus_results():
+    """Compile the full random corpus once; shared by criteria 4, 5, 8 and
+    the golden-digest test."""
+    return _compile_corpus()
+
+
+def _schedule_digests(corpus_results) -> dict[str, str]:
+    """sha256 of `schedule_to_json` for every corpus case and every
+    benchmark-suite x technique x grid case that compiles."""
+    def digest(sched):
+        return hashlib.sha256(schedule_to_json(sched).encode()).hexdigest()
+
+    digests = {f"corpus/{circ.source_name}/{technique}/{grid_kind}":
+               digest(sched)
+               for circ, technique, grid_kind, sched, _ in corpus_results}
+    for circ in benchmark_suite():
+        for grid_kind in GRIDS:
+            for technique in TECHNIQUES:
+                try:
+                    sched, _, _ = _compile(circ, technique, grid_kind)
+                except (CapacityError, GeometryError):
+                    continue
+                key = f"suite/{circ.source_name}/{technique}/{grid_kind}"
+                digests[key] = digest(sched)
+    return digests
+
+
+def test_golden_schedule_digests(corpus_results):
+    """Schedules stay byte-identical to the recorded ones. Re-record only in
+    a change that alters schedules on purpose:
+    `PYTHONPATH=src python tests/test_acceptance.py`."""
+    golden = json.loads(GOLDEN_DIGESTS.read_text())
+    got = _schedule_digests(corpus_results)
+    changed = sorted(k for k in golden.keys() | got.keys()
+                     if golden.get(k) != got.get(k))
+    assert not changed, (f"{len(changed)} of {len(golden)} schedule digests "
+                         f"differ, first: {changed[:5]}")
 
 
 def test_criterion_1_swap_template():
@@ -313,3 +361,8 @@ def test_criterion_11_determinism(tmp_path):
     ok = csv_ok and sched_ok and dt < 120.0
     _report(11, ok, f"suite CSV and schedule JSON byte-identical across "
                     f"reruns ({dt:.1f} s)")
+
+
+if __name__ == "__main__":
+    GOLDEN_DIGESTS.write_text(json.dumps(
+        _schedule_digests(_compile_corpus()), indent=1, sort_keys=True) + "\n")

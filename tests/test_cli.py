@@ -5,7 +5,9 @@ import random
 
 import pytest
 
-from pachinqo.cli import CSV_HEADER, main
+from pachinqo.cli import CSV_HEADER, _compile_file, main
+from pachinqo.machine import PhysParams
+from pachinqo.schedule import schedule_to_json
 
 from corpus import random_qasm
 
@@ -45,6 +47,30 @@ def test_compile_writes_schedule_and_report(ghz_file, tmp_path):
     assert report["trap_change_count"] == 6
     assert report["swap_count"] == 0
     assert report["compile_time_ms"] > 0
+
+
+def test_schedule_file_bytes_equal_schedule_to_json(tmp_path):
+    src = tmp_path / "caf\u00e9.qasm"
+    src.write_text(random_qasm(random.Random(12), 7, 60), encoding="utf-8")
+    out_s = tmp_path / "schedule.json"
+    rc = main(["--input", str(src), "--out-schedule", str(out_s),
+               "--out-report", str(tmp_path / "report.json")])
+    assert rc == 0
+    _, _, _, schedule, _ = _compile_file(str(src), "pachinqo", "large-square",
+                                         PhysParams(), "auto", False)
+    assert out_s.read_bytes() == schedule_to_json(schedule).encode("utf-8")
+
+
+def test_missing_input_exits_one_without_traceback(tmp_path, capsys):
+    out_s = tmp_path / "s.json"
+    rc = main(["--input", str(tmp_path / "nope.qasm"),
+               "--out-schedule", str(out_s),
+               "--out-report", str(tmp_path / "r.json")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "nope.qasm" in err
+    assert "Traceback" not in err
+    assert not out_s.exists()
 
 
 def test_unknown_technique_exits_one(ghz_file, capsys):
@@ -129,6 +155,19 @@ def test_suite_records_per_file_errors(tmp_path):
     rows = list(csv.reader(out.read_text().splitlines()))
     bad = [r for r in rows[1:] if r[0] == "bad"]
     assert len(bad) == 1 and bad[0][-1] != ""
+
+
+def test_suite_records_non_utf8_file_as_error_row(tmp_path):
+    d = _make_suite(tmp_path, n_files=1)
+    (d / "binary.qasm").write_bytes(b"OPENQASM 2.0;\n\xff\n")
+    out = tmp_path / "suite.csv"
+    rc = main(["--suite-dir", str(d), "--out-csv", str(out),
+               "--techniques", "pachinqo", "--grids", "large-square"])
+    assert rc == 0
+    rows = list(csv.reader(out.read_text().splitlines()))
+    errors = {r[0]: r[-1] for r in rows[1:]}
+    assert errors["c0"] == ""
+    assert "UTF-8" in errors["binary"]
 
 
 def test_suite_rerun_is_byte_identical_modulo_compile_ms(tmp_path):

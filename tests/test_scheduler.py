@@ -1,17 +1,26 @@
 """Scheduler behavior: layer structure, variants, conflicts, determinism."""
+import json
 import random
+import tracemalloc
 
 import pytest
 
 from pachinqo.circuit import Circuit, cz, u3
-from pachinqo.machine import INTERACTION_OFFSET, build_layout, generate_grid
+from pachinqo.machine import (
+    INTERACTION_OFFSET,
+    PhysParams,
+    build_layout,
+    generate_grid,
+)
 from pachinqo.metrics import movement_total, total_runtime
 from pachinqo.schedule import (
     ColumnMove,
     Illumination,
     Measure,
+    Schedule,
     TrapChange,
     U3LayerEvent,
+    _event_dict,
     schedule_to_json,
 )
 from pachinqo.scheduler import Compiler, toggle_direction, LEFT, RIGHT
@@ -22,8 +31,6 @@ from corpus import random_circuit, staircase
 
 def _compile(circ, technique="pachinqo", grid_kind="large-square", params=None,
              serial=False):
-    from pachinqo.machine import PhysParams
-
     params = params or PhysParams()
     layout = build_layout(circ.num_qubits, "auto", params, grid_kind)
     grid = generate_grid(grid_kind, layout, params)
@@ -333,6 +340,64 @@ def test_schedule_json_deterministic():
     a, _, _, _ = _compile(circ)
     b, _, _, _ = _compile(circ)
     assert schedule_to_json(a) == schedule_to_json(b)
+
+
+def _reference_json(schedule):
+    """The whole-document encoding `schedule_to_json` must reproduce."""
+    doc = {
+        "meta": {
+            "technique": schedule.technique,
+            "grid": schedule.grid,
+            "params_hash": schedule.params_hash(),
+            "source_name": schedule.source_name,
+            "num_qubits": schedule.num_qubits,
+            "serial_movement": schedule.serial_movement,
+            "swap_count": schedule.swap_count,
+            "trap_change_count": schedule.trap_change_count,
+        },
+        "events": [_event_dict(ev) for ev in schedule.events],
+        "final_mapping": {str(q): a for q, a in
+                          sorted(schedule.final_mapping.items())},
+    }
+    return json.dumps(doc, indent=1)
+
+
+def _compiled_schedule(**overrides):
+    sched, _, _, _ = _compile(random_circuit(random.Random(4), 7, 60))
+    for name, value in overrides.items():
+        setattr(sched, name, value)
+    return sched
+
+
+@pytest.mark.parametrize("make", [
+    lambda: _compiled_schedule(),
+    lambda: _compiled_schedule(final_mapping={}),
+    lambda: _compiled_schedule(source_name='say "hi"\nto caf\u00e9 \u2603'),
+    lambda: Schedule("onecache", "star", PhysParams(), "empty", 0),
+    lambda: Schedule("trapchange", "triangle", PhysParams(), 'q"\n\u00e9', 2,
+                     serial_movement=True, final_mapping={1: 5, 0: 3}),
+], ids=["compiled", "empty-mapping", "odd-name", "no-events",
+        "no-events-odd-name"])
+def test_schedule_json_matches_reference_encoding(make):
+    sched = make()
+    text = schedule_to_json(sched)
+    assert text == _reference_json(sched)
+    if not sched.events:
+        assert '"events": []' in text
+    if not sched.final_mapping:
+        assert '"final_mapping": {}' in text
+
+
+def test_schedule_json_peak_memory_is_bounded_by_output():
+    sched, _, _, _ = _compile(random_circuit(random.Random(5), 10, 300))
+    text = schedule_to_json(sched)
+    tracemalloc.start()
+    try:
+        schedule_to_json(sched)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * len(text), (peak, len(text))
 
 
 def test_techniques_and_grids_all_compile_and_verify():
