@@ -2,7 +2,9 @@
 
 Single compile writes the schedule and metrics report as JSON; suite mode
 writes one CSV row per (circuit, technique, grid). Exit codes: 1 parse or
-usage error, 2 capacity/geometry error, 3 validation failure.
+usage error, 2 capacity/geometry error, 3 validation failure, 4 compile
+error (the scheduler raised SchedulerError). In suite mode a file that
+fails to parse or compile gets an error row instead.
 """
 from __future__ import annotations
 
@@ -19,7 +21,7 @@ from .machine import GRID_KINDS, CapacityError, GeometryError, build_layout, gen
 from .metrics import build_report
 from .qasm import QasmError, parse_qasm
 from .schedule import _schedule_json_chunks
-from .scheduler import TECHNIQUES, Compiler
+from .scheduler import TECHNIQUES, Compiler, SchedulerError
 from .verifier import EQUIVALENCE_QUBIT_CAP, equivalence_check, validate_schedule
 
 CSV_HEADER = ["name", "technique", "grid", "runtime_us", "esp", "swaps",
@@ -29,6 +31,7 @@ EXIT_OK = 0
 EXIT_PARSE = 1
 EXIT_CAPACITY = 2
 EXIT_VALIDATION = 3
+EXIT_COMPILE = 4
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -100,6 +103,9 @@ def run_compile(args) -> int:
     except (CapacityError, GeometryError) as e:
         print(f"capacity/geometry error: {e}", file=sys.stderr)
         return EXIT_CAPACITY
+    except SchedulerError as e:
+        print(f"compile error: {e}", file=sys.stderr)
+        return EXIT_COMPILE
     with open(args.out_schedule, "w", encoding="utf-8") as fh:
         fh.writelines(_schedule_json_chunks(schedule))
     Path(args.out_report).write_text(report.to_json(), encoding="utf-8")
@@ -153,7 +159,8 @@ def run_suite(args) -> int:
                          repr(report.total_movement_um),
                          report.gate_counts["u3"], report.gate_counts["cz"],
                          repr(report.compile_time_ms), ""])
-        except (QasmError, CircuitError, CapacityError, GeometryError) as e:
+        except (QasmError, CircuitError, CapacityError, GeometryError,
+                SchedulerError) as e:
             failures += 1
             rows.append([name, technique, grid_kind,
                          "", "", "", "", "", "", "", "", str(e)])

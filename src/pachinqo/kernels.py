@@ -1,13 +1,11 @@
-"""Pure-Python (numpy) implementations of the placement hot kernels.
+"""Crosstalk clearance predicates over the scheduler's obstacle arrays.
 
-Must stay semantically identical to kernels._core; the test suite runs
-both against each other.
+Module functions, called as `kernels.clear_from(...)`, so a profiler or
+tracer can wrap them at one place.
 """
 from __future__ import annotations
 
 import numpy as np
-
-IMPLEMENTATION = "python"
 
 
 def clear_from(obs_x: np.ndarray, obs_y: np.ndarray, n: int,

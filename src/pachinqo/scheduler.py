@@ -112,6 +112,16 @@ class _Obstacles:
 
 
 @dataclass
+class _Swap:
+    """An inserted SWAP in flight between a mobile and a static atom."""
+
+    gates: list[Gate]
+    atom_aod: int
+    atom_slm: int
+    layer: int = 0  # layer that last executed one of its gates
+
+
+@dataclass
 class _Placement:
     """A feasible column placement produced by _try_place."""
 
@@ -150,16 +160,15 @@ class Compiler:
         self.qubit_of = list(range(n))
         self.atom_of = list(range(n))
         self.site_atom: dict[int, int] = {}  # site index -> atom id
-        self.free_sites = [
-            i for i in self._usable_sites()
-            if i not in set(self.placement.site_of_qubit.values())
-        ]
+        taken = set(self.placement.site_of_qubit.values())
+        self.free_sites = [i for i in pair_clear_sites(grid, params)
+                           if i not in taken]
         self.columns: dict[int, _Column] = {}
         self.col_order: list[int] = []
         self.next_cid = self.placement.n_aod_columns + self.placement.n_ferries
 
         self.frontier = Frontier(circuit)
-        self.swaps: dict[int, dict] = {}  # sid -> {gates, atom_aod, atom_slm, layer}
+        self.swaps: dict[int, _Swap] = {}
         self.next_swap_id = 0
         self.swap_count = 0
         self.trap_change_count = 0
@@ -175,9 +184,6 @@ class Compiler:
 
     # ------------------------------------------------------------------
     # setup helpers
-    def _usable_sites(self) -> list[int]:
-        return pair_clear_sites(self.grid, self.params)
-
     def _apply_initialization(self) -> None:
         events, t_end, tcs = initialization_schedule(
             self.placement, self.layout, self.params, self.serial
@@ -226,6 +232,37 @@ class Compiler:
         col.x = to_x
         self._moved_this_layer.add(col.cid)
 
+    def _trap_change(self, direction: str,
+                     transfers: list[TrapTransfer]) -> None:
+        """Emit and count one trap change at the current time."""
+        dur = self.params.trap_change_time
+        self.events.append(TrapChange(self.t, self.t + dur, self.layer,
+                                      direction, transfers))
+        self.t += dur
+        self.trap_change_count += 1
+
+    def _illuminate(self, staged: list[CzEntry]) -> None:
+        self.events.append(Illumination(self.t, self.t + self.params.cz_time,
+                                        self.layer, staged))
+        self.t += self.params.cz_time
+
+    def _reset_obstacles(self) -> None:
+        """Static compute atoms are a CZ layer's initial obstacle set."""
+        self.obstacles.reset()
+        for site, atom in sorted(self.site_atom.items()):
+            self.obstacles.add(atom, self.atom_x[atom], self.atom_y[atom])
+
+    def _return_home(self) -> None:
+        """OneCache: move the columns moved this layer back home."""
+        buffer: list = []
+        cache = self.layout.right_cache
+        for cid in self.col_order:
+            col = self.columns[cid]
+            if col.atoms and cid in self._moved_this_layer:
+                self._move_column(col, col.home_x,
+                                  self._parked_ys(col, cache), buffer)
+        self._flush_moves(buffer)
+
     # ------------------------------------------------------------------
     # geometry helpers
     def _cache(self, side: int):
@@ -236,12 +273,6 @@ class Compiler:
 
     def _parked_ys(self, col: _Column, zone) -> dict[int, float]:
         base = zone.y0 + ZONE_MARGIN
-        return {a: base + i * self.params.storage_pitch
-                for i, a in enumerate(col.atoms)}
-
-    def _memory_stack_ys(self, col: _Column) -> dict[int, float]:
-        mem = self.layout.memory
-        base = mem.y0 + ZONE_MARGIN
         return {a: base + i * self.params.storage_pitch
                 for i, a in enumerate(col.atoms)}
 
@@ -300,9 +331,9 @@ class Compiler:
     def _swap_u3_due(self, layer: int) -> list[int]:
         due = []
         for sid in sorted(self.swaps):
-            step = self.frontier.swap_step(sid)
-            if self.swaps[sid]["gates"][step].kind == "u3" and \
-                    self.swaps[sid]["layer"] < layer:
+            swap = self.swaps[sid]
+            if swap.gates[self.frontier.swap_step(sid)].kind == "u3" and \
+                    swap.layer < layer:
                 due.append(sid)
         return due
 
@@ -322,13 +353,13 @@ class Compiler:
                 entries.append(U3Entry(q, self.atom_of[q], g.params))
                 self.frontier.advance(g)
             for sid in swap_due:
-                info = self.swaps[sid]
+                swap = self.swaps[sid]
                 step = self.frontier.swap_step(sid)
-                g = info["gates"][step]
+                g = swap.gates[step]
                 q = g.qubits[0]
                 entries.append(U3Entry(q, self.atom_of[q], g.params,
                                        (sid, step)))
-                info["layer"] = self.layer
+                swap.layer = self.layer
                 if self.frontier.advance(g) is not None:
                     self._complete_swap(sid)
             self.events.append(
@@ -338,29 +369,32 @@ class Compiler:
             executed += len(entries)
 
     def _complete_swap(self, sid: int) -> None:
-        info = self.swaps.pop(sid)
-        qa = self.qubit_of[info["atom_aod"]]
-        qb = self.qubit_of[info["atom_slm"]]
-        self.qubit_of[info["atom_aod"]] = qb
-        self.qubit_of[info["atom_slm"]] = qa
-        self.atom_of[qa] = info["atom_slm"]
-        self.atom_of[qb] = info["atom_aod"]
+        swap = self.swaps.pop(sid)
+        qa = self.qubit_of[swap.atom_aod]
+        qb = self.qubit_of[swap.atom_slm]
+        self.qubit_of[swap.atom_aod] = qb
+        self.qubit_of[swap.atom_slm] = qa
+        self.atom_of[qa] = swap.atom_slm
+        self.atom_of[qb] = swap.atom_aod
 
     # ------------------------------------------------------------------
     # CZ layers
     def _start_side(self) -> int:
         return RIGHT if self.technique == "onecache" else self.direction
 
-    def _relocate_all(self, buffer: list, side: int,
-                      exclude: set[int] = frozenset()) -> None:
-        """Move every nonempty column to the `side` cache parking slots."""
+    def _relocate_all(self, side: int) -> None:
+        """Move every nonempty column to the `side` cache parking slots, in
+        one movement phase. OneCache columns are already home."""
+        if self.technique == "onecache":
+            return
+        buffer: list = []
         cache = self._cache(side)
-        live = [c for c in self.col_order
-                if self.columns[c].atoms and c not in exclude]
+        live = [c for c in self.col_order if self.columns[c].atoms]
         for i, cid in enumerate(live):
             col = self.columns[cid]
             self._move_column(col, self._cache_slot_x(side, i),
                               self._parked_ys(col, cache), buffer)
+        self._flush_moves(buffer)
 
     def _cz_layer(self) -> int:
         self.layer += 1
@@ -372,25 +406,14 @@ class Compiler:
         side = self._start_side()
         self.same_side_next = False
 
-        buffer: list = []
-        if self.technique == "onecache":
-            # Columns returned home at the end of the previous layer.
-            pass
-        else:
-            self._relocate_all(buffer, side)
-        self._flush_moves(buffer)
-
-        # Static compute atoms are this layer's initial obstacle set.
-        self.obstacles.reset()
-        for site, atom in sorted(self.site_atom.items()):
-            x, y = self.atom_x[atom], self.atom_y[atom]
-            self.obstacles.add(atom, x, y)
+        self._relocate_all(side)
+        self._reset_obstacles()
 
         order = [c for c in self.col_order if self.columns[c].atoms]
         if side == LEFT:
             order.reverse()
 
-        buffer = []
+        buffer: list = []
         for cid in order:
             col = self.columns[cid]
             action, detail = self._find_action(col, staged, buffer)
@@ -416,23 +439,11 @@ class Compiler:
         self._flush_moves(buffer)
 
         if staged:
-            self.events.append(
-                Illumination(self.t, self.t + self.params.cz_time, self.layer,
-                             staged)
-            )
-            self.t += self.params.cz_time
+            self._illuminate(staged)
 
         if self.technique == "onecache":
-            buffer = []
-            cache = self.layout.right_cache
-            for cid in self.col_order:
-                col = self.columns[cid]
-                if col.atoms and cid in self._moved_this_layer:
-                    self._move_column(col, col.home_x,
-                                      self._parked_ys(col, cache), buffer)
-            self._flush_moves(buffer)
-
-        if not self.same_side_next and self.technique != "onecache":
+            self._return_home()
+        elif not self.same_side_next:
             self.direction = toggle_direction(self.direction)
         return executed
 
@@ -446,14 +457,13 @@ class Compiler:
             q = self.qubit_of[atom]
             if q in self.frontier.lock:
                 sid = self.frontier.lock[q]
-                info = self.swaps[sid]
-                if info["atom_aod"] != atom or info["layer"] >= self.layer:
+                swap = self.swaps[sid]
+                if swap.atom_aod != atom or swap.layer >= self.layer:
                     continue
-                step = self.frontier.swap_step(sid)
-                gate = info["gates"][step]
+                gate = swap.gates[self.frontier.swap_step(sid)]
                 if gate.kind != "cz":
                     continue
-                partner_atom = info["atom_slm"]
+                partner_atom = swap.atom_slm
                 if partner_atom in self.busy:
                     continue
                 plan = self._try_place(col, atom, partner_atom)
@@ -461,7 +471,7 @@ class Compiler:
                     wants_blocked = True
                     continue
                 self._commit_placement(col, plan, partner_atom, gate, staged, buffer)
-                info["layer"] = self.layer
+                swap.layer = self.layer
                 return "placed", None
             i = self.frontier.next_gate(q)
             if i == -1:
@@ -560,16 +570,13 @@ class Compiler:
         self.busy.add(partner_atom)
         qa = self.qubit_of[plan.active_atom]
         qp = self.qubit_of[partner_atom]
-        order = gate.qubits
-        apos = (plan.x, plan.active_y)
-        ppos = (self.atom_x[partner_atom], self.atom_y[partner_atom])
-        if order == (qa, qp):
-            entry = CzEntry(order, (plan.active_atom, partner_atom), (apos, ppos),
-                            (gate.origin.swap_id, gate.origin.step) if gate.origin else None)
-        else:
-            entry = CzEntry(order, (partner_atom, plan.active_atom), (ppos, apos),
-                            (gate.origin.swap_id, gate.origin.step) if gate.origin else None)
-        staged.append(entry)
+        atoms = (plan.active_atom, partner_atom)
+        positions = ((plan.x, plan.active_y),
+                     (self.atom_x[partner_atom], self.atom_y[partner_atom]))
+        if gate.qubits != (qa, qp):
+            atoms, positions = atoms[::-1], positions[::-1]
+        origin = (gate.origin.swap_id, gate.origin.step) if gate.origin else None
+        staged.append(CzEntry(gate.qubits, atoms, positions, origin))
         self.frontier.advance(gate)
 
     # -- retreat ----------------------------------------------------------
@@ -584,7 +591,7 @@ class Compiler:
         cache = self._cache(opposite)
         lo, hi = self._neighbors(col.cid)
         slots = [self._cache_slot_x(opposite, i)
-                 for i in range(self._cache_slot_count())]
+                 for i in range(cache_column_slots(self.layout, self.params))]
         occupied = {round(c.x, 6) for c in self.columns.values()
                     if c.atoms and c.cid != col.cid}
         free = [s for s in slots if round(s, 6) not in occupied and lo < s < hi]
@@ -601,11 +608,8 @@ class Compiler:
             x = hi - self.params.storage_pitch
         if not (mem.x0 <= x <= mem.x1) or not (lo < x < hi):
             return False
-        self._move_column(col, x, self._memory_stack_ys(col), buffer)
+        self._move_column(col, x, self._parked_ys(col, self.layout.memory), buffer)
         return True
-
-    def _cache_slot_count(self) -> int:
-        return cache_column_slots(self.layout, self.params)
 
     def _onecache_clear(self, col: _Column, buffer: list) -> bool:
         """OneCache keeps idle columns home unless they block: idle columns
@@ -618,7 +622,7 @@ class Compiler:
         x = max(x, mem.x0)
         if not (lo < x < hi) or x > mem.x1:
             return False  # cannot clear; stays parked and blocks the layer
-        self._move_column(col, x, self._memory_stack_ys(col), buffer)
+        self._move_column(col, x, self._parked_ys(col, self.layout.memory), buffer)
         return True
 
     # -- inserted swaps -----------------------------------------------------
@@ -669,12 +673,7 @@ class Compiler:
         self.next_swap_id += 1
         qa, qb = self.qubit_of[aod_atom], self.qubit_of[slm_atom]
         self.frontier.begin_swap(sid, qa, qb)
-        self.swaps[sid] = {
-            "gates": decompose_swap(qa, qb, sid),
-            "atom_aod": aod_atom,
-            "atom_slm": slm_atom,
-            "layer": 0,
-        }
+        self.swaps[sid] = _Swap(decompose_swap(qa, qb, sid), aod_atom, slm_atom)
         self.swap_count += 1
 
     # -- trapchange variant ---------------------------------------------
@@ -724,22 +723,16 @@ class Compiler:
         """Apply a mid-circuit trap change; returns a fresh move buffer."""
         kind, atom, site = detail
         sx, sy = self.grid.sites[site]
-        params = self.params
+        # Over the site, with the column's other atoms tucked below compute
+        # (an extracted atom is not in the column yet).
+        hanging = [a for a in col.atoms if a != atom]
+        y_targets = {a: self._hang_y(j) for j, a in enumerate(hanging)}
         if kind == "deposit":
-            # Align the atom over the site, tuck the others below compute.
-            y_targets = {atom: sy}
-            hang = 0
-            for a in col.atoms:
-                if a != atom:
-                    y_targets[a] = self._hang_y(hang)
-                    hang += 1
-            self._move_column(col, sx, y_targets, buffer)
-            self._flush_moves(buffer)
-            self.events.append(TrapChange(
-                self.t, self.t + params.trap_change_time, self.layer,
-                AOD_TO_SLM, [TrapTransfer(atom, sx, sy)]))
-            self.t += params.trap_change_time
-            self.trap_change_count += 1
+            y_targets[atom] = sy
+        self._move_column(col, sx, y_targets, buffer)
+        self._flush_moves(buffer)
+        if kind == "deposit":
+            self._trap_change(AOD_TO_SLM, [TrapTransfer(atom, sx, sy)])
             col.atoms.remove(atom)
             self.atom_col[atom] = None
             self.atom_site[atom] = site
@@ -747,18 +740,8 @@ class Compiler:
             self.free_sites.remove(site)
             self.obstacles.add(atom, sx, sy)
         else:  # extract
-            y_targets = {}
-            hang = 0
-            for a in col.atoms:
-                y_targets[a] = self._hang_y(hang)
-                hang += 1
-            self._move_column(col, sx, y_targets, buffer)
-            self._flush_moves(buffer)
-            self.events.append(TrapChange(
-                self.t, self.t + params.trap_change_time, self.layer,
-                SLM_TO_AOD, [TrapTransfer(atom, sx, sy, column=col.cid)]))
-            self.t += params.trap_change_time
-            self.trap_change_count += 1
+            self._trap_change(SLM_TO_AOD,
+                              [TrapTransfer(atom, sx, sy, column=col.cid)])
             del self.site_atom[site]
             self.atom_site[atom] = None
             self.atom_col[atom] = col.cid
@@ -766,8 +749,7 @@ class Compiler:
             self.free_sites.append(site)
             self.free_sites.sort()
         buffer = []
-        side = self._start_side() if self.technique == "onecache" else self.direction
-        self._retreat(col, side, buffer)
+        self._retreat(col, self._start_side(), buffer)
         return buffer
 
     # ------------------------------------------------------------------
@@ -795,20 +777,16 @@ class Compiler:
         Pending inserted-SWAP CZ steps and frontier-executable CZ gates are
         serviced in an isolation layer: every other column parks out of the
         way, so the placement is geometrically guaranteed. Same-trap
-        conflicts fall back to a forced swap initiation, and a onecache
-        site shadowed by too many idle columns is freed by extracting its
-        atom into the blocked column (one counted trap change).
+        conflicts fall back to a forced swap initiation.
         """
         for sid in sorted(self.swaps):
-            step = self.frontier.swap_step(sid)
-            gate = self.swaps[sid]["gates"][step]
-            info = self.swaps[sid]
+            swap = self.swaps[sid]
+            gate = swap.gates[self.frontier.swap_step(sid)]
             if gate.kind == "cz" and self._isolation_feasible(
-                    info["atom_aod"], info["atom_slm"]):
-                self._isolation_layer(info["atom_aod"], info["atom_slm"], gate)
-                info["layer"] = self.layer
+                    swap.atom_aod, swap.atom_slm):
+                self._isolation_layer(swap.atom_aod, swap.atom_slm, gate)
+                swap.layer = self.layer
                 return
-        blocked: list[tuple[int, int, Gate]] = []
         for g in self.circuit.gates:
             if g.kind != "cz":
                 continue
@@ -822,7 +800,6 @@ class Compiler:
                 if self._isolation_feasible(mobile, static):
                     self._isolation_layer(mobile, static, g)
                     return
-                blocked.append((mobile, static, g))
                 continue
             if not s1:  # both mobile: force a swap for the lower qubit
                 atom = a1 if q1 < q2 else a2
@@ -837,47 +814,6 @@ class Compiler:
             if donor is not None:
                 self._begin_swap(donor, a1 if q1 < q2 else a2)
                 return
-        for mobile, static, g in blocked:
-            # Last resort (onecache only): the site is shadowed by idle
-            # columns, so pull its atom into the blocked column instead.
-            cid = self.atom_col[mobile]
-            col = self.columns[cid]
-            if len(col.atoms) >= self.params.max_atoms_per_column:
-                continue
-            site = self.atom_site[static]
-            sx, sy = self.grid.sites[site]
-            lo, hi = self._neighbors(cid)
-            if not (lo < sx < hi):
-                continue
-            if any(abs(self.atom_y[a] - sy) < self.params.storage_pitch
-                   for a in col.atoms):
-                continue
-            self.layer += 1
-            self._moved_this_layer.clear()
-            buffer: list = []
-            y_targets = {a: self._hang_y(j) for j, a in enumerate(col.atoms)}
-            self._move_column(col, sx, y_targets, buffer)
-            self._flush_moves(buffer)
-            self.events.append(TrapChange(
-                self.t, self.t + self.params.trap_change_time, self.layer,
-                SLM_TO_AOD, [TrapTransfer(static, sx, sy, column=cid)]))
-            self.t += self.params.trap_change_time
-            self.trap_change_count += 1
-            del self.site_atom[site]
-            self.atom_site[static] = None
-            self.atom_col[static] = cid
-            col.atoms.append(static)
-            self.free_sites.append(site)
-            self.free_sites.sort()
-            buffer = []
-            for c in self.col_order:
-                other = self.columns[c]
-                if other.atoms and c in self._moved_this_layer:
-                    self._move_column(other, other.home_x,
-                                      self._parked_ys(other, self.layout.right_cache),
-                                      buffer)
-            self._flush_moves(buffer)
-            return
         raise SchedulerError("progress guard found no actionable gate")
 
     def _pick_swap_donor(self) -> int | None:
@@ -912,26 +848,19 @@ class Compiler:
         col = self.columns[cid]
         buffer: list = []
         idx = self.col_order.index(cid)
-        if self.technique == "onecache":
-            mem = self.layout.memory
-            k = 0
-            for c in self.col_order[:idx]:
-                other = self.columns[c]
-                if other.atoms:
-                    self._move_column(other, mem.x0 + k * self.params.storage_pitch,
-                                      self._memory_stack_ys(other), buffer)
-                    k += 1
-        else:
-            lc = self.layout.left_cache
-            k = 0
-            for c in self.col_order[:idx]:
-                other = self.columns[c]
-                if other.atoms:
-                    self._move_column(other, self._cache_slot_x(LEFT, k),
-                                      self._parked_ys(other, lc), buffer)
-                    k += 1
+        # Columns left of this one park left: OneCache tucks them into
+        # memory, the dual cache fills the left cache from its edge.
+        onecache = self.technique == "onecache"
+        zone = self.layout.memory if onecache else self.layout.left_cache
+        left = [c for c in self.col_order[:idx] if self.columns[c].atoms]
+        for k, c in enumerate(left):
+            other = self.columns[c]
+            x = (zone.x0 + k * self.params.storage_pitch if onecache
+                 else self._cache_slot_x(LEFT, k))
+            self._move_column(other, x, self._parked_ys(other, zone), buffer)
+        # Columns right of it fill the right cache from its far edge.
         rc = self.layout.right_cache
-        k = self._cache_slot_count() - 1
+        k = cache_column_slots(self.layout, self.params) - 1
         for c in reversed(self.col_order[idx + 1:]):
             other = self.columns[c]
             if other.atoms:
@@ -940,9 +869,7 @@ class Compiler:
                 k -= 1
         self._flush_moves(buffer)
 
-        self.obstacles.reset()
-        for site, atom in sorted(self.site_atom.items()):
-            self.obstacles.add(atom, self.atom_x[atom], self.atom_y[atom])
+        self._reset_obstacles()
         plan = self._try_place(col, active_atom, partner_atom)
         if plan is None:
             raise SchedulerError("isolation placement failed")
@@ -950,18 +877,9 @@ class Compiler:
         buffer = []
         self._commit_placement(col, plan, partner_atom, gate, staged, buffer)
         self._flush_moves(buffer)
-        self.events.append(
-            Illumination(self.t, self.t + self.params.cz_time, self.layer, staged)
-        )
-        self.t += self.params.cz_time
+        self._illuminate(staged)
         if self.technique == "onecache":
-            buffer = []
-            for c in self.col_order:
-                other = self.columns[c]
-                if other.atoms and c in self._moved_this_layer:
-                    self._move_column(other, other.home_x,
-                                      self._parked_ys(other, rc), buffer)
-            self._flush_moves(buffer)
+            self._return_home()
 
     # ------------------------------------------------------------------
     # measurement epilogue
@@ -975,31 +893,17 @@ class Compiler:
         params = self.params
         rc = self.layout.right_cache
 
-        buffer: list = []
-        if self.technique == "onecache":
-            # Columns are already at their right-cache homes.
-            pass
-        else:
-            self._relocate_all(buffer, RIGHT)
-        self._flush_moves(buffer)
+        self._relocate_all(RIGHT)
 
         # TC a: deposit every mobile atom where it is parked.
-        transfers = []
-        measured: list[tuple[int, int, float, float]] = []
+        mobile = []
         for cid in self.col_order:
             col = self.columns[cid]
+            mobile.extend(col.atoms)
             for a in col.atoms:
-                transfers.append(TrapTransfer(a, self.atom_x[a], self.atom_y[a]))
-                measured.append((a, self.qubit_of[a], self.atom_x[a], self.atom_y[a]))
                 self.atom_col[a] = None
             col.atoms = []
-        self.events.append(TrapChange(self.t, self.t + params.trap_change_time,
-                                      self.layer, AOD_TO_SLM, transfers))
-        self.t += params.trap_change_time
-        self.trap_change_count += 1
-        if measured:
-            self.events.append(Measure(self.t, self.t, self.layer,
-                                       sorted(measured)))
+        self._deposit_and_measure(mobile)
 
         # TC b: pick the compute atoms up, one ferry column per site column.
         by_x: dict[float, list[int]] = {}
@@ -1014,10 +918,7 @@ class Compiler:
             for a in by_x[x]:
                 transfers.append(TrapTransfer(a, self.atom_x[a], self.atom_y[a],
                                               column=cid))
-        self.events.append(TrapChange(self.t, self.t + params.trap_change_time,
-                                      self.layer, SLM_TO_AOD, transfers))
-        self.t += params.trap_change_time
-        self.trap_change_count += 1
+        self._trap_change(SLM_TO_AOD, transfers)
 
         # Ferries park on the readout slots in a y band above the atoms
         # already deposited there, so positions never collide.
@@ -1034,30 +935,23 @@ class Compiler:
             for a, _, ty in pairs:
                 self.atom_x[a] = to_x
                 self.atom_y[a] = ty
-        dur = movement_phase_time(moves, params, self.serial)
-        if dur > 0:
-            self.events.extend(ordered_phase_moves(moves, self.t, self.t + dur,
-                                                   self.layer))
-            self.t += dur
+        self._flush_moves(moves)
 
         # TC c: deposit in readout and measure.
-        transfers = []
-        measured = []
-        for cid, atoms in ferries:
-            for a in atoms:
-                transfers.append(TrapTransfer(a, self.atom_x[a], self.atom_y[a]))
-                measured.append((a, self.qubit_of[a], self.atom_x[a], self.atom_y[a]))
-                site = self.atom_site[a]
-                if site is not None:
-                    del self.site_atom[site]
-                    self.atom_site[a] = None
-        self.events.append(TrapChange(self.t, self.t + params.trap_change_time,
-                                      self.layer, AOD_TO_SLM, transfers))
-        self.t += params.trap_change_time
-        self.trap_change_count += 1
-        if measured:
-            self.events.append(Measure(self.t, self.t, self.layer,
-                                       sorted(measured)))
+        ferried = [a for _, atoms in ferries for a in atoms]
+        for a in ferried:
+            del self.site_atom[self.atom_site[a]]
+            self.atom_site[a] = None
+        self._deposit_and_measure(ferried)
+
+    def _deposit_and_measure(self, atoms: list[int]) -> None:
+        """Readout trap change for `atoms` where they stand, then measure."""
+        at = [(a, self.atom_x[a], self.atom_y[a]) for a in atoms]
+        self._trap_change(AOD_TO_SLM, [TrapTransfer(a, x, y) for a, x, y in at])
+        if at:
+            self.events.append(Measure(
+                self.t, self.t, self.layer,
+                sorted((a, self.qubit_of[a], x, y) for a, x, y in at)))
 
 
 def compile_circuit(circuit: Circuit, technique: str = "pachinqo",

@@ -40,7 +40,11 @@ from pachinqo.schedule import (
     schedule_to_json,
 )
 from pachinqo.scheduler import Compiler
-from pachinqo.verifier import equivalence_check, validate_schedule
+from pachinqo.verifier import (
+    EQUIVALENCE_QUBIT_CAP,
+    equivalence_check,
+    validate_schedule,
+)
 
 from corpus import (
     GRIDS,
@@ -87,15 +91,72 @@ def corpus_results():
     return _compile_corpus()
 
 
-def _schedule_digests(corpus_results) -> dict[str, str]:
-    """sha256 of `schedule_to_json` for every corpus case and every
-    benchmark-suite x technique x grid case that compiles."""
+class _GuardForcingCompiler(Compiler):
+    """Turns the first of every three CZ layers into a no-op that executes
+    nothing, so `run()` falls into the progress guard and its isolation
+    layer, which ordinary circuits almost never reach."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.cz_calls = 0
+        self.isolation_layers = 0
+
+    def _cz_layer(self) -> int:
+        self.cz_calls += 1
+        if self.cz_calls % 3 == 1:
+            return 0
+        return super()._cz_layer()
+
+    def _isolation_layer(self, *args) -> None:
+        self.isolation_layers += 1
+        super()._isolation_layer(*args)
+
+
+def _compile_forced_guard():
+    """(circuit, technique, grid kind, schedule, layout, grid, isolation
+    layers) for 9 random circuits under every technique x grid. The
+    8-qubit ones get one AOD column; the 16-qubit ones have several, so the
+    isolation layer also parks columns on both sides of the placed one."""
+    results = []
+    for k, n, n_gates in [(k, 8, 60) for k in range(6)] + \
+            [(k, 16, 80) for k in range(3)]:
+        circ = random_circuit(random.Random(k), n, n_gates,
+                              name=f"guard{n}q{k}")
+        for grid_kind in GRIDS:
+            for technique in TECHNIQUES:
+                layout = build_layout(circ.num_qubits, "auto", PARAMS, grid_kind)
+                grid = generate_grid(grid_kind, layout, PARAMS)
+                compiler = _GuardForcingCompiler(circ, technique, grid, layout,
+                                                 PARAMS)
+                sched = compiler.run()
+                results.append((circ, technique, grid_kind, sched, layout,
+                                grid, compiler.isolation_layers))
+    return results
+
+
+@pytest.fixture(scope="module")
+def forced_guard_results():
+    return _compile_forced_guard()
+
+
+def _schedule_digests(corpus_results, forced_guard_results) -> dict[str, str]:
+    """sha256 of `schedule_to_json` for every corpus case, every
+    benchmark-suite x technique x grid case that compiles, every
+    forced-guard case and the trapchange extraction case."""
     def digest(sched):
         return hashlib.sha256(schedule_to_json(sched).encode()).hexdigest()
 
     digests = {f"corpus/{circ.source_name}/{technique}/{grid_kind}":
                digest(sched)
                for circ, technique, grid_kind, sched, _ in corpus_results}
+    digests.update(
+        (f"guard/{circ.source_name}/{technique}/{grid_kind}", digest(sched))
+        for circ, technique, grid_kind, sched, *_ in forced_guard_results)
+    # One mid-circuit SLM->AOD extraction (see test_scheduler.py).
+    sched, _, _ = _compile(
+        random_circuit(random.Random(0), 50, 150, name="extract50"),
+        "trapchange")
+    digests["extract/extract50/trapchange/large-square"] = digest(sched)
     for circ in benchmark_suite():
         for grid_kind in GRIDS:
             for technique in TECHNIQUES:
@@ -108,16 +169,34 @@ def _schedule_digests(corpus_results) -> dict[str, str]:
     return digests
 
 
-def test_golden_schedule_digests(corpus_results):
+def test_golden_schedule_digests(corpus_results, forced_guard_results):
     """Schedules stay byte-identical to the recorded ones. Re-record only in
     a change that alters schedules on purpose:
     `PYTHONPATH=src python tests/test_acceptance.py`."""
     golden = json.loads(GOLDEN_DIGESTS.read_text())
-    got = _schedule_digests(corpus_results)
+    got = _schedule_digests(corpus_results, forced_guard_results)
     changed = sorted(k for k in golden.keys() | got.keys()
                      if golden.get(k) != got.get(k))
     assert not changed, (f"{len(changed)} of {len(golden)} schedule digests "
                          f"differ, first: {changed[:5]}")
+
+
+def test_forced_guard_schedules_validate(forced_guard_results):
+    """The progress guard's isolation layer, forced on every technique x
+    grid, yields valid and equivalent schedules."""
+    bad = []
+    isolation = dict.fromkeys(TECHNIQUES, 0)
+    for circ, technique, grid_kind, sched, layout, grid, n_iso in \
+            forced_guard_results:
+        isolation[technique] += n_iso
+        violations = validate_schedule(sched, layout, grid, PARAMS, circ)
+        equal, tvd = (equivalence_check(sched, circ)
+                      if circ.num_qubits <= EQUIVALENCE_QUBIT_CAP else (True, 0.0))
+        if violations or not equal:
+            bad.append((circ.source_name, technique, grid_kind, tvd))
+    assert len(forced_guard_results) == 144
+    assert not bad, bad
+    assert all(isolation.values()), isolation
 
 
 def test_criterion_1_swap_template():
@@ -365,4 +444,5 @@ def test_criterion_11_determinism(tmp_path):
 
 if __name__ == "__main__":
     GOLDEN_DIGESTS.write_text(json.dumps(
-        _schedule_digests(_compile_corpus()), indent=1, sort_keys=True) + "\n")
+        _schedule_digests(_compile_corpus(), _compile_forced_guard()),
+        indent=1, sort_keys=True) + "\n")

@@ -8,6 +8,7 @@ import pytest
 from pachinqo.cli import CSV_HEADER, _compile_file, main
 from pachinqo.machine import PhysParams
 from pachinqo.schedule import schedule_to_json
+from pachinqo.scheduler import Compiler, SchedulerError
 
 from corpus import random_qasm
 
@@ -70,6 +71,30 @@ def test_missing_input_exits_one_without_traceback(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "nope.qasm" in err
     assert "Traceback" not in err
+    assert not out_s.exists()
+
+
+def _fail_compiles_of(monkeypatch, name):
+    """Make `Compiler.run` raise SchedulerError for the circuit `name`."""
+    run = Compiler.run
+
+    def failing_run(self):
+        if self.circuit.source_name == name:
+            raise SchedulerError("progress guard found no actionable gate")
+        return run(self)
+
+    monkeypatch.setattr(Compiler, "run", failing_run)
+
+
+def test_compile_error_exits_four_without_traceback(ghz_file, tmp_path,
+                                                    monkeypatch, capsys):
+    _fail_compiles_of(monkeypatch, "ghz3")
+    out_s = tmp_path / "s.json"
+    rc = main(["--input", str(ghz_file), "--out-schedule", str(out_s),
+               "--out-report", str(tmp_path / "r.json")])
+    assert rc == 4
+    err = capsys.readouterr().err
+    assert err == "compile error: progress guard found no actionable gate\n"
     assert not out_s.exists()
 
 
@@ -155,6 +180,21 @@ def test_suite_records_per_file_errors(tmp_path):
     rows = list(csv.reader(out.read_text().splitlines()))
     bad = [r for r in rows[1:] if r[0] == "bad"]
     assert len(bad) == 1 and bad[0][-1] != ""
+
+
+def test_suite_records_compile_error_as_error_row(tmp_path, monkeypatch):
+    d = _make_suite(tmp_path, n_files=2)
+    _fail_compiles_of(monkeypatch, "c0")
+    out = tmp_path / "suite.csv"
+    rc = main(["--suite-dir", str(d), "--out-csv", str(out),
+               "--techniques", "pachinqo,onecache", "--grids", "large-square"])
+    assert rc == 0
+    rows = list(csv.reader(out.read_text().splitlines()))
+    errors = {(r[0], r[1]): r[-1] for r in rows[1:]}
+    assert len(errors) == 4
+    assert errors[("c0", "pachinqo")] == errors[("c0", "onecache")] == \
+        "progress guard found no actionable gate"
+    assert errors[("c1", "pachinqo")] == errors[("c1", "onecache")] == ""
 
 
 def test_suite_records_non_utf8_file_as_error_row(tmp_path):

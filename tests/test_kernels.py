@@ -1,18 +1,9 @@
-"""Compiled kernels against the pure-Python fallback."""
+"""Crosstalk clearance predicates."""
 import random
 
 import numpy as np
-import pytest
 
 from pachinqo import kernels
-from pachinqo.kernels import py_fallback
-
-try:
-    from pachinqo.kernels import _core
-except ImportError:
-    _core = None
-
-IMPLS = [py_fallback] + ([_core] if _core is not None else [])
 
 
 def _random_case(rng, n):
@@ -22,98 +13,29 @@ def _random_case(rng, n):
     return xs, ys, px, py
 
 
-@pytest.mark.parametrize("impl", IMPLS, ids=lambda m: m.IMPLEMENTATION)
-def test_clear_from_against_numpy(impl):
+def test_clear_from_against_numpy():
     rng = random.Random(0)
     for _ in range(200):
         n = rng.randint(0, 30)
         xs, ys, px, py = _random_case(rng, n)
         r2 = rng.uniform(1, 400)
         expected = bool(((xs - px) ** 2 + (ys - py) ** 2 >= r2).all()) if n else True
-        assert impl.clear_from(xs, ys, n, px, py, r2) == expected
+        assert kernels.clear_from(xs, ys, n, px, py, r2) == expected
 
 
-@pytest.mark.parametrize("impl", IMPLS, ids=lambda m: m.IMPLEMENTATION)
-def test_clear_from_except_skips_index(impl):
+def test_clear_from_except_skips_index():
     xs = np.array([10.0, 20.0, 30.0])
     ys = np.array([0.0, 0.0, 0.0])
     # (20, 0) is within radius but exempted
-    assert impl.clear_from_except(xs, ys, 3, 21.0, 0.0, 25.0, 1)
-    assert not impl.clear_from_except(xs, ys, 3, 21.0, 0.0, 25.0, 0)
+    assert kernels.clear_from_except(xs, ys, 3, 21.0, 0.0, 25.0, 1)
+    assert not kernels.clear_from_except(xs, ys, 3, 21.0, 0.0, 25.0, 0)
     # skip = -1 means no exemption
-    assert not impl.clear_from_except(xs, ys, 3, 21.0, 0.0, 25.0, -1)
+    assert not kernels.clear_from_except(xs, ys, 3, 21.0, 0.0, 25.0, -1)
 
 
-@pytest.mark.parametrize("impl", IMPLS, ids=lambda m: m.IMPLEMENTATION)
-def test_prefix_count_respected(impl):
+def test_prefix_count_respected():
     xs = np.array([10.0, 11.0])
     ys = np.array([0.0, 0.0])
     # only the first obstacle is live
-    assert not impl.clear_from(xs, ys, 1, 10.5, 0.0, 4.0)
-    assert impl.clear_from(xs, ys, 0, 10.5, 0.0, 4.0)
-
-
-@pytest.mark.skipif(_core is None, reason="compiled kernels unavailable")
-def test_implementations_agree():
-    rng = random.Random(1)
-    for _ in range(500):
-        n = rng.randint(0, 40)
-        xs, ys, px, py = _random_case(rng, n)
-        r2 = rng.uniform(1, 300)
-        skip = rng.randint(-1, max(n - 1, 0))
-        assert _core.clear_from(xs, ys, n, px, py, r2) == \
-            py_fallback.clear_from(xs, ys, n, px, py, r2)
-        assert _core.clear_from_except(xs, ys, n, px, py, r2, skip) == \
-            py_fallback.clear_from_except(xs, ys, n, px, py, r2, skip)
-
-
-def test_selected_implementation_exposed():
-    assert kernels.IMPLEMENTATION in ("cython", "python")
-    assert callable(kernels.clear_from)
-
-
-def test_force_pure_python(monkeypatch):
-    import importlib
-    import pachinqo.kernels as km
-
-    monkeypatch.setenv("PACHINQO_PURE_PYTHON", "1")
-    km2 = importlib.reload(km)
-    try:
-        assert km2.IMPLEMENTATION == "python"
-    finally:
-        monkeypatch.delenv("PACHINQO_PURE_PYTHON")
-        importlib.reload(km)
-
-
-def test_scheduler_result_identical_across_kernels():
-    """The fallback must produce byte-identical schedules."""
-    import subprocess
-    import sys
-
-    code = (
-        "import random, sys\n"
-        "sys.path.insert(0, 'tests')\n"
-        "from corpus import random_circuit\n"
-        "from pachinqo.machine import PhysParams, build_layout, generate_grid\n"
-        "from pachinqo.scheduler import Compiler\n"
-        "from pachinqo.schedule import schedule_to_json\n"
-        "c = random_circuit(random.Random(55), 10, 120)\n"
-        "p = PhysParams()\n"
-        "lay = build_layout(10, 'auto', p)\n"
-        "g = generate_grid('large-square', lay, p)\n"
-        "print(hash(schedule_to_json(Compiler(c, 'pachinqo', g, lay, p).run())))\n"
-    )
-    import os
-
-    out = []
-    for force in ("", "1"):
-        env = dict(os.environ, PYTHONHASHSEED="0")
-        if force:
-            env["PACHINQO_PURE_PYTHON"] = force
-        else:
-            env.pop("PACHINQO_PURE_PYTHON", None)
-        r = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                           text=True, env=env, cwd=os.getcwd())
-        assert r.returncode == 0, r.stderr
-        out.append(r.stdout.strip())
-    assert out[0] == out[1]
+    assert not kernels.clear_from(xs, ys, 1, 10.5, 0.0, 4.0)
+    assert kernels.clear_from(xs, ys, 0, 10.5, 0.0, 4.0)

@@ -14,6 +14,7 @@ from pachinqo.machine import (
 )
 from pachinqo.metrics import movement_total, total_runtime
 from pachinqo.schedule import (
+    SLM_TO_AOD,
     ColumnMove,
     Illumination,
     Measure,
@@ -23,7 +24,7 @@ from pachinqo.schedule import (
     _event_dict,
     schedule_to_json,
 )
-from pachinqo.scheduler import Compiler, toggle_direction, LEFT, RIGHT
+from pachinqo.scheduler import Compiler, SchedulerError, toggle_direction, LEFT, RIGHT
 from pachinqo.verifier import equivalence_check, validate_schedule
 
 from corpus import random_circuit, staircase
@@ -239,6 +240,27 @@ def test_trapchange_falls_back_to_swap_when_no_room():
     assert validate_schedule(sched, layout, grid, params, circ) == []
     ok, _ = equivalence_check(sched, circ)
     assert ok
+
+
+def test_trapchange_extracts_static_atom_into_column():
+    circ = random_circuit(random.Random(0), 50, 150)
+    sched, layout, grid, params = _compile(circ, technique="trapchange")
+    last_layer = sched.events[-1].layer
+    extractions = [e for e in sched.events
+                   if isinstance(e, TrapChange) and e.direction == SLM_TO_AOD
+                   and 0 < e.layer < last_layer]
+    assert len(extractions) == 1
+    assert extractions[0].transfers[0].column is not None
+    assert validate_schedule(sched, layout, grid, params, circ) == []
+
+
+@pytest.mark.xfail(raises=SchedulerError, strict=True,
+                   reason="onecache's progress guard finds no actionable "
+                          "gate on many circuits of 54+ qubits")
+def test_onecache_compiles_sixty_qubit_circuit():
+    circ = random_circuit(random.Random(0), 60, 200)
+    sched, layout, grid, params = _compile(circ, technique="onecache")
+    assert validate_schedule(sched, layout, grid, params, circ) == []
 
 
 def test_measurement_epilogue_structure():
