@@ -21,8 +21,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from . import kernels
 from .circuit import Circuit, Frontier, Gate, decompose_swap
 from .machine import (
@@ -87,8 +85,8 @@ class _Obstacles:
     """Compute-zone atom positions for crosstalk clearance checks."""
 
     def __init__(self, capacity: int):
-        self.x = np.zeros(capacity)
-        self.y = np.zeros(capacity)
+        self.x = [0.0] * capacity
+        self.y = [0.0] * capacity
         self.n = 0
         self.index_of: dict[int, int] = {}
 
@@ -179,6 +177,14 @@ class Compiler:
         self.direction = RIGHT
         self.same_side_next = False
         self.obstacles = _Obstacles(n + 4)
+        # Each cache's column-slot x, with the rounded key _retreat
+        # compares against occupied columns.
+        n_slots = cache_column_slots(layout, params)
+        self.cache_slots = {
+            side: [(x, round(x, 6)) for x in
+                   (self._cache_slot_x(side, i) for i in range(n_slots))]
+            for side in (RIGHT, LEFT)
+        }
         self.busy: set[int] = set()
         self._moved_this_layer: set[int] = set()
 
@@ -590,11 +596,10 @@ class Compiler:
         opposite = -side
         cache = self._cache(opposite)
         lo, hi = self._neighbors(col.cid)
-        slots = [self._cache_slot_x(opposite, i)
-                 for i in range(cache_column_slots(self.layout, self.params))]
         occupied = {round(c.x, 6) for c in self.columns.values()
                     if c.atoms and c.cid != col.cid}
-        free = [s for s in slots if round(s, 6) not in occupied and lo < s < hi]
+        free = [s for s, key in self.cache_slots[opposite]
+                if key not in occupied and lo < s < hi]
         if side == LEFT:
             free.reverse()  # fill the right cache from compute outward
         if free:

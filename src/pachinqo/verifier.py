@@ -9,13 +9,16 @@ timestamp monotonicity.
 
 Convention: atom ids equal the qubits initially mapped onto them; the
 mapping then evolves only through completed inserted SWAPs.
+
+The validator is pure Python. numpy is imported only inside the
+state-vector oracle's functions, so parsing, compiling and validating
+never load it.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .circuit import Circuit, decompose_swap
 from .machine import PhysParams, SlmGrid, ZoneLayout
@@ -29,6 +32,9 @@ from .schedule import (
     TrapChange,
     U3LayerEvent,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 ORACLE_QUBIT_CAP = 12
 EQUIVALENCE_QUBIT_CAP = 10
@@ -324,6 +330,8 @@ def validate_schedule(schedule: Schedule, layout: ZoneLayout, grid: SlmGrid,
 
 def _apply_u3(state: np.ndarray, q: int, theta: float, phi: float,
               lam: float, n: int) -> np.ndarray:
+    import numpy as np
+
     ct, st = math.cos(theta / 2), math.sin(theta / 2)
     mat = np.array(
         [[ct, -np.exp(1j * lam) * st],
@@ -336,6 +344,8 @@ def _apply_u3(state: np.ndarray, q: int, theta: float, phi: float,
 
 
 def _apply_cz(state: np.ndarray, a: int, b: int, n: int) -> np.ndarray:
+    import numpy as np
+
     idx = np.arange(state.size)
     mask = ((idx >> a) & 1).astype(bool) & ((idx >> b) & 1).astype(bool)
     state = state.copy()
@@ -349,6 +359,8 @@ def statevector_oracle(circuit: Circuit, initial: int = 0) -> np.ndarray:
     Returns a 2**n probability vector indexed little-endian (qubit 0 is
     the least significant bit).
     """
+    import numpy as np
+
     n = circuit.num_qubits
     if n > ORACLE_QUBIT_CAP:
         raise ValueError(f"oracle capped at {ORACLE_QUBIT_CAP} qubits, got {n}")
@@ -367,6 +379,8 @@ def statevector_oracle(circuit: Circuit, initial: int = 0) -> np.ndarray:
 def executed_distribution(schedule: Schedule, num_qubits: int) -> np.ndarray:
     """Simulate the executed gate sequence in atom space and relabel the
     outcome bits through the final qubit-to-atom permutation."""
+    import numpy as np
+
     state = np.zeros(2**num_qubits, dtype=complex)
     state[0] = 1.0
     for ev in schedule.events:
@@ -391,6 +405,8 @@ def equivalence_check(schedule: Schedule, circuit: Circuit
                       ) -> tuple[bool, float]:
     """Compare the schedule's executed-sequence distribution against the
     reference circuit; returns (equal, total variation distance)."""
+    import numpy as np
+
     n = circuit.num_qubits
     if n > EQUIVALENCE_QUBIT_CAP:
         raise ValueError(
