@@ -231,10 +231,6 @@ class Frontier:
     def swap_step(self, swap_id: int) -> int:
         return self._swaps[swap_id][2]
 
-    def swap_qubits(self, swap_id: int) -> tuple[int, int]:
-        a, b, _ = self._swaps[swap_id]
-        return a, b
-
     def begin_swap(self, swap_id: int, a: int, b: int) -> None:
         if a in self.lock or b in self.lock:
             raise CircuitError("cannot start a swap on a locked qubit")

@@ -77,16 +77,26 @@ def load_params(source: str | dict | None = None) -> tuple[PhysParams, str | Non
 
     `source` is a path, a pre-parsed dict, or None for pure defaults.
     Returns (params, layout_scale) where layout_scale is the optional
-    "layout_scale" override from the file (None if absent). Unknown keys
-    are errors; invariant violations name the offending field.
+    "layout_scale" override from the file (None if absent). Every problem
+    raises a one-line GeometryError: an unreadable file, malformed JSON,
+    an unknown key, a value that is not a finite number (or not an integer
+    for max_atoms_per_column), or a violated invariant, which names the
+    offending field.
     """
     if source is None:
         return PhysParams(), None
     if isinstance(source, dict):
         data = dict(source)
     else:
-        with open(source, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
+        try:
+            with open(source, "r", encoding="utf-8") as fh:
+                data = json.load(fh)
+        except OSError as e:
+            raise GeometryError(f"cannot read params file {source}: "
+                                f"{e.strerror or e}") from e
+        except ValueError as e:  # malformed JSON or not UTF-8
+            raise GeometryError(f"params file {source} is not valid JSON: "
+                                f"{e}") from e
         if not isinstance(data, dict):
             raise GeometryError("params file must contain a JSON object")
     layout_scale = data.pop("layout_scale", None)
@@ -95,8 +105,17 @@ def load_params(source: str | dict | None = None) -> tuple[PhysParams, str | Non
     unknown = sorted(set(data) - _PARAM_NAMES)
     if unknown:
         raise GeometryError(f"unknown parameter key(s): {', '.join(unknown)}")
+    for name, value in data.items():
+        if (isinstance(value, bool) or not isinstance(value, (int, float))
+                or not math.isfinite(value)):
+            raise GeometryError(f"parameter {name} must be a finite number, "
+                                f"got {value!r}")
     if "max_atoms_per_column" in data:
-        data["max_atoms_per_column"] = int(data["max_atoms_per_column"])
+        per_col = data["max_atoms_per_column"]
+        if per_col != int(per_col):
+            raise GeometryError(f"max_atoms_per_column must be an integer, "
+                                f"got {per_col!r}")
+        data["max_atoms_per_column"] = int(per_col)
     return replace(PhysParams(), **data), layout_scale
 
 
@@ -328,7 +347,6 @@ class AodColumn:
 
     x: float
     atoms: tuple[tuple[int, float], ...]
-    home_slot: float  # parking x in the cache
 
 
 @dataclass(frozen=True)

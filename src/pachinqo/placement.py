@@ -190,7 +190,7 @@ def assign_atoms(grouping: Grouping, grid: SlmGrid, layout: ZoneLayout,
         for slot, q in enumerate(qubits):
             column_of_qubit[q] = (c, slot)
             atoms.append((q, rc.y0 + ZONE_MARGIN + slot * pitch))
-        columns.append(AodColumn(home_x, tuple(atoms), home_x))
+        columns.append(AodColumn(home_x, tuple(atoms)))
     aod_state = AodState(tuple(columns))
     aod_state.check(params)
 

@@ -35,10 +35,6 @@ class ColumnMove:
     kind: str = "column-move"
 
     @property
-    def max_dy(self) -> float:
-        return max((abs(b - a) for _, a, b in self.atoms), default=0.0)
-
-    @property
     def manhattan_total(self) -> float:
         dx = abs(self.to_x - self.from_x)
         return sum(dx + abs(b - a) for _, a, b in self.atoms)

@@ -12,9 +12,13 @@ priority; a layer that ends because placed columns exhaust compute access
 keeps the same side for the remaining columns.
 
 Same-trap conflicts insert SWAPs executed preemptively, one component
-gate per layer. The trapchange variant resolves conflicts with mid-
-circuit trap changes instead; onecache keeps a single cache and returns
-moved columns to their home slots each layer.
+gate per layer. The techniques differ only in three values set in
+`Compiler.__init__`: the grouping function (degreesplit), whether a
+conflict tries a mid-circuit trap change before a SWAP (trapchange), and
+whether there is one cache (onecache). With one cache every layer starts
+from the right cache, idle columns tuck into memory instead of crossing
+to an opposite cache, isolation layers park the columns left of the
+placed one in memory, and columns return home after every layer.
 """
 from __future__ import annotations
 
@@ -78,7 +82,6 @@ class _Column:
     cid: int
     x: float
     atoms: list[int] = field(default_factory=list)  # atom ids, slot order
-    home_x: float = 0.0
 
 
 class _Obstacles:
@@ -145,7 +148,10 @@ class Compiler:
         self.serial = serial_movement
 
         n = circuit.num_qubits
+        # The only technique-dependent values; nothing below compares names.
         group_fn = degree_split_group if technique == "degreesplit" else greedy_maxcut_group
+        self.one_cache = technique == "onecache"
+        self.trap_change_first = technique == "trapchange"
         grouping = group_fn(circuit, slm_capacity(grid, params),
                             aod_capacity(layout, params))
         self.placement: InitialPlacement = assign_atoms(grouping, grid, layout, params)
@@ -167,7 +173,6 @@ class Compiler:
 
         self.frontier = Frontier(circuit)
         self.swaps: dict[int, _Swap] = {}
-        self.next_swap_id = 0
         self.swap_count = 0
         self.trap_change_count = 0
 
@@ -185,8 +190,17 @@ class Compiler:
                    (self._cache_slot_x(side, i) for i in range(n_slots))]
             for side in (RIGHT, LEFT)
         }
+        # Isolation layers park the columns left of the placed one from
+        # park_x0 rightward at storage pitch: in the left cache, or in
+        # memory when there is one cache.
+        if self.one_cache:
+            self.cache_slots[LEFT] = []
+            self.park_zone = layout.memory
+            self.park_x0 = layout.memory.x0
+        else:
+            self.park_zone = layout.left_cache
+            self.park_x0 = self._cache_slot_x(LEFT, 0)
         self.busy: set[int] = set()
-        self._moved_this_layer: set[int] = set()
 
     # ------------------------------------------------------------------
     # setup helpers
@@ -204,7 +218,7 @@ class Compiler:
             self.atom_site[q] = site
             self.site_atom[site] = q
         for c, col in enumerate(self.placement.aod_state.columns):
-            column = _Column(c, col.x, [a for a, _ in col.atoms], col.home_slot)
+            column = _Column(c, col.x, [a for a, _ in col.atoms])
             self.columns[c] = column
             self.col_order.append(c)
             for a, y in col.atoms:
@@ -236,7 +250,6 @@ class Compiler:
             self.atom_x[a] = to_x
             self.atom_y[a] = ty
         col.x = to_x
-        self._moved_this_layer.add(col.cid)
 
     def _trap_change(self, direction: str,
                      transfers: list[TrapTransfer]) -> None:
@@ -257,17 +270,6 @@ class Compiler:
         self.obstacles.reset()
         for site, atom in sorted(self.site_atom.items()):
             self.obstacles.add(atom, self.atom_x[atom], self.atom_y[atom])
-
-    def _return_home(self) -> None:
-        """OneCache: move the columns moved this layer back home."""
-        buffer: list = []
-        cache = self.layout.right_cache
-        for cid in self.col_order:
-            col = self.columns[cid]
-            if col.atoms and cid in self._moved_this_layer:
-                self._move_column(col, col.home_x,
-                                  self._parked_ys(col, cache), buffer)
-        self._flush_moves(buffer)
 
     # ------------------------------------------------------------------
     # geometry helpers
@@ -385,14 +387,10 @@ class Compiler:
 
     # ------------------------------------------------------------------
     # CZ layers
-    def _start_side(self) -> int:
-        return RIGHT if self.technique == "onecache" else self.direction
-
     def _relocate_all(self, side: int) -> None:
         """Move every nonempty column to the `side` cache parking slots, in
-        one movement phase. OneCache columns are already home."""
-        if self.technique == "onecache":
-            return
+        one movement phase. With one cache, no column ever empties, so
+        `_relocate_all(RIGHT)` puts every column on its home slot."""
         buffer: list = []
         cache = self._cache(side)
         live = [c for c in self.col_order if self.columns[c].atoms]
@@ -405,11 +403,10 @@ class Compiler:
     def _cz_layer(self) -> int:
         self.layer += 1
         self.busy.clear()
-        self._moved_this_layer.clear()
         staged: list[CzEntry] = []
         executed = 0
 
-        side = self._start_side()
+        side = self.direction
         self.same_side_next = False
 
         self._relocate_all(side)
@@ -430,15 +427,12 @@ class Compiler:
                 # finish the layer, keep the same side next layer.
                 self.same_side_next = True
                 break
-            elif action == "swap":
-                executed += 1
-                if not self._retreat(col, side, buffer):
-                    self.same_side_next = True
-                    break
             elif action == "tc":
                 executed += 1
                 buffer = self._trapchange_action(col, detail, buffer)
-            else:  # idle
+            else:  # a SWAP began, or idle: clear the way
+                if action == "swap":
+                    executed += 1
                 if not self._retreat(col, side, buffer):
                     self.same_side_next = True
                     break
@@ -447,8 +441,8 @@ class Compiler:
         if staged:
             self._illuminate(staged)
 
-        if self.technique == "onecache":
-            self._return_home()
+        if self.one_cache:
+            self._relocate_all(RIGHT)  # columns return home every layer
         elif not self.same_side_next:
             self.direction = toggle_direction(self.direction)
         return executed
@@ -461,7 +455,8 @@ class Compiler:
         conflict: tuple[int, int, int] | None = None  # (atom, q, partner q)
         for atom in sorted(col.atoms, key=lambda a: -self.atom_y[a]):
             q = self.qubit_of[atom]
-            if q in self.frontier.lock:
+            swap = None
+            if q in self.frontier.lock:  # a pending inserted-SWAP CZ step
                 sid = self.frontier.lock[q]
                 swap = self.swaps[sid]
                 if swap.atom_aod != atom or swap.layer >= self.layer:
@@ -470,39 +465,34 @@ class Compiler:
                 if gate.kind != "cz":
                     continue
                 partner_atom = swap.atom_slm
-                if partner_atom in self.busy:
+            else:  # a native CZ
+                i = self.frontier.next_gate(q)
+                if i == -1:
                     continue
-                plan = self._try_place(col, atom, partner_atom)
-                if plan is None:
-                    wants_blocked = True
+                gate = self.circuit.gates[i]
+                if gate.kind != "cz":
                     continue
-                self._commit_placement(col, plan, partner_atom, gate, staged, buffer)
+                p = gate.qubits[0] if gate.qubits[1] == q else gate.qubits[1]
+                if not self.frontier.executable_cz(q, p):
+                    continue
+                partner_atom = self.atom_of[p]
+                if self.atom_site[partner_atom] is None:
+                    if conflict is None:
+                        conflict = (atom, q, p)
+                    continue
+            if partner_atom in self.busy:
+                continue
+            plan = self._try_place(col, atom, partner_atom)
+            if plan is None:
+                wants_blocked = True
+                continue
+            self._commit_placement(col, plan, partner_atom, gate, staged, buffer)
+            if swap is not None:
                 swap.layer = self.layer
-                return "placed", None
-            i = self.frontier.next_gate(q)
-            if i == -1:
-                continue
-            g = self.circuit.gates[i]
-            if g.kind != "cz":
-                continue
-            p = g.qubits[0] if g.qubits[1] == q else g.qubits[1]
-            if not self.frontier.executable_cz(q, p):
-                continue
-            partner_atom = self.atom_of[p]
-            if self.atom_site[partner_atom] is not None:
-                if partner_atom in self.busy:
-                    continue
-                plan = self._try_place(col, atom, partner_atom)
-                if plan is None:
-                    wants_blocked = True
-                    continue
-                self._commit_placement(col, plan, partner_atom, g, staged, buffer)
-                return "placed", None
-            elif conflict is None:
-                conflict = (atom, q, p)
+            return "placed", None
 
         if conflict is not None:
-            if self.technique == "trapchange":
+            if self.trap_change_first:
                 detail = self._plan_trapchange(col, conflict)
                 if detail is not None:
                     return "tc", detail
@@ -590,9 +580,8 @@ class Compiler:
         """Clear the way for later columns: park in the opposite cache, or
         next to the blocking column and down into memory. Returns False if
         no legal spot exists, in which case the column stays parked (and
-        blocks the rest of the layer)."""
-        if self.technique == "onecache":
-            return self._onecache_clear(col, buffer)
+        blocks the rest of the layer). With one cache there is no opposite
+        cache, so an idle column always drops into memory."""
         opposite = -side
         cache = self._cache(opposite)
         lo, hi = self._neighbors(col.cid)
@@ -605,50 +594,39 @@ class Compiler:
         if free:
             self._move_column(col, free[0], self._parked_ys(col, cache), buffer)
             return True
-        # Blocked: tuck in beside the neighbor and drop into memory.
+        # Blocked: tuck in beside the neighbor and drop into memory, at
+        # memory's left edge if no live column is left of this one.
         mem = self.layout.memory
         if side == RIGHT:
-            x = lo + self.params.storage_pitch
+            x = mem.x0 if lo == -math.inf else lo + self.params.storage_pitch
         else:
             x = hi - self.params.storage_pitch
         if not (mem.x0 <= x <= mem.x1) or not (lo < x < hi):
             return False
-        self._move_column(col, x, self._parked_ys(col, self.layout.memory), buffer)
-        return True
-
-    def _onecache_clear(self, col: _Column, buffer: list) -> bool:
-        """OneCache keeps idle columns home unless they block: idle columns
-        detour into memory for the layer and return home afterwards. They
-        pack tightly against memory's left edge so as few site columns as
-        possible fall into their shadow."""
-        lo, hi = self._neighbors(col.cid)
-        mem = self.layout.memory
-        x = mem.x0 if lo == -math.inf else lo + self.params.storage_pitch
-        x = max(x, mem.x0)
-        if not (lo < x < hi) or x > mem.x1:
-            return False  # cannot clear; stays parked and blocks the layer
-        self._move_column(col, x, self._parked_ys(col, self.layout.memory), buffer)
+        self._move_column(col, x, self._parked_ys(col, mem), buffer)
         return True
 
     # -- inserted swaps -----------------------------------------------------
-    def _next_cz_partner(self, q: int) -> int | None:
-        lst = self.frontier._by_qubit[q]
-        for i in lst[self.frontier._pos[q]:]:
+    def _next_partner_static(self, q: int) -> bool | None:
+        """Whether q's next CZ partner sits in a static trap; None if q has
+        no CZ left."""
+        for i in self.frontier._by_qubit[q][self.frontier._pos[q]:]:
             g = self.circuit.gates[i]
             if g.kind == "cz":
-                return g.qubits[0] if g.qubits[1] == q else g.qubits[1]
+                p = g.qubits[0] if g.qubits[1] == q else g.qubits[1]
+                return self.atom_site[self.atom_of[p]] is not None
         return None
 
     def _swap_partner_rank(self, s_atom: int, forced: bool) -> int | None:
         s = self.qubit_of[s_atom]
         if s in self.frontier.lock:
             return None
-        nxt = self._next_cz_partner(s)
-        if nxt is None:
+        static = self._next_partner_static(s)
+        if static is None:
             if self.frontier.next_gate(s) == -1:
                 return 2
             return 3
-        if self.atom_site[self.atom_of[nxt]] is not None:
+        if static:
             return 1  # mutual benefit: its partner is static too
         return 4 if forced else None
 
@@ -674,8 +652,7 @@ class Compiler:
         return best[2] if best is not None else None
 
     def _begin_swap(self, aod_atom: int, slm_atom: int) -> None:
-        sid = self.next_swap_id
-        self.next_swap_id += 1
+        sid = self.swap_count
         qa, qb = self.qubit_of[aod_atom], self.qubit_of[slm_atom]
         self.frontier.begin_swap(sid, qa, qb)
         self.swaps[sid] = _Swap(decompose_swap(qa, qb, sid), aod_atom, slm_atom)
@@ -710,11 +687,8 @@ class Compiler:
                 s = self.qubit_of[s_atom]
                 if s in self.frontier.lock or s_atom in self.busy:
                     continue
-                nxt = self._next_cz_partner(s)
-                if nxt is None:
-                    continue
-                if self.atom_site[self.atom_of[nxt]] is None:
-                    continue  # its partner is mobile; extraction won't help
+                if not self._next_partner_static(s):
+                    continue  # no CZ left, or a mobile partner: no help
                 sx, sy = self.grid.sites[site]
                 if not (lo < sx < hi):
                     continue
@@ -754,26 +728,22 @@ class Compiler:
             self.free_sites.append(site)
             self.free_sites.sort()
         buffer = []
-        self._retreat(col, self._start_side(), buffer)
+        self._retreat(col, self.direction, buffer)
         return buffer
 
     # ------------------------------------------------------------------
     # progress guard
     def _isolation_feasible(self, mobile_atom: int, static_atom: int) -> bool:
-        """Whether an isolation layer can reach the static atom's site.
-
-        With a dual cache the lower-cid columns always fit in the left
-        cache, so any site is reachable. OneCache must tuck them into
-        memory left of the target, which bounds how far left a site can
+        """Whether an isolation layer can reach the static atom's site: the
+        last of the columns parked left of the mobile one must stay left of
+        the placement. Always true with a dual cache, whose left cache lies
+        left of compute; with one cache it bounds how far left a site can
         be serviced.
         """
-        if self.technique != "onecache":
-            return True
         cid = self.atom_col[mobile_atom]
         idx = self.col_order.index(cid)
         k = sum(1 for c in self.col_order[:idx] if self.columns[c].atoms)
-        mem = self.layout.memory
-        lo_after = mem.x0 + (k - 1) * self.params.storage_pitch if k else -math.inf
+        lo_after = self.park_x0 + (k - 1) * self.params.storage_pitch if k else -math.inf
         return lo_after < self.atom_x[static_atom] + INTERACTION_OFFSET
 
     def _guard(self) -> None:
@@ -832,12 +802,8 @@ class Compiler:
                     continue
                 if self.frontier.next_gate(q) == -1:
                     rank = 0
-                else:
-                    nxt = self._next_cz_partner(q)
-                    mobile_partner = (
-                        nxt is not None and self.atom_site[self.atom_of[nxt]] is None
-                    )
-                    rank = 1 if mobile_partner else 2
+                else:  # 1 if its next CZ partner is mobile
+                    rank = 1 if self._next_partner_static(q) is False else 2
                 key = (rank, atom)
                 if best is None or key < best:
                     best = key
@@ -848,21 +814,16 @@ class Compiler:
         """One CZ layer with a single column placed and all others parked."""
         self.layer += 1
         self.busy.clear()
-        self._moved_this_layer.clear()
         cid = self.atom_col[active_atom]
         col = self.columns[cid]
         buffer: list = []
         idx = self.col_order.index(cid)
-        # Columns left of this one park left: OneCache tucks them into
-        # memory, the dual cache fills the left cache from its edge.
-        onecache = self.technique == "onecache"
-        zone = self.layout.memory if onecache else self.layout.left_cache
+        # Columns left of this one park from park_x0 rightward.
         left = [c for c in self.col_order[:idx] if self.columns[c].atoms]
         for k, c in enumerate(left):
             other = self.columns[c]
-            x = (zone.x0 + k * self.params.storage_pitch if onecache
-                 else self._cache_slot_x(LEFT, k))
-            self._move_column(other, x, self._parked_ys(other, zone), buffer)
+            self._move_column(other, self.park_x0 + k * self.params.storage_pitch,
+                              self._parked_ys(other, self.park_zone), buffer)
         # Columns right of it fill the right cache from its far edge.
         rc = self.layout.right_cache
         k = cache_column_slots(self.layout, self.params) - 1
@@ -883,8 +844,8 @@ class Compiler:
         self._commit_placement(col, plan, partner_atom, gate, staged, buffer)
         self._flush_moves(buffer)
         self._illuminate(staged)
-        if self.technique == "onecache":
-            self._return_home()
+        if self.one_cache:
+            self._relocate_all(RIGHT)
 
     # ------------------------------------------------------------------
     # measurement epilogue

@@ -4,8 +4,9 @@ The validator replays the event list with its own position/mapping
 tracking and its own distance arithmetic (deliberately sharing no
 placement code with the scheduler), checking: AOD column ordering, tandem
 column membership, illumination blockade geometry, zone containment,
-dependency order of executed gates, single measurement per atom, and
-timestamp monotonicity.
+dependency order of executed gates, single measurement per atom, the
+qubit each measurement names (the replayed mapping's qubit for that
+atom), and timestamp monotonicity.
 
 Convention: atom ids equal the qubits initially mapped onto them; the
 mapping then evolves only through completed inserted SWAPs.
@@ -202,6 +203,13 @@ class _Replay:
                 if atom in self.measured:
                     self.bad("double-measure", i, f"atom {atom} measured twice")
                 self.measured.add(atom)
+                if qubit not in range(len(self.atom_of)):
+                    self.bad("dependency", i, f"measure of atom {atom} names "
+                             f"unknown qubit {qubit}")
+                elif self.atom_of[qubit] != atom:
+                    self.bad("dependency", i,
+                             f"measure of atom {atom} names qubit {qubit}, "
+                             f"mapped atom is {self.atom_of[qubit]}")
                 if self.pos.get(atom) != (x, y):
                     self.bad("tandem", i, f"measure at stale position for {atom}")
         self._check_ordering(i)

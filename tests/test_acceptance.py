@@ -31,6 +31,8 @@ from pachinqo.metrics import (
     total_runtime,
 )
 from pachinqo.schedule import (
+    SLM_TO_AOD,
+    ColumnMove,
     CzEntry,
     Illumination,
     Schedule,
@@ -197,6 +199,56 @@ def test_forced_guard_schedules_validate(forced_guard_results):
     assert len(forced_guard_results) == 144
     assert not bad, bad
     assert all(isolation.values()), isolation
+
+
+def _onecache_cache_use(sched, layout):
+    """(faults, U3 layers checked, moves into memory) of a onecache
+    schedule. A fault is an atom moved into the left cache, or a live
+    column outside the right cache while a U3 layer runs."""
+    lc, rc, mem = layout.left_cache, layout.right_cache, layout.memory
+    col_x: dict[int, float] = {}
+    col_of: dict[int, int] = {}  # atom -> its AOD column while mobile
+    faults, u3_layers, tucked = [], 0, 0
+    for i, ev in enumerate(sched.events):
+        if isinstance(ev, ColumnMove):
+            col_x[ev.column] = ev.to_x
+            if any(lc.contains(ev.to_x, ty) for _, _, ty in ev.atoms):
+                faults.append((i, f"column {ev.column} moves into the left cache"))
+            tucked += all(mem.contains(ev.to_x, ty) for _, _, ty in ev.atoms)
+        elif isinstance(ev, TrapChange):
+            for tr in ev.transfers:
+                if ev.direction == SLM_TO_AOD:
+                    col_of[tr.atom] = tr.column
+                    col_x[tr.column] = tr.x
+                else:
+                    col_of.pop(tr.atom, None)
+        elif isinstance(ev, U3LayerEvent):
+            u3_layers += 1
+            faults.extend((i, f"column {c} at x={col_x[c]} during a U3 layer")
+                          for c in sorted(set(col_of.values()))
+                          if not rc.x0 <= col_x[c] <= rc.x1)
+    return faults, u3_layers, tucked
+
+
+def test_onecache_stays_in_its_one_cache(corpus_results, forced_guard_results):
+    """Onecache never uses the left cache, and its columns are back in the
+    right cache whenever a U3 layer runs, on every grid, with and without
+    forced isolation layers."""
+    cases = [(circ, grid_kind, sched, build_layout(circ.num_qubits, "auto",
+                                                   PARAMS, grid_kind))
+             for circ, technique, grid_kind, sched, _ in corpus_results
+             if technique == "onecache"]
+    cases += [(circ, grid_kind, sched, layout)
+              for circ, technique, grid_kind, sched, layout, _, _ in
+              forced_guard_results if technique == "onecache"]
+    assert {grid_kind for _, grid_kind, _, _ in cases} == set(GRIDS)
+    u3_layers = tucked = 0
+    for circ, grid_kind, sched, layout in cases:
+        faults, n_u3, n_tucked = _onecache_cache_use(sched, layout)
+        assert not faults, (circ.source_name, grid_kind, faults[:3])
+        u3_layers += n_u3
+        tucked += n_tucked
+    assert u3_layers and tucked  # both facts were exercised
 
 
 def test_criterion_1_swap_template():

@@ -146,6 +146,33 @@ def test_bad_params_key_exits_two(tmp_path, ghz_file):
     assert rc == 2
 
 
+@pytest.mark.parametrize("content, message", [
+    (None, "cannot read params file"),
+    ('{"aod_speed": 110.0', "is not valid JSON"),
+    ('{"aod_speed": "fast"}', "parameter aod_speed must be a finite number"),
+    ('{"aod_speed": NaN}', "parameter aod_speed must be a finite number"),
+], ids=["missing", "malformed", "non-numeric", "nan"])
+@pytest.mark.parametrize("via_env", [False, True], ids=["flag", "env"])
+def test_bad_params_file_exits_two_without_traceback(
+        tmp_path, ghz_file, monkeypatch, capsys, content, message, via_env):
+    p = tmp_path / "params.json"
+    if content is not None:  # None leaves the file missing
+        p.write_text(content)
+    argv = ["--input", str(ghz_file),
+            "--out-schedule", str(tmp_path / "s.json"),
+            "--out-report", str(tmp_path / "r.json")]
+    if via_env:
+        monkeypatch.setenv("PACHINQO_PARAMS", str(p))
+    else:
+        argv += ["--params", str(p)]
+    rc = main(argv)
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert message in err
+    assert "Traceback" not in err and len(err.strip().splitlines()) == 1
+    assert not (tmp_path / "s.json").exists()
+
+
 def _make_suite(tmp_path, n_files=3, seed=0):
     rng = random.Random(seed)
     d = tmp_path / "suite"

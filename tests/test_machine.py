@@ -62,6 +62,20 @@ def test_load_params_rejects_unknown_key():
         load_params({"cz_tim": 1})
 
 
+@pytest.mark.parametrize("data, message", [
+    ({"aod_speed": True}, "aod_speed must be a finite number"),
+    ({"t1": math.inf}, "t1 must be a finite number"),
+    ({"max_atoms_per_column": 2.5}, "max_atoms_per_column must be an integer"),
+])
+def test_load_params_rejects_bad_values(data, message):
+    with pytest.raises(GeometryError, match=message):
+        load_params(data)
+
+
+def test_load_params_accepts_integral_float_column_size():
+    assert load_params({"max_atoms_per_column": 3.0})[0].max_atoms_per_column == 3
+
+
 def test_params_invariants():
     with pytest.raises(GeometryError):
         PhysParams(interaction_radius=12.0)  # >= crosstalk

@@ -347,6 +347,29 @@ def test_retreat_fallback_tucks_beside_blocker():
     assert all(mem.y0 <= ty <= mem.y1 for _, _, ty in atoms)
 
 
+def test_onecache_retreat_tucks_in_at_memory_edge():
+    """With one cache there is no opposite cache: an idle column with no
+    live column on its left tucks in at memory's left edge, into memory."""
+    from pachinqo.machine import ZONE_MARGIN, PhysParams
+
+    params = PhysParams()
+    circ = Circuit(10, [cz(2 * i, 2 * i + 1) for i in range(5)])
+    layout = build_layout(10, "auto", params)
+    grid = generate_grid("large-square", layout, params)
+    compiler = Compiler(circ, "onecache", grid, layout, params)
+    compiler._apply_initialization()
+    assert compiler.cache_slots[LEFT] == []
+    col0 = compiler.columns[compiler.col_order[0]]
+    buffer = []
+    assert compiler._retreat(col0, RIGHT, buffer)
+    assert len(buffer) == 1
+    cid, _, to_x, atoms = buffer[0]
+    assert cid == col0.cid and to_x == layout.memory.x0
+    mem = layout.memory
+    assert [ty for _, _, ty in atoms] == [
+        mem.y0 + ZONE_MARGIN + i * params.storage_pitch for i in range(len(atoms))]
+
+
 def test_schedule_json_roundtrip():
     from pachinqo.schedule import schedule_from_json
 

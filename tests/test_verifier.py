@@ -286,3 +286,35 @@ def test_validator_passes_all_techniques():
     for technique in ("pachinqo", "degreesplit", "onecache", "trapchange"):
         sched, layout, grid, params = _compile(circ, technique)
         assert validate_schedule(sched, layout, grid, params, circ) == []
+
+
+def _measure_mutant(mutate):
+    """Validate a compiled 6-qubit schedule whose readout was mutated."""
+    circ = random_circuit(random.Random(3), 6, 40)
+    sched, layout, grid, params = _compile(circ)
+    assert validate_schedule(sched, layout, grid, params, circ) == []
+    mutated = copy.deepcopy(sched)
+    event = next(e for e in mutated.events
+                 if isinstance(e, Measure) and len(e.atoms) >= 2)
+    mutate(event.atoms)
+    return validate_schedule(mutated, layout, grid, params, circ)
+
+
+def test_validator_catches_swapped_measure_labels():
+    def swap_labels(entries):
+        (a0, q0, x0, y0), (a1, q1, x1, y1) = entries[:2]
+        entries[0] = (a0, q1, x0, y0)
+        entries[1] = (a1, q0, x1, y1)
+
+    violations = _measure_mutant(swap_labels)
+    assert sum(v.code == "dependency" for v in violations) == 2
+
+
+def test_validator_catches_unknown_measure_qubit():
+    def relabel(entries):
+        a, _, x, y = entries[0]
+        entries[0] = (a, 99, x, y)
+
+    violations = _measure_mutant(relabel)
+    assert [v.code for v in violations] == ["dependency"]
+    assert "unknown qubit 99" in violations[0].description
