@@ -1,10 +1,11 @@
 """Command-line entry point: compile one QASM file or sweep a directory.
 
 Single compile writes the schedule and metrics report as JSON; suite mode
-writes one CSV row per (circuit, technique, grid). Exit codes: 1 parse or
-usage error, 2 capacity/geometry error, 3 validation failure, 4 compile
-error (the scheduler raised SchedulerError). In suite mode a file that
-fails to parse or compile gets an error row instead.
+writes one CSV row per (circuit, technique, grid). Exit codes: 1 parse,
+usage or write error (an output path that cannot be written), 2
+capacity/geometry error, 3 validation failure, 4 compile error (the
+scheduler raised SchedulerError). In suite mode a file that fails to parse
+or compile gets an error row instead.
 """
 from __future__ import annotations
 
@@ -32,6 +33,18 @@ EXIT_PARSE = 1
 EXIT_CAPACITY = 2
 EXIT_VALIDATION = 3
 EXIT_COMPILE = 4
+
+
+class WriteError(Exception):
+    """An output file could not be written."""
+
+
+def _write(path: str, chunks) -> None:
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.writelines(chunks)
+    except OSError as e:
+        raise WriteError(f"cannot write {path}: {e.strerror or e}") from e
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -106,9 +119,8 @@ def run_compile(args) -> int:
     except SchedulerError as e:
         print(f"compile error: {e}", file=sys.stderr)
         return EXIT_COMPILE
-    with open(args.out_schedule, "w", encoding="utf-8") as fh:
-        fh.writelines(_schedule_json_chunks(schedule))
-    Path(args.out_report).write_text(report.to_json(), encoding="utf-8")
+    _write(args.out_schedule, _schedule_json_chunks(schedule))
+    _write(args.out_report, [report.to_json()])
     if args.validate:
         violations = validate_schedule(schedule, layout, grid, params, circuit)
         for v in violations:
@@ -168,7 +180,7 @@ def run_suite(args) -> int:
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_HEADER)
     writer.writerows(rows)
-    Path(args.out_csv).write_text(buf.getvalue(), encoding="utf-8")
+    _write(args.out_csv, [buf.getvalue()])
     return EXIT_OK if failures < len(rows) else EXIT_PARSE
 
 
@@ -194,6 +206,9 @@ def main(argv=None) -> int:
     except GeometryError as e:
         print(f"capacity/geometry error: {e}", file=sys.stderr)
         return EXIT_CAPACITY
+    except WriteError as e:
+        print(f"write error: {e}", file=sys.stderr)
+        return EXIT_PARSE
 
 
 if __name__ == "__main__":

@@ -14,6 +14,7 @@ import hashlib
 import json
 from collections.abc import Iterator
 from dataclasses import asdict, dataclass, field
+from json.encoder import encode_basestring_ascii
 
 from .machine import PhysParams
 
@@ -21,7 +22,7 @@ SLM_TO_AOD = "slm_to_aod"
 AOD_TO_SLM = "aod_to_slm"
 
 
-@dataclass
+@dataclass(slots=True)
 class ColumnMove:
     """One AOD column translating; atoms share x, ys move independently."""
 
@@ -40,7 +41,7 @@ class ColumnMove:
         return sum(dx + abs(b - a) for _, a, b in self.atoms)
 
 
-@dataclass
+@dataclass(slots=True)
 class U3Entry:
     qubit: int
     atom: int
@@ -48,7 +49,7 @@ class U3Entry:
     origin: tuple[int, int] | None = None  # (swap_id, step)
 
 
-@dataclass
+@dataclass(slots=True)
 class U3LayerEvent:
     t_start: float
     t_end: float
@@ -57,7 +58,7 @@ class U3LayerEvent:
     kind: str = "u3-layer"
 
 
-@dataclass
+@dataclass(slots=True)
 class CzEntry:
     qubits: tuple[int, int]
     atoms: tuple[int, int]
@@ -65,7 +66,7 @@ class CzEntry:
     origin: tuple[int, int] | None = None
 
 
-@dataclass
+@dataclass(slots=True)
 class Illumination:
     t_start: float
     t_end: float
@@ -74,7 +75,7 @@ class Illumination:
     kind: str = "illumination"
 
 
-@dataclass
+@dataclass(slots=True)
 class TrapTransfer:
     atom: int
     x: float
@@ -82,7 +83,7 @@ class TrapTransfer:
     column: int | None = None  # receiving column for slm_to_aod
 
 
-@dataclass
+@dataclass(slots=True)
 class TrapChange:
     t_start: float
     t_end: float
@@ -92,7 +93,7 @@ class TrapChange:
     kind: str = "trap-change"
 
 
-@dataclass
+@dataclass(slots=True)
 class Measure:
     t_start: float
     t_end: float
@@ -104,7 +105,7 @@ class Measure:
 Event = ColumnMove | U3LayerEvent | Illumination | TrapChange | Measure
 
 
-@dataclass
+@dataclass(slots=True)
 class Schedule:
     technique: str
     grid: str
@@ -163,42 +164,6 @@ def ordered_phase_moves(
     return out
 
 
-def _event_dict(ev: Event) -> dict:
-    d: dict = {
-        "kind": ev.kind,
-        "t_start_us": ev.t_start,
-        "t_end_us": ev.t_end,
-        "layer": ev.layer,
-    }
-    if isinstance(ev, ColumnMove):
-        d["column"] = ev.column
-        d["from_x"] = ev.from_x
-        d["to_x"] = ev.to_x
-        d["atoms"] = [[a, fy, ty] for a, fy, ty in ev.atoms]
-    elif isinstance(ev, U3LayerEvent):
-        d["gates"] = [
-            {"qubit": g.qubit, "atom": g.atom, "angles": list(g.angles),
-             "origin": list(g.origin) if g.origin else None}
-            for g in ev.gates
-        ]
-    elif isinstance(ev, Illumination):
-        d["pairs"] = [
-            {"qubits": list(p.qubits), "atoms": list(p.atoms),
-             "positions": [list(p.positions[0]), list(p.positions[1])],
-             "origin": list(p.origin) if p.origin else None}
-            for p in ev.pairs
-        ]
-    elif isinstance(ev, TrapChange):
-        d["direction"] = ev.direction
-        d["transfers"] = [
-            {"atom": t.atom, "x": t.x, "y": t.y, "column": t.column}
-            for t in ev.transfers
-        ]
-    elif isinstance(ev, Measure):
-        d["atoms"] = [[a, q, x, y] for a, q, x, y in ev.atoms]
-    return d
-
-
 def _event_from_dict(d: dict) -> Event:
     base = dict(t_start=d["t_start_us"], t_end=d["t_end_us"], layer=d["layer"])
     kind = d["kind"]
@@ -229,14 +194,135 @@ def _event_from_dict(d: dict) -> Event:
     raise ValueError(f"unknown event kind {kind!r}")
 
 
+# Event writers. Each returns the exact text `json.dumps(indent=1)` gives
+# for the event's dict at nesting depth 2 (an item of the "events" list),
+# without building that dict: scalars are formatted as `json` formats them
+# and the indentation of every nested list and dict is written out.
+
+_INF = float("inf")
+
+
+def _scalar(v) -> str:
+    """A scalar as `json` encodes it, with `json`'s order of type tests:
+    the type picks the form, so an int angle stays `1` and a float `1.0`."""
+    if isinstance(v, str):
+        return encode_basestring_ascii(v)
+    if v is None:
+        return "null"
+    if v is True:
+        return "true"
+    if v is False:
+        return "false"
+    if isinstance(v, int):
+        return int.__repr__(v)
+    if isinstance(v, float):
+        if v != v:
+            return "NaN"
+        if v == _INF:
+            return "Infinity"
+        if v == -_INF:
+            return "-Infinity"
+        return float.__repr__(v)
+    raise TypeError(f"Object of type {type(v).__name__} is not JSON serializable")
+
+
+def _items(parts: list[str], depth: int) -> str:
+    """A JSON list at `depth` whose items are already-encoded `parts`."""
+    if not parts:
+        return "[]"
+    pad = "\n" + " " * (depth + 1)
+    return "[" + pad + ("," + pad).join(parts) + "\n" + " " * depth + "]"
+
+
+def _scalars(values, depth: int) -> str:
+    return _items([_scalar(v) for v in values], depth)
+
+
+def _origin(origin, depth: int) -> str:
+    return _scalars(origin, depth) if origin else "null"
+
+
+def _head(ev: Event) -> str:
+    return (
+        '{\n   "kind": ' + _scalar(ev.kind)
+        + ',\n   "t_start_us": ' + _scalar(ev.t_start)
+        + ',\n   "t_end_us": ' + _scalar(ev.t_end)
+        + ',\n   "layer": ' + _scalar(ev.layer)
+    )
+
+
+def _column_move_json(ev: ColumnMove) -> str:
+    atoms = [_scalars((a, fy, ty), 4) for a, fy, ty in ev.atoms]
+    return (
+        _head(ev)
+        + ',\n   "column": ' + _scalar(ev.column)
+        + ',\n   "from_x": ' + _scalar(ev.from_x)
+        + ',\n   "to_x": ' + _scalar(ev.to_x)
+        + ',\n   "atoms": ' + _items(atoms, 3) + "\n  }"
+    )
+
+
+def _u3_layer_json(ev: U3LayerEvent) -> str:
+    gates = [
+        '{\n     "qubit": ' + _scalar(g.qubit)
+        + ',\n     "atom": ' + _scalar(g.atom)
+        + ',\n     "angles": ' + _scalars(g.angles, 5)
+        + ',\n     "origin": ' + _origin(g.origin, 5) + "\n    }"
+        for g in ev.gates
+    ]
+    return _head(ev) + ',\n   "gates": ' + _items(gates, 3) + "\n  }"
+
+
+def _illumination_json(ev: Illumination) -> str:
+    pairs = [
+        '{\n     "qubits": ' + _scalars(p.qubits, 5)
+        + ',\n     "atoms": ' + _scalars(p.atoms, 5)
+        + ',\n     "positions": ' + _items(
+            [_scalars(p.positions[0], 6), _scalars(p.positions[1], 6)], 5)
+        + ',\n     "origin": ' + _origin(p.origin, 5) + "\n    }"
+        for p in ev.pairs
+    ]
+    return _head(ev) + ',\n   "pairs": ' + _items(pairs, 3) + "\n  }"
+
+
+def _trap_change_json(ev: TrapChange) -> str:
+    transfers = [
+        '{\n     "atom": ' + _scalar(t.atom)
+        + ',\n     "x": ' + _scalar(t.x)
+        + ',\n     "y": ' + _scalar(t.y)
+        + ',\n     "column": ' + _scalar(t.column) + "\n    }"
+        for t in ev.transfers
+    ]
+    return (
+        _head(ev)
+        + ',\n   "direction": ' + _scalar(ev.direction)
+        + ',\n   "transfers": ' + _items(transfers, 3) + "\n  }"
+    )
+
+
+def _measure_json(ev: Measure) -> str:
+    atoms = [_scalars((a, q, x, y), 4) for a, q, x, y in ev.atoms]
+    return _head(ev) + ',\n   "atoms": ' + _items(atoms, 3) + "\n  }"
+
+
+_EVENT_JSON = {
+    ColumnMove: _column_move_json,
+    U3LayerEvent: _u3_layer_json,
+    Illumination: _illumination_json,
+    TrapChange: _trap_change_json,
+    Measure: _measure_json,
+}
+
+
 def _schedule_json_chunks(schedule: Schedule) -> Iterator[str]:
     """Yield the text of `json.dumps(doc, indent=1)` for the schedule
-    document in parts, so only one event's dict and chunks are alive at a
-    time and no whole-document tree or chunk list is built.
+    document in parts: the opening with `meta`, one part per event, and
+    the closing with `final_mapping`. No document tree is built.
 
-    Each part is encoded at nesting depth 0 and re-indented by prefixing
-    every line after the first. That is exact because JSON escapes newlines
-    inside strings: every raw newline in an encoding is structural.
+    `meta` and `final_mapping` go through `json`'s encoder at nesting
+    depth 0 and are re-indented by prefixing every line after the first.
+    That is exact because JSON escapes newlines inside strings: every raw
+    newline in an encoding is structural.
     """
     encode = json.JSONEncoder(indent=1).encode
 
@@ -257,7 +343,7 @@ def _schedule_json_chunks(schedule: Schedule) -> Iterator[str]:
     if schedule.events:
         sep = "[\n  "
         for ev in schedule.events:
-            yield sep + nested(_event_dict(ev), 2)
+            yield sep + _EVENT_JSON[type(ev)](ev)
             sep = ",\n  "
         yield "\n ]"
     else:
@@ -267,7 +353,16 @@ def _schedule_json_chunks(schedule: Schedule) -> Iterator[str]:
 
 
 def schedule_to_json(schedule: Schedule) -> str:
-    return "".join(_schedule_json_chunks(schedule))
+    """The schedule as indent-1 JSON text.
+
+    Every chunk is ASCII (`json` escapes the rest), so the chunks are
+    appended to one growing buffer and decoded once; no list of chunk
+    strings is kept to be joined.
+    """
+    buf = bytearray()
+    for chunk in _schedule_json_chunks(schedule):
+        buf += chunk.encode("ascii")
+    return buf.decode("ascii")
 
 
 def schedule_from_json(text: str, params: PhysParams | None = None) -> Schedule:

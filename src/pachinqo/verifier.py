@@ -17,6 +17,7 @@ never load it.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
@@ -351,13 +352,20 @@ def _apply_u3(state: np.ndarray, q: int, theta: float, phi: float,
     return np.einsum("ab,hbl->hal", mat, state).reshape(-1)
 
 
-def _apply_cz(state: np.ndarray, a: int, b: int, n: int) -> np.ndarray:
+@functools.lru_cache(maxsize=1024)
+def _cz_indices(a: int, b: int, n: int) -> np.ndarray:
+    """Indices of the n-qubit basis states with bits a and b both set."""
     import numpy as np
 
-    idx = np.arange(state.size)
-    mask = ((idx >> a) & 1).astype(bool) & ((idx >> b) & 1).astype(bool)
-    state = state.copy()
-    state[mask] *= -1
+    idx = np.arange(2**n)
+    idx = np.flatnonzero((idx >> a) & (idx >> b) & 1)
+    idx.flags.writeable = False
+    return idx
+
+
+def _apply_cz(state: np.ndarray, a: int, b: int, n: int) -> np.ndarray:
+    """CZ in place: flip the sign where bits a and b are both set."""
+    state[_cz_indices(a, b, n)] *= -1
     return state
 
 

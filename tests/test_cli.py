@@ -173,6 +173,21 @@ def test_bad_params_file_exits_two_without_traceback(
     assert not (tmp_path / "s.json").exists()
 
 
+@pytest.mark.parametrize("flag", ["--out-schedule", "--out-report"])
+def test_unwritable_output_exits_one_without_traceback(
+        ghz_file, tmp_path, capsys, flag):
+    argv = ["--input", str(ghz_file),
+            "--out-schedule", str(tmp_path / "s.json"),
+            "--out-report", str(tmp_path / "r.json")]
+    bad = tmp_path / "no" / "such" / "out.json"
+    argv[argv.index(flag) + 1] = str(bad)
+    rc = main(argv)
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"write error: cannot write {bad}: ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
 def _make_suite(tmp_path, n_files=3, seed=0):
     rng = random.Random(seed)
     d = tmp_path / "suite"
@@ -235,6 +250,17 @@ def test_suite_records_non_utf8_file_as_error_row(tmp_path):
     errors = {r[0]: r[-1] for r in rows[1:]}
     assert errors["c0"] == ""
     assert "UTF-8" in errors["binary"]
+
+
+def test_suite_unwritable_csv_exits_one_without_traceback(tmp_path, capsys):
+    d = _make_suite(tmp_path, n_files=1)
+    bad = tmp_path / "no" / "such" / "suite.csv"
+    rc = main(["--suite-dir", str(d), "--out-csv", str(bad),
+               "--techniques", "pachinqo", "--grids", "large-square"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"write error: cannot write {bad}: ")
+    assert err.count("\n") == 1 and "Traceback" not in err
 
 
 def test_suite_rerun_is_byte_identical_modulo_compile_ms(tmp_path):

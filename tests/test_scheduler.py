@@ -14,14 +14,17 @@ from pachinqo.machine import (
 )
 from pachinqo.metrics import movement_total, total_runtime
 from pachinqo.schedule import (
+    AOD_TO_SLM,
     SLM_TO_AOD,
     ColumnMove,
+    CzEntry,
     Illumination,
     Measure,
     Schedule,
     TrapChange,
+    TrapTransfer,
+    U3Entry,
     U3LayerEvent,
-    _event_dict,
     schedule_to_json,
 )
 from pachinqo.scheduler import Compiler, SchedulerError, toggle_direction, LEFT, RIGHT
@@ -387,6 +390,44 @@ def test_schedule_json_deterministic():
     assert schedule_to_json(a) == schedule_to_json(b)
 
 
+def _event_dict(ev):
+    """An event as the dict whose `json.dumps(indent=1)` text the
+    schedule writer must reproduce."""
+    d: dict = {
+        "kind": ev.kind,
+        "t_start_us": ev.t_start,
+        "t_end_us": ev.t_end,
+        "layer": ev.layer,
+    }
+    if isinstance(ev, ColumnMove):
+        d["column"] = ev.column
+        d["from_x"] = ev.from_x
+        d["to_x"] = ev.to_x
+        d["atoms"] = [[a, fy, ty] for a, fy, ty in ev.atoms]
+    elif isinstance(ev, U3LayerEvent):
+        d["gates"] = [
+            {"qubit": g.qubit, "atom": g.atom, "angles": list(g.angles),
+             "origin": list(g.origin) if g.origin else None}
+            for g in ev.gates
+        ]
+    elif isinstance(ev, Illumination):
+        d["pairs"] = [
+            {"qubits": list(p.qubits), "atoms": list(p.atoms),
+             "positions": [list(p.positions[0]), list(p.positions[1])],
+             "origin": list(p.origin) if p.origin else None}
+            for p in ev.pairs
+        ]
+    elif isinstance(ev, TrapChange):
+        d["direction"] = ev.direction
+        d["transfers"] = [
+            {"atom": t.atom, "x": t.x, "y": t.y, "column": t.column}
+            for t in ev.transfers
+        ]
+    elif isinstance(ev, Measure):
+        d["atoms"] = [[a, q, x, y] for a, q, x, y in ev.atoms]
+    return d
+
+
 def _reference_json(schedule):
     """The whole-document encoding `schedule_to_json` must reproduce."""
     doc = {
@@ -414,14 +455,52 @@ def _compiled_schedule(**overrides):
     return sched
 
 
+NAN, INF = float("nan"), float("inf")
+
+
+def _hand_built_schedule():
+    """Every event kind, with the scalar forms `json` treats specially:
+    int and float zero, -0.0, tiny and huge floats, NaN, +-inf, a None
+    column, origin tuples, and empty entry lists."""
+    return Schedule(
+        "pachinqo", "large-square", PhysParams(), "hand", 3,
+        events=[
+            ColumnMove(0, 0.5, 0, 2, -0.0, 1e22,
+                       [(0, 1e-7, -INF), (1, NAN, 3)]),
+            ColumnMove(0.5, 1.0, 1, 0, 4.0, 4.0, []),
+            U3LayerEvent(1.0, 2.0, 1, [
+                U3Entry(0, 0, (1, 0, 0)),
+                U3Entry(1, 2, (0.5, -0.0, NAN), origin=(3, 1)),
+                U3Entry(2, 1, (INF, -INF, 1e-7), origin=(0, 0)),
+            ]),
+            U3LayerEvent(2.0, 2.0, 2, []),
+            Illumination(2.0, 2.25, 2, [
+                CzEntry((0, 1), (0, 1), ((1.5, -0.0), (3, 1e22))),
+                CzEntry((2, 0), (1, 0), ((NAN, INF), (-INF, 2.0)),
+                        origin=(1, 2)),
+            ]),
+            Illumination(2.25, 2.5, 3, []),
+            TrapChange(2.5, 3.0, 3, SLM_TO_AOD, [
+                TrapTransfer(0, 1.0, -0.0, column=4),
+                TrapTransfer(1, 1e-7, 1e22),
+            ]),
+            TrapChange(3.0, 3.0, 4, AOD_TO_SLM, []),
+            Measure(3.0, 4.0, 5, [(0, 1, -0.0, NAN), (2, 0, 1, INF)]),
+            Measure(4.0, 4, 6, []),
+        ],
+        final_mapping={0: 1, 1: 0, 2: 2},
+    )
+
+
 @pytest.mark.parametrize("make", [
+    _hand_built_schedule,
     lambda: _compiled_schedule(),
     lambda: _compiled_schedule(final_mapping={}),
     lambda: _compiled_schedule(source_name='say "hi"\nto caf\u00e9 \u2603'),
     lambda: Schedule("onecache", "star", PhysParams(), "empty", 0),
     lambda: Schedule("trapchange", "triangle", PhysParams(), 'q"\n\u00e9', 2,
                      serial_movement=True, final_mapping={1: 5, 0: 3}),
-], ids=["compiled", "empty-mapping", "odd-name", "no-events",
+], ids=["hand-built", "compiled", "empty-mapping", "odd-name", "no-events",
         "no-events-odd-name"])
 def test_schedule_json_matches_reference_encoding(make):
     sched = make()
@@ -433,6 +512,17 @@ def test_schedule_json_matches_reference_encoding(make):
         assert '"final_mapping": {}' in text
 
 
+def test_schedule_records_have_no_instance_dict():
+    sched = _hand_built_schedule()
+    records = [sched, *sched.events]
+    for ev in sched.events:
+        records += getattr(ev, "gates", []) + getattr(ev, "pairs", [])
+        records += getattr(ev, "transfers", [])
+    assert len(records) == 18
+    for record in records:
+        assert not hasattr(record, "__dict__"), type(record).__name__
+
+
 def test_schedule_json_peak_memory_is_bounded_by_output():
     sched, _, _, _ = _compile(random_circuit(random.Random(5), 10, 300))
     text = schedule_to_json(sched)
@@ -442,7 +532,7 @@ def test_schedule_json_peak_memory_is_bounded_by_output():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 3 * len(text), (peak, len(text))
+    assert peak < 2.2 * len(text), (peak, len(text))
 
 
 def test_techniques_and_grids_all_compile_and_verify():

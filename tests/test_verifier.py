@@ -11,6 +11,7 @@ from pachinqo.machine import build_layout, generate_grid
 from pachinqo.schedule import ColumnMove, Illumination, Measure, U3LayerEvent
 from pachinqo.scheduler import Compiler
 from pachinqo.verifier import (
+    _apply_cz,
     equivalence_check,
     executed_distribution,
     statevector_oracle,
@@ -56,6 +57,21 @@ def test_oracle_distribution_normalized():
     circ = random_circuit(random.Random(0), 5, 40)
     probs = statevector_oracle(circ)
     assert probs.sum() == pytest.approx(1.0, abs=1e-12)
+
+
+def test_apply_cz_flips_signs_in_place():
+    n = 4
+    rng = np.random.default_rng(7)
+    for a in range(n):
+        for b in range(n):
+            if a == b:
+                continue
+            state = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
+            expected = np.array([-amp if (k >> a) & 1 and (k >> b) & 1
+                                 else amp for k, amp in enumerate(state)])
+            out = _apply_cz(state, a, b, n)
+            assert out is state
+            assert np.array_equal(state, expected)
 
 
 def test_oracle_qubit_cap():
