@@ -11,10 +11,10 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import os
 import sys
 import time
+from contextlib import contextmanager
 from pathlib import Path
 
 from .circuit import CircuitError, decompose_to_basis
@@ -39,12 +39,19 @@ class WriteError(Exception):
     """An output file could not be written."""
 
 
-def _write(path: str, chunks) -> None:
+@contextmanager
+def _opened(path: str):
+    """`path` open for writing; an OSError becomes a WriteError."""
     try:
         with open(path, "w", encoding="utf-8") as fh:
-            fh.writelines(chunks)
+            yield fh
     except OSError as e:
         raise WriteError(f"cannot write {path}: {e.strerror or e}") from e
+
+
+def _write(path: str, chunks) -> None:
+    with _opened(path) as fh:
+        fh.writelines(chunks)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -155,33 +162,31 @@ def run_suite(args) -> int:
         print(f"no .qasm files in {args.suite_dir}", file=sys.stderr)
         return EXIT_PARSE
 
-    rows = []
     failures = 0
     jobs = sorted(
         (f.stem, t, g, f) for f in files for t in techniques for g in grids
     )
-    for name, technique, grid_kind, path in jobs:
-        try:
-            _, _, _, schedule, report = _compile_file(
-                str(path), technique, grid_kind, params, scale,
-                args.serial_movement)
-            rows.append([name, technique, grid_kind,
-                         repr(report.runtime_us), repr(report.esp),
-                         report.swap_count, report.trap_change_count,
-                         repr(report.total_movement_um),
-                         report.gate_counts["u3"], report.gate_counts["cz"],
-                         repr(report.compile_time_ms), ""])
-        except (QasmError, CircuitError, CapacityError, GeometryError,
-                SchedulerError) as e:
-            failures += 1
-            rows.append([name, technique, grid_kind,
-                         "", "", "", "", "", "", "", "", str(e)])
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(CSV_HEADER)
-    writer.writerows(rows)
-    _write(args.out_csv, [buf.getvalue()])
-    return EXIT_OK if failures < len(rows) else EXIT_PARSE
+    # Opened before the sweep, so an unwritable path fails before any compile.
+    with _opened(args.out_csv) as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(CSV_HEADER)
+        for name, technique, grid_kind, path in jobs:
+            try:
+                _, _, _, schedule, report = _compile_file(
+                    str(path), technique, grid_kind, params, scale,
+                    args.serial_movement)
+                writer.writerow([name, technique, grid_kind,
+                                 repr(report.runtime_us), repr(report.esp),
+                                 report.swap_count, report.trap_change_count,
+                                 repr(report.total_movement_um),
+                                 report.gate_counts["u3"], report.gate_counts["cz"],
+                                 repr(report.compile_time_ms), ""])
+            except (QasmError, CircuitError, CapacityError, GeometryError,
+                    SchedulerError) as e:
+                failures += 1
+                writer.writerow([name, technique, grid_kind,
+                                 "", "", "", "", "", "", "", "", str(e)])
+    return EXIT_OK if failures < len(jobs) else EXIT_PARSE
 
 
 def main(argv=None) -> int:

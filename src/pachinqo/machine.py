@@ -341,30 +341,6 @@ def build_layout(num_qubits: int, scale: str = "default",
     )
 
 
-@dataclass(frozen=True)
-class AodColumn:
-    """One AOD column: a shared x and per-atom (atom_id, y) slots."""
-
-    x: float
-    atoms: tuple[tuple[int, float], ...]
-
-
-@dataclass(frozen=True)
-class AodState:
-    columns: tuple[AodColumn, ...]
-
-    def check(self, params: PhysParams) -> None:
-        xs = [c.x for c in self.columns]
-        if any(b <= a for a, b in zip(xs, xs[1:])):
-            raise GeometryError("AOD column x order violated")
-        for c in self.columns:
-            if len(c.atoms) > params.max_atoms_per_column:
-                raise GeometryError("AOD column over capacity")
-            ys = [y for _, y in c.atoms]
-            if len(set(ys)) != len(ys):
-                raise GeometryError("duplicate y within an AOD column")
-
-
 def validate_geometry(layout: ZoneLayout, grid: SlmGrid,
                       params: PhysParams) -> list[str]:
     """All violations of the zone/grid invariants; empty means ok."""

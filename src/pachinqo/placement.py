@@ -1,12 +1,13 @@
-"""Qubit grouping (greedy MaxCut or degree split), atom assignment, and
-the three-trap-change initialization schedule.
+"""Qubit grouping (greedy MaxCut or degree split) and atom assignment:
+the plan for loading atoms out of memory.
 
 All atoms start in memory SLM columns. The qubit-to-atom mapping is free
 at load time, so atoms are laid out in memory pre-grouped: one memory
 column per target site column (for the static group) or per target AOD
-column (for the mobile group). Every pickup and deposit then runs as one
-parallel trap change, giving exactly three serial trap changes at
-initialization regardless of circuit size.
+column (for the mobile group). Placement only plans this load; the
+compiler emits it, running every pickup and deposit as one parallel trap
+change, so initialization takes exactly three serial trap changes
+regardless of circuit size.
 """
 from __future__ import annotations
 
@@ -14,8 +15,6 @@ import math
 from dataclasses import dataclass, field
 
 from .machine import (
-    AodColumn,
-    AodState,
     CapacityError,
     PhysParams,
     SlmGrid,
@@ -27,20 +26,10 @@ from .machine import (
     pair_clear_sites,
 )
 from .circuit import Circuit
-from .metrics import movement_phase_time
-from .schedule import (
-    AOD_TO_SLM,
-    SLM_TO_AOD,
-    Event,
-    TrapChange,
-    TrapTransfer,
-    ordered_phase_moves,
-)
+from .metrics import movement_phase_time  # noqa: F401  (perfbench/tracing.py wraps this name)
 
 AOD = "aod"
 SLM = "slm"
-
-INIT_TRAP_CHANGES = 3
 
 
 @dataclass
@@ -152,11 +141,9 @@ class MemoryGroup:
 @dataclass
 class InitialPlacement:
     grouping: Grouping
-    site_of_qubit: dict[int, int]          # static qubits -> grid site index
-    column_of_qubit: dict[int, tuple[int, int]]  # mobile qubits -> (cid, slot)
-    aod_state: AodState                    # columns at their cache homes
-    n_aod_columns: int
-    n_ferries: int
+    site_of_qubit: dict[int, int]  # static qubits -> grid site index
+    # Ferry groups (one per target site column) first, then one group per
+    # mobile column; the compiler loads them in three trap changes.
     memory_groups: list[MemoryGroup]
 
 
@@ -179,21 +166,6 @@ def assign_atoms(grouping: Grouping, grid: SlmGrid, layout: ZoneLayout,
     if n_cols > cache_column_slots(layout, params):
         raise CapacityError("AOD columns exceed cache parking slots")
 
-    rc = layout.right_cache
-    pitch = params.storage_pitch
-    column_of_qubit: dict[int, tuple[int, int]] = {}
-    columns = []
-    for c in range(n_cols):
-        qubits = grouping.aod_qubits[c * per_col:(c + 1) * per_col]
-        home_x = rc.x0 + ZONE_MARGIN + c * pitch
-        atoms = []
-        for slot, q in enumerate(qubits):
-            column_of_qubit[q] = (c, slot)
-            atoms.append((q, rc.y0 + ZONE_MARGIN + slot * pitch))
-        columns.append(AodColumn(home_x, tuple(atoms)))
-    aod_state = AodState(tuple(columns))
-    aod_state.check(params)
-
     # Memory loading plan. Static atoms group by target site x so each
     # ferry column delivers one site column; mobile atoms group by their
     # final AOD column. Groups sit left to right at storage pitch.
@@ -207,6 +179,8 @@ def assign_atoms(grouping: Grouping, grid: SlmGrid, layout: ZoneLayout,
     if n_groups > memory_column_slots(layout, params):
         raise CapacityError("memory columns exhausted by initialization plan")
     rows = memory_rows(layout, params)
+    rc = layout.right_cache
+    pitch = params.storage_pitch
 
     groups: list[MemoryGroup] = []
     n_ferries = len(by_site_x)
@@ -222,87 +196,14 @@ def assign_atoms(grouping: Grouping, grid: SlmGrid, layout: ZoneLayout,
             sx, sy = grid.sites[site_of_qubit[q]]
             g.atoms.append((q, mem.y0 + ZONE_MARGIN + k * pitch, sx, sy))
         groups.append(g)
+    # Mobile column c parks at right-cache slot c, one atom per slot.
     for c in range(n_cols):
         mem_x = mem.x0 + ZONE_MARGIN + (n_ferries + c) * pitch
         g = MemoryGroup(c, AOD, mem_x)
-        col = aod_state.columns[c]
-        for k, (q, home_y) in enumerate(col.atoms):
-            g.atoms.append((q, mem.y0 + ZONE_MARGIN + k * pitch, col.x, home_y))
+        home_x = rc.x0 + ZONE_MARGIN + c * pitch
+        for k, q in enumerate(grouping.aod_qubits[c * per_col:(c + 1) * per_col]):
+            g.atoms.append((q, mem.y0 + ZONE_MARGIN + k * pitch,
+                            home_x, rc.y0 + ZONE_MARGIN + k * pitch))
         groups.append(g)
 
-    return InitialPlacement(
-        grouping=grouping,
-        site_of_qubit=site_of_qubit,
-        column_of_qubit=column_of_qubit,
-        aod_state=aod_state,
-        n_aod_columns=n_cols,
-        n_ferries=n_ferries,
-        memory_groups=groups,
-    )
-
-
-def initialization_schedule(placement: InitialPlacement, layout: ZoneLayout,
-                            params: PhysParams,
-                            serial_movement: bool = False
-                            ) -> tuple[list[Event], float, int]:
-    """Events realizing the three-trap-change initialization.
-
-    1. parallel pickup of the static group out of memory (1 serial TC),
-    2. ferry columns carry them over their site columns, deposit (1 TC),
-    3. parallel pickup of the remaining atoms (1 TC), park in right cache.
-    Ferries dissolve on deposit, so no empty return trip is emitted.
-    Returns (events, end time, serial trap change count == 3).
-    """
-    events: list[Event] = []
-    t = 0.0
-    tc = params.trap_change_time
-    slm_groups = [g for g in placement.memory_groups if g.kind == SLM]
-    aod_groups = [g for g in placement.memory_groups if g.kind == AOD]
-
-    # TC 1: memory SLM -> ferry AOD columns, all in parallel.
-    transfers = [
-        TrapTransfer(a, g.mem_x, my, column=g.column)
-        for g in slm_groups for a, my, _, _ in g.atoms
-    ]
-    events.append(TrapChange(t, t + tc, 0, SLM_TO_AOD, transfers))
-    t += tc
-
-    # Ferries move over their target site columns.
-    moves = [
-        (g.column, g.mem_x, g.atoms[0][2],
-         [(a, my, ty) for a, my, _, ty in g.atoms])
-        for g in slm_groups
-    ]
-    dur = movement_phase_time(moves, params, serial_movement)
-    if dur > 0:
-        events.extend(ordered_phase_moves(moves, t, t + dur, 0))
-        t += dur
-
-    # TC 2: deposit into the compute SLM sites; ferries dissolve.
-    transfers = [
-        TrapTransfer(a, tx, ty)
-        for g in slm_groups for a, _, tx, ty in g.atoms
-    ]
-    events.append(TrapChange(t, t + tc, 0, AOD_TO_SLM, transfers))
-    t += tc
-
-    # TC 3: remaining atoms out of memory into the final AOD columns.
-    transfers = [
-        TrapTransfer(a, g.mem_x, my, column=g.column)
-        for g in aod_groups for a, my, _, _ in g.atoms
-    ]
-    events.append(TrapChange(t, t + tc, 0, SLM_TO_AOD, transfers))
-    t += tc
-
-    # Columns park in the right cache at their home slots.
-    moves = [
-        (g.column, g.mem_x, g.atoms[0][2],
-         [(a, my, ty) for a, my, _, ty in g.atoms])
-        for g in aod_groups
-    ]
-    dur = movement_phase_time(moves, params, serial_movement)
-    if dur > 0:
-        events.extend(ordered_phase_moves(moves, t, t + dur, 0))
-        t += dur
-
-    return events, t, INIT_TRAP_CHANGES
+    return InitialPlacement(grouping, site_of_qubit, groups)

@@ -1,5 +1,9 @@
 """Layer-by-layer schedule compiler for the zoned atom array.
 
+Placement plans the load out of memory; the compiler emits it with the
+trap-change and column-move emitters every later layer uses, and is the
+only code that emits events or changes machine state.
+
 Execution alternates U3 layers (parallel single-qubit rotations, location
 independent) with CZ layers. A CZ layer relocates all columns to the
 starting cache, then processes them from the cache side nearest compute:
@@ -42,11 +46,13 @@ from .machine import (
 )
 from .metrics import movement_phase_time
 from .placement import (
+    AOD,
+    SLM,
     InitialPlacement,
+    MemoryGroup,
     assign_atoms,
     degree_split_group,
     greedy_maxcut_group,
-    initialization_schedule,
 )
 from .schedule import (
     AOD_TO_SLM,
@@ -167,9 +173,9 @@ class Compiler:
         taken = set(self.placement.site_of_qubit.values())
         self.free_sites = [i for i in pair_clear_sites(grid, params)
                            if i not in taken]
-        self.columns: dict[int, _Column] = {}
-        self.col_order: list[int] = []
-        self.next_cid = self.placement.n_aod_columns + self.placement.n_ferries
+        # Indexed by cid, which is also left-to-right order.
+        self.columns: list[_Column] = []
+        self.next_cid = len(self.placement.memory_groups)
 
         self.frontier = Frontier(circuit)
         self.swaps: dict[int, _Swap] = {}
@@ -205,25 +211,40 @@ class Compiler:
     # ------------------------------------------------------------------
     # setup helpers
     def _apply_initialization(self) -> None:
-        events, t_end, tcs = initialization_schedule(
-            self.placement, self.layout, self.params, self.serial
-        )
-        self.events.extend(events)
-        self.t = t_end
-        self.trap_change_count += tcs
-        # Materialize the post-init state directly.
-        for q, site in self.placement.site_of_qubit.items():
-            x, y = self.grid.sites[site]
-            self.atom_x[q], self.atom_y[q] = x, y
-            self.atom_site[q] = site
-            self.site_atom[site] = q
-        for c, col in enumerate(self.placement.aod_state.columns):
-            column = _Column(c, col.x, [a for a, _ in col.atoms])
-            self.columns[c] = column
-            self.col_order.append(c)
-            for a, y in col.atoms:
-                self.atom_x[a], self.atom_y[a] = col.x, y
-                self.atom_col[a] = c
+        """Load every atom out of memory in three trap changes: ferries lift
+        the static group, carry it over its site columns and dissolve into
+        the sites; then the mobile group is lifted into its AOD columns,
+        which park in the right cache."""
+        groups = self.placement.memory_groups
+        ferries = self._load([g for g in groups if g.kind == SLM])
+        deposited = [a for col in ferries for a in col.atoms]
+        self._trap_change(AOD_TO_SLM, [
+            TrapTransfer(a, self.atom_x[a], self.atom_y[a]) for a in deposited])
+        for a in deposited:
+            site = self.placement.site_of_qubit[a]
+            self.atom_col[a] = None
+            self.atom_site[a] = site
+            self.site_atom[site] = a
+        self.columns = self._load([g for g in groups if g.kind == AOD])
+
+    def _load(self, groups: list[MemoryGroup]) -> list[_Column]:
+        """Pick memory groups up into new columns in one trap change and
+        move each over its targets in one phase."""
+        cols = []
+        transfers = []
+        for g in groups:
+            cols.append(_Column(g.column, g.mem_x, [a for a, *_ in g.atoms]))
+            for a, my, _, _ in g.atoms:
+                self.atom_x[a], self.atom_y[a] = g.mem_x, my
+                self.atom_col[a] = g.column
+                transfers.append(TrapTransfer(a, g.mem_x, my, column=g.column))
+        self._trap_change(SLM_TO_AOD, transfers)
+        buffer: list = []
+        for g, col in zip(groups, cols):
+            self._move_column(col, g.atoms[0][2],
+                              {a: ty for a, _, _, ty in g.atoms}, buffer)
+        self._flush_moves(buffer)
+        return cols
 
     # ------------------------------------------------------------------
     # event emission with phase timing
@@ -290,16 +311,15 @@ class Compiler:
 
     def _neighbors(self, cid: int) -> tuple[float, float]:
         """Current x of the nearest nonempty columns either side of cid."""
-        idx = self.col_order.index(cid)
         lo = -math.inf
-        for c in reversed(self.col_order[:idx]):
-            if self.columns[c].atoms:
-                lo = self.columns[c].x
+        for c in reversed(self.columns[:cid]):
+            if c.atoms:
+                lo = c.x
                 break
         hi = math.inf
-        for c in self.col_order[idx + 1:]:
-            if self.columns[c].atoms:
-                hi = self.columns[c].x
+        for c in self.columns[cid + 1:]:
+            if c.atoms:
+                hi = c.x
                 break
         return lo, hi
 
@@ -393,9 +413,8 @@ class Compiler:
         `_relocate_all(RIGHT)` puts every column on its home slot."""
         buffer: list = []
         cache = self._cache(side)
-        live = [c for c in self.col_order if self.columns[c].atoms]
-        for i, cid in enumerate(live):
-            col = self.columns[cid]
+        live = [c for c in self.columns if c.atoms]
+        for i, col in enumerate(live):
             self._move_column(col, self._cache_slot_x(side, i),
                               self._parked_ys(col, cache), buffer)
         self._flush_moves(buffer)
@@ -412,13 +431,12 @@ class Compiler:
         self._relocate_all(side)
         self._reset_obstacles()
 
-        order = [c for c in self.col_order if self.columns[c].atoms]
+        order = [c for c in self.columns if c.atoms]
         if side == LEFT:
             order.reverse()
 
         buffer: list = []
-        for cid in order:
-            col = self.columns[cid]
+        for col in order:
             action, detail = self._find_action(col, staged, buffer)
             if action == "placed":
                 executed += 1
@@ -585,7 +603,7 @@ class Compiler:
         opposite = -side
         cache = self._cache(opposite)
         lo, hi = self._neighbors(col.cid)
-        occupied = {round(c.x, 6) for c in self.columns.values()
+        occupied = {round(c.x, 6) for c in self.columns
                     if c.atoms and c.cid != col.cid}
         free = [s for s, key in self.cache_slots[opposite]
                 if key not in occupied and lo < s < hi]
@@ -741,8 +759,7 @@ class Compiler:
         be serviced.
         """
         cid = self.atom_col[mobile_atom]
-        idx = self.col_order.index(cid)
-        k = sum(1 for c in self.col_order[:idx] if self.columns[c].atoms)
+        k = sum(1 for c in self.columns[:cid] if c.atoms)
         lo_after = self.park_x0 + (k - 1) * self.params.storage_pitch if k else -math.inf
         return lo_after < self.atom_x[static_atom] + INTERACTION_OFFSET
 
@@ -795,8 +812,8 @@ class Compiler:
         """A mobile atom to pull a statically-conflicted qubit into the AOD:
         prefer finished qubits, then conflicted ones, then any unlocked."""
         best = None
-        for cid in self.col_order:
-            for atom in self.columns[cid].atoms:
+        for col in self.columns:
+            for atom in col.atoms:
                 q = self.qubit_of[atom]
                 if q in self.frontier.lock:
                     continue
@@ -817,18 +834,15 @@ class Compiler:
         cid = self.atom_col[active_atom]
         col = self.columns[cid]
         buffer: list = []
-        idx = self.col_order.index(cid)
         # Columns left of this one park from park_x0 rightward.
-        left = [c for c in self.col_order[:idx] if self.columns[c].atoms]
-        for k, c in enumerate(left):
-            other = self.columns[c]
+        left = [c for c in self.columns[:cid] if c.atoms]
+        for k, other in enumerate(left):
             self._move_column(other, self.park_x0 + k * self.params.storage_pitch,
                               self._parked_ys(other, self.park_zone), buffer)
         # Columns right of it fill the right cache from its far edge.
         rc = self.layout.right_cache
         k = cache_column_slots(self.layout, self.params) - 1
-        for c in reversed(self.col_order[idx + 1:]):
-            other = self.columns[c]
+        for other in reversed(self.columns[cid + 1:]):
             if other.atoms:
                 self._move_column(other, self._cache_slot_x(RIGHT, k),
                                   self._parked_ys(other, rc), buffer)
@@ -863,8 +877,7 @@ class Compiler:
 
         # TC a: deposit every mobile atom where it is parked.
         mobile = []
-        for cid in self.col_order:
-            col = self.columns[cid]
+        for col in self.columns:
             mobile.extend(col.atoms)
             for a in col.atoms:
                 self.atom_col[a] = None
@@ -876,35 +889,27 @@ class Compiler:
         for site, atom in sorted(self.site_atom.items()):
             by_x.setdefault(self.grid.sites[site][0], []).append(atom)
         transfers = []
-        ferries: list[tuple[int, list[int]]] = []
+        ferries: list[_Column] = []
         for x in sorted(by_x):
-            cid = self.next_cid
-            self.next_cid += 1
-            ferries.append((cid, by_x[x]))
+            ferries.append(_Column(self.next_cid, x, by_x[x]))
             for a in by_x[x]:
                 transfers.append(TrapTransfer(a, self.atom_x[a], self.atom_y[a],
-                                              column=cid))
+                                              column=self.next_cid))
+            self.next_cid += 1
         self._trap_change(SLM_TO_AOD, transfers)
 
         # Ferries park on the readout slots in a y band above the atoms
         # already deposited there, so positions never collide.
         y_base = rc.y0 + ZONE_MARGIN + params.max_atoms_per_column * params.storage_pitch
-        moves = []
-        for i, (cid, atoms) in enumerate(ferries):
-            to_x = self._cache_slot_x(RIGHT, i)
-            fx = self.atom_x[atoms[0]]
-            pairs = []
-            for j, a in enumerate(atoms):
-                ty = y_base + j * params.storage_pitch
-                pairs.append((a, self.atom_y[a], ty))
-            moves.append((cid, fx, to_x, pairs))
-            for a, _, ty in pairs:
-                self.atom_x[a] = to_x
-                self.atom_y[a] = ty
-        self._flush_moves(moves)
+        buffer: list = []
+        for i, col in enumerate(ferries):
+            self._move_column(col, self._cache_slot_x(RIGHT, i),
+                              {a: y_base + j * params.storage_pitch
+                               for j, a in enumerate(col.atoms)}, buffer)
+        self._flush_moves(buffer)
 
         # TC c: deposit in readout and measure.
-        ferried = [a for _, atoms in ferries for a in atoms]
+        ferried = [a for col in ferries for a in col.atoms]
         for a in ferried:
             del self.site_atom[self.atom_site[a]]
             self.atom_site[a] = None

@@ -252,12 +252,18 @@ def test_suite_records_non_utf8_file_as_error_row(tmp_path):
     assert "UTF-8" in errors["binary"]
 
 
-def test_suite_unwritable_csv_exits_one_without_traceback(tmp_path, capsys):
+def test_suite_unwritable_csv_exits_one_without_traceback(tmp_path, capsys,
+                                                          monkeypatch):
     d = _make_suite(tmp_path, n_files=1)
     bad = tmp_path / "no" / "such" / "suite.csv"
+    runs = []
+    real_run = Compiler.run
+    monkeypatch.setattr(Compiler, "run",
+                        lambda self: runs.append(1) or real_run(self))
     rc = main(["--suite-dir", str(d), "--out-csv", str(bad),
                "--techniques", "pachinqo", "--grids", "large-square"])
     assert rc == 1
+    assert runs == [], "an unwritable CSV must fail before any compile"
     err = capsys.readouterr().err
     assert err.startswith(f"write error: cannot write {bad}: ")
     assert err.count("\n") == 1 and "Traceback" not in err

@@ -1,4 +1,5 @@
-"""Grouping heuristics, atom assignment, and initialization choreography."""
+"""Grouping heuristics and atom assignment (the load plan), and the
+compiler's emission of that plan as the initialization events."""
 import itertools
 import random
 
@@ -7,12 +8,13 @@ import pytest
 from pachinqo.circuit import Circuit, cz, u3
 from pachinqo.machine import CapacityError, build_layout, generate_grid
 from pachinqo.placement import (
+    AOD,
     assign_atoms,
     degree_split_group,
     greedy_maxcut_group,
-    initialization_schedule,
 )
-from pachinqo.schedule import ColumnMove, TrapChange
+from pachinqo.schedule import AOD_TO_SLM, ColumnMove, TrapChange
+from pachinqo.scheduler import Compiler
 
 from corpus import random_circuit, staircase
 
@@ -147,15 +149,15 @@ def test_assign_packs_columns_of_four(default_layout, default_grid, params):
     g = greedy_maxcut_group(Circuit(9, []), 96, 124)
     assert len(g.aod_qubits) == 9
     p = assign_atoms(g, default_grid, default_layout, params)
-    sizes = [len(c.atoms) for c in p.aod_state.columns]
-    assert sizes == [4, 4, 1]
-    assert p.n_aod_columns == 3
+    mobile = [m for m in p.memory_groups if m.kind == AOD]
+    assert [len(m.atoms) for m in mobile] == [4, 4, 1]
+    assert [m.column for m in mobile] == [0, 1, 2]
 
 
 def test_assign_zero_mobile_qubits(default_layout, default_grid, params):
     g = greedy_maxcut_group(_circ(2, [(0, 1)]), 96, 0)
     p = assign_atoms(g, default_grid, default_layout, params)
-    assert p.aod_state.columns == ()
+    assert all(m.kind != AOD for m in p.memory_groups)
 
 
 def test_assignment_deterministic(default_layout, default_grid, params):
@@ -164,35 +166,83 @@ def test_assignment_deterministic(default_layout, default_grid, params):
     p1 = assign_atoms(g, default_grid, default_layout, params)
     p2 = assign_atoms(g, default_grid, default_layout, params)
     assert p1.site_of_qubit == p2.site_of_qubit
-    assert p1.aod_state == p2.aod_state
+    assert p1.memory_groups == p2.memory_groups
 
 
 # ---------------------------------------------------------------------------
-# initialization schedule
+# initialization: the compiler loads the plan
 
-def _init_events(circ, layout, grid, params):
-    g = greedy_maxcut_group(circ, 500, 500)
-    p = assign_atoms(g, grid, layout, params)
-    return initialization_schedule(p, layout, params)
+def _loaded(circ, layout, grid, params, aod_capacity=500):
+    """A compiler that has run initialization for `circ` grouped greedily
+    with the given mobile capacity."""
+    compiler = Compiler(circ, "pachinqo", grid, layout, params)
+    g = greedy_maxcut_group(circ, 500, aod_capacity)
+    compiler.placement = assign_atoms(g, grid, layout, params)
+    compiler._apply_initialization()
+    return compiler
 
 
 def test_init_exactly_three_trap_changes(default_layout, default_grid, params):
-    for circ in (staircase(6), _circ(2, [(0, 1)]), Circuit(3, [])):
-        events, _, tcs = _init_events(circ, default_layout, default_grid, params)
-        assert tcs == 3
-        assert sum(1 for e in events if isinstance(e, TrapChange)) == 3
+    # Cases with both groups, an empty static group and an empty mobile one.
+    for circ, aod_capacity in ((staircase(6), 500), (_circ(2, [(0, 1)]), 500),
+                               (Circuit(3, []), 500), (_circ(2, [(0, 1)]), 0)):
+        compiler = _loaded(circ, default_layout, default_grid, params,
+                           aod_capacity)
+        assert compiler.trap_change_count == 3
+        assert sum(1 for e in compiler.events if isinstance(e, TrapChange)) == 3
 
 
 def test_init_movement_positive_with_static_group(default_layout, default_grid, params):
-    events, t_end, _ = _init_events(staircase(6), default_layout, default_grid, params)
-    moves = [e for e in events if isinstance(e, ColumnMove)]
+    compiler = _loaded(staircase(6), default_layout, default_grid, params)
+    moves = [e for e in compiler.events if isinstance(e, ColumnMove)]
     assert moves
-    assert t_end > 3 * params.trap_change_time
+    assert compiler.t > 3 * params.trap_change_time
 
 
 def test_init_timestamps_nondecreasing(default_layout, default_grid, params):
-    events, t_end, _ = _init_events(staircase(8, 2), default_layout,
-                                    default_grid, params)
-    starts = [e.t_start for e in events]
+    compiler = _loaded(staircase(8, 2), default_layout, default_grid, params)
+    starts = [e.t_start for e in compiler.events]
     assert starts == sorted(starts)
-    assert events[-1].t_end == t_end
+    assert compiler.events[-1].t_end == compiler.t
+
+
+@pytest.mark.parametrize("technique", ["pachinqo", "onecache"])
+@pytest.mark.parametrize("n,seed", [(8, 4), (30, 5)])
+def test_init_state_equals_replayed_events(params, technique, n, seed):
+    """The machine state after initialization is what its events did:
+    replaying the transfers and column moves gives every atom's position,
+    its site or column, and the columns left to right by cid."""
+    circ = random_circuit(random.Random(seed), n, 6 * n)
+    layout = build_layout(n, "auto", params)
+    grid = generate_grid("large-square", layout, params)
+    compiler = Compiler(circ, technique, grid, layout, params)
+    compiler._apply_initialization()
+
+    pos, col, site = {}, {}, {}
+    for ev in compiler.events:
+        if isinstance(ev, TrapChange):
+            for tr in ev.transfers:
+                if ev.direction == AOD_TO_SLM:
+                    assert pos[tr.atom] == (tr.x, tr.y)
+                    del col[tr.atom]
+                    site[tr.atom] = grid.sites.index((tr.x, tr.y))
+                else:
+                    pos[tr.atom] = (tr.x, tr.y)
+                    col[tr.atom] = tr.column
+        else:
+            assert isinstance(ev, ColumnMove)
+            for a, fy, ty in ev.atoms:
+                assert col[a] == ev.column and pos[a] == (ev.from_x, fy)
+                pos[a] = (ev.to_x, ty)
+
+    assert compiler.trap_change_count == 3
+    assert sorted(pos) == list(range(n))
+    for a in range(n):
+        assert (compiler.atom_x[a], compiler.atom_y[a]) == pos[a]
+        assert compiler.atom_col[a] == col.get(a)
+        assert compiler.atom_site[a] == site.get(a)
+    assert compiler.site_atom == {s: a for a, s in site.items()}
+    assert [c.cid for c in compiler.columns] == list(range(len(compiler.columns)))
+    assert {a: c.cid for c in compiler.columns for a in c.atoms} == col
+    xs = [c.x for c in compiler.columns]
+    assert xs == sorted(set(xs))

@@ -362,7 +362,7 @@ def test_onecache_retreat_tucks_in_at_memory_edge():
     compiler = Compiler(circ, "onecache", grid, layout, params)
     compiler._apply_initialization()
     assert compiler.cache_slots[LEFT] == []
-    col0 = compiler.columns[compiler.col_order[0]]
+    col0 = compiler.columns[0]
     buffer = []
     assert compiler._retreat(col0, RIGHT, buffer)
     assert len(buffer) == 1
