@@ -5,6 +5,7 @@ Gate lists are kept flat; list order *is* the dependency order per qubit.
 """
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field, replace
 
@@ -176,11 +177,9 @@ def _lower_gate(g: Gate) -> list[Gate]:
     raise CircuitError(f"unsupported gate kind: {k}")
 
 
-def decompose_to_basis(circuit: Circuit) -> Circuit:
-    """Lower every raw gate to its fixed {U3, CZ} decomposition.
-
-    Relative per-qubit ordering is preserved; only local expansion happens.
-    """
+def _expand_to_basis(circuit: Circuit) -> Circuit:
+    """Lower every raw gate to its fixed {U3, CZ} decomposition, gate by
+    gate: each U3 of each template is kept."""
     out: list[Gate] = []
     for g in circuit.gates:
         pending = [g]
@@ -192,6 +191,70 @@ def decompose_to_basis(circuit: Circuit) -> Circuit:
             else:
                 pending = _lower_gate(h) + pending
     return Circuit(circuit.num_qubits, out, circuit.source_name)
+
+
+def _u3_matrix(theta: float, phi: float, lam: float) -> tuple[complex, ...]:
+    """Row-major 2x2 matrix of U3(theta, phi, lam)."""
+    c, s = math.cos(theta / 2), math.sin(theta / 2)
+    return (complex(c), -cmath.exp(1j * lam) * s,
+            cmath.exp(1j * phi) * s, cmath.exp(1j * (phi + lam)) * c)
+
+
+def _fused_angles(gates: list[Gate]) -> tuple[float, float, float]:
+    """U3 angles of the product of `gates` (applied in list order), up to a
+    global phase.
+
+    The product is scaled by 1/sqrt(det) into SU(2), where U3(theta, phi,
+    lam) reads [[e^-i(phi+lam)/2 cos, .], [e^i(phi-lam)/2 sin,
+    e^i(phi+lam)/2 cos]]. At theta = 0 or pi one phase is arg(0) = 0; the
+    other entry then fixes the matrix, so no threshold is needed.
+    """
+    a, b, c, d = 1, 0, 0, 1
+    for g in gates:
+        u00, u01, u10, u11 = _u3_matrix(*g.params)
+        a, b, c, d = (u00 * a + u01 * c, u00 * b + u01 * d,
+                      u10 * a + u11 * c, u10 * b + u11 * d)
+    root = cmath.sqrt(a * d - b * c)
+    a, c, d = a / root, c / root, d / root
+    theta = 2 * math.atan2(abs(c), abs(a))
+    plus, minus = cmath.phase(d), cmath.phase(c)  # (phi + lam)/2, (phi - lam)/2
+    return theta, plus + minus, plus - minus
+
+
+def _fuse_u3_runs(circuit: Circuit) -> Circuit:
+    """Merge each run of U3s on a qubit with no CZ on that qubit in between
+    into one U3 at the run's first position. A run of one keeps its gate."""
+    out: list[Gate] = []
+    runs: dict[int, list[Gate]] = {}  # out index of a run's first U3 -> run
+    open_run: list[int | None] = [None] * circuit.num_qubits
+    for g in circuit.gates:
+        if g.kind == "u3":
+            q = g.qubits[0]
+            if open_run[q] is None:
+                open_run[q] = len(out)
+                runs[len(out)] = []
+                out.append(g)
+            runs[open_run[q]].append(g)
+        else:
+            for q in g.qubits:
+                open_run[q] = None
+            out.append(g)
+    for i, run in runs.items():
+        if len(run) > 1:
+            out[i] = u3(run[0].qubits[0], *_fused_angles(run))
+    return Circuit(circuit.num_qubits, out, circuit.source_name)
+
+
+def decompose_to_basis(circuit: Circuit) -> Circuit:
+    """Lower a raw circuit to {U3, CZ}: expand every gate to its fixed
+    decomposition, then fuse each qubit's consecutive U3s (those with no
+    CZ on that qubit between them) into one U3, equal to their product up
+    to a global phase.
+
+    Each qubit's sequence of CZs is the expansion's; the scheduler's CZ
+    frontier is therefore unchanged, and only U3 layers disappear.
+    """
+    return _fuse_u3_runs(_expand_to_basis(circuit))
 
 
 END = -1  # frontier cursor value once a qubit has no gates left

@@ -14,7 +14,7 @@ import csv
 import os
 import sys
 import time
-from contextlib import contextmanager
+from contextlib import ExitStack, contextmanager
 from pathlib import Path
 
 from .circuit import CircuitError, decompose_to_basis
@@ -49,9 +49,22 @@ def _opened(path: str):
         raise WriteError(f"cannot write {path}: {e.strerror or e}") from e
 
 
-def _write(path: str, chunks) -> None:
-    with _opened(path) as fh:
-        fh.writelines(chunks)
+@contextmanager
+def _opened_all(*paths: str):
+    """Every path open for writing, each opened before any is written. If
+    one cannot be opened, the files already opened (still empty) are
+    removed, so a failed run leaves no fresh output beside a stale one."""
+    with ExitStack() as stack:
+        handles = []
+        for path in paths:
+            try:
+                handles.append(stack.enter_context(_opened(path)))
+            except WriteError:
+                stack.close()
+                for done in paths[:len(handles)]:
+                    os.remove(done)
+                raise
+        yield handles
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -126,8 +139,10 @@ def run_compile(args) -> int:
     except SchedulerError as e:
         print(f"compile error: {e}", file=sys.stderr)
         return EXIT_COMPILE
-    _write(args.out_schedule, _schedule_json_chunks(schedule))
-    _write(args.out_report, [report.to_json()])
+    with _opened_all(args.out_schedule, args.out_report) as (sched_fh,
+                                                            report_fh):
+        sched_fh.writelines(_schedule_json_chunks(schedule))
+        report_fh.write(report.to_json())
     if args.validate:
         violations = validate_schedule(schedule, layout, grid, params, circuit)
         for v in violations:

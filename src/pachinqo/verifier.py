@@ -6,7 +6,10 @@ placement code with the scheduler), checking: AOD column ordering, tandem
 column membership, illumination blockade geometry, zone containment,
 dependency order of executed gates, single measurement per atom, the
 qubit each measurement names (the replayed mapping's qubit for that
-atom), and timestamp monotonicity.
+atom), and timing: every event starts where the previous one (or move
+phase) ended, lasts what the cost model says, and the schedule's end
+time is the sum of its layer times, so the reported runtime is checked
+rather than only emitted.
 
 Convention: atom ids equal the qubits initially mapped onto them; the
 mapping then evolves only through completed inserted SWAPs.
@@ -24,6 +27,7 @@ from typing import TYPE_CHECKING
 
 from .circuit import Circuit, decompose_swap
 from .machine import PhysParams, SlmGrid, ZoneLayout
+from .metrics import layer_time, movement_phase_time
 from .schedule import (
     AOD_TO_SLM,
     SLM_TO_AOD,
@@ -76,7 +80,15 @@ class _Replay:
         self.locked: dict[int, int] = {}
         self.measured: set[int] = set()
         self.violations: list[Violation] = []
-        self.last_t = -math.inf
+        # Timing: the end of the previous event or move phase, and the
+        # open phase (consecutive moves sharing (t_start, t_end)).
+        self.clock = 0.0
+        self.phase: list[ColumnMove] = []
+        self.phase_at = 0
+        self.duration = {TrapChange: params.trap_change_time,
+                         Illumination: params.cz_time,
+                         U3LayerEvent: params.u3_time,
+                         Measure: 0.0}
 
     def bad(self, code: str, i: int, msg: str) -> None:
         self.violations.append(Violation(code, i, msg))
@@ -97,6 +109,26 @@ class _Replay:
                 self.bad("zone-bounds", i,
                          f"atom {atom} at ({x:.2f}, {y:.2f}) outside all zones")
                 return
+
+    def _check_span(self, i: int, what: str, t_start: float, t_end: float,
+                    duration: float) -> None:
+        if abs(t_start - self.clock) > 1e-9:
+            self.bad("timing", i, f"{what} starts at {t_start}, the previous "
+                     f"one ended at {self.clock}")
+        if abs(t_end - t_start - duration) > 1e-9:
+            self.bad("timing", i, f"{what} lasts {t_end - t_start} us, "
+                     f"expected {duration}")
+        self.clock = t_end
+
+    def _close_phase(self) -> None:
+        if not self.phase:
+            return
+        moves = [(m.column, m.from_x, m.to_x, m.atoms) for m in self.phase]
+        first = self.phase[0]
+        self._check_span(self.phase_at, "move phase", first.t_start,
+                         first.t_end, movement_phase_time(
+                             moves, self.params, self.sched.serial_movement))
+        self.phase = []
 
     def _expected_gate(self, q: int) -> int | None:
         c = self.cursor[q]
@@ -181,11 +213,17 @@ class _Replay:
 
     # -- event handlers ---------------------------------------------------
     def handle(self, i: int, ev) -> None:
-        if ev.t_start < self.last_t - 1e-9:
-            self.bad("timing", i, f"t_start {ev.t_start} decreased")
-        if ev.t_end < ev.t_start:
-            self.bad("timing", i, "t_end before t_start")
-        self.last_t = ev.t_start
+        if isinstance(ev, ColumnMove):
+            if self.phase and (ev.t_start, ev.t_end) != (
+                    self.phase[0].t_start, self.phase[0].t_end):
+                self._close_phase()
+            if not self.phase:
+                self.phase_at = i
+            self.phase.append(ev)
+        else:
+            self._close_phase()
+            self._check_span(i, ev.kind, ev.t_start, ev.t_end,
+                             self.duration[type(ev)])
 
         if isinstance(ev, TrapChange):
             self._trap_change(i, ev)
@@ -301,6 +339,15 @@ class _Replay:
 
     def finish(self) -> None:
         n_events = len(self.sched.events)
+        self._close_phase()
+        total = sum(layer_time(evs, self.params, self.sched.serial_movement)
+                    for evs in self.sched.by_layer().values())
+        # Both sides are running sums over every event, so rounding alone
+        # grows with the event count: allow 1e-9 per event.
+        if abs(self.sched.end_time - total) > 1e-9 * max(1, n_events):
+            self.bad("timing", n_events - 1,
+                     f"end time {self.sched.end_time} us is not the sum of "
+                     f"layer times {total} us")
         for q in range(self.circuit.num_qubits):
             if self.cursor[q] != len(self.by_qubit[q]):
                 self.bad("dependency", n_events - 1,

@@ -15,7 +15,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pachinqo.circuit import Circuit, cz, decompose_swap, u3
+from pachinqo.circuit import (
+    Circuit,
+    _expand_to_basis,
+    cz,
+    decompose_swap,
+    decompose_to_basis,
+    u3,
+)
 from pachinqo.cli import CSV_HEADER, main
 from pachinqo.machine import (
     CapacityError,
@@ -35,12 +42,14 @@ from pachinqo.schedule import (
     ColumnMove,
     CzEntry,
     Illumination,
+    Measure,
     Schedule,
     TrapChange,
     U3Entry,
     U3LayerEvent,
     schedule_to_json,
 )
+from pachinqo.qasm import parse_qasm
 from pachinqo.scheduler import Compiler
 from pachinqo.verifier import (
     EQUIVALENCE_QUBIT_CAP,
@@ -60,6 +69,7 @@ from corpus import (
 
 PARAMS = PhysParams()
 GOLDEN_DIGESTS = Path(__file__).with_name("golden_digests.json")
+ADDER_QASM = Path(__file__).with_name("adder8.qasm")
 
 
 def _report(criterion: int, ok: bool, detail: str) -> None:
@@ -141,10 +151,40 @@ def forced_guard_results():
     return _compile_forced_guard()
 
 
-def _schedule_digests(corpus_results, forced_guard_results) -> dict[str, str]:
+def _compile_qasm():
+    """(lowered circuit, technique, grid kind, schedule, layout, grid,
+    unfused circuit, unfused schedule) for QASM sources under every
+    technique x grid: three seeded `random_qasm` circuits and a
+    hand-written adder with ccx and swap. The unfused reference keeps
+    every U3 of the fixed expansion."""
+    rng = random.Random(909)
+    sources = [(f"rq{n}", random_qasm(rng, n, n_gates))
+               for n, n_gates in ((5, 40), (8, 70), (12, 90))]
+    sources.append(("adder8", ADDER_QASM.read_text()))
+    results = []
+    for name, text in sources:
+        raw = parse_qasm(text, name=name)
+        fused, unfused = decompose_to_basis(raw), _expand_to_basis(raw)
+        for grid_kind in GRIDS:
+            for technique in TECHNIQUES:
+                sched, layout, grid = _compile(fused, technique, grid_kind)
+                ref, _, _ = _compile(unfused, technique, grid_kind)
+                results.append((fused, technique, grid_kind, sched, layout,
+                                grid, unfused, ref))
+    return results
+
+
+@pytest.fixture(scope="module")
+def qasm_results():
+    return _compile_qasm()
+
+
+def _schedule_digests(corpus_results, forced_guard_results,
+                      qasm_results) -> dict[str, str]:
     """sha256 of `schedule_to_json` for every corpus case, every
     benchmark-suite x technique x grid case that compiles, every
-    forced-guard case and the trapchange extraction case."""
+    forced-guard case, the trapchange extraction case and every QASM
+    case (parsed and lowered)."""
     def digest(sched):
         return hashlib.sha256(schedule_to_json(sched).encode()).hexdigest()
 
@@ -154,6 +194,9 @@ def _schedule_digests(corpus_results, forced_guard_results) -> dict[str, str]:
     digests.update(
         (f"guard/{circ.source_name}/{technique}/{grid_kind}", digest(sched))
         for circ, technique, grid_kind, sched, *_ in forced_guard_results)
+    digests.update(
+        (f"qasm/{circ.source_name}/{technique}/{grid_kind}", digest(sched))
+        for circ, technique, grid_kind, sched, *_ in qasm_results)
     # One mid-circuit SLM->AOD extraction (see test_scheduler.py).
     sched, _, _ = _compile(
         random_circuit(random.Random(0), 50, 150, name="extract50"),
@@ -171,16 +214,57 @@ def _schedule_digests(corpus_results, forced_guard_results) -> dict[str, str]:
     return digests
 
 
-def test_golden_schedule_digests(corpus_results, forced_guard_results):
+def test_golden_schedule_digests(corpus_results, forced_guard_results,
+                                qasm_results):
     """Schedules stay byte-identical to the recorded ones. Re-record only in
     a change that alters schedules on purpose:
     `PYTHONPATH=src python tests/test_acceptance.py`."""
     golden = json.loads(GOLDEN_DIGESTS.read_text())
-    got = _schedule_digests(corpus_results, forced_guard_results)
+    got = _schedule_digests(corpus_results, forced_guard_results,
+                            qasm_results)
     changed = sorted(k for k in golden.keys() | got.keys()
                      if golden.get(k) != got.get(k))
     assert not changed, (f"{len(changed)} of {len(golden)} schedule digests "
                          f"differ, first: {changed[:5]}")
+
+
+def _non_u3_events(sched):
+    """Every move, illumination, trap change and measure of `sched` in
+    order, without times or layer numbers."""
+    out = []
+    for ev in sched.events:
+        if isinstance(ev, ColumnMove):
+            out.append(("move", ev.column, ev.from_x, ev.to_x, ev.atoms))
+        elif isinstance(ev, Illumination):
+            out.append(("cz", [(p.qubits, p.atoms, p.positions, p.origin)
+                               for p in ev.pairs]))
+        elif isinstance(ev, TrapChange):
+            out.append(("trap-change", ev.direction,
+                        [(t.atom, t.x, t.y, t.column) for t in ev.transfers]))
+        elif isinstance(ev, Measure):
+            out.append(("measure", ev.atoms))
+    return out
+
+
+def test_u3_fusion_removes_only_u3_layers(qasm_results):
+    """Fusing single-qubit runs while lowering leaves every move,
+    illumination, trap change and measure of the unfused schedule in place
+    and in order, and only removes U3 layers. Each fused schedule validates
+    and executes the unfused circuit."""
+    fewer = 0
+    for circ, technique, grid_kind, sched, layout, grid, unfused, ref in \
+            qasm_results:
+        case = (circ.source_name, technique, grid_kind)
+        assert _non_u3_events(sched) == _non_u3_events(ref), case
+        n_u3, n_ref = (sum(isinstance(ev, U3LayerEvent) for ev in s.events)
+                       for s in (sched, ref))
+        assert n_u3 <= n_ref, case
+        fewer += n_u3 < n_ref
+        assert validate_schedule(sched, layout, grid, PARAMS, circ) == [], case
+        if circ.num_qubits <= EQUIVALENCE_QUBIT_CAP:
+            assert equivalence_check(sched, unfused)[0], case
+    assert len(qasm_results) == 64
+    assert fewer
 
 
 def test_forced_guard_schedules_validate(forced_guard_results):
@@ -496,5 +580,6 @@ def test_criterion_11_determinism(tmp_path):
 
 if __name__ == "__main__":
     GOLDEN_DIGESTS.write_text(json.dumps(
-        _schedule_digests(_compile_corpus(), _compile_forced_guard()),
+        _schedule_digests(_compile_corpus(), _compile_forced_guard(),
+                          _compile_qasm()),
         indent=1, sort_keys=True) + "\n")

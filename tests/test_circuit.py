@@ -222,12 +222,8 @@ def test_lowering_preserves_per_qubit_order():
         assert low_pairs == expanded
 
 
-@settings(max_examples=25, deadline=None)
-@given(st.integers(min_value=1, max_value=5), st.randoms(use_true_random=False))
-def test_lowering_preserves_semantics(n, rng):
-    """Distribution of the lowered circuit matches the raw-gate product."""
-    from pachinqo.verifier import statevector_oracle
-
+def _random_raw(n, rng):
+    """A raw circuit on n qubits over every supported gate kind."""
     kinds = ["h", "x", "y", "z", "s", "sdg", "t", "tdg", "u3", "u2", "u1",
              "p", "rx", "ry", "rz", "cx", "cz", "swap", "ccx"]
     gates = []
@@ -246,10 +242,83 @@ def test_lowering_preserves_semantics(n, rng):
                         "rx": 1, "ry": 1, "rz": 1}.get(k, 0)
             gates.append(Gate(k, (rng.randrange(n),),
                               tuple(rng.uniform(-PI, PI) for _ in range(n_params))))
-    raw = Circuit(n, gates)
+    return Circuit(n, gates)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(min_value=1, max_value=5), st.randoms(use_true_random=False))
+def test_lowering_preserves_semantics(n, rng):
+    """Distribution of the lowered circuit matches the raw-gate product."""
+    from pachinqo.verifier import statevector_oracle
+
+    raw = _random_raw(n, rng)
     expected = _simulate_raw(raw)
     got = statevector_oracle(decompose_to_basis(raw))
     assert np.abs(expected - got).max() < 1e-9
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(min_value=1, max_value=5), st.randoms(use_true_random=False))
+def test_lowering_leaves_one_u3_per_qubit_between_czs(n, rng):
+    """No qubit has two U3s without a CZ on that qubit between them."""
+    low = decompose_to_basis(_random_raw(n, rng))
+    last_was_u3 = [False] * n
+    for g in low.gates:
+        if g.kind == "u3":
+            assert not last_was_u3[g.qubits[0]], low.gates
+            last_was_u3[g.qubits[0]] = True
+        else:
+            for q in g.qubits:
+                last_was_u3[q] = False
+
+
+def _equal_up_to_phase(a, b, tol):
+    overlap = np.vdot(a.reshape(-1), b.reshape(-1))
+    return abs(overlap) > 0 and np.abs(a * overlap / abs(overlap) - b).max() < tol
+
+
+_ANGLE_RNG = random.Random(5)
+_FUSION_RUNS = {
+    "h;h": [Gate("h", (0,))] * 2,
+    "theta0-run3": [Gate("t", (0,)), Gate("s", (0,)), Gate("rz", (0,), (0.3,))],
+    "theta-pi-run3": [Gate("h", (0,)), Gate("z", (0,)), Gate("h", (0,))],
+    "theta-pi-pair": [Gate("x", (0,)), Gate("z", (0,))],
+    "identity-pair": [Gate("t", (0,)), Gate("tdg", (0,))],
+    "random-run5": [Gate("u3", (0,), tuple(_ANGLE_RNG.uniform(-PI, PI)
+                                            for _ in range(3)))
+                    for _ in range(5)],
+}
+
+
+@pytest.mark.parametrize("name", sorted(_FUSION_RUNS))
+def test_fused_u3_equals_product_of_its_run(name):
+    run = _FUSION_RUNS[name]
+    low = decompose_to_basis(Circuit(1, run))
+    assert [g.kind for g in low.gates] == ["u3"]
+    product = np.eye(2)
+    for g in run:
+        product = _raw_mat(g) @ product
+    assert _equal_up_to_phase(_u3_mat(*low.gates[0].params), product, 1e-12)
+
+
+def test_fused_u3_equals_product_over_random_runs():
+    rng = random.Random(17)
+    for _ in range(500):
+        run = []
+        for _ in range(rng.randint(2, 4)):
+            theta = rng.choice([0.0, PI, rng.uniform(0, PI)])
+            run.append(u3(0, theta, rng.uniform(-PI, PI), rng.uniform(-PI, PI)))
+        fused = decompose_to_basis(Circuit(1, run)).gates
+        assert len(fused) == 1
+        product = np.eye(2)
+        for g in run:
+            product = _u3_mat(*g.params) @ product
+        assert _equal_up_to_phase(_u3_mat(*fused[0].params), product, 1e-12)
+
+
+def test_single_u3_between_czs_keeps_its_angles():
+    gates = [u3(0, 0.1, 0.2, 0.3), cz(0, 1), u3(0, 0.4, 0.5, 0.6), cz(0, 1)]
+    assert decompose_to_basis(Circuit(2, gates)).gates == gates
 
 
 # ---------------------------------------------------------------------------

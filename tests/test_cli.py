@@ -186,6 +186,9 @@ def test_unwritable_output_exits_one_without_traceback(
     err = capsys.readouterr().err
     assert err.startswith(f"write error: cannot write {bad}: ")
     assert err.count("\n") == 1 and "Traceback" not in err
+    # Neither output is left behind, so no fresh file sits beside a stale one.
+    assert not (tmp_path / "s.json").exists()
+    assert not (tmp_path / "r.json").exists()
 
 
 def _make_suite(tmp_path, n_files=3, seed=0):

@@ -334,3 +334,41 @@ def test_validator_catches_unknown_measure_qubit():
     violations = _measure_mutant(relabel)
     assert [v.code for v in violations] == ["dependency"]
     assert "unknown qubit 99" in violations[0].description
+
+
+# ---------------------------------------------------------------------------
+# validator timing
+
+def _retimed(sched, index, scale, delay=0.0):
+    """Copy of `sched` whose event (or move phase) at `index` starts `delay`
+    us late and lasts `scale` times as long. Later events shift with it, so
+    the times stay monotone and only that one span is off."""
+    out = copy.deepcopy(sched)
+    t0, t1 = out.events[index].t_start, out.events[index].t_end
+    new_end = t0 + delay + (t1 - t0) * scale
+    for ev in out.events[index:]:
+        if (ev.t_start, ev.t_end) == (t0, t1):
+            ev.t_start, ev.t_end = t0 + delay, new_end
+        else:
+            ev.t_start += new_end - t1
+            ev.t_end += new_end - t1
+    return out
+
+
+@pytest.mark.parametrize("kind, scale, delay", [
+    (ColumnMove, 3.0, 0.0),
+    (ColumnMove, 0.25, 0.0),
+    (U3LayerEvent, 0.0, 0.0),
+    (Illumination, 1.0, 1.0),
+], ids=["stretched-move-phase", "quartered-move-phase", "zero-length-u3-layer",
+        "late-illumination"])
+def test_validator_catches_mistimed_span(kind, scale, delay):
+    circ = random_circuit(random.Random(3), 8, 60)
+    sched, layout, grid, params = _compile(circ)
+    assert validate_schedule(sched, layout, grid, params, circ) == []
+    index = next(i for i, ev in enumerate(sched.events)
+                 if isinstance(ev, kind) and ev.layer > 0)
+    mutated = _retimed(sched, index, scale, delay)
+    violations = validate_schedule(mutated, layout, grid, params, circ)
+    assert violations and {v.code for v in violations} == {"timing"}
+    assert violations[0].event == index
