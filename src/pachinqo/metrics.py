@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 
 from .machine import PhysParams
-from .schedule import ColumnMove, Illumination, Measure, Schedule, TrapChange, U3LayerEvent
+from .schedule import ColumnMove, Illumination, Schedule, TrapChange, U3LayerEvent
 
 _US_PER_S = 1e6
 
@@ -24,6 +24,7 @@ _US_PER_S = 1e6
 @dataclass
 class MetricsReport:
     runtime_us: float
+    runtime_breakdown_us: dict[str, float]  # modelled time by event kind
     esp: float
     swap_count: int
     trap_change_count: int
@@ -35,6 +36,7 @@ class MetricsReport:
         return json.dumps(
             {
                 "runtime_us": self.runtime_us,
+                "runtime_breakdown_us": dict(self.runtime_breakdown_us),
                 "esp": self.esp,
                 "swap_count": self.swap_count,
                 "trap_change_count": self.trap_change_count,
@@ -67,30 +69,33 @@ def movement_phase_time(
     return sum(durs) if serial else max(durs)
 
 
-def layer_time(events: list, params: PhysParams, serial: bool = False) -> float:
-    """Duration of one layer's events.
+def runtime_breakdown(events: list, params: PhysParams,
+                      serial: bool = False) -> dict[str, float]:
+    """Modelled time of `events` in us by kind: movement, trap_change, u3
+    and cz (measures take none).
 
     Move events sharing a time interval form one concurrent phase.
     """
-    phases: dict[tuple[float, float], list[ColumnMove]] = {}
-    total = 0.0
+    phases: dict[tuple[float, float], list[float]] = {}
+    out = dict.fromkeys(("movement", "trap_change", "u3", "cz"), 0.0)
     for ev in events:
         if isinstance(ev, ColumnMove):
-            phases.setdefault((ev.t_start, ev.t_end), []).append(ev)
+            phases.setdefault((ev.t_start, ev.t_end), []).append(move_duration(
+                ev.to_x - ev.from_x, [ty - fy for _, fy, ty in ev.atoms], params))
         elif isinstance(ev, Illumination):
-            total += params.cz_time
+            out["cz"] += params.cz_time
         elif isinstance(ev, U3LayerEvent):
-            total += params.u3_time
+            out["u3"] += params.u3_time
         elif isinstance(ev, TrapChange):
-            total += params.trap_change_time
-        elif isinstance(ev, Measure):
-            pass
-    for moves in phases.values():
-        durs = [move_duration(m.to_x - m.from_x,
-                              [ty - fy for _, fy, ty in m.atoms], params)
-                for m in moves]
-        total += sum(durs) if serial else max(durs)
-    return total
+            out["trap_change"] += params.trap_change_time
+    for durs in phases.values():
+        out["movement"] += sum(durs) if serial else max(durs)
+    return out
+
+
+def layer_time(events: list, params: PhysParams, serial: bool = False) -> float:
+    """Duration of one layer's events."""
+    return sum(runtime_breakdown(events, params, serial).values())
 
 
 def total_runtime(schedule: Schedule, params: PhysParams | None = None) -> float:
@@ -149,6 +154,8 @@ def build_report(schedule: Schedule, params: PhysParams,
                  compile_time_ms: float = 0.0) -> MetricsReport:
     return MetricsReport(
         runtime_us=total_runtime(schedule, params),
+        runtime_breakdown_us=runtime_breakdown(schedule.events, params,
+                                               schedule.serial_movement),
         esp=esp(schedule, params),
         swap_count=schedule.swap_count,
         trap_change_count=schedule.trap_change_count,

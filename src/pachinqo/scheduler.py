@@ -5,18 +5,30 @@ trap-change and column-move emitters every later layer uses, and is the
 only code that emits events or changes machine state.
 
 Execution alternates U3 layers (parallel single-qubit rotations, location
-independent) with CZ layers. A CZ layer relocates all columns to the
-starting cache, then processes them from the cache side nearest compute:
-each column places next to the static partner of one executable CZ (or of
-one pending inserted-SWAP step), spreading its uninvolved atoms apart, or
-retreats toward the opposite cache (dropping into memory when a placed
-column blocks the way). One illumination then fires every staged pair at
-once. Start sides toggle right-left-right so no column gets standing
-priority; a layer that ends because placed columns exhaust compute access
-keeps the same side for the remaining columns.
+independent) with CZ layers. A CZ layer plans with all columns relocated
+to the starting cache, then processes them from the cache side nearest
+compute: each column places next to the static partner of one executable
+CZ (or of one pending inserted-SWAP step), spreading its uninvolved atoms
+apart, or retreats toward the opposite cache (dropping into memory when a
+placed column blocks the way). One illumination then fires every staged
+pair at once. Start sides toggle right-left-right so no column gets
+standing priority; a layer that ends because placed columns exhaust
+compute access keeps the same side for the remaining columns.
+
+Move phases are fused: the compiler applies every move to its state at
+once, and a phase emits one move per column, from where the phase found
+the column to where it leaves it. The relocation is therefore planned but
+never travelled: it shares its phase with the placements and retreats
+that follow, as an isolation layer's parking shares its phase with the
+one placement. A trap change closes the phase before it; the measurement
+epilogue and onecache's return home are phases of their own. Both ends
+of a phase are strictly x-ordered, so straight concurrent moves never
+cross columns.
 
 Same-trap conflicts insert SWAPs executed preemptively, one component
-gate per layer. The techniques differ only in three values set in
+per layer, except that a U3 layer also runs a swap's next rotation when
+it acts on another qubit (template steps 2-3 and 5-6 share a layer).
+The techniques differ only in three values set in
 `Compiler.__init__`: the grouping function (degreesplit), whether a
 conflict tries a mid-circuit trap change before a SWAP (trapchange), and
 whether there is one cache (onecache). With one cache every layer starts
@@ -116,6 +128,32 @@ class _Obstacles:
                           skip_atom: int) -> bool:
         skip = self.index_of.get(skip_atom, -1)
         return kernels.clear_from_except(self.x, self.y, self.n, px, py, r2, skip)
+
+
+class _Phase:
+    """One movement phase being built: each column's state when the phase
+    first moved it. The compiler applies every move to its state at once,
+    so a column moved twice in one phase travels once, from that start to
+    where it ends."""
+
+    def __init__(self):
+        # cid -> (column, x, {atom: y}) at the column's first move
+        self.start: dict[int, tuple[_Column, float, dict[int, float]]] = {}
+
+    def record(self, col: _Column, atom_y: list[float]) -> None:
+        if col.cid not in self.start:
+            self.start[col.cid] = (col, col.x, {a: atom_y[a] for a in col.atoms})
+
+    def moves(self, atom_y: list[float]
+              ) -> list[tuple[int, float, float, list[tuple[int, float, float]]]]:
+        """(cid, from_x, to_x, [(atom, from_y, to_y)]) per column that
+        ends the phase somewhere else."""
+        out = []
+        for col, x, ys in self.start.values():
+            atoms = [(a, ys[a], atom_y[a]) for a in col.atoms]
+            if col.x != x or any(fy != ty for _, fy, ty in atoms):
+                out.append((col.cid, x, col.x, atoms))
+        return out
 
 
 @dataclass
@@ -239,17 +277,20 @@ class Compiler:
                 self.atom_col[a] = g.column
                 transfers.append(TrapTransfer(a, g.mem_x, my, column=g.column))
         self._trap_change(SLM_TO_AOD, transfers)
-        buffer: list = []
+        phase = _Phase()
         for g, col in zip(groups, cols):
             self._move_column(col, g.atoms[0][2],
-                              {a: ty for a, _, _, ty in g.atoms}, buffer)
-        self._flush_moves(buffer)
+                              {a: ty for a, _, _, ty in g.atoms}, phase)
+        self._flush_moves(phase)
         return cols
 
     # ------------------------------------------------------------------
     # event emission with phase timing
-    def _flush_moves(self, moves) -> None:
-        """Close one concurrent movement phase."""
+    def _flush_moves(self, phase: _Phase) -> None:
+        """Close one concurrent movement phase: one move per column, from
+        where the phase found it to where it is now."""
+        moves = phase.moves(self.atom_y)
+        phase.start.clear()
         if not moves:
             return
         dur = movement_phase_time(moves, self.params, self.serial)
@@ -258,18 +299,15 @@ class Compiler:
         self.t += dur
 
     def _move_column(self, col: _Column, to_x: float,
-                     y_targets: dict[int, float], buffer: list) -> None:
-        """Queue a column move into the current phase buffer and apply it."""
-        atoms = []
-        for a in col.atoms:
-            ty = y_targets.get(a, self.atom_y[a])
-            atoms.append((a, self.atom_y[a], ty))
-        if to_x == col.x and all(fy == ty for _, fy, ty in atoms):
+                     y_targets: dict[int, float], phase: _Phase) -> None:
+        """Move a column within the current phase and apply the move."""
+        if to_x == col.x and all(y_targets.get(a, self.atom_y[a]) == self.atom_y[a]
+                                 for a in col.atoms):
             return
-        buffer.append((col.cid, col.x, to_x, atoms))
-        for a, _, ty in atoms:
+        phase.record(col, self.atom_y)
+        for a in col.atoms:
             self.atom_x[a] = to_x
-            self.atom_y[a] = ty
+            self.atom_y[a] = y_targets.get(a, self.atom_y[a])
         col.x = to_x
 
     def _trap_change(self, direction: str,
@@ -380,16 +418,22 @@ class Compiler:
                 g = self.circuit.gates[self.frontier.next_gate(q)]
                 entries.append(U3Entry(q, self.atom_of[q], g.params))
                 self.frontier.advance(g)
+            used = set(native)
             for sid in swap_due:
+                # Run the swap's consecutive rotations on distinct qubits
+                # together: template steps 2-3 and 5-6.
                 swap = self.swaps[sid]
-                step = self.frontier.swap_step(sid)
-                g = swap.gates[step]
-                q = g.qubits[0]
-                entries.append(U3Entry(q, self.atom_of[q], g.params,
-                                       (sid, step)))
                 swap.layer = self.layer
-                if self.frontier.advance(g) is not None:
-                    self._complete_swap(sid)
+                g = swap.gates[self.frontier.swap_step(sid)]
+                while g.kind == "u3" and g.qubits[0] not in used:
+                    q = g.qubits[0]
+                    used.add(q)
+                    entries.append(U3Entry(q, self.atom_of[q], g.params,
+                                           (sid, g.origin.step)))
+                    if self.frontier.advance(g) is not None:
+                        self._complete_swap(sid)
+                        break
+                    g = swap.gates[self.frontier.swap_step(sid)]
             self.events.append(
                 U3LayerEvent(self.t, self.t + self.params.u3_time, self.layer, entries)
             )
@@ -407,17 +451,21 @@ class Compiler:
 
     # ------------------------------------------------------------------
     # CZ layers
-    def _relocate_all(self, side: int) -> None:
-        """Move every nonempty column to the `side` cache parking slots, in
-        one movement phase. With one cache, no column ever empties, so
-        `_relocate_all(RIGHT)` puts every column on its home slot."""
-        buffer: list = []
+    def _relocate_all(self, side: int, phase: _Phase | None = None) -> None:
+        """Move every nonempty column to the `side` cache parking slots,
+        within `phase`, or in a phase of its own when none is given. With
+        one cache, no column ever empties, so `_relocate_all(RIGHT)` puts
+        every column on its home slot."""
+        own = phase is None
+        if own:
+            phase = _Phase()
         cache = self._cache(side)
         live = [c for c in self.columns if c.atoms]
         for i, col in enumerate(live):
             self._move_column(col, self._cache_slot_x(side, i),
-                              self._parked_ys(col, cache), buffer)
-        self._flush_moves(buffer)
+                              self._parked_ys(col, cache), phase)
+        if own:
+            self._flush_moves(phase)
 
     def _cz_layer(self) -> int:
         self.layer += 1
@@ -428,16 +476,18 @@ class Compiler:
         side = self.direction
         self.same_side_next = False
 
-        self._relocate_all(side)
+        # Plan against every column parked on `side`, but let each column
+        # travel once, straight to where the layer leaves it.
+        phase = _Phase()
+        self._relocate_all(side, phase)
         self._reset_obstacles()
 
         order = [c for c in self.columns if c.atoms]
         if side == LEFT:
             order.reverse()
 
-        buffer: list = []
         for col in order:
-            action, detail = self._find_action(col, staged, buffer)
+            action, detail = self._find_action(col, staged, phase)
             if action == "placed":
                 executed += 1
             elif action == "blocked":
@@ -447,14 +497,14 @@ class Compiler:
                 break
             elif action == "tc":
                 executed += 1
-                buffer = self._trapchange_action(col, detail, buffer)
+                self._trapchange_action(col, detail, phase)
             else:  # a SWAP began, or idle: clear the way
                 if action == "swap":
                     executed += 1
-                if not self._retreat(col, side, buffer):
+                if not self._retreat(col, side, phase):
                     self.same_side_next = True
                     break
-        self._flush_moves(buffer)
+        self._flush_moves(phase)
 
         if staged:
             self._illuminate(staged)
@@ -467,7 +517,7 @@ class Compiler:
 
     # -- per-column decision -------------------------------------------
     def _find_action(self, col: _Column, staged: list[CzEntry],
-                     buffer: list):
+                     phase: _Phase):
         """Pick and apply this column's action for the current layer."""
         wants_blocked = False
         conflict: tuple[int, int, int] | None = None  # (atom, q, partner q)
@@ -504,7 +554,7 @@ class Compiler:
             if plan is None:
                 wants_blocked = True
                 continue
-            self._commit_placement(col, plan, partner_atom, gate, staged, buffer)
+            self._commit_placement(col, plan, partner_atom, gate, staged, phase)
             if swap is not None:
                 swap.layer = self.layer
             return "placed", None
@@ -571,10 +621,10 @@ class Compiler:
 
     def _commit_placement(self, col: _Column, plan: _Placement,
                           partner_atom: int, gate: Gate,
-                          staged: list[CzEntry], buffer: list) -> None:
+                          staged: list[CzEntry], phase: _Phase) -> None:
         y_targets = {plan.active_atom: plan.active_y}
         y_targets.update({a: y for a, y in plan.inactive})
-        self._move_column(col, plan.x, y_targets, buffer)
+        self._move_column(col, plan.x, y_targets, phase)
         comp = self.layout.compute
         self.obstacles.add(plan.active_atom, plan.x, plan.active_y)
         for a, y in plan.inactive:
@@ -594,7 +644,7 @@ class Compiler:
         self.frontier.advance(gate)
 
     # -- retreat ----------------------------------------------------------
-    def _retreat(self, col: _Column, side: int, buffer: list) -> bool:
+    def _retreat(self, col: _Column, side: int, phase: _Phase) -> bool:
         """Clear the way for later columns: park in the opposite cache, or
         next to the blocking column and down into memory. Returns False if
         no legal spot exists, in which case the column stays parked (and
@@ -610,7 +660,7 @@ class Compiler:
         if side == LEFT:
             free.reverse()  # fill the right cache from compute outward
         if free:
-            self._move_column(col, free[0], self._parked_ys(col, cache), buffer)
+            self._move_column(col, free[0], self._parked_ys(col, cache), phase)
             return True
         # Blocked: tuck in beside the neighbor and drop into memory, at
         # memory's left edge if no live column is left of this one.
@@ -621,7 +671,7 @@ class Compiler:
             x = hi - self.params.storage_pitch
         if not (mem.x0 <= x <= mem.x1) or not (lo < x < hi):
             return False
-        self._move_column(col, x, self._parked_ys(col, mem), buffer)
+        self._move_column(col, x, self._parked_ys(col, mem), phase)
         return True
 
     # -- inserted swaps -----------------------------------------------------
@@ -716,8 +766,9 @@ class Compiler:
                 return ("extract", s_atom, site)
         return None
 
-    def _trapchange_action(self, col: _Column, detail, buffer: list) -> list:
-        """Apply a mid-circuit trap change; returns a fresh move buffer."""
+    def _trapchange_action(self, col: _Column, detail, phase: _Phase) -> None:
+        """Apply a mid-circuit trap change: `phase` closes with the column
+        over the site, and the column retreats in the next one."""
         kind, atom, site = detail
         sx, sy = self.grid.sites[site]
         # Over the site, with the column's other atoms tucked below compute
@@ -726,8 +777,8 @@ class Compiler:
         y_targets = {a: self._hang_y(j) for j, a in enumerate(hanging)}
         if kind == "deposit":
             y_targets[atom] = sy
-        self._move_column(col, sx, y_targets, buffer)
-        self._flush_moves(buffer)
+        self._move_column(col, sx, y_targets, phase)
+        self._flush_moves(phase)
         if kind == "deposit":
             self._trap_change(AOD_TO_SLM, [TrapTransfer(atom, sx, sy)])
             col.atoms.remove(atom)
@@ -745,9 +796,7 @@ class Compiler:
             col.atoms.append(atom)
             self.free_sites.append(site)
             self.free_sites.sort()
-        buffer = []
-        self._retreat(col, self.direction, buffer)
-        return buffer
+        self._retreat(col, self.direction, phase)
 
     # ------------------------------------------------------------------
     # progress guard
@@ -831,35 +880,36 @@ class Compiler:
         """One CZ layer with a single column placed and all others parked."""
         self.layer += 1
         self.busy.clear()
-        cid = self.atom_col[active_atom]
-        col = self.columns[cid]
-        buffer: list = []
-        # Columns left of this one park from park_x0 rightward.
-        left = [c for c in self.columns[:cid] if c.atoms]
-        for k, other in enumerate(left):
-            self._move_column(other, self.park_x0 + k * self.params.storage_pitch,
-                              self._parked_ys(other, self.park_zone), buffer)
-        # Columns right of it fill the right cache from its far edge.
-        rc = self.layout.right_cache
-        k = cache_column_slots(self.layout, self.params) - 1
-        for other in reversed(self.columns[cid + 1:]):
-            if other.atoms:
-                self._move_column(other, self._cache_slot_x(RIGHT, k),
-                                  self._parked_ys(other, rc), buffer)
-                k -= 1
-        self._flush_moves(buffer)
-
+        col = self.columns[self.atom_col[active_atom]]
+        phase = _Phase()
+        self._park_others(col, phase)
         self._reset_obstacles()
         plan = self._try_place(col, active_atom, partner_atom)
         if plan is None:
             raise SchedulerError("isolation placement failed")
         staged: list[CzEntry] = []
-        buffer = []
-        self._commit_placement(col, plan, partner_atom, gate, staged, buffer)
-        self._flush_moves(buffer)
+        self._commit_placement(col, plan, partner_atom, gate, staged, phase)
+        self._flush_moves(phase)
         self._illuminate(staged)
         if self.one_cache:
             self._relocate_all(RIGHT)
+
+    def _park_others(self, col: _Column, phase: _Phase) -> None:
+        """Park every nonempty column but `col` out of its way, within
+        `phase`."""
+        # Columns left of it park from park_x0 rightward.
+        left = [c for c in self.columns[:col.cid] if c.atoms]
+        for k, other in enumerate(left):
+            self._move_column(other, self.park_x0 + k * self.params.storage_pitch,
+                              self._parked_ys(other, self.park_zone), phase)
+        # Columns right of it fill the right cache from its far edge.
+        rc = self.layout.right_cache
+        k = cache_column_slots(self.layout, self.params) - 1
+        for other in reversed(self.columns[col.cid + 1:]):
+            if other.atoms:
+                self._move_column(other, self._cache_slot_x(RIGHT, k),
+                                  self._parked_ys(other, rc), phase)
+                k -= 1
 
     # ------------------------------------------------------------------
     # measurement epilogue
@@ -901,12 +951,12 @@ class Compiler:
         # Ferries park on the readout slots in a y band above the atoms
         # already deposited there, so positions never collide.
         y_base = rc.y0 + ZONE_MARGIN + params.max_atoms_per_column * params.storage_pitch
-        buffer: list = []
+        phase = _Phase()
         for i, col in enumerate(ferries):
             self._move_column(col, self._cache_slot_x(RIGHT, i),
                               {a: y_base + j * params.storage_pitch
-                               for j, a in enumerate(col.atoms)}, buffer)
-        self._flush_moves(buffer)
+                               for j, a in enumerate(col.atoms)}, phase)
+        self._flush_moves(phase)
 
         # TC c: deposit in readout and measure.
         ferried = [a for col in ferries for a in col.atoms]

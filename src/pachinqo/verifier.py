@@ -7,9 +7,12 @@ column membership, illumination blockade geometry, zone containment,
 dependency order of executed gates, single measurement per atom, the
 qubit each measurement names (the replayed mapping's qubit for that
 atom), and timing: every event starts where the previous one (or move
-phase) ended, lasts what the cost model says, and the schedule's end
-time is the sum of its layer times, so the reported runtime is checked
-rather than only emitted.
+phase) ended, lasts what the cost model says, each column moves at most
+once per move phase and each atom rotates at most once per U3 layer (a
+phase or layer is timed as concurrent work, so a second hop or rotation
+would go uncounted), and the schedule's end time
+is the sum of its layer times, so the reported runtime is checked rather
+than only emitted.
 
 Convention: atom ids equal the qubits initially mapped onto them; the
 mapping then evolves only through completed inserted SWAPs.
@@ -45,11 +48,12 @@ if TYPE_CHECKING:
 ORACLE_QUBIT_CAP = 12
 EQUIVALENCE_QUBIT_CAP = 10
 TVD_THRESHOLD = 1e-9
+_SWAP_STEP_KINDS = tuple(g.kind for g in decompose_swap(0, 1))
 
 
 @dataclass
 class Violation:
-    code: str  # ordering|tandem|blockade|zone-bounds|dependency|double-measure|timing
+    code: str  # ordering|tandem|blockade|zone-bounds|dependency|double-measure|timing|double-move
     event: int
     description: str
 
@@ -81,9 +85,11 @@ class _Replay:
         self.measured: set[int] = set()
         self.violations: list[Violation] = []
         # Timing: the end of the previous event or move phase, and the
-        # open phase (consecutive moves sharing (t_start, t_end)).
+        # open phase (consecutive moves sharing (t_start, t_end)) with the
+        # columns it has moved.
         self.clock = 0.0
         self.phase: list[ColumnMove] = []
+        self.phase_columns: set[int] = set()
         self.phase_at = 0
         self.duration = {TrapChange: params.trap_change_time,
                          Illumination: params.cz_time,
@@ -129,6 +135,7 @@ class _Replay:
                          first.t_end, movement_phase_time(
                              moves, self.params, self.sched.serial_movement))
         self.phase = []
+        self.phase_columns.clear()
 
     def _expected_gate(self, q: int) -> int | None:
         c = self.cursor[q]
@@ -199,10 +206,9 @@ class _Replay:
             if len(known) == 2:
                 self.bad("dependency", i,
                          f"swap {sid} touched foreign qubits {qubits}")
-        template = decompose_swap(0, 1)
-        if template[step].kind != kind:
+        if _SWAP_STEP_KINDS[step] != kind:
             self.bad("dependency", i,
-                     f"swap {sid} step {step} should be {template[step].kind}")
+                     f"swap {sid} step {step} should be {_SWAP_STEP_KINDS[step]}")
         self.swap_progress[sid] = step + 1
         if step == 8:
             a, b = self.swap_qubits[sid]
@@ -220,6 +226,10 @@ class _Replay:
             if not self.phase:
                 self.phase_at = i
             self.phase.append(ev)
+            if ev.column in self.phase_columns:
+                self.bad("double-move", i,
+                         f"column {ev.column} moves twice in one phase")
+            self.phase_columns.add(ev.column)
         else:
             self._close_phase()
             self._check_span(i, ev.kind, ev.t_start, ev.t_end,
@@ -230,7 +240,12 @@ class _Replay:
         elif isinstance(ev, ColumnMove):
             self._column_move(i, ev)
         elif isinstance(ev, U3LayerEvent):
+            atoms: set[int] = set()
             for g in ev.gates:
+                if g.atom in atoms:
+                    self.bad("timing", i, f"atom {g.atom} runs two rotations "
+                             "in one U3 layer")
+                atoms.add(g.atom)
                 if g.origin is not None:
                     self._swap_component(i, g.origin, "u3", (g.qubit,))
                 else:

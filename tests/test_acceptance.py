@@ -32,6 +32,7 @@ from pachinqo.machine import (
     generate_grid,
 )
 from pachinqo.metrics import (
+    build_report,
     composed_swap_error,
     esp,
     movement_total,
@@ -122,6 +123,27 @@ class _GuardForcingCompiler(Compiler):
     def _isolation_layer(self, *args) -> None:
         self.isolation_layers += 1
         super()._isolation_layer(*args)
+
+
+class _PhasedCompiler(Compiler):
+    """Emits a CZ layer's relocation and an isolation layer's parking as
+    move phases of their own, as the compiler did before it fused each
+    into the placement phase that follows. Every decision is the same, so
+    it is the reference the fused schedules must match, event for event
+    apart from column moves and times."""
+
+    def _relocate_all(self, side, phase=None):
+        super()._relocate_all(side, phase)
+        if phase is not None:
+            self._flush_moves(phase)
+
+    def _park_others(self, col, phase):
+        super()._park_others(col, phase)
+        self._flush_moves(phase)
+
+
+class _PhasedGuardForcingCompiler(_PhasedCompiler, _GuardForcingCompiler):
+    pass
 
 
 def _compile_forced_guard():
@@ -228,22 +250,100 @@ def test_golden_schedule_digests(corpus_results, forced_guard_results,
                          f"differ, first: {changed[:5]}")
 
 
+def _event_key(ev):
+    """An event's content, without its times or layer number."""
+    if isinstance(ev, ColumnMove):
+        return ("move", ev.column, ev.from_x, ev.to_x, ev.atoms)
+    if isinstance(ev, Illumination):
+        return ("cz", [(p.qubits, p.atoms, p.positions, p.origin)
+                       for p in ev.pairs])
+    if isinstance(ev, TrapChange):
+        return ("trap-change", ev.direction,
+                [(t.atom, t.x, t.y, t.column) for t in ev.transfers])
+    if isinstance(ev, Measure):
+        return ("measure", ev.atoms)
+    return ("u3", [(g.qubit, g.atom, g.angles, g.origin) for g in ev.gates])
+
+
 def _non_u3_events(sched):
     """Every move, illumination, trap change and measure of `sched` in
     order, without times or layer numbers."""
-    out = []
+    return [_event_key(ev) for ev in sched.events
+            if not isinstance(ev, U3LayerEvent)]
+
+
+def _move_free_events(sched):
+    """Every event of `sched` but its column moves, with layer numbers and
+    without times, then its counts and final mapping."""
+    return [(ev.layer, _event_key(ev)) for ev in sched.events
+            if not isinstance(ev, ColumnMove)] + [
+        sched.swap_count, sched.trap_change_count, sched.final_mapping]
+
+
+def _columns_moving_twice(sched):
+    """(phase start, column) for every column listed twice in one phase."""
+    twice, seen, span = [], set(), None
     for ev in sched.events:
-        if isinstance(ev, ColumnMove):
-            out.append(("move", ev.column, ev.from_x, ev.to_x, ev.atoms))
-        elif isinstance(ev, Illumination):
-            out.append(("cz", [(p.qubits, p.atoms, p.positions, p.origin)
-                               for p in ev.pairs]))
-        elif isinstance(ev, TrapChange):
-            out.append(("trap-change", ev.direction,
-                        [(t.atom, t.x, t.y, t.column) for t in ev.transfers]))
-        elif isinstance(ev, Measure):
-            out.append(("measure", ev.atoms))
-    return out
+        if not isinstance(ev, ColumnMove):
+            span = None
+            continue
+        if (ev.t_start, ev.t_end) != span:
+            span, seen = (ev.t_start, ev.t_end), set()
+        if ev.column in seen:
+            twice.append((ev.t_start, ev.column))
+        seen.add(ev.column)
+    return twice
+
+
+def test_fused_phases_match_phased_reference(corpus_results,
+                                             forced_guard_results):
+    """Fusing relocation and isolation parking into the placement phase
+    changes only column moves and times: every illumination, trap change,
+    measure, U3 layer, count and the final mapping equal those of the
+    phased reference, and no column moves twice in one phase. Over the
+    corpus and the forced-guard set, on every technique x grid, with
+    concurrent and serial movement, the fused schedule is never slower and
+    never moves atoms further, and it is faster somewhere."""
+    cases = [(circ, technique, grid_kind, sched, Compiler, _PhasedCompiler)
+             for circ, technique, grid_kind, sched, _ in corpus_results]
+    cases += [(circ, technique, grid_kind, sched, _GuardForcingCompiler,
+               _PhasedGuardForcingCompiler)
+              for circ, technique, grid_kind, sched, *_ in forced_guard_results]
+    assert {case[1:3] for case in cases} == \
+        {(t, g) for t in TECHNIQUES for g in GRIDS}
+    faster = set()
+    for circ, technique, grid_kind, concurrent, fused_cls, phased_cls in cases:
+        layout = build_layout(circ.num_qubits, "auto", PARAMS, grid_kind)
+        grid = generate_grid(grid_kind, layout, PARAMS)
+        for serial in (False, True):
+            case = (circ.source_name, technique, grid_kind, serial)
+            sched = (fused_cls(circ, technique, grid, layout, PARAMS,
+                               serial).run() if serial else concurrent)
+            ref = phased_cls(circ, technique, grid, layout, PARAMS,
+                             serial).run()
+            assert _move_free_events(sched) == _move_free_events(ref), case
+            tol = 1e-9 * len(ref.events)
+            assert sched.end_time <= ref.end_time + tol, case
+            assert movement_total(sched) <= movement_total(ref) + tol, case
+            assert not _columns_moving_twice(sched), case
+            if sched.end_time < ref.end_time - tol:
+                faster.add((technique, serial))
+    assert {t for t, _ in faster} >= {"pachinqo", "degreesplit", "trapchange"}
+    assert {s for _, s in faster} == {False, True}
+
+
+def test_runtime_breakdown_sums_to_runtime(corpus_results):
+    """report.json's runtime breakdown adds up to its runtime, to the
+    validator's 1e-9 us per event, and every schedule moves."""
+    for circ, technique, grid_kind, sched, _ in corpus_results:
+        report = build_report(sched, PARAMS)
+        parts = report.runtime_breakdown_us
+        assert set(parts) == {"movement", "trap_change", "u3", "cz"}
+        assert abs(sum(parts.values()) - report.runtime_us) <= \
+            1e-9 * len(sched.events), (circ.source_name, technique, grid_kind)
+        assert parts["movement"] > 0
+        assert parts["trap_change"] == pytest.approx(
+            sched.trap_change_count * PARAMS.trap_change_time)
 
 
 def test_u3_fusion_removes_only_u3_layers(qasm_results):

@@ -13,12 +13,14 @@ from pachinqo.metrics import (
     layer_time,
     movement_phase_time,
     movement_total,
+    runtime_breakdown,
     total_runtime,
 )
 from pachinqo.schedule import (
     ColumnMove,
     CzEntry,
     Illumination,
+    Measure,
     Schedule,
     TrapChange,
     U3Entry,
@@ -60,6 +62,24 @@ def test_layer_time_components(params):
     ]
     t = layer_time(events, params)
     assert t == pytest.approx(1.0 + 0.8 + 2.0 + 125.0)
+
+
+def test_runtime_breakdown_splits_layer_time_by_kind(params):
+    events = [
+        _move(0, 0.0, 55.0, [0.0], 0.0, 1.0),
+        _move(1, 100.0, 128.5, [26.5], 0.0, 1.0),
+        Illumination(1.0, 1.8, 1, []),
+        U3LayerEvent(1.8, 3.8, 1, []),
+        U3LayerEvent(3.8, 5.8, 1, []),
+        TrapChange(5.8, 130.8, 1, "aod_to_slm", []),
+        Measure(130.8, 130.8, 1, []),
+    ]
+    parts = runtime_breakdown(events, params)
+    assert parts == pytest.approx({"movement": 1.0, "trap_change": 125.0,
+                                   "u3": 4.0, "cz": 0.8})
+    assert runtime_breakdown(events, params, serial=True)["movement"] == \
+        pytest.approx(2.0)
+    assert sum(parts.values()) == layer_time(events, params)
 
 
 def test_layer_time_groups_phases_by_interval(params):
@@ -172,7 +192,10 @@ def test_report_roundtrip_fields(params):
     import json
 
     doc = json.loads(data)
-    assert set(doc) == {"runtime_us", "esp", "swap_count", "trap_change_count",
+    assert set(doc) == {"runtime_us", "runtime_breakdown_us", "esp",
+                        "swap_count", "trap_change_count",
                         "total_movement_um", "gate_counts", "compile_time_ms"}
+    assert set(doc["runtime_breakdown_us"]) == {"movement", "trap_change",
+                                                "u3", "cz"}
     assert doc["gate_counts"] == {"u3": 4, "cz": 3}
     assert doc["trap_change_count"] == 6

@@ -96,18 +96,36 @@ def test_sequential_u3s_split_into_layers():
 
 
 def test_direction_toggles_between_cz_layers():
-    # Two dependent CZ layers: the second starts from the opposite cache.
+    # Two dependent CZ layers: the second plans from the opposite cache.
+    # Each layer's relocation is fused into its placement phase, so read
+    # the side where the layer relocates.
+    sides = []
+
+    class Sides(Compiler):
+        def _relocate_all(self, side, phase=None):
+            if phase is not None:  # a CZ layer's relocation
+                sides.append(side)
+            super()._relocate_all(side, phase)
+
     circ = Circuit(3, [cz(0, 1), cz(1, 2)])
-    sched, layout, _, _ = _compile(circ)
+    params = PhysParams()
+    layout = build_layout(3, "auto", params)
+    grid = generate_grid("large-square", layout, params)
+    sched = Sides(circ, "pachinqo", grid, layout, params).run()
+    assert validate_schedule(sched, layout, grid, params, circ) == []
     illums = [e for e in sched.events if isinstance(e, Illumination)]
     assert len(illums) == 2
+    assert sides == [RIGHT, LEFT]
+    # The relocation is planned, not travelled: no column stops in a
+    # cache between the two illuminations.
     first, second = illums
-    # between the two illuminations some column parks in the left cache
-    lc = layout.left_cache
     between = [e for e in sched.events
                if isinstance(e, ColumnMove)
-               and first.t_start <= e.t_start <= second.t_start]
-    assert any(lc.x0 <= e.to_x <= lc.x1 for e in between)
+               and first.t_end <= e.t_start < second.t_start]
+    assert between
+    caches = (layout.left_cache, layout.right_cache)
+    assert not any(c.contains(e.to_x, ty) for e in between
+                   for _, _, ty in e.atoms for c in caches)
 
 
 def test_parallel_czs_share_one_illumination():
@@ -152,21 +170,32 @@ def test_static_static_conflict_resolved():
     assert ok, tvd
 
 
-def test_preemptive_swap_one_component_per_layer():
+def test_preemptive_swap_packs_independent_rotations():
+    # A swap's components in one layer touch distinct qubits and run in
+    # template order; the rotations of steps 2-3 and 5-6 share a layer.
     circ = Circuit(4, [cz(0, 1), cz(2, 3), cz(0, 2)])
-    sched, _, _, _ = _compile(circ)
-    by_layer: dict[int, int] = {}
+    sched, layout, grid, params = _compile(circ)
+    assert validate_schedule(sched, layout, grid, params, circ) == []
+    steps_by_layer: dict[tuple[int, int], list[tuple[int, int]]] = {}
     for ev in sched.events:
         if isinstance(ev, U3LayerEvent):
-            for g in ev.gates:
-                if g.origin:
-                    by_layer[ev.layer] = by_layer.get(ev.layer, 0) + 1
+            parts = [(g.origin, (g.qubit,)) for g in ev.gates if g.origin]
         elif isinstance(ev, Illumination):
-            for p in ev.pairs:
-                if p.origin:
-                    by_layer[ev.layer] = by_layer.get(ev.layer, 0) + 1
-    assert by_layer  # the swap really was phased
-    assert all(v == 1 for v in by_layer.values())
+            parts = [(p.origin, p.qubits) for p in ev.pairs if p.origin]
+        else:
+            continue
+        for (sid, step), qubits in parts:
+            steps_by_layer.setdefault((sid, ev.layer), []).append(
+                (step, qubits))
+    assert sched.swap_count == 1
+    layers = list(steps_by_layer.values())
+    for comps in layers:
+        steps = [step for step, _ in comps]
+        assert steps == sorted(steps)
+        qubits = [q for _, qs in comps for q in qs]
+        assert len(qubits) == len(set(qubits))
+    steps = [[step for step, _ in comps] for comps in layers]
+    assert steps == [[0], [1], [2, 3], [4], [5, 6], [7], [8]]
 
 
 def test_zero_swaps_on_staircases():
@@ -327,7 +356,7 @@ def test_retreat_fallback_tucks_beside_blocker():
     """A column blocked from the opposite cache parks at storage pitch from
     the blocking column and drops into memory."""
     from pachinqo.machine import PhysParams
-    from pachinqo.scheduler import LEFT, _Column
+    from pachinqo.scheduler import LEFT, _Phase
 
     params = PhysParams()
     circ = Circuit(10, [cz(2 * i, 2 * i + 1) for i in range(5)])
@@ -341,11 +370,12 @@ def test_retreat_fallback_tucks_beside_blocker():
     col1.x = 105.0
     for a in col1.atoms:
         compiler.atom_x[a] = 105.0
-    buffer = []
-    assert compiler._retreat(col0, LEFT, buffer)
-    assert buffer, "a move must be emitted"
-    _, _, to_x, atoms = buffer[0]
-    assert to_x == 105.0 - params.storage_pitch
+    phase = _Phase()
+    assert compiler._retreat(col0, LEFT, phase)
+    moves = phase.moves(compiler.atom_y)
+    assert len(moves) == 1, "a move must be emitted"
+    _, _, to_x, atoms = moves[0]
+    assert to_x == col0.x == 105.0 - params.storage_pitch
     mem = layout.memory
     assert all(mem.y0 <= ty <= mem.y1 for _, _, ty in atoms)
 
@@ -354,6 +384,7 @@ def test_onecache_retreat_tucks_in_at_memory_edge():
     """With one cache there is no opposite cache: an idle column with no
     live column on its left tucks in at memory's left edge, into memory."""
     from pachinqo.machine import ZONE_MARGIN, PhysParams
+    from pachinqo.scheduler import _Phase
 
     params = PhysParams()
     circ = Circuit(10, [cz(2 * i, 2 * i + 1) for i in range(5)])
@@ -363,10 +394,13 @@ def test_onecache_retreat_tucks_in_at_memory_edge():
     compiler._apply_initialization()
     assert compiler.cache_slots[LEFT] == []
     col0 = compiler.columns[0]
-    buffer = []
-    assert compiler._retreat(col0, RIGHT, buffer)
-    assert len(buffer) == 1
-    cid, _, to_x, atoms = buffer[0]
+    phase = _Phase()
+    from_x = col0.x
+    assert compiler._retreat(col0, RIGHT, phase)
+    moves = phase.moves(compiler.atom_y)
+    assert len(moves) == 1
+    cid, fx, to_x, atoms = moves[0]
+    assert fx == from_x
     assert cid == col0.cid and to_x == layout.memory.x0
     mem = layout.memory
     assert [ty for _, _, ty in atoms] == [

@@ -8,6 +8,7 @@ import pytest
 
 from pachinqo.circuit import Circuit, cz, decompose_swap, u3, H_ANGLES
 from pachinqo.machine import build_layout, generate_grid
+from pachinqo.metrics import move_duration, movement_phase_time
 from pachinqo.schedule import ColumnMove, Illumination, Measure, U3LayerEvent
 from pachinqo.scheduler import Compiler
 from pachinqo.verifier import (
@@ -372,3 +373,68 @@ def test_validator_catches_mistimed_span(kind, scale, delay):
     violations = validate_schedule(mutated, layout, grid, params, circ)
     assert violations and {v.code for v in violations} == {"timing"}
     assert violations[0].event == index
+
+
+def _split_move(sched, layout, params):
+    """Copy of `sched` with its first x move (after loading) split into two
+    hops of the same column inside one phase: x halfway first, then the
+    rest with the y moves. The phase is re-timed with `movement_phase_time`
+    over its listed moves and later events shift with it, so every span,
+    position and the end time stay consistent. Returns (copy, index of the
+    second hop, us the phase understates the column's travel by)."""
+    out = copy.deepcopy(sched)
+    evs = out.events
+    i, m = next((i, ev) for i, ev in enumerate(evs)
+                if isinstance(ev, ColumnMove) and ev.layer > 0
+                and ev.from_x != ev.to_x
+                and all(layout.in_any_zone((ev.from_x + ev.to_x) / 2, fy)
+                        for _, fy, _ in ev.atoms))
+    mid = (m.from_x + m.to_x) / 2
+    first = ColumnMove(m.t_start, m.t_end, m.layer, m.column, m.from_x, mid,
+                       [(a, fy, fy) for a, fy, _ in m.atoms])
+    second = ColumnMove(m.t_start, m.t_end, m.layer, m.column, mid, m.to_x,
+                        list(m.atoms))
+    evs[i:i + 1] = [first, second]
+    span = (m.t_start, m.t_end)
+    phase = [ev for ev in evs if isinstance(ev, ColumnMove)
+             and (ev.t_start, ev.t_end) == span]
+    new_end = m.t_start + movement_phase_time(
+        [(ev.column, ev.from_x, ev.to_x, ev.atoms) for ev in phase], params)
+    for ev in evs[i:]:
+        if (ev.t_start, ev.t_end) == span:
+            ev.t_end = new_end
+        else:
+            ev.t_start += new_end - m.t_end
+            ev.t_end += new_end - m.t_end
+    hops = sum(move_duration(h.to_x - h.from_x,
+                             [ty - fy for _, fy, ty in h.atoms], params)
+               for h in (first, second))
+    return out, i + 1, hops - (new_end - m.t_start)
+
+
+def test_validator_catches_column_moving_twice_in_one_phase():
+    circ = random_circuit(random.Random(3), 8, 40)
+    sched, layout, grid, params = _compile(circ)
+    assert validate_schedule(sched, layout, grid, params, circ) == []
+    mutated, index, understated = _split_move(sched, layout, params)
+    assert understated > 0  # the concurrent phase time hides one hop
+    violations = validate_schedule(mutated, layout, grid, params, circ)
+    assert [(v.code, v.event) for v in violations] == [("double-move", index)]
+
+
+def test_validator_catches_two_rotations_of_one_atom_in_one_layer():
+    # Merge the two U3 layers of qubit 0 into one and pull later events
+    # in: every span stays consistent, but one layer rotates atom 0 twice.
+    circ = Circuit(2, [u3(0, 1, 0, 0), u3(0, 2, 0, 0), cz(0, 1)])
+    sched, layout, grid, params = _compile(circ)
+    assert validate_schedule(sched, layout, grid, params, circ) == []
+    mutated = copy.deepcopy(sched)
+    first, second = (i for i, ev in enumerate(mutated.events)
+                     if isinstance(ev, U3LayerEvent))
+    merged = mutated.events.pop(second)
+    mutated.events[first].gates += merged.gates
+    for ev in mutated.events[second:]:
+        ev.t_start -= params.u3_time
+        ev.t_end -= params.u3_time
+    violations = validate_schedule(mutated, layout, grid, params, circ)
+    assert [(v.code, v.event) for v in violations] == [("timing", first)]
