@@ -277,6 +277,8 @@ class Frontier:
             for q in g.qubits:
                 self._by_qubit[q].append(i)
         self._pos = [0] * circuit.num_qubits
+        # Every gate before this index has executed (see pending_czs).
+        self._first_pending = 0
         # qubit -> swap_id for in-flight inserted SWAPs
         self.lock: dict[int, int] = {}
         # swap_id -> (qubit_a, qubit_b, completed step count 0..9)
@@ -290,6 +292,27 @@ class Frontier:
 
     def done(self) -> bool:
         return all(self.next_gate(q) == END for q in range(self.circuit.num_qubits)) and not self.lock
+
+    def _executed(self, i: int) -> bool:
+        # Both cursors of a CZ pass it together, so its first qubit decides.
+        q = self.circuit.gates[i].qubits[0]
+        lst, p = self._by_qubit[q], self._pos[q]
+        return p == len(lst) or lst[p] > i
+
+    def pending_czs(self, limit: int) -> list[int]:
+        """Indices of the first `limit` CZs not yet executed, in circuit
+        order."""
+        gates = self.circuit.gates
+        i = self._first_pending
+        while i < len(gates) and self._executed(i):
+            i += 1
+        self._first_pending = i
+        out: list[int] = []
+        while i < len(gates) and len(out) < limit:
+            if gates[i].kind == "cz" and not self._executed(i):
+                out.append(i)
+            i += 1
+        return out
 
     def swap_step(self, swap_id: int) -> int:
         return self._swaps[swap_id][2]

@@ -28,6 +28,10 @@ cross columns.
 Same-trap conflicts insert SWAPs executed preemptively, one component
 per layer, except that a U3 layer also runs a swap's next rotation when
 it acts on another qubit (template steps 2-3 and 5-6 share a layer).
+Each SWAP is chosen by lookahead, as in SABRE (Li, Ding & Xie, ASPLOS
+2019): either operand of the conflicting CZ may trade sides with a qubit
+from the other side, and the trade that leaves the fewest of the next
+SWAP_WINDOW CZs on one side, weighted by decay, wins (`_choose_swap`).
 The techniques differ only in three values set in
 `Compiler.__init__`: the grouping function (degreesplit), whether a
 conflict tries a mid-circuit trap change before a SWAP (trapchange), and
@@ -85,6 +89,11 @@ TECHNIQUES = ("pachinqo", "degreesplit", "onecache", "trapchange")
 
 RIGHT = 1   # columns start in the right cache, processed left-most first
 LEFT = -1
+
+# A SWAP choice scores the conflicting CZ and the next SWAP_WINDOW
+# unexecuted CZs, the k-th weighted SWAP_DECAY**k (SABRE's extended set).
+SWAP_WINDOW = 20
+SWAP_DECAY = 0.5
 
 
 class SchedulerError(RuntimeError):
@@ -564,9 +573,9 @@ class Compiler:
                 detail = self._plan_trapchange(col, conflict)
                 if detail is not None:
                     return "tc", detail
-            partner = self._select_swap_partner(conflict[0], conflict[2])
-            if partner is not None:
-                self._begin_swap(conflict[0], partner)
+            choice = self._choose_swap(conflict[1], conflict[2], forced=False)
+            if choice is not None:
+                self._begin_swap(*choice)
                 return "swap", None
         if wants_blocked:
             return "blocked", None
@@ -685,39 +694,75 @@ class Compiler:
                 return self.atom_site[self.atom_of[p]] is not None
         return None
 
-    def _swap_partner_rank(self, s_atom: int, forced: bool) -> int | None:
-        s = self.qubit_of[s_atom]
-        if s in self.frontier.lock:
-            return None
-        static = self._next_partner_static(s)
-        if static is None:
-            if self.frontier.next_gate(s) == -1:
-                return 2
-            return 3
-        if static:
-            return 1  # mutual benefit: its partner is static too
-        return 4 if forced else None
+    def _static_side(self, q: int) -> bool:
+        """Whether q is static, or will be once its in-flight SWAP ends."""
+        return (self.atom_site[self.atom_of[q]] is not None) != (q in self.frontier.lock)
 
-    def _select_swap_partner(self, aod_atom: int, other_q: int,
-                             forced: bool = False) -> int | None:
-        """Static partner for a same-trap conflict, best rank first:
-        (1) static atoms whose own next CZ partner is static, (2) finished
-        atoms, (3) atoms with only rotations left; a forced search (the
-        progress guard) may also pick (4) atoms whose next CZ partner is
-        mobile. Nearest wins within a rank, then lowest atom id."""
-        ax, ay = self.atom_x[aod_atom], self.atom_y[aod_atom]
+    def _choose_swap(self, q: int, p: int,
+                     forced: bool) -> tuple[int, int] | None:
+        """The SWAP that resolves the same-side CZ (q, p), as (mobile atom,
+        static atom) for `_begin_swap`, or None if no qubit can take part.
+
+        A candidate exchanges one operand o of the CZ with an unlocked
+        qubit x on the other side. Its cost is the decayed count of
+        window CZs left on one side after the exchange: the conflicting
+        CZ, then the first SWAP_WINDOW CZs not yet executed, the k-th
+        weighted SWAP_DECAY**k. An x whose own next CZ is split now would
+        be pulled away from it: a forced choice (the progress guard) ranks
+        such an x last, any other skips it. Lowest cost wins, then moving
+        q rather than p, the nearer x and the lower atom id.
+        """
+        gates = self.circuit.gates
+        conflict = self.frontier.next_gate(q)
+        window = [conflict] + [i for i in self.frontier.pending_czs(SWAP_WINDOW + 1)
+                               if i != conflict][:SWAP_WINDOW]
+        # qubit -> [(weight, other operand, same side now)] over the window
+        touching: dict[int, list[tuple[float, int, bool]]] = {}
+        cost0 = 0.0
+        w = 1.0
+        for i in window:
+            a, b = gates[i].qubits
+            same = self._static_side(a) == self._static_side(b)
+            if same:
+                cost0 += w
+            touching.setdefault(a, []).append((w, b, same))
+            touching.setdefault(b, []).append((w, a, same))
+            w *= SWAP_DECAY
+
+        def flipped(y: int, other: int) -> float:
+            # Cost change from moving y alone to the other side, over the
+            # window CZs y shares with neither `other`: a CZ of y and
+            # other keeps its split, as both move.
+            return sum(-wk if was_same else wk
+                       for wk, z, was_same in touching.get(y, ()) if z != other)
+
+        mobile = not self._static_side(q)
+        if mobile:
+            others = list(self.site_atom.values())
+        else:
+            others = [a for col in self.columns for a in col.atoms]
         best = None
-        for site, s_atom in sorted(self.site_atom.items()):
-            if self.qubit_of[s_atom] == other_q:
+        for x_atom in others:
+            x = self.qubit_of[x_atom]
+            if x in self.frontier.lock:
                 continue
-            rank = self._swap_partner_rank(s_atom, forced)
-            if rank is None:
+            # x is static exactly when q is mobile.
+            partner_static = self._next_partner_static(x)
+            ineligible = partner_static is not None and partner_static != mobile
+            if ineligible and not forced:
                 continue
-            d = (self.atom_x[s_atom] - ax) ** 2 + (self.atom_y[s_atom] - ay) ** 2
-            key = (rank, d, s_atom)
-            if best is None or key < best:
-                best = key
-        return best[2] if best is not None else None
+            xx, xy = self.atom_x[x_atom], self.atom_y[x_atom]
+            for o in (q, p):
+                o_atom = self.atom_of[o]
+                cost = cost0 + flipped(o, x) + flipped(x, o)
+                d = (self.atom_x[o_atom] - xx) ** 2 + (self.atom_y[o_atom] - xy) ** 2
+                key = (ineligible, cost, o != q, d, x_atom)
+                if best is None or key < best[0]:
+                    best = key, o_atom
+        if best is None:
+            return None
+        (*_, x_atom), o_atom = best
+        return (o_atom, x_atom) if mobile else (x_atom, o_atom)
 
     def _begin_swap(self, aod_atom: int, slm_atom: int) -> None:
         sid = self.swap_count
@@ -768,7 +813,8 @@ class Compiler:
 
     def _trapchange_action(self, col: _Column, detail, phase: _Phase) -> None:
         """Apply a mid-circuit trap change: `phase` closes with the column
-        over the site, and the column retreats in the next one."""
+        over the site, and the column retreats in the next one unless the
+        deposit emptied it."""
         kind, atom, site = detail
         sx, sy = self.grid.sites[site]
         # Over the site, with the column's other atoms tucked below compute
@@ -796,7 +842,8 @@ class Compiler:
             col.atoms.append(atom)
             self.free_sites.append(site)
             self.free_sites.sort()
-        self._retreat(col, self.direction, phase)
+        if col.atoms:  # a deposit may have taken the column's last atom
+            self._retreat(col, self.direction, phase)
 
     # ------------------------------------------------------------------
     # progress guard
@@ -842,38 +889,12 @@ class Compiler:
                     self._isolation_layer(mobile, static, g)
                     return
                 continue
-            if not s1:  # both mobile: force a swap for the lower qubit
-                atom = a1 if q1 < q2 else a2
-                other = q2 if q1 < q2 else q1
-                partner = self._select_swap_partner(atom, other, forced=True)
-                if partner is not None:
-                    self._begin_swap(atom, partner)
-                    return
-                continue
-            # both static: swap one operand out through a mobile atom
-            donor = self._pick_swap_donor()
-            if donor is not None:
-                self._begin_swap(donor, a1 if q1 < q2 else a2)
+            # Same side: force a swap, preferring to move the lower qubit.
+            choice = self._choose_swap(min(q1, q2), max(q1, q2), forced=True)
+            if choice is not None:
+                self._begin_swap(*choice)
                 return
         raise SchedulerError("progress guard found no actionable gate")
-
-    def _pick_swap_donor(self) -> int | None:
-        """A mobile atom to pull a statically-conflicted qubit into the AOD:
-        prefer finished qubits, then conflicted ones, then any unlocked."""
-        best = None
-        for col in self.columns:
-            for atom in col.atoms:
-                q = self.qubit_of[atom]
-                if q in self.frontier.lock:
-                    continue
-                if self.frontier.next_gate(q) == -1:
-                    rank = 0
-                else:  # 1 if its next CZ partner is mobile
-                    rank = 1 if self._next_partner_static(q) is False else 2
-                key = (rank, atom)
-                if best is None or key < best:
-                    best = key
-        return best[1] if best is not None else None
 
     def _isolation_layer(self, active_atom: int, partner_atom: int,
                          gate: Gate) -> None:

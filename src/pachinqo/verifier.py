@@ -301,6 +301,8 @@ class _Replay:
         if cid not in self.col_atoms:
             self.bad("tandem", i, f"move of unknown column {cid}")
             return
+        if not ev.atoms:
+            self.bad("tandem", i, f"column {cid} moves with no atoms")
         members = self.col_atoms[cid]
         listed = {a for a, _, _ in ev.atoms}
         if members != listed:

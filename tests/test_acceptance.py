@@ -221,7 +221,7 @@ def _schedule_digests(corpus_results, forced_guard_results,
         for circ, technique, grid_kind, sched, *_ in qasm_results)
     # One mid-circuit SLM->AOD extraction (see test_scheduler.py).
     sched, _, _ = _compile(
-        random_circuit(random.Random(0), 50, 150, name="extract50"),
+        random_circuit(random.Random(5), 50, 150, name="extract50"),
         "trapchange")
     digests["extract/extract50/trapchange/large-square"] = digest(sched)
     for circ in benchmark_suite():
@@ -679,7 +679,11 @@ def test_criterion_11_determinism(tmp_path):
 
 
 if __name__ == "__main__":
-    GOLDEN_DIGESTS.write_text(json.dumps(
-        _schedule_digests(_compile_corpus(), _compile_forced_guard(),
-                          _compile_qasm()),
-        indent=1, sort_keys=True) + "\n")
+    old = json.loads(GOLDEN_DIGESTS.read_text()) if GOLDEN_DIGESTS.exists() else {}
+    new = _schedule_digests(_compile_corpus(), _compile_forced_guard(),
+                            _compile_qasm())
+    GOLDEN_DIGESTS.write_text(json.dumps(new, indent=1, sort_keys=True) + "\n")
+    changed = sum(1 for k in new.keys() & old.keys() if new[k] != old[k])
+    print(f"{len(new)} digests: {changed} changed, "
+          f"{len(new.keys() - old.keys())} added, "
+          f"{len(old.keys() - new.keys())} removed")

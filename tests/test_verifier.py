@@ -422,6 +422,27 @@ def test_validator_catches_column_moving_twice_in_one_phase():
     assert [(v.code, v.event) for v in violations] == [("double-move", index)]
 
 
+def test_validator_catches_column_move_with_no_atoms():
+    # A ferry column empties when it deposits the static group; add a
+    # zero-length move of it, listing no atoms, to a later move phase.
+    # Its members (none) match its list and the phase time is unchanged,
+    # so only the atomless move itself is wrong.
+    circ = random_circuit(random.Random(3), 8, 40)
+    sched, layout, grid, params = _compile(circ)
+    assert validate_schedule(sched, layout, grid, params, circ) == []
+    mutated = copy.deepcopy(sched)
+    ferry = mutated.events[0].transfers[0].column
+    x = next(ev.to_x for ev in mutated.events
+             if isinstance(ev, ColumnMove) and ev.column == ferry)
+    index = next(i for i, ev in enumerate(mutated.events)
+                 if isinstance(ev, ColumnMove) and ev.layer > 0)
+    m = mutated.events[index]
+    mutated.events.insert(index + 1, ColumnMove(
+        m.t_start, m.t_end, m.layer, ferry, x, x, []))
+    violations = validate_schedule(mutated, layout, grid, params, circ)
+    assert [(v.code, v.event) for v in violations] == [("tandem", index + 1)]
+
+
 def test_validator_catches_two_rotations_of_one_atom_in_one_layer():
     # Merge the two U3 layers of qubit 0 into one and pull later events
     # in: every span stays consistent, but one layer rotates atom 0 twice.
