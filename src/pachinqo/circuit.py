@@ -264,7 +264,9 @@ class Frontier:
     """Per-qubit cursor to the next executable gate, plus SWAP locks.
 
     A locked qubit participates in an in-flight inserted SWAP and may only
-    execute gates tagged with its swap id, in step order.
+    execute gates tagged with its swap id, in step order. The frontier
+    owns each in-flight SWAP's `decompose_swap` template: `swap_gate`
+    names the next gate, and `advance` accepts only that gate.
     """
 
     def __init__(self, circuit: Circuit):
@@ -281,8 +283,8 @@ class Frontier:
         self._first_pending = 0
         # qubit -> swap_id for in-flight inserted SWAPs
         self.lock: dict[int, int] = {}
-        # swap_id -> (qubit_a, qubit_b, completed step count 0..9)
-        self._swaps: dict[int, tuple[int, int, int]] = {}
+        # swap_id -> (its decompose_swap template, completed step count)
+        self._swaps: dict[int, tuple[list[Gate], int]] = {}
 
     def next_gate(self, q: int) -> int:
         """Index into circuit.gates of q's next gate, or END."""
@@ -314,8 +316,10 @@ class Frontier:
             i += 1
         return out
 
-    def swap_step(self, swap_id: int) -> int:
-        return self._swaps[swap_id][2]
+    def swap_gate(self, swap_id: int) -> Gate:
+        """The next gate of in-flight SWAP `swap_id`."""
+        gates, step = self._swaps[swap_id]
+        return gates[step]
 
     def begin_swap(self, swap_id: int, a: int, b: int) -> None:
         if a in self.lock or b in self.lock:
@@ -324,7 +328,7 @@ class Frontier:
             raise CircuitError(f"swap id {swap_id} already active")
         self.lock[a] = swap_id
         self.lock[b] = swap_id
-        self._swaps[swap_id] = (a, b, 0)
+        self._swaps[swap_id] = (decompose_swap(a, b, swap_id), 0)
 
     def executable_u3(self, q: int) -> bool:
         """True iff q's next circuit gate is a U3 and q is not locked."""
@@ -347,27 +351,22 @@ class Frontier:
     def advance(self, gate: Gate) -> int | None:
         """Record execution of `gate`; cursors only ever move forward.
 
-        For swap-tagged gates, bumps the swap's step counter; when step 9
-        is reached both qubits unlock and the completed swap_id is
+        A swap-tagged gate must equal its swap's next template gate; after
+        the last one both qubits unlock and the completed swap_id is
         returned so the caller can exchange the qubit-atom mapping.
         Advancing a non-executable gate is a contract violation.
         """
         if gate.origin is not None:
             sid = gate.origin.swap_id
-            a, b, step = self._swaps[sid]
-            if gate.origin.step != step:
-                raise CircuitError(
-                    f"swap {sid} expected step {step}, got {gate.origin.step}"
-                )
-            if set(gate.qubits) - {a, b}:
-                raise CircuitError(f"swap {sid} gate touches foreign qubits")
-            step += 1
-            if step == 9:
+            gates, step = self._swaps[sid]
+            if gate != gates[step]:
+                raise CircuitError(f"swap {sid} expected {gates[step]}, got {gate}")
+            if step + 1 == len(gates):
                 del self._swaps[sid]
-                del self.lock[a]
-                del self.lock[b]
+                for q in gates[1].qubits:  # step 1 is CZ(a, b)
+                    del self.lock[q]
                 return sid
-            self._swaps[sid] = (a, b, step)
+            self._swaps[sid] = (gates, step + 1)
             return None
 
         if gate.kind == "u3":

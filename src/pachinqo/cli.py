@@ -100,7 +100,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _compile_file(path: str, technique: str, grid_kind: str, params,
                   scale: str, serial: bool):
-    """Parse, lower, and compile one file. Returns (schedule, report, extras).
+    """Parse, lower, and compile one file. Returns (circuit, layout, grid,
+    schedule, report), where circuit is the lowered basis circuit.
 
     An unreadable or non-UTF-8 file raises QasmError, like a syntax error.
     """

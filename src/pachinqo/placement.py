@@ -129,10 +129,11 @@ def degree_split_group(circuit: Circuit, slm_capacity: int,
 
 @dataclass
 class MemoryGroup:
-    """One loaded memory column and where its atoms are headed."""
+    """One SLM-held column to load (a memory column, or a site column at
+    readout) and where its atoms are headed."""
 
     column: int  # cid of the ferry / final AOD column that lifts it
-    kind: str  # SLM (deposit at sites) | AOD (stays mobile)
+    kind: str  # SLM (deposited again) | AOD (stays mobile)
     mem_x: float
     # (atom_id, memory y, target x, target y)
     atoms: list[tuple[int, float, float, float]] = field(default_factory=list)

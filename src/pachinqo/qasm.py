@@ -74,11 +74,12 @@ class _Parser:
         self.tokens = _tokenize(text)
         self.i = 0
         self.name = name
-        self.qregs: dict[str, tuple[int, int]] = {}  # name -> (offset, size)
-        self.cregs: dict[str, int] = {}
+        # name -> (offset, size), for quantum and classical registers
+        self.qregs: dict[str, tuple[int, int]] = {}
+        self.cregs: dict[str, tuple[int, int]] = {}
         self.num_qubits = 0
+        self.num_bits = 0
         self.gates: list[Gate] = []
-        self.measured: list[int] = []
         self._measure_marks: dict[int, int] = {}
 
     # -- token helpers -------------------------------------------------
@@ -153,44 +154,44 @@ class _Parser:
         self._expect(";")
         if size < 1:
             self._error("register size must be >= 1", size_tok)
-        regs = self.qregs if quantum else self.cregs
         if name_tok.text in self.qregs or name_tok.text in self.cregs:
             self._error(f"register {name_tok.text!r} already declared", name_tok)
         if quantum:
-            regs[name_tok.text] = (self.num_qubits, size)
+            self.qregs[name_tok.text] = (self.num_qubits, size)
             self.num_qubits += size
         else:
-            self.cregs[name_tok.text] = size
+            self.cregs[name_tok.text] = (self.num_bits, size)
+            self.num_bits += size
+
+    def _register_arg(self, quantum: bool) -> list[int]:
+        """One register argument: an indexed element (one index) or a
+        whole register (all its indices, for broadcasting)."""
+        what, regs = ("quantum", self.qregs) if quantum else ("classical", self.cregs)
+        name_tok = self._next()
+        if name_tok.kind != "id":
+            self._error(f"expected a {what} register name", name_tok)
+        if name_tok.text not in regs:
+            self._error(f"unknown {what} register {name_tok.text!r}", name_tok)
+        offset, size = regs[name_tok.text]
+        nxt = self._peek()
+        if nxt is None or nxt.text != "[":
+            return list(range(offset, offset + size))
+        self._next()
+        idx_tok = self._next()
+        if idx_tok.kind != "num" or not idx_tok.text.isdigit():
+            self._error(f"{'qubit' if quantum else 'bit'} index must be an integer",
+                        idx_tok)
+        idx = int(idx_tok.text)
+        if idx >= size:
+            self._error(f"index {idx} out of range for {name_tok.text}[{size}]", idx_tok)
+        self._expect("]")
+        return [offset + idx]
 
     def _qubit_args(self) -> list[list[int]]:
-        """Parse comma-separated qubit arguments until ';'.
-
-        Each argument is either an indexed qubit (one index) or a whole
-        register (all its indices, for broadcasting).
-        """
+        """Parse comma-separated qubit arguments until ';'."""
         args = []
         while True:
-            name_tok = self._next()
-            if name_tok.kind != "id":
-                self._error("expected a quantum register name", name_tok)
-            if name_tok.text not in self.qregs:
-                self._error(f"unknown quantum register {name_tok.text!r}", name_tok)
-            offset, size = self.qregs[name_tok.text]
-            nxt = self._peek()
-            if nxt is not None and nxt.text == "[":
-                self._next()
-                idx_tok = self._next()
-                if idx_tok.kind != "num" or not idx_tok.text.isdigit():
-                    self._error("qubit index must be an integer", idx_tok)
-                idx = int(idx_tok.text)
-                if idx >= size:
-                    self._error(
-                        f"index {idx} out of range for {name_tok.text}[{size}]", idx_tok
-                    )
-                self._expect("]")
-                args.append([offset + idx])
-            else:
-                args.append(list(range(offset, offset + size)))
+            args.append(self._register_arg(quantum=True))
             tok = self._next()
             if tok.text == ";":
                 return args
@@ -229,33 +230,13 @@ class _Parser:
         self._qubit_args()
 
     def _measure(self, kw: _Token):
-        src = self._next()
-        if src.kind != "id" or src.text not in self.qregs:
-            self._error("measure expects a quantum register", src)
-        offset, size = self.qregs[src.text]
-        if self._peek() is not None and self._peek().text == "[":
-            self._next()
-            idx_tok = self._next()
-            idx = int(idx_tok.text) if idx_tok.text.isdigit() else self._error(
-                "qubit index must be an integer", idx_tok
-            )
-            if idx >= size:
-                self._error(f"index {idx} out of range for {src.text}[{size}]", idx_tok)
-            self._expect("]")
-            qubits = [offset + idx]
-        else:
-            qubits = list(range(offset, offset + size))
+        qubits = self._register_arg(quantum=True)
         self._expect("->")
-        dst = self._next()
-        if dst.kind != "id" or dst.text not in self.cregs:
-            self._error("measure target must be a declared classical register", dst)
-        if self._peek() is not None and self._peek().text == "[":
-            self._next()
-            self._next()
-            self._expect("]")
+        bits = self._register_arg(quantum=False)
+        if len(bits) != len(qubits):
+            self._error(f"measure of {len(qubits)} qubit(s) into {len(bits)} bit(s)", kw)
         self._expect(";")
         for q in qubits:
-            self.measured.append(q)
             # remember where the measure sits so terminality can be checked
             self._measure_marks.setdefault(q, len(self.gates))
 

@@ -27,7 +27,9 @@ cross columns.
 
 Same-trap conflicts insert SWAPs executed preemptively, one component
 per layer, except that a U3 layer also runs a swap's next rotation when
-it acts on another qubit (template steps 2-3 and 5-6 share a layer).
+it acts on another qubit (template steps 2-3 and 5-6 share a layer). The
+frontier holds each in-flight SWAP's gate template and step; the compiler
+keeps only which atoms it joins and the layer it last ran in.
 Each SWAP is chosen by lookahead, as in SABRE (Li, Ding & Xie, ASPLOS
 2019): either operand of the conflicting CZ may trade sides with a qubit
 from the other side, and the trade that leaves the fewest of the next
@@ -46,7 +48,7 @@ import math
 from dataclasses import dataclass, field
 
 from . import kernels
-from .circuit import Circuit, Frontier, Gate, decompose_swap
+from .circuit import Circuit, Frontier, Gate
 from .machine import (
     INTERACTION_OFFSET,
     PhysParams,
@@ -167,9 +169,9 @@ class _Phase:
 
 @dataclass
 class _Swap:
-    """An inserted SWAP in flight between a mobile and a static atom."""
+    """An inserted SWAP in flight between a mobile and a static atom; the
+    frontier holds its gates and how far it has run."""
 
-    gates: list[Gate]
     atom_aod: int
     atom_slm: int
     layer: int = 0  # layer that last executed one of its gates
@@ -209,17 +211,14 @@ class Compiler:
                             aod_capacity(layout, params))
         self.placement: InitialPlacement = assign_atoms(grouping, grid, layout, params)
 
-        # Mutable machine state. Atom ids equal initial qubit ids.
+        # Mutable machine state. Atom ids equal initial qubit ids. An atom
+        # is held by its site in atom_site, or else by a column's atoms.
         self.atom_x = [0.0] * n
         self.atom_y = [0.0] * n
-        self.atom_col: list[int | None] = [None] * n
         self.atom_site: list[int | None] = [None] * n
         self.qubit_of = list(range(n))
         self.atom_of = list(range(n))
-        self.site_atom: dict[int, int] = {}  # site index -> atom id
-        taken = set(self.placement.site_of_qubit.values())
-        self.free_sites = [i for i in pair_clear_sites(grid, params)
-                           if i not in taken]
+        self.clear_sites = pair_clear_sites(grid, params)
         # Indexed by cid, which is also left-to-right order.
         self.columns: list[_Column] = []
         self.next_cid = len(self.placement.memory_groups)
@@ -233,16 +232,12 @@ class Compiler:
         self.t = 0.0
         self.layer = 0
         self.direction = RIGHT
-        self.same_side_next = False
         self.obstacles = _Obstacles(n + 4)
-        # Each cache's column-slot x, with the rounded key _retreat
-        # compares against occupied columns.
+        # Each cache's column-slot x. Every parked column's x comes from
+        # the same expression, so _retreat compares them exactly.
         n_slots = cache_column_slots(layout, params)
-        self.cache_slots = {
-            side: [(x, round(x, 6)) for x in
-                   (self._cache_slot_x(side, i) for i in range(n_slots))]
-            for side in (RIGHT, LEFT)
-        }
+        self.cache_slots = {side: [self._cache_slot_x(side, i) for i in range(n_slots)]
+                            for side in (RIGHT, LEFT)}
         # Isolation layers park the columns left of the placed one from
         # park_x0 rightward at storage pitch: in the left cache, or in
         # memory when there is one cache.
@@ -264,26 +259,21 @@ class Compiler:
         which park in the right cache."""
         groups = self.placement.memory_groups
         ferries = self._load([g for g in groups if g.kind == SLM])
-        deposited = [a for col in ferries for a in col.atoms]
-        self._trap_change(AOD_TO_SLM, [
-            TrapTransfer(a, self.atom_x[a], self.atom_y[a]) for a in deposited])
-        for a in deposited:
-            site = self.placement.site_of_qubit[a]
-            self.atom_col[a] = None
-            self.atom_site[a] = site
-            self.site_atom[site] = a
+        self._to_sites([(a, self.placement.site_of_qubit[a])
+                        for col in ferries for a in col.atoms])
         self.columns = self._load([g for g in groups if g.kind == AOD])
 
     def _load(self, groups: list[MemoryGroup]) -> list[_Column]:
-        """Pick memory groups up into new columns in one trap change and
-        move each over its targets in one phase."""
+        """Pick groups of SLM-held atoms (a memory column, or a site column
+        at readout) up into new columns in one trap change and move each
+        over its targets in one phase."""
         cols = []
         transfers = []
         for g in groups:
             cols.append(_Column(g.column, g.mem_x, [a for a, *_ in g.atoms]))
             for a, my, _, _ in g.atoms:
                 self.atom_x[a], self.atom_y[a] = g.mem_x, my
-                self.atom_col[a] = g.column
+                self.atom_site[a] = None
                 transfers.append(TrapTransfer(a, g.mem_x, my, column=g.column))
         self._trap_change(SLM_TO_AOD, transfers)
         phase = _Phase()
@@ -319,6 +309,14 @@ class Compiler:
             self.atom_y[a] = y_targets.get(a, self.atom_y[a])
         col.x = to_x
 
+    def _to_sites(self, placed: list[tuple[int, int]]) -> None:
+        """Deposit each (atom, site) into its site, over which the atom
+        already stands, in one trap change."""
+        self._trap_change(AOD_TO_SLM, [
+            TrapTransfer(a, self.atom_x[a], self.atom_y[a]) for a, _ in placed])
+        for a, site in placed:
+            self.atom_site[a] = site
+
     def _trap_change(self, direction: str,
                      transfers: list[TrapTransfer]) -> None:
         """Emit and count one trap change at the current time."""
@@ -336,8 +334,15 @@ class Compiler:
     def _reset_obstacles(self) -> None:
         """Static compute atoms are a CZ layer's initial obstacle set."""
         self.obstacles.reset()
-        for site, atom in sorted(self.site_atom.items()):
+        for _, atom in self._static_atoms():
             self.obstacles.add(atom, self.atom_x[atom], self.atom_y[atom])
+
+    def _static_atoms(self) -> list[tuple[int, int]]:
+        """(site, atom) for every site-held atom, in site order."""
+        return sorted((s, a) for a, s in enumerate(self.atom_site) if s is not None)
+
+    def _column_of(self, atom: int) -> _Column:
+        return next(c for c in self.columns if atom in c.atoms)
 
     # ------------------------------------------------------------------
     # geometry helpers
@@ -406,9 +411,8 @@ class Compiler:
     def _swap_u3_due(self, layer: int) -> list[int]:
         due = []
         for sid in sorted(self.swaps):
-            swap = self.swaps[sid]
-            if swap.gates[self.frontier.swap_step(sid)].kind == "u3" and \
-                    swap.layer < layer:
+            if self.frontier.swap_gate(sid).kind == "u3" and \
+                    self.swaps[sid].layer < layer:
                 due.append(sid)
         return due
 
@@ -431,9 +435,8 @@ class Compiler:
             for sid in swap_due:
                 # Run the swap's consecutive rotations on distinct qubits
                 # together: template steps 2-3 and 5-6.
-                swap = self.swaps[sid]
-                swap.layer = self.layer
-                g = swap.gates[self.frontier.swap_step(sid)]
+                self.swaps[sid].layer = self.layer
+                g = self.frontier.swap_gate(sid)
                 while g.kind == "u3" and g.qubits[0] not in used:
                     q = g.qubits[0]
                     used.add(q)
@@ -442,7 +445,7 @@ class Compiler:
                     if self.frontier.advance(g) is not None:
                         self._complete_swap(sid)
                         break
-                    g = swap.gates[self.frontier.swap_step(sid)]
+                    g = self.frontier.swap_gate(sid)
             self.events.append(
                 U3LayerEvent(self.t, self.t + self.params.u3_time, self.layer, entries)
             )
@@ -483,7 +486,9 @@ class Compiler:
         executed = 0
 
         side = self.direction
-        self.same_side_next = False
+        # Set when placed columns exhaust compute access: the rest of the
+        # columns keep the same side next layer.
+        same_side_next = False
 
         # Plan against every column parked on `side`, but let each column
         # travel once, straight to where the layer leaves it.
@@ -496,23 +501,15 @@ class Compiler:
             order.reverse()
 
         for col in order:
-            action, detail = self._find_action(col, staged, phase)
-            if action == "placed":
-                executed += 1
-            elif action == "blocked":
-                # Compute access is exhausted for this and later columns:
-                # finish the layer, keep the same side next layer.
-                self.same_side_next = True
+            action = self._find_action(col, staged, phase)
+            if action == "blocked":
+                same_side_next = True
                 break
-            elif action == "tc":
-                executed += 1
-                self._trapchange_action(col, detail, phase)
-            else:  # a SWAP began, or idle: clear the way
-                if action == "swap":
-                    executed += 1
-                if not self._retreat(col, side, phase):
-                    self.same_side_next = True
-                    break
+            executed += action != "idle"
+            # A SWAP began, or idle: clear the way.
+            if action in ("swap", "idle") and not self._retreat(col, side, phase):
+                same_side_next = True
+                break
         self._flush_moves(phase)
 
         if staged:
@@ -520,14 +517,16 @@ class Compiler:
 
         if self.one_cache:
             self._relocate_all(RIGHT)  # columns return home every layer
-        elif not self.same_side_next:
+        elif not same_side_next:
             self.direction = toggle_direction(self.direction)
         return executed
 
     # -- per-column decision -------------------------------------------
     def _find_action(self, col: _Column, staged: list[CzEntry],
                      phase: _Phase):
-        """Pick and apply this column's action for the current layer."""
+        """Pick and apply this column's action for the current layer:
+        "placed", "tc" (a trap change, after which the column has
+        retreated), "swap" (a SWAP began), "blocked" or "idle"."""
         wants_blocked = False
         conflict: tuple[int, int, int] | None = None  # (atom, q, partner q)
         for atom in sorted(col.atoms, key=lambda a: -self.atom_y[a]):
@@ -538,7 +537,7 @@ class Compiler:
                 swap = self.swaps[sid]
                 if swap.atom_aod != atom or swap.layer >= self.layer:
                     continue
-                gate = swap.gates[self.frontier.swap_step(sid)]
+                gate = self.frontier.swap_gate(sid)
                 if gate.kind != "cz":
                     continue
                 partner_atom = swap.atom_slm
@@ -566,20 +565,21 @@ class Compiler:
             self._commit_placement(col, plan, partner_atom, gate, staged, phase)
             if swap is not None:
                 swap.layer = self.layer
-            return "placed", None
+            return "placed"
 
         if conflict is not None:
             if self.trap_change_first:
                 detail = self._plan_trapchange(col, conflict)
                 if detail is not None:
-                    return "tc", detail
+                    self._trapchange_action(col, detail, phase)
+                    return "tc"
             choice = self._choose_swap(conflict[1], conflict[2], forced=False)
             if choice is not None:
                 self._begin_swap(*choice)
-                return "swap", None
+                return "swap"
         if wants_blocked:
-            return "blocked", None
-        return "idle", None
+            return "blocked"
+        return "idle"
 
     # -- placement geometry ----------------------------------------------
     def _try_place(self, col: _Column, active_atom: int,
@@ -662,10 +662,9 @@ class Compiler:
         opposite = -side
         cache = self._cache(opposite)
         lo, hi = self._neighbors(col.cid)
-        occupied = {round(c.x, 6) for c in self.columns
-                    if c.atoms and c.cid != col.cid}
-        free = [s for s, key in self.cache_slots[opposite]
-                if key not in occupied and lo < s < hi]
+        occupied = {c.x for c in self.columns if c.atoms and c.cid != col.cid}
+        free = [s for s in self.cache_slots[opposite]
+                if s not in occupied and lo < s < hi]
         if side == LEFT:
             free.reverse()  # fill the right cache from compute outward
         if free:
@@ -738,7 +737,7 @@ class Compiler:
 
         mobile = not self._static_side(q)
         if mobile:
-            others = list(self.site_atom.values())
+            others = [a for _, a in self._static_atoms()]
         else:
             others = [a for col in self.columns for a in col.atoms]
         best = None
@@ -768,7 +767,7 @@ class Compiler:
         sid = self.swap_count
         qa, qb = self.qubit_of[aod_atom], self.qubit_of[slm_atom]
         self.frontier.begin_swap(sid, qa, qb)
-        self.swaps[sid] = _Swap(decompose_swap(qa, qb, sid), aod_atom, slm_atom)
+        self.swaps[sid] = _Swap(aod_atom, slm_atom)
         self.swap_count += 1
 
     # -- trapchange variant ---------------------------------------------
@@ -779,9 +778,10 @@ class Compiler:
         params = self.params
         r2 = params.crosstalk_radius ** 2
         lo, hi = self._neighbors(col.cid)
-        occupied = set(self.site_atom)
+        static = self._static_atoms()
+        occupied = {site for site, _ in static}
         best = None
-        for site in self.free_sites:
+        for site in self.clear_sites:
             if site in occupied:
                 continue
             sx, sy = self.grid.sites[site]
@@ -796,7 +796,7 @@ class Compiler:
         if best is not None:
             return ("deposit", atom, best[1])
         if len(col.atoms) < params.max_atoms_per_column:
-            for site, s_atom in sorted(self.site_atom.items()):
+            for site, s_atom in static:
                 s = self.qubit_of[s_atom]
                 if s in self.frontier.lock or s_atom in self.busy:
                     continue
@@ -826,22 +826,14 @@ class Compiler:
         self._move_column(col, sx, y_targets, phase)
         self._flush_moves(phase)
         if kind == "deposit":
-            self._trap_change(AOD_TO_SLM, [TrapTransfer(atom, sx, sy)])
+            self._to_sites([(atom, site)])
             col.atoms.remove(atom)
-            self.atom_col[atom] = None
-            self.atom_site[atom] = site
-            self.site_atom[site] = atom
-            self.free_sites.remove(site)
             self.obstacles.add(atom, sx, sy)
         else:  # extract
             self._trap_change(SLM_TO_AOD,
                               [TrapTransfer(atom, sx, sy, column=col.cid)])
-            del self.site_atom[site]
             self.atom_site[atom] = None
-            self.atom_col[atom] = col.cid
             col.atoms.append(atom)
-            self.free_sites.append(site)
-            self.free_sites.sort()
         if col.atoms:  # a deposit may have taken the column's last atom
             self._retreat(col, self.direction, phase)
 
@@ -854,7 +846,7 @@ class Compiler:
         left of compute; with one cache it bounds how far left a site can
         be serviced.
         """
-        cid = self.atom_col[mobile_atom]
+        cid = self._column_of(mobile_atom).cid
         k = sum(1 for c in self.columns[:cid] if c.atoms)
         lo_after = self.park_x0 + (k - 1) * self.params.storage_pitch if k else -math.inf
         return lo_after < self.atom_x[static_atom] + INTERACTION_OFFSET
@@ -869,7 +861,7 @@ class Compiler:
         """
         for sid in sorted(self.swaps):
             swap = self.swaps[sid]
-            gate = swap.gates[self.frontier.swap_step(sid)]
+            gate = self.frontier.swap_gate(sid)
             if gate.kind == "cz" and self._isolation_feasible(
                     swap.atom_aod, swap.atom_slm):
                 self._isolation_layer(swap.atom_aod, swap.atom_slm, gate)
@@ -901,7 +893,7 @@ class Compiler:
         """One CZ layer with a single column placed and all others parked."""
         self.layer += 1
         self.busy.clear()
-        col = self.columns[self.atom_col[active_atom]]
+        col = self._column_of(active_atom)
         phase = _Phase()
         self._park_others(col, phase)
         self._reset_obstacles()
@@ -950,41 +942,27 @@ class Compiler:
         mobile = []
         for col in self.columns:
             mobile.extend(col.atoms)
-            for a in col.atoms:
-                self.atom_col[a] = None
             col.atoms = []
         self._deposit_and_measure(mobile)
 
-        # TC b: pick the compute atoms up, one ferry column per site column.
+        # TC b: pick the compute atoms up, one ferry column per site
+        # column, and park the ferries on the readout slots in a y band
+        # above the atoms already deposited there, so positions never
+        # collide.
         by_x: dict[float, list[int]] = {}
-        for site, atom in sorted(self.site_atom.items()):
-            by_x.setdefault(self.grid.sites[site][0], []).append(atom)
-        transfers = []
-        ferries: list[_Column] = []
-        for x in sorted(by_x):
-            ferries.append(_Column(self.next_cid, x, by_x[x]))
-            for a in by_x[x]:
-                transfers.append(TrapTransfer(a, self.atom_x[a], self.atom_y[a],
-                                              column=self.next_cid))
-            self.next_cid += 1
-        self._trap_change(SLM_TO_AOD, transfers)
-
-        # Ferries park on the readout slots in a y band above the atoms
-        # already deposited there, so positions never collide.
+        for _, atom in self._static_atoms():
+            by_x.setdefault(self.atom_x[atom], []).append(atom)
         y_base = rc.y0 + ZONE_MARGIN + params.max_atoms_per_column * params.storage_pitch
-        phase = _Phase()
-        for i, col in enumerate(ferries):
-            self._move_column(col, self._cache_slot_x(RIGHT, i),
-                              {a: y_base + j * params.storage_pitch
-                               for j, a in enumerate(col.atoms)}, phase)
-        self._flush_moves(phase)
+        groups = []
+        for i, x in enumerate(sorted(by_x)):
+            groups.append(MemoryGroup(self.next_cid, SLM, x, [
+                (a, self.atom_y[a], self._cache_slot_x(RIGHT, i),
+                 y_base + j * params.storage_pitch) for j, a in enumerate(by_x[x])]))
+            self.next_cid += 1
+        ferries = self._load(groups)
 
         # TC c: deposit in readout and measure.
-        ferried = [a for col in ferries for a in col.atoms]
-        for a in ferried:
-            del self.site_atom[self.atom_site[a]]
-            self.atom_site[a] = None
-        self._deposit_and_measure(ferried)
+        self._deposit_and_measure([a for col in ferries for a in col.atoms])
 
     def _deposit_and_measure(self, atoms: list[int]) -> None:
         """Readout trap change for `atoms` where they stand, then measure."""

@@ -4,6 +4,7 @@ The validator replays the event list with its own position/mapping
 tracking and its own distance arithmetic (deliberately sharing no
 placement code with the scheduler), checking: AOD column ordering, tandem
 column membership, illumination blockade geometry, zone containment,
+deposits into compute landing on a free grid site,
 dependency order of executed gates, single measurement per atom, the
 qubit each measurement names (the replayed mapping's qubit for that
 atom), and timing: every event starts where the previous one (or move
@@ -53,7 +54,7 @@ _SWAP_STEP_KINDS = tuple(g.kind for g in decompose_swap(0, 1))
 
 @dataclass
 class Violation:
-    code: str  # ordering|tandem|blockade|zone-bounds|dependency|double-measure|timing|double-move
+    code: str  # ordering|tandem|blockade|zone-bounds|site|dependency|double-measure|timing|double-move
     event: int
     description: str
 
@@ -62,10 +63,11 @@ class Violation:
 
 
 class _Replay:
-    def __init__(self, schedule: Schedule, layout: ZoneLayout,
+    def __init__(self, schedule: Schedule, layout: ZoneLayout, grid: SlmGrid,
                  params: PhysParams, circuit: Circuit):
         self.sched = schedule
         self.layout = layout
+        self.sites = set(grid.sites)
         self.params = params
         self.circuit = circuit
         n = circuit.num_qubits
@@ -79,8 +81,8 @@ class _Replay:
         for i, g in enumerate(circuit.gates):
             for q in g.qubits:
                 self.by_qubit[q].append(i)
-        self.swap_progress: dict[int, int] = {}
-        self.swap_qubits: dict[int, tuple[int, int]] = {}
+        # swap id -> (qubits seen so far, next template step)
+        self.swaps: dict[int, tuple[tuple[int, ...], int]] = {}
         self.locked: dict[int, int] = {}
         self.measured: set[int] = set()
         self.violations: list[Violation] = []
@@ -175,46 +177,36 @@ class _Replay:
 
     def _swap_component(self, i: int, origin, kind: str, qubits) -> None:
         sid, step = origin
-        if sid not in self.swap_progress:
+        if sid in self.swaps:
+            seen, expect = self.swaps[sid]
+        else:
+            seen, expect = (), 0
             if step != 0:
                 self.bad("dependency", i, f"swap {sid} began at step {step}")
-            qs = set(qubits)
-            if len(qubits) == 1:
-                # A U3 opener names one qubit; the partner shows at step 1.
-                self.swap_progress[sid] = 0
-                self.swap_qubits[sid] = (qubits[0], -1)
-            else:
-                self.swap_qubits[sid] = tuple(qubits)
-            self.swap_progress[sid] = 0
-            for q in qs:
-                if q in self.locked:
-                    self.bad("dependency", i, f"qubit {q} double-locked")
-                self.locked[q] = sid
-        expect = self.swap_progress[sid]
         if step != expect:
             self.bad("dependency", i,
                      f"swap {sid} step {step}, expected {expect}")
-        a, b = self.swap_qubits[sid]
-        if b == -1 and len(qubits) == 2:
-            b = qubits[0] if qubits[1] == a else qubits[1]
-            self.swap_qubits[sid] = (a, b)
-            if b in self.locked and self.locked[b] != sid:
-                self.bad("dependency", i, f"qubit {b} double-locked")
-            self.locked[b] = sid
-        known = {q for q in (a, b) if q != -1}
-        if set(qubits) - known:
-            if len(known) == 2:
+        # A U3 opener names one qubit; the partner shows at step 1.
+        for q in qubits:
+            if q in seen:
+                continue
+            if len(seen) == 2:
                 self.bad("dependency", i,
                          f"swap {sid} touched foreign qubits {qubits}")
+                break
+            if q in self.locked:
+                self.bad("dependency", i, f"qubit {q} double-locked")
+            self.locked[q] = sid
+            seen += (q,)
         if _SWAP_STEP_KINDS[step] != kind:
             self.bad("dependency", i,
                      f"swap {sid} step {step} should be {_SWAP_STEP_KINDS[step]}")
-        self.swap_progress[sid] = step + 1
-        if step == 8:
-            a, b = self.swap_qubits[sid]
-            self.atom_of[a], self.atom_of[b] = self.atom_of[b], self.atom_of[a]
-            del self.swap_progress[sid]
-            del self.swap_qubits[sid]
+        self.swaps[sid] = (seen, step + 1)
+        if step == len(_SWAP_STEP_KINDS) - 1:
+            if len(seen) == 2:
+                a, b = seen
+                self.atom_of[a], self.atom_of[b] = self.atom_of[b], self.atom_of[a]
+            del self.swaps[sid]
             self.locked = {q: s for q, s in self.locked.items() if s != sid}
 
     # -- event handlers ---------------------------------------------------
@@ -295,6 +287,17 @@ class _Replay:
                 if self.pos.get(tr.atom) != (tr.x, tr.y):
                     self.bad("tandem", i, f"deposit of {tr.atom} at wrong position")
                 self.col_atoms[col].discard(tr.atom)
+                if self.layout.compute.contains(tr.x, tr.y):
+                    self._check_site(i, tr.atom, (tr.x, tr.y))
+
+    def _check_site(self, i: int, atom: int, xy: tuple[float, float]) -> None:
+        """A deposit into compute lands exactly on a grid site that no other
+        unmeasured atom holds."""
+        if xy not in self.sites:
+            self.bad("site", i, f"atom {atom} deposited at {xy}, on no site")
+        elif any(p == xy and a != atom and a not in self.measured
+                 for a, p in self.pos.items()):
+            self.bad("site", i, f"atom {atom} deposited on occupied site {xy}")
 
     def _column_move(self, i: int, ev: ColumnMove) -> None:
         cid = ev.column
@@ -370,9 +373,9 @@ class _Replay:
                 self.bad("dependency", n_events - 1,
                          f"qubit {q} finished {self.cursor[q]} of "
                          f"{len(self.by_qubit[q])} gates")
-        if self.swap_progress:
+        if self.swaps:
             self.bad("dependency", n_events - 1,
-                     f"unfinished swaps {sorted(self.swap_progress)}")
+                     f"unfinished swaps {sorted(self.swaps)}")
         missing = set(range(self.circuit.num_qubits)) - self.measured
         if missing:
             self.bad("double-measure", n_events - 1,
@@ -390,7 +393,7 @@ def validate_schedule(schedule: Schedule, layout: ZoneLayout, grid: SlmGrid,
 
     Returns every violation found (empty list means the schedule is ok).
     """
-    replay = _Replay(schedule, layout, params, circuit)
+    replay = _Replay(schedule, layout, grid, params, circuit)
     for i, ev in enumerate(schedule.events):
         replay.handle(i, ev)
     replay.finish()

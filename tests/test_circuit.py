@@ -356,6 +356,7 @@ def test_frontier_swap_lock_cycle():
     assert not f.executable_cz(0, 1)  # locked
     completed = None
     for g in decompose_swap(0, 1, swap_id=3):
+        assert f.swap_gate(3) == g
         completed = f.advance(g)
     assert completed == 3
     assert not f.lock
@@ -369,6 +370,8 @@ def test_frontier_swap_step_order_enforced():
     seq = decompose_swap(0, 1, swap_id=0)
     with pytest.raises(CircuitError):
         f.advance(seq[1])  # step 1 before step 0
+    with pytest.raises(CircuitError):
+        f.advance(decompose_swap(1, 0, swap_id=0)[0])  # step 0 on qubit 0
 
 
 def test_frontier_matches_brute_force():

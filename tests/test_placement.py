@@ -13,7 +13,7 @@ from pachinqo.placement import (
     degree_split_group,
     greedy_maxcut_group,
 )
-from pachinqo.schedule import AOD_TO_SLM, ColumnMove, TrapChange
+from pachinqo.schedule import AOD_TO_SLM, SLM_TO_AOD, ColumnMove, TrapChange
 from pachinqo.scheduler import Compiler
 
 from corpus import random_circuit, staircase
@@ -206,18 +206,10 @@ def test_init_timestamps_nondecreasing(default_layout, default_grid, params):
     assert compiler.events[-1].t_end == compiler.t
 
 
-@pytest.mark.parametrize("technique", ["pachinqo", "onecache"])
-@pytest.mark.parametrize("n,seed", [(8, 4), (30, 5)])
-def test_init_state_equals_replayed_events(params, technique, n, seed):
-    """The machine state after initialization is what its events did:
-    replaying the transfers and column moves gives every atom's position,
-    its site or column, and the columns left to right by cid."""
-    circ = random_circuit(random.Random(seed), n, 6 * n)
-    layout = build_layout(n, "auto", params)
-    grid = generate_grid("large-square", layout, params)
-    compiler = Compiler(circ, technique, grid, layout, params)
-    compiler._apply_initialization()
-
+def _assert_state_equals_replay(compiler, grid):
+    """The compiler's machine state is what its events did: replaying the
+    transfers and column moves gives every atom's position, its site or
+    column, and the live columns left to right by cid."""
     pos, col, site = {}, {}, {}
     for ev in compiler.events:
         if isinstance(ev, TrapChange):
@@ -227,22 +219,48 @@ def test_init_state_equals_replayed_events(params, technique, n, seed):
                     del col[tr.atom]
                     site[tr.atom] = grid.sites.index((tr.x, tr.y))
                 else:
+                    assert pos.get(tr.atom, (tr.x, tr.y)) == (tr.x, tr.y)
                     pos[tr.atom] = (tr.x, tr.y)
                     col[tr.atom] = tr.column
-        else:
-            assert isinstance(ev, ColumnMove)
+                    site.pop(tr.atom, None)
+        elif isinstance(ev, ColumnMove):
             for a, fy, ty in ev.atoms:
                 assert col[a] == ev.column and pos[a] == (ev.from_x, fy)
                 pos[a] = (ev.to_x, ty)
 
-    assert compiler.trap_change_count == 3
+    n = compiler.circuit.num_qubits
     assert sorted(pos) == list(range(n))
     for a in range(n):
         assert (compiler.atom_x[a], compiler.atom_y[a]) == pos[a]
-        assert compiler.atom_col[a] == col.get(a)
         assert compiler.atom_site[a] == site.get(a)
-    assert compiler.site_atom == {s: a for a, s in site.items()}
     assert [c.cid for c in compiler.columns] == list(range(len(compiler.columns)))
     assert {a: c.cid for c in compiler.columns for a in c.atoms} == col
-    xs = [c.x for c in compiler.columns]
+    xs = [c.x for c in compiler.columns if c.atoms]
     assert xs == sorted(set(xs))
+
+
+@pytest.mark.parametrize("technique", ["pachinqo", "onecache"])
+@pytest.mark.parametrize("n,seed", [(8, 4), (30, 5)])
+def test_init_state_equals_replayed_events(params, technique, n, seed):
+    circ = random_circuit(random.Random(seed), n, 6 * n)
+    layout = build_layout(n, "auto", params)
+    grid = generate_grid("large-square", layout, params)
+    compiler = Compiler(circ, technique, grid, layout, params)
+    compiler._apply_initialization()
+    assert compiler.trap_change_count == 3
+    _assert_state_equals_replay(compiler, grid)
+
+
+def test_trapchange_state_equals_replayed_events(params):
+    """After every layer of a trapchange compile with a mid-circuit deposit
+    and an extraction, before readout, the state still equals the replay."""
+    circ = random_circuit(random.Random(5), 50, 150)
+    layout = build_layout(50, "auto", params)
+    grid = generate_grid("large-square", layout, params)
+    compiler = Compiler(circ, "trapchange", grid, layout, params)
+    compiler._measurement = lambda: None
+    compiler.run()
+    mid = {ev.direction for ev in compiler.events
+           if isinstance(ev, TrapChange) and ev.layer > 0}
+    assert mid == {AOD_TO_SLM, SLM_TO_AOD}
+    _assert_state_equals_replay(compiler, grid)

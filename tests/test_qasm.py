@@ -77,6 +77,19 @@ def test_measure_then_other_qubit_ok():
     assert len(circ.gates) == 1
 
 
+@pytest.mark.parametrize("stmt, match, col", [
+    ("measure q[0] -> c[99];", "out of range", 19),
+    ("measure q[0] -> c[abc];", "bit index must be an integer", 19),
+    ("measure q[0] -> c[0.5];", "bit index must be an integer", 19),
+    ("measure q -> c[0];", "2 qubit", 1),
+])
+def test_bad_measure_target_rejected(stmt, match, col):
+    src = HEADER + "qreg q[2];\ncreg c[2];\n" + stmt + "\n"
+    with pytest.raises(QasmError, match=match) as e:
+        parse_qasm(src)
+    assert (e.value.line, e.value.col) == (5, col)
+
+
 def test_unsupported_gate_names_position():
     with pytest.raises(QasmError) as e:
         parse_qasm(HEADER + "qreg q[1];\nsx q[0];\n")

@@ -9,7 +9,15 @@ import pytest
 from pachinqo.circuit import Circuit, cz, decompose_swap, u3, H_ANGLES
 from pachinqo.machine import build_layout, generate_grid
 from pachinqo.metrics import move_duration, movement_phase_time
-from pachinqo.schedule import ColumnMove, Illumination, Measure, U3LayerEvent
+from pachinqo.schedule import (
+    AOD_TO_SLM,
+    ColumnMove,
+    Illumination,
+    Measure,
+    TrapChange,
+    TrapTransfer,
+    U3LayerEvent,
+)
 from pachinqo.scheduler import Compiler
 from pachinqo.verifier import (
     _apply_cz,
@@ -459,3 +467,67 @@ def test_validator_catches_two_rotations_of_one_atom_in_one_layer():
         ev.t_end -= params.u3_time
     violations = validate_schedule(mutated, layout, grid, params, circ)
     assert [(v.code, v.event) for v in violations] == [("timing", first)]
+
+
+@pytest.mark.parametrize("n, onto", [(2, None), (4, 1)])
+def test_validator_catches_deposit_off_a_free_site(n, onto):
+    # Carry the last static atom's ferry somewhere else and deposit it
+    # there: 3 um off its site, or onto the site static atom `onto` took
+    # in the same trap change.
+    circ = Circuit(n, [cz(2 * i, 2 * i + 1) for i in range(n // 2)])
+    sched, layout, grid, params = _compile(circ)
+    assert validate_schedule(sched, layout, grid, params, circ) == []
+    mutated = copy.deepcopy(sched)
+    index, deposit = next(
+        (i, ev) for i, ev in enumerate(mutated.events)
+        if isinstance(ev, TrapChange) and ev.direction == AOD_TO_SLM)
+    at = {tr.atom: (tr.x, tr.y) for tr in deposit.transfers}
+    atom = n - 1
+    x, y = at[onto] if onto is not None else (at[atom][0], at[atom][1] + 3.0)
+    ferry = next(ev for ev in mutated.events[:index]
+                 if isinstance(ev, ColumnMove) and ev.atoms[0][0] == atom)
+    ferry.to_x = x
+    ferry.atoms = [(atom, ferry.atoms[0][1], y)]
+    deposit.transfers = [TrapTransfer(atom, x, y) if tr.atom == atom else tr
+                         for tr in deposit.transfers]
+    violations = validate_schedule(mutated, layout, grid, params, circ)
+    assert ("site", index) in [(v.code, v.event) for v in violations]
+
+
+def _drop_swap_u3(step):
+    def mutate(sched):
+        for ev in sched.events:
+            if isinstance(ev, U3LayerEvent):
+                ev.gates = [g for g in ev.gates if g.origin != (0, step)]
+    return mutate
+
+
+def _foreign_swap_cz(sched):
+    for ev in sched.events:
+        if isinstance(ev, Illumination):
+            ev.pairs = [type(p)((p.qubits[0], 0), p.atoms, p.positions, p.origin)
+                        if p.origin == (0, 4) else p for p in ev.pairs]
+
+
+@pytest.mark.parametrize("mutate, expected", [
+    # The U3 that opens the SWAP is gone: it begins at step 1.
+    (_drop_swap_u3(0), [("dependency", 13, "swap 0 began at step 1"),
+                        ("dependency", 13, "swap 0 step 1, expected 0")]),
+    # Its middle CZ names qubit 0 in place of its partner.
+    (_foreign_swap_cz, [("dependency", 15, "swap 0 touched foreign qubits (3, 0)")]),
+    # Its last U3 is gone: it never ends, so its qubits stay locked and
+    # the mapping never exchanges.
+    (_drop_swap_u3(8), [
+        ("dependency", 20, "locked qubit in native cz (0, 2)"),
+        ("dependency", 23, "measure of atom 2 names qubit 3, mapped atom is 3"),
+        ("dependency", 28, "measure of atom 3 names qubit 2, mapped atom is 2"),
+        ("dependency", 28, "qubit 0 finished 1 of 2 gates"),
+        ("dependency", 28, "qubit 2 finished 1 of 2 gates"),
+        ("dependency", 28, "unfinished swaps [0]"),
+        ("dependency", 28, "final mapping of qubit 2 is 2, schedule says 3"),
+        ("dependency", 28, "final mapping of qubit 3 is 3, schedule says 2")]),
+])
+def test_validator_catches_broken_swap_components(mutate, expected):
+    circ = Circuit(4, [cz(0, 1), cz(2, 3), cz(0, 2)])
+    violations = _mutate_and_check(circ, mutate)
+    assert [(v.code, v.event, v.description) for v in violations] == expected
