@@ -337,6 +337,13 @@ class Frontier:
         i = self.next_gate(q)
         return i != END and self.circuit.gates[i].kind == "u3"
 
+    def executable_u3s(self) -> list[int]:
+        """Every qubit for which `executable_u3` holds, in qubit order, in
+        one pass."""
+        gates, lock = self.circuit.gates, self.lock
+        return [q for q, (lst, p) in enumerate(zip(self._by_qubit, self._pos))
+                if p < len(lst) and gates[lst[p]].kind == "u3" and q not in lock]
+
     def executable_cz(self, q1: int, q2: int) -> bool:
         """True iff both cursors point at the same CZ(q1,q2) and neither
         qubit is locked into a SWAP."""

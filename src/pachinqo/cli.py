@@ -149,9 +149,10 @@ def run_compile(args) -> int:
         for v in violations:
             print(str(v), file=sys.stderr)
         if circuit.num_qubits <= EQUIVALENCE_QUBIT_CAP:
-            equal, tvd = equivalence_check(schedule, circuit)
+            equal, err = equivalence_check(schedule, circuit)
             if not equal:
-                print(f"equivalence check diverged: TVD={tvd:.3e}",
+                print(f"equivalence check diverged: amplitude error "
+                      f"{err:.3e}",
                       file=sys.stderr)
                 return EXIT_VALIDATION
         if violations:

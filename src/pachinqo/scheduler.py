@@ -6,14 +6,20 @@ only code that emits events or changes machine state.
 
 Execution alternates U3 layers (parallel single-qubit rotations, location
 independent) with CZ layers. A CZ layer plans with all columns relocated
-to the starting cache, then processes them from the cache side nearest
-compute: each column places next to the static partner of one executable
-CZ (or of one pending inserted-SWAP step), spreading its uninvolved atoms
-apart, or retreats toward the opposite cache (dropping into memory when a
-placed column blocks the way). One illumination then fires every staged
-pair at once. Start sides toggle right-left-right so no column gets
-standing priority; a layer that ends because placed columns exhaust
-compute access keeps the same side for the remaining columns.
+to the starting cache's slots next to compute, then processes them from
+the cache side nearest compute: each column places next to the static
+partner of one executable CZ (or of one pending inserted-SWAP step),
+spreading its uninvolved atoms apart, or retreats out of the way of the
+columns after it. A retreat takes the legal spot nearest where the layer
+found the column: the opposite cache's slot nearest compute that leaves
+room for the later columns, or memory under the column when no later
+column could place beyond it (keeping atoms near where they are next
+needed, as in ZAC: Lin, Tan & Cong, HPCA 2025); failing both, it drops
+into memory beside the column that blocks the way. One illumination then
+fires every staged pair at once. Start sides toggle right-left-right so
+no column gets standing priority; a layer that ends because placed
+columns exhaust compute access keeps the same side for the remaining
+columns.
 
 Move phases are fused: the compiler applies every move to its state at
 once, and a phase emits one move per column, from where the phase found
@@ -44,6 +50,7 @@ placed one in memory, and columns return home after every layer.
 """
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, field
 
@@ -233,8 +240,7 @@ class Compiler:
         self.layer = 0
         self.direction = RIGHT
         self.obstacles = _Obstacles(n + 4)
-        # Each cache's column-slot x. Every parked column's x comes from
-        # the same expression, so _retreat compares them exactly.
+        # Each cache's column-slot x, ascending.
         n_slots = cache_column_slots(layout, params)
         self.cache_slots = {side: [self._cache_slot_x(side, i) for i in range(n_slots)]
                             for side in (RIGHT, LEFT)}
@@ -249,6 +255,14 @@ class Compiler:
             self.park_zone = layout.left_cache
             self.park_x0 = self._cache_slot_x(LEFT, 0)
         self.busy: set[int] = set()
+        # What retreats decide from (_plan_retreats): each column's x and
+        # each atom's y where the layer found them, the layer's processing
+        # order, and per cid (side * nearest placement x a later column
+        # could want, live columns after it).
+        self.start_x: list[float] = []
+        self.start_y: list[float] = []
+        self.order: list[_Column] = []
+        self.later: dict[int, tuple[float, int]] = {}
 
     # ------------------------------------------------------------------
     # setup helpers
@@ -420,8 +434,7 @@ class Compiler:
         """Greedy U3 layers until no rotation is frontier-exposed."""
         executed = 0
         while True:
-            native = [q for q in range(self.circuit.num_qubits)
-                      if self.frontier.executable_u3(q)]
+            native = self.frontier.executable_u3s()
             swap_due = self._swap_u3_due(self.layer + 1)
             if not native and not swap_due:
                 return executed
@@ -464,16 +477,17 @@ class Compiler:
     # ------------------------------------------------------------------
     # CZ layers
     def _relocate_all(self, side: int, phase: _Phase | None = None) -> None:
-        """Move every nonempty column to the `side` cache parking slots,
-        within `phase`, or in a phase of its own when none is given. With
-        one cache, no column ever empties, so `_relocate_all(RIGHT)` puts
-        every column on its home slot."""
+        """Move every nonempty column to the `side` cache parking slots
+        next to compute, within `phase`, or in a phase of its own when none
+        is given. With one cache, no column ever empties, so
+        `_relocate_all(RIGHT)` puts every column on its home slot."""
         own = phase is None
         if own:
             phase = _Phase()
         cache = self._cache(side)
         live = [c for c in self.columns if c.atoms]
-        for i, col in enumerate(live):
+        first = 0 if side == RIGHT else len(self.cache_slots[RIGHT]) - len(live)
+        for i, col in enumerate(live, first):
             self._move_column(col, self._cache_slot_x(side, i),
                               self._parked_ys(col, cache), phase)
         if own:
@@ -490,15 +504,16 @@ class Compiler:
         # columns keep the same side next layer.
         same_side_next = False
 
+        order = [c for c in self.columns if c.atoms]
+        if side == LEFT:
+            order.reverse()
+        # Retreats are chosen from where the layer found the columns.
+        self._plan_retreats(order, side)
         # Plan against every column parked on `side`, but let each column
         # travel once, straight to where the layer leaves it.
         phase = _Phase()
         self._relocate_all(side, phase)
         self._reset_obstacles()
-
-        order = [c for c in self.columns if c.atoms]
-        if side == LEFT:
-            order.reverse()
 
         for col in order:
             action = self._find_action(col, staged, phase)
@@ -506,6 +521,8 @@ class Compiler:
                 same_side_next = True
                 break
             executed += action != "idle"
+            if action == "swap":  # the SWAP's CZ is a new placement
+                self._plan_retreats(order, side, snapshot=False)
             # A SWAP began, or idle: clear the way.
             if action in ("swap", "idle") and not self._retreat(col, side, phase):
                 same_side_next = True
@@ -653,28 +670,97 @@ class Compiler:
         self.frontier.advance(gate)
 
     # -- retreat ----------------------------------------------------------
+    def _plan_retreats(self, order: list[_Column], side: int,
+                       snapshot: bool = True) -> None:
+        """Record what `_retreat` decides from: with `snapshot`, every
+        column's x and every atom's y as they stand now, and, for each
+        column of `order` (this layer's processing order), how many live
+        columns follow it and the nearest placement x any of them could
+        want, as `side * x` (a suffix minimum)."""
+        if snapshot:
+            self.start_x = [c.x for c in self.columns]
+            self.start_y = list(self.atom_y)
+        self.order = order
+        self.later = {}
+        reach, live = math.inf, 0
+        for col in reversed(order):
+            self.later[col.cid] = reach, live
+            if col.atoms:
+                live += 1
+                for x in self._wanted_xs(col.atoms):
+                    if side * x < reach:
+                        reach = side * x
+
+    def _wanted_xs(self, atoms: list[int]) -> list[float]:
+        """The x at which each of the column atoms `atoms` would place, for
+        its next CZ or its in-flight SWAP's pending CZ, if that CZ's
+        partner is static. It runs for every column atom in every layer, so
+        it reads the frontier's cursors directly."""
+        frontier = self.frontier
+        lock, by_qubit, pos = frontier.lock, frontier._by_qubit, frontier._pos
+        gates, qubit_of, atom_of = self.circuit.gates, self.qubit_of, self.atom_of
+        out = []
+        for a in atoms:
+            q = qubit_of[a]
+            if q in lock:
+                swap = self.swaps[lock[q]]
+                if swap.atom_aod != a or frontier.swap_gate(lock[q]).kind != "cz":
+                    continue
+                partner = swap.atom_slm
+            else:
+                cursor = pos[q]
+                if cursor == len(by_qubit[q]):
+                    continue
+                g = gates[by_qubit[q][cursor]]
+                if g.kind != "cz":
+                    continue
+                a0, a1 = g.qubits
+                partner = atom_of[a1 if a0 == q else a0]
+                if self.atom_site[partner] is None:
+                    continue
+            out.append(self.atom_x[partner] + INTERACTION_OFFSET)
+        return out
+
     def _retreat(self, col: _Column, side: int, phase: _Phase) -> bool:
-        """Clear the way for later columns: park in the opposite cache, or
-        next to the blocking column and down into memory. Returns False if
-        no legal spot exists, in which case the column stays parked (and
-        blocks the rest of the layer). With one cache there is no opposite
-        cache, so an idle column always drops into memory."""
-        opposite = -side
-        cache = self._cache(opposite)
-        lo, hi = self._neighbors(col.cid)
-        occupied = {c.x for c in self.columns if c.atoms and c.cid != col.cid}
-        free = [s for s in self.cache_slots[opposite]
-                if s not in occupied and lo < s < hi]
-        if side == LEFT:
-            free.reverse()  # fill the right cache from compute outward
-        if free:
-            self._move_column(col, free[0], self._parked_ys(col, cache), phase)
-            return True
-        # Blocked: tuck in beside the neighbor and drop into memory, at
-        # memory's left edge if no live column is left of this one.
+        """Clear the way for the columns processed after this one, at the
+        legal spot nearest where the layer found the column
+        (`_plan_retreats`). Two spots compete: the opposite cache's free
+        slot nearest compute that still leaves a free slot on its compute
+        side for each later live column, and memory under the column's
+        layer-start x (inside memory's margin), legal only when every
+        placement a later column could want lies beyond it. If neither is
+        legal, the column tucks in beside the blocking column and drops
+        into memory, at memory's near margin if no live column is on its
+        near side. Returns False if no legal spot exists, in which case
+        the column stays parked (and blocks the rest of the layer). With
+        one cache there is no opposite cache, so an idle column always
+        drops into memory."""
         mem = self.layout.memory
+        lo, hi = self._neighbors(col.cid)
+        reach, later = self.later[col.cid]
+        x0 = self.start_x[col.cid]
+        spots = []
+        # Live columns are x-ordered by cid, so every slot in (lo, hi) is
+        # free.
+        slots = self.cache_slots[-side]
+        i, j = bisect.bisect_right(slots, lo), bisect.bisect_left(slots, hi)
+        if i < j:
+            k = max(i, j - 1 - later) if side == RIGHT else min(j - 1, i + later)
+            spots.append((slots[k], self._parked_ys(col, self._cache(-side))))
+        x = min(max(x0, mem.x0 + ZONE_MARGIN), mem.x1 - ZONE_MARGIN)
+        if lo < x < hi and side * x < reach:
+            spots.append((x, {a: self._hang_y(n) for n, a in enumerate(col.atoms)}))
+        if spots:
+            def travel(spot):
+                x, ys = spot
+                return abs(x - x0) + max(abs(y - self.start_y[a])
+                                         for a, y in ys.items())
+            x, ys = min(spots, key=travel) if len(spots) > 1 else spots[0]
+            self._move_column(col, x, ys, phase)
+            return True
+        # Blocked: tuck in beside the neighbor and drop into memory.
         if side == RIGHT:
-            x = mem.x0 if lo == -math.inf else lo + self.params.storage_pitch
+            x = mem.x0 + ZONE_MARGIN if lo == -math.inf else lo + self.params.storage_pitch
         else:
             x = hi - self.params.storage_pitch
         if not (mem.x0 <= x <= mem.x1) or not (lo < x < hi):
@@ -835,6 +921,7 @@ class Compiler:
             self.atom_site[atom] = None
             col.atoms.append(atom)
         if col.atoms:  # a deposit may have taken the column's last atom
+            self._plan_retreats(self.order, self.direction)
             self._retreat(col, self.direction, phase)
 
     # ------------------------------------------------------------------

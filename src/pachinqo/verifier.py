@@ -5,7 +5,9 @@ tracking and its own distance arithmetic (deliberately sharing no
 placement code with the scheduler), checking: AOD column ordering, tandem
 column membership, illumination blockade geometry, zone containment,
 deposits into compute landing on a free grid site,
-dependency order of executed gates, single measurement per atom, the
+dependency order of executed gates and each rotation's angles (a native
+U3 bit for bit equal to its circuit gate, a SWAP step to its template
+step), single measurement per atom, the
 qubit each measurement names (the replayed mapping's qubit for that
 atom), and timing: every event starts where the previous one (or move
 phase) ended, lasts what the cost model says, each column moves at most
@@ -14,6 +16,11 @@ phase or layer is timed as concurrent work, so a second hop or rotation
 would go uncounted), and the schedule's end time
 is the sum of its layer times, so the reported runtime is checked rather
 than only emitted.
+
+The oracle is the independent cross-check for circuits of up to
+EQUIVALENCE_QUBIT_CAP qubits: it runs the circuit and the schedule's
+gates on |0...0> and seeded random product states and compares the
+amplitudes up to one global phase, so a dropped phase-only gate shows.
 
 Convention: atom ids equal the qubits initially mapped onto them; the
 mapping then evolves only through completed inserted SWAPs.
@@ -26,6 +33,7 @@ from __future__ import annotations
 
 import functools
 import math
+import random
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -48,8 +56,13 @@ if TYPE_CHECKING:
 
 ORACLE_QUBIT_CAP = 12
 EQUIVALENCE_QUBIT_CAP = 10
-TVD_THRESHOLD = 1e-9
-_SWAP_STEP_KINDS = tuple(g.kind for g in decompose_swap(0, 1))
+# The oracle compares amplitudes on |0...0> and this many seeded random
+# product states, to this tolerance.
+EQUIVALENCE_RANDOM_STATES = 2
+EQUIVALENCE_SEED = 2021
+AMPLITUDE_TOLERANCE = 1e-9
+# The SWAP template's gate kinds and angles, step by step.
+_SWAP_STEPS = tuple((g.kind, g.params) for g in decompose_swap(0, 1))
 
 
 @dataclass
@@ -143,7 +156,7 @@ class _Replay:
         c = self.cursor[q]
         return self.by_qubit[q][c] if c < len(self.by_qubit[q]) else None
 
-    def _native_u3(self, i: int, qubit: int, atom: int) -> None:
+    def _native_u3(self, i: int, qubit: int, atom: int, angles) -> None:
         if qubit in self.locked:
             self.bad("dependency", i, f"locked qubit {qubit} ran a native u3")
             return
@@ -155,6 +168,11 @@ class _Replay:
         if gi is None or self.circuit.gates[gi].kind != "u3":
             self.bad("dependency", i, f"unexpected u3 on qubit {qubit}")
             return
+        # Lowering precedes compiling, so the angles are copied, bit for bit.
+        if tuple(angles) != self.circuit.gates[gi].params:
+            self.bad("dependency", i, f"u3 on qubit {qubit} has angles "
+                     f"{tuple(angles)}, gate {gi} has "
+                     f"{self.circuit.gates[gi].params}")
         self.cursor[qubit] += 1
 
     def _native_cz(self, i: int, qubits, atoms) -> None:
@@ -175,7 +193,8 @@ class _Replay:
         self.cursor[q1] += 1
         self.cursor[q2] += 1
 
-    def _swap_component(self, i: int, origin, kind: str, qubits) -> None:
+    def _swap_component(self, i: int, origin, kind: str, qubits,
+                        angles=()) -> None:
         sid, step = origin
         if sid in self.swaps:
             seen, expect = self.swaps[sid]
@@ -198,11 +217,15 @@ class _Replay:
                 self.bad("dependency", i, f"qubit {q} double-locked")
             self.locked[q] = sid
             seen += (q,)
-        if _SWAP_STEP_KINDS[step] != kind:
+        want_kind, want_angles = _SWAP_STEPS[step]
+        if want_kind != kind:
             self.bad("dependency", i,
-                     f"swap {sid} step {step} should be {_SWAP_STEP_KINDS[step]}")
+                     f"swap {sid} step {step} should be {want_kind}")
+        elif tuple(angles) != want_angles:
+            self.bad("dependency", i, f"swap {sid} step {step} has angles "
+                     f"{tuple(angles)}, the template has {want_angles}")
         self.swaps[sid] = (seen, step + 1)
-        if step == len(_SWAP_STEP_KINDS) - 1:
+        if step == len(_SWAP_STEPS) - 1:
             if len(seen) == 2:
                 a, b = seen
                 self.atom_of[a], self.atom_of[b] = self.atom_of[b], self.atom_of[a]
@@ -239,9 +262,10 @@ class _Replay:
                              "in one U3 layer")
                 atoms.add(g.atom)
                 if g.origin is not None:
-                    self._swap_component(i, g.origin, "u3", (g.qubit,))
+                    self._swap_component(i, g.origin, "u3", (g.qubit,),
+                                         g.angles)
                 else:
-                    self._native_u3(i, g.qubit, g.atom)
+                    self._native_u3(i, g.qubit, g.atom, g.angles)
         elif isinstance(ev, Illumination):
             self._illumination(i, ev)
         elif isinstance(ev, Measure):
@@ -406,6 +430,7 @@ def validate_schedule(schedule: Schedule, layout: ZoneLayout, grid: SlmGrid,
 
 def _apply_u3(state: np.ndarray, q: int, theta: float, phi: float,
               lam: float, n: int) -> np.ndarray:
+    """U3 on qubit q of a state, or of every column of a (2**n, k) batch."""
     import numpy as np
 
     ct, st = math.cos(theta / 2), math.sin(theta / 2)
@@ -414,9 +439,10 @@ def _apply_u3(state: np.ndarray, q: int, theta: float, phi: float,
          [np.exp(1j * phi) * st, np.exp(1j * (phi + lam)) * ct]],
         dtype=complex,
     )
-    # qubit q is bit q (little endian): reshape (high, 2, low)
-    state = state.reshape(-1, 2, 2**q)
-    return np.einsum("ab,hbl->hal", mat, state).reshape(-1)
+    # qubit q is bit q (little endian): reshape (high, 2, low, batch...)
+    shape = state.shape
+    state = state.reshape(-1, 2, 2**q, *shape[1:])
+    return np.einsum("ab,hbl...->hal...", mat, state).reshape(shape)
 
 
 @functools.lru_cache(maxsize=1024)
@@ -431,8 +457,19 @@ def _cz_indices(a: int, b: int, n: int) -> np.ndarray:
 
 
 def _apply_cz(state: np.ndarray, a: int, b: int, n: int) -> np.ndarray:
-    """CZ in place: flip the sign where bits a and b are both set."""
+    """CZ in place: flip the sign where bits a and b are both set (of every
+    column, for a batch)."""
     state[_cz_indices(a, b, n)] *= -1
+    return state
+
+
+def _run_circuit(circuit: Circuit, state: np.ndarray) -> np.ndarray:
+    n = circuit.num_qubits
+    for g in circuit.gates:
+        if g.kind == "u3":
+            state = _apply_u3(state, g.qubits[0], *g.params, n)
+        else:
+            state = _apply_cz(state, g.qubits[0], g.qubits[1], n)
     return state
 
 
@@ -451,21 +488,16 @@ def statevector_oracle(circuit: Circuit, initial: int = 0) -> np.ndarray:
         raise ValueError("oracle requires a basis circuit")
     state = np.zeros(2**n, dtype=complex)
     state[initial] = 1.0
-    for g in circuit.gates:
-        if g.kind == "u3":
-            state = _apply_u3(state, g.qubits[0], *g.params, n)
-        else:
-            state = _apply_cz(state, g.qubits[0], g.qubits[1], n)
-    return np.abs(state) ** 2
+    return np.abs(_run_circuit(circuit, state)) ** 2
 
 
-def executed_distribution(schedule: Schedule, num_qubits: int) -> np.ndarray:
-    """Simulate the executed gate sequence in atom space and relabel the
-    outcome bits through the final qubit-to-atom permutation."""
+def _executed(schedule: Schedule, state: np.ndarray,
+              num_qubits: int) -> np.ndarray:
+    """Run the schedule's gates on `state` in atom space (atom a starts
+    holding qubit a), then relabel the basis through the final
+    qubit-to-atom permutation, so that bit q is qubit q again."""
     import numpy as np
 
-    state = np.zeros(2**num_qubits, dtype=complex)
-    state[0] = 1.0
     for ev in schedule.events:
         if isinstance(ev, U3LayerEvent):
             for g in ev.gates:
@@ -473,21 +505,52 @@ def executed_distribution(schedule: Schedule, num_qubits: int) -> np.ndarray:
         elif isinstance(ev, Illumination):
             for p in ev.pairs:
                 state = _apply_cz(state, p.atoms[0], p.atoms[1], num_qubits)
-    atom_probs = np.abs(state) ** 2
-    out = np.zeros_like(atom_probs)
     mapping = schedule.final_mapping
-    ks = np.arange(atom_probs.size)
+    ks = np.arange(2**num_qubits)
     js = np.zeros_like(ks)
     for q in range(num_qubits):
         js |= ((ks >> mapping[q]) & 1) << q
-    np.add.at(out, js, atom_probs)
+    out = np.empty_like(state)
+    out[js] = state
     return out
+
+
+def executed_distribution(schedule: Schedule, num_qubits: int) -> np.ndarray:
+    """Simulate the executed gate sequence from |0...0> and return the
+    outcome distribution over qubit bitstrings."""
+    import numpy as np
+
+    state = np.zeros(2**num_qubits, dtype=complex)
+    state[0] = 1.0
+    return np.abs(_executed(schedule, state, num_qubits)) ** 2
+
+
+def _input_states(n: int) -> np.ndarray:
+    """|0...0> and EQUIVALENCE_RANDOM_STATES seeded random product states,
+    as the columns of one (2**n, k) array."""
+    import numpy as np
+
+    k = 1 + EQUIVALENCE_RANDOM_STATES
+    # The stdlib generator: loading numpy.random would add ~2 MB of RSS.
+    rng = random.Random(EQUIVALENCE_SEED)
+    # qubit -> (amplitude of |0>, of |1>) -> state
+    amps = np.array([[[complex(rng.gauss(0, 1), rng.gauss(0, 1))
+                       for _ in range(k)] for _ in range(2)] for _ in range(n)])
+    amps /= np.sqrt((np.abs(amps) ** 2).sum(axis=1, keepdims=True))
+    amps[:, :, 0] = (1.0, 0.0)
+    states = np.ones((1, k), dtype=complex)
+    for q in range(n):  # qubit q is bit q: prepend it as the higher bit
+        states = (amps[q][:, None, :] * states[None, :, :]).reshape(-1, k)
+    return states
 
 
 def equivalence_check(schedule: Schedule, circuit: Circuit
                       ) -> tuple[bool, float]:
-    """Compare the schedule's executed-sequence distribution against the
-    reference circuit; returns (equal, total variation distance)."""
+    """Compare the schedule's executed sequence against the reference
+    circuit on |0...0> and seeded random product states, amplitude by
+    amplitude up to one global phase (random-stimuli equivalence checking,
+    Burgholzer, Kueng & Wille, ASP-DAC 2021). Returns (equal, largest
+    amplitude error)."""
     import numpy as np
 
     n = circuit.num_qubits
@@ -495,7 +558,10 @@ def equivalence_check(schedule: Schedule, circuit: Circuit
         raise ValueError(
             f"equivalence check capped at {EQUIVALENCE_QUBIT_CAP} qubits"
         )
-    ref = statevector_oracle(circuit)
-    got = executed_distribution(schedule, n)
-    tvd = 0.5 * float(np.abs(ref - got).sum())
-    return tvd < TVD_THRESHOLD, tvd
+    states = _input_states(n)
+    ref = _run_circuit(circuit, states.copy())
+    got = _executed(schedule, states, n)
+    overlap = np.vdot(ref, got)
+    phase = overlap / abs(overlap) if abs(overlap) > 0 else 1.0
+    err = float(np.abs(got - phase * ref).max())
+    return err < AMPLITUDE_TOLERANCE, err

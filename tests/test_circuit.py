@@ -407,3 +407,23 @@ def test_frontier_matches_brute_force():
                     done[i] = True
                     progressed = True
         assert all(done)
+
+
+def test_frontier_executable_u3s_matches_per_qubit_test():
+    """The one-pass scan returns exactly the qubits `executable_u3` accepts,
+    in qubit order, with a SWAP holding two qubits locked."""
+    rng = random.Random(5)
+    circ = random_circuit(rng, 6, 80)
+    f = Frontier(circ)
+    f.begin_swap(0, 1, 4)
+    for _ in range(40):
+        ready = f.executable_u3s()
+        assert ready == [q for q in range(6) if f.executable_u3(q)]
+        gates = [circ.gates[f.next_gate(q)] for q in ready]
+        gates += [circ.gates[i] for i in {f.next_gate(q) for q in range(6)}
+                  if i != -1 and circ.gates[i].kind == "cz"
+                  and f.executable_cz(*circ.gates[i].qubits)]
+        if not gates:
+            break
+        f.advance(gates[0])
+    assert 1 not in f.executable_u3s() and 4 not in f.executable_u3s()

@@ -288,6 +288,34 @@ def test_suite_rerun_is_byte_identical_modulo_compile_ms(tmp_path):
     assert outs[0] == outs[1]
 
 
+def test_validate_reports_a_wrong_rotation_above_the_oracle_cap(
+        tmp_path, monkeypatch, capsys):
+    """A 50-qubit schedule with one native U3's theta off by 0.7: the
+    oracle does not run at this size, and --validate still exits 3."""
+    src = tmp_path / "wide50.qasm"
+    src.write_text(random_qasm(random.Random(4), 50, 200))
+    real_run = Compiler.run
+
+    def wrong_rotation(self):
+        sched = real_run(self)
+        layer = next(ev for ev in sched.events
+                     if getattr(ev, "kind", "") == "u3-layer"
+                     and any(g.origin is None for g in ev.gates))
+        k = next(k for k, g in enumerate(layer.gates) if g.origin is None)
+        g = layer.gates[k]
+        layer.gates[k] = type(g)(g.qubit, g.atom,
+                                 (g.angles[0] + 0.7, *g.angles[1:]), g.origin)
+        return sched
+
+    monkeypatch.setattr(Compiler, "run", wrong_rotation)
+    rc = main(["--input", str(src), "--out-schedule", str(tmp_path / "s.json"),
+               "--out-report", str(tmp_path / "r.json"), "--validate"])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith("[dependency] event ") and " has angles " in err
+
+
 def test_missing_input_flags(capsys):
     assert main([]) == 1
     assert "required" in capsys.readouterr().err

@@ -337,8 +337,9 @@ def test_trapchange_falls_back_to_swap_when_no_room():
 
 def test_trapchange_extracts_static_atom_into_column():
     # A seed whose trapchange schedule makes exactly one mid-circuit
-    # extraction; most 50-qubit seeds resolve every conflict otherwise.
-    circ = random_circuit(random.Random(5), 50, 150)
+    # extraction; most seeds resolve every conflict otherwise (found by
+    # searching random_circuit(Random(k), n, 2n..3n) over the four grids).
+    circ = random_circuit(random.Random(36), 100, 200)
     sched, layout, grid, params = _compile(circ, technique="trapchange")
     last_layer = sched.events[-1].layer
     extractions = [e for e in sched.events
@@ -416,8 +417,9 @@ def test_spread_alternates_above_below():
 
 
 def test_retreat_fallback_tucks_beside_blocker():
-    """A column blocked from the opposite cache parks at storage pitch from
-    the blocking column and drops into memory."""
+    """A column blocked from the opposite cache, whose memory spot is not
+    legal either, parks at storage pitch from the blocking column and drops
+    into memory."""
     from pachinqo.machine import PhysParams
     from pachinqo.scheduler import LEFT, _Phase
 
@@ -433,6 +435,7 @@ def test_retreat_fallback_tucks_beside_blocker():
     col1.x = 105.0
     for a in col1.atoms:
         compiler.atom_x[a] = 105.0
+    compiler._plan_retreats([col1, col0], LEFT)
     phase = _Phase()
     assert compiler._retreat(col0, LEFT, phase)
     moves = phase.moves(compiler.atom_y)
@@ -445,7 +448,8 @@ def test_retreat_fallback_tucks_beside_blocker():
 
 def test_onecache_retreat_tucks_in_at_memory_edge():
     """With one cache there is no opposite cache: an idle column with no
-    live column on its left tucks in at memory's left edge, into memory."""
+    live column on its left, whose memory spot would block a later
+    column's placement, tucks in at memory's left margin, into memory."""
     from pachinqo.machine import ZONE_MARGIN, PhysParams
     from pachinqo.scheduler import _Phase
 
@@ -457,6 +461,7 @@ def test_onecache_retreat_tucks_in_at_memory_edge():
     compiler._apply_initialization()
     assert compiler.cache_slots[LEFT] == []
     col0 = compiler.columns[0]
+    compiler._plan_retreats(compiler.columns, RIGHT)
     phase = _Phase()
     from_x = col0.x
     assert compiler._retreat(col0, RIGHT, phase)
@@ -464,10 +469,96 @@ def test_onecache_retreat_tucks_in_at_memory_edge():
     assert len(moves) == 1
     cid, fx, to_x, atoms = moves[0]
     assert fx == from_x
-    assert cid == col0.cid and to_x == layout.memory.x0
+    assert cid == col0.cid and to_x == layout.memory.x0 + ZONE_MARGIN
     mem = layout.memory
     assert [ty for _, _, ty in atoms] == [
         mem.y0 + ZONE_MARGIN + i * params.storage_pitch for i in range(len(atoms))]
+
+
+def _three_column_compiler():
+    """Three columns of four mobile atoms, parked on the right cache; the
+    static partners of columns 0, 1 and 2 stand at x = 100-145, 160-205
+    and 220-265."""
+    params = PhysParams()
+    circ = Circuit(24, [cz(2 * i, 2 * i + 1) for i in range(12)])
+    layout = build_layout(24, "auto", params)
+    grid = generate_grid("large-square", layout, params)
+    compiler = Compiler(circ, "pachinqo", grid, layout, params)
+    compiler._apply_initialization()
+    assert [c.atoms for c in compiler.columns] == [
+        [0, 2, 4, 6], [8, 10, 12, 14], [16, 18, 20, 22]]
+    return compiler
+
+
+def _retreat_in_order(compiler, side):
+    """Plan a layer on `side` from where the columns stand, relocate, and
+    retreat every column in processing order; returns each column's x."""
+    from pachinqo.scheduler import _Phase
+
+    order = list(compiler.columns)
+    if side == LEFT:
+        order.reverse()
+    compiler._plan_retreats(order, side)
+    phase = _Phase()
+    compiler._relocate_all(side, phase)
+    for col in order:
+        assert compiler._retreat(col, side, phase)
+    return [c.x for c in compiler.columns]
+
+
+def test_retreat_takes_the_cache_slot_next_to_compute_that_leaves_room():
+    """A retreating column takes the opposite cache's free slot nearest
+    compute that still leaves one slot on its compute side per later
+    column, on both sides. The last column, with nothing after it, parks
+    in memory under where it stood, the shorter move."""
+    compiler = _three_column_compiler()
+    left, right = compiler.cache_slots[LEFT], compiler.cache_slots[RIGHT]
+    mem = compiler.layout.memory
+    from pachinqo.machine import ZONE_MARGIN
+
+    # RIGHT layer: columns retreat into the left cache, whose compute
+    # edge is its last slot.
+    xs = _retreat_in_order(compiler, RIGHT)
+    assert xs == [left[-3], left[-2], mem.x1 - ZONE_MARGIN]
+    # LEFT layer, from the left cache: packed against its compute edge,
+    # the columns retreat into the right cache, whose compute edge is its
+    # first slot.
+    compiler._relocate_all(LEFT)
+    assert [c.x for c in compiler.columns] == left[-3:]
+    xs = _retreat_in_order(compiler, LEFT)
+    assert xs == [mem.x0 + ZONE_MARGIN, right[1], right[2]]
+    col = compiler.columns[0]
+    assert [compiler.atom_y[a] for a in col.atoms] == [
+        compiler._hang_y(j) for j in range(4)]
+
+
+@pytest.mark.parametrize("start_x, parks_in_memory", [(150.0, True),
+                                                      (170.0, False)])
+def test_memory_parking_refused_past_a_later_columns_target(start_x,
+                                                            parks_in_memory):
+    """Column 0 stood at start_x when the layer began. Memory under it is
+    the shorter move, but column 1 could place at 161.5 (its partner at
+    160 plus the interaction offset): parking at 170 would block that, so
+    the column takes a cache slot instead."""
+    from pachinqo.scheduler import _Phase
+
+    compiler = _three_column_compiler()
+    assert min(compiler._wanted_xs(compiler.columns[1].atoms)) == \
+        160.0 + INTERACTION_OFFSET
+    col0 = compiler.columns[0]
+    col0.x = start_x
+    for a in col0.atoms:
+        compiler.atom_x[a] = start_x
+    compiler._plan_retreats(compiler.columns, RIGHT)
+    phase = _Phase()
+    compiler._relocate_all(RIGHT, phase)
+    assert compiler._retreat(col0, RIGHT, phase)
+    if parks_in_memory:
+        assert col0.x == start_x
+        assert [compiler.atom_y[a] for a in col0.atoms] == [
+            compiler._hang_y(j) for j in range(4)]
+    else:
+        assert col0.x == compiler.cache_slots[LEFT][-3]
 
 
 def test_schedule_json_roundtrip():

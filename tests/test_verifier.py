@@ -180,6 +180,53 @@ def test_equivalence_detects_missing_final_permutation():
     assert not ok
 
 
+def _hh_cz():
+    """H on both qubits, then CZ: from |00> every outcome has probability
+    1/4 with or without the CZ, which only moves phases."""
+    return Circuit(2, [u3(0, *H_ANGLES), u3(1, *H_ANGLES), cz(0, 1)])
+
+
+def _hhh_cz_cz():
+    """H on three qubits, then CZ(0, 1) and CZ(1, 2)."""
+    return Circuit(3, [u3(q, *H_ANGLES) for q in range(3)]
+                   + [cz(0, 1), cz(1, 2)])
+
+
+@pytest.mark.parametrize("make", [_hh_cz, _hhh_cz_cz])
+def test_equivalence_detects_dropped_phase_only_cz(make):
+    """Emptying the first illumination drops a CZ that changes no output
+    probability from |0...0>: the distributions still agree, but the
+    amplitudes do not."""
+    circ = make()
+    sched, _, _, _ = _compile(circ)
+    assert equivalence_check(sched, circ)[0]
+    mutated = copy.deepcopy(sched)
+    illum = next(e for e in mutated.events if isinstance(e, Illumination))
+    assert illum.pairs[0].qubits == (0, 1)
+    illum.pairs = []
+    assert executed_distribution(mutated, circ.num_qubits) == \
+        pytest.approx(statevector_oracle(circ), abs=1e-12)
+    ok, err = equivalence_check(mutated, circ)
+    assert not ok and err > 0.1
+
+
+def test_equivalence_ignores_only_a_global_phase():
+    """A schedule whose every amplitude differs by one phase is equal."""
+    circ = random_circuit(random.Random(6), 5, 40)
+    sched, _, _, _ = _compile(circ)
+    ok, err = equivalence_check(sched, circ)
+    assert ok and err < 1e-12
+    mutated = copy.deepcopy(sched)
+    layer = next(e for e in mutated.events if isinstance(e, U3LayerEvent))
+    g = layer.gates[0]
+    theta, phi, lam = g.angles
+    # U3(t, p, l) followed by the phase -1: U3(t + 2 pi, p, l) = -U3(t, p, l)
+    layer.gates[0] = type(g)(g.qubit, g.atom, (theta + 2 * math.pi, phi, lam),
+                             g.origin)
+    ok, err = equivalence_check(mutated, circ)
+    assert ok and err < 1e-9
+
+
 def test_equivalence_qubit_cap():
     circ = Circuit(11, [])
     sched, _, _, _ = _compile(circ)
@@ -531,3 +578,77 @@ def test_validator_catches_broken_swap_components(mutate, expected):
     circ = Circuit(4, [cz(0, 1), cz(2, 3), cz(0, 2)])
     violations = _mutate_and_check(circ, mutate)
     assert [(v.code, v.event, v.description) for v in violations] == expected
+
+
+def _native_u3s(sched):
+    """(event index, gate index) of every native U3 entry, in order."""
+    return [(i, k) for i, ev in enumerate(sched.events)
+            if isinstance(ev, U3LayerEvent)
+            for k, g in enumerate(ev.gates) if g.origin is None]
+
+
+def _shift_angle(sched, i, k, which, delta):
+    g = sched.events[i].gates[k]
+    angles = list(g.angles)
+    angles[which] += delta
+    sched.events[i].gates[k] = type(g)(g.qubit, g.atom, tuple(angles),
+                                       g.origin)
+
+
+def _angle_violations(violations):
+    return [(v.code, v.event) for v in violations if "angles" in v.description]
+
+
+def test_validator_catches_wrong_theta_on_native_u3s():
+    """Adding 0.7 to theta of three native U3s leaves every gate's kind and
+    order intact; only the angle check sees it."""
+    circ = random_circuit(random.Random(3), 8, 40)
+    sched, layout, grid, params = _compile(circ)
+    mutated = copy.deepcopy(sched)
+    picked = _native_u3s(mutated)[:3]
+    for i, k in picked:
+        _shift_angle(mutated, i, k, 0, 0.7)
+    violations = validate_schedule(mutated, layout, grid, params, circ)
+    assert _angle_violations(violations) == [("dependency", i) for i, _ in picked]
+    assert all("angles" in v.description for v in violations)
+
+
+def test_validator_catches_wrong_phi_on_a_qubits_last_u3():
+    """A wrong phi on a qubit's last U3 changes only a phase, so no output
+    probability moves; the validator still reports it."""
+    circ = random_circuit(random.Random(3), 8, 40)
+    sched, layout, grid, params = _compile(circ)
+    mutated = copy.deepcopy(sched)
+    i, k = _native_u3s(mutated)[-1]
+    _shift_angle(mutated, i, k, 1, 1.1)
+    assert executed_distribution(mutated, 8) == pytest.approx(
+        statevector_oracle(circ), abs=1e-9)
+    violations = validate_schedule(mutated, layout, grid, params, circ)
+    assert [(v.code, v.event) for v in violations] == [("dependency", i)]
+    assert not equivalence_check(mutated, circ)[0]
+
+
+def test_validator_catches_wrong_angle_on_a_swap_step():
+    circ = Circuit(4, [cz(0, 1), cz(2, 3), cz(0, 2)])
+    sched, layout, grid, params = _compile(circ)
+    assert sched.swap_count == 1
+    mutated = copy.deepcopy(sched)
+    i, k = next((i, k) for i, ev in enumerate(mutated.events)
+                if isinstance(ev, U3LayerEvent)
+                for k, g in enumerate(ev.gates) if g.origin == (0, 5))
+    _shift_angle(mutated, i, k, 2, 1e-12)
+    violations = validate_schedule(mutated, layout, grid, params, circ)
+    assert [(v.code, v.event) for v in violations] == [("dependency", i)]
+    assert violations[0].description.startswith("swap 0 step 5 has angles ")
+
+
+def test_validator_catches_wrong_theta_at_fifty_qubits():
+    """Above the oracle's cap, the validator alone checks the rotations."""
+    circ = random_circuit(random.Random(3), 50, 150)
+    sched, layout, grid, params = _compile(circ)
+    assert validate_schedule(sched, layout, grid, params, circ) == []
+    mutated = copy.deepcopy(sched)
+    i, k = _native_u3s(mutated)[len(_native_u3s(mutated)) // 2]
+    _shift_angle(mutated, i, k, 0, 0.7)
+    violations = validate_schedule(mutated, layout, grid, params, circ)
+    assert _angle_violations(violations) == [("dependency", i)]
