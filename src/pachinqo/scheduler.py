@@ -21,15 +21,18 @@ no column gets standing priority; a layer that ends because placed
 columns exhaust compute access keeps the same side for the remaining
 columns.
 
-Move phases are fused: the compiler applies every move to its state at
-once, and a phase emits one move per column, from where the phase found
-the column to where it leaves it. The relocation is therefore planned but
-never travelled: it shares its phase with the placements and retreats
-that follow, as an isolation layer's parking shares its phase with the
-one placement. A trap change closes the phase before it; the measurement
-epilogue and onecache's return home are phases of their own. Both ends
-of a phase are strictly x-ordered, so straight concurrent moves never
-cross columns.
+Move phases are fused. The compiler applies every move to its state at
+once and keeps one record of where the open phase found each column: the
+column's `found_x` and each atom's `found_y`. Closing the phase emits one
+move per column that is not where the phase found it, straight from there
+to where the column is now, and the current state becomes the next
+phase's record. A CZ layer's relocation is therefore planned but never
+travelled: it shares its phase with the placements and retreats that
+follow, as an isolation layer's parking shares its phase with the one
+placement. Retreats measure travel from the same record. A trap change
+closes the phase before it; the measurement epilogue and onecache's return
+home are phases of their own. Both ends of a phase are strictly x-ordered,
+so straight concurrent moves never cross columns.
 
 Same-trap conflicts insert SWAPs executed preemptively, one component
 per layer, except that a U3 layer also runs a swap's next rotation when
@@ -118,6 +121,10 @@ class _Column:
     cid: int
     x: float
     atoms: list[int] = field(default_factory=list)  # atom ids, slot order
+    found_x: float = field(init=False)  # x where the open phase found it
+
+    def __post_init__(self):
+        self.found_x = self.x
 
 
 class _Obstacles:
@@ -146,32 +153,6 @@ class _Obstacles:
                           skip_atom: int) -> bool:
         skip = self.index_of.get(skip_atom, -1)
         return kernels.clear_from_except(self.x, self.y, self.n, px, py, r2, skip)
-
-
-class _Phase:
-    """One movement phase being built: each column's state when the phase
-    first moved it. The compiler applies every move to its state at once,
-    so a column moved twice in one phase travels once, from that start to
-    where it ends."""
-
-    def __init__(self):
-        # cid -> (column, x, {atom: y}) at the column's first move
-        self.start: dict[int, tuple[_Column, float, dict[int, float]]] = {}
-
-    def record(self, col: _Column, atom_y: list[float]) -> None:
-        if col.cid not in self.start:
-            self.start[col.cid] = (col, col.x, {a: atom_y[a] for a in col.atoms})
-
-    def moves(self, atom_y: list[float]
-              ) -> list[tuple[int, float, float, list[tuple[int, float, float]]]]:
-        """(cid, from_x, to_x, [(atom, from_y, to_y)]) per column that
-        ends the phase somewhere else."""
-        out = []
-        for col, x, ys in self.start.values():
-            atoms = [(a, ys[a], atom_y[a]) for a in col.atoms]
-            if col.x != x or any(fy != ty for _, fy, ty in atoms):
-                out.append((col.cid, x, col.x, atoms))
-        return out
 
 
 @dataclass
@@ -222,6 +203,7 @@ class Compiler:
         # is held by its site in atom_site, or else by a column's atoms.
         self.atom_x = [0.0] * n
         self.atom_y = [0.0] * n
+        self.found_y = [0.0] * n  # y where the open move phase found each atom
         self.atom_site: list[int | None] = [None] * n
         self.qubit_of = list(range(n))
         self.atom_of = list(range(n))
@@ -255,14 +237,6 @@ class Compiler:
             self.park_zone = layout.left_cache
             self.park_x0 = self._cache_slot_x(LEFT, 0)
         self.busy: set[int] = set()
-        # What retreats decide from (_plan_retreats): each column's x and
-        # each atom's y where the layer found them, the layer's processing
-        # order, and per cid (side * nearest placement x a later column
-        # could want, live columns after it).
-        self.start_x: list[float] = []
-        self.start_y: list[float] = []
-        self.order: list[_Column] = []
-        self.later: dict[int, tuple[float, int]] = {}
 
     # ------------------------------------------------------------------
     # setup helpers
@@ -287,23 +261,29 @@ class Compiler:
             cols.append(_Column(g.column, g.mem_x, [a for a, *_ in g.atoms]))
             for a, my, _, _ in g.atoms:
                 self.atom_x[a], self.atom_y[a] = g.mem_x, my
+                self.found_y[a] = my
                 self.atom_site[a] = None
                 transfers.append(TrapTransfer(a, g.mem_x, my, column=g.column))
         self._trap_change(SLM_TO_AOD, transfers)
-        phase = _Phase()
         for g, col in zip(groups, cols):
             self._move_column(col, g.atoms[0][2],
-                              {a: ty for a, _, _, ty in g.atoms}, phase)
-        self._flush_moves(phase)
+                              {a: ty for a, _, _, ty in g.atoms})
+        self._flush_moves(cols)
         return cols
 
     # ------------------------------------------------------------------
     # event emission with phase timing
-    def _flush_moves(self, phase: _Phase) -> None:
-        """Close one concurrent movement phase: one move per column, from
-        where the phase found it to where it is now."""
-        moves = phase.moves(self.atom_y)
-        phase.start.clear()
+    def _flush_moves(self, cols: list[_Column] | None = None) -> None:
+        """Close the open movement phase: one move for each of `cols` (by
+        default every column) that is not where the phase found it, from
+        there to where it is now. The current state opens the next phase."""
+        moves = []
+        for col in self.columns if cols is None else cols:
+            atoms = [(a, self.found_y[a], self.atom_y[a]) for a in col.atoms]
+            if col.x != col.found_x or any(fy != ty for _, fy, ty in atoms):
+                moves.append((col.cid, col.found_x, col.x, atoms))
+            col.found_x = col.x
+        self.found_y = list(self.atom_y)
         if not moves:
             return
         dur = movement_phase_time(moves, self.params, self.serial)
@@ -312,12 +292,8 @@ class Compiler:
         self.t += dur
 
     def _move_column(self, col: _Column, to_x: float,
-                     y_targets: dict[int, float], phase: _Phase) -> None:
-        """Move a column within the current phase and apply the move."""
-        if to_x == col.x and all(y_targets.get(a, self.atom_y[a]) == self.atom_y[a]
-                                 for a in col.atoms):
-            return
-        phase.record(col, self.atom_y)
+                     y_targets: dict[int, float]) -> None:
+        """Move a column within the open phase and apply the move."""
         for a in col.atoms:
             self.atom_x[a] = to_x
             self.atom_y[a] = y_targets.get(a, self.atom_y[a])
@@ -340,10 +316,18 @@ class Compiler:
         self.t += dur
         self.trap_change_count += 1
 
-    def _illuminate(self, staged: list[CzEntry]) -> None:
-        self.events.append(Illumination(self.t, self.t + self.params.cz_time,
-                                        self.layer, staged))
-        self.t += self.params.cz_time
+    def _fire(self, staged: list[CzEntry]) -> None:
+        """Close a CZ layer: its move phase ends, one illumination fires
+        every staged pair, and with one cache the columns return home in
+        a phase of their own."""
+        self._flush_moves()
+        if staged:
+            self.events.append(Illumination(self.t, self.t + self.params.cz_time,
+                                            self.layer, staged))
+            self.t += self.params.cz_time
+        if self.one_cache:
+            self._relocate_all(RIGHT)
+            self._flush_moves()
 
     def _reset_obstacles(self) -> None:
         """Static compute atoms are a CZ layer's initial obstacle set."""
@@ -476,22 +460,17 @@ class Compiler:
 
     # ------------------------------------------------------------------
     # CZ layers
-    def _relocate_all(self, side: int, phase: _Phase | None = None) -> None:
-        """Move every nonempty column to the `side` cache parking slots
-        next to compute, within `phase`, or in a phase of its own when none
-        is given. With one cache, no column ever empties, so
-        `_relocate_all(RIGHT)` puts every column on its home slot."""
-        own = phase is None
-        if own:
-            phase = _Phase()
+    def _relocate_all(self, side: int) -> None:
+        """Move every nonempty column, within the open phase, to the `side`
+        cache parking slots next to compute. With one cache, no column
+        ever empties, so `_relocate_all(RIGHT)` puts every column on its
+        home slot."""
         cache = self._cache(side)
         live = [c for c in self.columns if c.atoms]
         first = 0 if side == RIGHT else len(self.cache_slots[RIGHT]) - len(live)
         for i, col in enumerate(live, first):
             self._move_column(col, self._cache_slot_x(side, i),
-                              self._parked_ys(col, cache), phase)
-        if own:
-            self._flush_moves(phase)
+                              self._parked_ys(col, cache))
 
     def _cz_layer(self) -> int:
         self.layer += 1
@@ -507,43 +486,37 @@ class Compiler:
         order = [c for c in self.columns if c.atoms]
         if side == LEFT:
             order.reverse()
-        # Retreats are chosen from where the layer found the columns.
-        self._plan_retreats(order, side)
+        later = self._plan_retreats(order, side)
         # Plan against every column parked on `side`, but let each column
         # travel once, straight to where the layer leaves it.
-        phase = _Phase()
-        self._relocate_all(side, phase)
+        self._relocate_all(side)
         self._reset_obstacles()
 
         for col in order:
-            action = self._find_action(col, staged, phase)
+            action = self._find_action(col, staged)
             if action == "blocked":
                 same_side_next = True
                 break
             executed += action != "idle"
-            if action == "swap":  # the SWAP's CZ is a new placement
-                self._plan_retreats(order, side, snapshot=False)
-            # A SWAP began, or idle: clear the way.
-            if action in ("swap", "idle") and not self._retreat(col, side, phase):
+            if action == "placed":
+                continue
+            if action != "idle":  # a new SWAP CZ, or atoms changed traps
+                later = self._plan_retreats(order, side)
+            # Clear the way, unless a deposit took the column's last atom.
+            if col.atoms and not self._retreat(col, side, later):
                 same_side_next = True
                 break
-        self._flush_moves(phase)
-
-        if staged:
-            self._illuminate(staged)
-
-        if self.one_cache:
-            self._relocate_all(RIGHT)  # columns return home every layer
-        elif not same_side_next:
+        self._fire(staged)
+        if not (self.one_cache or same_side_next):
             self.direction = toggle_direction(self.direction)
         return executed
 
     # -- per-column decision -------------------------------------------
-    def _find_action(self, col: _Column, staged: list[CzEntry],
-                     phase: _Phase):
+    def _find_action(self, col: _Column, staged: list[CzEntry]):
         """Pick and apply this column's action for the current layer:
-        "placed", "tc" (a trap change, after which the column has
-        retreated), "swap" (a SWAP began), "blocked" or "idle"."""
+        "placed", "tc" (a trap change closed the phase with the column over
+        the site, so the next phase finds it there), "swap" (a SWAP began),
+        "blocked" or "idle"."""
         wants_blocked = False
         conflict: tuple[int, int, int] | None = None  # (atom, q, partner q)
         for atom in sorted(col.atoms, key=lambda a: -self.atom_y[a]):
@@ -579,7 +552,7 @@ class Compiler:
             if plan is None:
                 wants_blocked = True
                 continue
-            self._commit_placement(col, plan, partner_atom, gate, staged, phase)
+            self._commit_placement(col, plan, partner_atom, gate, staged)
             if swap is not None:
                 swap.layer = self.layer
             return "placed"
@@ -588,7 +561,7 @@ class Compiler:
             if self.trap_change_first:
                 detail = self._plan_trapchange(col, conflict)
                 if detail is not None:
-                    self._trapchange_action(col, detail, phase)
+                    self._trapchange_action(col, detail)
                     return "tc"
             choice = self._choose_swap(conflict[1], conflict[2], forced=False)
             if choice is not None:
@@ -647,10 +620,10 @@ class Compiler:
 
     def _commit_placement(self, col: _Column, plan: _Placement,
                           partner_atom: int, gate: Gate,
-                          staged: list[CzEntry], phase: _Phase) -> None:
+                          staged: list[CzEntry]) -> None:
         y_targets = {plan.active_atom: plan.active_y}
         y_targets.update({a: y for a, y in plan.inactive})
-        self._move_column(col, plan.x, y_targets, phase)
+        self._move_column(col, plan.x, y_targets)
         comp = self.layout.compute
         self.obstacles.add(plan.active_atom, plan.x, plan.active_y)
         for a, y in plan.inactive:
@@ -670,26 +643,22 @@ class Compiler:
         self.frontier.advance(gate)
 
     # -- retreat ----------------------------------------------------------
-    def _plan_retreats(self, order: list[_Column], side: int,
-                       snapshot: bool = True) -> None:
-        """Record what `_retreat` decides from: with `snapshot`, every
-        column's x and every atom's y as they stand now, and, for each
-        column of `order` (this layer's processing order), how many live
-        columns follow it and the nearest placement x any of them could
-        want, as `side * x` (a suffix minimum)."""
-        if snapshot:
-            self.start_x = [c.x for c in self.columns]
-            self.start_y = list(self.atom_y)
-        self.order = order
-        self.later = {}
+    def _plan_retreats(self, order: list[_Column], side: int
+                       ) -> dict[int, tuple[float, int]]:
+        """What `_retreat` decides from: per cid of `order` (this layer's
+        processing order), the nearest placement x any live column after
+        it could want, as `side * x` (a suffix minimum), and how many live
+        columns follow it."""
+        later = {}
         reach, live = math.inf, 0
         for col in reversed(order):
-            self.later[col.cid] = reach, live
+            later[col.cid] = reach, live
             if col.atoms:
                 live += 1
                 for x in self._wanted_xs(col.atoms):
                     if side * x < reach:
                         reach = side * x
+        return later
 
     def _wanted_xs(self, atoms: list[int]) -> list[float]:
         """The x at which each of the column atoms `atoms` would place, for
@@ -721,13 +690,14 @@ class Compiler:
             out.append(self.atom_x[partner] + INTERACTION_OFFSET)
         return out
 
-    def _retreat(self, col: _Column, side: int, phase: _Phase) -> bool:
+    def _retreat(self, col: _Column, side: int,
+                 later: dict[int, tuple[float, int]]) -> bool:
         """Clear the way for the columns processed after this one, at the
-        legal spot nearest where the layer found the column
-        (`_plan_retreats`). Two spots compete: the opposite cache's free
-        slot nearest compute that still leaves a free slot on its compute
-        side for each later live column, and memory under the column's
-        layer-start x (inside memory's margin), legal only when every
+        legal spot nearest where the open phase found the column, by
+        `later` (`_plan_retreats`). Two spots compete: the opposite cache's
+        free slot nearest compute that still leaves a free slot on its
+        compute side for each later live column, and memory under the
+        column's found x (inside memory's margin), legal only when every
         placement a later column could want lies beyond it. If neither is
         legal, the column tucks in beside the blocking column and drops
         into memory, at memory's near margin if no live column is on its
@@ -737,15 +707,15 @@ class Compiler:
         drops into memory."""
         mem = self.layout.memory
         lo, hi = self._neighbors(col.cid)
-        reach, later = self.later[col.cid]
-        x0 = self.start_x[col.cid]
+        reach, n_later = later[col.cid]
+        x0 = col.found_x
         spots = []
         # Live columns are x-ordered by cid, so every slot in (lo, hi) is
         # free.
         slots = self.cache_slots[-side]
         i, j = bisect.bisect_right(slots, lo), bisect.bisect_left(slots, hi)
         if i < j:
-            k = max(i, j - 1 - later) if side == RIGHT else min(j - 1, i + later)
+            k = max(i, j - 1 - n_later) if side == RIGHT else min(j - 1, i + n_later)
             spots.append((slots[k], self._parked_ys(col, self._cache(-side))))
         x = min(max(x0, mem.x0 + ZONE_MARGIN), mem.x1 - ZONE_MARGIN)
         if lo < x < hi and side * x < reach:
@@ -753,10 +723,10 @@ class Compiler:
         if spots:
             def travel(spot):
                 x, ys = spot
-                return abs(x - x0) + max(abs(y - self.start_y[a])
+                return abs(x - x0) + max(abs(y - self.found_y[a])
                                          for a, y in ys.items())
             x, ys = min(spots, key=travel) if len(spots) > 1 else spots[0]
-            self._move_column(col, x, ys, phase)
+            self._move_column(col, x, ys)
             return True
         # Blocked: tuck in beside the neighbor and drop into memory.
         if side == RIGHT:
@@ -765,7 +735,7 @@ class Compiler:
             x = hi - self.params.storage_pitch
         if not (mem.x0 <= x <= mem.x1) or not (lo < x < hi):
             return False
-        self._move_column(col, x, self._parked_ys(col, mem), phase)
+        self._move_column(col, x, self._parked_ys(col, mem))
         return True
 
     # -- inserted swaps -----------------------------------------------------
@@ -897,10 +867,9 @@ class Compiler:
                 return ("extract", s_atom, site)
         return None
 
-    def _trapchange_action(self, col: _Column, detail, phase: _Phase) -> None:
-        """Apply a mid-circuit trap change: `phase` closes with the column
-        over the site, and the column retreats in the next one unless the
-        deposit emptied it."""
+    def _trapchange_action(self, col: _Column, detail) -> None:
+        """Apply a mid-circuit trap change: the open phase closes with the
+        column over the site, and the trap change follows."""
         kind, atom, site = detail
         sx, sy = self.grid.sites[site]
         # Over the site, with the column's other atoms tucked below compute
@@ -909,8 +878,8 @@ class Compiler:
         y_targets = {a: self._hang_y(j) for j, a in enumerate(hanging)}
         if kind == "deposit":
             y_targets[atom] = sy
-        self._move_column(col, sx, y_targets, phase)
-        self._flush_moves(phase)
+        self._move_column(col, sx, y_targets)
+        self._flush_moves()
         if kind == "deposit":
             self._to_sites([(atom, site)])
             col.atoms.remove(atom)
@@ -920,9 +889,6 @@ class Compiler:
                               [TrapTransfer(atom, sx, sy, column=col.cid)])
             self.atom_site[atom] = None
             col.atoms.append(atom)
-        if col.atoms:  # a deposit may have taken the column's last atom
-            self._plan_retreats(self.order, self.direction)
-            self._retreat(col, self.direction, phase)
 
     # ------------------------------------------------------------------
     # progress guard
@@ -981,34 +947,30 @@ class Compiler:
         self.layer += 1
         self.busy.clear()
         col = self._column_of(active_atom)
-        phase = _Phase()
-        self._park_others(col, phase)
+        self._park_others(col)
         self._reset_obstacles()
         plan = self._try_place(col, active_atom, partner_atom)
         if plan is None:
             raise SchedulerError("isolation placement failed")
         staged: list[CzEntry] = []
-        self._commit_placement(col, plan, partner_atom, gate, staged, phase)
-        self._flush_moves(phase)
-        self._illuminate(staged)
-        if self.one_cache:
-            self._relocate_all(RIGHT)
+        self._commit_placement(col, plan, partner_atom, gate, staged)
+        self._fire(staged)
 
-    def _park_others(self, col: _Column, phase: _Phase) -> None:
-        """Park every nonempty column but `col` out of its way, within
-        `phase`."""
+    def _park_others(self, col: _Column) -> None:
+        """Park every nonempty column but `col` out of its way, within the
+        open phase."""
         # Columns left of it park from park_x0 rightward.
         left = [c for c in self.columns[:col.cid] if c.atoms]
         for k, other in enumerate(left):
             self._move_column(other, self.park_x0 + k * self.params.storage_pitch,
-                              self._parked_ys(other, self.park_zone), phase)
+                              self._parked_ys(other, self.park_zone))
         # Columns right of it fill the right cache from its far edge.
         rc = self.layout.right_cache
         k = cache_column_slots(self.layout, self.params) - 1
         for other in reversed(self.columns[col.cid + 1:]):
             if other.atoms:
                 self._move_column(other, self._cache_slot_x(RIGHT, k),
-                                  self._parked_ys(other, rc), phase)
+                                  self._parked_ys(other, rc))
                 k -= 1
 
     # ------------------------------------------------------------------
@@ -1024,6 +986,7 @@ class Compiler:
         rc = self.layout.right_cache
 
         self._relocate_all(RIGHT)
+        self._flush_moves()
 
         # TC a: deposit every mobile atom where it is parked.
         mobile = []

@@ -152,11 +152,21 @@ class _Replay:
         self.phase = []
         self.phase_columns.clear()
 
+    def _unknown_qubits(self, i: int, qubits, what: str) -> bool:
+        """Report each of `qubits` that is not a circuit qubit; whether
+        there was one."""
+        unknown = [q for q in qubits if q not in range(len(self.atom_of))]
+        for q in unknown:
+            self.bad("dependency", i, f"{what} names unknown qubit {q}")
+        return bool(unknown)
+
     def _expected_gate(self, q: int) -> int | None:
         c = self.cursor[q]
         return self.by_qubit[q][c] if c < len(self.by_qubit[q]) else None
 
     def _native_u3(self, i: int, qubit: int, atom: int, angles) -> None:
+        if self._unknown_qubits(i, (qubit,), "u3"):
+            return
         if qubit in self.locked:
             self.bad("dependency", i, f"locked qubit {qubit} ran a native u3")
             return
@@ -176,6 +186,8 @@ class _Replay:
         self.cursor[qubit] += 1
 
     def _native_cz(self, i: int, qubits, atoms) -> None:
+        if self._unknown_qubits(i, qubits, f"cz {tuple(qubits)}"):
+            return
         q1, q2 = qubits
         if q1 in self.locked or q2 in self.locked:
             self.bad("dependency", i, f"locked qubit in native cz {qubits}")
@@ -196,6 +208,11 @@ class _Replay:
     def _swap_component(self, i: int, origin, kind: str, qubits,
                         angles=()) -> None:
         sid, step = origin
+        if step not in range(len(_SWAP_STEPS)):
+            self.bad("dependency", i, f"swap {sid} has no step {step}")
+            return
+        if self._unknown_qubits(i, qubits, f"swap {sid} step {step}"):
+            return
         if sid in self.swaps:
             seen, expect = self.swaps[sid]
         else:
@@ -273,10 +290,8 @@ class _Replay:
                 if atom in self.measured:
                     self.bad("double-measure", i, f"atom {atom} measured twice")
                 self.measured.add(atom)
-                if qubit not in range(len(self.atom_of)):
-                    self.bad("dependency", i, f"measure of atom {atom} names "
-                             f"unknown qubit {qubit}")
-                elif self.atom_of[qubit] != atom:
+                if not self._unknown_qubits(i, (qubit,), f"measure of atom {atom}") \
+                        and self.atom_of[qubit] != atom:
                     self.bad("dependency", i,
                              f"measure of atom {atom} names qubit {qubit}, "
                              f"mapped atom is {self.atom_of[qubit]}")
@@ -353,13 +368,16 @@ class _Replay:
         for k, p in enumerate(ev.pairs):
             (a1, a2) = p.atoms
             for a, (x, y) in zip(p.atoms, p.positions):
-                if self.pos.get(a) != (x, y):
+                if a not in self.pos:
+                    self.bad("blockade", i, f"pair atom {a} was never placed")
+                elif self.pos[a] != (x, y):
                     self.bad("blockade", i,
                              f"pair atom {a} recorded off its tracked position")
-            d = math.dist(self.pos[a1], self.pos[a2])
-            if d >= r_int:
-                self.bad("blockade", i,
-                         f"pair {p.atoms} separated by {d:.3f} um")
+            if a1 in self.pos and a2 in self.pos:
+                d = math.dist(self.pos[a1], self.pos[a2])
+                if d >= r_int:
+                    self.bad("blockade", i,
+                             f"pair {p.atoms} separated by {d:.3f} um")
             pair_of[a1] = k
             pair_of[a2] = k
             if p.origin is not None:
@@ -405,7 +423,8 @@ class _Replay:
             self.bad("double-measure", n_events - 1,
                      f"atoms never measured: {sorted(missing)}")
         for q, a in self.sched.final_mapping.items():
-            if self.atom_of[q] != a:
+            if not self._unknown_qubits(n_events - 1, (q,), "final mapping") \
+                    and self.atom_of[q] != a:
                 self.bad("dependency", n_events - 1,
                          f"final mapping of qubit {q} is {self.atom_of[q]}, "
                          f"schedule says {a}")

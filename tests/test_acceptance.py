@@ -128,18 +128,35 @@ class _GuardForcingCompiler(Compiler):
 class _PhasedCompiler(Compiler):
     """Emits a CZ layer's relocation and an isolation layer's parking as
     move phases of their own, as the compiler did before it fused each
-    into the placement phase that follows. Every decision is the same, so
-    it is the reference the fused schedules must match, event for event
-    apart from column moves and times."""
+    into the placement phase that follows. It records the state right
+    after relocating or parking and splits the phase there when it closes,
+    so the compiler's record of where the phase found each column, which
+    retreats read, is the fused one. Every decision is the same, so it is
+    the reference the fused schedules must match, event for event apart
+    from column moves and times."""
 
-    def _relocate_all(self, side, phase=None):
-        super()._relocate_all(side, phase)
-        if phase is not None:
-            self._flush_moves(phase)
+    split = None  # (column xs, atom ys) right after relocating or parking
 
-    def _park_others(self, col, phase):
-        super()._park_others(col, phase)
-        self._flush_moves(phase)
+    def _relocate_all(self, side):
+        super()._relocate_all(side)
+        self.split = [c.x for c in self.columns], list(self.atom_y)
+
+    def _park_others(self, col):
+        super()._park_others(col)
+        self.split = [c.x for c in self.columns], list(self.atom_y)
+
+    def _flush_moves(self, cols=None):
+        if self.split is not None:
+            (xs, ys), self.split = self.split, None
+            now_xs, now_ys = [c.x for c in self.columns], self.atom_y
+            for c, x in zip(self.columns, xs):
+                c.x = x
+            self.atom_y = ys
+            super()._flush_moves(cols)  # found -> the split
+            for c, x in zip(self.columns, now_xs):
+                c.x = x
+            self.atom_y = now_ys
+        super()._flush_moves(cols)
 
 
 class _PhasedGuardForcingCompiler(_PhasedCompiler, _GuardForcingCompiler):

@@ -98,14 +98,13 @@ def test_sequential_u3s_split_into_layers():
 def test_direction_toggles_between_cz_layers():
     # Two dependent CZ layers: the second plans from the opposite cache.
     # Each layer's relocation is fused into its placement phase, so read
-    # the side where the layer relocates.
+    # the side each layer starts from.
     sides = []
 
     class Sides(Compiler):
-        def _relocate_all(self, side, phase=None):
-            if phase is not None:  # a CZ layer's relocation
-                sides.append(side)
-            super()._relocate_all(side, phase)
+        def _cz_layer(self):
+            sides.append(self.direction)
+            return super()._cz_layer()
 
     circ = Circuit(3, [cz(0, 1), cz(1, 2)])
     params = PhysParams()
@@ -350,6 +349,55 @@ def test_trapchange_extracts_static_atom_into_column():
     assert validate_schedule(sched, layout, grid, params, circ) == []
 
 
+class _CrowdedCompiler(Compiler):
+    """Plans each mid-circuit trap change with an obstacle on every free
+    clear site, so no deposit is possible; records each plan."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.plans = []
+
+    def _plan_trapchange(self, col, conflict):
+        from pachinqo.scheduler import _Obstacles
+
+        real = self.obstacles
+        occupied = {site for site, _ in self._static_atoms()}
+        free = [site for site in self.clear_sites if site not in occupied]
+        self.obstacles = _Obstacles(real.n + len(free))
+        for a, k in real.index_of.items():
+            self.obstacles.add(a, real.x[k], real.y[k])
+        for k, site in enumerate(free):
+            self.obstacles.add(-1 - k, *self.grid.sites[site])
+        try:
+            self.plans.append(super()._plan_trapchange(col, conflict))
+        finally:
+            self.obstacles = real
+        return self.plans[-1]
+
+
+def test_trapchange_extracts_when_every_free_site_is_crowded():
+    """A same-side conflict whose column finds every free clear site
+    blocked extracts a static atom into the column. Qubits 2i are mobile
+    and 2i+1 static, so after the pairs run, CZ(24, 26) conflicts in
+    column 3, and static 27 (in the second site row, clear of the parked
+    column's atoms) has a static next partner, 25."""
+    params = PhysParams()
+    circ = Circuit(28, [cz(2 * i, 2 * i + 1) for i in range(14)]
+                   + [cz(24, 26), cz(25, 27)])
+    layout = build_layout(28, "auto", params)
+    grid = generate_grid("large-square", layout, params)
+    compiler = _CrowdedCompiler(circ, "trapchange", grid, layout, params)
+    assert compiler.placement.grouping.slm_qubits == list(range(1, 28, 2))
+    sched = compiler.run()
+    assert compiler.plans[0] == ("extract", 27, compiler.placement.site_of_qubit[27])
+    last_layer = sched.events[-1].layer
+    extractions = [e for e in sched.events
+                   if isinstance(e, TrapChange) and e.direction == SLM_TO_AOD
+                   and 0 < e.layer < last_layer]
+    assert [(t.atom, t.column) for e in extractions for t in e.transfers] == [(27, 3)]
+    assert validate_schedule(sched, layout, grid, params, circ) == []
+
+
 @pytest.mark.xfail(raises=SchedulerError, strict=True,
                    reason="onecache's progress guard finds no actionable "
                           "gate on many circuits of 54+ qubits")
@@ -421,7 +469,7 @@ def test_retreat_fallback_tucks_beside_blocker():
     legal either, parks at storage pitch from the blocking column and drops
     into memory."""
     from pachinqo.machine import PhysParams
-    from pachinqo.scheduler import LEFT, _Phase
+    from pachinqo.scheduler import LEFT
 
     params = PhysParams()
     circ = Circuit(10, [cz(2 * i, 2 * i + 1) for i in range(5)])
@@ -432,18 +480,24 @@ def test_retreat_fallback_tucks_beside_blocker():
     col0, col1 = compiler.columns[0], compiler.columns[1]
     # place column 1 in compute by hand; column 0 now cannot reach the
     # right cache (direction LEFT retreats rightward)
-    col1.x = 105.0
+    col1.x = col1.found_x = 105.0
     for a in col1.atoms:
         compiler.atom_x[a] = 105.0
-    compiler._plan_retreats([col1, col0], LEFT)
-    phase = _Phase()
-    assert compiler._retreat(col0, LEFT, phase)
-    moves = phase.moves(compiler.atom_y)
+    later = compiler._plan_retreats([col1, col0], LEFT)
+    assert compiler._retreat(col0, LEFT, later)
+    moves = _flushed_moves(compiler)
     assert len(moves) == 1, "a move must be emitted"
-    _, _, to_x, atoms = moves[0]
+    to_x, atoms = moves[0].to_x, moves[0].atoms
     assert to_x == col0.x == 105.0 - params.storage_pitch
     mem = layout.memory
     assert all(mem.y0 <= ty <= mem.y1 for _, _, ty in atoms)
+
+
+def _flushed_moves(compiler):
+    """Close the compiler's open move phase; returns the moves it emits."""
+    n = len(compiler.events)
+    compiler._flush_moves()
+    return [e for e in compiler.events[n:] if isinstance(e, ColumnMove)]
 
 
 def test_onecache_retreat_tucks_in_at_memory_edge():
@@ -451,7 +505,6 @@ def test_onecache_retreat_tucks_in_at_memory_edge():
     live column on its left, whose memory spot would block a later
     column's placement, tucks in at memory's left margin, into memory."""
     from pachinqo.machine import ZONE_MARGIN, PhysParams
-    from pachinqo.scheduler import _Phase
 
     params = PhysParams()
     circ = Circuit(10, [cz(2 * i, 2 * i + 1) for i in range(5)])
@@ -461,13 +514,13 @@ def test_onecache_retreat_tucks_in_at_memory_edge():
     compiler._apply_initialization()
     assert compiler.cache_slots[LEFT] == []
     col0 = compiler.columns[0]
-    compiler._plan_retreats(compiler.columns, RIGHT)
-    phase = _Phase()
+    later = compiler._plan_retreats(compiler.columns, RIGHT)
     from_x = col0.x
-    assert compiler._retreat(col0, RIGHT, phase)
-    moves = phase.moves(compiler.atom_y)
+    assert compiler._retreat(col0, RIGHT, later)
+    moves = _flushed_moves(compiler)
     assert len(moves) == 1
-    cid, fx, to_x, atoms = moves[0]
+    m = moves[0]
+    cid, fx, to_x, atoms = m.column, m.from_x, m.to_x, m.atoms
     assert fx == from_x
     assert cid == col0.cid and to_x == layout.memory.x0 + ZONE_MARGIN
     mem = layout.memory
@@ -492,17 +545,16 @@ def _three_column_compiler():
 
 def _retreat_in_order(compiler, side):
     """Plan a layer on `side` from where the columns stand, relocate, and
-    retreat every column in processing order; returns each column's x."""
-    from pachinqo.scheduler import _Phase
-
+    retreat every column in processing order; closes the move phase and
+    returns each column's x."""
     order = list(compiler.columns)
     if side == LEFT:
         order.reverse()
-    compiler._plan_retreats(order, side)
-    phase = _Phase()
-    compiler._relocate_all(side, phase)
+    later = compiler._plan_retreats(order, side)
+    compiler._relocate_all(side)
     for col in order:
-        assert compiler._retreat(col, side, phase)
+        assert compiler._retreat(col, side, later)
+    compiler._flush_moves()
     return [c.x for c in compiler.columns]
 
 
@@ -524,6 +576,7 @@ def test_retreat_takes_the_cache_slot_next_to_compute_that_leaves_room():
     # the columns retreat into the right cache, whose compute edge is its
     # first slot.
     compiler._relocate_all(LEFT)
+    compiler._flush_moves()
     assert [c.x for c in compiler.columns] == left[-3:]
     xs = _retreat_in_order(compiler, LEFT)
     assert xs == [mem.x0 + ZONE_MARGIN, right[1], right[2]]
@@ -540,19 +593,16 @@ def test_memory_parking_refused_past_a_later_columns_target(start_x,
     the shorter move, but column 1 could place at 161.5 (its partner at
     160 plus the interaction offset): parking at 170 would block that, so
     the column takes a cache slot instead."""
-    from pachinqo.scheduler import _Phase
-
     compiler = _three_column_compiler()
     assert min(compiler._wanted_xs(compiler.columns[1].atoms)) == \
         160.0 + INTERACTION_OFFSET
     col0 = compiler.columns[0]
-    col0.x = start_x
+    col0.x = col0.found_x = start_x
     for a in col0.atoms:
         compiler.atom_x[a] = start_x
-    compiler._plan_retreats(compiler.columns, RIGHT)
-    phase = _Phase()
-    compiler._relocate_all(RIGHT, phase)
-    assert compiler._retreat(col0, RIGHT, phase)
+    later = compiler._plan_retreats(compiler.columns, RIGHT)
+    compiler._relocate_all(RIGHT)
+    assert compiler._retreat(col0, RIGHT, later)
     if parks_in_memory:
         assert col0.x == start_x
         assert [compiler.atom_y[a] for a in col0.atoms] == [

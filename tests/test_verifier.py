@@ -2,13 +2,23 @@
 import copy
 import math
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from pachinqo.circuit import Circuit, cz, decompose_swap, u3, H_ANGLES
+from pachinqo.circuit import (
+    H_ANGLES,
+    Circuit,
+    cz,
+    decompose_swap,
+    decompose_to_basis,
+    u3,
+)
 from pachinqo.machine import build_layout, generate_grid
 from pachinqo.metrics import move_duration, movement_phase_time
+from pachinqo.qasm import parse_qasm
 from pachinqo.schedule import (
     AOD_TO_SLM,
     ColumnMove,
@@ -18,7 +28,7 @@ from pachinqo.schedule import (
     TrapTransfer,
     U3LayerEvent,
 )
-from pachinqo.scheduler import Compiler
+from pachinqo.scheduler import TECHNIQUES, Compiler
 from pachinqo.verifier import (
     _apply_cz,
     equivalence_check,
@@ -27,7 +37,7 @@ from pachinqo.verifier import (
     validate_schedule,
 )
 
-from corpus import random_circuit, staircase
+from corpus import GRIDS, random_circuit, random_qasm, staircase
 
 
 def _compile(circ, technique="pachinqo"):
@@ -234,6 +244,26 @@ def test_equivalence_qubit_cap():
         equivalence_check(sched, circ)
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=1, max_value=8), st.integers(min_value=0, max_value=40),
+       st.sampled_from(GRIDS), st.randoms(use_true_random=False))
+def test_random_qasm_compiles_valid_and_equivalent(n, n_gates, grid_kind, rng):
+    """Any QASM source over the supported gates, lowered and compiled by
+    every technique, validates clean and executes the lowered circuit."""
+    from pachinqo.machine import PhysParams
+
+    circ = decompose_to_basis(parse_qasm(random_qasm(rng, n, n_gates)))
+    params = PhysParams()
+    layout = build_layout(n, "auto", params, grid_kind)
+    grid = generate_grid(grid_kind, layout, params)
+    for technique in TECHNIQUES:
+        sched = Compiler(circ, technique, grid, layout, params).run()
+        assert validate_schedule(sched, layout, grid, params, circ) == [], \
+            technique
+        ok, err = equivalence_check(sched, circ)
+        assert ok, (technique, err)
+
+
 # ---------------------------------------------------------------------------
 # validator mutations
 
@@ -390,6 +420,49 @@ def test_validator_catches_unknown_measure_qubit():
     violations = _measure_mutant(relabel)
     assert [v.code for v in violations] == ["dependency"]
     assert "unknown qubit 99" in violations[0].description
+
+
+def _replace_first(cls, swap, change):
+    """A mutation that replaces the first U3 entry (`cls` U3LayerEvent) or
+    CZ pair (Illumination) that is, or with `swap` False is not, a SWAP
+    component by `change(entry)`."""
+    def mutate(sched):
+        for ev in sched.events:
+            if isinstance(ev, cls):
+                entries = ev.gates if cls is U3LayerEvent else ev.pairs
+                for k, e in enumerate(entries):
+                    if (e.origin is not None) == swap:
+                        entries[k] = change(e)
+                        return
+        raise AssertionError("no entry to mutate")
+    return mutate
+
+
+@pytest.mark.parametrize("mutate, code, expected", [
+    (_replace_first(Illumination, False,
+                    lambda p: replace(p, atoms=(p.atoms[0], 99))),
+     "blockade", "pair atom 99 was never placed"),
+    (_replace_first(U3LayerEvent, False, lambda g: replace(g, qubit=8)),
+     "dependency", "u3 names unknown qubit 8"),
+    (_replace_first(Illumination, False,
+                    lambda p: replace(p, qubits=(p.qubits[0], 8))),
+     "dependency", ", 8) names unknown qubit 8"),
+    (_replace_first(U3LayerEvent, True,
+                    lambda g: replace(g, origin=(g.origin[0], 9))),
+     "dependency", "has no step 9"),
+    (_replace_first(U3LayerEvent, True, lambda g: replace(g, qubit=8)),
+     "dependency", "step 0 names unknown qubit 8"),
+    (lambda sched: sched.final_mapping.update({8: 0}),
+     "dependency", "final mapping names unknown qubit 8"),
+], ids=["unplaced-pair-atom", "u3-unknown-qubit", "cz-unknown-qubit",
+        "swap-step-9", "swap-unknown-qubit", "final-mapping-unknown-qubit"])
+def test_validator_reports_malformed_entries(mutate, code, expected):
+    """Entries naming an atom the replay never placed, a qubit outside the
+    circuit or a SWAP step past the template are violations, not crashes."""
+    circ = random_circuit(random.Random(3), 8, 40)
+    violations = _mutate_and_check(circ, mutate)
+    assert any(v.code == code and expected in v.description
+               for v in violations), violations
 
 
 # ---------------------------------------------------------------------------
