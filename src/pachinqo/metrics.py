@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .machine import PhysParams
 from .schedule import ColumnMove, Illumination, Schedule, TrapChange, U3LayerEvent
@@ -33,19 +33,7 @@ class MetricsReport:
     compile_time_ms: float
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "runtime_us": self.runtime_us,
-                "runtime_breakdown_us": dict(self.runtime_breakdown_us),
-                "esp": self.esp,
-                "swap_count": self.swap_count,
-                "trap_change_count": self.trap_change_count,
-                "total_movement_um": self.total_movement_um,
-                "gate_counts": dict(self.gate_counts),
-                "compile_time_ms": self.compile_time_ms,
-            },
-            indent=1,
-        )
+        return json.dumps(asdict(self), indent=1)
 
 
 def move_duration(dx: float, dys: list[float], params: PhysParams) -> float:
@@ -74,22 +62,23 @@ def runtime_breakdown(events: list, params: PhysParams,
     """Modelled time of `events` in us by kind: movement, trap_change, u3
     and cz (measures take none).
 
-    Move events sharing a time interval form one concurrent phase.
+    Move events sharing a time interval form one phase, timed by
+    `movement_phase_time`.
     """
-    phases: dict[tuple[float, float], list[float]] = {}
+    phases: dict[tuple[float, float], list] = {}
     out = dict.fromkeys(("movement", "trap_change", "u3", "cz"), 0.0)
     for ev in events:
         if isinstance(ev, ColumnMove):
-            phases.setdefault((ev.t_start, ev.t_end), []).append(move_duration(
-                ev.to_x - ev.from_x, [ty - fy for _, fy, ty in ev.atoms], params))
+            phases.setdefault((ev.t_start, ev.t_end), []).append(
+                (ev.column, ev.from_x, ev.to_x, ev.atoms))
         elif isinstance(ev, Illumination):
             out["cz"] += params.cz_time
         elif isinstance(ev, U3LayerEvent):
             out["u3"] += params.u3_time
         elif isinstance(ev, TrapChange):
             out["trap_change"] += params.trap_change_time
-    for durs in phases.values():
-        out["movement"] += sum(durs) if serial else max(durs)
+    for moves in phases.values():
+        out["movement"] += movement_phase_time(moves, params, serial)
     return out
 
 

@@ -520,28 +520,17 @@ class Compiler:
         wants_blocked = False
         conflict: tuple[int, int, int] | None = None  # (atom, q, partner q)
         for atom in sorted(col.atoms, key=lambda a: -self.atom_y[a]):
-            q = self.qubit_of[atom]
-            swap = None
-            if q in self.frontier.lock:  # a pending inserted-SWAP CZ step
-                sid = self.frontier.lock[q]
-                swap = self.swaps[sid]
-                if swap.atom_aod != atom or swap.layer >= self.layer:
+            target = self._cz_target(atom)
+            if target is None:
+                continue
+            gate, partner_atom, swap = target
+            if swap is not None:
+                if swap.layer >= self.layer:
                     continue
-                gate = self.frontier.swap_gate(sid)
-                if gate.kind != "cz":
-                    continue
-                partner_atom = swap.atom_slm
-            else:  # a native CZ
-                i = self.frontier.next_gate(q)
-                if i == -1:
-                    continue
-                gate = self.circuit.gates[i]
-                if gate.kind != "cz":
-                    continue
-                p = gate.qubits[0] if gate.qubits[1] == q else gate.qubits[1]
+            else:
+                q, p = self.qubit_of[atom], self.qubit_of[partner_atom]
                 if not self.frontier.executable_cz(q, p):
                     continue
-                partner_atom = self.atom_of[p]
                 if self.atom_site[partner_atom] is None:
                     if conflict is None:
                         conflict = (atom, q, p)
@@ -661,34 +650,41 @@ class Compiler:
         return later
 
     def _wanted_xs(self, atoms: list[int]) -> list[float]:
-        """The x at which each of the column atoms `atoms` would place, for
-        its next CZ or its in-flight SWAP's pending CZ, if that CZ's
-        partner is static. It runs for every column atom in every layer, so
-        it reads the frontier's cursors directly."""
-        frontier = self.frontier
-        lock, by_qubit, pos = frontier.lock, frontier._by_qubit, frontier._pos
-        gates, qubit_of, atom_of = self.circuit.gates, self.qubit_of, self.atom_of
+        """The x at which each of the column atoms `atoms` would place for
+        the CZ it waits for (`_cz_target`): an in-flight SWAP's step, or a
+        native CZ with a static partner."""
         out = []
         for a in atoms:
-            q = qubit_of[a]
-            if q in lock:
-                swap = self.swaps[lock[q]]
-                if swap.atom_aod != a or frontier.swap_gate(lock[q]).kind != "cz":
-                    continue
-                partner = swap.atom_slm
-            else:
-                cursor = pos[q]
-                if cursor == len(by_qubit[q]):
-                    continue
-                g = gates[by_qubit[q][cursor]]
-                if g.kind != "cz":
-                    continue
-                a0, a1 = g.qubits
-                partner = atom_of[a1 if a0 == q else a0]
-                if self.atom_site[partner] is None:
-                    continue
-            out.append(self.atom_x[partner] + INTERACTION_OFFSET)
+            target = self._cz_target(a)
+            if target is not None:
+                _, partner, swap = target
+                if swap is not None or self.atom_site[partner] is not None:
+                    out.append(self.atom_x[partner] + INTERACTION_OFFSET)
         return out
+
+    def _cz_target(self, atom: int) -> tuple[Gate, int, _Swap | None] | None:
+        """The CZ column atom `atom` waits for, as (gate, partner atom,
+        swap): its in-flight SWAP's next step if that is a CZ it leads,
+        with the swap, or its next circuit gate if that is a CZ, with
+        None. None if it waits for no CZ. It runs for every column atom in
+        every layer, so it reads the frontier's cursors directly."""
+        frontier = self.frontier
+        q = self.qubit_of[atom]
+        sid = frontier.lock.get(q)
+        if sid is not None:
+            swap = self.swaps[sid]
+            gate = frontier.swap_gate(sid)
+            if swap.atom_aod != atom or gate.kind != "cz":
+                return None
+            return gate, swap.atom_slm, swap
+        by_qubit, cursor = frontier._by_qubit[q], frontier._pos[q]
+        if cursor == len(by_qubit):
+            return None
+        gate = self.circuit.gates[by_qubit[cursor]]
+        if gate.kind != "cz":
+            return None
+        q0, q1 = gate.qubits
+        return gate, self.atom_of[q1 if q0 == q else q0], None
 
     def _retreat(self, col: _Column, side: int,
                  later: dict[int, tuple[float, int]]) -> bool:

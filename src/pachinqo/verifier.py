@@ -87,7 +87,6 @@ class _Replay:
         self.pos: dict[int, tuple[float, float]] = {}
         self.col_x: dict[int, float] = {}
         self.col_atoms: dict[int, set[int]] = {}
-        self.atom_col: dict[int, int] = {}
         self.atom_of = list(range(n))
         self.cursor = [0] * n
         self.by_qubit: list[list[int]] = [[] for _ in range(n)]
@@ -116,6 +115,9 @@ class _Replay:
 
     # -- helpers --------------------------------------------------------
     def _check_ordering(self, i: int) -> None:
+        """Nonempty columns stand in strictly increasing x by column id;
+        checked after each column move and trap change, the only events
+        that move a column or change its atoms."""
         xs = [self.col_x[c] for c in sorted(self.col_atoms)
               if self.col_atoms[c]]
         for a, b in zip(xs, xs[1:]):
@@ -124,12 +126,13 @@ class _Replay:
                          f"column x positions not strictly increasing: {a} >= {b}")
                 return
 
-    def _check_bounds(self, i: int) -> None:
-        for atom, (x, y) in self.pos.items():
-            if not self.layout.in_any_zone(x, y):
-                self.bad("zone-bounds", i,
-                         f"atom {atom} at ({x:.2f}, {y:.2f}) outside all zones")
-                return
+    def _place(self, i: int, atom: int, x: float, y: float) -> None:
+        """Record that `atom` stands at (x, y) from event i on, which must
+        lie inside a zone."""
+        self.pos[atom] = (x, y)
+        if not self.layout.in_any_zone(x, y):
+            self.bad("zone-bounds", i,
+                     f"atom {atom} at ({x:.2f}, {y:.2f}) outside all zones")
 
     def _check_span(self, i: int, what: str, t_start: float, t_end: float,
                     duration: float) -> None:
@@ -297,8 +300,6 @@ class _Replay:
                              f"mapped atom is {self.atom_of[qubit]}")
                 if self.pos.get(atom) != (x, y):
                     self.bad("tandem", i, f"measure at stale position for {atom}")
-        self._check_ordering(i)
-        self._check_bounds(i)
 
     def _trap_change(self, i: int, ev: TrapChange) -> None:
         for tr in ev.transfers:
@@ -310,16 +311,16 @@ class _Replay:
                 if known is not None and known != (tr.x, tr.y):
                     self.bad("tandem", i,
                              f"pickup of {tr.atom} at wrong position")
-                self.pos[tr.atom] = (tr.x, tr.y)
-                if tr.column in self.col_atoms and self.col_atoms[tr.column]:
+                self._place(i, tr.atom, tr.x, tr.y)
+                if self.col_atoms.get(tr.column):
                     if abs(self.col_x[tr.column] - tr.x) > 1e-9:
                         self.bad("tandem", i,
                                  f"atom {tr.atom} joins column {tr.column} off-x")
                 self.col_x[tr.column] = tr.x
                 self.col_atoms.setdefault(tr.column, set()).add(tr.atom)
-                self.atom_col[tr.atom] = tr.column
             else:
-                col = self.atom_col.pop(tr.atom, None)
+                col = next((c for c, atoms in self.col_atoms.items()
+                            if tr.atom in atoms), None)
                 if col is None:
                     self.bad("tandem", i, f"deposit of non-mobile atom {tr.atom}")
                     continue
@@ -328,6 +329,7 @@ class _Replay:
                 self.col_atoms[col].discard(tr.atom)
                 if self.layout.compute.contains(tr.x, tr.y):
                     self._check_site(i, tr.atom, (tr.x, tr.y))
+        self._check_ordering(i)
 
     def _check_site(self, i: int, atom: int, xy: tuple[float, float]) -> None:
         """A deposit into compute lands exactly on a grid site that no other
@@ -357,8 +359,9 @@ class _Replay:
             px, py = self.pos.get(a, (None, None))
             if py is not None and abs(py - fy) > 1e-9:
                 self.bad("tandem", i, f"atom {a} from_y mismatch")
-            self.pos[a] = (ev.to_x, ty)
+            self._place(i, a, ev.to_x, ty)
         self.col_x[cid] = ev.to_x
+        self._check_ordering(i)
 
     def _illumination(self, i: int, ev: Illumination) -> None:
         r_int = self.params.interaction_radius
