@@ -906,7 +906,9 @@ class Compiler:
         Pending inserted-SWAP CZ steps and frontier-executable CZ gates are
         serviced in an isolation layer: every other column parks out of the
         way, so the placement is geometrically guaranteed. Same-trap
-        conflicts fall back to a forced swap initiation.
+        conflicts fall back to a forced swap initiation. Executable pairs
+        are tried in the order of their first CZ in the circuit; the layer
+        runs the pair's pending CZ, which that first CZ need not be.
         """
         for sid in sorted(self.swaps):
             swap = self.swaps[sid]
@@ -927,7 +929,8 @@ class Compiler:
             if s1 != s2:
                 mobile, static = (a2, a1) if s1 else (a1, a2)
                 if self._isolation_feasible(mobile, static):
-                    self._isolation_layer(mobile, static, g)
+                    self._isolation_layer(mobile, static, self.circuit.gates[
+                        self.frontier.next_gate(q1)])
                     return
                 continue
             # Same side: force a swap, preferring to move the lower qubit.
