@@ -390,7 +390,7 @@ class Compiler:
             if executed == 0:
                 self._guard()
         self._measurement()
-        schedule = Schedule(
+        return Schedule(
             technique=self.technique,
             grid=self.grid.kind,
             params=self.params,
@@ -402,17 +402,13 @@ class Compiler:
             swap_count=self.swap_count,
             trap_change_count=self.trap_change_count,
         )
-        return schedule
 
     # ------------------------------------------------------------------
     # U3 layers
     def _swap_u3_due(self, layer: int) -> list[int]:
-        due = []
-        for sid in sorted(self.swaps):
-            if self.frontier.swap_gate(sid).kind == "u3" and \
-                    self.swaps[sid].layer < layer:
-                due.append(sid)
-        return due
+        return [sid for sid in sorted(self.swaps)
+                if self.frontier.swap_gate(sid).kind == "u3"
+                and self.swaps[sid].layer < layer]
 
     def _u3_rounds(self) -> int:
         """Greedy U3 layers until no rotation is frontier-exposed."""
@@ -524,10 +520,7 @@ class Compiler:
             if target is None:
                 continue
             gate, partner_atom, swap = target
-            if swap is not None:
-                if swap.layer >= self.layer:
-                    continue
-            else:
+            if swap is None:  # a native CZ
                 q, p = self.qubit_of[atom], self.qubit_of[partner_atom]
                 if not self.frontier.executable_cz(q, p):
                     continue
@@ -535,6 +528,8 @@ class Compiler:
                     if conflict is None:
                         conflict = (atom, q, p)
                     continue
+            elif swap.layer >= self.layer:  # its last step ran this layer
+                continue
             if partner_atom in self.busy:
                 continue
             plan = self._try_place(col, atom, partner_atom)
@@ -651,23 +646,17 @@ class Compiler:
 
     def _wanted_xs(self, atoms: list[int]) -> list[float]:
         """The x at which each of the column atoms `atoms` would place for
-        the CZ it waits for (`_cz_target`): an in-flight SWAP's step, or a
-        native CZ with a static partner."""
-        out = []
-        for a in atoms:
-            target = self._cz_target(a)
-            if target is not None:
-                _, partner, swap = target
-                if swap is not None or self.atom_site[partner] is not None:
-                    out.append(self.atom_x[partner] + INTERACTION_OFFSET)
-        return out
+        the CZ it waits for (`_cz_target`): a SWAP step, or a native CZ
+        whose partner is static."""
+        targets = filter(None, map(self._cz_target, atoms))
+        return [self.atom_x[p] + INTERACTION_OFFSET for _, p, swap in targets
+                if swap is not None or self.atom_site[p] is not None]
 
     def _cz_target(self, atom: int) -> tuple[Gate, int, _Swap | None] | None:
-        """The CZ column atom `atom` waits for, as (gate, partner atom,
-        swap): its in-flight SWAP's next step if that is a CZ it leads,
-        with the swap, or its next circuit gate if that is a CZ, with
-        None. None if it waits for no CZ. It runs for every column atom in
-        every layer, so it reads the frontier's cursors directly."""
+        """(gate, partner atom, swap) for the CZ column atom `atom` waits
+        for: its in-flight SWAP's CZ step, or its next gate if that is a CZ
+        (swap None); else None. It runs for every column atom in every
+        layer, so it reads the frontier's cursors directly."""
         frontier = self.frontier
         q = self.qubit_of[atom]
         sid = frontier.lock.get(q)

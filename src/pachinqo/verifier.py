@@ -5,7 +5,8 @@ tracking and its own distance arithmetic (deliberately sharing no
 placement code with the scheduler), checking: AOD column ordering, tandem
 column membership, illumination blockade geometry, zone containment,
 deposits into compute landing on a free grid site,
-dependency order of executed gates and each rotation's angles (a native
+dependency order of executed gates (a native CZ names its gate's qubits
+in the gate's order) and each rotation's angles (a native
 U3 bit for bit equal to its circuit gate, a SWAP step to its template
 step), single measurement per atom, the
 qubit each measurement names (the replayed mapping's qubit for that
@@ -15,7 +16,9 @@ once per move phase and each atom rotates at most once per U3 layer (a
 phase or layer is timed as concurrent work, so a second hop or rotation
 would go uncounted), and the schedule's end time
 is the sum of its layer times, so the reported runtime is checked rather
-than only emitted.
+than only emitted. Zone and order checks run at the event that changes
+positions: each pickup and column move zone-checks the atoms it places,
+and column order is checked after each column move and trap change.
 
 The oracle is the independent cross-check for circuits of up to
 EQUIVALENCE_QUBIT_CAP qubits: it runs the circuit and the schedule's
@@ -115,9 +118,6 @@ class _Replay:
 
     # -- helpers --------------------------------------------------------
     def _check_ordering(self, i: int) -> None:
-        """Nonempty columns stand in strictly increasing x by column id;
-        checked after each column move and trap change, the only events
-        that move a column or change its atoms."""
         xs = [self.col_x[c] for c in sorted(self.col_atoms)
               if self.col_atoms[c]]
         for a, b in zip(xs, xs[1:]):
@@ -127,8 +127,7 @@ class _Replay:
                 return
 
     def _place(self, i: int, atom: int, x: float, y: float) -> None:
-        """Record that `atom` stands at (x, y) from event i on, which must
-        lie inside a zone."""
+        """Record that event i puts `atom` at (x, y), inside a zone."""
         self.pos[atom] = (x, y)
         if not self.layout.in_any_zone(x, y):
             self.bad("zone-bounds", i,
@@ -205,6 +204,9 @@ class _Replay:
         if g.kind != "cz" or set(g.qubits) != {q1, q2}:
             self.bad("dependency", i, f"cz {qubits} does not match gate {g}")
             return
+        if g.qubits != (q1, q2):  # the gate ran, under the wrong name
+            self.bad("dependency", i, f"cz {qubits} lists gate {g1}'s "
+                     f"qubits {g.qubits} out of order")
         self.cursor[q1] += 1
         self.cursor[q2] += 1
 
@@ -307,15 +309,14 @@ class _Replay:
                 if tr.column is None:
                     self.bad("tandem", i, f"pickup of {tr.atom} names no column")
                     continue
-                known = self.pos.get(tr.atom)
-                if known is not None and known != (tr.x, tr.y):
+                if self.pos.get(tr.atom, (tr.x, tr.y)) != (tr.x, tr.y):
                     self.bad("tandem", i,
                              f"pickup of {tr.atom} at wrong position")
                 self._place(i, tr.atom, tr.x, tr.y)
-                if self.col_atoms.get(tr.column):
-                    if abs(self.col_x[tr.column] - tr.x) > 1e-9:
-                        self.bad("tandem", i,
-                                 f"atom {tr.atom} joins column {tr.column} off-x")
+                if self.col_atoms.get(tr.column) and \
+                        abs(self.col_x[tr.column] - tr.x) > 1e-9:
+                    self.bad("tandem", i,
+                             f"atom {tr.atom} joins column {tr.column} off-x")
                 self.col_x[tr.column] = tr.x
                 self.col_atoms.setdefault(tr.column, set()).add(tr.atom)
             else:
@@ -356,8 +357,7 @@ class _Replay:
         if abs(self.col_x[cid] - ev.from_x) > 1e-9:
             self.bad("tandem", i, f"column {cid} from_x mismatch")
         for a, fy, ty in ev.atoms:
-            px, py = self.pos.get(a, (None, None))
-            if py is not None and abs(py - fy) > 1e-9:
+            if a in self.pos and abs(self.pos[a][1] - fy) > 1e-9:
                 self.bad("tandem", i, f"atom {a} from_y mismatch")
             self._place(i, a, ev.to_x, ty)
         self.col_x[cid] = ev.to_x

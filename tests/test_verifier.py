@@ -21,6 +21,7 @@ from pachinqo.metrics import move_duration, movement_phase_time
 from pachinqo.qasm import parse_qasm
 from pachinqo.schedule import (
     AOD_TO_SLM,
+    SLM_TO_AOD,
     ColumnMove,
     Illumination,
     Measure,
@@ -382,6 +383,27 @@ def test_validator_catches_dependency_break():
     assert any(v.code == "dependency" for v in violations)
 
 
+def test_validator_catches_cz_operands_out_of_gate_order():
+    """A native CZ entry names its gate's qubits in the gate's order. With
+    its qubits, atoms and positions reversed together the same two atoms
+    interact, so only the name is wrong: one violation, and the cursors
+    still advance, so nothing cascades."""
+    circ = random_circuit(random.Random(3), 8, 40)
+    sched, layout, grid, params = _compile(circ)
+    assert validate_schedule(sched, layout, grid, params, circ) == []
+    mutated = copy.deepcopy(sched)
+    i, k = next((i, k) for i, ev in enumerate(mutated.events)
+                if isinstance(ev, Illumination)
+                for k, p in enumerate(ev.pairs) if p.origin is None)
+    p = mutated.events[i].pairs[k]
+    mutated.events[i].pairs[k] = replace(p, qubits=p.qubits[::-1],
+                                         atoms=p.atoms[::-1],
+                                         positions=p.positions[::-1])
+    violations = validate_schedule(mutated, layout, grid, params, circ)
+    assert [(v.code, v.event) for v in violations] == [("dependency", i)]
+    assert "out of order" in violations[0].description
+
+
 def test_validator_passes_all_techniques():
     rng = random.Random(77)
     circ = random_circuit(rng, 8, 60)
@@ -569,6 +591,70 @@ def test_validator_catches_column_move_with_no_atoms():
         m.t_start, m.t_end, m.layer, ferry, x, x, []))
     violations = validate_schedule(mutated, layout, grid, params, circ)
     assert [(v.code, v.event) for v in violations] == [("tandem", index + 1)]
+
+
+# Zone and order checks run at the event that moves an atom or a column,
+# so a fault is reported once, where it happens.
+
+def _codes(violations, code):
+    return [(v.code, v.event) for v in violations if v.code == code]
+
+
+def test_validator_reports_a_move_out_of_every_zone_once():
+    circ = random_circuit(random.Random(3), 8, 40)
+    sched, layout, grid, params = _compile(circ)
+    mutated = copy.deepcopy(sched)
+    index = next(i for i, ev in enumerate(mutated.events)
+                 if isinstance(ev, ColumnMove) and ev.layer > 0)
+    m = mutated.events[index]
+    a, fy, _ = m.atoms[0]
+    m.atoms[0] = (a, fy, -1e6)
+    violations = validate_schedule(mutated, layout, grid, params, circ)
+    assert _codes(violations, "zone-bounds") == [("zone-bounds", index)]
+
+
+def test_validator_reports_a_pickup_outside_every_zone_at_its_trap_change():
+    # Lift one ferry atom from below every zone, in the column that moves
+    # last in the phase after the pickup: it stays out until that move.
+    circ = random_circuit(random.Random(3), 8, 40)
+    sched, layout, grid, params = _compile(circ)
+    mutated = copy.deepcopy(sched)
+    index = next(i for i, ev in enumerate(mutated.events)
+                 if isinstance(ev, TrapChange) and ev.direction == SLM_TO_AOD)
+    last = index + 1
+    while isinstance(mutated.events[last + 1], ColumnMove):
+        last += 1
+    assert last > index + 1
+    pickup = mutated.events[index]
+    k = next(k for k, tr in enumerate(pickup.transfers)
+             if tr.column == mutated.events[last].column)
+    pickup.transfers[k] = replace(pickup.transfers[k], y=-1e6)
+    violations = validate_schedule(mutated, layout, grid, params, circ)
+    assert _codes(violations, "zone-bounds") == [("zone-bounds", index)]
+
+
+def test_validator_reports_a_pickup_out_of_column_order_at_its_trap_change():
+    # After readout, lift two measured atoms into two new columns whose
+    # ids run against their x order, just before the last measurement.
+    circ = random_circuit(random.Random(3), 8, 40)
+    sched, layout, grid, params = _compile(circ)
+    mutated = copy.deepcopy(sched)
+    index = len(mutated.events) - 1
+    deposit = mutated.events[index - 1]
+    assert isinstance(mutated.events[index], Measure)
+    assert deposit.direction == AOD_TO_SLM
+    left = min(deposit.transfers, key=lambda tr: tr.x)
+    right = max(deposit.transfers, key=lambda tr: tr.x)
+    assert left.x < right.x
+    cid = 1 + max(tr.column for ev in mutated.events
+                  if isinstance(ev, TrapChange) for tr in ev.transfers
+                  if tr.column is not None)
+    mutated.events.insert(index, TrapChange(
+        deposit.t_end, deposit.t_end + params.trap_change_time,
+        deposit.layer, SLM_TO_AOD,
+        [replace(right, column=cid), replace(left, column=cid + 1)]))
+    violations = validate_schedule(mutated, layout, grid, params, circ)
+    assert _codes(violations, "ordering") == [("ordering", index)]
 
 
 def test_validator_catches_two_rotations_of_one_atom_in_one_layer():
