@@ -47,14 +47,9 @@ def movement_phase_time(
     serial: bool = False,
 ) -> float:
     """Duration of one phase of column moves (concurrent max or serial sum)."""
-    durs = [
-        move_duration(tx - fx, [ty - fy for _, fy, ty in atoms], params)
-        for _, fx, tx, atoms in moves
-    ]
-    durs = [d for d in durs if d > 0]
-    if not durs:
-        return 0.0
-    return sum(durs) if serial else max(durs)
+    durs = [move_duration(tx - fx, [ty - fy for _, fy, ty in atoms], params)
+            for _, fx, tx, atoms in moves]
+    return sum(durs, 0.0) if serial else max(durs, default=0.0)
 
 
 def runtime_breakdown(events: list, params: PhysParams,

@@ -390,7 +390,7 @@ class Compiler:
             if executed == 0:
                 self._guard()
         self._measurement()
-        return Schedule(
+        schedule = Schedule(
             technique=self.technique,
             grid=self.grid.kind,
             params=self.params,
@@ -402,13 +402,17 @@ class Compiler:
             swap_count=self.swap_count,
             trap_change_count=self.trap_change_count,
         )
+        return schedule
 
     # ------------------------------------------------------------------
     # U3 layers
     def _swap_u3_due(self, layer: int) -> list[int]:
-        return [sid for sid in sorted(self.swaps)
-                if self.frontier.swap_gate(sid).kind == "u3"
-                and self.swaps[sid].layer < layer]
+        due = []
+        for sid in sorted(self.swaps):
+            if self.frontier.swap_gate(sid).kind == "u3" and \
+                    self.swaps[sid].layer < layer:
+                due.append(sid)
+        return due
 
     def _u3_rounds(self) -> int:
         """Greedy U3 layers until no rotation is frontier-exposed."""
@@ -632,48 +636,47 @@ class Compiler:
         """What `_retreat` decides from: per cid of `order` (this layer's
         processing order), the nearest placement x any live column after
         it could want, as `side * x` (a suffix minimum), and how many live
-        columns follow it."""
+        columns follow it. A column atom wants the x next to the partner
+        of the CZ it waits for (`_cz_target`): a SWAP step's, or a native
+        CZ's if that partner is static."""
         later = {}
         reach, live = math.inf, 0
         for col in reversed(order):
             later[col.cid] = reach, live
-            if col.atoms:
-                live += 1
-                for x in self._wanted_xs(col.atoms):
-                    if side * x < reach:
-                        reach = side * x
+            live += bool(col.atoms)
+            for atom in col.atoms:
+                target = self._cz_target(atom)
+                if target is None:
+                    continue
+                _, partner, swap = target
+                x = side * (self.atom_x[partner] + INTERACTION_OFFSET)
+                if x < reach and (swap is not None
+                                    or self.atom_site[partner] is not None):
+                    reach = x
         return later
-
-    def _wanted_xs(self, atoms: list[int]) -> list[float]:
-        """The x at which each of the column atoms `atoms` would place for
-        the CZ it waits for (`_cz_target`): a SWAP step, or a native CZ
-        whose partner is static."""
-        targets = filter(None, map(self._cz_target, atoms))
-        return [self.atom_x[p] + INTERACTION_OFFSET for _, p, swap in targets
-                if swap is not None or self.atom_site[p] is not None]
 
     def _cz_target(self, atom: int) -> tuple[Gate, int, _Swap | None] | None:
         """(gate, partner atom, swap) for the CZ column atom `atom` waits
         for: its in-flight SWAP's CZ step, or its next gate if that is a CZ
         (swap None); else None. It runs for every column atom in every
         layer, so it reads the frontier's cursors directly."""
-        frontier = self.frontier
         q = self.qubit_of[atom]
-        sid = frontier.lock.get(q)
-        if sid is not None:
-            swap = self.swaps[sid]
+        frontier = self.frontier
+        if q not in frontier.lock:
+            cursor, by_qubit = frontier._pos[q], frontier._by_qubit[q]
+            if cursor < len(by_qubit):
+                gate = self.circuit.gates[by_qubit[cursor]]
+                if gate.kind == "cz":
+                    q0, q1 = gate.qubits
+                    return gate, self.atom_of[q1 if q0 == q else q0], None
+            return None
+        sid = frontier.lock[q]
+        swap = self.swaps[sid]
+        if swap.atom_aod == atom:
             gate = frontier.swap_gate(sid)
-            if swap.atom_aod != atom or gate.kind != "cz":
-                return None
-            return gate, swap.atom_slm, swap
-        by_qubit, cursor = frontier._by_qubit[q], frontier._pos[q]
-        if cursor == len(by_qubit):
-            return None
-        gate = self.circuit.gates[by_qubit[cursor]]
-        if gate.kind != "cz":
-            return None
-        q0, q1 = gate.qubits
-        return gate, self.atom_of[q1 if q0 == q else q0], None
+            if gate.kind == "cz":
+                return gate, swap.atom_slm, swap
+        return None
 
     def _retreat(self, col: _Column, side: int,
                  later: dict[int, tuple[float, int]]) -> bool:

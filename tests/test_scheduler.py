@@ -594,13 +594,12 @@ def test_memory_parking_refused_past_a_later_columns_target(start_x,
     160 plus the interaction offset): parking at 170 would block that, so
     the column takes a cache slot instead."""
     compiler = _three_column_compiler()
-    assert min(compiler._wanted_xs(compiler.columns[1].atoms)) == \
-        160.0 + INTERACTION_OFFSET
     col0 = compiler.columns[0]
     col0.x = col0.found_x = start_x
     for a in col0.atoms:
         compiler.atom_x[a] = start_x
     later = compiler._plan_retreats(compiler.columns, RIGHT)
+    assert later[col0.cid][0] == 160.0 + INTERACTION_OFFSET
     compiler._relocate_all(RIGHT)
     assert compiler._retreat(col0, RIGHT, later)
     if parks_in_memory:
