@@ -57,8 +57,7 @@ def runtime_breakdown(events: list, params: PhysParams,
     """Modelled time of `events` in us by kind: movement, trap_change, u3
     and cz (measures take none).
 
-    Move events sharing a time interval form one phase, timed by
-    `movement_phase_time`.
+    Move events sharing a time interval form one `movement_phase_time` phase.
     """
     phases: dict[tuple[float, float], list] = {}
     out = dict.fromkeys(("movement", "trap_change", "u3", "cz"), 0.0)

@@ -532,7 +532,7 @@ class Compiler:
                     if conflict is None:
                         conflict = (atom, q, p)
                     continue
-            elif swap.layer >= self.layer:  # its last step ran this layer
+            elif swap.layer >= self.layer:  # a step of it ran this layer
                 continue
             if partner_atom in self.busy:
                 continue
@@ -898,9 +898,8 @@ class Compiler:
         Pending inserted-SWAP CZ steps and frontier-executable CZ gates are
         serviced in an isolation layer: every other column parks out of the
         way, so the placement is geometrically guaranteed. Same-trap
-        conflicts fall back to a forced swap initiation. Executable pairs
-        are tried in the order of their first CZ in the circuit; the layer
-        runs the pair's pending CZ, which that first CZ need not be.
+        conflicts fall back to a forced swap initiation. Pairs are tried in
+        the order of their first CZ in the circuit.
         """
         for sid in sorted(self.swaps):
             swap = self.swaps[sid]

@@ -127,7 +127,7 @@ class _Replay:
                 return
 
     def _place(self, i: int, atom: int, x: float, y: float) -> None:
-        """Record that event i puts `atom` at (x, y), inside a zone."""
+        """Record that event i puts `atom` at (x, y), which lies in a zone."""
         self.pos[atom] = (x, y)
         if not self.layout.in_any_zone(x, y):
             self.bad("zone-bounds", i,
@@ -309,14 +309,15 @@ class _Replay:
                 if tr.column is None:
                     self.bad("tandem", i, f"pickup of {tr.atom} names no column")
                     continue
-                if self.pos.get(tr.atom, (tr.x, tr.y)) != (tr.x, tr.y):
+                known = self.pos.get(tr.atom)
+                if known is not None and known != (tr.x, tr.y):
                     self.bad("tandem", i,
                              f"pickup of {tr.atom} at wrong position")
                 self._place(i, tr.atom, tr.x, tr.y)
-                if self.col_atoms.get(tr.column) and \
-                        abs(self.col_x[tr.column] - tr.x) > 1e-9:
-                    self.bad("tandem", i,
-                             f"atom {tr.atom} joins column {tr.column} off-x")
+                if tr.column in self.col_atoms and self.col_atoms[tr.column]:
+                    if abs(self.col_x[tr.column] - tr.x) > 1e-9:
+                        self.bad("tandem", i,
+                                 f"atom {tr.atom} joins column {tr.column} off-x")
                 self.col_x[tr.column] = tr.x
                 self.col_atoms.setdefault(tr.column, set()).add(tr.atom)
             else:
@@ -357,7 +358,8 @@ class _Replay:
         if abs(self.col_x[cid] - ev.from_x) > 1e-9:
             self.bad("tandem", i, f"column {cid} from_x mismatch")
         for a, fy, ty in ev.atoms:
-            if a in self.pos and abs(self.pos[a][1] - fy) > 1e-9:
+            px, py = self.pos.get(a, (None, None))
+            if py is not None and abs(py - fy) > 1e-9:
                 self.bad("tandem", i, f"atom {a} from_y mismatch")
             self._place(i, a, ev.to_x, ty)
         self.col_x[cid] = ev.to_x
