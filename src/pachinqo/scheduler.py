@@ -70,7 +70,6 @@ from .machine import (
     cache_column_slots,
     generate_grid,
     pair_clear_sites,
-    slm_capacity,
 )
 from .metrics import movement_phase_time
 from .placement import (
@@ -127,34 +126,6 @@ class _Column:
         self.found_x = self.x
 
 
-class _Obstacles:
-    """Compute-zone atom positions for crosstalk clearance checks."""
-
-    def __init__(self, capacity: int):
-        self.x = [0.0] * capacity
-        self.y = [0.0] * capacity
-        self.n = 0
-        self.index_of: dict[int, int] = {}
-
-    def reset(self) -> None:
-        self.n = 0
-        self.index_of.clear()
-
-    def add(self, atom: int, x: float, y: float) -> None:
-        self.x[self.n] = x
-        self.y[self.n] = y
-        self.index_of[atom] = self.n
-        self.n += 1
-
-    def clear_from(self, px: float, py: float, r2: float) -> bool:
-        return kernels.clear_from(self.x, self.y, self.n, px, py, r2)
-
-    def clear_from_except(self, px: float, py: float, r2: float,
-                          skip_atom: int) -> bool:
-        skip = self.index_of.get(skip_atom, -1)
-        return kernels.clear_from_except(self.x, self.y, self.n, px, py, r2, skip)
-
-
 @dataclass
 class _Swap:
     """An inserted SWAP in flight between a mobile and a static atom; the
@@ -195,7 +166,8 @@ class Compiler:
         group_fn = degree_split_group if technique == "degreesplit" else greedy_maxcut_group
         self.one_cache = technique == "onecache"
         self.trap_change_first = technique == "trapchange"
-        grouping = group_fn(circuit, slm_capacity(grid, params),
+        self.clear_sites = pair_clear_sites(grid, params)
+        grouping = group_fn(circuit, len(self.clear_sites),
                             aod_capacity(layout, params))
         self.placement: InitialPlacement = assign_atoms(grouping, grid, layout, params)
 
@@ -207,7 +179,6 @@ class Compiler:
         self.atom_site: list[int | None] = [None] * n
         self.qubit_of = list(range(n))
         self.atom_of = list(range(n))
-        self.clear_sites = pair_clear_sites(grid, params)
         # Indexed by cid, which is also left-to-right order.
         self.columns: list[_Column] = []
         self.next_cid = len(self.placement.memory_groups)
@@ -221,7 +192,8 @@ class Compiler:
         self.t = 0.0
         self.layer = 0
         self.direction = RIGHT
-        self.obstacles = _Obstacles(n + 4)
+        # Atoms a CZ layer's placements keep crosstalk_radius from.
+        self.obstacles: list[int] = []
         # Each cache's column-slot x, ascending.
         n_slots = cache_column_slots(layout, params)
         self.cache_slots = {side: [self._cache_slot_x(side, i) for i in range(n_slots)]
@@ -331,9 +303,7 @@ class Compiler:
 
     def _reset_obstacles(self) -> None:
         """Static compute atoms are a CZ layer's initial obstacle set."""
-        self.obstacles.reset()
-        for _, atom in self._static_atoms():
-            self.obstacles.add(atom, self.atom_x[atom], self.atom_y[atom])
+        self.obstacles = [atom for _, atom in self._static_atoms()]
 
     def _static_atoms(self) -> list[tuple[int, int]]:
         """(site, atom) for every site-held atom, in site order."""
@@ -460,6 +430,12 @@ class Compiler:
 
     # ------------------------------------------------------------------
     # CZ layers
+    def _park(self, cols: list[_Column], zone, x0: float, first: int = 0) -> None:
+        """Park `cols` in `zone`, the k-th at x `x0 + (first + k) * storage_pitch`."""
+        for i, col in enumerate(cols, first):
+            self._move_column(col, x0 + i * self.params.storage_pitch,
+                              self._parked_ys(col, zone))
+
     def _relocate_all(self, side: int) -> None:
         """Move every nonempty column, within the open phase, to the `side`
         cache parking slots next to compute. With one cache, no column
@@ -468,9 +444,7 @@ class Compiler:
         cache = self._cache(side)
         live = [c for c in self.columns if c.atoms]
         first = 0 if side == RIGHT else len(self.cache_slots[RIGHT]) - len(live)
-        for i, col in enumerate(live, first):
-            self._move_column(col, self._cache_slot_x(side, i),
-                              self._parked_ys(col, cache))
+        self._park(live, cache, cache.x0 + ZONE_MARGIN, first)
 
     def _cz_layer(self) -> int:
         self.layer += 1
@@ -569,7 +543,8 @@ class Compiler:
         lo, hi = self._neighbors(col.cid)
         if not (lo < x < hi):
             return None
-        if not self.obstacles.clear_from_except(x, sy, r2, partner_atom):
+        if not kernels.clear_from_except(self.obstacles, self.atom_x, self.atom_y,
+                                         x, sy, r2, partner_atom):
             return None
 
         comp = self.layout.compute
@@ -601,7 +576,8 @@ class Compiler:
                 break
             if any(abs(y - t) < r for t in taken):
                 continue
-            if not self.obstacles.clear_from(x, y, r2):
+            if not kernels.clear_from(self.obstacles, self.atom_x, self.atom_y,
+                                      x, y, r2):
                 continue
             return y
         return None
@@ -612,11 +588,9 @@ class Compiler:
         y_targets = {plan.active_atom: plan.active_y}
         y_targets.update({a: y for a, y in plan.inactive})
         self._move_column(col, plan.x, y_targets)
-        comp = self.layout.compute
-        self.obstacles.add(plan.active_atom, plan.x, plan.active_y)
-        for a, y in plan.inactive:
-            if comp.contains(plan.x, y):
-                self.obstacles.add(a, plan.x, y)
+        self.obstacles.append(plan.active_atom)
+        self.obstacles.extend(a for a, y in plan.inactive
+                              if self.layout.compute.contains(plan.x, y))
         self.busy.add(plan.active_atom)
         self.busy.add(partner_atom)
         qa = self.qubit_of[plan.active_atom]
@@ -831,7 +805,8 @@ class Compiler:
             sx, sy = self.grid.sites[site]
             if not (lo < sx < hi):
                 continue
-            if not self.obstacles.clear_from(sx, sy, r2):
+            if not kernels.clear_from(self.obstacles, self.atom_x, self.atom_y,
+                                      sx, sy, r2):
                 continue
             d = (sx - self.atom_x[atom]) ** 2 + (sy - self.atom_y[atom]) ** 2
             key = (d, site)
@@ -871,7 +846,7 @@ class Compiler:
         if kind == "deposit":
             self._to_sites([(atom, site)])
             col.atoms.remove(atom)
-            self.obstacles.add(atom, sx, sy)
+            self.obstacles.append(atom)
         else:  # extract
             self._trap_change(SLM_TO_AOD,
                               [TrapTransfer(atom, sx, sy, column=col.cid)])
@@ -949,19 +924,14 @@ class Compiler:
     def _park_others(self, col: _Column) -> None:
         """Park every nonempty column but `col` out of its way, within the
         open phase."""
-        # Columns left of it park from park_x0 rightward.
+        # Left of it from park_x0 rightward; right of it up to the right
+        # cache's far edge.
         left = [c for c in self.columns[:col.cid] if c.atoms]
-        for k, other in enumerate(left):
-            self._move_column(other, self.park_x0 + k * self.params.storage_pitch,
-                              self._parked_ys(other, self.park_zone))
-        # Columns right of it fill the right cache from its far edge.
+        right = [c for c in self.columns[col.cid + 1:] if c.atoms]
+        self._park(left, self.park_zone, self.park_x0)
         rc = self.layout.right_cache
-        k = cache_column_slots(self.layout, self.params) - 1
-        for other in reversed(self.columns[col.cid + 1:]):
-            if other.atoms:
-                self._move_column(other, self._cache_slot_x(RIGHT, k),
-                                  self._parked_ys(other, rc))
-                k -= 1
+        self._park(right, rc, rc.x0 + ZONE_MARGIN,
+                   len(self.cache_slots[RIGHT]) - len(right))
 
     # ------------------------------------------------------------------
     # measurement epilogue

@@ -3,7 +3,9 @@
 The validator replays the event list with its own position/mapping
 tracking and its own distance arithmetic (deliberately sharing no
 placement code with the scheduler), checking: AOD column ordering, tandem
-column membership, illumination blockade geometry, zone containment,
+column membership (a pickup of an atom that a column already holds is
+reported at its trap change), illumination blockade geometry, zone
+containment,
 deposits into compute landing on a free grid site,
 dependency order of executed gates (a native CZ names its gate's qubits
 in the gate's order) and each rotation's angles (a native
@@ -16,7 +18,10 @@ once per move phase and each atom rotates at most once per U3 layer (a
 phase or layer is timed as concurrent work, so a second hop or rotation
 would go uncounted), and the schedule's end time
 is the sum of its layer times, so the reported runtime is checked rather
-than only emitted. Zone and order checks run at the event that changes
+than only emitted. The reported counts are checked the same way: the
+schedule's `swap_count` against the inserted-SWAP ids its events run, and
+its `trap_change_count` against its trap-change events. Zone and order
+checks run at the event that changes
 positions: each pickup and column move zone-checks the atoms it places,
 and column order is checked after each column move and trap change.
 
@@ -70,7 +75,7 @@ _SWAP_STEPS = tuple((g.kind, g.params) for g in decompose_swap(0, 1))
 
 @dataclass
 class Violation:
-    code: str  # ordering|tandem|blockade|zone-bounds|site|dependency|double-measure|timing|double-move
+    code: str  # ordering|tandem|blockade|zone-bounds|site|dependency|double-measure|timing|double-move|count
     event: int
     description: str
 
@@ -99,6 +104,7 @@ class _Replay:
         # swap id -> (qubits seen so far, next template step)
         self.swaps: dict[int, tuple[tuple[int, ...], int]] = {}
         self.locked: dict[int, int] = {}
+        self.swap_ids: set[int] = set()  # every inserted SWAP replayed
         self.measured: set[int] = set()
         self.violations: list[Violation] = []
         # Timing: the end of the previous event or move phase, and the
@@ -213,6 +219,7 @@ class _Replay:
     def _swap_component(self, i: int, origin, kind: str, qubits,
                         angles=()) -> None:
         sid, step = origin
+        self.swap_ids.add(sid)
         if step not in range(len(_SWAP_STEPS)):
             self.bad("dependency", i, f"swap {sid} has no step {step}")
             return
@@ -309,6 +316,11 @@ class _Replay:
                 if tr.column is None:
                     self.bad("tandem", i, f"pickup of {tr.atom} names no column")
                     continue
+                held = self._column_holding(tr.atom)
+                if held is not None:
+                    self.bad("tandem", i, f"pickup of {tr.atom} into column "
+                             f"{tr.column}, column {held} already holds it")
+                    continue
                 known = self.pos.get(tr.atom)
                 if known is not None and known != (tr.x, tr.y):
                     self.bad("tandem", i,
@@ -321,8 +333,7 @@ class _Replay:
                 self.col_x[tr.column] = tr.x
                 self.col_atoms.setdefault(tr.column, set()).add(tr.atom)
             else:
-                col = next((c for c, atoms in self.col_atoms.items()
-                            if tr.atom in atoms), None)
+                col = self._column_holding(tr.atom)
                 if col is None:
                     self.bad("tandem", i, f"deposit of non-mobile atom {tr.atom}")
                     continue
@@ -332,6 +343,10 @@ class _Replay:
                 if self.layout.compute.contains(tr.x, tr.y):
                     self._check_site(i, tr.atom, (tr.x, tr.y))
         self._check_ordering(i)
+
+    def _column_holding(self, atom: int) -> int | None:
+        return next((c for c, atoms in self.col_atoms.items() if atom in atoms),
+                    None)
 
     def _check_site(self, i: int, atom: int, xy: tuple[float, float]) -> None:
         """A deposit into compute lands exactly on a grid site that no other
@@ -423,6 +438,14 @@ class _Replay:
         if self.swaps:
             self.bad("dependency", n_events - 1,
                      f"unfinished swaps {sorted(self.swaps)}")
+        # Reports read these counters, not the events they count.
+        trap_changes = sum(isinstance(ev, TrapChange) for ev in self.sched.events)
+        for what, stated, replayed in (
+                ("swap_count", self.sched.swap_count, len(self.swap_ids)),
+                ("trap_change_count", self.sched.trap_change_count, trap_changes)):
+            if stated != replayed:
+                self.bad("count", n_events - 1,
+                         f"{what} is {stated}, the events hold {replayed}")
         missing = set(range(self.circuit.num_qubits)) - self.measured
         if missing:
             self.bad("double-measure", n_events - 1,

@@ -5,6 +5,7 @@ import tracemalloc
 
 import pytest
 
+from pachinqo import kernels
 from pachinqo.circuit import Circuit, cz, u3
 from pachinqo.machine import (
     INTERACTION_OFFSET,
@@ -358,20 +359,19 @@ class _CrowdedCompiler(Compiler):
         self.plans = []
 
     def _plan_trapchange(self, col, conflict):
-        from pachinqo.scheduler import _Obstacles
-
-        real = self.obstacles
+        # Stand-in obstacle atoms, numbered past the real ones, one on each
+        # free clear site.
         occupied = {site for site, _ in self._static_atoms()}
-        free = [site for site in self.clear_sites if site not in occupied]
-        self.obstacles = _Obstacles(real.n + len(free))
-        for a, k in real.index_of.items():
-            self.obstacles.add(a, real.x[k], real.y[k])
-        for k, site in enumerate(free):
-            self.obstacles.add(-1 - k, *self.grid.sites[site])
+        free = [self.grid.sites[s] for s in self.clear_sites if s not in occupied]
+        real = self.obstacles, self.atom_x, self.atom_y
+        n = len(self.atom_x)
+        self.obstacles = real[0] + list(range(n, n + len(free)))
+        self.atom_x = real[1] + [x for x, _ in free]
+        self.atom_y = real[2] + [y for _, y in free]
         try:
             self.plans.append(super()._plan_trapchange(col, conflict))
         finally:
-            self.obstacles = real
+            self.obstacles, self.atom_x, self.atom_y = real
         return self.plans[-1]
 
 
@@ -396,6 +396,31 @@ def test_trapchange_extracts_when_every_free_site_is_crowded():
                    and 0 < e.layer < last_layer]
     assert [(t.atom, t.column) for e in extractions for t in e.transfers] == [(27, 3)]
     assert validate_schedule(sched, layout, grid, params, circ) == []
+
+
+def test_extraction_leaves_no_obstacle_at_the_vacated_site():
+    """Obstacles are atom ids read at their current positions, so once an
+    extracted atom is carried off its site the site is clear."""
+    params = PhysParams()
+    circ = Circuit(4, [cz(0, 1), cz(2, 3)])
+    layout = build_layout(4, "auto", params)
+    grid = generate_grid("large-square", layout, params)
+    compiler = Compiler(circ, "trapchange", grid, layout, params)
+    compiler._apply_initialization()
+    compiler._reset_obstacles()
+    site, atom = compiler._static_atoms()[0]
+    sx, sy = grid.sites[site]
+    r2 = params.crosstalk_radius ** 2
+
+    def site_clear():
+        return kernels.clear_from(compiler.obstacles, compiler.atom_x,
+                                  compiler.atom_y, sx, sy, r2)
+
+    assert not site_clear()
+    compiler._trapchange_action(compiler.columns[0], ("extract", atom, site))
+    compiler._relocate_all(RIGHT)
+    assert compiler.atom_x[atom] != sx
+    assert site_clear()
 
 
 @pytest.mark.xfail(raises=SchedulerError, strict=True,

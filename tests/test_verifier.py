@@ -657,6 +657,40 @@ def test_validator_reports_a_pickup_out_of_column_order_at_its_trap_change():
     assert _codes(violations, "ordering") == [("ordering", index)]
 
 
+def test_validator_catches_a_second_pickup_of_a_held_atom():
+    # The mobile pickup also lifts its first atom into a new column.
+    circ = random_circuit(random.Random(3), 8, 40)
+    sched, layout, grid, params = _compile(circ)
+    mutated = copy.deepcopy(sched)
+    pickups = [i for i, ev in enumerate(mutated.events)
+               if isinstance(ev, TrapChange) and ev.direction == SLM_TO_AOD]
+    index = pickups[1]
+    pickup = mutated.events[index]
+    cid = 1 + max(tr.column for ev in mutated.events
+                  if isinstance(ev, TrapChange) for tr in ev.transfers
+                  if tr.column is not None)
+    first = pickup.transfers[0]
+    pickup.transfers.append(replace(first, column=cid))
+    violations = validate_schedule(mutated, layout, grid, params, circ)
+    assert [(v.code, v.event) for v in violations] == [("tandem", index)]
+    assert f"pickup of {first.atom} into column {cid}" in violations[0].description
+
+
+@pytest.mark.parametrize("field, delta", [
+    ("swap_count", 1), ("swap_count", -1),
+    ("trap_change_count", -1), ("trap_change_count", 1),
+])
+def test_validator_catches_a_wrong_reported_count(field, delta):
+    circ = random_circuit(random.Random(3), 8, 40)
+    sched, layout, grid, params = _compile(circ)
+    assert sched.swap_count > 0
+    mutated = replace(sched, **{field: getattr(sched, field) + delta})
+    violations = validate_schedule(mutated, layout, grid, params, circ)
+    assert [(v.code, v.event) for v in violations] == [
+        ("count", len(sched.events) - 1)]
+    assert violations[0].description.startswith(field)
+
+
 def test_validator_catches_two_rotations_of_one_atom_in_one_layer():
     # Merge the two U3 layers of qubit 0 into one and pull later events
     # in: every span stays consistent, but one layer rotates atom 0 twice.
