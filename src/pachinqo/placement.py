@@ -149,12 +149,14 @@ class InitialPlacement:
 
 
 def assign_atoms(grouping: Grouping, grid: SlmGrid, layout: ZoneLayout,
-                 params: PhysParams) -> InitialPlacement:
+                 params: PhysParams,
+                 clear_sites: list[int] | None = None) -> InitialPlacement:
     """Deterministic atom assignment: static qubits take clear grid sites
-    in grouping-by-site order; mobile qubits pack into AOD columns parked
-    in the right cache. Atom ids equal qubit ids (the load mapping is
+    (`clear_sites`, by default `pair_clear_sites` of the grid) in
+    grouping-by-site order; mobile qubits pack into AOD columns parked in
+    the right cache. Atom ids equal qubit ids (the load mapping is
     arbitrary, so identity is used)."""
-    usable = pair_clear_sites(grid, params)
+    usable = pair_clear_sites(grid, params) if clear_sites is None else clear_sites
     if len(grouping.slm_qubits) > len(usable):
         raise CapacityError(
             f"insufficient SLM capacity: {len(grouping.slm_qubits)} static "

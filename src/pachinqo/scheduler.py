@@ -34,9 +34,23 @@ closes the phase before it; the measurement epilogue and onecache's return
 home are phases of their own. Both ends of a phase are strictly x-ordered,
 so straight concurrent moves never cross columns.
 
-Same-trap conflicts insert SWAPs executed preemptively, one component
-per layer, except that a U3 layer also runs a swap's next rotation when
-it acts on another qubit (template steps 2-3 and 5-6 share a layer). The
+A CZ between two mobile atoms runs as an AOD pair when the column has
+nothing to place: both atoms stand within the interaction radius over a
+free clear site, one INTERACTION_OFFSET above the other when they share
+a column, or side by side, the lower cid's on the left, when the
+partner's column is the next in the layer's order (which then takes no
+turn of its own). The site is the one nearest where the open phase found
+the columns, among those that are clear of obstacles and leave every
+later column's wanted x reachable, as retreats do; each column's other
+atoms spread as for a placement (`_spread`). Zoned arrays entangle any
+two atoms in blockade range under the global Rydberg pulse (Bluvstein et
+al., Nature 2024), and DPQA schedules AOD-AOD gates the same way (Tan,
+Bluvstein, Lukin & Cong, Quantum 2024), so every technique gets pairs.
+
+Other same-trap conflicts, and pairs with no site, insert SWAPs executed
+preemptively, one component per layer, except that a U3 layer also runs
+a swap's next rotation when it acts on another qubit (template steps 2-3
+and 5-6 share a layer). The
 frontier holds each in-flight SWAP's gate template and step; the compiler
 keeps only which atoms it joins and the layer it last ran in.
 Each SWAP is chosen by lookahead, as in SABRE (Li, Ding & Xie, ASPLOS
@@ -138,12 +152,11 @@ class _Swap:
 
 @dataclass
 class _Placement:
-    """A feasible column placement produced by _try_place."""
+    """A feasible column placement: its x and every atom's target y, the
+    CZ atoms first, the rest spread in compute or hung below it."""
 
     x: float
-    active_atom: int
-    active_y: float
-    inactive: list[tuple[int, float]]  # (atom, target y), compute or hang
+    ys: dict[int, float]
 
 
 class Compiler:
@@ -169,7 +182,8 @@ class Compiler:
         self.clear_sites = pair_clear_sites(grid, params)
         grouping = group_fn(circuit, len(self.clear_sites),
                             aod_capacity(layout, params))
-        self.placement: InitialPlacement = assign_atoms(grouping, grid, layout, params)
+        self.placement: InitialPlacement = assign_atoms(grouping, grid, layout,
+                                                        params, self.clear_sites)
 
         # Mutable machine state. Atom ids equal initial qubit ids. An atom
         # is held by its site in atom_site, or else by a column's atoms.
@@ -466,13 +480,19 @@ class Compiler:
         self._relocate_all(side)
         self._reset_obstacles()
 
-        for col in order:
-            action = self._find_action(col, staged)
+        paired = None  # the column an AOD pair took along with its own
+        for k, col in enumerate(order):
+            if col is paired:
+                continue
+            nxt = order[k + 1] if k + 1 < len(order) else None
+            action = self._find_action(col, staged, nxt, later, side)
             if action == "blocked":
                 same_side_next = True
                 break
             executed += action != "idle"
-            if action == "placed":
+            if action == "paired":
+                paired = nxt
+            if action in ("placed", "paired"):
                 continue
             if action != "idle":  # a new SWAP CZ, or atoms changed traps
                 later = self._plan_retreats(order, side)
@@ -486,11 +506,14 @@ class Compiler:
         return executed
 
     # -- per-column decision -------------------------------------------
-    def _find_action(self, col: _Column, staged: list[CzEntry]):
+    def _find_action(self, col: _Column, staged: list[CzEntry],
+                     nxt: _Column | None,
+                     later: dict[int, tuple[float, int]], side: int):
         """Pick and apply this column's action for the current layer:
-        "placed", "tc" (a trap change closed the phase with the column over
-        the site, so the next phase finds it there), "swap" (a SWAP began),
-        "blocked" or "idle"."""
+        "placed", "paired" (an AOD pair with `nxt`, the next column of the
+        layer's order, which it takes along), "tc" (a trap change closed
+        the phase with the column over the site, so the next phase finds
+        it there), "swap" (a SWAP began), "blocked" or "idle"."""
         wants_blocked = False
         conflict: tuple[int, int, int] | None = None  # (atom, q, partner q)
         for atom in sorted(col.atoms, key=lambda a: -self.atom_y[a]):
@@ -514,12 +537,20 @@ class Compiler:
             if plan is None:
                 wants_blocked = True
                 continue
-            self._commit_placement(col, plan, partner_atom, gate, staged)
+            self._settle(col, plan)
+            self._stage(gate, atom, partner_atom, staged)
             if swap is not None:
                 swap.layer = self.layer
             return "placed"
 
         if conflict is not None:
+            atom, q, p = conflict
+            partner_atom = self.atom_of[p]
+            action = self._pair(col, nxt, atom, partner_atom, later, side)
+            if action is not None:
+                self._stage(self.circuit.gates[self.frontier.next_gate(q)],
+                            atom, partner_atom, staged)
+                return action
             if self.trap_change_first:
                 detail = self._plan_trapchange(col, conflict)
                 if detail is not None:
@@ -536,8 +567,7 @@ class Compiler:
     # -- placement geometry ----------------------------------------------
     def _try_place(self, col: _Column, active_atom: int,
                    partner_atom: int) -> _Placement | None:
-        params = self.params
-        r2 = params.crosstalk_radius ** 2
+        r2 = self.params.crosstalk_radius ** 2
         sx, sy = self.atom_x[partner_atom], self.atom_y[partner_atom]
         x = sx + INTERACTION_OFFSET
         lo, hi = self._neighbors(col.cid)
@@ -546,22 +576,28 @@ class Compiler:
         if not kernels.clear_from_except(self.obstacles, self.atom_x, self.atom_y,
                                          x, sy, r2, partner_atom):
             return None
+        return self._spread(col, x, {active_atom: sy})
 
+    def _spread(self, col: _Column, x: float,
+                fixed: dict[int, float]) -> _Placement:
+        """`col` at x with the atoms of `fixed` at their ys; each other atom
+        takes the first clear spread position around the first fixed y, or
+        hangs below compute."""
+        r2 = self.params.crosstalk_radius ** 2
         comp = self.layout.compute
-        inactive = [a for a in col.atoms if a != active_atom]
-        inactive.sort(key=lambda a: -self.atom_y[a])
-        placed_ys: list[float] = []
-        plan: list[tuple[int, float]] = []
+        ys = dict(fixed)
+        anchor, *taken = fixed.values()
         hang = 0
-        for a in inactive:
-            y = self._spread_y(x, sy, placed_ys, comp, r2)
+        for a in sorted((a for a in col.atoms if a not in fixed),
+                        key=lambda a: -self.atom_y[a]):
+            y = self._spread_y(x, anchor, taken, comp, r2)
             if y is None:
                 y = self._hang_y(hang)
                 hang += 1
             else:
-                placed_ys.append(y)
-            plan.append((a, y))
-        return _Placement(x, active_atom, sy, plan)
+                taken.append(y)
+            ys[a] = y
+        return _Placement(x, ys)
 
     def _spread_y(self, x: float, active_y: float, taken: list[float],
                   comp, r2: float) -> float | None:
@@ -582,27 +618,89 @@ class Compiler:
             return y
         return None
 
-    def _commit_placement(self, col: _Column, plan: _Placement,
-                          partner_atom: int, gate: Gate,
-                          staged: list[CzEntry]) -> None:
-        y_targets = {plan.active_atom: plan.active_y}
-        y_targets.update({a: y for a, y in plan.inactive})
-        self._move_column(col, plan.x, y_targets)
-        self.obstacles.append(plan.active_atom)
-        self.obstacles.extend(a for a, y in plan.inactive
+    def _settle(self, col: _Column, plan: _Placement) -> None:
+        """Move `col` to `plan` within the open phase; its atoms in compute
+        become obstacles."""
+        self._move_column(col, plan.x, plan.ys)
+        self.obstacles.extend(a for a, y in plan.ys.items()
                               if self.layout.compute.contains(plan.x, y))
-        self.busy.add(plan.active_atom)
-        self.busy.add(partner_atom)
-        qa = self.qubit_of[plan.active_atom]
-        qp = self.qubit_of[partner_atom]
-        atoms = (plan.active_atom, partner_atom)
-        positions = ((plan.x, plan.active_y),
-                     (self.atom_x[partner_atom], self.atom_y[partner_atom]))
-        if gate.qubits != (qa, qp):
-            atoms, positions = atoms[::-1], positions[::-1]
+
+    def _stage(self, gate: Gate, atom: int, partner_atom: int,
+               staged: list[CzEntry]) -> None:
+        """Stage `gate` on two atoms where they now stand; both stay busy
+        for the rest of the layer."""
+        self.busy.update((atom, partner_atom))
+        atoms = (atom, partner_atom)
+        if gate.qubits != (self.qubit_of[atom], self.qubit_of[partner_atom]):
+            atoms = atoms[::-1]
+        positions = tuple((self.atom_x[a], self.atom_y[a]) for a in atoms)
         origin = (gate.origin.swap_id, gate.origin.step) if gate.origin else None
         staged.append(CzEntry(gate.qubits, atoms, positions, origin))
         self.frontier.advance(gate)
+
+    # -- AOD pairs ----------------------------------------------------------
+    def _pair(self, col: _Column, nxt: _Column | None, atom: int,
+              partner_atom: int, later: dict[int, tuple[float, int]],
+              side: int) -> str | None:
+        """Run the CZ of two mobile atoms as an AOD pair over a free clear
+        site: one above the other when both are in `col` ("placed"), side
+        by side, the lower cid's on the left, when the partner is in `nxt`
+        ("paired"). None when the partner is in neither column or no site
+        fits (`_pair_site`)."""
+        if partner_atom in col.atoms:
+            atoms = sorted((atom, partner_atom), key=lambda a: self.atom_y[a])
+            cols, last = [col, col], col
+            offset = (0.0, INTERACTION_OFFSET)
+        elif nxt is not None and partner_atom in nxt.atoms:
+            atoms, cols, last = [atom, partner_atom], [col, nxt], nxt
+            if nxt.cid < col.cid:
+                atoms.reverse()
+                cols.reverse()
+            offset = (INTERACTION_OFFSET, 0.0)
+        else:
+            return None
+        spots = self._pair_site(atoms, cols, offset, later[last.cid][0], side)
+        if spots is None:
+            return None
+        if cols[0] is cols[1]:
+            (x, y0), (_, y1) = spots
+            self._settle(col, self._spread(col, x, dict(zip(atoms, (y0, y1)))))
+            return "placed"
+        for a, c, (x, y) in zip(atoms, cols, spots):
+            self._settle(c, self._spread(c, x, {a: y}))
+        return "paired"
+
+    def _pair_site(self, atoms: list[int], cols: list[_Column],
+                   offset: tuple[float, float], reach: float, side: int
+                   ) -> list[tuple[float, float]] | None:
+        """Where the pair `atoms` (of `cols`) stands: the first at a free
+        clear site, the second `offset` from it. Of the sites whose two
+        positions lie in compute, between the columns' outer neighbours,
+        short of every x a later column wants (`reach`, as `_retreat`
+        obeys) and clear of obstacles, the one nearest where the open
+        phase found the columns; None if there is none."""
+        comp = self.layout.compute
+        lo, hi = self._neighbors(cols[0].cid)[0], self._neighbors(cols[1].cid)[1]
+        occupied = {s for s in self.atom_site if s is not None}
+        dx, dy = offset
+        candidates = []
+        for site in self.clear_sites:
+            if site in occupied:
+                continue
+            sx, sy = self.grid.sites[site]
+            spots = [(sx, sy), (sx + dx, sy + dy)]
+            if not all(lo < x < hi and side * x < reach and comp.contains(x, y)
+                       for x, y in spots):
+                continue
+            travel = max(abs(x - c.found_x) + abs(y - self.found_y[a])
+                         for a, c, (x, y) in zip(atoms, cols, spots))
+            candidates.append((travel, site, spots))
+        r2 = self.params.crosstalk_radius ** 2
+        for *_, spots in sorted(candidates):
+            if all(kernels.clear_from(self.obstacles, self.atom_x, self.atom_y,
+                                      x, y, r2) for x, y in spots):
+                return spots
+        return None
 
     # -- retreat ----------------------------------------------------------
     def _plan_retreats(self, order: list[_Column], side: int
@@ -918,7 +1016,8 @@ class Compiler:
         if plan is None:
             raise SchedulerError("isolation placement failed")
         staged: list[CzEntry] = []
-        self._commit_placement(col, plan, partner_atom, gate, staged)
+        self._settle(col, plan)
+        self._stage(gate, active_atom, partner_atom, staged)
         self._fire(staged)
 
     def _park_others(self, col: _Column) -> None:

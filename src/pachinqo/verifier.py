@@ -4,8 +4,10 @@ The validator replays the event list with its own position/mapping
 tracking and its own distance arithmetic (deliberately sharing no
 placement code with the scheduler), checking: AOD column ordering, tandem
 column membership (a pickup of an atom that a column already holds is
-reported at its trap change), illumination blockade geometry, zone
-containment,
+reported at its trap change), illumination blockade geometry (both atoms
+of a pair inside compute, the only zone the Rydberg pulse reaches,
+within the interaction radius and clear of other compute atoms'
+crosstalk), zone containment,
 deposits into compute landing on a free grid site,
 dependency order of executed gates (a native CZ names its gate's qubits
 in the gate's order) and each rotation's angles (a native
@@ -398,6 +400,10 @@ class _Replay:
                 if d >= r_int:
                     self.bad("blockade", i,
                              f"pair {p.atoms} separated by {d:.3f} um")
+            # The Rydberg pulse reaches the compute zone only.
+            if any(a in self.pos and not comp.contains(*self.pos[a])
+                   for a in p.atoms):
+                self.bad("blockade", i, f"pair {p.atoms} stands outside compute")
             pair_of[a1] = k
             pair_of[a2] = k
             if p.origin is not None:

@@ -169,10 +169,10 @@ def test_empty_circuit_runtime_is_tcs_plus_movement(params):
 
 
 def test_gate_counts_include_swap_components(params):
-    # A forced mobile-mobile conflict inserts one 9-gate swap.
+    # A conflict between two static atoms inserts one 9-gate swap.
     from pachinqo.circuit import Circuit, cz
 
-    circ = Circuit(4, [cz(0, 1), cz(2, 3), cz(0, 2)])
+    circ = Circuit(4, [cz(0, 1), cz(2, 3), cz(1, 3)])
     layout = build_layout(4, "auto", params)
     grid = generate_grid("large-square", layout, params)
     sched = Compiler(circ, "pachinqo", grid, layout, params).run()

@@ -148,7 +148,9 @@ def test_same_column_czs_serialize():
 
 
 def test_mobile_mobile_conflict_inserts_one_swap():
-    circ = Circuit(4, [cz(0, 1), cz(2, 3), cz(0, 2)])
+    # Mobile 0-8 fill columns [0-3], [4-7], [8]; 9 is static. CZ(0, 8)
+    # joins two columns that are not adjacent, so no AOD pair can form.
+    circ = Circuit(10, [cz(i, 9) for i in range(9)] + [cz(0, 8)])
     sched, layout, grid, params = _compile(circ)
     assert sched.swap_count == 1
     assert validate_schedule(sched, layout, grid, params, circ) == []
@@ -157,7 +159,7 @@ def test_mobile_mobile_conflict_inserts_one_swap():
 
 
 def test_swap_updates_final_mapping():
-    circ = Circuit(4, [cz(0, 1), cz(2, 3), cz(0, 2)])
+    circ = Circuit(4, [cz(0, 1), cz(2, 3), cz(1, 3)])
     sched, _, _, _ = _compile(circ)
     assert sched.final_mapping != {q: q for q in range(4)}
 
@@ -168,6 +170,81 @@ def test_static_static_conflict_resolved():
     assert validate_schedule(sched, layout, grid, params, circ) == []
     ok, tvd = equivalence_check(sched, circ)
     assert ok, tvd
+
+
+def _pair_of(sched, qubits):
+    """The one illumination entry that runs the CZ on `qubits`."""
+    (entry,) = [p for e in sched.events if isinstance(e, Illumination)
+                for p in e.pairs if p.qubits == qubits]
+    return entry
+
+
+def _free_clear_site(compiler, xy):
+    """Whether `xy` is a clear site that no static atom was loaded into."""
+    site = compiler.grid.sites.index(xy)
+    return (site in compiler.clear_sites
+            and site not in compiler.placement.site_of_qubit.values())
+
+
+def test_same_column_conflict_runs_as_a_vertical_aod_pair():
+    """Mobile 0 and 2 share the one AOD column. Their CZ runs with no
+    SWAP: the lower atom stands on a free clear site, the other
+    INTERACTION_OFFSET above it."""
+    circ = Circuit(4, [cz(0, 1), cz(2, 3), cz(0, 2)])
+    params = PhysParams()
+    layout = build_layout(4, "auto", params)
+    grid = generate_grid("large-square", layout, params)
+    compiler = Compiler(circ, "pachinqo", grid, layout, params)
+    sched = compiler.run()
+    assert compiler.placement.grouping.aod_qubits == [0, 2]
+    assert sched.swap_count == 0
+    low, high = sorted(_pair_of(sched, (0, 2)).positions, key=lambda xy: xy[1])
+    assert _free_clear_site(compiler, low)
+    assert high == (low[0], low[1] + INTERACTION_OFFSET)
+    assert validate_schedule(sched, layout, grid, params, circ) == []
+    ok, err = equivalence_check(sched, circ)
+    assert ok, err
+
+
+def test_adjacent_columns_conflict_runs_as_a_horizontal_aod_pair():
+    """Mobile 6 ends column 0 and mobile 8 is column 1. Their CZ runs with
+    no SWAP, side by side over a free clear site, 6 (the lower cid's) on
+    the site and 8 INTERACTION_OFFSET right of it."""
+    circ = Circuit(10, [cz(2 * i, 2 * i + 1) for i in range(5)] + [cz(6, 8)])
+    params = PhysParams()
+    layout = build_layout(10, "auto", params)
+    grid = generate_grid("large-square", layout, params)
+    compiler = Compiler(circ, "pachinqo", grid, layout, params)
+    sched = compiler.run()
+    assert compiler.placement.grouping.aod_qubits == [0, 2, 4, 6, 8]
+    assert sched.swap_count == 0
+    (x6, y6), (x8, y8) = _pair_of(sched, (6, 8)).positions
+    assert _free_clear_site(compiler, (x6, y6))
+    assert (x8, y8) == (x6 + INTERACTION_OFFSET, y6)
+    assert validate_schedule(sched, layout, grid, params, circ) == []
+    ok, err = equivalence_check(sched, circ)
+    assert ok, err
+
+
+@pytest.mark.parametrize("partner, pairs", [(23, True), (1, False)])
+def test_aod_pair_leaves_later_columns_their_placements(partner, pairs):
+    """In one right-side layer, CZ(6, 8) joins columns 0 and 1, and
+    column 2's atom 16 waits for static `partner`. Static 23 stands at
+    the first site row's right end, so the pair forms. Static 1 stands at
+    its left end, x = 100: every free site would put the pair at or past
+    16's placement x, 101.5, so the pair is declined and a SWAP begins,
+    as it did before AOD pairs."""
+    circ = Circuit(24, [cz(2 * i, 2 * i + 1) for i in range(12)]
+                   + [cz(6, 8), cz(16, partner)])
+    compiler = _three_column_compiler(circ)
+    for g in circ.gates[:12]:
+        compiler.frontier.advance(g)
+    assert compiler.atom_x[partner] == (265.0 if pairs else 100.0)
+    assert compiler.direction == RIGHT
+    compiler._cz_layer()
+    (illum,) = [e for e in compiler.events if isinstance(e, Illumination)]
+    assert ((6, 8) in [p.qubits for p in illum.pairs]) == pairs
+    assert compiler.swap_count == (0 if pairs else 1)
 
 
 def _loaded(circ, executed):
@@ -234,7 +311,7 @@ def test_swap_choice_converges_where_an_unguarded_lookahead_livelocks():
 def test_preemptive_swap_packs_independent_rotations():
     # A swap's components in one layer touch distinct qubits and run in
     # template order; the rotations of steps 2-3 and 5-6 share a layer.
-    circ = Circuit(4, [cz(0, 1), cz(2, 3), cz(0, 2)])
+    circ = Circuit(4, [cz(0, 1), cz(2, 3), cz(1, 3)])
     sched, layout, grid, params = _compile(circ)
     assert validate_schedule(sched, layout, grid, params, circ) == []
     steps_by_layer: dict[tuple[int, int], list[tuple[int, int]]] = {}
@@ -311,8 +388,13 @@ def test_onecache_restores_home_positions():
 
 
 def test_trapchange_resolves_conflict_with_extra_tc():
+    # Mobile 0 and 2 share a column; with every pair site crowded, their
+    # CZ cannot run as an AOD pair and takes the trap change.
     circ = Circuit(4, [cz(0, 1), cz(2, 3), cz(0, 2)])
-    sched, layout, grid, params = _compile(circ, technique="trapchange")
+    params = PhysParams()
+    layout = build_layout(4, "auto", params)
+    grid = generate_grid("large-square", layout, params)
+    sched = _PairlessCompiler(circ, "trapchange", grid, layout, params).run()
     assert sched.swap_count == 0
     assert sched.trap_change_count == 7  # 6 + one mid-circuit deposit
     mid = [e for e in sched.events
@@ -350,17 +432,13 @@ def test_trapchange_extracts_static_atom_into_column():
     assert validate_schedule(sched, layout, grid, params, circ) == []
 
 
-class _CrowdedCompiler(Compiler):
-    """Plans each mid-circuit trap change with an obstacle on every free
-    clear site, so no deposit is possible; records each plan."""
+class _PairlessCompiler(Compiler):
+    """Plans each AOD pair with an obstacle on every free clear site, so
+    no pair can form."""
 
-    def __init__(self, *args):
-        super().__init__(*args)
-        self.plans = []
-
-    def _plan_trapchange(self, col, conflict):
-        # Stand-in obstacle atoms, numbered past the real ones, one on each
-        # free clear site.
+    def _crowded(self, plan, *args):
+        """`plan(*args)` with stand-in obstacle atoms, numbered past the
+        real ones, one on each free clear site."""
         occupied = {site for site, _ in self._static_atoms()}
         free = [self.grid.sites[s] for s in self.clear_sites if s not in occupied]
         real = self.obstacles, self.atom_x, self.atom_y
@@ -369,18 +447,34 @@ class _CrowdedCompiler(Compiler):
         self.atom_x = real[1] + [x for x, _ in free]
         self.atom_y = real[2] + [y for _, y in free]
         try:
-            self.plans.append(super()._plan_trapchange(col, conflict))
+            return plan(*args)
         finally:
             self.obstacles, self.atom_x, self.atom_y = real
+
+    def _pair_site(self, *args):
+        return self._crowded(super()._pair_site, *args)
+
+
+class _CrowdedCompiler(_PairlessCompiler):
+    """Also plans each mid-circuit trap change crowded, so no deposit is
+    possible; records each plan."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.plans = []
+
+    def _plan_trapchange(self, col, conflict):
+        self.plans.append(self._crowded(super()._plan_trapchange, col, conflict))
         return self.plans[-1]
 
 
 def test_trapchange_extracts_when_every_free_site_is_crowded():
     """A same-side conflict whose column finds every free clear site
-    blocked extracts a static atom into the column. Qubits 2i are mobile
-    and 2i+1 static, so after the pairs run, CZ(24, 26) conflicts in
-    column 3, and static 27 (in the second site row, clear of the parked
-    column's atoms) has a static next partner, 25."""
+    blocked, for an AOD pair as for a deposit, extracts a static atom
+    into the column. Qubits 2i are mobile and 2i+1 static, so after the
+    pairs run, CZ(24, 26) conflicts in column 3, and static 27 (in the
+    second site row, clear of the parked column's atoms) has a static
+    next partner, 25."""
     params = PhysParams()
     circ = Circuit(28, [cz(2 * i, 2 * i + 1) for i in range(14)]
                    + [cz(24, 26), cz(25, 27)])
@@ -553,12 +647,12 @@ def test_onecache_retreat_tucks_in_at_memory_edge():
         mem.y0 + ZONE_MARGIN + i * params.storage_pitch for i in range(len(atoms))]
 
 
-def _three_column_compiler():
+def _three_column_compiler(circ=None):
     """Three columns of four mobile atoms, parked on the right cache; the
     static partners of columns 0, 1 and 2 stand at x = 100-145, 160-205
-    and 220-265."""
+    and 220-265. `circ` must begin with the twelve CZs that load them."""
     params = PhysParams()
-    circ = Circuit(24, [cz(2 * i, 2 * i + 1) for i in range(12)])
+    circ = circ or Circuit(24, [cz(2 * i, 2 * i + 1) for i in range(12)])
     layout = build_layout(24, "auto", params)
     grid = generate_grid("large-square", layout, params)
     compiler = Compiler(circ, "pachinqo", grid, layout, params)

@@ -175,7 +175,7 @@ def test_equivalence_detects_reordered_cz():
 
 
 def test_equivalence_detects_missing_final_permutation():
-    circ = Circuit(4, [cz(0, 1), cz(2, 3), cz(0, 2)])
+    circ = Circuit(4, [cz(0, 1), cz(2, 3), cz(1, 3)])
     sched, _, _, _ = _compile(circ)
     assert sched.swap_count == 1
     mutated = copy.deepcopy(sched)
@@ -274,6 +274,36 @@ def _mutate_and_check(circ, mutate):
     mutated = copy.deepcopy(sched)
     mutate(mutated)
     return validate_schedule(mutated, layout, grid, params, circ)
+
+
+class _CachePairCompiler(Compiler):
+    """Forms every AOD pair in the right cache, out of the Rydberg
+    pulse's reach, instead of over a free compute site."""
+
+    def _pair_site(self, atoms, cols, offset, reach, side):
+        rc = self.layout.right_cache
+        x, y = rc.x0 + 40.0, rc.y0 + 60.0
+        return [(x, y), (x + offset[0], y + offset[1])]
+
+
+def test_validator_catches_a_pair_outside_compute():
+    """Mobile 0 and 2 share a column; paired in the right cache, they
+    stand within the interaction radius and clear of every compute atom,
+    so only the zone of the pair is wrong: one violation."""
+    from pachinqo.machine import PhysParams
+
+    circ = Circuit(4, [cz(0, 1), cz(2, 3), cz(0, 2)])
+    params = PhysParams()
+    layout = build_layout(4, "auto", params)
+    grid = generate_grid("large-square", layout, params)
+    sched = _CachePairCompiler(circ, "pachinqo", grid, layout, params).run()
+    (i, pair), = [(i, p) for i, ev in enumerate(sched.events)
+                  if isinstance(ev, Illumination)
+                  for p in ev.pairs if p.qubits == (0, 2)]
+    assert all(layout.right_cache.contains(*xy) for xy in pair.positions)
+    violations = validate_schedule(sched, layout, grid, params, circ)
+    assert [(v.code, v.event, v.description) for v in violations] == [
+        ("blockade", i, "pair (0, 2) stands outside compute")]
 
 
 def test_validator_catches_crossing_columns():
@@ -745,7 +775,7 @@ def _drop_swap_u3(step):
 def _foreign_swap_cz(sched):
     for ev in sched.events:
         if isinstance(ev, Illumination):
-            ev.pairs = [type(p)((p.qubits[0], 0), p.atoms, p.positions, p.origin)
+            ev.pairs = [type(p)((p.qubits[0], 2), p.atoms, p.positions, p.origin)
                         if p.origin == (0, 4) else p for p in ev.pairs]
 
 
@@ -753,22 +783,22 @@ def _foreign_swap_cz(sched):
     # The U3 that opens the SWAP is gone: it begins at step 1.
     (_drop_swap_u3(0), [("dependency", 13, "swap 0 began at step 1"),
                         ("dependency", 13, "swap 0 step 1, expected 0")]),
-    # Its middle CZ names qubit 0 in place of its partner.
-    (_foreign_swap_cz, [("dependency", 15, "swap 0 touched foreign qubits (3, 0)")]),
+    # Its middle CZ names qubit 2 in place of its partner.
+    (_foreign_swap_cz, [("dependency", 15, "swap 0 touched foreign qubits (1, 2)")]),
     # Its last U3 is gone: it never ends, so its qubits stay locked and
     # the mapping never exchanges.
     (_drop_swap_u3(8), [
-        ("dependency", 20, "locked qubit in native cz (0, 2)"),
-        ("dependency", 23, "measure of atom 2 names qubit 3, mapped atom is 3"),
-        ("dependency", 28, "measure of atom 3 names qubit 2, mapped atom is 2"),
-        ("dependency", 28, "qubit 0 finished 1 of 2 gates"),
-        ("dependency", 28, "qubit 2 finished 1 of 2 gates"),
+        ("dependency", 20, "locked qubit in native cz (1, 3)"),
+        ("dependency", 23, "measure of atom 0 names qubit 1, mapped atom is 1"),
+        ("dependency", 28, "measure of atom 1 names qubit 0, mapped atom is 0"),
+        ("dependency", 28, "qubit 1 finished 1 of 2 gates"),
+        ("dependency", 28, "qubit 3 finished 1 of 2 gates"),
         ("dependency", 28, "unfinished swaps [0]"),
-        ("dependency", 28, "final mapping of qubit 2 is 2, schedule says 3"),
-        ("dependency", 28, "final mapping of qubit 3 is 3, schedule says 2")]),
+        ("dependency", 28, "final mapping of qubit 0 is 0, schedule says 1"),
+        ("dependency", 28, "final mapping of qubit 1 is 1, schedule says 0")]),
 ])
 def test_validator_catches_broken_swap_components(mutate, expected):
-    circ = Circuit(4, [cz(0, 1), cz(2, 3), cz(0, 2)])
+    circ = Circuit(4, [cz(0, 1), cz(2, 3), cz(1, 3)])
     violations = _mutate_and_check(circ, mutate)
     assert [(v.code, v.event, v.description) for v in violations] == expected
 
@@ -822,7 +852,7 @@ def test_validator_catches_wrong_phi_on_a_qubits_last_u3():
 
 
 def test_validator_catches_wrong_angle_on_a_swap_step():
-    circ = Circuit(4, [cz(0, 1), cz(2, 3), cz(0, 2)])
+    circ = Circuit(4, [cz(0, 1), cz(2, 3), cz(1, 3)])
     sched, layout, grid, params = _compile(circ)
     assert sched.swap_count == 1
     mutated = copy.deepcopy(sched)
