@@ -330,7 +330,9 @@ def build_layout(num_qubits: int, scale: str = "default",
     if scale != "auto":
         raise GeometryError(f"unknown scale {scale!r}")
     default = _layout("default", 1)
-    if num_qubits <= machine_capacity(default, params, grid_kind):
+    # The AOD alone holds this many, so the SLM sites need not be counted.
+    if num_qubits <= aod_capacity(default, params) or \
+            num_qubits <= machine_capacity(default, params, grid_kind):
         return default
     doubled = _layout("doubled", 2)
     if num_qubits <= machine_capacity(doubled, params, grid_kind):

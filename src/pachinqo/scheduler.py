@@ -5,7 +5,15 @@ trap-change and column-move emitters every later layer uses, and is the
 only code that emits events or changes machine state.
 
 Execution alternates U3 layers (parallel single-qubit rotations, location
-independent) with CZ layers. A CZ layer plans with all columns relocated
+independent) with CZ layers. While compiling, a U3 layer runs every
+exposed rotation, so each CZ layer sees every CZ they unblock. Once every
+event is emitted, one pass (`_pack_rotations`) lets each native rotation
+wait, up to the next event on its atom, so that the U3 layers left each
+carry every rotation due there and are as few as possible; the layers
+left empty are dropped. It changes no move, pair, SWAP or trap change,
+only when rotations run.
+
+A CZ layer plans with all columns relocated
 to the starting cache's slots next to compute, then processes them from
 the cache side nearest compute: each column places next to the static
 partner of one executable CZ (or of one pending inserted-SWAP step),
@@ -374,6 +382,7 @@ class Compiler:
             if executed == 0:
                 self._guard()
         self._measurement()
+        self._pack_rotations()
         schedule = Schedule(
             technique=self.technique,
             grid=self.grid.kind,
@@ -399,7 +408,10 @@ class Compiler:
         return due
 
     def _u3_rounds(self) -> int:
-        """Greedy U3 layers until no rotation is frontier-exposed."""
+        """Greedy U3 layers until no rotation is frontier-exposed. Each
+        layer runs every exposed rotation, so the next CZ layer sees every
+        CZ they unblock; `_pack_rotations` later moves the native ones that
+        need not run yet into fewer layers."""
         executed = 0
         while True:
             native = self.frontier.executable_u3s()
@@ -441,6 +453,59 @@ class Compiler:
         self.qubit_of[swap.atom_slm] = qa
         self.atom_of[qa] = swap.atom_slm
         self.atom_of[qb] = swap.atom_aod
+
+    def _pack_rotations(self) -> None:
+        """Run the native rotations in the fewest U3 layers, once every
+        event is emitted.
+
+        A native rotation commutes with every event that leaves its atom
+        alone, so it may run in any U3 layer from its own up to the last
+        one before the next illumination pairing its atom or U3 layer
+        rotating it; measures follow every U3 layer. Layers holding a SWAP
+        step stay. By earliest deadline, each native rotation takes the
+        earliest kept layer in its window, or else keeps its deadline
+        layer (a greedy interval cover). Each layer left empty is dropped,
+        and every later event starts u3_time earlier per dropped layer;
+        every other event and layer number stays as it was."""
+        k = sum(isinstance(ev, U3LayerEvent) for ev in self.events)
+        # Scanning backward, bound[atom] is the last U3 layer (counted from
+        # 0) before the next event on the atom.
+        bound = [k - 1] * self.circuit.num_qubits
+        placed: list[list] = [[] for _ in range(k)]  # (from layer, slot, entry)
+        native = []  # (deadline, from layer, slot, entry)
+        for ev in reversed(self.events):
+            if isinstance(ev, U3LayerEvent):
+                k -= 1
+                for j, g in enumerate(ev.gates):
+                    if g.origin is None:
+                        native.append((bound[g.atom], k, j, g))
+                    else:
+                        placed[k].append((k, j, g))
+                    bound[g.atom] = k - 1
+            elif isinstance(ev, Illumination):
+                for p in ev.pairs:
+                    bound[p.atoms[0]] = bound[p.atoms[1]] = k - 1
+        kept = [i for i, here in enumerate(placed) if here]
+        for deadline, start, j, g in sorted(native):
+            i = bisect.bisect_left(kept, start)
+            if i == len(kept) or kept[i] > deadline:
+                kept.insert(i, deadline)
+            placed[kept[i]].append((start, j, g))
+        events, dropped = [], 0
+        layers = iter(placed)
+        for ev in self.events:
+            if isinstance(ev, U3LayerEvent):
+                here = next(layers)
+                if not here:
+                    dropped += 1
+                    continue
+                ev.gates = [g for *_, g in sorted(here)]
+            if dropped:
+                ev.t_start -= dropped * self.params.u3_time
+                ev.t_end -= dropped * self.params.u3_time
+            events.append(ev)
+        self.events = events
+        self.t -= dropped * self.params.u3_time
 
     # ------------------------------------------------------------------
     # CZ layers

@@ -10,7 +10,8 @@ within the interaction radius and clear of other compute atoms'
 crosstalk), zone containment,
 deposits into compute landing on a free grid site,
 dependency order of executed gates (a native CZ names its gate's qubits
-in the gate's order) and each rotation's angles (a native
+in the gate's order, and no gate runs on an atom already measured) and
+each rotation's angles (a native
 U3 bit for bit equal to its circuit gate, a SWAP step to its template
 step), single measurement per atom, the
 qubit each measurement names (the replayed mapping's qubit for that
@@ -170,6 +171,10 @@ class _Replay:
             self.bad("dependency", i, f"{what} names unknown qubit {q}")
         return bool(unknown)
 
+    def _check_unmeasured(self, i: int, atom: int, what: str) -> None:
+        if atom in self.measured:
+            self.bad("dependency", i, f"{what} on atom {atom} after its readout")
+
     def _expected_gate(self, q: int) -> int | None:
         c = self.cursor[q]
         return self.by_qubit[q][c] if c < len(self.by_qubit[q]) else None
@@ -292,6 +297,7 @@ class _Replay:
                     self.bad("timing", i, f"atom {g.atom} runs two rotations "
                              "in one U3 layer")
                 atoms.add(g.atom)
+                self._check_unmeasured(i, g.atom, "u3")
                 if g.origin is not None:
                     self._swap_component(i, g.origin, "u3", (g.qubit,),
                                          g.angles)
@@ -406,6 +412,8 @@ class _Replay:
                 self.bad("blockade", i, f"pair {p.atoms} stands outside compute")
             pair_of[a1] = k
             pair_of[a2] = k
+            for a in p.atoms:
+                self._check_unmeasured(i, a, f"cz {tuple(p.qubits)}")
             if p.origin is not None:
                 self._swap_component(i, p.origin, "cz", p.qubits)
             else:

@@ -3,6 +3,7 @@
 Run with `pytest tests/test_acceptance.py -v -s` to see the lines as the
 criteria execute.
 """
+import bisect
 import csv
 import hashlib
 import json
@@ -382,6 +383,116 @@ def test_u3_fusion_removes_only_u3_layers(qasm_results):
             assert equivalence_check(sched, unfused)[0], case
     assert len(qasm_results) == 64
     assert fewer
+
+
+class _UnpackedCompiler(Compiler):
+    """Leaves every rotation in the U3 layer that first exposed it."""
+
+    def _pack_rotations(self) -> None:
+        pass
+
+
+def _rotations_by_atom(sched):
+    """Each atom's U3 entries, in order."""
+    out: dict[int, list] = {}
+    for ev in sched.events:
+        if isinstance(ev, U3LayerEvent):
+            for g in ev.gates:
+                out.setdefault(g.atom, []).append((g.qubit, g.angles, g.origin))
+    return out
+
+
+def _rotation_windows(ref):
+    """(atom, k) -> [first, last] for the k-th rotation of each atom in an
+    unpacked schedule, if it is native: the positions among the U3 layers
+    of its own layer and of the last one before the next event on its
+    atom."""
+    windows, open_, n_layers = {}, {}, 0
+    counts: dict[int, int] = {}
+
+    def close(atom):
+        if atom in open_:
+            windows[open_.pop(atom)][1] = n_layers - 1
+
+    for ev in ref.events:
+        if isinstance(ev, U3LayerEvent):
+            for g in ev.gates:
+                close(g.atom)
+                k = counts[g.atom] = counts.get(g.atom, -1) + 1
+                if g.origin is None:
+                    open_[g.atom] = (g.atom, k)
+                    windows[g.atom, k] = [n_layers, None]
+            n_layers += 1
+        elif isinstance(ev, Illumination):
+            for p in ev.pairs:
+                for a in p.atoms:
+                    close(a)
+        elif isinstance(ev, Measure):
+            for a, *_ in ev.atoms:
+                close(a)
+    for atom in list(open_):
+        close(atom)
+    return windows
+
+
+def _check_packing(sched, ref, case):
+    """Every native rotation runs inside its window, and every U3 layer left
+    with native rotations only holds one whose window has no other layer
+    left, so none could be dropped."""
+    windows = _rotation_windows(ref)
+    position = {ev.layer: i for i, ev in enumerate(
+        ev for ev in ref.events if isinstance(ev, U3LayerEvent))}
+    kept = [ev for ev in sched.events if isinstance(ev, U3LayerEvent)]
+    kept_at = sorted(position[ev.layer] for ev in kept)
+    counts: dict[int, int] = {}
+    for ev in kept:
+        at, needed = position[ev.layer], False
+        for g in ev.gates:
+            k = counts[g.atom] = counts.get(g.atom, -1) + 1
+            if g.origin is not None:
+                needed = True
+                continue
+            first, last = windows[g.atom, k]
+            assert first <= at <= last, case
+            others = bisect.bisect_right(kept_at, last) - \
+                bisect.bisect_left(kept_at, first)
+            needed |= others == 1
+        assert needed, (case, ev.layer)
+
+
+def test_packing_removes_only_u3_layers(corpus_results):
+    """Packing rotations keeps every other event in order, with its layer
+    number and duration, and each atom's rotations in order. It only
+    removes U3 layers, leaves none empty and none it could drop, moves
+    each rotation within its window, and the runtime falls by exactly
+    u3_time per removed layer. Over the corpus, on every technique x grid;
+    the packed schedules validate and match the oracle."""
+    removed = 0
+    for circ, technique, grid_kind, sched, violations in corpus_results:
+        case = (circ.source_name, technique, grid_kind)
+        layout = build_layout(circ.num_qubits, "auto", PARAMS, grid_kind)
+        grid = generate_grid(grid_kind, layout, PARAMS)
+        ref = _UnpackedCompiler(circ, technique, grid, layout, PARAMS).run()
+        rest, ref_rest = ([ev for ev in s.events
+                           if not isinstance(ev, U3LayerEvent)]
+                          for s in (sched, ref))
+        assert [(ev.layer, _event_key(ev)) for ev in rest] == \
+            [(ev.layer, _event_key(ev)) for ev in ref_rest], case
+        assert all(abs((a.t_end - a.t_start) - (b.t_end - b.t_start)) <= 1e-9
+                   for a, b in zip(rest, ref_rest)), case
+        assert _rotations_by_atom(sched) == _rotations_by_atom(ref), case
+        layers = [ev for ev in sched.events if isinstance(ev, U3LayerEvent)]
+        assert all(ev.gates for ev in layers), case
+        _check_packing(sched, ref, case)
+        fewer = sum(isinstance(ev, U3LayerEvent) for ev in ref.events) - len(layers)
+        assert sched.end_time == ref.end_time - fewer * PARAMS.u3_time, case
+        removed += fewer
+        assert violations == [], case
+        if circ.num_qubits <= EQUIVALENCE_QUBIT_CAP:
+            assert equivalence_check(sched, circ)[0], case
+    assert {case[1:3] for case in corpus_results} == \
+        {(t, g) for t in TECHNIQUES for g in GRIDS}
+    assert removed
 
 
 def test_forced_guard_schedules_validate(forced_guard_results):

@@ -1,4 +1,5 @@
 """Machine model: parameters, zone layout, grids, and geometry checks."""
+import functools
 import json
 import math
 
@@ -17,6 +18,8 @@ from pachinqo.machine import (
     slm_capacity,
     validate_geometry,
 )
+
+from corpus import GRIDS
 
 
 def test_defaults_match_reference_parameters(params):
@@ -188,3 +191,42 @@ def test_capacity_composition(default_layout, params):
     assert machine_capacity(default_layout, params) == (
         slm_capacity(grid, params) + aod_capacity(default_layout, params)
     )
+
+
+def _capacity_rule(params, grid_kind):
+    """n -> the scale `auto` picks by counting SLM sites: the first layout
+    whose SLM + AOD capacity holds n qubits."""
+    caps = [(scale, machine_capacity(build_layout(1, scale, params), params,
+                                     grid_kind))
+            for scale in ("default", "doubled")]
+    return lambda n: next(scale for scale, cap in caps if n <= cap)
+
+
+def test_auto_layout_matches_the_capacity_rule(params, monkeypatch):
+    import pachinqo.machine
+
+    # Memoised, so the 1,000 layouts cost a few site counts.
+    monkeypatch.setattr(pachinqo.machine, "machine_capacity",
+                        functools.cache(machine_capacity))
+    for grid_kind in GRIDS:
+        rule = _capacity_rule(params, grid_kind)
+        for n in range(1, 251):
+            assert build_layout(n, "auto", params, grid_kind) == \
+                build_layout(n, rule(n), params), (grid_kind, n)
+
+
+def test_auto_layout_counts_no_sites_within_aod_capacity(params, monkeypatch):
+    import pachinqo.machine
+
+    def fail(*args):
+        raise AssertionError("pair_clear_sites called")
+
+    default = build_layout(1, "default", params)
+    cap = aod_capacity(default, params)
+    assert cap == 124
+    monkeypatch.setattr(pachinqo.machine, "pair_clear_sites", fail)
+    for grid_kind in GRIDS:
+        for n in range(1, cap + 1):
+            assert build_layout(n, "auto", params, grid_kind) == default
+        with pytest.raises(AssertionError):
+            build_layout(cap + 1, "auto", params, grid_kind)

@@ -96,6 +96,48 @@ def test_sequential_u3s_split_into_layers():
     assert len(layers) == 2
 
 
+def test_packed_rotation_lands_just_before_its_cz():
+    """q2's rotation is exposed in the first U3 round, but q2 waits for
+    CZ(0, 2), behind CZ(0, 1) and q0's rotation: it joins q0's rotation
+    in the layer just before that CZ, and the first layer disappears."""
+    circ = Circuit(3, [u3(2, 1, 0, 0), cz(0, 1), u3(0, 2, 0, 0), cz(0, 2)])
+    sched, layout, grid, params = _compile(circ)
+    rotations = [(ev.layer, [g.qubit for g in ev.gates])
+                 for ev in sched.events if isinstance(ev, U3LayerEvent)]
+    czs = [(ev.layer, [p.qubits for p in ev.pairs])
+           for ev in sched.events if isinstance(ev, Illumination)]
+    assert rotations == [(3, [2, 0])]
+    assert czs == [(2, [(0, 1)]), (4, [(0, 2)])]
+    assert validate_schedule(sched, layout, grid, params, circ) == []
+    assert equivalence_check(sched, circ)[0]
+
+
+class _IlluminationBlindPacking(Compiler):
+    """Packs rotations as if no illumination touched any atom."""
+
+    def _pack_rotations(self):
+        illuminations = [ev for ev in self.events if isinstance(ev, Illumination)]
+        pairs = [ev.pairs for ev in illuminations]
+        for ev in illuminations:
+            ev.pairs = []
+        super()._pack_rotations()
+        for ev, kept in zip(illuminations, pairs):
+            ev.pairs = kept
+
+
+def test_packing_past_an_illumination_fails_the_dependency_check():
+    circ = Circuit(3, [u3(0, 1, 0, 0), cz(0, 1), u3(1, 2, 0, 0), cz(1, 2)])
+    params = PhysParams()
+    layout = build_layout(3, "auto", params)
+    grid = generate_grid("large-square", layout, params)
+    sched = _IlluminationBlindPacking(circ, "pachinqo", grid, layout,
+                                      params).run()
+    violations = validate_schedule(sched, layout, grid, params, circ)
+    assert "dependency" in {v.code for v in violations}
+    assert validate_schedule(_compile(circ)[0], layout, grid, params,
+                             circ) == []
+
+
 def test_direction_toggles_between_cz_layers():
     # Two dependent CZ layers: the second plans from the opposite cache.
     # Each layer's relocation is fused into its placement phase, so read

@@ -851,6 +851,27 @@ def test_validator_catches_wrong_phi_on_a_qubits_last_u3():
     assert not equivalence_check(mutated, circ)[0]
 
 
+def test_validator_catches_a_rotation_after_readout():
+    """A qubit's last rotation, moved into a new U3 layer after the
+    readout, keeps every span, count and gate order intact, and the oracle,
+    which ignores measures, still agrees; only the readout check sees it."""
+    circ = random_circuit(random.Random(3), 8, 40)
+    sched, layout, grid, params = _compile(circ)
+    mutated = copy.deepcopy(sched)
+    last_kind = {q: g.kind for g in circ.gates for q in g.qubits}
+    i, k = next((i, k) for i, k in reversed(_native_u3s(mutated))
+                if last_kind[mutated.events[i].gates[k].qubit] == "u3")
+    g = mutated.events[i].gates.pop(k)
+    end = mutated.end_time
+    mutated.events.append(U3LayerEvent(end, end + params.u3_time,
+                                       mutated.events[-1].layer + 1, [g]))
+    violations = validate_schedule(mutated, layout, grid, params, circ)
+    assert [(v.code, v.event) for v in violations] == [
+        ("dependency", len(mutated.events) - 1)]
+    assert "after its readout" in violations[0].description
+    assert equivalence_check(mutated, circ)[0]
+
+
 def test_validator_catches_wrong_angle_on_a_swap_step():
     circ = Circuit(4, [cz(0, 1), cz(2, 3), cz(1, 3)])
     sched, layout, grid, params = _compile(circ)
