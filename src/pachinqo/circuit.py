@@ -344,6 +344,18 @@ class Frontier:
         return [q for q, (lst, p) in enumerate(zip(self._by_qubit, self._pos))
                 if p < len(lst) and gates[lst[p]].kind == "u3" and q not in lock]
 
+    def executable_czs(self) -> set[int]:
+        """Index of every CZ for which `executable_cz` holds, read off the
+        qubits' cursors."""
+        gates = self.circuit.gates
+        out = set()
+        for q in range(self.circuit.num_qubits):
+            i = self.next_gate(q)
+            if i != END and gates[i].kind == "cz" and \
+                    self.executable_cz(*gates[i].qubits):
+                out.add(i)
+        return out
+
     def executable_cz(self, q1: int, q2: int) -> bool:
         """True iff both cursors point at the same CZ(q1,q2) and neither
         qubit is locked into a SWAP."""

@@ -40,25 +40,30 @@ follow, as an isolation layer's parking shares its phase with the one
 placement. Retreats measure travel from the same record. A trap change
 closes the phase before it; the measurement epilogue and onecache's return
 home are phases of their own. Both ends of a phase are strictly x-ordered,
-so straight concurrent moves never cross columns.
+so straight concurrent moves never cross columns. A CZ layer that stages
+no pair and changes no trap puts every column back where the phase found
+it (`_stay`), so it emits no move; the progress guard starts from there.
 
 A CZ between two mobile atoms runs as an AOD pair when the column has
 nothing to place: both atoms stand within the interaction radius over a
 free clear site, one INTERACTION_OFFSET above the other when they share
 a column, or side by side, the lower cid's on the left, when the
 partner's column is the next in the layer's order (which then takes no
-turn of its own). The site is the one nearest where the open phase found
-the columns, among those that are clear of obstacles and leave every
-later column's wanted x reachable, as retreats do; each column's other
-atoms spread as for a placement (`_spread`). Zoned arrays entangle any
-two atoms in blockade range under the global Rydberg pulse (Bluvstein et
-al., Nature 2024), and DPQA schedules AOD-AOD gates the same way (Tan,
-Bluvstein, Lukin & Cong, Quantum 2024), so every technique gets pairs.
+turn of its own). When the partner's column is the one just before, and
+it placed or paired this layer, the column stays idle instead: the next
+layer runs the columns in the reverse order, so the pair can form then.
+The site is the one nearest where the open phase found the columns,
+among those that are clear of obstacles and leave every later column's
+wanted x reachable, as retreats do; each column's other atoms spread as
+for a placement (`_spread`). Zoned arrays entangle any two atoms in
+blockade range under the global Rydberg pulse (Bluvstein et al., Nature
+2024), and DPQA schedules AOD-AOD gates the same way (Tan, Bluvstein,
+Lukin & Cong, Quantum 2024), so every technique gets pairs.
 
-Other same-trap conflicts, and pairs with no site, insert SWAPs executed
-preemptively, one component per layer, except that a U3 layer also runs
-a swap's next rotation when it acts on another qubit (template steps 2-3
-and 5-6 share a layer). The
+Other same-trap conflicts (a partner in a column further away), and
+pairs with no site, insert SWAPs executed preemptively, one component
+per layer, except that a U3 layer also runs a swap's next rotation when
+it acts on another qubit (template steps 2-3 and 5-6 share a layer). The
 frontier holds each in-flight SWAP's gate template and step; the compiler
 keeps only which atoms it joins and the layer it last ran in.
 Each SWAP is chosen by lookahead, as in SABRE (Li, Ding & Xie, ASPLOS
@@ -206,6 +211,12 @@ class Compiler:
         self.next_cid = len(self.placement.memory_groups)
 
         self.frontier = Frontier(circuit)
+        # The index of each qubit pair's first CZ: the progress guard tries
+        # executable CZs in this order.
+        self.first_cz: dict[frozenset[int], int] = {}
+        for i, g in enumerate(circuit.gates):
+            if g.kind == "cz":
+                self.first_cz.setdefault(frozenset(g.qubits), i)
         self.swaps: dict[int, _Swap] = {}
         self.swap_count = 0
         self.trap_change_count = 0
@@ -545,12 +556,16 @@ class Compiler:
         self._relocate_all(side)
         self._reset_obstacles()
 
+        trap_changes = self.trap_change_count
         paired = None  # the column an AOD pair took along with its own
+        done = None  # the column just before, if it placed or paired
         for k, col in enumerate(order):
             if col is paired:
+                done = col
                 continue
             nxt = order[k + 1] if k + 1 < len(order) else None
-            action = self._find_action(col, staged, nxt, later, side)
+            action = self._find_action(col, staged, done, nxt, later, side)
+            done = col if action == "placed" else None
             if action == "blocked":
                 same_side_next = True
                 break
@@ -565,20 +580,33 @@ class Compiler:
             if col.atoms and not self._retreat(col, side, later):
                 same_side_next = True
                 break
+        if not staged and self.trap_change_count == trap_changes:
+            self._stay()
         self._fire(staged)
         if not (self.one_cache or same_side_next):
             self.direction = toggle_direction(self.direction)
         return executed
 
+    def _stay(self) -> None:
+        """Put every column and atom back where the open phase found it, so
+        that closing the phase emits no move: a CZ layer that stages no
+        pair and changes no trap has nothing to move for."""
+        for col in self.columns:
+            self._move_column(col, col.found_x,
+                              {a: self.found_y[a] for a in col.atoms})
+
     # -- per-column decision -------------------------------------------
     def _find_action(self, col: _Column, staged: list[CzEntry],
-                     nxt: _Column | None,
+                     done: _Column | None, nxt: _Column | None,
                      later: dict[int, tuple[float, int]], side: int):
         """Pick and apply this column's action for the current layer:
         "placed", "paired" (an AOD pair with `nxt`, the next column of the
         layer's order, which it takes along), "tc" (a trap change closed
         the phase with the column over the site, so the next phase finds
-        it there), "swap" (a SWAP began), "blocked" or "idle"."""
+        it there), "swap" (a SWAP began), "blocked" or "idle". A conflict
+        whose partner is in `done`, the column just before that placed or
+        paired this layer, leaves the column idle: the next layer, in the
+        reverse order, can run it as an AOD pair."""
         wants_blocked = False
         conflict: tuple[int, int, int] | None = None  # (atom, q, partner q)
         for atom in sorted(col.atoms, key=lambda a: -self.atom_y[a]):
@@ -611,6 +639,8 @@ class Compiler:
         if conflict is not None:
             atom, q, p = conflict
             partner_atom = self.atom_of[p]
+            if done is not None and partner_atom in done.atoms:
+                return "idle"
             action = self._pair(col, nxt, atom, partner_atom, later, side)
             if action is not None:
                 self._stage(self.circuit.gates[self.frontier.next_gate(q)],
@@ -1047,19 +1077,16 @@ class Compiler:
                 self._isolation_layer(swap.atom_aod, swap.atom_slm, gate)
                 swap.layer = self.layer
                 return
-        for g in self.circuit.gates:
-            if g.kind != "cz":
-                continue
-            q1, q2 = g.qubits
-            if not self.frontier.executable_cz(q1, q2):
-                continue
+        gates = self.circuit.gates
+        for i in sorted(self.frontier.executable_czs(),
+                        key=lambda i: self.first_cz[frozenset(gates[i].qubits)]):
+            q1, q2 = gates[i].qubits
             a1, a2 = self.atom_of[q1], self.atom_of[q2]
             s1, s2 = self.atom_site[a1] is not None, self.atom_site[a2] is not None
             if s1 != s2:
                 mobile, static = (a2, a1) if s1 else (a1, a2)
                 if self._isolation_feasible(mobile, static):
-                    self._isolation_layer(mobile, static, self.circuit.gates[
-                        self.frontier.next_gate(q1)])
+                    self._isolation_layer(mobile, static, gates[i])
                     return
                 continue
             # Same side: force a swap, preferring to move the lower qubit.

@@ -159,6 +159,10 @@ class _PhasedCompiler(Compiler):
             self.atom_y = now_ys
         super()._flush_moves(cols)
 
+    def _stay(self):
+        super()._stay()  # a layer that moves nothing has no relocation
+        self.split = None
+
 
 class _PhasedGuardForcingCompiler(_PhasedCompiler, _GuardForcingCompiler):
     pass
@@ -239,7 +243,7 @@ def _schedule_digests(corpus_results, forced_guard_results,
         for circ, technique, grid_kind, sched, *_ in qasm_results)
     # One mid-circuit SLM->AOD extraction (see test_scheduler.py).
     sched, _, _ = _compile(
-        random_circuit(random.Random(36), 100, 200, name="extract100"),
+        random_circuit(random.Random(318), 100, 200, name="extract100"),
         "trapchange")
     digests["extract/extract100/trapchange/large-square"] = digest(sched)
     for circ in benchmark_suite():
@@ -511,6 +515,26 @@ def test_forced_guard_schedules_validate(forced_guard_results):
     assert len(forced_guard_results) == 144
     assert not bad, bad
     assert all(isolation.values()), isolation
+
+
+def test_every_moving_layer_illuminates_or_changes_traps(
+        corpus_results, forced_guard_results, qasm_results):
+    """A layer that holds a column move also holds an illumination, a trap
+    change or a measure: a CZ layer that stages no pair and changes no
+    trap leaves every column where it stood, on every technique x grid."""
+    idle = []
+    for circ, technique, grid_kind, sched, *_ in (
+            corpus_results + forced_guard_results + qasm_results):
+        moving, serving = set(), set()
+        for ev in sched.events:
+            if isinstance(ev, ColumnMove):
+                moving.add(ev.layer)
+            elif isinstance(ev, (Illumination, TrapChange, Measure)):
+                serving.add(ev.layer)
+        if moving - serving:
+            idle.append((circ.source_name, technique, grid_kind,
+                         sorted(moving - serving)[:3]))
+    assert not idle, idle
 
 
 def _onecache_cache_use(sched, layout):

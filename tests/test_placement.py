@@ -254,7 +254,7 @@ def test_init_state_equals_replayed_events(params, technique, n, seed):
 def test_trapchange_state_equals_replayed_events(params):
     """After every layer of a trapchange compile with a mid-circuit deposit
     and an extraction, before readout, the state still equals the replay."""
-    circ = random_circuit(random.Random(36), 100, 200)
+    circ = random_circuit(random.Random(318), 100, 200)
     layout = build_layout(100, "auto", params)
     grid = generate_grid("large-square", layout, params)
     compiler = Compiler(circ, "trapchange", grid, layout, params)

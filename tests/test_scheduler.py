@@ -289,6 +289,31 @@ def test_aod_pair_leaves_later_columns_their_placements(partner, pairs):
     assert compiler.swap_count == (0 if pairs else 1)
 
 
+def test_conflict_with_the_column_just_before_waits_for_an_aod_pair():
+    """In a right-side layer, column 0 places CZ(0, 1), and its atom 6
+    waits for CZ(6, 8) with column 1's atom 8. Column 0 has used its turn,
+    so column 1 stays idle rather than begin a SWAP; the next layer runs
+    the columns right to left, and CZ(6, 8) runs as a horizontal pair."""
+    circ = Circuit(24, [cz(2 * i, 2 * i + 1) for i in range(12)]
+                   + [cz(0, 1), cz(6, 8)])
+    compiler = _three_column_compiler(circ)
+    for g in circ.gates[:12]:
+        compiler.frontier.advance(g)
+    assert compiler.direction == RIGHT
+    compiler._cz_layer()
+    (illum,) = [e for e in compiler.events if isinstance(e, Illumination)]
+    assert [p.qubits for p in illum.pairs] == [(0, 1)]
+    assert compiler.swap_count == 0
+    assert compiler.direction == LEFT
+    compiler._cz_layer()
+    illum = [e for e in compiler.events if isinstance(e, Illumination)][-1]
+    assert [p.qubits for p in illum.pairs] == [(6, 8)]
+    (x6, y6), (x8, y8) = illum.pairs[0].positions
+    assert (x8, y8) == (x6 + INTERACTION_OFFSET, y6)
+    assert compiler.swap_count == 0
+    assert compiler.frontier.done()
+
+
 def _loaded(circ, executed):
     """A pachinqo compiler with its atoms loaded and the first `executed`
     gates of `circ` marked done, ready for a SWAP choice. Greedy MaxCut
@@ -463,7 +488,7 @@ def test_trapchange_extracts_static_atom_into_column():
     # A seed whose trapchange schedule makes exactly one mid-circuit
     # extraction; most seeds resolve every conflict otherwise (found by
     # searching random_circuit(Random(k), n, 2n..3n) over the four grids).
-    circ = random_circuit(random.Random(36), 100, 200)
+    circ = random_circuit(random.Random(318), 100, 200)
     sched, layout, grid, params = _compile(circ, technique="trapchange")
     last_layer = sched.events[-1].layer
     extractions = [e for e in sched.events
