@@ -74,13 +74,17 @@ class _Grouper:
 
 
 def greedy_maxcut_group(circuit: Circuit, slm_capacity: int,
-                        aod_capacity: int) -> Grouping:
+                        aod_capacity: int,
+                        per_column: int = PhysParams.max_atoms_per_column
+                        ) -> Grouping:
     """Greedy MaxCut over the CZ interaction graph, in circuit order.
 
     First CZ touching two fresh qubits sends the first operand mobile and
     the second static; a gate with one grouped operand sends the other to
     the complementary group; full groups fall back to whichever side still
-    has room.
+    has room. The mobile list is then packed into AOD columns of
+    `per_column` (`pack_columns`), which only reorders it: the static
+    list, and so every site, and the column sizes stay.
     """
     if slm_capacity + aod_capacity < circuit.num_qubits:
         raise CapacityError(
@@ -97,7 +101,75 @@ def greedy_maxcut_group(circuit: Circuit, slm_capacity: int,
             g.place(b, SLM if ga == AOD else AOD)
         elif gb is not None and ga is None:
             g.place(a, SLM if gb == AOD else AOD)
-    return g.finish(circuit.num_qubits)
+    grouping = g.finish(circuit.num_qubits)
+    grouping.aod_qubits = pack_columns(circuit, grouping.aod_qubits, per_column)
+    return grouping
+
+
+def pack_columns(circuit: Circuit, mobile: list[int],
+                 per_column: int) -> list[int]:
+    """`mobile` reordered so that fewer CZs join mobile qubits in
+    different AOD columns, the k-th column being the k-th run of
+    `per_column` qubits.
+
+    Two mobile atoms in one column always run their CZ as an AOD pair;
+    two in different columns pair only when their columns meet in a
+    layer's order, and need a SWAP otherwise. So frequent partners are
+    kept in one column, as ZAC's reuse-aware placement keeps interacting
+    qubits together (Lin, Tan & Cong, HPCA 2025). Starting from `mobile`'s
+    order, while exchanging two qubits in different columns lowers the
+    count of CZs between mobile qubits in different columns, the exchange
+    that lowers it most is made, the lowest pair of positions on a tie.
+    Column sizes stay as they were.
+    """
+    pos = {q: i for i, q in enumerate(mobile)}
+    weight: dict[int, dict[int, int]] = {q: {} for q in mobile}
+    for a, b in circuit.cz_pairs():
+        if a in pos and b in pos:
+            weight[a][b] = weight[a].get(b, 0) + 1
+            weight[b][a] = weight[b].get(a, 0) + 1
+    n_cols = math.ceil(len(mobile) / per_column)
+    # to_col[q][c]: the CZs of q with the qubits now in column c.
+    to_col = {q: [0] * n_cols for q in mobile}
+    for q in mobile:
+        for r, w in weight[q].items():
+            to_col[q][pos[r] // per_column] += w
+    packed = list(mobile)
+    while True:
+        # An exchange of a (column ca) and b (column cb) lowers the count
+        # only if a has a partner in cb or b one in ca, so it suffices to
+        # try each qubit against the columns of its partners.
+        best = None
+        for a in mobile:
+            i = pos[a]
+            ca, ta = i // per_column, to_col[a]
+            for r in weight[a]:
+                cb = pos[r] // per_column
+                if cb == ca:
+                    continue
+                for j in range(cb * per_column,
+                               min((cb + 1) * per_column, len(packed))):
+                    b = packed[j]
+                    tb = to_col[b]
+                    gain = (ta[cb] + tb[ca] - ta[ca] - tb[cb]
+                            - 2 * weight[a].get(b, 0))
+                    if gain > 0:
+                        key = (-gain, min(i, j), max(i, j))
+                        if best is None or key < best:
+                            best = key
+        if best is None:
+            return packed
+        _, i, j = best
+        a, b = packed[i], packed[j]
+        ca, cb = i // per_column, j // per_column
+        packed[i], packed[j] = b, a
+        pos[a], pos[b] = j, i
+        for r, w in weight[a].items():
+            to_col[r][ca] -= w
+            to_col[r][cb] += w
+        for r, w in weight[b].items():
+            to_col[r][cb] -= w
+            to_col[r][ca] += w
 
 
 def degree_split_group(circuit: Circuit, slm_capacity: int,
@@ -153,9 +225,11 @@ def assign_atoms(grouping: Grouping, grid: SlmGrid, layout: ZoneLayout,
                  clear_sites: list[int] | None = None) -> InitialPlacement:
     """Deterministic atom assignment: static qubits take clear grid sites
     (`clear_sites`, by default `pair_clear_sites` of the grid) in
-    grouping-by-site order; mobile qubits pack into AOD columns parked in
-    the right cache. Atom ids equal qubit ids (the load mapping is
-    arbitrary, so identity is used)."""
+    grouping-by-site order; mobile qubits fill AOD columns of
+    `max_atoms_per_column` in the order of `grouping.aod_qubits` (which
+    greedy grouping has packed, `pack_columns`), parked in the right
+    cache. Atom ids equal qubit ids (the load mapping is arbitrary, so
+    identity is used)."""
     usable = pair_clear_sites(grid, params) if clear_sites is None else clear_sites
     if len(grouping.slm_qubits) > len(usable):
         raise CapacityError(

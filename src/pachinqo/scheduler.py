@@ -54,22 +54,28 @@ it placed or paired this layer, the column stays idle instead: the next
 layer runs the columns in the reverse order, so the pair can form then.
 The site is the one nearest where the open phase found the columns,
 among those that are clear of obstacles and leave every later column's
-wanted x reachable, as retreats do; each column's other atoms spread as
-for a placement (`_spread`). Zoned arrays entangle any two atoms in
-blockade range under the global Rydberg pulse (Bluvstein et al., Nature
-2024), and DPQA schedules AOD-AOD gates the same way (Tan, Bluvstein,
-Lukin & Cong, Quantum 2024), so every technique gets pairs.
+wanted x reachable, as retreats do; a pair within one column that only
+that reach rule keeps from every site also waits for the next layer.
+Each column's other atoms spread as for a placement (`_spread`). Zoned
+arrays entangle any two atoms in blockade range under the global
+Rydberg pulse (Bluvstein et al., Nature 2024), and DPQA schedules
+AOD-AOD gates the same way (Tan, Bluvstein, Lukin & Cong, Quantum 2024),
+so every technique gets pairs.
 
-Other same-trap conflicts (a partner in a column further away), and
-pairs with no site, insert SWAPs executed preemptively, one component
-per layer, except that a U3 layer also runs a swap's next rotation when
-it acts on another qubit (template steps 2-3 and 5-6 share a layer). The
-frontier holds each in-flight SWAP's gate template and step; the compiler
-keeps only which atoms it joins and the layer it last ran in.
-Each SWAP is chosen by lookahead, as in SABRE (Li, Ding & Xie, ASPLOS
-2019): either operand of the conflicting CZ may trade sides with a qubit
-from the other side, and the trade that leaves the fewest of the next
-SWAP_WINDOW CZs on one side, weighted by decay, wins (`_choose_swap`).
+Other conflicts (a partner in a column further away, or two static
+operands), and pairs with no site, insert SWAPs executed preemptively,
+one component per layer, except that a U3 layer also runs a swap's next
+rotation when it acts on another qubit (template steps 2-3 and 5-6
+share a layer). The frontier holds each in-flight SWAP's gate template
+and step; the compiler keeps only which atoms it joins and the layer it
+last ran in. Each SWAP is chosen by lookahead, as in SABRE (Li, Ding &
+Xie, ASPLOS 2019): either operand of the conflicting CZ may trade places
+with a qubit from the other side, taking its site or column, and the
+trade that leaves the fewest of the next SWAP_WINDOW CZs conflicting,
+weighted by decay, wins (`_choose_swap`). A CZ conflicts unless exactly
+one operand is static or both are mobile in one column, the rule by
+which greedy grouping also packs the mobile qubits into columns
+(`pack_columns`).
 The techniques differ only in three values set in
 `Compiler.__init__`: the grouping function (degreesplit), whether a
 conflict tries a mid-circuit trap change before a SWAP (trapchange), and
@@ -189,14 +195,26 @@ class Compiler:
 
         n = circuit.num_qubits
         # The only technique-dependent values; nothing below compares names.
-        group_fn = degree_split_group if technique == "degreesplit" else greedy_maxcut_group
         self.one_cache = technique == "onecache"
         self.trap_change_first = technique == "trapchange"
         self.clear_sites = pair_clear_sites(grid, params)
-        grouping = group_fn(circuit, len(self.clear_sites),
-                            aod_capacity(layout, params))
+        capacities = len(self.clear_sites), aod_capacity(layout, params)
+        if technique == "degreesplit":
+            grouping = degree_split_group(circuit, *capacities)
+        else:
+            grouping = greedy_maxcut_group(circuit, *capacities,
+                                           params.max_atoms_per_column)
         self.placement: InitialPlacement = assign_atoms(grouping, grid, layout,
                                                         params, self.clear_sites)
+        # Per AOD pair offset: (x, y, site) of every clear site that keeps
+        # both atoms of the pair in compute, by x, and those xs.
+        by_x = sorted((*grid.sites[s], s) for s in self.clear_sites)
+        comp = layout.compute
+        self.pair_sites: dict[tuple[float, float], tuple[list, list]] = {}
+        for dx, dy in ((0.0, INTERACTION_OFFSET), (INTERACTION_OFFSET, 0.0)):
+            fit = [(x, y, s) for x, y, s in by_x
+                   if comp.contains(x, y) and comp.contains(x + dx, y + dy)]
+            self.pair_sites[dx, dy] = fit, [x for x, _, _ in fit]
 
         # Mutable machine state. Atom ids equal initial qubit ids. An atom
         # is held by its site in atom_site, or else by a column's atoms.
@@ -606,7 +624,9 @@ class Compiler:
         it there), "swap" (a SWAP began), "blocked" or "idle". A conflict
         whose partner is in `done`, the column just before that placed or
         paired this layer, leaves the column idle: the next layer, in the
-        reverse order, can run it as an AOD pair."""
+        reverse order, can run it as an AOD pair. So does a conflict with
+        an atom of the column itself that only a later column's placement
+        keeps from every pair site (`_pair` "wait")."""
         wants_blocked = False
         conflict: tuple[int, int, int] | None = None  # (atom, q, partner q)
         for atom in sorted(col.atoms, key=lambda a: -self.atom_y[a]):
@@ -642,6 +662,8 @@ class Compiler:
             if done is not None and partner_atom in done.atoms:
                 return "idle"
             action = self._pair(col, nxt, atom, partner_atom, later, side)
+            if action == "wait":
+                return "idle"
             if action is not None:
                 self._stage(self.circuit.gates[self.frontier.next_gate(q)],
                             atom, partner_atom, staged)
@@ -741,7 +763,9 @@ class Compiler:
         site: one above the other when both are in `col` ("placed"), side
         by side, the lower cid's on the left, when the partner is in `nxt`
         ("paired"). None when the partner is in neither column or no site
-        fits (`_pair_site`)."""
+        fits (`_pair_site`), except that a pair within `col` that only a
+        later column's wanted x keeps from every site is "wait": the next
+        layer runs the columns in the reverse order."""
         if partner_atom in col.atoms:
             atoms = sorted((atom, partner_atom), key=lambda a: self.atom_y[a])
             cols, last = [col, col], col
@@ -756,6 +780,9 @@ class Compiler:
             return None
         spots = self._pair_site(atoms, cols, offset, later[last.cid][0], side)
         if spots is None:
+            if cols[0] is cols[1] and self._pair_site(
+                    atoms, cols, offset, math.inf, side) is not None:
+                return "wait"
             return None
         if cols[0] is cols[1]:
             (x, y0), (_, y1) = spots
@@ -774,22 +801,25 @@ class Compiler:
         short of every x a later column wants (`reach`, as `_retreat`
         obeys) and clear of obstacles, the one nearest where the open
         phase found the columns; None if there is none."""
-        comp = self.layout.compute
         lo, hi = self._neighbors(cols[0].cid)[0], self._neighbors(cols[1].cid)[1]
         occupied = {s for s in self.atom_site if s is not None}
         dx, dy = offset
+        # The sites with lo < x < hi and short of reach; the offset spot
+        # is checked on its own.
+        sites, xs = self.pair_sites[offset]
+        i = bisect.bisect_right(xs, max(lo, -reach) if side == LEFT else lo)
+        j = bisect.bisect_left(xs, min(hi, reach) if side == RIGHT else hi)
+        (a0, a1), (c0, c1) = atoms, cols
         candidates = []
-        for site in self.clear_sites:
+        for sx, sy, site in sites[i:j]:
             if site in occupied:
                 continue
-            sx, sy = self.grid.sites[site]
-            spots = [(sx, sy), (sx + dx, sy + dy)]
-            if not all(lo < x < hi and side * x < reach and comp.contains(x, y)
-                       for x, y in spots):
+            tx, ty = sx + dx, sy + dy
+            if not (lo < tx < hi and side * tx < reach):
                 continue
-            travel = max(abs(x - c.found_x) + abs(y - self.found_y[a])
-                         for a, c, (x, y) in zip(atoms, cols, spots))
-            candidates.append((travel, site, spots))
+            travel = max(abs(sx - c0.found_x) + abs(sy - self.found_y[a0]),
+                         abs(tx - c1.found_x) + abs(ty - self.found_y[a1]))
+            candidates.append((travel, site, [(sx, sy), (tx, ty)]))
         r2 = self.params.crosstalk_radius ** 2
         for *_, spots in sorted(candidates):
             if all(kernels.clear_from(self.obstacles, self.atom_x, self.atom_y,
@@ -908,43 +938,68 @@ class Compiler:
         """Whether q is static, or will be once its in-flight SWAP ends."""
         return (self.atom_site[self.atom_of[q]] is not None) != (q in self.frontier.lock)
 
+    def _places(self) -> list[int | None]:
+        """Per qubit, where it stands once its in-flight SWAP ends: None on
+        a site, else its column's cid."""
+        cid_of = {a: col.cid for col in self.columns for a in col.atoms}
+        places = []
+        for q in range(self.circuit.num_qubits):
+            atom = self.atom_of[q]
+            if q in self.frontier.lock:
+                swap = self.swaps[self.frontier.lock[q]]
+                atom = swap.atom_slm if atom == swap.atom_aod else swap.atom_aod
+            places.append(None if self.atom_site[atom] is not None else cid_of[atom])
+        return places
+
     def _choose_swap(self, q: int, p: int,
                      forced: bool) -> tuple[int, int] | None:
-        """The SWAP that resolves the same-side CZ (q, p), as (mobile atom,
-        static atom) for `_begin_swap`, or None if no qubit can take part.
+        """The SWAP that resolves the conflicting CZ (q, p), as (mobile
+        atom, static atom) for `_begin_swap`, or None if no qubit can take
+        part.
 
+        A CZ needs no SWAP when exactly one operand is static, or when both
+        are mobile in one AOD column (an AOD pair); any other CZ conflicts.
         A candidate exchanges one operand o of the CZ with an unlocked
-        qubit x on the other side. Its cost is the decayed count of
-        window CZs left on one side after the exchange: the conflicting
-        CZ, then the first SWAP_WINDOW CZs not yet executed, the k-th
-        weighted SWAP_DECAY**k. An x whose own next CZ is split now would
-        be pulled away from it: a forced choice (the progress guard) ranks
-        such an x last, any other skips it. Lowest cost wins, then moving
-        q rather than p, the nearer x and the lower atom id.
+        qubit x on the other side, o taking x's site or column and x
+        taking o's. Its cost is the decayed count of window CZs that
+        conflict once every in-flight SWAP has ended and the exchange is
+        made: the conflicting CZ, then the first SWAP_WINDOW CZs not yet
+        executed, the k-th weighted SWAP_DECAY**k. Only the CZs of o and x
+        are rescored per candidate. An x whose own next CZ is split now
+        would be pulled away from it: a forced choice (the progress guard)
+        ranks such an x last, any other skips it. Lowest cost wins, then
+        moving q rather than p, the nearer x and the lower atom id.
         """
         gates = self.circuit.gates
         conflict = self.frontier.next_gate(q)
         window = [conflict] + [i for i in self.frontier.pending_czs(SWAP_WINDOW + 1)
                                if i != conflict][:SWAP_WINDOW]
-        # qubit -> [(weight, other operand, same side now)] over the window
+        places = self._places()
+
+        def conflicts(u: int | None, v: int | None) -> bool:
+            if u is None or v is None:
+                return u is v
+            return u != v
+
+        # qubit -> [(weight, other operand, conflicting now)] over the window
         touching: dict[int, list[tuple[float, int, bool]]] = {}
         cost0 = 0.0
         w = 1.0
         for i in window:
             a, b = gates[i].qubits
-            same = self._static_side(a) == self._static_side(b)
-            if same:
+            now = conflicts(places[a], places[b])
+            if now:
                 cost0 += w
-            touching.setdefault(a, []).append((w, b, same))
-            touching.setdefault(b, []).append((w, a, same))
+            touching.setdefault(a, []).append((w, b, now))
+            touching.setdefault(b, []).append((w, a, now))
             w *= SWAP_DECAY
 
-        def flipped(y: int, other: int) -> float:
-            # Cost change from moving y alone to the other side, over the
-            # window CZs y shares with neither `other`: a CZ of y and
-            # other keeps its split, as both move.
-            return sum(-wk if was_same else wk
-                       for wk, z, was_same in touching.get(y, ()) if z != other)
+        def moved(y: int, to: int | None, other: int) -> float:
+            # Cost change from y taking place `to`, over the window CZs y
+            # shares with neither `other`: a CZ of y and other only trades
+            # its operands' places.
+            return sum(wk * (conflicts(to, places[z]) - was)
+                       for wk, z, was in touching.get(y, ()) if z != other)
 
         mobile = not self._static_side(q)
         if mobile:
@@ -964,7 +1019,8 @@ class Compiler:
             xx, xy = self.atom_x[x_atom], self.atom_y[x_atom]
             for o in (q, p):
                 o_atom = self.atom_of[o]
-                cost = cost0 + flipped(o, x) + flipped(x, o)
+                cost = (cost0 + moved(o, places[x], x)
+                        + moved(x, places[o], o))
                 d = (self.atom_x[o_atom] - xx) ** 2 + (self.atom_y[o_atom] - xy) ** 2
                 key = (ineligible, cost, o != q, d, x_atom)
                 if best is None or key < best[0]:

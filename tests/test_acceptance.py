@@ -243,7 +243,7 @@ def _schedule_digests(corpus_results, forced_guard_results,
         for circ, technique, grid_kind, sched, *_ in qasm_results)
     # One mid-circuit SLM->AOD extraction (see test_scheduler.py).
     sched, _, _ = _compile(
-        random_circuit(random.Random(318), 100, 200, name="extract100"),
+        random_circuit(random.Random(33), 100, 300, name="extract100"),
         "trapchange")
     digests["extract/extract100/trapchange/large-square"] = digest(sched)
     for circ in benchmark_suite():

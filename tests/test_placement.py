@@ -6,7 +6,14 @@ import random
 import pytest
 
 from pachinqo.circuit import Circuit, cz, u3
-from pachinqo.machine import CapacityError, build_layout, generate_grid
+from pachinqo.machine import (
+    CapacityError,
+    aod_capacity,
+    build_layout,
+    generate_grid,
+    pair_clear_sites,
+)
+from pachinqo import placement
 from pachinqo.placement import (
     AOD,
     assign_atoms,
@@ -16,7 +23,7 @@ from pachinqo.placement import (
 from pachinqo.schedule import AOD_TO_SLM, SLM_TO_AOD, ColumnMove, TrapChange
 from pachinqo.scheduler import Compiler
 
-from corpus import random_circuit, staircase
+from corpus import GRIDS, random_circuit, staircase
 
 
 def _circ(n, pairs):
@@ -105,6 +112,66 @@ def test_greedy_within_exact_maxcut_bound():
         assert got <= best
         ratios.append(got / best)
     assert min(ratios) > 0.5  # sanity: the heuristic is not degenerate
+
+
+# ---------------------------------------------------------------------------
+# column packing
+
+def _cross_column_czs(circ, mobile, per_column):
+    column = {q: i // per_column for i, q in enumerate(mobile)}
+    return sum(1 for a, b in circ.cz_pairs()
+               if a in column and b in column and column[a] != column[b])
+
+
+def test_packing_keeps_frequent_partners_in_one_column():
+    # Grouping order puts 0 and 8 in columns 0 and 2; the earliest
+    # exchange that joins them moves 8 to position 1 and 1 to position 8.
+    circ = _circ(10, [(i, 9) for i in range(9)] + [(0, 8)] * 3)
+    assert greedy_maxcut_group(circ, 10, 10).aod_qubits == [
+        0, 8, 2, 3, 4, 5, 6, 7, 1]
+    # With CZ(3, 4) too, joining 0 and 8 (two CZs) goes before joining 3
+    # and 4 (one), which then moves 4 to position 2. Taking the first
+    # exchange that lowers the count would join 3 and 4 first, moving 3.
+    circ = _circ(10, [(i, 9) for i in range(9)] + [(3, 4)] + [(8, 0)] * 2)
+    assert greedy_maxcut_group(circ, 10, 10).aod_qubits == [
+        0, 8, 4, 3, 2, 5, 6, 7, 1]
+
+
+@pytest.mark.parametrize("grid_kind", GRIDS)
+def test_packing_only_reorders_the_mobile_columns(grid_kind, params,
+                                                  monkeypatch):
+    """Against grouping order (packing switched off): never more CZs
+    between mobile qubits in different columns, the same mobile set and
+    static list, the same sites, columns full but the last, and the same
+    order on a second run. Degree split does not pack."""
+    per_col = params.max_atoms_per_column
+    rng = random.Random(20)
+    fewer = 0
+    for _ in range(6):
+        n = rng.randint(8, 40)
+        circ = random_circuit(rng, n, rng.randint(4 * n, 10 * n))
+        layout = build_layout(n, "auto", params, grid_kind)
+        grid = generate_grid(grid_kind, layout, params)
+        caps = len(pair_clear_sites(grid, params)), aod_capacity(layout, params)
+        packed = greedy_maxcut_group(circ, *caps, per_col)
+        split = degree_split_group(circ, *caps)
+        with monkeypatch.context() as m:
+            m.setattr(placement, "pack_columns", lambda c, mobile, k: mobile)
+            plain = greedy_maxcut_group(circ, *caps, per_col)
+            assert (degree_split_group(circ, *caps).aod_qubits
+                    == split.aod_qubits)
+        assert packed.slm_qubits == plain.slm_qubits
+        assert sorted(packed.aod_qubits) == sorted(plain.aod_qubits)
+        cross = _cross_column_czs(circ, packed.aod_qubits, per_col)
+        assert cross <= _cross_column_czs(circ, plain.aod_qubits, per_col)
+        fewer += cross < _cross_column_czs(circ, plain.aod_qubits, per_col)
+        assert greedy_maxcut_group(circ, *caps, per_col) == packed
+        a, b = (assign_atoms(g, grid, layout, params) for g in (packed, plain))
+        assert a.site_of_qubit == b.site_of_qubit
+        sizes = [len(g.atoms) for g in a.memory_groups if g.kind == AOD]
+        assert sizes == [len(g.atoms) for g in b.memory_groups if g.kind == AOD]
+        assert all(k == per_col for k in sizes[:-1])
+    assert fewer
 
 
 # ---------------------------------------------------------------------------
@@ -254,7 +321,7 @@ def test_init_state_equals_replayed_events(params, technique, n, seed):
 def test_trapchange_state_equals_replayed_events(params):
     """After every layer of a trapchange compile with a mid-circuit deposit
     and an extraction, before readout, the state still equals the replay."""
-    circ = random_circuit(random.Random(318), 100, 200)
+    circ = random_circuit(random.Random(33), 100, 300)
     layout = build_layout(100, "auto", params)
     grid = generate_grid("large-square", layout, params)
     compiler = Compiler(circ, "trapchange", grid, layout, params)

@@ -1,5 +1,6 @@
 """Scheduler behavior: layer structure, variants, conflicts, determinism."""
 import json
+import math
 import random
 import tracemalloc
 
@@ -189,11 +190,35 @@ def test_same_column_czs_serialize():
     assert all(len(e.pairs) == 1 for e in illums)
 
 
+def _chain(*qubits):
+    """CZs joining consecutive `qubits`. A mobile qubit that leaves a
+    chained column splits at least one CZ of the chain, and a circuit
+    with one CZ across columns can join at most that one, so packing
+    leaves the columns as they were."""
+    return [cz(a, b) for a, b in zip(qubits, qubits[1:])]
+
+
+# The twelve CZs that load `_three_column_compiler`'s columns, then chains
+# that bind columns 0 and 1, so packing keeps each circuit's later CZ of
+# a column 0 atom and a column 1 atom between the two columns. A test
+# marks all of them done before the layer it checks.
+_BOUND_LOAD = ([cz(2 * i, 2 * i + 1) for i in range(12)]
+               + _chain(0, 2, 4, 6) + _chain(8, 10, 12, 14))
+
+
 def test_mobile_mobile_conflict_inserts_one_swap():
     # Mobile 0-8 fill columns [0-3], [4-7], [8]; 9 is static. CZ(0, 8)
     # joins two columns that are not adjacent, so no AOD pair can form.
-    circ = Circuit(10, [cz(i, 9) for i in range(9)] + [cz(0, 8)])
-    sched, layout, grid, params = _compile(circ)
+    # The chain 0-1-2-3 binds column 0: moving 8 into it would split a
+    # CZ of the chain, so packing keeps the grouping order.
+    circ = Circuit(10, [cz(i, 9) for i in range(9)] + [cz(0, 8)]
+                   + _chain(0, 1, 2, 3))
+    params = PhysParams()
+    layout = build_layout(10, "auto", params)
+    grid = generate_grid("large-square", layout, params)
+    compiler = Compiler(circ, "pachinqo", grid, layout, params)
+    assert compiler.placement.grouping.aod_qubits == list(range(9))
+    sched = compiler.run()
     assert sched.swap_count == 1
     assert validate_schedule(sched, layout, grid, params, circ) == []
     ok, tvd = equivalence_check(sched, circ)
@@ -212,6 +237,23 @@ def test_static_static_conflict_resolved():
     assert validate_schedule(sched, layout, grid, params, circ) == []
     ok, tvd = equivalence_check(sched, circ)
     assert ok, tvd
+
+
+def test_frequent_partners_packed_into_one_column_need_no_swap():
+    """Grouping order puts mobile 0 and 8 two columns apart, and they
+    share three CZs. Packing moves 8 into 0's column, so each CZ runs as
+    a vertical AOD pair."""
+    circ = Circuit(10, [cz(i, 9) for i in range(9)] + [cz(0, 8)] * 3)
+    params = PhysParams()
+    layout = build_layout(10, "auto", params)
+    grid = generate_grid("large-square", layout, params)
+    compiler = Compiler(circ, "pachinqo", grid, layout, params)
+    assert compiler.placement.grouping.aod_qubits[:4] == [0, 8, 2, 3]
+    sched = compiler.run()
+    assert sched.swap_count == 0
+    assert validate_schedule(sched, layout, grid, params, circ) == []
+    ok, err = equivalence_check(sched, circ)
+    assert ok, err
 
 
 def _pair_of(sched, qubits):
@@ -251,8 +293,10 @@ def test_same_column_conflict_runs_as_a_vertical_aod_pair():
 def test_adjacent_columns_conflict_runs_as_a_horizontal_aod_pair():
     """Mobile 6 ends column 0 and mobile 8 is column 1. Their CZ runs with
     no SWAP, side by side over a free clear site, 6 (the lower cid's) on
-    the site and 8 INTERACTION_OFFSET right of it."""
-    circ = Circuit(10, [cz(2 * i, 2 * i + 1) for i in range(5)] + [cz(6, 8)])
+    the site and 8 INTERACTION_OFFSET right of it. The chain 0-2-4-6
+    binds column 0, so packing does not move 8 into it."""
+    circ = Circuit(10, [cz(2 * i, 2 * i + 1) for i in range(5)] + [cz(6, 8)]
+                   + _chain(0, 2, 4, 6))
     params = PhysParams()
     layout = build_layout(10, "auto", params)
     grid = generate_grid("large-square", layout, params)
@@ -276,10 +320,9 @@ def test_aod_pair_leaves_later_columns_their_placements(partner, pairs):
     its left end, x = 100: every free site would put the pair at or past
     16's placement x, 101.5, so the pair is declined and a SWAP begins,
     as it did before AOD pairs."""
-    circ = Circuit(24, [cz(2 * i, 2 * i + 1) for i in range(12)]
-                   + [cz(6, 8), cz(16, partner)])
+    circ = Circuit(24, _BOUND_LOAD + [cz(6, 8), cz(16, partner)])
     compiler = _three_column_compiler(circ)
-    for g in circ.gates[:12]:
+    for g in circ.gates[:len(_BOUND_LOAD)]:
         compiler.frontier.advance(g)
     assert compiler.atom_x[partner] == (265.0 if pairs else 100.0)
     assert compiler.direction == RIGHT
@@ -289,15 +332,34 @@ def test_aod_pair_leaves_later_columns_their_placements(partner, pairs):
     assert compiler.swap_count == (0 if pairs else 1)
 
 
+def test_same_column_pair_kept_from_every_site_by_a_later_column_waits():
+    """Mobile 0 and 2 share a column. While a later column wants the x of
+    the first site column, every pair site lies at or past it, so the
+    column stays idle for the next layer's reverse order instead of
+    beginning a SWAP; with no later column the pair forms."""
+    circ = Circuit(4, [cz(0, 1), cz(2, 3), cz(0, 2)])
+    compiler = _loaded(circ, 2)
+    (col,) = compiler.columns
+    compiler._relocate_all(RIGHT)
+    compiler._reset_obstacles()
+    first_x = min(compiler.grid.sites[s][0] for s in compiler.clear_sites)
+    staged = []
+    assert compiler._find_action(col, staged, None, None,
+                                 {col.cid: (first_x, 1)}, RIGHT) == "idle"
+    assert compiler.swap_count == 0 and staged == []
+    assert compiler._find_action(col, staged, None, None,
+                                 {col.cid: (math.inf, 0)}, RIGHT) == "placed"
+    assert [p.qubits for p in staged] == [(0, 2)]
+
+
 def test_conflict_with_the_column_just_before_waits_for_an_aod_pair():
     """In a right-side layer, column 0 places CZ(0, 1), and its atom 6
     waits for CZ(6, 8) with column 1's atom 8. Column 0 has used its turn,
     so column 1 stays idle rather than begin a SWAP; the next layer runs
     the columns right to left, and CZ(6, 8) runs as a horizontal pair."""
-    circ = Circuit(24, [cz(2 * i, 2 * i + 1) for i in range(12)]
-                   + [cz(0, 1), cz(6, 8)])
+    circ = Circuit(24, _BOUND_LOAD + [cz(0, 1), cz(6, 8)])
     compiler = _three_column_compiler(circ)
-    for g in circ.gates[:12]:
+    for g in circ.gates[:len(_BOUND_LOAD)]:
         compiler.frontier.advance(g)
     assert compiler.direction == RIGHT
     compiler._cz_layer()
@@ -364,6 +426,21 @@ def test_swap_choice_skips_partners_with_a_split_next_cz_outside_the_guard():
     assert compiler._choose_swap(0, 2, forced=False) is None
     mobile, static = compiler._choose_swap(0, 2, forced=True)
     assert (compiler.qubit_of[mobile], compiler.qubit_of[static]) == (0, 1)
+
+
+def test_swap_choice_keeps_a_window_cz_inside_one_column():
+    """Static 1 and 3 conflict, and 1's next CZ is with mobile 12 in
+    column 1. Sending 1 into column 1 leaves CZ(1, 12) a vertical AOD
+    pair, which costs nothing; counted by static and mobile sides alone,
+    it would cost the same in either column, and moving 3 would win."""
+    circ = Circuit(16, [cz(2 * i, 2 * i + 1) for i in range(8)]
+                   + [cz(1, 3), cz(1, 12)])
+    compiler = _loaded(circ, 8)
+    assert [c.atoms for c in compiler.columns] == [[0, 2, 4, 6],
+                                                   [8, 10, 12, 14]]
+    mobile, static = compiler._choose_swap(1, 3, forced=False)
+    assert compiler.qubit_of[static] == 1
+    assert mobile in compiler.columns[1].atoms and mobile != 12
 
 
 def test_swap_choice_converges_where_an_unguarded_lookahead_livelocks():
@@ -486,9 +563,11 @@ def test_trapchange_falls_back_to_swap_when_no_room():
 
 def test_trapchange_extracts_static_atom_into_column():
     # A seed whose trapchange schedule makes exactly one mid-circuit
-    # extraction; most seeds resolve every conflict otherwise (found by
-    # searching random_circuit(Random(k), n, 2n..3n) over the four grids).
-    circ = random_circuit(random.Random(318), 100, 200)
+    # extraction; most seeds resolve every conflict otherwise. Seed 33 is
+    # the first k of random_circuit(Random(k), n, g), n = 60, 100 or 120
+    # and g = 2n or 3n, to extract on large-square (star extracts from
+    # k = 2).
+    circ = random_circuit(random.Random(33), 100, 300)
     sched, layout, grid, params = _compile(circ, technique="trapchange")
     last_layer = sched.events[-1].layer
     extractions = [e for e in sched.events
@@ -717,7 +796,8 @@ def test_onecache_retreat_tucks_in_at_memory_edge():
 def _three_column_compiler(circ=None):
     """Three columns of four mobile atoms, parked on the right cache; the
     static partners of columns 0, 1 and 2 stand at x = 100-145, 160-205
-    and 220-265. `circ` must begin with the twelve CZs that load them."""
+    and 220-265. `circ` must begin with the twelve CZs that load them,
+    and keep the columns as loaded (`_BOUND_LOAD`)."""
     params = PhysParams()
     circ = circ or Circuit(24, [cz(2 * i, 2 * i + 1) for i in range(12)])
     layout = build_layout(24, "auto", params)
