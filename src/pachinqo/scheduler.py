@@ -11,7 +11,9 @@ event is emitted, one pass (`_pack_rotations`) lets each native rotation
 wait, up to the next event on its atom, so that the U3 layers left each
 carry every rotation due there and are as few as possible; the layers
 left empty are dropped. It changes no move, pair, SWAP or trap change,
-only when rotations run.
+only when rotations run. A last pass (`_merge_phases`) then emits each
+run of move phases with no event between them, which a dropped layer can
+leave, as one phase.
 
 A CZ layer plans with all columns relocated
 to the starting cache's slots next to compute, then processes them from
@@ -39,10 +41,12 @@ travelled: it shares its phase with the placements and retreats that
 follow, as an isolation layer's parking shares its phase with the one
 placement. Retreats measure travel from the same record. A trap change
 closes the phase before it; the measurement epilogue and onecache's return
-home are phases of their own. Both ends of a phase are strictly x-ordered,
-so straight concurrent moves never cross columns. A CZ layer that stages
-no pair and changes no trap puts every column back where the phase found
-it (`_stay`), so it emits no move; the progress guard starts from there.
+home open phases of their own, which `_merge_phases` joins to the move
+phase next to them when no event is left between. Both ends of a phase
+are strictly x-ordered, so straight concurrent moves never cross
+columns. A CZ layer that stages no pair and changes no trap puts every
+column back where the phase found it (`_stay`), so it emits no move; the
+progress guard starts from there.
 
 A CZ between two mobile atoms runs as an AOD pair when the column has
 nothing to place: both atoms stand within the interaction radius over a
@@ -82,7 +86,7 @@ conflict tries a mid-circuit trap change before a SWAP (trapchange), and
 whether there is one cache (onecache). With one cache every layer starts
 from the right cache, idle columns tuck into memory instead of crossing
 to an opposite cache, isolation layers park the columns left of the
-placed one in memory, and columns return home after every layer.
+placed one in memory, and columns are back home whenever a U3 layer runs.
 """
 from __future__ import annotations
 
@@ -342,7 +346,9 @@ class Compiler:
     def _fire(self, staged: list[CzEntry]) -> None:
         """Close a CZ layer: its move phase ends, one illumination fires
         every staged pair, and with one cache the columns return home in
-        a phase of their own."""
+        a phase of their own, so that a U3 layer after it runs with every
+        column home. When no U3 layer is left after it, `_merge_phases`
+        joins the return to the next layer's phase."""
         self._flush_moves()
         if staged:
             self.events.append(Illumination(self.t, self.t + self.params.cz_time,
@@ -412,6 +418,7 @@ class Compiler:
                 self._guard()
         self._measurement()
         self._pack_rotations()
+        self._merge_phases()
         schedule = Schedule(
             technique=self.technique,
             grid=self.grid.kind,
@@ -535,6 +542,55 @@ class Compiler:
             events.append(ev)
         self.events = events
         self.t -= dropped * self.params.u3_time
+
+    def _merge_phases(self) -> None:
+        """Emit each run of back-to-back move phases as one phase, once
+        rotations are packed.
+
+        Packing can drop the U3 layer between two move phases (onecache's
+        return home and the next CZ layer's phase), and then columns
+        travel home and straight out again. Both ends of the run are
+        strictly x-ordered states, so one phase in which each column moves
+        straight from where the first phase found it to where the last
+        left it never crosses columns, and by the triangle inequality no
+        |dx| or |dy| grows. The merged phase takes the last phase's layer
+        number and its duration from the cost model; every later event
+        starts earlier by the time saved. Nothing merges across any other
+        event."""
+        events: list = []
+        saved = 0.0
+
+        def emit(evs: list) -> None:
+            for e in evs:
+                e.t_start -= saved
+                e.t_end -= saved
+            events.extend(evs)
+
+        run: list[ColumnMove] = []
+        for ev in self.events:
+            if isinstance(ev, ColumnMove):
+                run.append(ev)
+                continue
+            if run and run[0].t_start != run[-1].t_start:
+                first, last = {}, {}
+                for m in run:
+                    first.setdefault(m.column, m)
+                    last[m.column] = m
+                moves = [(cid, m.from_x, last[cid].to_x,
+                          [(a, fy, ty) for (a, fy, _), (_, _, ty)
+                           in zip(m.atoms, last[cid].atoms)])
+                         for cid, m in first.items()]
+                dur = movement_phase_time(moves, self.params, self.serial)
+                t0, t1 = run[0].t_start, run[-1].t_end
+                emit(ordered_phase_moves(moves, t0, t0 + dur, run[-1].layer))
+                saved += t1 - t0 - dur
+            else:
+                emit(run)
+            emit([ev])
+            run = []
+        emit(run)
+        self.events = events
+        self.t -= saved
 
     # ------------------------------------------------------------------
     # CZ layers

@@ -126,15 +126,28 @@ class _GuardForcingCompiler(Compiler):
         super()._isolation_layer(*args)
 
 
-class _PhasedCompiler(Compiler):
+class _UnmergedCompiler(Compiler):
+    """Leaves back-to-back move phases apart, as the compiler did before
+    it merged them."""
+
+    def _merge_phases(self) -> None:
+        pass
+
+
+class _UnmergedGuardForcingCompiler(_UnmergedCompiler, _GuardForcingCompiler):
+    pass
+
+
+class _PhasedCompiler(_UnmergedCompiler):
     """Emits a CZ layer's relocation and an isolation layer's parking as
     move phases of their own, as the compiler did before it fused each
-    into the placement phase that follows. It records the state right
-    after relocating or parking and splits the phase there when it closes,
-    so the compiler's record of where the phase found each column, which
-    retreats read, is the fused one. Every decision is the same, so it is
-    the reference the fused schedules must match, event for event apart
-    from column moves and times."""
+    into the placement phase that follows, and leaves back-to-back phases
+    apart. It records the state right after relocating or parking and
+    splits the phase there when it closes, so the compiler's record of
+    where the phase found each column, which retreats read, is the fused
+    one. Every decision is the same, so it is the reference the fused
+    schedules must match, event for event apart from column moves and
+    times."""
 
     split = None  # (column xs, atom ys) right after relocating or parking
 
@@ -193,6 +206,35 @@ def _compile_forced_guard():
 @pytest.fixture(scope="module")
 def forced_guard_results():
     return _compile_forced_guard()
+
+
+def _compile_unmerged(corpus_results, forced_guard_results):
+    """(circuit, technique, grid kind, serial, schedule, unmerged
+    reference, layout, grid, forced guard) for the corpus and the
+    forced-guard set, with concurrent and serial movement. The concurrent
+    schedules are those of the two fixtures."""
+    cases = [(circ, technique, grid_kind, sched, False)
+             for circ, technique, grid_kind, sched, _ in corpus_results]
+    cases += [(circ, technique, grid_kind, sched, True)
+              for circ, technique, grid_kind, sched, *_ in forced_guard_results]
+    results = []
+    for circ, technique, grid_kind, concurrent, forced in cases:
+        cls, ref_cls = ((_GuardForcingCompiler, _UnmergedGuardForcingCompiler)
+                        if forced else (Compiler, _UnmergedCompiler))
+        layout = build_layout(circ.num_qubits, "auto", PARAMS, grid_kind)
+        grid = generate_grid(grid_kind, layout, PARAMS)
+        for serial in (False, True):
+            sched = (cls(circ, technique, grid, layout, PARAMS, serial).run()
+                     if serial else concurrent)
+            ref = ref_cls(circ, technique, grid, layout, PARAMS, serial).run()
+            results.append((circ, technique, grid_kind, serial, sched, ref,
+                            layout, grid, forced))
+    return results
+
+
+@pytest.fixture(scope="module")
+def unmerged_results(corpus_results, forced_guard_results):
+    return _compile_unmerged(corpus_results, forced_guard_results)
 
 
 def _compile_qasm():
@@ -317,8 +359,7 @@ def _columns_moving_twice(sched):
     return twice
 
 
-def test_fused_phases_match_phased_reference(corpus_results,
-                                             forced_guard_results):
+def test_fused_phases_match_phased_reference(unmerged_results):
     """Fusing relocation and isolation parking into the placement phase
     changes only column moves and times: every illumination, trap change,
     measure, U3 layer, count and the final mapping equal those of the
@@ -326,32 +367,61 @@ def test_fused_phases_match_phased_reference(corpus_results,
     corpus and the forced-guard set, on every technique x grid, with
     concurrent and serial movement, the fused schedule is never slower and
     never moves atoms further, and it is faster somewhere."""
-    cases = [(circ, technique, grid_kind, sched, Compiler, _PhasedCompiler)
-             for circ, technique, grid_kind, sched, _ in corpus_results]
-    cases += [(circ, technique, grid_kind, sched, _GuardForcingCompiler,
-               _PhasedGuardForcingCompiler)
-              for circ, technique, grid_kind, sched, *_ in forced_guard_results]
-    assert {case[1:3] for case in cases} == \
+    assert {case[1:3] for case in unmerged_results} == \
         {(t, g) for t in TECHNIQUES for g in GRIDS}
     faster = set()
-    for circ, technique, grid_kind, concurrent, fused_cls, phased_cls in cases:
-        layout = build_layout(circ.num_qubits, "auto", PARAMS, grid_kind)
-        grid = generate_grid(grid_kind, layout, PARAMS)
-        for serial in (False, True):
-            case = (circ.source_name, technique, grid_kind, serial)
-            sched = (fused_cls(circ, technique, grid, layout, PARAMS,
-                               serial).run() if serial else concurrent)
-            ref = phased_cls(circ, technique, grid, layout, PARAMS,
-                             serial).run()
-            assert _move_free_events(sched) == _move_free_events(ref), case
-            tol = 1e-9 * len(ref.events)
-            assert sched.end_time <= ref.end_time + tol, case
-            assert movement_total(sched) <= movement_total(ref) + tol, case
-            assert not _columns_moving_twice(sched), case
-            if sched.end_time < ref.end_time - tol:
-                faster.add((technique, serial))
+    for circ, technique, grid_kind, serial, sched, _, layout, grid, forced in \
+            unmerged_results:
+        case = (circ.source_name, technique, grid_kind, serial)
+        phased_cls = _PhasedGuardForcingCompiler if forced else _PhasedCompiler
+        ref = phased_cls(circ, technique, grid, layout, PARAMS, serial).run()
+        assert _move_free_events(sched) == _move_free_events(ref), case
+        tol = 1e-9 * len(ref.events)
+        assert sched.end_time <= ref.end_time + tol, case
+        assert movement_total(sched) <= movement_total(ref) + tol, case
+        assert not _columns_moving_twice(sched), case
+        if sched.end_time < ref.end_time - tol:
+            faster.add((technique, serial))
     assert {t for t, _ in faster} >= {"pachinqo", "degreesplit", "trapchange"}
     assert {s for _, s in faster} == {False, True}
+
+
+def _back_to_back_phases(sched):
+    """Event index of every move phase that starts where another move
+    phase ends."""
+    return [i for i, (prev, ev) in enumerate(zip(sched.events,
+                                                 sched.events[1:]), 1)
+            if isinstance(prev, ColumnMove) and isinstance(ev, ColumnMove)
+            and prev.t_start != ev.t_start]
+
+
+def test_merged_phases_match_unmerged_reference(unmerged_results):
+    """Merging back-to-back move phases changes only column moves and
+    times: every other event, count and the final mapping equal those of
+    the unmerged reference. No two move phases are left back to back and
+    no column moves twice in one phase; the schedule is never slower and
+    never moves atoms further, validates, and matches the oracle. Over
+    the corpus and the forced-guard set, on every technique x grid, with
+    concurrent and serial movement. Onecache, whose return home packing
+    leaves back to back with the next layer's phase, gets faster."""
+    assert {case[1:4] for case in unmerged_results} == \
+        {(t, g, s) for t in TECHNIQUES for g in GRIDS for s in (False, True)}
+    faster = set()
+    for circ, technique, grid_kind, serial, sched, ref, layout, grid, _ in \
+            unmerged_results:
+        case = (circ.source_name, technique, grid_kind, serial)
+        assert _move_free_events(sched) == _move_free_events(ref), case
+        tol = 1e-9 * len(ref.events)
+        assert sched.end_time <= ref.end_time + tol, case
+        assert movement_total(sched) <= movement_total(ref) + tol, case
+        assert not _back_to_back_phases(sched), case
+        assert not _columns_moving_twice(sched), case
+        assert validate_schedule(sched, layout, grid, PARAMS, circ) == [], case
+        if circ.num_qubits <= EQUIVALENCE_QUBIT_CAP and not serial:
+            assert equivalence_check(sched, circ)[0], case
+        if sched.end_time < ref.end_time - tol:
+            faster.add((technique, serial))
+    assert {("onecache", False), ("onecache", True)} <= faster
 
 
 def test_runtime_breakdown_sums_to_runtime(corpus_results):
@@ -372,11 +442,15 @@ def test_u3_fusion_removes_only_u3_layers(qasm_results):
     """Fusing single-qubit runs while lowering leaves every move,
     illumination, trap change and measure of the unfused schedule in place
     and in order, and only removes U3 layers. Each fused schedule validates
-    and executes the unfused circuit."""
+    and executes the unfused circuit. Both sides leave back-to-back move
+    phases apart, since fewer U3 layers leave more phases to merge."""
     fewer = 0
-    for circ, technique, grid_kind, sched, layout, grid, unfused, ref in \
+    for circ, technique, grid_kind, _, layout, grid, unfused, _ in \
             qasm_results:
         case = (circ.source_name, technique, grid_kind)
+        sched, ref = (_UnmergedCompiler(c, technique, grid, layout,
+                                        PARAMS).run()
+                      for c in (circ, unfused))
         assert _non_u3_events(sched) == _non_u3_events(ref), case
         n_u3, n_ref = (sum(isinstance(ev, U3LayerEvent) for ev in s.events)
                        for s in (sched, ref))
@@ -389,8 +463,9 @@ def test_u3_fusion_removes_only_u3_layers(qasm_results):
     assert fewer
 
 
-class _UnpackedCompiler(Compiler):
-    """Leaves every rotation in the U3 layer that first exposed it."""
+class _UnpackedCompiler(_UnmergedCompiler):
+    """Leaves every rotation in the U3 layer that first exposed it, and
+    back-to-back move phases apart."""
 
     def _pack_rotations(self) -> None:
         pass
@@ -464,18 +539,21 @@ def _check_packing(sched, ref, case):
         assert needed, (case, ev.layer)
 
 
-def test_packing_removes_only_u3_layers(corpus_results):
+def test_packing_removes_only_u3_layers(corpus_results, unmerged_results):
     """Packing rotations keeps every other event in order, with its layer
     number and duration, and each atom's rotations in order. It only
     removes U3 layers, leaves none empty and none it could drop, moves
     each rotation within its window, and the runtime falls by exactly
     u3_time per removed layer. Over the corpus, on every technique x grid;
-    the packed schedules validate and match the oracle."""
+    the packed schedules validate and match the oracle. Both sides leave
+    back-to-back move phases apart, so that only U3 layers differ."""
+    packed = {(circ.source_name, technique, grid_kind): (ref, layout, grid)
+              for circ, technique, grid_kind, serial, _, ref, layout, grid, _
+              in unmerged_results if not serial}
     removed = 0
-    for circ, technique, grid_kind, sched, violations in corpus_results:
+    for circ, technique, grid_kind, _, violations in corpus_results:
         case = (circ.source_name, technique, grid_kind)
-        layout = build_layout(circ.num_qubits, "auto", PARAMS, grid_kind)
-        grid = generate_grid(grid_kind, layout, PARAMS)
+        sched, layout, grid = packed[case]
         ref = _UnpackedCompiler(circ, technique, grid, layout, PARAMS).run()
         rest, ref_rest = ([ev for ev in s.events
                            if not isinstance(ev, U3LayerEvent)]

@@ -500,35 +500,33 @@ def test_every_gate_executes_exactly_once():
 
 
 def test_onecache_restores_home_positions():
+    """Every live onecache column stands on its home slot in the right
+    cache, where the load left it, whenever a U3 layer runs before the
+    epilogue: no move phase merges across a rotation layer."""
     circ = staircase(8, 2)
     sched, layout, grid, params = _compile(circ, technique="onecache")
     assert validate_schedule(sched, layout, grid, params, circ) == []
-    # Track column positions: before the measurement epilogue every column
-    # must be back at its home slot after each layer's return phase.
-    rc = layout.right_cache
-    pos: dict[int, float] = {}
-    homes: dict[int, float] = {}
-    last_illum_layer = max(e.layer for e in sched.events
-                           if isinstance(e, Illumination))
+    epilogue = max(ev.layer for ev in sched.events)
+    pos: dict[int, tuple[float, dict[int, float]]] = {}  # column -> x, ys
+    live: set[int] = set()  # the columns holding atoms after the load
+    homes = None
+    u3_layers = 0
     for ev in sched.events:
-        if isinstance(ev, TrapChange) and ev.direction == "slm_to_aod":
-            for tr in ev.transfers:
-                if ev.layer == 0 and tr.column is not None:
-                    pos[tr.column] = tr.x
-        if isinstance(ev, ColumnMove):
-            pos[ev.column] = ev.to_x
-            if ev.layer == 0:
-                homes[ev.column] = ev.to_x
-        if isinstance(ev, Illumination) and ev.layer < last_illum_layer:
-            continue
-    # after the final layer's return, all live columns are at home x
-    for cid, home in homes.items():
-        if rc.x0 <= home <= rc.x1:
-            events_for = [e for e in sched.events
-                          if isinstance(e, ColumnMove) and e.column == cid
-                          and e.layer <= last_illum_layer]
-            if events_for:
-                assert events_for[-1].to_x == pytest.approx(home)
+        if ev.layer == epilogue:
+            break
+        if ev.layer > 0 and homes is None:
+            homes = {c: pos.get(c) for c in live}
+        if isinstance(ev, TrapChange):
+            live = ({tr.column for tr in ev.transfers}
+                    if ev.direction == SLM_TO_AOD else set())
+        elif isinstance(ev, ColumnMove):
+            pos[ev.column] = ev.to_x, {a: ty for a, _, ty in ev.atoms}
+        elif isinstance(ev, U3LayerEvent):
+            assert {c: pos.get(c) for c in live} == homes, ev.layer
+            u3_layers += 1
+    assert homes and u3_layers >= 2
+    assert all(layout.right_cache.contains(x, y)
+               for x, ys in homes.values() for y in ys.values())
 
 
 def test_trapchange_resolves_conflict_with_extra_tc():

@@ -781,21 +781,21 @@ def _foreign_swap_cz(sched):
 
 @pytest.mark.parametrize("mutate, expected", [
     # The U3 that opens the SWAP is gone: it begins at step 1.
-    (_drop_swap_u3(0), [("dependency", 11, "swap 0 began at step 1"),
-                        ("dependency", 11, "swap 0 step 1, expected 0")]),
+    (_drop_swap_u3(0), [("dependency", 10, "swap 0 began at step 1"),
+                        ("dependency", 10, "swap 0 step 1, expected 0")]),
     # Its middle CZ names qubit 2 in place of its partner.
-    (_foreign_swap_cz, [("dependency", 13, "swap 0 touched foreign qubits (1, 2)")]),
+    (_foreign_swap_cz, [("dependency", 12, "swap 0 touched foreign qubits (1, 2)")]),
     # Its last U3 is gone: it never ends, so its qubits stay locked and
     # the mapping never exchanges.
     (_drop_swap_u3(8), [
-        ("dependency", 18, "locked qubit in native cz (1, 3)"),
-        ("dependency", 21, "measure of atom 0 names qubit 1, mapped atom is 1"),
-        ("dependency", 26, "measure of atom 1 names qubit 0, mapped atom is 0"),
-        ("dependency", 26, "qubit 1 finished 1 of 2 gates"),
-        ("dependency", 26, "qubit 3 finished 1 of 2 gates"),
-        ("dependency", 26, "unfinished swaps [0]"),
-        ("dependency", 26, "final mapping of qubit 0 is 0, schedule says 1"),
-        ("dependency", 26, "final mapping of qubit 1 is 1, schedule says 0")]),
+        ("dependency", 17, "locked qubit in native cz (1, 3)"),
+        ("dependency", 20, "measure of atom 0 names qubit 1, mapped atom is 1"),
+        ("dependency", 25, "measure of atom 1 names qubit 0, mapped atom is 0"),
+        ("dependency", 25, "qubit 1 finished 1 of 2 gates"),
+        ("dependency", 25, "qubit 3 finished 1 of 2 gates"),
+        ("dependency", 25, "unfinished swaps [0]"),
+        ("dependency", 25, "final mapping of qubit 0 is 0, schedule says 1"),
+        ("dependency", 25, "final mapping of qubit 1 is 1, schedule says 0")]),
 ])
 def test_validator_catches_broken_swap_components(mutate, expected):
     circ = Circuit(4, [cz(0, 1), cz(2, 3), cz(1, 3)])
