@@ -264,9 +264,10 @@ class Frontier:
     """Per-qubit cursor to the next executable gate, plus SWAP locks.
 
     A locked qubit participates in an in-flight inserted SWAP and may only
-    execute gates tagged with its swap id, in step order. The frontier
-    owns each in-flight SWAP's `decompose_swap` template: `swap_gate`
-    names the next gate, and `advance` accepts only that gate.
+    execute gates tagged with its swap id, in step order. The frontier is
+    the only record of an in-flight SWAP: it owns its `decompose_swap`
+    template, `swap_qubits` names its two qubits in `begin_swap` order,
+    `swap_gate` names its next gate, and `advance` accepts only that gate.
     """
 
     def __init__(self, circuit: Circuit):
@@ -315,6 +316,15 @@ class Frontier:
                 out.append(i)
             i += 1
         return out
+
+    def swap_ids(self) -> list[int]:
+        """The in-flight SWAPs, in the order they began."""
+        return list(self._swaps)
+
+    def swap_qubits(self, swap_id: int) -> tuple[int, int]:
+        """The qubits (a, b) of in-flight SWAP `swap_id`, as `begin_swap`
+        got them."""
+        return self._swaps[swap_id][0][1].qubits  # step 1 is CZ(a, b)
 
     def swap_gate(self, swap_id: int) -> Gate:
         """The next gate of in-flight SWAP `swap_id`."""
@@ -381,9 +391,9 @@ class Frontier:
             if gate != gates[step]:
                 raise CircuitError(f"swap {sid} expected {gates[step]}, got {gate}")
             if step + 1 == len(gates):
-                del self._swaps[sid]
-                for q in gates[1].qubits:  # step 1 is CZ(a, b)
+                for q in self.swap_qubits(sid):
                     del self.lock[q]
+                del self._swaps[sid]
                 return sid
             self._swaps[sid] = (gates, step + 1)
             return None

@@ -4,8 +4,13 @@ site grids, and AOD column structure.
 Distances are in micrometers, times in microseconds unless noted. The
 default layout packs left cache | compute | right cache side by side with
 the memory strip under compute; the right cache doubles as readout. Every
-zone keeps a 10 um interior margin as a movement corridor, which also
-guarantees >= 20 um between atoms parked in adjacent zones.
+zone keeps a 10 um interior margin as a movement corridor: SLM sites and
+the compiler's parking slots start 10 um inside each zone. The one
+exception is a retreat's last resort, which tucks its column into memory
+beside the blocking column and can park it inside memory's margin (one
+was seen 7.5 um from the right cache on perfbench `wide`, seed 1). So no
+distance between atoms in adjacent zones is promised; ROADMAP item 4
+plans the check that would see such a hazard.
 """
 from __future__ import annotations
 
@@ -134,9 +139,10 @@ class Rect:
     def y1(self) -> float:
         return self.y0 + self.h
 
-    def contains(self, x: float, y: float, eps: float = 1e-9) -> bool:
-        return (self.x0 - eps <= x <= self.x1 + eps
-                and self.y0 - eps <= y <= self.y1 + eps)
+    def contains(self, x: float, y: float) -> bool:
+        """Whether (x, y) lies in the rectangle, edges included, to 1e-9."""
+        return (self.x0 - 1e-9 <= x <= self.x1 + 1e-9
+                and self.y0 - 1e-9 <= y <= self.y1 + 1e-9)
 
     def contains_rect(self, other: "Rect") -> bool:
         return (self.x0 <= other.x0 and self.y0 <= other.y0
@@ -235,8 +241,7 @@ def _lattice(rect: Rect, pitch_x: float, pitch_y: float, offset_x: float = 0.0):
     return sites
 
 
-def generate_grid(kind: str, layout: ZoneLayout, params: PhysParams,
-                  min_sites: int = 0) -> SlmGrid:
+def generate_grid(kind: str, layout: ZoneLayout, params: PhysParams) -> SlmGrid:
     """Deterministic SLM site list for one of the four grid styles.
 
     large-square: 15 um square lattice (crosstalk-safe between any sites).
@@ -270,11 +275,6 @@ def generate_grid(kind: str, layout: ZoneLayout, params: PhysParams,
         sites = sorted(dense + sparse, key=lambda s: (s[1], s[0]))
     else:
         raise GeometryError(f"unknown grid kind {kind!r}")
-    if len(sites) < min_sites:
-        raise CapacityError(
-            f"insufficient SLM capacity: {kind} grid has {len(sites)} sites, "
-            f"need {min_sites}"
-        )
     return SlmGrid(kind, tuple(sites))
 
 
@@ -306,14 +306,11 @@ def pair_clear_sites(grid: SlmGrid, params: PhysParams) -> list[int]:
     return chosen
 
 
-def slm_capacity(grid: SlmGrid, params: PhysParams) -> int:
-    return len(pair_clear_sites(grid, params))
-
-
 def machine_capacity(layout: ZoneLayout, params: PhysParams,
                      grid_kind: str = "large-square") -> int:
+    """Qubits the machine holds: one per clear SLM site, plus the AOD's."""
     grid = generate_grid(grid_kind, layout, params)
-    return slm_capacity(grid, params) + aod_capacity(layout, params)
+    return len(pair_clear_sites(grid, params)) + aod_capacity(layout, params)
 
 
 def build_layout(num_qubits: int, scale: str = "default",
@@ -335,12 +332,11 @@ def build_layout(num_qubits: int, scale: str = "default",
             num_qubits <= machine_capacity(default, params, grid_kind):
         return default
     doubled = _layout("doubled", 2)
-    if num_qubits <= machine_capacity(doubled, params, grid_kind):
+    capacity = machine_capacity(doubled, params, grid_kind)
+    if num_qubits <= capacity:
         return doubled
     raise CapacityError(
-        f"{num_qubits} qubits exceed the doubled layout's capacity "
-        f"({machine_capacity(doubled, params, grid_kind)})"
-    )
+        f"{num_qubits} qubits exceed the doubled layout's capacity ({capacity})")
 
 
 def validate_geometry(layout: ZoneLayout, grid: SlmGrid,

@@ -81,11 +81,6 @@ def layer_time(events: list, params: PhysParams, serial: bool = False) -> float:
     return sum(runtime_breakdown(events, params, serial).values())
 
 
-def total_runtime(schedule: Schedule, params: PhysParams | None = None) -> float:
-    """End-to-end circuit runtime in us (the last event's end time)."""
-    return schedule.end_time
-
-
 def gate_counts(schedule: Schedule) -> dict[str, int]:
     """Executed gate totals, inserted SWAP components included."""
     u3 = cz = 0
@@ -97,17 +92,16 @@ def gate_counts(schedule: Schedule) -> dict[str, int]:
     return {"u3": u3, "cz": cz}
 
 
-def esp(schedule: Schedule, params: PhysParams,
-        num_qubits: int | None = None) -> float:
+def esp(schedule: Schedule, params: PhysParams) -> float:
     """Estimated success probability.
 
     Product of per-gate success rates, per-qubit readout and atom-survival
     rates, and whole-runtime T1/T2 decay per qubit. SWAP components count
     at their individual U3/CZ rates.
     """
-    n = schedule.num_qubits if num_qubits is None else num_qubits
+    n = schedule.num_qubits
     counts = gate_counts(schedule)
-    t_us = total_runtime(schedule, params)
+    t_us = schedule.end_time
     decay = math.exp(-t_us / (params.t1 * _US_PER_S)) * math.exp(
         -t_us / (params.t2 * _US_PER_S)
     )
@@ -136,7 +130,7 @@ def composed_swap_error(params: PhysParams) -> float:
 def build_report(schedule: Schedule, params: PhysParams,
                  compile_time_ms: float = 0.0) -> MetricsReport:
     return MetricsReport(
-        runtime_us=total_runtime(schedule, params),
+        runtime_us=schedule.end_time,
         runtime_breakdown_us=runtime_breakdown(schedule.events, params,
                                                schedule.serial_movement),
         esp=esp(schedule, params),

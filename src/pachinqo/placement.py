@@ -36,21 +36,20 @@ SLM = "slm"
 class Grouping:
     slm_qubits: list[int]
     aod_qubits: list[int]
-    slm_capacity: int
-    aod_capacity: int
 
     def __post_init__(self):
         if set(self.slm_qubits) & set(self.aod_qubits):
             raise ValueError("slm and aod groups overlap")
-        if len(self.slm_qubits) > self.slm_capacity:
-            raise CapacityError("SLM group exceeds capacity")
-        if len(self.aod_qubits) > self.aod_capacity:
-            raise CapacityError("AOD group exceeds capacity")
 
 
 class _Grouper:
-    def __init__(self, slm_capacity: int, aod_capacity: int):
-        self.caps = {SLM: slm_capacity, AOD: aod_capacity}
+    """Fills the static and mobile groups, each up to its capacity."""
+
+    def __init__(self, num_qubits: int, site_capacity: int, aod_capacity: int):
+        if site_capacity + aod_capacity < num_qubits:
+            raise CapacityError(f"{num_qubits} qubits exceed capacity "
+                                f"{site_capacity}+{aod_capacity}")
+        self.caps = {SLM: site_capacity, AOD: aod_capacity}
         self.groups: dict[str, list[int]] = {SLM: [], AOD: []}
         self.of: dict[int, str] = {}
 
@@ -69,11 +68,10 @@ class _Grouper:
         for q in range(num_qubits):
             if q not in self.of:
                 self.place(q, AOD)
-        return Grouping(self.groups[SLM], self.groups[AOD],
-                        self.caps[SLM], self.caps[AOD])
+        return Grouping(self.groups[SLM], self.groups[AOD])
 
 
-def greedy_maxcut_group(circuit: Circuit, slm_capacity: int,
+def greedy_maxcut_group(circuit: Circuit, site_capacity: int,
                         aod_capacity: int,
                         per_column: int = PhysParams.max_atoms_per_column
                         ) -> Grouping:
@@ -86,12 +84,7 @@ def greedy_maxcut_group(circuit: Circuit, slm_capacity: int,
     `per_column` (`pack_columns`), which only reorders it: the static
     list, and so every site, and the column sizes stay.
     """
-    if slm_capacity + aod_capacity < circuit.num_qubits:
-        raise CapacityError(
-            f"{circuit.num_qubits} qubits exceed capacity "
-            f"{slm_capacity}+{aod_capacity}"
-        )
-    g = _Grouper(slm_capacity, aod_capacity)
+    g = _Grouper(circuit.num_qubits, site_capacity, aod_capacity)
     for a, b in circuit.cz_pairs():
         ga, gb = g.of.get(a), g.of.get(b)
         if ga is None and gb is None:
@@ -172,7 +165,7 @@ def pack_columns(circuit: Circuit, mobile: list[int],
             to_col[r][ca] += w
 
 
-def degree_split_group(circuit: Circuit, slm_capacity: int,
+def degree_split_group(circuit: Circuit, site_capacity: int,
                        aod_capacity: int) -> Grouping:
     """Highest weighted-degree qubits go mobile, the rest static.
 
@@ -180,18 +173,13 @@ def degree_split_group(circuit: Circuit, slm_capacity: int,
     add weight). Ties break toward the lower index. The AOD takes at most
     ceil(n/2) qubits so capacity pressure matches the greedy grouping.
     """
-    if slm_capacity + aod_capacity < circuit.num_qubits:
-        raise CapacityError(
-            f"{circuit.num_qubits} qubits exceed capacity "
-            f"{slm_capacity}+{aod_capacity}"
-        )
     degree = [0] * circuit.num_qubits
     for a, b in circuit.cz_pairs():
         degree[a] += 1
         degree[b] += 1
     order = sorted(range(circuit.num_qubits), key=lambda q: (-degree[q], q))
     n_aod = min(aod_capacity, math.ceil(circuit.num_qubits / 2))
-    g = _Grouper(slm_capacity, aod_capacity)
+    g = _Grouper(circuit.num_qubits, site_capacity, aod_capacity)
     for q in order[:n_aod]:
         g.place(q, AOD)
     for q in order[n_aod:]:
@@ -205,7 +193,6 @@ class MemoryGroup:
     readout) and where its atoms are headed."""
 
     column: int  # cid of the ferry / final AOD column that lifts it
-    kind: str  # SLM (deposited again) | AOD (stays mobile)
     mem_x: float
     # (atom_id, memory y, target x, target y)
     atoms: list[tuple[int, float, float, float]] = field(default_factory=list)
@@ -215,9 +202,10 @@ class MemoryGroup:
 class InitialPlacement:
     grouping: Grouping
     site_of_qubit: dict[int, int]  # static qubits -> grid site index
-    # Ferry groups (one per target site column) first, then one group per
-    # mobile column; the compiler loads them in three trap changes.
-    memory_groups: list[MemoryGroup]
+    # One group per target site column, whose ferry deposits it there, and
+    # one per mobile column; the compiler loads them in three trap changes.
+    ferries: list[MemoryGroup]
+    columns: list[MemoryGroup]
 
 
 def assign_atoms(grouping: Grouping, grid: SlmGrid, layout: ZoneLayout,
@@ -259,7 +247,7 @@ def assign_atoms(grouping: Grouping, grid: SlmGrid, layout: ZoneLayout,
     rc = layout.right_cache
     pitch = params.storage_pitch
 
-    groups: list[MemoryGroup] = []
+    ferries: list[MemoryGroup] = []
     n_ferries = len(by_site_x)
     for i, x in enumerate(sorted(by_site_x)):
         # Ferry cids start after the final AOD column cids.
@@ -268,19 +256,20 @@ def assign_atoms(grouping: Grouping, grid: SlmGrid, layout: ZoneLayout,
         qubits = sorted(by_site_x[x], key=lambda q: grid.sites[site_of_qubit[q]][1])
         if len(qubits) > rows:
             raise CapacityError("memory column height exhausted")
-        g = MemoryGroup(cid, SLM, mem_x)
+        g = MemoryGroup(cid, mem_x)
         for k, q in enumerate(qubits):
             sx, sy = grid.sites[site_of_qubit[q]]
             g.atoms.append((q, mem.y0 + ZONE_MARGIN + k * pitch, sx, sy))
-        groups.append(g)
+        ferries.append(g)
     # Mobile column c parks at right-cache slot c, one atom per slot.
+    columns: list[MemoryGroup] = []
     for c in range(n_cols):
         mem_x = mem.x0 + ZONE_MARGIN + (n_ferries + c) * pitch
-        g = MemoryGroup(c, AOD, mem_x)
+        g = MemoryGroup(c, mem_x)
         home_x = rc.x0 + ZONE_MARGIN + c * pitch
         for k, q in enumerate(grouping.aod_qubits[c * per_col:(c + 1) * per_col]):
             g.atoms.append((q, mem.y0 + ZONE_MARGIN + k * pitch,
                             home_x, rc.y0 + ZONE_MARGIN + k * pitch))
-        groups.append(g)
+        columns.append(g)
 
-    return InitialPlacement(grouping, site_of_qubit, groups)
+    return InitialPlacement(grouping, site_of_qubit, ferries, columns)

@@ -15,6 +15,7 @@ import json
 from collections.abc import Iterator
 from dataclasses import asdict, dataclass, field
 from json.encoder import encode_basestring_ascii
+from typing import ClassVar
 
 from .machine import PhysParams
 
@@ -33,7 +34,7 @@ class ColumnMove:
     from_x: float
     to_x: float
     atoms: list[tuple[int, float, float]]  # (atom_id, from_y, to_y)
-    kind: str = "column-move"
+    kind: ClassVar[str] = "column-move"
 
     @property
     def manhattan_total(self) -> float:
@@ -55,7 +56,7 @@ class U3LayerEvent:
     t_end: float
     layer: int
     gates: list[U3Entry]
-    kind: str = "u3-layer"
+    kind: ClassVar[str] = "u3-layer"
 
 
 @dataclass(slots=True)
@@ -72,7 +73,7 @@ class Illumination:
     t_end: float
     layer: int
     pairs: list[CzEntry]
-    kind: str = "illumination"
+    kind: ClassVar[str] = "illumination"
 
 
 @dataclass(slots=True)
@@ -90,7 +91,7 @@ class TrapChange:
     layer: int
     direction: str  # SLM_TO_AOD | AOD_TO_SLM
     transfers: list[TrapTransfer]
-    kind: str = "trap-change"
+    kind: ClassVar[str] = "trap-change"
 
 
 @dataclass(slots=True)
@@ -99,7 +100,7 @@ class Measure:
     t_end: float
     layer: int
     atoms: list[tuple[int, int, float, float]]  # (atom_id, qubit, x, y)
-    kind: str = "measure"
+    kind: ClassVar[str] = "measure"
 
 
 Event = ColumnMove | U3LayerEvent | Illumination | TrapChange | Measure

@@ -70,9 +70,10 @@ Other conflicts (a partner in a column further away, or two static
 operands), and pairs with no site, insert SWAPs executed preemptively,
 one component per layer, except that a U3 layer also runs a swap's next
 rotation when it acts on another qubit (template steps 2-3 and 5-6
-share a layer). The frontier holds each in-flight SWAP's gate template
-and step; the compiler keeps only which atoms it joins and the layer it
-last ran in. Each SWAP is chosen by lookahead, as in SABRE (Li, Ding &
+share a layer). The frontier is the only record of an in-flight SWAP:
+its two qubits, its gate template and its step. The qubits' atoms do
+not change until the SWAP completes, so the compiler keeps nothing of
+its own. Each SWAP is chosen by lookahead, as in SABRE (Li, Ding &
 Xie, ASPLOS 2019): either operand of the conflicting CZ may trade places
 with a qubit from the other side, taking its site or column, and the
 trade that leaves the fewest of the next SWAP_WINDOW CZs conflicting,
@@ -110,8 +111,6 @@ from .machine import (
 )
 from .metrics import movement_phase_time
 from .placement import (
-    AOD,
-    SLM,
     InitialPlacement,
     MemoryGroup,
     assign_atoms,
@@ -161,16 +160,6 @@ class _Column:
 
     def __post_init__(self):
         self.found_x = self.x
-
-
-@dataclass
-class _Swap:
-    """An inserted SWAP in flight between a mobile and a static atom; the
-    frontier holds its gates and how far it has run."""
-
-    atom_aod: int
-    atom_slm: int
-    layer: int = 0  # layer that last executed one of its gates
 
 
 @dataclass
@@ -230,7 +219,7 @@ class Compiler:
         self.atom_of = list(range(n))
         # Indexed by cid, which is also left-to-right order.
         self.columns: list[_Column] = []
-        self.next_cid = len(self.placement.memory_groups)
+        self.next_cid = len(self.placement.ferries) + len(self.placement.columns)
 
         self.frontier = Frontier(circuit)
         # The index of each qubit pair's first CZ: the progress guard tries
@@ -239,7 +228,6 @@ class Compiler:
         for i, g in enumerate(circuit.gates):
             if g.kind == "cz":
                 self.first_cz.setdefault(frozenset(g.qubits), i)
-        self.swaps: dict[int, _Swap] = {}
         self.swap_count = 0
         self.trap_change_count = 0
 
@@ -272,11 +260,10 @@ class Compiler:
         the static group, carry it over its site columns and dissolve into
         the sites; then the mobile group is lifted into its AOD columns,
         which park in the right cache."""
-        groups = self.placement.memory_groups
-        ferries = self._load([g for g in groups if g.kind == SLM])
+        ferries = self._load(self.placement.ferries)
         self._to_sites([(a, self.placement.site_of_qubit[a])
                         for col in ferries for a in col.atoms])
-        self.columns = self._load([g for g in groups if g.kind == AOD])
+        self.columns = self._load(self.placement.columns)
 
     def _load(self, groups: list[MemoryGroup]) -> list[_Column]:
         """Pick groups of SLM-held atoms (a memory column, or a site column
@@ -435,14 +422,6 @@ class Compiler:
 
     # ------------------------------------------------------------------
     # U3 layers
-    def _swap_u3_due(self, layer: int) -> list[int]:
-        due = []
-        for sid in sorted(self.swaps):
-            if self.frontier.swap_gate(sid).kind == "u3" and \
-                    self.swaps[sid].layer < layer:
-                due.append(sid)
-        return due
-
     def _u3_rounds(self) -> int:
         """Greedy U3 layers until no rotation is frontier-exposed. Each
         layer runs every exposed rotation, so the next CZ layer sees every
@@ -451,7 +430,8 @@ class Compiler:
         executed = 0
         while True:
             native = self.frontier.executable_u3s()
-            swap_due = self._swap_u3_due(self.layer + 1)
+            swap_due = [sid for sid in self.frontier.swap_ids()
+                        if self.frontier.swap_gate(sid).kind == "u3"]
             if not native and not swap_due:
                 return executed
             self.layer += 1
@@ -464,7 +444,7 @@ class Compiler:
             for sid in swap_due:
                 # Run the swap's consecutive rotations on distinct qubits
                 # together: template steps 2-3 and 5-6.
-                self.swaps[sid].layer = self.layer
+                qubits = self.frontier.swap_qubits(sid)
                 g = self.frontier.swap_gate(sid)
                 while g.kind == "u3" and g.qubits[0] not in used:
                     q = g.qubits[0]
@@ -472,7 +452,7 @@ class Compiler:
                     entries.append(U3Entry(q, self.atom_of[q], g.params,
                                            (sid, g.origin.step)))
                     if self.frontier.advance(g) is not None:
-                        self._complete_swap(sid)
+                        self._complete_swap(*qubits)
                         break
                     g = self.frontier.swap_gate(sid)
             self.events.append(
@@ -481,14 +461,11 @@ class Compiler:
             self.t += self.params.u3_time
             executed += len(entries)
 
-    def _complete_swap(self, sid: int) -> None:
-        swap = self.swaps.pop(sid)
-        qa = self.qubit_of[swap.atom_aod]
-        qb = self.qubit_of[swap.atom_slm]
-        self.qubit_of[swap.atom_aod] = qb
-        self.qubit_of[swap.atom_slm] = qa
-        self.atom_of[qa] = swap.atom_slm
-        self.atom_of[qb] = swap.atom_aod
+    def _complete_swap(self, qa: int, qb: int) -> None:
+        """Exchange the atoms of the qubits of a SWAP that just completed."""
+        aa, ab = self.atom_of[qa], self.atom_of[qb]
+        self.atom_of[qa], self.atom_of[qb] = ab, aa
+        self.qubit_of[aa], self.qubit_of[ab] = qb, qa
 
     def _pack_rotations(self) -> None:
         """Run the native rotations in the fewest U3 layers, once every
@@ -689,8 +666,8 @@ class Compiler:
             target = self._cz_target(atom)
             if target is None:
                 continue
-            gate, partner_atom, swap = target
-            if swap is None:  # a native CZ
+            gate, partner_atom, is_swap = target
+            if not is_swap:  # a native CZ
                 q, p = self.qubit_of[atom], self.qubit_of[partner_atom]
                 if not self.frontier.executable_cz(q, p):
                     continue
@@ -698,8 +675,6 @@ class Compiler:
                     if conflict is None:
                         conflict = (atom, q, p)
                     continue
-            elif swap.layer >= self.layer:  # a step of it ran this layer
-                continue
             if partner_atom in self.busy:
                 continue
             plan = self._try_place(col, atom, partner_atom)
@@ -708,8 +683,6 @@ class Compiler:
                 continue
             self._settle(col, plan)
             self._stage(gate, atom, partner_atom, staged)
-            if swap is not None:
-                swap.layer = self.layer
             return "placed"
 
         if conflict is not None:
@@ -725,9 +698,9 @@ class Compiler:
                             atom, partner_atom, staged)
                 return action
             if self.trap_change_first:
-                detail = self._plan_trapchange(col, conflict)
-                if detail is not None:
-                    self._trapchange_action(col, detail)
+                plan = self._plan_trapchange(col, conflict)
+                if plan is not None:
+                    self._trapchange_action(col, *plan)
                     return "tc"
             choice = self._choose_swap(conflict[1], conflict[2], forced=False)
             if choice is not None:
@@ -901,18 +874,17 @@ class Compiler:
                 target = self._cz_target(atom)
                 if target is None:
                     continue
-                _, partner, swap = target
+                _, partner, is_swap = target
                 x = side * (self.atom_x[partner] + INTERACTION_OFFSET)
-                if x < reach and (swap is not None
-                                    or self.atom_site[partner] is not None):
+                if x < reach and (is_swap or self.atom_site[partner] is not None):
                     reach = x
         return later
 
-    def _cz_target(self, atom: int) -> tuple[Gate, int, _Swap | None] | None:
-        """(gate, partner atom, swap) for the CZ column atom `atom` waits
-        for: its in-flight SWAP's CZ step, or its next gate if that is a CZ
-        (swap None); else None. It runs for every column atom in every
-        layer, so it reads the frontier's cursors directly."""
+    def _cz_target(self, atom: int) -> tuple[Gate, int, bool] | None:
+        """(gate, partner atom, whether it is a SWAP step) for the CZ column
+        atom `atom` waits for: its in-flight SWAP's CZ step, or its next
+        gate if that is a CZ; else None. It runs for every column atom in
+        every layer, so it reads the frontier's cursors directly."""
         q = self.qubit_of[atom]
         frontier = self.frontier
         if q not in frontier.lock:
@@ -921,14 +893,13 @@ class Compiler:
                 gate = self.circuit.gates[by_qubit[cursor]]
                 if gate.kind == "cz":
                     q0, q1 = gate.qubits
-                    return gate, self.atom_of[q1 if q0 == q else q0], None
+                    return gate, self.atom_of[q1 if q0 == q else q0], False
             return None
         sid = frontier.lock[q]
-        swap = self.swaps[sid]
-        if swap.atom_aod == atom:
-            gate = frontier.swap_gate(sid)
-            if gate.kind == "cz":
-                return gate, swap.atom_slm, swap
+        gate = frontier.swap_gate(sid)
+        qa, qb = frontier.swap_qubits(sid)
+        if gate.kind == "cz" and q == qa:  # qa's atom is the mobile one
+            return gate, self.atom_of[qb], True
         return None
 
     def _retreat(self, col: _Column, side: int,
@@ -990,10 +961,6 @@ class Compiler:
                 return self.atom_site[self.atom_of[p]] is not None
         return None
 
-    def _static_side(self, q: int) -> bool:
-        """Whether q is static, or will be once its in-flight SWAP ends."""
-        return (self.atom_site[self.atom_of[q]] is not None) != (q in self.frontier.lock)
-
     def _places(self) -> list[int | None]:
         """Per qubit, where it stands once its in-flight SWAP ends: None on
         a site, else its column's cid."""
@@ -1002,8 +969,8 @@ class Compiler:
         for q in range(self.circuit.num_qubits):
             atom = self.atom_of[q]
             if q in self.frontier.lock:
-                swap = self.swaps[self.frontier.lock[q]]
-                atom = swap.atom_slm if atom == swap.atom_aod else swap.atom_aod
+                qa, qb = self.frontier.swap_qubits(self.frontier.lock[q])
+                atom = self.atom_of[qb if q == qa else qa]
             places.append(None if self.atom_site[atom] is not None else cid_of[atom])
         return places
 
@@ -1057,7 +1024,7 @@ class Compiler:
             return sum(wk * (conflicts(to, places[z]) - was)
                        for wk, z, was in touching.get(y, ()) if z != other)
 
-        mobile = not self._static_side(q)
+        mobile = places[q] is not None
         if mobile:
             others = [a for _, a in self._static_atoms()]
         else:
@@ -1087,16 +1054,18 @@ class Compiler:
         return (o_atom, x_atom) if mobile else (x_atom, o_atom)
 
     def _begin_swap(self, aod_atom: int, slm_atom: int) -> None:
-        sid = self.swap_count
-        qa, qb = self.qubit_of[aod_atom], self.qubit_of[slm_atom]
-        self.frontier.begin_swap(sid, qa, qb)
-        self.swaps[sid] = _Swap(aod_atom, slm_atom)
+        """Start a SWAP; its qubits go to the frontier mobile first, the
+        order `_cz_target`, `_places` and `_guard` read them in."""
+        self.frontier.begin_swap(self.swap_count, self.qubit_of[aod_atom],
+                                 self.qubit_of[slm_atom])
         self.swap_count += 1
 
     # -- trapchange variant ---------------------------------------------
-    def _plan_trapchange(self, col: _Column, conflict):
-        """Deposit the conflicted atom into a free clear site, or extract
-        a statically-conflicted atom into this column's free slot."""
+    def _plan_trapchange(self, col: _Column,
+                         conflict) -> tuple[int, int] | None:
+        """(atom, site) of a mid-circuit trap change: the conflicted atom
+        deposited into a free clear site, or else a statically-conflicted
+        atom extracted from its site into this column's free slot."""
         atom, q, p = conflict
         params = self.params
         r2 = params.crosstalk_radius ** 2
@@ -1118,7 +1087,7 @@ class Compiler:
             if best is None or key < best:
                 best = key
         if best is not None:
-            return ("deposit", atom, best[1])
+            return atom, best[1]
         if len(col.atoms) < params.max_atoms_per_column:
             for site, s_atom in static:
                 s = self.qubit_of[s_atom]
@@ -1132,23 +1101,24 @@ class Compiler:
                 if any(abs(self.atom_y[a] - sy) < params.storage_pitch
                        for a in col.atoms):
                     continue
-                return ("extract", s_atom, site)
+                return s_atom, site
         return None
 
-    def _trapchange_action(self, col: _Column, detail) -> None:
+    def _trapchange_action(self, col: _Column, atom: int, site: int) -> None:
         """Apply a mid-circuit trap change: the open phase closes with the
-        column over the site, and the trap change follows."""
-        kind, atom, site = detail
+        column over the site, and the trap change follows. It deposits
+        `atom` if the column holds it, and else extracts it from `site`."""
+        deposit = self.atom_site[atom] is None
         sx, sy = self.grid.sites[site]
         # Over the site, with the column's other atoms tucked below compute
         # (an extracted atom is not in the column yet).
         hanging = [a for a in col.atoms if a != atom]
         y_targets = {a: self._hang_y(j) for j, a in enumerate(hanging)}
-        if kind == "deposit":
+        if deposit:
             y_targets[atom] = sy
         self._move_column(col, sx, y_targets)
         self._flush_moves()
-        if kind == "deposit":
+        if deposit:
             self._to_sites([(atom, site)])
             col.atoms.remove(atom)
             self.obstacles.append(atom)
@@ -1181,13 +1151,12 @@ class Compiler:
         conflicts fall back to a forced swap initiation. Pairs are tried in
         the order of their first CZ in the circuit.
         """
-        for sid in sorted(self.swaps):
-            swap = self.swaps[sid]
+        for sid in self.frontier.swap_ids():
             gate = self.frontier.swap_gate(sid)
-            if gate.kind == "cz" and self._isolation_feasible(
-                    swap.atom_aod, swap.atom_slm):
-                self._isolation_layer(swap.atom_aod, swap.atom_slm, gate)
-                swap.layer = self.layer
+            qa, qb = self.frontier.swap_qubits(sid)
+            mobile, static = self.atom_of[qa], self.atom_of[qb]
+            if gate.kind == "cz" and self._isolation_feasible(mobile, static):
+                self._isolation_layer(mobile, static, gate)
                 return
         gates = self.circuit.gates
         for i in sorted(self.frontier.executable_czs(),
@@ -1268,7 +1237,7 @@ class Compiler:
         y_base = rc.y0 + ZONE_MARGIN + params.max_atoms_per_column * params.storage_pitch
         groups = []
         for i, x in enumerate(sorted(by_x)):
-            groups.append(MemoryGroup(self.next_cid, SLM, x, [
+            groups.append(MemoryGroup(self.next_cid, x, [
                 (a, self.atom_y[a], self._cache_slot_x(RIGHT, i),
                  y_base + j * params.storage_pitch) for j, a in enumerate(by_x[x])]))
             self.next_cid += 1

@@ -37,7 +37,6 @@ from pachinqo.metrics import (
     composed_swap_error,
     esp,
     movement_total,
-    total_runtime,
 )
 from pachinqo.schedule import (
     SLM_TO_AOD,
@@ -595,6 +594,45 @@ def test_forced_guard_schedules_validate(forced_guard_results):
     assert all(isolation.values()), isolation
 
 
+def _swap_runs(sched) -> dict[int, list[tuple[int, int]]]:
+    """Per inserted SWAP, the (step, layer) of each of its components, in
+    event order."""
+    runs: dict[int, list[tuple[int, int]]] = {}
+    for ev in sched.events:
+        if isinstance(ev, U3LayerEvent):
+            origins = [g.origin for g in ev.gates]
+        elif isinstance(ev, Illumination):
+            origins = [p.origin for p in ev.pairs]
+        else:
+            continue
+        for sid, step in filter(None, origins):
+            runs.setdefault(sid, []).append((step, ev.layer))
+    return runs
+
+
+def test_inserted_swaps_run_one_step_per_layer(corpus_results,
+                                               forced_guard_results):
+    """Every inserted SWAP runs steps 0-8 once each, in order, in
+    increasing layers, except that its independent rotations, steps 2-3
+    and 5-6, share a layer. The forced-guard set also runs SWAP CZ steps
+    in the progress guard's isolation layers."""
+    bad = []
+    count = 0
+    for circ, technique, grid_kind, sched, *_ in (corpus_results
+                                                  + forced_guard_results):
+        runs = _swap_runs(sched)
+        assert sorted(runs) == list(range(sched.swap_count))
+        count += len(runs)
+        for sid, run in runs.items():
+            steps = [step for step, _ in run]
+            gaps = [b - a for (_, a), (_, b) in zip(run, run[1:])]
+            if (steps != list(range(9)) or min(gaps) < 0
+                    or [k for k, gap in enumerate(gaps) if gap == 0] != [2, 5]):
+                bad.append((circ.source_name, technique, grid_kind, sid, run))
+    assert count > 0
+    assert not bad, bad[:3]
+
+
 def test_every_moving_layer_illuminates_or_changes_traps(
         corpus_results, forced_guard_results, qasm_results):
     """A layer that holds a column move also holds an illumination, a trap
@@ -790,8 +828,7 @@ def test_criterion_7_directional_comparisons():
     b = movement_total(results["pachinqo"]) < movement_total(results["onecache"])
     mid_tc = results["trapchange"].trap_change_count - 6
     c = (mid_tc == 0) or (
-        total_runtime(results["pachinqo"], PARAMS)
-        < total_runtime(results["trapchange"], PARAMS)
+        results["pachinqo"].end_time < results["trapchange"].end_time
     )
     dt = time.perf_counter() - t0
     ok = a and b and c and dt < 10.0
@@ -857,7 +894,7 @@ def test_criterion_10_esp_properties():
             and esp(longer, PARAMS) < esp(base, PARAMS))
 
     sched, _, _ = _compile(Circuit(1, [], "empty1"))
-    t = total_runtime(sched, PARAMS)
+    t = sched.end_time
     expected = ((1 - PARAMS.readout_error) * (1 - PARAMS.atom_loss)
                 * math.exp(-t / (PARAMS.t1 * 1e6))
                 * math.exp(-t / (PARAMS.t2 * 1e6)))

@@ -363,6 +363,28 @@ def test_frontier_swap_lock_cycle():
     assert f.executable_cz(0, 1)
 
 
+def test_frontier_swap_queries_follow_begin_swap():
+    """`swap_ids` lists the in-flight SWAPs in the order they began and
+    `swap_qubits` gives each one's qubits in `begin_swap` order, at every
+    step, until `advance` completes it."""
+    f = Frontier(Circuit(4, []))
+    f.begin_swap(5, 3, 0)
+    f.begin_swap(2, 1, 2)
+    assert f.swap_ids() == [5, 2]
+    for g in decompose_swap(3, 0, swap_id=5):
+        assert f.swap_ids() == [5, 2]
+        assert f.swap_qubits(5) == (3, 0)
+        assert f.swap_qubits(2) == (1, 2)
+        completed = f.advance(g)
+    assert completed == 5
+    assert f.swap_ids() == [2]
+    for g in decompose_swap(1, 2, swap_id=2):
+        assert f.swap_qubits(2) == (1, 2)
+        f.advance(g)
+    assert f.swap_ids() == []
+    assert f.done()
+
+
 def test_frontier_swap_step_order_enforced():
     circ = Circuit(2, [])
     f = Frontier(circ)

@@ -15,7 +15,6 @@ from pachinqo.machine import (
     load_params,
     machine_capacity,
     pair_clear_sites,
-    slm_capacity,
     validate_geometry,
 )
 
@@ -150,11 +149,6 @@ def test_all_generated_grids_validate(default_layout, params):
         assert validate_geometry(default_layout, grid, params) == []
 
 
-def test_min_sites_capacity_error(default_layout, params):
-    with pytest.raises(CapacityError, match="insufficient SLM capacity"):
-        generate_grid("large-square", default_layout, params, min_sites=10_000)
-
-
 def test_validate_geometry_flags_close_sites(default_layout, params):
     from pachinqo.machine import SlmGrid
 
@@ -189,7 +183,7 @@ def test_pair_clear_sites_small_square_thinned(default_layout, params):
 def test_capacity_composition(default_layout, params):
     grid = generate_grid("large-square", default_layout, params)
     assert machine_capacity(default_layout, params) == (
-        slm_capacity(grid, params) + aod_capacity(default_layout, params)
+        len(pair_clear_sites(grid, params)) + aod_capacity(default_layout, params)
     )
 
 

@@ -14,7 +14,6 @@ from pachinqo.metrics import (
     movement_phase_time,
     movement_total,
     runtime_breakdown,
-    total_runtime,
 )
 from pachinqo.schedule import (
     ColumnMove,
@@ -142,7 +141,7 @@ def test_runtime_equals_last_event_end(params):
     layout = build_layout(8, "auto", params)
     grid = generate_grid("large-square", layout, params)
     sched = Compiler(circ, "pachinqo", grid, layout, params).run()
-    assert total_runtime(sched, params) == sched.events[-1].t_end
+    assert sched.end_time == sched.events[-1].t_end
 
 
 def test_runtime_equals_sum_of_layer_times(params):
@@ -151,7 +150,7 @@ def test_runtime_equals_sum_of_layer_times(params):
     grid = generate_grid("large-square", layout, params)
     sched = Compiler(circ, "pachinqo", grid, layout, params).run()
     total = sum(layer_time(evs, params) for evs in sched.by_layer().values())
-    assert total == pytest.approx(total_runtime(sched, params))
+    assert total == pytest.approx(sched.end_time)
 
 
 def test_empty_circuit_runtime_is_tcs_plus_movement(params):
@@ -164,7 +163,7 @@ def test_empty_circuit_runtime_is_tcs_plus_movement(params):
         layer_time([e], params)
         for e in sched.events if isinstance(e, ColumnMove)
     )
-    assert total_runtime(sched, params) == pytest.approx(
+    assert sched.end_time == pytest.approx(
         6 * params.trap_change_time + move_time)
 
 

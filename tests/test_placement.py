@@ -15,7 +15,6 @@ from pachinqo.machine import (
 )
 from pachinqo import placement
 from pachinqo.placement import (
-    AOD,
     assign_atoms,
     degree_split_group,
     greedy_maxcut_group,
@@ -168,8 +167,8 @@ def test_packing_only_reorders_the_mobile_columns(grid_kind, params,
         assert greedy_maxcut_group(circ, *caps, per_col) == packed
         a, b = (assign_atoms(g, grid, layout, params) for g in (packed, plain))
         assert a.site_of_qubit == b.site_of_qubit
-        sizes = [len(g.atoms) for g in a.memory_groups if g.kind == AOD]
-        assert sizes == [len(g.atoms) for g in b.memory_groups if g.kind == AOD]
+        sizes = [len(g.atoms) for g in a.columns]
+        assert sizes == [len(g.atoms) for g in b.columns]
         assert all(k == per_col for k in sizes[:-1])
     assert fewer
 
@@ -216,15 +215,14 @@ def test_assign_packs_columns_of_four(default_layout, default_grid, params):
     g = greedy_maxcut_group(Circuit(9, []), 96, 124)
     assert len(g.aod_qubits) == 9
     p = assign_atoms(g, default_grid, default_layout, params)
-    mobile = [m for m in p.memory_groups if m.kind == AOD]
-    assert [len(m.atoms) for m in mobile] == [4, 4, 1]
-    assert [m.column for m in mobile] == [0, 1, 2]
+    assert [len(m.atoms) for m in p.columns] == [4, 4, 1]
+    assert [m.column for m in p.columns] == [0, 1, 2]
 
 
 def test_assign_zero_mobile_qubits(default_layout, default_grid, params):
     g = greedy_maxcut_group(_circ(2, [(0, 1)]), 96, 0)
     p = assign_atoms(g, default_grid, default_layout, params)
-    assert all(m.kind != AOD for m in p.memory_groups)
+    assert p.columns == []
 
 
 def test_assignment_deterministic(default_layout, default_grid, params):
@@ -233,7 +231,7 @@ def test_assignment_deterministic(default_layout, default_grid, params):
     p1 = assign_atoms(g, default_grid, default_layout, params)
     p2 = assign_atoms(g, default_grid, default_layout, params)
     assert p1.site_of_qubit == p2.site_of_qubit
-    assert p1.memory_groups == p2.memory_groups
+    assert (p1.ferries, p1.columns) == (p2.ferries, p2.columns)
 
 
 # ---------------------------------------------------------------------------
