@@ -160,12 +160,6 @@ class ZoneLayout:
     compute: Rect
     right_cache: Rect
     memory: Rect
-    scale: str = "default"
-
-    @property
-    def readout(self) -> Rect:
-        """The right cache doubles as the readout zone."""
-        return self.right_cache
 
     def zones(self) -> list[Rect]:
         return [self.left_cache, self.compute, self.right_cache, self.memory]
@@ -174,7 +168,7 @@ class ZoneLayout:
         return any(z.contains(x, y) for z in self.zones())
 
 
-def _layout(scale: str, factor: int) -> ZoneLayout:
+def _layout(factor: int) -> ZoneLayout:
     cache_w, cache_h = 80.0 * factor, 130.0 * factor
     comp_w, comp_h = 190.0 * factor, 130.0 * factor
     mem_w, mem_h = 190.0 * factor, 50.0 * factor
@@ -188,7 +182,6 @@ def _layout(scale: str, factor: int) -> ZoneLayout:
         compute=Rect(ox + cache_w, oy + mem_h, comp_w, comp_h),
         right_cache=Rect(ox + cache_w + comp_w, oy + mem_h, cache_w, cache_h),
         memory=Rect(ox + cache_w, oy, mem_w, mem_h),
-        scale=scale,
     )
 
 
@@ -321,17 +314,17 @@ def build_layout(num_qubits: int, scale: str = "default",
         raise GeometryError("num_qubits must be >= 1")
     params = params or PhysParams()
     if scale == "default":
-        return _layout("default", 1)
+        return _layout(1)
     if scale == "doubled":
-        return _layout("doubled", 2)
+        return _layout(2)
     if scale != "auto":
         raise GeometryError(f"unknown scale {scale!r}")
-    default = _layout("default", 1)
+    default = _layout(1)
     # The AOD alone holds this many, so the SLM sites need not be counted.
     if num_qubits <= aod_capacity(default, params) or \
             num_qubits <= machine_capacity(default, params, grid_kind):
         return default
-    doubled = _layout("doubled", 2)
+    doubled = _layout(2)
     capacity = machine_capacity(doubled, params, grid_kind)
     if num_qubits <= capacity:
         return doubled

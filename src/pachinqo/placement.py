@@ -54,13 +54,12 @@ class _Grouper:
         self.of: dict[int, str] = {}
 
     def place(self, q: int, want: str) -> None:
-        other = SLM if want == AOD else AOD
-        for g in (want, other):
-            if len(self.groups[g]) < self.caps[g]:
-                self.groups[g].append(q)
-                self.of[q] = g
-                return
-        raise CapacityError("both qubit groups are full")
+        """Put q in `want`, or in the other group when `want` is full;
+        `__init__`'s capacity check leaves room for every qubit."""
+        g = want if len(self.groups[want]) < self.caps[want] else (
+            SLM if want == AOD else AOD)
+        self.groups[g].append(q)
+        self.of[q] = g
 
     def finish(self, num_qubits: int) -> Grouping:
         # Qubits no CZ gate ever touched go mobile first: they never need

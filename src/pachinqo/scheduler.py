@@ -15,21 +15,30 @@ only when rotations run. A last pass (`_merge_phases`) then emits each
 run of move phases with no event between them, which a dropped layer can
 leave, as one phase.
 
-A CZ layer plans with all columns relocated
-to the starting cache's slots next to compute, then processes them from
-the cache side nearest compute: each column places next to the static
-partner of one executable CZ (or of one pending inserted-SWAP step),
-spreading its uninvolved atoms apart, or retreats out of the way of the
-columns after it. A retreat takes the legal spot nearest where the layer
-found the column: the opposite cache's slot nearest compute that leaves
-room for the later columns, or memory under the column when no later
-column could place beyond it (keeping atoms near where they are next
-needed, as in ZAC: Lin, Tan & Cong, HPCA 2025); failing both, it drops
-into memory beside the column that blocks the way. One illumination then
-fires every staged pair at once. Start sides toggle right-left-right so
-no column gets standing priority; a layer that ends because placed
-columns exhaust compute access keeps the same side for the remaining
-columns.
+A CZ layer plans with all columns relocated to the starting cache's
+slots next to compute, then processes them from the cache side nearest
+compute. It first chooses its placements as one set (`_plan_layer`, as
+Enola picks each stage's gates together: Tan, Lin & Cong, ASP-DAC 2025).
+A column can place next to the static partner of one executable CZ, or
+of its in-flight SWAP's CZ step, INTERACTION_OFFSET left or right of the
+partner; the chosen xs must increase along the processing order, since
+AOD columns cannot cross (the order constraint of DPQA: Tan, Bluvstein,
+Lukin & Cong, Quantum 2024). The plan is the longest such chain, the
+least travel breaking ties. Each planned column then places at its x,
+spreading its uninvolved atoms apart, if the clearance check still
+passes there. A column with a CZ it could place but no placement waits
+for a later layer; any other column runs an AOD pair, changes traps or
+begins a SWAP (below), and every column that neither places nor pairs
+retreats out of the way of the columns after it. A retreat takes the legal spot
+nearest where the layer found the column: the opposite cache's slot
+nearest compute that leaves room for the later columns, or memory under
+the column when no later planned placement (or in-flight SWAP's CZ
+step) lies beyond it (keeping atoms near where they are next needed, as
+in ZAC: Lin, Tan & Cong, HPCA 2025); failing both, it drops into memory
+beside the column that blocks the way. One illumination then fires
+every staged pair at once. Start sides toggle right-left-right so no
+column gets standing priority; a layer in which a column finds no legal
+retreat keeps the same side.
 
 Move phases are fused. The compiler applies every move to its state at
 once and keeps one record of where the open phase found each column: the
@@ -58,8 +67,10 @@ it placed or paired this layer, the column stays idle instead: the next
 layer runs the columns in the reverse order, so the pair can form then.
 The site is the one nearest where the open phase found the columns,
 among those that are clear of obstacles and leave every later column's
-wanted x reachable, as retreats do; a pair within one column that only
-that reach rule keeps from every site also waits for the next layer.
+wanted x reachable, as retreats do; a pair within one column that the
+neighbouring columns or that reach rule keep from every site also waits
+for the next layer. A round that executes nothing emits nothing, so the
+progress guard waits for a second one, in which such a pair can form.
 Each column's other atoms spread as for a placement (`_spread`). Zoned
 arrays entangle any two atoms in blockade range under the global
 Rydberg pulse (Bluvstein et al., Nature 2024), and DPQA schedules
@@ -160,6 +171,19 @@ class _Column:
 
     def __post_init__(self):
         self.found_x = self.x
+
+
+@dataclass
+class _LayerPlan:
+    """A CZ layer's plan (`_plan_layer`): its processing order and side,
+    the CZ each column atom waits for when the layer starts (`_cz_target`,
+    read once per layer), and the placement chosen for each planned
+    column, by cid, as (gate, atom, partner atom, x)."""
+
+    order: list[_Column]
+    side: int
+    targets: dict[int, tuple[Gate, int, bool] | None]
+    placements: dict[int, tuple[Gate, int, int, float]]
 
 
 @dataclass
@@ -393,6 +417,7 @@ class Compiler:
         self._apply_initialization()
         guard_budget = 60 * (len(self.circuit.gates) + self.circuit.num_qubits + 10)
         rounds = 0
+        idle = 0  # rounds in a row that executed nothing
         while not self.frontier.done():
             rounds += 1
             if rounds > guard_budget:
@@ -401,8 +426,13 @@ class Compiler:
             if self.frontier.done():
                 break
             executed += self._cz_layer()
-            if executed == 0:
+            idle = 0 if executed else idle + 1
+            # A layer that executes nothing emits nothing, and the next
+            # runs the columns in the reverse order, where a waiting pair
+            # can form; the guard forces progress after two.
+            if idle == 2:
                 self._guard()
+                idle = 0
         self._measurement()
         self._pack_rotations()
         self._merge_phases()
@@ -588,26 +618,30 @@ class Compiler:
         self._park(live, cache, cache.x0 + ZONE_MARGIN, first)
 
     def _cz_layer(self) -> int:
+        """Run one CZ layer from `self.direction`'s cache: plan the
+        placements (`_plan_layer`), then give every live column its action
+        in processing order (`_find_action`), retreating each column that
+        neither placed nor paired, and fire. Every column gets its turn.
+        Returns the number of columns that executed a CZ, changed traps or
+        began a SWAP."""
         self.layer += 1
         self.busy.clear()
         staged: list[CzEntry] = []
         executed = 0
 
         side = self.direction
-        # Set when placed columns exhaust compute access: the rest of the
-        # columns keep the same side next layer.
-        same_side_next = False
-
         order = [c for c in self.columns if c.atoms]
         if side == LEFT:
             order.reverse()
-        later = self._plan_retreats(order, side)
+        plan = self._plan_layer(order, side)
+        later = self._plan_retreats(plan)
         # Plan against every column parked on `side`, but let each column
         # travel once, straight to where the layer leaves it.
         self._relocate_all(side)
         self._reset_obstacles()
 
         trap_changes = self.trap_change_count
+        stuck = False  # a column found no legal retreat
         paired = None  # the column an AOD pair took along with its own
         done = None  # the column just before, if it placed or paired
         for k, col in enumerate(order):
@@ -615,26 +649,21 @@ class Compiler:
                 done = col
                 continue
             nxt = order[k + 1] if k + 1 < len(order) else None
-            action = self._find_action(col, staged, done, nxt, later, side)
+            action = self._find_action(col, staged, done, nxt, later, plan)
             done = col if action == "placed" else None
-            if action == "blocked":
-                same_side_next = True
-                break
             executed += action != "idle"
             if action == "paired":
                 paired = nxt
             if action in ("placed", "paired"):
                 continue
-            if action != "idle":  # a new SWAP CZ, or atoms changed traps
-                later = self._plan_retreats(order, side)
             # Clear the way, unless a deposit took the column's last atom.
             if col.atoms and not self._retreat(col, side, later):
-                same_side_next = True
+                stuck = True
                 break
         if not staged and self.trap_change_count == trap_changes:
             self._stay()
         self._fire(staged)
-        if not (self.one_cache or same_side_next):
+        if not (self.one_cache or stuck):
             self.direction = toggle_direction(self.direction)
         return executed
 
@@ -647,75 +676,127 @@ class Compiler:
                               {a: self.found_y[a] for a in col.atoms})
 
     # -- per-column decision -------------------------------------------
+    def _can_place(self, target: tuple[Gate, int, bool]) -> bool:
+        """Whether a column atom could place its `_cz_target` now: an
+        in-flight SWAP's CZ step, or an executable CZ with a static
+        partner."""
+        gate, partner, is_swap = target
+        return is_swap or (self.atom_site[partner] is not None
+                           and self.frontier.executable_cz(*gate.qubits))
+
+    def _plan_layer(self, order: list[_Column], side: int) -> _LayerPlan:
+        """Choose the layer's placements together, as one chain along
+        `order`.
+
+        A column atom can place its in-flight SWAP's CZ step, or an
+        executable CZ with a static partner. Each such CZ offers two xs,
+        one INTERACTION_OFFSET either side of the partner; a column takes
+        at most one, and `side * x` strictly increases along the order,
+        since columns cannot cross. A static atom's next CZ has one
+        partner, so each static partner serves at most one placement. The
+        chain with the most placements wins, then the least summed travel
+        from where the open phase found each column (|dx| of the column
+        plus |dy| of its CZ atom), then the first found: a longest
+        increasing subsequence over the candidates, columns in order and
+        atoms in slot order."""
+        targets: dict[int, tuple[Gate, int, bool] | None] = {}
+        # Per candidate: side * x, its chain's rank (-placements, travel),
+        # the index of the chain's previous candidate or -1, and its
+        # column's cid and placement.
+        nodes: list[tuple[float, tuple[int, float], int, int, tuple]] = []
+        for col in order:
+            new = []
+            for atom in col.atoms:
+                target = targets[atom] = self._cz_target(atom)
+                if target is None or not self._can_place(target):
+                    continue
+                gate, partner, _ = target
+                px = self.atom_x[partner]
+                dy = abs(self.atom_y[partner] - self.found_y[atom])
+                for x in (px - INTERACTION_OFFSET, px + INTERACTION_OFFSET):
+                    key, step = side * x, abs(x - col.found_x) + dy
+                    rank, prev = (-1, step), -1
+                    for i, (k, (n, t), *_) in enumerate(nodes):
+                        if k < key and (n - 1, t + step) < rank:
+                            rank, prev = (n - 1, t + step), i
+                    new.append((key, rank, prev, col.cid, (gate, atom, partner, x)))
+            nodes.extend(new)
+        placements = {}
+        i = min(range(len(nodes)), key=lambda i: nodes[i][1], default=-1)
+        while i >= 0:
+            _, _, i, cid, placement = nodes[i]
+            placements[cid] = placement
+        return _LayerPlan(order, side, targets, placements)
+
     def _find_action(self, col: _Column, staged: list[CzEntry],
                      done: _Column | None, nxt: _Column | None,
-                     later: dict[int, tuple[float, int]], side: int):
+                     later: dict[int, tuple[float, int]], plan: _LayerPlan):
         """Pick and apply this column's action for the current layer:
         "placed", "paired" (an AOD pair with `nxt`, the next column of the
         layer's order, which it takes along), "tc" (a trap change closed
         the phase with the column over the site, so the next phase finds
-        it there), "swap" (a SWAP began), "blocked" or "idle". A conflict
-        whose partner is in `done`, the column just before that placed or
-        paired this layer, leaves the column idle: the next layer, in the
-        reverse order, can run it as an AOD pair. So does a conflict with
-        an atom of the column itself that only a later column's placement
-        keeps from every pair site (`_pair` "wait")."""
-        wants_blocked = False
+        it there), "swap" (a SWAP began) or "idle".
+
+        A planned column places at its planned x if the clearance check
+        still passes there. A column left with a CZ it could place (not
+        planned, its plan refused by the check, or its partner busy)
+        waits for a later layer: it begins no SWAP and no trap change.
+        Otherwise its highest atom whose executable CZ has a mobile
+        partner conflicts. If the partner is in `done`, the column just
+        before that placed or paired this layer, the column stays idle:
+        the next layer, in the reverse order, can run it as an AOD pair.
+        Else it tries an AOD pair (`_pair`, which may also wait), then
+        (trapchange) a trap change, then a SWAP."""
+        planned = plan.placements.get(col.cid)
+        if planned is not None:
+            gate, atom, partner_atom, x = planned
+            placement = self._try_place(col, atom, partner_atom, x)
+            if placement is not None:
+                self._settle(col, placement)
+                self._stage(gate, atom, partner_atom, staged)
+                return "placed"
         conflict: tuple[int, int, int] | None = None  # (atom, q, partner q)
         for atom in sorted(col.atoms, key=lambda a: -self.atom_y[a]):
-            target = self._cz_target(atom)
+            target = plan.targets.get(atom)
             if target is None:
                 continue
-            gate, partner_atom, is_swap = target
-            if not is_swap:  # a native CZ
-                q, p = self.qubit_of[atom], self.qubit_of[partner_atom]
-                if not self.frontier.executable_cz(q, p):
-                    continue
-                if self.atom_site[partner_atom] is None:
-                    if conflict is None:
-                        conflict = (atom, q, p)
-                    continue
-            if partner_atom in self.busy:
-                continue
-            plan = self._try_place(col, atom, partner_atom)
-            if plan is None:
-                wants_blocked = True
-                continue
-            self._settle(col, plan)
-            self._stage(gate, atom, partner_atom, staged)
-            return "placed"
-
-        if conflict is not None:
-            atom, q, p = conflict
-            partner_atom = self.atom_of[p]
-            if done is not None and partner_atom in done.atoms:
+            if self._can_place(target):
                 return "idle"
-            action = self._pair(col, nxt, atom, partner_atom, later, side)
-            if action == "wait":
-                return "idle"
-            if action is not None:
-                self._stage(self.circuit.gates[self.frontier.next_gate(q)],
-                            atom, partner_atom, staged)
-                return action
-            if self.trap_change_first:
-                plan = self._plan_trapchange(col, conflict)
-                if plan is not None:
-                    self._trapchange_action(col, *plan)
-                    return "tc"
-            choice = self._choose_swap(conflict[1], conflict[2], forced=False)
-            if choice is not None:
-                self._begin_swap(*choice)
-                return "swap"
-        if wants_blocked:
-            return "blocked"
-        return "idle"
+            gate, partner_atom, _ = target
+            if conflict is None and self.frontier.executable_cz(*gate.qubits):
+                conflict = (atom, self.qubit_of[atom], self.qubit_of[partner_atom])
+        if conflict is None:
+            return "idle"
+        atom, q, p = conflict
+        partner_atom = self.atom_of[p]
+        if done is not None and partner_atom in done.atoms:
+            return "idle"
+        action = self._pair(col, nxt, atom, partner_atom, later, plan.side)
+        if action == "wait":
+            return "idle"
+        if action is not None:
+            self._stage(self.circuit.gates[self.frontier.next_gate(q)],
+                        atom, partner_atom, staged)
+            return action
+        if self.trap_change_first:
+            tc = self._plan_trapchange(col, conflict)
+            if tc is not None:
+                self._trapchange_action(col, *tc)
+                return "tc"
+        choice = self._choose_swap(q, p, forced=False)
+        if choice is None:
+            return "idle"
+        self._begin_swap(*choice)
+        return "swap"
 
     # -- placement geometry ----------------------------------------------
-    def _try_place(self, col: _Column, active_atom: int,
-                   partner_atom: int) -> _Placement | None:
+    def _try_place(self, col: _Column, active_atom: int, partner_atom: int,
+                   x: float) -> _Placement | None:
+        """`col` at x, `active_atom` level with its partner, if x lies
+        between the column's neighbours and clear of every obstacle but
+        the partner; None otherwise."""
         r2 = self.params.crosstalk_radius ** 2
-        sx, sy = self.atom_x[partner_atom], self.atom_y[partner_atom]
-        x = sx + INTERACTION_OFFSET
+        sy = self.atom_y[partner_atom]
         lo, hi = self._neighbors(col.cid)
         if not (lo < x < hi):
             return None
@@ -792,9 +873,10 @@ class Compiler:
         site: one above the other when both are in `col` ("placed"), side
         by side, the lower cid's on the left, when the partner is in `nxt`
         ("paired"). None when the partner is in neither column or no site
-        fits (`_pair_site`), except that a pair within `col` that only a
-        later column's wanted x keeps from every site is "wait": the next
-        layer runs the columns in the reverse order."""
+        fits (`_pair_site`), except that a pair within `col` that only the
+        neighbouring columns or a later column's wanted x keep from every
+        site is "wait": the next layer runs the columns in the reverse
+        order."""
         if partner_atom in col.atoms:
             atoms = sorted((atom, partner_atom), key=lambda a: self.atom_y[a])
             cols, last = [col, col], col
@@ -807,10 +889,18 @@ class Compiler:
             offset = (INTERACTION_OFFSET, 0.0)
         else:
             return None
-        spots = self._pair_site(atoms, cols, offset, later[last.cid][0], side)
+        # Between the columns' outer neighbours and short of every x a
+        # later column wants (`later`, as `_retreat` obeys).
+        lo, hi = self._neighbors(cols[0].cid)[0], self._neighbors(cols[1].cid)[1]
+        reach = later[last.cid][0]
+        if side == RIGHT:
+            hi = min(hi, reach)
+        else:
+            lo = max(lo, -reach)
+        spots = self._pair_site(atoms, cols, offset, lo, hi)
         if spots is None:
             if cols[0] is cols[1] and self._pair_site(
-                    atoms, cols, offset, math.inf, side) is not None:
+                    atoms, cols, offset, -math.inf, math.inf) is not None:
                 return "wait"
             return None
         if cols[0] is cols[1]:
@@ -822,29 +912,25 @@ class Compiler:
         return "paired"
 
     def _pair_site(self, atoms: list[int], cols: list[_Column],
-                   offset: tuple[float, float], reach: float, side: int
+                   offset: tuple[float, float], lo: float, hi: float
                    ) -> list[tuple[float, float]] | None:
         """Where the pair `atoms` (of `cols`) stands: the first at a free
         clear site, the second `offset` from it. Of the sites whose two
-        positions lie in compute, between the columns' outer neighbours,
-        short of every x a later column wants (`reach`, as `_retreat`
-        obeys) and clear of obstacles, the one nearest where the open
-        phase found the columns; None if there is none."""
-        lo, hi = self._neighbors(cols[0].cid)[0], self._neighbors(cols[1].cid)[1]
+        positions lie in compute, strictly between lo and hi in x, and
+        clear of obstacles, the one nearest where the open phase found the
+        columns; None if there is none."""
         occupied = {s for s in self.atom_site if s is not None}
         dx, dy = offset
-        # The sites with lo < x < hi and short of reach; the offset spot
-        # is checked on its own.
+        # The sites with lo < x < hi; the offset spot is checked on its own.
         sites, xs = self.pair_sites[offset]
-        i = bisect.bisect_right(xs, max(lo, -reach) if side == LEFT else lo)
-        j = bisect.bisect_left(xs, min(hi, reach) if side == RIGHT else hi)
+        i, j = bisect.bisect_right(xs, lo), bisect.bisect_left(xs, hi)
         (a0, a1), (c0, c1) = atoms, cols
         candidates = []
         for sx, sy, site in sites[i:j]:
             if site in occupied:
                 continue
             tx, ty = sx + dx, sy + dy
-            if not (lo < tx < hi and side * tx < reach):
+            if not lo < tx < hi:
                 continue
             travel = max(abs(sx - c0.found_x) + abs(sy - self.found_y[a0]),
                          abs(tx - c1.found_x) + abs(ty - self.found_y[a1]))
@@ -857,34 +943,34 @@ class Compiler:
         return None
 
     # -- retreat ----------------------------------------------------------
-    def _plan_retreats(self, order: list[_Column], side: int
-                       ) -> dict[int, tuple[float, int]]:
-        """What `_retreat` decides from: per cid of `order` (this layer's
-        processing order), the nearest placement x any live column after
-        it could want, as `side * x` (a suffix minimum), and how many live
-        columns follow it. A column atom wants the x next to the partner
-        of the CZ it waits for (`_cz_target`): a SWAP step's, or a native
-        CZ's if that partner is static."""
+    def _plan_retreats(self, plan: _LayerPlan) -> dict[int, tuple[float, int]]:
+        """What `_retreat` decides from: per cid of the plan's order, the
+        nearest placement x any live column after it could want, as
+        `side * x` (a suffix minimum), and how many live columns follow
+        it. A column wants its planned x, and an atom whose in-flight
+        SWAP waits for its CZ step wants the nearer x beside that step's
+        partner."""
         later = {}
         reach, live = math.inf, 0
-        for col in reversed(order):
+        side = plan.side
+        for col in reversed(plan.order):
             later[col.cid] = reach, live
             live += bool(col.atoms)
+            planned = plan.placements.get(col.cid)
+            if planned is not None:
+                reach = min(reach, side * planned[3])
             for atom in col.atoms:
-                target = self._cz_target(atom)
-                if target is None:
-                    continue
-                _, partner, is_swap = target
-                x = side * (self.atom_x[partner] + INTERACTION_OFFSET)
-                if x < reach and (is_swap or self.atom_site[partner] is not None):
-                    reach = x
+                target = plan.targets.get(atom)
+                if target is not None and target[2]:
+                    reach = min(reach, side * self.atom_x[target[1]] - INTERACTION_OFFSET)
         return later
 
     def _cz_target(self, atom: int) -> tuple[Gate, int, bool] | None:
         """(gate, partner atom, whether it is a SWAP step) for the CZ column
         atom `atom` waits for: its in-flight SWAP's CZ step, or its next
-        gate if that is a CZ; else None. It runs for every column atom in
-        every layer, so it reads the frontier's cursors directly."""
+        gate if that is a CZ; else None. `_plan_layer` runs it once per
+        column atom per layer, so it reads the frontier's cursors
+        directly."""
         q = self.qubit_of[atom]
         frontier = self.frontier
         if q not in frontier.lock:
@@ -1143,7 +1229,7 @@ class Compiler:
         return lo_after < self.atom_x[static_atom] + INTERACTION_OFFSET
 
     def _guard(self) -> None:
-        """Forced progress when a full round executed nothing.
+        """Forced progress when two rounds in a row executed nothing.
 
         Pending inserted-SWAP CZ steps and frontier-executable CZ gates are
         serviced in an isolation layer: every other column parks out of the
@@ -1185,7 +1271,8 @@ class Compiler:
         col = self._column_of(active_atom)
         self._park_others(col)
         self._reset_obstacles()
-        plan = self._try_place(col, active_atom, partner_atom)
+        plan = self._try_place(col, active_atom, partner_atom,
+                               self.atom_x[partner_atom] + INTERACTION_OFFSET)
         if plan is None:
             raise SchedulerError("isolation placement failed")
         staged: list[CzEntry] = []

@@ -115,6 +115,27 @@ def disjoint_pairs(n: int) -> Circuit:
     return Circuit(n, gates, f"pairs{n}")
 
 
+def full_sites_extraction() -> Circuit:
+    """A trapchange circuit that extracts a static atom by construction.
+
+    CZ(2i, 2i+1) for i < 96 makes 2i mobile and 2i+1 static, one static
+    atom on each of the 96 clear sites of the default large-square layout,
+    so neither an AOD pair nor a deposit has a free site. Mobile 192 and
+    193 (193 goes opposite its first partner, 187) form a 25th column of
+    two atoms. Once each has run its CZ with a static, CZ(192, 193)
+    conflicts inside that column: trapchange extracts a static atom whose
+    next CZ partner is static, as the atoms of the right-most site column
+    have, in pairs, into the column's free slot. The freed site then
+    takes the deposit that CZ(192, 100), across columns 24 and 12, asks
+    for."""
+    right = [24 * row + 23 for row in range(8)]  # statics at x = 265 um
+    gates = [cz(2 * i, 2 * i + 1) for i in range(96)]
+    gates += [cz(192, 189), cz(193, 187)]
+    gates += [cz(a, b) for a, b in zip(right[::2], right[1::2])]
+    gates += [cz(192, 193), cz(192, 100)]
+    return Circuit(194, gates, "fullsites")
+
+
 def benchmark_suite() -> list[Circuit]:
     """Ten desk-scale circuits spanning the evaluated interaction shapes."""
     rng = random.Random(77)

@@ -63,6 +63,7 @@ from corpus import (
     TECHNIQUES,
     benchmark_suite,
     corpus_cases,
+    full_sites_extraction,
     random_circuit,
     random_qasm,
     staircase,
@@ -105,9 +106,10 @@ def corpus_results():
 
 
 class _GuardForcingCompiler(Compiler):
-    """Turns the first of every three CZ layers into a no-op that executes
-    nothing, so `run()` falls into the progress guard and its isolation
-    layer, which ordinary circuits almost never reach."""
+    """Turns the first two of every four CZ layers into no-ops that
+    execute nothing, so `run()` falls into the progress guard (which
+    waits for two rounds in a row that execute nothing) and its
+    isolation layer, which ordinary circuits almost never reach."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
@@ -116,7 +118,7 @@ class _GuardForcingCompiler(Compiler):
 
     def _cz_layer(self) -> int:
         self.cz_calls += 1
-        if self.cz_calls % 3 == 1:
+        if self.cz_calls % 4 in (1, 2):
             return 0
         return super()._cz_layer()
 
@@ -283,10 +285,8 @@ def _schedule_digests(corpus_results, forced_guard_results,
         (f"qasm/{circ.source_name}/{technique}/{grid_kind}", digest(sched))
         for circ, technique, grid_kind, sched, *_ in qasm_results)
     # One mid-circuit SLM->AOD extraction (see test_scheduler.py).
-    sched, _, _ = _compile(
-        random_circuit(random.Random(33), 100, 300, name="extract100"),
-        "trapchange")
-    digests["extract/extract100/trapchange/large-square"] = digest(sched)
+    sched, _, _ = _compile(full_sites_extraction(), "trapchange")
+    digests["extract/fullsites/trapchange/large-square"] = digest(sched)
     for circ in benchmark_suite():
         for grid_kind in GRIDS:
             for technique in TECHNIQUES:

@@ -92,7 +92,10 @@ def test_default_layout_dimensions(default_layout):
     assert (default_layout.right_cache.w, default_layout.right_cache.h) == (80.0, 130.0)
     assert (default_layout.compute.w, default_layout.compute.h) == (190.0, 130.0)
     assert (default_layout.memory.w, default_layout.memory.h) == (190.0, 50.0)
-    assert default_layout.readout == default_layout.right_cache
+    # The right cache doubles as readout: there is no zone of its own.
+    assert default_layout.zones() == [
+        default_layout.left_cache, default_layout.compute,
+        default_layout.right_cache, default_layout.memory]
 
 
 def test_doubled_layout_doubles_every_dimension(params):
@@ -104,8 +107,10 @@ def test_doubled_layout_doubles_every_dimension(params):
 
 
 def test_auto_scale_selects_doubled_for_420(params):
-    assert build_layout(420, "auto", params).scale == "doubled"
-    assert build_layout(64, "auto", params).scale == "default"
+    assert build_layout(420, "auto", params) == build_layout(420, "doubled", params)
+    assert build_layout(64, "auto", params) == build_layout(64, "default", params)
+    assert build_layout(420, "auto", params).bounds.w == 740.0
+    assert build_layout(64, "auto", params).bounds.w == 370.0
 
 
 def test_single_qubit_layout_valid(params):

@@ -22,7 +22,7 @@ from pachinqo.placement import (
 from pachinqo.schedule import AOD_TO_SLM, SLM_TO_AOD, ColumnMove, TrapChange
 from pachinqo.scheduler import Compiler
 
-from corpus import GRIDS, random_circuit, staircase
+from corpus import GRIDS, full_sites_extraction, random_circuit, staircase
 
 
 def _circ(n, pairs):
@@ -319,8 +319,8 @@ def test_init_state_equals_replayed_events(params, technique, n, seed):
 def test_trapchange_state_equals_replayed_events(params):
     """After every layer of a trapchange compile with a mid-circuit deposit
     and an extraction, before readout, the state still equals the replay."""
-    circ = random_circuit(random.Random(33), 100, 300)
-    layout = build_layout(100, "auto", params)
+    circ = full_sites_extraction()
+    layout = build_layout(circ.num_qubits, "auto", params)
     grid = generate_grid("large-square", layout, params)
     compiler = Compiler(circ, "trapchange", grid, layout, params)
     compiler._measurement = lambda: None

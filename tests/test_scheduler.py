@@ -32,7 +32,7 @@ from pachinqo.schedule import (
 from pachinqo.scheduler import Compiler, SchedulerError, toggle_direction, LEFT, RIGHT
 from pachinqo.verifier import equivalence_check, validate_schedule
 
-from corpus import random_circuit, staircase
+from corpus import full_sites_extraction, random_circuit, staircase
 
 
 def _compile(circ, technique="pachinqo", grid_kind="large-square", params=None,
@@ -344,11 +344,13 @@ def test_same_column_pair_kept_from_every_site_by_a_later_column_waits():
     compiler._reset_obstacles()
     first_x = min(compiler.grid.sites[s][0] for s in compiler.clear_sites)
     staged = []
+    plan = compiler._plan_layer([col], RIGHT)
+    assert plan.placements == {}
     assert compiler._find_action(col, staged, None, None,
-                                 {col.cid: (first_x, 1)}, RIGHT) == "idle"
+                                 {col.cid: (first_x, 1)}, plan) == "idle"
     assert compiler.swap_count == 0 and staged == []
     assert compiler._find_action(col, staged, None, None,
-                                 {col.cid: (math.inf, 0)}, RIGHT) == "placed"
+                                 {col.cid: (math.inf, 0)}, plan) == "placed"
     assert [p.qubits for p in staged] == [(0, 2)]
 
 
@@ -374,6 +376,62 @@ def test_conflict_with_the_column_just_before_waits_for_an_aod_pair():
     assert (x8, y8) == (x6 + INTERACTION_OFFSET, y6)
     assert compiler.swap_count == 0
     assert compiler.frontier.done()
+
+
+def test_layer_plan_places_both_columns_where_greedy_blocks_the_second():
+    """Column 0's highest atom 6 waits for static 23 at x = 265 and its
+    atom 0 for static 1 at x = 100; column 1's atom 8 waits for static 5
+    at x = 130. Taking 6's CZ first, as a per-column greedy does, leaves
+    column 1 no x right of column 0. The layer plan takes CZ(0, 1)
+    instead, and both columns place in one illumination."""
+    circ = Circuit(24, _BOUND_LOAD + [cz(6, 23), cz(0, 1), cz(8, 5)])
+    compiler = _three_column_compiler(circ)
+    for g in circ.gates[:len(_BOUND_LOAD)]:
+        compiler.frontier.advance(g)
+    assert compiler.atom_x[23] == 265.0 and compiler.atom_x[1] == 100.0
+    plan = compiler._plan_layer(compiler.columns, RIGHT)
+    assert {cid: atom for cid, (_, atom, _, _) in plan.placements.items()} == {
+        0: 0, 1: 8}
+    compiler._cz_layer()
+    (illum,) = [e for e in compiler.events if isinstance(e, Illumination)]
+    assert sorted(p.qubits for p in illum.pairs) == [(0, 1), (8, 5)]
+
+
+def test_two_columns_place_on_both_sides_of_one_site_column():
+    """Static 1 and 25 share the site column x = 100. Once the loads have
+    run, column 1's CZ(8, 1) places at 98.5 and column 3's CZ(24, 25) at
+    101.5, both in one illumination, and the schedule validates."""
+    circ = Circuit(26, [cz(2 * i, 2 * i + 1) for i in range(13)] + [cz(8, 1)])
+    sched, layout, grid, params = _compile(circ)
+    assert validate_schedule(sched, layout, grid, params, circ) == []
+    (illum,) = [e for e in sched.events if isinstance(e, Illumination)
+                and (8, 1) in [p.qubits for p in e.pairs]]
+    assert {p.qubits: p.positions for p in illum.pairs} == {
+        (8, 1): ((100.0 - INTERACTION_OFFSET, 65.0), (100.0, 65.0)),
+        (24, 25): ((100.0 + INTERACTION_OFFSET, 80.0), (100.0, 80.0)),
+    }
+
+
+def test_left_side_placement_refused_next_to_an_occupied_site():
+    """On small-square (10 um pitch) a placement at partner x - 1.5 stands
+    8.5 um from the site 10 um left of the partner, inside the crosstalk
+    radius. With static 1 moved onto that site, the clearance check
+    refuses the left side for CZ(2, 3); the right side, 11.5 um from it,
+    passes."""
+    params = PhysParams()
+    circ = Circuit(4, [cz(0, 1), cz(2, 3)])
+    layout = build_layout(4, "auto", params, "small-square")
+    grid = generate_grid("small-square", layout, params)
+    compiler = Compiler(circ, "pachinqo", grid, layout, params)
+    compiler._apply_initialization()
+    (col,) = compiler.columns
+    px, py = compiler.atom_x[3], compiler.atom_y[3]
+    compiler.atom_site[1] = grid.sites.index((px - 10.0, py))
+    compiler.atom_x[1], compiler.atom_y[1] = px - 10.0, py
+    compiler._reset_obstacles()
+    assert compiler._try_place(col, 2, 3, px - INTERACTION_OFFSET) is None
+    placement = compiler._try_place(col, 2, 3, px + INTERACTION_OFFSET)
+    assert placement is not None and placement.ys[2] == py
 
 
 def _loaded(circ, executed):
@@ -561,19 +619,16 @@ def test_trapchange_falls_back_to_swap_when_no_room():
 
 
 def test_trapchange_extracts_static_atom_into_column():
-    # A seed whose trapchange schedule makes exactly one mid-circuit
-    # extraction; most seeds resolve every conflict otherwise. Seed 33 is
-    # the first k of random_circuit(Random(k), n, g), n = 60, 100 or 120
-    # and g = 2n or 3n, to extract on large-square (star extracts from
-    # k = 2).
-    circ = random_circuit(random.Random(33), 100, 300)
+    """With every clear site held (`full_sites_extraction`), the conflict
+    inside the two-atom column 24 extracts one static atom into it."""
+    circ = full_sites_extraction()
     sched, layout, grid, params = _compile(circ, technique="trapchange")
     last_layer = sched.events[-1].layer
     extractions = [e for e in sched.events
                    if isinstance(e, TrapChange) and e.direction == SLM_TO_AOD
                    and 0 < e.layer < last_layer]
     assert len(extractions) == 1
-    assert extractions[0].transfers[0].column is not None
+    assert extractions[0].transfers[0].column == 24
     assert validate_schedule(sched, layout, grid, params, circ) == []
 
 
@@ -747,7 +802,7 @@ def test_retreat_fallback_tucks_beside_blocker():
     col1.x = col1.found_x = 105.0
     for a in col1.atoms:
         compiler.atom_x[a] = 105.0
-    later = compiler._plan_retreats([col1, col0], LEFT)
+    later = compiler._plan_retreats(compiler._plan_layer([col1, col0], LEFT))
     assert compiler._retreat(col0, LEFT, later)
     moves = _flushed_moves(compiler)
     assert len(moves) == 1, "a move must be emitted"
@@ -778,7 +833,7 @@ def test_onecache_retreat_tucks_in_at_memory_edge():
     compiler._apply_initialization()
     assert compiler.cache_slots[LEFT] == []
     col0 = compiler.columns[0]
-    later = compiler._plan_retreats(compiler.columns, RIGHT)
+    later = compiler._plan_retreats(compiler._plan_layer(compiler.columns, RIGHT))
     from_x = col0.x
     assert compiler._retreat(col0, RIGHT, later)
     moves = _flushed_moves(compiler)
@@ -815,7 +870,7 @@ def _retreat_in_order(compiler, side):
     order = list(compiler.columns)
     if side == LEFT:
         order.reverse()
-    later = compiler._plan_retreats(order, side)
+    later = compiler._plan_retreats(compiler._plan_layer(order, side))
     compiler._relocate_all(side)
     for col in order:
         assert compiler._retreat(col, side, later)
@@ -827,8 +882,11 @@ def test_retreat_takes_the_cache_slot_next_to_compute_that_leaves_room():
     """A retreating column takes the opposite cache's free slot nearest
     compute that still leaves one slot on its compute side per later
     column, on both sides. The last column, with nothing after it, parks
-    in memory under where it stood, the shorter move."""
+    in memory under where it stood, the shorter move. CZ(0, 1) is done,
+    so column 0's nearest placement lies right of memory's first slot,
+    which the columns before it must therefore leave free."""
     compiler = _three_column_compiler()
+    compiler.frontier.advance(compiler.circuit.gates[0])
     left, right = compiler.cache_slots[LEFT], compiler.cache_slots[RIGHT]
     mem = compiler.layout.memory
     from pachinqo.machine import ZONE_MARGIN
@@ -855,15 +913,19 @@ def test_retreat_takes_the_cache_slot_next_to_compute_that_leaves_room():
 def test_memory_parking_refused_past_a_later_columns_target(start_x,
                                                             parks_in_memory):
     """Column 0 stood at start_x when the layer began. Memory under it is
-    the shorter move, but column 1 could place at 161.5 (its partner at
-    160 plus the interaction offset): parking at 170 would block that, so
-    the column takes a cache slot instead."""
+    the shorter move, but column 1 plans to place at 161.5 (its partner
+    at 160 plus the interaction offset, the side nearer the right cache
+    it comes from): parking at 170 would block that, so the column takes
+    a cache slot instead. Only CZ(8, 9) is left to place."""
     compiler = _three_column_compiler()
+    for g in compiler.circuit.gates:
+        if g.qubits != (8, 9):
+            compiler.frontier.advance(g)
     col0 = compiler.columns[0]
     col0.x = col0.found_x = start_x
     for a in col0.atoms:
         compiler.atom_x[a] = start_x
-    later = compiler._plan_retreats(compiler.columns, RIGHT)
+    later = compiler._plan_retreats(compiler._plan_layer(compiler.columns, RIGHT))
     assert later[col0.cid][0] == 160.0 + INTERACTION_OFFSET
     compiler._relocate_all(RIGHT)
     assert compiler._retreat(col0, RIGHT, later)

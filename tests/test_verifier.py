@@ -280,7 +280,7 @@ class _CachePairCompiler(Compiler):
     """Forms every AOD pair in the right cache, out of the Rydberg
     pulse's reach, instead of over a free compute site."""
 
-    def _pair_site(self, atoms, cols, offset, reach, side):
+    def _pair_site(self, atoms, cols, offset, lo, hi):
         rc = self.layout.right_cache
         x, y = rc.x0 + 40.0, rc.y0 + 60.0
         return [(x, y), (x + offset[0], y + offset[1])]
