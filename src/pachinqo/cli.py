@@ -5,7 +5,9 @@ writes one CSV row per (circuit, technique, grid). Exit codes: 1 parse,
 usage or write error (an output path that cannot be written), 2
 capacity/geometry error, 3 validation failure, 4 compile error (the
 scheduler raised SchedulerError). In suite mode a file that fails to parse
-or compile gets an error row instead.
+or compile gets an error row instead, and so, with --validate, does a
+schedule that fails the validator or the equivalence oracle; the sweep
+then exits 3.
 """
 from __future__ import annotations
 
@@ -124,6 +126,18 @@ def _compile_file(path: str, technique: str, grid_kind: str, params,
     return circuit, layout, grid, schedule, report
 
 
+def _check(schedule, layout, grid, params, circuit):
+    """The validator's violations, and the oracle's largest amplitude error
+    if the schedule diverges from the circuit (None when it agrees or the
+    circuit has more than EQUIVALENCE_QUBIT_CAP qubits)."""
+    violations = validate_schedule(schedule, layout, grid, params, circuit)
+    if circuit.num_qubits <= EQUIVALENCE_QUBIT_CAP:
+        equal, err = equivalence_check(schedule, circuit)
+        if not equal:
+            return violations, err
+    return violations, None
+
+
 def run_compile(args) -> int:
     params, file_scale = load_params(args.params)
     scale = args.scale if args.scale != "auto" else (file_scale or "auto")
@@ -145,17 +159,13 @@ def run_compile(args) -> int:
         sched_fh.writelines(_schedule_json_chunks(schedule))
         report_fh.write(report.to_json())
     if args.validate:
-        violations = validate_schedule(schedule, layout, grid, params, circuit)
+        violations, err = _check(schedule, layout, grid, params, circuit)
         for v in violations:
             print(str(v), file=sys.stderr)
-        if circuit.num_qubits <= EQUIVALENCE_QUBIT_CAP:
-            equal, err = equivalence_check(schedule, circuit)
-            if not equal:
-                print(f"equivalence check diverged: amplitude error "
-                      f"{err:.3e}",
-                      file=sys.stderr)
-                return EXIT_VALIDATION
-        if violations:
+        if err is not None:
+            print(f"equivalence check diverged: amplitude error {err:.3e}",
+                  file=sys.stderr)
+        if violations or err is not None:
             return EXIT_VALIDATION
     return EXIT_OK
 
@@ -179,7 +189,7 @@ def run_suite(args) -> int:
         print(f"no .qasm files in {args.suite_dir}", file=sys.stderr)
         return EXIT_PARSE
 
-    failures = 0
+    failures = invalid = 0
     jobs = sorted(
         (f.stem, t, g, f) for f in files for t in techniques for g in grids
     )
@@ -188,21 +198,32 @@ def run_suite(args) -> int:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(CSV_HEADER)
         for name, technique, grid_kind, path in jobs:
+            row = [name, technique, grid_kind]
+            blank = [""] * (len(CSV_HEADER) - len(row) - 1)
             try:
-                _, _, _, schedule, report = _compile_file(
+                circuit, layout, grid, schedule, report = _compile_file(
                     str(path), technique, grid_kind, params, scale,
                     args.serial_movement)
-                writer.writerow([name, technique, grid_kind,
-                                 repr(report.runtime_us), repr(report.esp),
-                                 report.swap_count, report.trap_change_count,
-                                 repr(report.total_movement_um),
-                                 report.gate_counts["u3"], report.gate_counts["cz"],
-                                 repr(report.compile_time_ms), ""])
             except (QasmError, CircuitError, CapacityError, GeometryError,
                     SchedulerError) as e:
                 failures += 1
-                writer.writerow([name, technique, grid_kind,
-                                 "", "", "", "", "", "", "", "", str(e)])
+                writer.writerow(row + blank + [str(e)])
+                continue
+            if args.validate:
+                violations, err = _check(schedule, layout, grid, params, circuit)
+                if violations or err is not None:
+                    invalid += 1
+                    writer.writerow(row + blank + [
+                        f"validation: {len(violations)} violations" if violations
+                        else f"equivalence: amplitude error {err:.3e}"])
+                    continue
+            writer.writerow(row + [
+                repr(report.runtime_us), repr(report.esp), report.swap_count,
+                report.trap_change_count, repr(report.total_movement_um),
+                report.gate_counts["u3"], report.gate_counts["cz"],
+                repr(report.compile_time_ms), ""])
+    if invalid:
+        return EXIT_VALIDATION
     return EXIT_OK if failures < len(jobs) else EXIT_PARSE
 
 

@@ -7,8 +7,9 @@ the memory strip under compute; the right cache doubles as readout. Every
 zone keeps a 10 um interior margin as a movement corridor: SLM sites and
 the compiler's parking slots start 10 um inside each zone. The one
 exception is a retreat's last resort, which tucks its column into memory
-beside the blocking column and can park it inside memory's margin (one
-was seen 7.5 um from the right cache on perfbench `wide`, seed 1). So no
+beside the blocking column and can park it inside memory's margin: on
+perfbench `wide` (seed 1), 122 column moves end there, the first taking
+column 9 to x = 272.0, 8 um from the right cache, in layer 2. So no
 distance between atoms in adjacent zones is promised; ROADMAP item 4
 plans the check that would see such a hazard.
 """

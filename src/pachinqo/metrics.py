@@ -38,7 +38,7 @@ class MetricsReport:
 
 def move_duration(dx: float, dys: list[float], params: PhysParams) -> float:
     """One column's travel time for |dx| plus per-atom |dy| moves."""
-    return (abs(dx) + max((abs(d) for d in dys), default=0.0)) / params.aod_speed
+    return (abs(dx) + max(map(abs, dys), default=0.0)) / params.aod_speed
 
 
 def movement_phase_time(

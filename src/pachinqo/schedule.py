@@ -140,29 +140,30 @@ def ordered_phase_moves(
     t_end: float,
     layer: int,
 ) -> list[ColumnMove]:
-    """Emit one phase of concurrent column moves in a replay-safe order.
+    """Emit one phase of concurrent column moves in a replay-safe order
+    (`replay_order`); no-op moves are dropped."""
+    return replay_order([ColumnMove(t_start, t_end, layer, cid, fx, tx, list(atoms))
+                         for cid, fx, tx, atoms in moves])
+
+
+def replay_order(moves: list[ColumnMove]) -> list[ColumnMove]:
+    """One phase's moves in a replay-safe order, without the no-op ones.
 
     Column positions are strictly ordered before the phase and its targets
     preserve that order. Emitting rightward movers from the right and
     leftward movers from the left keeps the column x ordering strictly
     increasing after every single event, so a step-by-step replay never
-    sees a crossing. No-op moves are dropped.
+    sees a crossing.
     """
     stationary, rightward, leftward = [], [], []
-    for m in sorted(moves, key=lambda m: m[1]):
-        _, fx, tx, atoms = m
-        if tx > fx:
+    for m in sorted(moves, key=lambda m: m.from_x):
+        if m.to_x > m.from_x:
             rightward.append(m)
-        elif tx < fx:
+        elif m.to_x < m.from_x:
             leftward.append(m)
-        elif any(fy != ty for _, fy, ty in atoms):
+        elif any(fy != ty for _, fy, ty in m.atoms):
             stationary.append(m)
-    out = []
-    for cid, fx, tx, atoms in (
-        stationary + list(reversed(rightward)) + leftward
-    ):
-        out.append(ColumnMove(t_start, t_end, layer, cid, fx, tx, list(atoms)))
-    return out
+    return stationary + rightward[::-1] + leftward
 
 
 def _event_from_dict(d: dict) -> Event:

@@ -11,9 +11,14 @@ event is emitted, one pass (`_pack_rotations`) lets each native rotation
 wait, up to the next event on its atom, so that the U3 layers left each
 carry every rotation due there and are as few as possible; the layers
 left empty are dropped. It changes no move, pair, SWAP or trap change,
-only when rotations run. A last pass (`_merge_phases`) then emits each
+only when rotations run. A second pass (`_merge_phases`) then emits each
 run of move phases with no event between them, which a dropped layer can
-leave, as one phase.
+leave, as one phase. A last pass (`_hold_columns`) lets an idle column
+wait where it stands until its next move, which then takes it straight
+to its next target, when nothing in between involves it, it waits
+outside compute, no other column crosses it and no phase grows (keeping
+atoms near where they are next needed, as in ZAC: Lin, Tan & Cong, HPCA
+2025). No pass changes a decision.
 
 A CZ layer plans with all columns relocated to the starting cache's
 slots next to compute, then processes them from the cache side nearest
@@ -120,7 +125,7 @@ from .machine import (
     generate_grid,
     pair_clear_sites,
 )
-from .metrics import movement_phase_time
+from .metrics import move_duration, movement_phase_time
 from .placement import (
     InitialPlacement,
     MemoryGroup,
@@ -141,6 +146,7 @@ from .schedule import (
     U3Entry,
     U3LayerEvent,
     ordered_phase_moves,
+    replay_order,
 )
 
 TECHNIQUES = ("pachinqo", "degreesplit", "onecache", "trapchange")
@@ -184,6 +190,24 @@ class _LayerPlan:
     side: int
     targets: dict[int, tuple[Gate, int, bool] | None]
     placements: dict[int, tuple[Gate, int, int, float]]
+
+
+@dataclass
+class _Phase:
+    """A move phase as `_hold_columns` reads and edits it: its times, the
+    U3 layers before it, its moves by cid in emission order and, once
+    read, their durations; the index of the state after it; and for each
+    column whose next move follows with no event involving it in
+    between, that move's phase."""
+
+    t_start: float
+    t_end: float
+    u3_before: int
+    moves: dict[int, ColumnMove] = field(default_factory=dict)
+    durations: dict[int, float] | None = None
+    state: int = 0
+    next_move: dict[int, int] = field(default_factory=dict)
+    changed: bool = False
 
 
 @dataclass
@@ -436,6 +460,7 @@ class Compiler:
         self._measurement()
         self._pack_rotations()
         self._merge_phases()
+        self._hold_columns()
         schedule = Schedule(
             technique=self.technique,
             grid=self.grid.kind,
@@ -596,6 +621,172 @@ class Compiler:
             emit([ev])
             run = []
         emit(run)
+        self.events = events
+        self.t -= saved
+
+    def _hold_columns(self) -> None:
+        """Let each idle column wait where it stands until its next move,
+        once every event is emitted.
+
+        Take two consecutive moves of column c: m in phase a (A -> B) and
+        m' in phase b (B -> C). The pass drops m and emits m' as A -> C,
+        each atom starting from its y at A, when no illumination pair or
+        trap-change transfer between the two phases involves c; every atom
+        of c at A stands outside compute, so no pulse in between reaches
+        it; with one cache, A is c's home slot if a U3 layer runs in
+        between; A's x lies strictly between the xs of c's nearest live
+        columns by cid after every phase and trap change from a up to b,
+        so no two columns cross; and phase a without m plus phase b with
+        A -> C take no longer than the two phases did. Candidates are
+        taken in time order, so holds chain. A phase left with no move is
+        dropped, and every later event starts earlier by the time saved.
+        No pair, SWAP, trap change or U3 layer changes, and by the
+        triangle inequality no column travels further."""
+        comp = self.layout.compute
+        params = self.params
+        width = self.next_cid
+        # Each AOD column's home: where the load left it.
+        home = {g.column: (g.atoms[0][2], [ty for *_, ty in g.atoms])
+                for g in self.placement.columns}
+
+        def durations(ph: _Phase) -> dict[int, float]:
+            """Each move's duration in phase ph, by cid, read once."""
+            if ph.durations is None:
+                ph.durations = {
+                    c: move_duration(m.to_x - m.from_x,
+                                     [ty - fy for _, fy, ty in m.atoms], params)
+                    for c, m in ph.moves.items()}
+            return ph.durations
+
+        def time_without(ph: _Phase, cid: int) -> float:
+            """The concurrent time of phase ph without cid's move."""
+            return max((v for c, v in ph.durations.items() if c != cid), default=0.0)
+
+        # Replay the events once: the move phases, and after each phase
+        # and each trap change the x of every live column by cid (None
+        # for a column holding no atom).
+        items: list = []  # each phase, and every event but the moves
+        phases: list[_Phase] = []
+        states: list[list[float | None]] = []
+        xs: list[float | None] = [None] * width
+        count = [0] * width
+        column_of: dict[int, int] = {}
+        last: dict[int, int] = {}  # column -> phase of its last move, if uninvolved since
+        u3_layers = 0
+        phase = None
+        for ev in self.events:
+            if phase is not None and not (isinstance(ev, ColumnMove)
+                                          and ev.t_start == phase.t_start):
+                phase.state = len(states)
+                states.append(list(xs))
+                phase = None
+            if isinstance(ev, ColumnMove):
+                if phase is None:
+                    phase = _Phase(ev.t_start, ev.t_end, u3_layers)
+                    phases.append(phase)
+                    items.append(phase)
+                cid = ev.column
+                phase.moves[cid] = ev
+                xs[cid] = ev.to_x
+                if cid in last:
+                    phases[last[cid]].next_move[cid] = len(phases) - 1
+                last[cid] = len(phases) - 1
+                continue
+            items.append(ev)
+            if isinstance(ev, U3LayerEvent):
+                u3_layers += 1
+            elif isinstance(ev, Illumination):
+                for p in ev.pairs:
+                    for a in p.atoms:
+                        last.pop(column_of.get(a), None)
+            elif isinstance(ev, TrapChange):
+                for tr in ev.transfers:
+                    if ev.direction == SLM_TO_AOD:
+                        cid = column_of[tr.atom] = tr.column
+                        count[cid] += 1
+                        xs[cid] = tr.x
+                    else:
+                        cid = column_of.pop(tr.atom)
+                        count[cid] -= 1
+                        if not count[cid]:
+                            xs[cid] = None
+                    last.pop(cid, None)
+                states.append(list(xs))
+        if phase is not None:
+            phase.state = len(states)
+            states.append(list(xs))
+
+        def between(state: list[float | None], cid: int, x: float) -> bool:
+            """Whether x lies strictly between cid's nearest live columns."""
+            k = cid - 1
+            while k >= 0 and state[k] is None:
+                k -= 1
+            if k >= 0 and state[k] >= x:
+                return False
+            k = cid + 1
+            while k < width and state[k] is None:
+                k += 1
+            return k == width or x < state[k]
+
+        for pa in phases:
+            for cid in sorted(pa.next_move):
+                ma = pa.moves.get(cid)
+                if ma is None:
+                    continue
+                fx, pb = ma.from_x, phases[pa.next_move[cid]]
+                span = range(pa.state, pb.state)
+                if not all(between(states[s], cid, fx) for s in span):
+                    continue
+                if any(comp.contains(fx, fy) for _, fy, _ in ma.atoms):
+                    continue
+                if (self.one_cache and pb.u3_before > pa.u3_before
+                        and home.get(cid) != (fx, [fy for _, fy, _ in ma.atoms])):
+                    continue
+                mb = pb.moves[cid]
+                start = {a: fy for a, fy, _ in ma.atoms}
+                held = [(a, start[a], ty) for a, _, ty in mb.atoms]
+                d = move_duration(mb.to_x - fx, [ty - fy for _, fy, ty in held],
+                                  params)
+                da, db = durations(pa)[cid], durations(pb)[cid]
+                if self.serial:
+                    # Phase times are sums, so by the triangle inequality
+                    # no hold lengthens them.
+                    longer = d > da + db
+                else:
+                    ta, tb = max(pa.durations.values()), max(pb.durations.values())
+                    longer = (time_without(pa, cid) if da == ta else ta) + max(
+                        time_without(pb, cid) if db == tb else tb, d) > ta + tb
+                if longer:
+                    continue
+                del pa.moves[cid], pa.durations[cid]
+                if mb.to_x == fx and all(fy == ty for _, fy, ty in held):
+                    del pb.moves[cid], pb.durations[cid]
+                else:
+                    mb.from_x, mb.atoms = fx, held
+                    pb.durations[cid] = d
+                for s in span:
+                    states[s][cid] = fx
+                pa.changed = pb.changed = True
+
+        events: list = []
+        saved = 0.0
+        for item in items:
+            if not isinstance(item, _Phase):
+                item.t_start -= saved
+                item.t_end -= saved
+                events.append(item)
+                continue
+            t0, t1 = item.t_start - saved, item.t_end - saved
+            moves = list(item.moves.values())
+            if item.changed:
+                durs = item.durations.values()
+                dur = sum(durs, 0.0) if self.serial else max(durs, default=0.0)
+                saved += t1 - t0 - dur
+                t1 = t0 + dur
+                moves = replay_order(moves)
+            for m in moves:
+                m.t_start, m.t_end = t0, t1
+            events.extend(moves)
         self.events = events
         self.t -= saved
 

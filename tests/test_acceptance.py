@@ -4,7 +4,9 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the lines as the
 criteria execute.
 """
 import bisect
+import copy
 import csv
+import dataclasses
 import hashlib
 import json
 import math
@@ -12,6 +14,7 @@ import random
 import statistics
 import time
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -29,6 +32,8 @@ from pachinqo.machine import (
     CapacityError,
     GeometryError,
     PhysParams,
+    SlmGrid,
+    ZoneLayout,
     build_layout,
     generate_grid,
 )
@@ -128,10 +133,14 @@ class _GuardForcingCompiler(Compiler):
 
 
 class _UnmergedCompiler(Compiler):
-    """Leaves back-to-back move phases apart, as the compiler did before
-    it merged them."""
+    """Leaves back-to-back move phases apart and every column move where
+    the compiler put it, as the compiler did before it merged phases and
+    held idle columns."""
 
     def _merge_phases(self) -> None:
+        pass
+
+    def _hold_columns(self) -> None:
         pass
 
 
@@ -209,11 +218,41 @@ def forced_guard_results():
     return _compile_forced_guard()
 
 
+class _PostPassCase(NamedTuple):
+    """One schedule with its references for the post-pass tests: `unmerged`
+    comes from `_UnmergedCompiler` (neither phases merged nor columns
+    held), and `unheld` is that schedule with its phases merged, which is
+    the compiler's schedule without holds. `violations` and `equivalent`
+    (None above EQUIVALENCE_QUBIT_CAP qubits) are those of `sched`."""
+
+    circ: Circuit
+    technique: str
+    grid_kind: str
+    serial: bool
+    sched: Schedule
+    unmerged: Schedule
+    unheld: Schedule
+    layout: ZoneLayout
+    grid: SlmGrid
+    forced: bool
+    violations: list
+    equivalent: bool | None
+
+
+def _merged_copy(compiler: Compiler, sched: Schedule) -> Schedule:
+    """`sched`, which `compiler` compiled without merging phases or
+    holding columns, with its back-to-back move phases merged; the events
+    are copied, so `sched` is left as it was."""
+    compiler.events = [copy.copy(ev) for ev in sched.events]
+    Compiler._merge_phases(compiler)
+    return dataclasses.replace(sched, events=compiler.events)
+
+
 def _compile_unmerged(corpus_results, forced_guard_results):
-    """(circuit, technique, grid kind, serial, schedule, unmerged
-    reference, layout, grid, forced guard) for the corpus and the
-    forced-guard set, with concurrent and serial movement. The concurrent
-    schedules are those of the two fixtures."""
+    """A `_PostPassCase` for each case of the corpus and the forced-guard
+    set, with concurrent and serial movement. The concurrent schedules
+    are those of the two fixtures, and each case compiles its unmerged
+    reference once."""
     cases = [(circ, technique, grid_kind, sched, False)
              for circ, technique, grid_kind, sched, _ in corpus_results]
     cases += [(circ, technique, grid_kind, sched, True)
@@ -227,9 +266,15 @@ def _compile_unmerged(corpus_results, forced_guard_results):
         for serial in (False, True):
             sched = (cls(circ, technique, grid, layout, PARAMS, serial).run()
                      if serial else concurrent)
-            ref = ref_cls(circ, technique, grid, layout, PARAMS, serial).run()
-            results.append((circ, technique, grid_kind, serial, sched, ref,
-                            layout, grid, forced))
+            ref_compiler = ref_cls(circ, technique, grid, layout, PARAMS, serial)
+            ref = ref_compiler.run()
+            equivalent = (equivalence_check(sched, circ)[0]
+                          if circ.num_qubits <= EQUIVALENCE_QUBIT_CAP else None)
+            results.append(_PostPassCase(
+                circ, technique, grid_kind, serial, sched, ref,
+                _merged_copy(ref_compiler, ref), layout, grid, forced,
+                validate_schedule(sched, layout, grid, PARAMS, circ),
+                equivalent))
     return results
 
 
@@ -369,11 +414,11 @@ def test_fused_phases_match_phased_reference(unmerged_results):
     assert {case[1:3] for case in unmerged_results} == \
         {(t, g) for t in TECHNIQUES for g in GRIDS}
     faster = set()
-    for circ, technique, grid_kind, serial, sched, _, layout, grid, forced in \
-            unmerged_results:
+    for c in unmerged_results:
+        circ, technique, grid_kind, serial, sched = c[:5]
         case = (circ.source_name, technique, grid_kind, serial)
-        phased_cls = _PhasedGuardForcingCompiler if forced else _PhasedCompiler
-        ref = phased_cls(circ, technique, grid, layout, PARAMS, serial).run()
+        phased_cls = _PhasedGuardForcingCompiler if c.forced else _PhasedCompiler
+        ref = phased_cls(circ, technique, c.grid, c.layout, PARAMS, serial).run()
         assert _move_free_events(sched) == _move_free_events(ref), case
         tol = 1e-9 * len(ref.events)
         assert sched.end_time <= ref.end_time + tol, case
@@ -397,30 +442,66 @@ def _back_to_back_phases(sched):
 def test_merged_phases_match_unmerged_reference(unmerged_results):
     """Merging back-to-back move phases changes only column moves and
     times: every other event, count and the final mapping equal those of
-    the unmerged reference. No two move phases are left back to back and
-    no column moves twice in one phase; the schedule is never slower and
-    never moves atoms further, validates, and matches the oracle. Over
-    the corpus and the forced-guard set, on every technique x grid, with
-    concurrent and serial movement. Onecache, whose return home packing
-    leaves back to back with the next layer's phase, gets faster."""
+    the unmerged reference, in the compiled schedule as in the unheld one.
+    No two move phases are left back to back and no column moves twice in
+    one phase; merging and holding together never slow a schedule or move
+    atoms further, and the schedule validates and matches the oracle.
+    Over the corpus and the forced-guard set, on every technique x grid,
+    with concurrent and serial movement. Onecache, whose return home
+    packing leaves back to back with the next layer's phase, gets
+    faster."""
     assert {case[1:4] for case in unmerged_results} == \
         {(t, g, s) for t in TECHNIQUES for g in GRIDS for s in (False, True)}
     faster = set()
-    for circ, technique, grid_kind, serial, sched, ref, layout, grid, _ in \
-            unmerged_results:
+    for c in unmerged_results:
+        circ, technique, grid_kind, serial, sched, ref, unheld = c[:7]
         case = (circ.source_name, technique, grid_kind, serial)
         assert _move_free_events(sched) == _move_free_events(ref), case
         tol = 1e-9 * len(ref.events)
+        assert unheld.end_time <= ref.end_time + tol, case
         assert sched.end_time <= ref.end_time + tol, case
         assert movement_total(sched) <= movement_total(ref) + tol, case
-        assert not _back_to_back_phases(sched), case
-        assert not _columns_moving_twice(sched), case
-        assert validate_schedule(sched, layout, grid, PARAMS, circ) == [], case
-        if circ.num_qubits <= EQUIVALENCE_QUBIT_CAP and not serial:
-            assert equivalence_check(sched, circ)[0], case
-        if sched.end_time < ref.end_time - tol:
+        for s in (sched, unheld):
+            assert not _back_to_back_phases(s), case
+            assert not _columns_moving_twice(s), case
+        assert c.violations == [], case
+        assert c.equivalent in (True, None), case
+        if unheld.end_time < ref.end_time - tol:
             faster.add((technique, serial))
     assert {("onecache", False), ("onecache", True)} <= faster
+
+
+def test_held_columns_match_unheld_reference(unmerged_results):
+    """Holding idle columns changes only column moves and times: every
+    other event (kinds, layers, pairs, gates, transfers and their order),
+    the SWAP and trap-change counts and the final mapping equal those of
+    the schedule compiled without holds. The schedule is never slower and
+    never moves atoms further; it validates and matches the oracle (up to
+    EQUIVALENCE_QUBIT_CAP qubits). Over the corpus and the forced-guard
+    set, on every technique x grid, with concurrent and serial movement.
+    Holds drop column moves on every technique, and shorten schedules on
+    pachinqo, degreesplit and trapchange."""
+    assert {case[1:4] for case in unmerged_results} == \
+        {(t, g, s) for t in TECHNIQUES for g in GRIDS for s in (False, True)}
+    fewer_moves, faster = set(), set()
+    for c in unmerged_results:
+        circ, technique, grid_kind, serial, sched, _, unheld = c[:7]
+        case = (circ.source_name, technique, grid_kind, serial)
+        assert _move_free_events(sched) == _move_free_events(unheld), case
+        tol = 1e-9 * len(unheld.events)
+        assert sched.end_time <= unheld.end_time + tol, case
+        assert movement_total(sched) <= movement_total(unheld) + tol, case
+        assert c.violations == [], case
+        assert c.equivalent in (True, None), case
+        n_moves, n_unheld = (sum(isinstance(ev, ColumnMove) for ev in s.events)
+                             for s in (sched, unheld))
+        assert n_moves <= n_unheld, case
+        if n_moves < n_unheld:
+            fewer_moves.add(technique)
+        if sched.end_time < unheld.end_time - tol:
+            faster.add(technique)
+    assert fewer_moves == set(TECHNIQUES)
+    assert faster >= {"pachinqo", "degreesplit", "trapchange"}
 
 
 def test_runtime_breakdown_sums_to_runtime(corpus_results):
@@ -442,7 +523,8 @@ def test_u3_fusion_removes_only_u3_layers(qasm_results):
     illumination, trap change and measure of the unfused schedule in place
     and in order, and only removes U3 layers. Each fused schedule validates
     and executes the unfused circuit. Both sides leave back-to-back move
-    phases apart, since fewer U3 layers leave more phases to merge."""
+    phases apart and hold no column, since fewer U3 layers leave more
+    phases to merge and, with one cache, more columns free to hold."""
     fewer = 0
     for circ, technique, grid_kind, _, layout, grid, unfused, _ in \
             qasm_results:
@@ -463,8 +545,8 @@ def test_u3_fusion_removes_only_u3_layers(qasm_results):
 
 
 class _UnpackedCompiler(_UnmergedCompiler):
-    """Leaves every rotation in the U3 layer that first exposed it, and
-    back-to-back move phases apart."""
+    """Leaves every rotation in the U3 layer that first exposed it,
+    back-to-back move phases apart and every column move in place."""
 
     def _pack_rotations(self) -> None:
         pass
@@ -545,10 +627,11 @@ def test_packing_removes_only_u3_layers(corpus_results, unmerged_results):
     each rotation within its window, and the runtime falls by exactly
     u3_time per removed layer. Over the corpus, on every technique x grid;
     the packed schedules validate and match the oracle. Both sides leave
-    back-to-back move phases apart, so that only U3 layers differ."""
-    packed = {(circ.source_name, technique, grid_kind): (ref, layout, grid)
-              for circ, technique, grid_kind, serial, _, ref, layout, grid, _
-              in unmerged_results if not serial}
+    back-to-back move phases apart and hold no column, so that only U3
+    layers differ."""
+    packed = {(c.circ.source_name, c.technique, c.grid_kind):
+              (c.unmerged, c.layout, c.grid)
+              for c in unmerged_results if not c.serial}
     removed = 0
     for circ, technique, grid_kind, _, violations in corpus_results:
         case = (circ.source_name, technique, grid_kind)

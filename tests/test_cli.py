@@ -5,10 +5,12 @@ import random
 
 import pytest
 
+from pachinqo import cli
 from pachinqo.cli import CSV_HEADER, _compile_file, main
 from pachinqo.machine import PhysParams
 from pachinqo.schedule import schedule_to_json
 from pachinqo.scheduler import Compiler, SchedulerError
+from pachinqo.verifier import Violation
 
 from corpus import random_qasm
 
@@ -270,6 +272,43 @@ def test_suite_unwritable_csv_exits_one_without_traceback(tmp_path, capsys,
     err = capsys.readouterr().err
     assert err.startswith(f"write error: cannot write {bad}: ")
     assert err.count("\n") == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("check, error", [
+    ("validate_schedule", "validation: 1 violations"),
+    ("equivalence_check", "equivalence: amplitude error 5.000e-01")])
+def test_suite_validate_writes_failing_jobs_as_error_rows(tmp_path, monkeypatch,
+                                                         check, error):
+    """With --validate, suite mode checks every job: the onecache schedule
+    of c0 fails the validator (or the oracle) and gets an error row, the
+    other jobs keep their metrics, and the sweep exits 3. Without the flag
+    nothing is checked."""
+    d = _make_suite(tmp_path, n_files=2)
+    real = getattr(cli, check)
+    calls = []
+
+    def planted(schedule, *args):
+        calls.append(schedule.source_name)
+        if (schedule.source_name, schedule.technique) != ("c0", "onecache"):
+            return real(schedule, *args)
+        if check == "validate_schedule":
+            return [Violation("ordering", 0, "planted")]
+        return False, 0.5
+
+    monkeypatch.setattr(cli, check, planted)
+    argv = ["--suite-dir", str(d), "--techniques", "pachinqo,onecache",
+            "--grids", "large-square"]
+    out = tmp_path / "suite.csv"
+    assert main(argv + ["--out-csv", str(out), "--validate"]) == 3
+    rows = list(csv.reader(out.read_text().splitlines()))[1:]
+    assert len(rows) == 4 and sorted(calls) == ["c0", "c0", "c1", "c1"]
+    errors = {(r[0], r[1]): r[-1] for r in rows}
+    assert errors.pop(("c0", "onecache")) == error
+    assert set(errors.values()) == {""}
+    assert all(r[3] != "" for r in rows if r[-1] == "")
+    calls.clear()
+    assert main(argv + ["--out-csv", str(tmp_path / "plain.csv")]) == 0
+    assert calls == []
 
 
 def test_suite_rerun_is_byte_identical_modulo_compile_ms(tmp_path):

@@ -1,4 +1,5 @@
 """Scheduler behavior: layer structure, variants, conflicts, determinism."""
+import copy
 import json
 import math
 import random
@@ -14,7 +15,7 @@ from pachinqo.machine import (
     build_layout,
     generate_grid,
 )
-from pachinqo.metrics import movement_total
+from pachinqo.metrics import movement_phase_time, movement_total
 from pachinqo.schedule import (
     AOD_TO_SLM,
     SLM_TO_AOD,
@@ -27,6 +28,7 @@ from pachinqo.schedule import (
     TrapTransfer,
     U3Entry,
     U3LayerEvent,
+    ordered_phase_moves,
     schedule_to_json,
 )
 from pachinqo.scheduler import Compiler, SchedulerError, toggle_direction, LEFT, RIGHT
@@ -935,6 +937,150 @@ def test_memory_parking_refused_past_a_later_columns_target(start_x,
             compiler._hang_y(j) for j in range(4)]
     else:
         assert col0.x == compiler.cache_slots[LEFT][-3]
+
+
+def _hand_built(parts, params, serial=False):
+    """Events in sequence: a pickup trap change, then each part, a phase
+    given as a list of (cid, from x, to x, [(atom, from y, to y)]), "u3"
+    for an empty U3 layer, or ("cz", atom, atom) for an illumination. The
+    pickup loads every atom of the first phase into its column where that
+    phase finds it."""
+    first = parts[0]
+    t = params.trap_change_time
+    events = [TrapChange(0.0, t, 0, SLM_TO_AOD, [
+        TrapTransfer(a, fx, fy, column=cid)
+        for cid, fx, _, atoms in first for a, fy, _ in atoms])]
+    for part in parts:
+        if part == "u3":
+            events.append(U3LayerEvent(t, t + params.u3_time, 1, []))
+        elif part[0] == "cz":
+            pair = CzEntry((0, 1), part[1:], ((0.0, 0.0), (0.0, 0.0)))
+            events.append(Illumination(t, t + params.cz_time, 1, [pair]))
+        else:
+            dur = movement_phase_time(part, params, serial)
+            events += ordered_phase_moves(part, t, t + dur, 1)
+        t = events[-1].t_end
+    return events
+
+
+def _hold_compiler(technique="pachinqo", serial=False):
+    """A compiler for 10 qubits, whose geometry the hand-built events use:
+    compute spans x 90-280 and y 55-185, memory lies under it at y 5-55."""
+    params = PhysParams()
+    circ = Circuit(10, [cz(2 * i, 2 * i + 1) for i in range(5)])
+    layout = build_layout(10, "auto", params)
+    grid = generate_grid("large-square", layout, params)
+    return Compiler(circ, technique, grid, layout, params, serial)
+
+
+def _hold(compiler, parts):
+    """Run `Compiler._hold_columns` alone on the hand-built events of
+    `parts`; returns the events as built. The compiler keeps them held."""
+    built = _hand_built(parts, compiler.params, compiler.serial)
+    compiler.events = [copy.copy(ev) for ev in built]
+    compiler.t = built[-1].t_end
+    compiler._hold_columns()
+    return built
+
+
+def _column_moves(events, cid):
+    return [(ev.from_x, ev.to_x, ev.atoms) for ev in events
+            if isinstance(ev, ColumnMove) and ev.column == cid]
+
+
+# Column 0 holds atoms 0 and 2, column 1 atoms 4 and 6. Hung below
+# compute they stand at ys 45 and 43; tucked into memory, at 15 and 17.
+_HUNG = (45.0, 43.0)
+_TUCKED = (15.0, 17.0)
+
+
+def _col(cid, fx, tx, from_ys, to_ys):
+    atoms = (0, 2) if cid == 0 else (4, 6)
+    return (cid, fx, tx, list(zip(atoms, from_ys, to_ys)))
+
+
+def test_hold_drops_a_tuck_and_return():
+    """An idle column that tucks into memory while column 1 places, and
+    returns where it stood once the pulse has fired, emits no move: it
+    waits where it stood. Column 1's moves, and every time, stay."""
+    placed = (100.0, 110.0)
+    parts = [[_col(0, 150.0, 120.0, _HUNG, _TUCKED),
+              _col(1, 200.0, 161.5, _HUNG, placed)],
+             ("cz", 4, 9),
+             [_col(0, 120.0, 150.0, _TUCKED, _HUNG),
+              _col(1, 161.5, 200.0, placed, _HUNG)]]
+    compiler = _hold_compiler()
+    built = _hold(compiler, parts)
+    assert len(_column_moves(built, 0)) == 2
+    assert _column_moves(compiler.events, 0) == []
+    assert _column_moves(compiler.events, 1) == _column_moves(built, 1)
+    assert compiler.events[-1].t_end == compiler.t == built[-1].t_end
+
+
+def test_hold_refused_where_a_neighbour_crosses_the_held_x():
+    """Column 1 places at x = 140, left of where column 0 stood (150)
+    before it tucked in at 120. Held at 150, column 0 would stand right
+    of column 1 while the pulse fires, so both its moves stay."""
+    placed = (100.0, 110.0)
+    parts = [[_col(0, 150.0, 120.0, _HUNG, _TUCKED),
+              _col(1, 200.0, 140.0, _HUNG, placed)],
+             ("cz", 4, 9),
+             [_col(0, 120.0, 150.0, _TUCKED, _HUNG),
+              _col(1, 140.0, 200.0, placed, _HUNG)]]
+    compiler = _hold_compiler()
+    built = _hold(compiler, parts)
+    assert _column_moves(compiler.events, 0) == _column_moves(built, 0)
+    assert [(ev.t_start, ev.t_end) for ev in compiler.events] == \
+        [(ev.t_start, ev.t_end) for ev in built]
+
+
+@pytest.mark.parametrize("serial", [False, True])
+def test_hold_refused_where_it_would_lengthen_the_schedule(serial):
+    """Column 0 moves 110 um, then 55 um on; column 1, which the pulse
+    pairs, 55 um, then 5 um. Held, column 0 moves 165 um in the second
+    phase. With concurrent movement that phase would take 3 units where
+    the two took 2 + 1 before, less the 1 column 1 keeps in the first, so
+    the hold is refused. With serial movement the phases are sums, and by
+    the triangle inequality a hold never lengthens them: here it leaves
+    the schedule exactly as long."""
+    parts = [[_col(0, 100.0, 210.0, _HUNG, _HUNG),
+              _col(1, 215.0, 270.0, _HUNG, _HUNG)],
+             ("cz", 4, 9),
+             [_col(0, 210.0, 265.0, _HUNG, _HUNG),
+              _col(1, 270.0, 275.0, _HUNG, _HUNG)]]
+    compiler = _hold_compiler(serial=serial)
+    built = _hold(compiler, parts)
+    held = [(100.0, 265.0, list(zip((0, 2), _HUNG, _HUNG)))]
+    assert _column_moves(compiler.events, 0) == (
+        held if serial else _column_moves(built, 0))
+    assert compiler.t == pytest.approx(built[-1].t_end, abs=1e-9)
+
+
+@pytest.mark.parametrize("technique, at_home, holds", [
+    ("onecache", True, True), ("onecache", False, False),
+    ("pachinqo", False, True)])
+def test_onecache_holds_across_a_u3_layer_only_at_home(technique, at_home,
+                                                      holds):
+    """Column 0 tucks into memory, a U3 layer runs, and it returns. With
+    one cache the columns stand home whenever a U3 layer runs, so the
+    column may wait through it only where the load left it; with two
+    caches it may wait anywhere. A held column's two phases drop out and
+    the U3 layer starts that much earlier."""
+    compiler = _hold_compiler(technique)
+    home = compiler.placement.columns[0]
+    atoms = [a for a, *_ in home.atoms]
+    if at_home:
+        x, ys = home.atoms[0][2], [ty for *_, ty in home.atoms]
+    else:
+        x, ys = 150.0, [45.0 - 2 * j for j in range(len(atoms))]
+    tucked = [15.0 + 2 * i for i in range(len(atoms))]
+    parts = [[(0, x, 120.0, list(zip(atoms, ys, tucked)))], "u3",
+             [(0, 120.0, x, list(zip(atoms, tucked, ys)))]]
+    built = _hold(compiler, parts)
+    moves = _column_moves(compiler.events, 0)
+    assert moves == ([] if holds else _column_moves(built, 0))
+    u3 = next(ev for ev in compiler.events if isinstance(ev, U3LayerEvent))
+    assert (u3.t_start == compiler.events[0].t_end) == holds
 
 
 def test_schedule_json_roundtrip():
