@@ -225,7 +225,13 @@ def assign_atoms(grouping: Grouping, grid: SlmGrid, layout: ZoneLayout,
         )
     site_of_qubit = {q: usable[i] for i, q in enumerate(grouping.slm_qubits)}
 
+    # A column loads from a memory column and hangs its atoms below compute
+    # in one, so it holds no more atoms than memory has rows.
     per_col = params.max_atoms_per_column
+    rows = memory_rows(layout, params)
+    if per_col > rows:
+        raise CapacityError(
+            f"max_atoms_per_column {per_col} exceeds the {rows} memory rows")
     n_cols = math.ceil(len(grouping.aod_qubits) / per_col)
     if n_cols > cache_column_slots(layout, params):
         raise CapacityError("AOD columns exceed cache parking slots")
@@ -242,7 +248,6 @@ def assign_atoms(grouping: Grouping, grid: SlmGrid, layout: ZoneLayout,
     n_groups = len(by_site_x) + n_cols
     if n_groups > memory_column_slots(layout, params):
         raise CapacityError("memory columns exhausted by initialization plan")
-    rows = memory_rows(layout, params)
     rc = layout.right_cache
     pitch = params.storage_pitch
 

@@ -29,21 +29,21 @@ of its in-flight SWAP's CZ step, INTERACTION_OFFSET left or right of the
 partner; the chosen xs must increase along the processing order, since
 AOD columns cannot cross (the order constraint of DPQA: Tan, Bluvstein,
 Lukin & Cong, Quantum 2024). The plan is the longest such chain, the
-least travel breaking ties. Each planned column then places at its x,
-spreading its uninvolved atoms apart, if the clearance check still
-passes there. A column with a CZ it could place but no placement waits
-for a later layer; any other column runs an AOD pair, changes traps or
-begins a SWAP (below), and every column that neither places nor pairs
-retreats out of the way of the columns after it. A retreat takes the legal spot
-nearest where the layer found the column: the opposite cache's slot
-nearest compute that leaves room for the later columns, or memory under
-the column when no later planned placement (or in-flight SWAP's CZ
-step) lies beyond it (keeping atoms near where they are next needed, as
-in ZAC: Lin, Tan & Cong, HPCA 2025); failing both, it drops into memory
-beside the column that blocks the way. One illumination then fires
-every staged pair at once. Start sides toggle right-left-right so no
-column gets standing priority; a layer in which a column finds no legal
-retreat keeps the same side.
+least travel breaking ties. Each planned column then places at its x if
+the clearance check still passes there, its other atoms hung below
+compute (`_settle`), out of reach of the pulse. A column with a CZ it
+could place but no placement waits for a later layer; any other column
+runs an AOD pair, changes traps or begins a SWAP (below), and every
+column that neither places nor pairs retreats out of the way of the
+columns after it. A retreat takes the legal spot nearest where the layer
+found the column: the opposite cache's slot nearest compute that leaves
+room for the later columns, or memory under the column when no later
+planned placement (or in-flight SWAP's CZ step) lies beyond it (keeping
+atoms near where they are next needed, as in ZAC: Lin, Tan & Cong, HPCA
+2025); failing both, it drops into memory beside the column that blocks
+the way. One illumination then fires every staged pair at once. Start
+sides toggle right-left-right so no column gets standing priority; a
+layer in which a column finds no legal retreat keeps the same side.
 
 Move phases are fused. The compiler applies every move to its state at
 once and keeps one record of where the open phase found each column: the
@@ -76,7 +76,7 @@ wanted x reachable, as retreats do; a pair within one column that the
 neighbouring columns or that reach rule keep from every site also waits
 for the next layer. A round that executes nothing emits nothing, so the
 progress guard waits for a second one, in which such a pair can form.
-Each column's other atoms spread as for a placement (`_spread`). Zoned
+Each column's other atoms hang below compute as for a placement. Zoned
 arrays entangle any two atoms in blockade range under the global
 Rydberg pulse (Bluvstein et al., Nature 2024), and DPQA schedules
 AOD-AOD gates the same way (Tan, Bluvstein, Lukin & Cong, Quantum 2024),
@@ -108,6 +108,7 @@ placed one in memory, and columns are back home whenever a U3 layer runs.
 from __future__ import annotations
 
 import bisect
+import heapq
 import math
 from dataclasses import dataclass, field
 
@@ -195,28 +196,19 @@ class _LayerPlan:
 @dataclass
 class _Phase:
     """A move phase as `_hold_columns` reads and edits it: its times, the
-    U3 layers before it, its moves by cid in emission order and, once
-    read, their durations; the index of the state after it; and for each
-    column whose next move follows with no event involving it in
-    between, that move's phase."""
+    U3 layers before it, its moves by cid in emission order and their
+    durations; the index of the state after it; and for each column whose
+    next move follows with no event involving it in between, that move's
+    phase."""
 
     t_start: float
     t_end: float
     u3_before: int
     moves: dict[int, ColumnMove] = field(default_factory=dict)
-    durations: dict[int, float] | None = None
+    durations: dict[int, float] = field(default_factory=dict)
     state: int = 0
     next_move: dict[int, int] = field(default_factory=dict)
     changed: bool = False
-
-
-@dataclass
-class _Placement:
-    """A feasible column placement: its x and every atom's target y, the
-    CZ atoms first, the rest spread in compute or hung below it."""
-
-    x: float
-    ys: dict[int, float]
 
 
 class Compiler:
@@ -418,8 +410,14 @@ class Compiler:
                 for i, a in enumerate(col.atoms)}
 
     def _hang_y(self, j: int) -> float:
-        """Parking depth below compute for spread overflow atoms."""
+        """The y of a column's j-th hung atom, inside memory's margin."""
         return self.layout.memory.y1 - ZONE_MARGIN - j * self.params.storage_pitch
+
+    def _hung(self, col: _Column, fixed: dict[int, float]) -> dict[int, float]:
+        """`col`'s target ys: `fixed`'s atoms at their ys, and the j-th other
+        atom in slot order hung below compute at `_hang_y(j)`."""
+        others = (a for a in col.atoms if a not in fixed)
+        return {**{a: self._hang_y(j) for j, a in enumerate(others)}, **fixed}
 
     def _neighbors(self, cid: int) -> tuple[float, float]:
         """Current x of the nearest nonempty columns either side of cid."""
@@ -635,28 +633,20 @@ class Compiler:
         of c at A stands outside compute, so no pulse in between reaches
         it; with one cache, A is c's home slot if a U3 layer runs in
         between; A's x lies strictly between the xs of c's nearest live
-        columns by cid after every phase and trap change from a up to b,
-        so no two columns cross; and phase a without m plus phase b with
-        A -> C take no longer than the two phases did. Candidates are
-        taken in time order, so holds chain. A phase left with no move is
-        dropped, and every later event starts earlier by the time saved.
-        No pair, SWAP, trap change or U3 layer changes, and by the
-        triangle inequality no column travels further."""
+        columns by cid after every phase and trap change from a up to b, so
+        no two columns cross; and phase a without m plus phase b with
+        A -> C take no longer than the two phases did. Candidates are taken
+        in time order, so holds chain, and the pass repeats until it holds
+        nothing, since a hold can clear the way for a candidate it refused.
+        A phase left with no move is dropped, and every later event starts
+        earlier by the time saved. No pair, SWAP, trap change or U3 layer
+        changes, and by the triangle inequality no column travels further."""
         comp = self.layout.compute
         params = self.params
         width = self.next_cid
         # Each AOD column's home: where the load left it.
         home = {g.column: (g.atoms[0][2], [ty for *_, ty in g.atoms])
                 for g in self.placement.columns}
-
-        def durations(ph: _Phase) -> dict[int, float]:
-            """Each move's duration in phase ph, by cid, read once."""
-            if ph.durations is None:
-                ph.durations = {
-                    c: move_duration(m.to_x - m.from_x,
-                                     [ty - fy for _, fy, ty in m.atoms], params)
-                    for c, m in ph.moves.items()}
-            return ph.durations
 
         def time_without(ph: _Phase, cid: int) -> float:
             """The concurrent time of phase ph without cid's move."""
@@ -687,6 +677,8 @@ class Compiler:
                     items.append(phase)
                 cid = ev.column
                 phase.moves[cid] = ev
+                phase.durations[cid] = move_duration(
+                    ev.to_x - ev.from_x, [ty - fy for _, fy, ty in ev.atoms], params)
                 xs[cid] = ev.to_x
                 if cid in last:
                     phases[last[cid]].next_move[cid] = len(phases) - 1
@@ -716,57 +708,80 @@ class Compiler:
             phase.state = len(states)
             states.append(list(xs))
 
-        def between(state: list[float | None], cid: int, x: float) -> bool:
-            """Whether x lies strictly between cid's nearest live columns."""
-            k = cid - 1
+        def blocked(s: int, cid: int, x: float) -> tuple[int, int] | None:
+            """(s, k) if x is not strictly between cid's nearest live columns
+            in state s, k being one that x reaches."""
+            state, k = states[s], cid - 1
             while k >= 0 and state[k] is None:
                 k -= 1
             if k >= 0 and state[k] >= x:
-                return False
+                return s, k
             k = cid + 1
             while k < width and state[k] is None:
                 k += 1
-            return k == width or x < state[k]
+            return (s, k) if k < width and x >= state[k] else None
 
-        for pa in phases:
-            for cid in sorted(pa.next_move):
-                ma = pa.moves.get(cid)
-                if ma is None:
-                    continue
-                fx, pb = ma.from_x, phases[pa.next_move[cid]]
-                span = range(pa.state, pb.state)
-                if not all(between(states[s], cid, fx) for s in span):
-                    continue
-                if any(comp.contains(fx, fy) for _, fy, _ in ma.atoms):
-                    continue
-                if (self.one_cache and pb.u3_before > pa.u3_before
-                        and home.get(cid) != (fx, [fy for _, fy, _ in ma.atoms])):
-                    continue
+        # Each pass tries, in time order, the candidates (phase, cid) a hold
+        # woke; any other would be refused again. A refused one waits on the
+        # blocking column's x at a state (holds keep liveness), its own moves
+        # next to its span or, refused for time, its phases; a hold wakes it
+        # for this pass if it comes later, else for the next.
+        todo = sorted((i, cid) for i, pa in enumerate(phases) for cid in pa.next_move)
+        woken, waiting = set(), {}
+        while todo or woken:
+            if not todo:
+                todo, woken = sorted(woken), set()
+            key = heapq.heappop(todo)
+            pa, cid = phases[key[0]], key[1]
+            ma = pa.moves.get(cid)
+            # Past the phases whose move of cid a hold dropped.
+            j = pa.next_move[cid]
+            while cid not in phases[j].moves and cid in phases[j].next_move:
+                j = phases[j].next_move[cid]
+            pb = phases[j]
+            if ma is None or cid not in pb.moves:
+                continue
+            fx, span = ma.from_x, range(pa.state, pb.state)
+            waits = [(pa.state - 1, cid), (pb.state, cid)]
+            block = next(filter(None, (blocked(s, cid, fx) for s in span)), None)
+            if block:
+                waits.append(block)
+            elif not (any(comp.contains(fx, fy) for _, fy, _ in ma.atoms) or (
+                    self.one_cache and pb.u3_before > pa.u3_before
+                    and home.get(cid) != (fx, [fy for _, fy, _ in ma.atoms]))):
                 mb = pb.moves[cid]
                 start = {a: fy for a, fy, _ in ma.atoms}
                 held = [(a, start[a], ty) for a, _, ty in mb.atoms]
-                d = move_duration(mb.to_x - fx, [ty - fy for _, fy, ty in held],
-                                  params)
-                da, db = durations(pa)[cid], durations(pb)[cid]
+                d = move_duration(mb.to_x - fx, [ty - fy for _, fy, ty in held], params)
+                da, db = pa.durations[cid], pb.durations[cid]
                 if self.serial:
-                    # Phase times are sums, so by the triangle inequality
-                    # no hold lengthens them.
+                    # Phase times are sums, so by the triangle inequality no
+                    # hold lengthens them.
                     longer = d > da + db
                 else:
                     ta, tb = max(pa.durations.values()), max(pb.durations.values())
                     longer = (time_without(pa, cid) if da == ta else ta) + max(
                         time_without(pb, cid) if db == tb else tb, d) > ta + tb
-                if longer:
+                if not longer:
+                    del pa.moves[cid], pa.durations[cid]
+                    if mb.to_x == fx and all(fy == ty for _, fy, ty in held):
+                        del pb.moves[cid], pb.durations[cid]
+                    else:
+                        mb.from_x, mb.atoms = fx, held
+                        pb.durations[cid] = d
+                    for s in span:
+                        states[s][cid] = fx
+                    for w in [key[0], j] + [(s, cid) for s in span]:
+                        for k in waiting.pop(w, ()):
+                            if k > key:
+                                heapq.heappush(todo, k)
+                            else:
+                                woken.add(k)
+                    pa.changed = pb.changed = True
                     continue
-                del pa.moves[cid], pa.durations[cid]
-                if mb.to_x == fx and all(fy == ty for _, fy, ty in held):
-                    del pb.moves[cid], pb.durations[cid]
-                else:
-                    mb.from_x, mb.atoms = fx, held
-                    pb.durations[cid] = d
-                for s in span:
-                    states[s][cid] = fx
-                pa.changed = pb.changed = True
+                waits += [key[0], j]
+            for w in waits:
+                waiting.setdefault(w, set()).add(key)
 
         events: list = []
         saved = 0.0
@@ -941,9 +956,8 @@ class Compiler:
         planned = plan.placements.get(col.cid)
         if planned is not None:
             gate, atom, partner_atom, x = planned
-            placement = self._try_place(col, atom, partner_atom, x)
-            if placement is not None:
-                self._settle(col, placement)
+            if self._try_place(col, partner_atom, x):
+                self._settle(col, x, {atom: self.atom_y[partner_atom]})
                 self._stage(gate, atom, partner_atom, staged)
                 return "placed"
         conflict: tuple[int, int, int] | None = None  # (atom, q, partner q)
@@ -981,67 +995,19 @@ class Compiler:
         return "swap"
 
     # -- placement geometry ----------------------------------------------
-    def _try_place(self, col: _Column, active_atom: int, partner_atom: int,
-                   x: float) -> _Placement | None:
-        """`col` at x, `active_atom` level with its partner, if x lies
-        between the column's neighbours and clear of every obstacle but
-        the partner; None otherwise."""
-        r2 = self.params.crosstalk_radius ** 2
-        sy = self.atom_y[partner_atom]
+    def _try_place(self, col: _Column, partner_atom: int, x: float) -> bool:
+        """Whether `col` can place at x level with `partner_atom`: between its
+        neighbours and clear of every obstacle but the partner."""
         lo, hi = self._neighbors(col.cid)
-        if not (lo < x < hi):
-            return None
-        if not kernels.clear_from_except(self.obstacles, self.atom_x, self.atom_y,
-                                         x, sy, r2, partner_atom):
-            return None
-        return self._spread(col, x, {active_atom: sy})
+        return lo < x < hi and kernels.clear_from_except(
+            self.obstacles, self.atom_x, self.atom_y, x, self.atom_y[partner_atom],
+            self.params.crosstalk_radius ** 2, partner_atom)
 
-    def _spread(self, col: _Column, x: float,
-                fixed: dict[int, float]) -> _Placement:
-        """`col` at x with the atoms of `fixed` at their ys; each other atom
-        takes the first clear spread position around the first fixed y, or
-        hangs below compute."""
-        r2 = self.params.crosstalk_radius ** 2
-        comp = self.layout.compute
-        ys = dict(fixed)
-        anchor, *taken = fixed.values()
-        hang = 0
-        for a in sorted((a for a in col.atoms if a not in fixed),
-                        key=lambda a: -self.atom_y[a]):
-            y = self._spread_y(x, anchor, taken, comp, r2)
-            if y is None:
-                y = self._hang_y(hang)
-                hang += 1
-            else:
-                taken.append(y)
-            ys[a] = y
-        return _Placement(x, ys)
-
-    def _spread_y(self, x: float, active_y: float, taken: list[float],
-                  comp, r2: float) -> float | None:
-        """First clear alternating-offset spread position, if any."""
-        r = self.params.crosstalk_radius
-        for k in range(1, 64):
-            mag = (k + 1) // 2 * r
-            y = active_y + mag if k % 2 else active_y - mag
-            if not (comp.y0 <= y <= comp.y1):
-                continue
-            if mag > max(comp.y1 - comp.y0, 1) + r:
-                break
-            if any(abs(y - t) < r for t in taken):
-                continue
-            if not kernels.clear_from(self.obstacles, self.atom_x, self.atom_y,
-                                      x, y, r2):
-                continue
-            return y
-        return None
-
-    def _settle(self, col: _Column, plan: _Placement) -> None:
-        """Move `col` to `plan` within the open phase; its atoms in compute
-        become obstacles."""
-        self._move_column(col, plan.x, plan.ys)
-        self.obstacles.extend(a for a, y in plan.ys.items()
-                              if self.layout.compute.contains(plan.x, y))
+    def _settle(self, col: _Column, x: float, fixed: dict[int, float]) -> None:
+        """Move `col` to x and `_hung` ys within the open phase; the atoms of
+        `fixed` become obstacles."""
+        self._move_column(col, x, self._hung(col, fixed))
+        self.obstacles.extend(fixed)
 
     def _stage(self, gate: Gate, atom: int, partner_atom: int,
                staged: list[CzEntry]) -> None:
@@ -1096,10 +1062,10 @@ class Compiler:
             return None
         if cols[0] is cols[1]:
             (x, y0), (_, y1) = spots
-            self._settle(col, self._spread(col, x, dict(zip(atoms, (y0, y1)))))
+            self._settle(col, x, dict(zip(atoms, (y0, y1))))
             return "placed"
         for a, c, (x, y) in zip(atoms, cols, spots):
-            self._settle(c, self._spread(c, x, {a: y}))
+            self._settle(c, x, {a: y})
         return "paired"
 
     def _pair_site(self, atoms: list[int], cols: list[_Column],
@@ -1208,7 +1174,7 @@ class Compiler:
             spots.append((slots[k], self._parked_ys(col, self._cache(-side))))
         x = min(max(x0, mem.x0 + ZONE_MARGIN), mem.x1 - ZONE_MARGIN)
         if lo < x < hi and side * x < reach:
-            spots.append((x, {a: self._hang_y(n) for n, a in enumerate(col.atoms)}))
+            spots.append((x, self._hung(col, {})))
         if spots:
             def travel(spot):
                 x, ys = spot
@@ -1387,18 +1353,13 @@ class Compiler:
         `atom` if the column holds it, and else extracts it from `site`."""
         deposit = self.atom_site[atom] is None
         sx, sy = self.grid.sites[site]
-        # Over the site, with the column's other atoms tucked below compute
+        # Over the site, with the column's other atoms hung below compute
         # (an extracted atom is not in the column yet).
-        hanging = [a for a in col.atoms if a != atom]
-        y_targets = {a: self._hang_y(j) for j, a in enumerate(hanging)}
-        if deposit:
-            y_targets[atom] = sy
-        self._move_column(col, sx, y_targets)
+        self._settle(col, sx, {atom: sy} if deposit else {})
         self._flush_moves()
         if deposit:
             self._to_sites([(atom, site)])
             col.atoms.remove(atom)
-            self.obstacles.append(atom)
         else:  # extract
             self._trap_change(SLM_TO_AOD,
                               [TrapTransfer(atom, sx, sy, column=col.cid)])
@@ -1462,12 +1423,11 @@ class Compiler:
         col = self._column_of(active_atom)
         self._park_others(col)
         self._reset_obstacles()
-        plan = self._try_place(col, active_atom, partner_atom,
-                               self.atom_x[partner_atom] + INTERACTION_OFFSET)
-        if plan is None:
+        x = self.atom_x[partner_atom] + INTERACTION_OFFSET
+        if not self._try_place(col, partner_atom, x):
             raise SchedulerError("isolation placement failed")
         staged: list[CzEntry] = []
-        self._settle(col, plan)
+        self._settle(col, x, {active_atom: self.atom_y[partner_atom]})
         self._stage(gate, active_atom, partner_atom, staged)
         self._fire(staged)
 

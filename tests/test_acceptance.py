@@ -736,6 +736,55 @@ def test_every_moving_layer_illuminates_or_changes_traps(
     assert not idle, idle
 
 
+def _bystanders_in_compute(sched, layout) -> list[tuple[int, int]]:
+    """(event index, atom) for each unmeasured column-held atom that stands
+    in compute while an illumination fires without pairing it."""
+    comp = layout.compute
+    pos: dict[int, tuple[float, float]] = {}  # column-held atoms only
+    measured: set[int] = set()
+    found = []
+    for i, ev in enumerate(sched.events):
+        if isinstance(ev, ColumnMove):
+            for a, _, ty in ev.atoms:
+                pos[a] = (ev.to_x, ty)
+        elif isinstance(ev, TrapChange):
+            for tr in ev.transfers:
+                if ev.direction == SLM_TO_AOD:
+                    pos[tr.atom] = (tr.x, tr.y)
+                else:
+                    pos.pop(tr.atom, None)
+        elif isinstance(ev, Measure):
+            measured.update(a for a, *_ in ev.atoms)
+        elif isinstance(ev, Illumination):
+            paired = {a for p in ev.pairs for a in p.atoms}
+            found.extend((i, a) for a, xy in sorted(pos.items())
+                         if comp.contains(*xy) and a not in paired | measured)
+    return found
+
+
+def test_only_pair_atoms_of_columns_stand_in_compute_under_the_pulse(
+        corpus_results, forced_guard_results, qasm_results):
+    """Every column atom that an illumination does not pair hangs outside
+    compute, so the pulse, which reaches only compute, gates no bystander,
+    on every technique x grid."""
+    cases = [(circ, technique, grid_kind, sched,
+              build_layout(circ.num_qubits, "auto", PARAMS, grid_kind))
+             for circ, technique, grid_kind, sched, _ in corpus_results]
+    cases += [(circ, technique, grid_kind, sched, layout)
+              for circ, technique, grid_kind, sched, layout, *_ in
+              forced_guard_results + qasm_results]
+    bad = []
+    illuminations = 0
+    for circ, technique, grid_kind, sched, layout in cases:
+        illuminations += sum(isinstance(ev, Illumination) for ev in sched.events)
+        found = _bystanders_in_compute(sched, layout)
+        if found:
+            bad.append((circ.source_name, technique, grid_kind, len(found),
+                        found[:3]))
+    assert illuminations
+    assert not bad, (len(bad), bad[:3])
+
+
 def _onecache_cache_use(sched, layout):
     """(faults, U3 layers checked, moves into memory) of a onecache
     schedule. A fault is an atom moved into the left cache, or a live

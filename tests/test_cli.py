@@ -128,6 +128,16 @@ def test_capacity_error_exits_two(tmp_path):
     assert rc == 2
 
 
+def test_columns_taller_than_memory_exit_two(tmp_path, ghz_file, capsys):
+    p = tmp_path / "params.json"
+    p.write_text(json.dumps({"max_atoms_per_column": 17}))
+    rc = main(["--input", str(ghz_file), "--params", str(p),
+               "--out-schedule", str(tmp_path / "s.json"),
+               "--out-report", str(tmp_path / "r.json")])
+    assert rc == 2
+    assert "exceeds the 16 memory rows" in capsys.readouterr().err
+
+
 def test_params_file_and_env(tmp_path, ghz_file, monkeypatch):
     p = tmp_path / "params.json"
     p.write_text(json.dumps({"aod_speed": 110.0}))

@@ -8,9 +8,11 @@ import pytest
 from pachinqo.circuit import Circuit, cz, u3
 from pachinqo.machine import (
     CapacityError,
+    PhysParams,
     aod_capacity,
     build_layout,
     generate_grid,
+    memory_rows,
     pair_clear_sites,
 )
 from pachinqo import placement
@@ -21,6 +23,7 @@ from pachinqo.placement import (
 )
 from pachinqo.schedule import AOD_TO_SLM, SLM_TO_AOD, ColumnMove, TrapChange
 from pachinqo.scheduler import Compiler
+from pachinqo.verifier import validate_schedule
 
 from corpus import GRIDS, full_sites_extraction, random_circuit, staircase
 
@@ -223,6 +226,35 @@ def test_assign_zero_mobile_qubits(default_layout, default_grid, params):
     g = greedy_maxcut_group(_circ(2, [(0, 1)]), 96, 0)
     p = assign_atoms(g, default_grid, default_layout, params)
     assert p.columns == []
+
+
+@pytest.mark.parametrize("technique", ["pachinqo", "trapchange"])
+def test_columns_as_tall_as_memory_compile_and_validate(technique):
+    """A column as tall as memory (16 rows on the default layout) loads
+    from one memory column and hangs every atom inside memory, so its
+    schedule validates."""
+    params = PhysParams(max_atoms_per_column=16)
+    circ = random_circuit(random.Random(0), 60, 300)
+    layout = build_layout(60, "auto", params)
+    grid = generate_grid("large-square", layout, params)
+    assert memory_rows(layout, params) == 16
+    compiler = Compiler(circ, technique, grid, layout, params)
+    assert max(len(g.atoms) for g in compiler.placement.columns) == 16
+    sched = compiler.run()
+    assert validate_schedule(sched, layout, grid, params, circ) == []
+
+
+def test_columns_taller_than_memory_rejected():
+    """One atom more per column than memory has rows would load and hang
+    atoms outside memory: assignment refuses it."""
+    params = PhysParams(max_atoms_per_column=17)
+    layout = build_layout(60, "auto", params)
+    grid = generate_grid("large-square", layout, params)
+    g = greedy_maxcut_group(random_circuit(random.Random(0), 60, 300),
+                            len(pair_clear_sites(grid, params)),
+                            aod_capacity(layout, params), 17)
+    with pytest.raises(CapacityError, match="17 exceeds the 16 memory rows"):
+        assign_atoms(g, grid, layout, params)
 
 
 def test_assignment_deterministic(default_layout, default_grid, params):

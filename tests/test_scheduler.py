@@ -431,9 +431,8 @@ def test_left_side_placement_refused_next_to_an_occupied_site():
     compiler.atom_site[1] = grid.sites.index((px - 10.0, py))
     compiler.atom_x[1], compiler.atom_y[1] = px - 10.0, py
     compiler._reset_obstacles()
-    assert compiler._try_place(col, 2, 3, px - INTERACTION_OFFSET) is None
-    placement = compiler._try_place(col, 2, 3, px + INTERACTION_OFFSET)
-    assert placement is not None and placement.ys[2] == py
+    assert not compiler._try_place(col, 3, px - INTERACTION_OFFSET)
+    assert compiler._try_place(col, 3, px + INTERACTION_OFFSET)
 
 
 def _loaded(circ, executed):
@@ -767,22 +766,26 @@ def test_unknown_technique_rejected(params):
         Compiler(Circuit(2, [cz(0, 1)]), "sabre", grid, layout, params)
 
 
-def test_spread_alternates_above_below():
-    # One column of four atoms, one static partner: the active atom sits at
-    # the site row while the rest spread +10, -10, +20 around it.
+def test_placement_hangs_the_other_atoms_below_compute():
+    """One column of four atoms, one static partner: the placed atom 0
+    stands level with its partner, and atoms 2, 3 and 4 hang below
+    compute, out of the pulse's reach, in slot order."""
+    params = PhysParams()
     circ = Circuit(5, [cz(0, 1), cz(2, 1), cz(3, 1), cz(4, 1)])
-    sched, layout, _, params = _compile(circ)
+    layout = build_layout(5, "auto", params)
+    grid = generate_grid("large-square", layout, params)
+    compiler = Compiler(circ, "pachinqo", grid, layout, params)
+    sched = compiler.run()
+    assert compiler.placement.columns[0].atoms[0][0] == 0
     illum = next(e for e in sched.events if isinstance(e, Illumination))
     assert illum.pairs[0].qubits == (0, 1)
-    active_y = illum.pairs[0].positions[0][1]
-    place = [e for e in sched.events
-             if isinstance(e, ColumnMove) and e.t_end == illum.t_start]
-    assert len(place) == 1
-    ys = {a: ty for a, _, ty in place[0].atoms}
-    r = params.crosstalk_radius
-    assert ys[0] == active_y
-    spread = sorted(ys[a] - active_y for a in (2, 3, 4))
-    assert spread == [-r, r, 2 * r]
+    (place,) = [e for e in sched.events
+                if isinstance(e, ColumnMove) and e.t_end == illum.t_start]
+    ys = {a: ty for a, _, ty in place.atoms}
+    assert [a for a, _, _ in place.atoms] == [0, 2, 3, 4]
+    assert ys[0] == illum.pairs[0].positions[0][1]
+    assert [ys[a] for a in (2, 3, 4)] == [compiler._hang_y(j) for j in range(3)]
+    assert all(layout.memory.contains(place.to_x, ys[a]) for a in (2, 3, 4))
 
 
 def test_retreat_fallback_tucks_beside_blocker():
