@@ -113,6 +113,14 @@ def pack_columns(circuit: Circuit, mobile: list[int],
     count of CZs between mobile qubits in different columns, the exchange
     that lowers it most is made, the lowest pair of positions on a tie.
     Column sizes stay as they were.
+
+    The count takes in every CZ across columns on purpose, although the
+    compiler's SWAP choice (`Compiler._choose_swap`) lets a CZ across
+    neighbouring columns pass: a pair of neighbours waits for a layer in
+    which one column comes just before the other. On the perfbench
+    workloads (seeds 1-10), counting only CZs between columns two or
+    more apart gave `deep` 41 SWAPs against 38, and counting those first
+    and every CZ across columns second gave `wide` 39 against 34.
     """
     pos = {q: i for i, q in enumerate(mobile)}
     weight: dict[int, dict[int, int]] = {q: {} for q in mobile}

@@ -67,8 +67,8 @@ nothing to place: both atoms stand within the interaction radius over a
 free clear site, one INTERACTION_OFFSET above the other when they share
 a column, or side by side, the lower cid's on the left, when the
 partner's column is the next in the layer's order (which then takes no
-turn of its own). When the partner's column is the one just before, and
-it placed or paired this layer, the column stays idle instead: the next
+turn of its own). When the partner's column is the one just before,
+whatever it did with its turn, the column stays idle instead: the next
 layer runs the columns in the reverse order, so the pair can form then.
 The site is the one nearest where the open phase found the columns,
 among those that are clear of obstacles and leave every later column's
@@ -82,7 +82,7 @@ Rydberg pulse (Bluvstein et al., Nature 2024), and DPQA schedules
 AOD-AOD gates the same way (Tan, Bluvstein, Lukin & Cong, Quantum 2024),
 so every technique gets pairs.
 
-Other conflicts (a partner in a column further away, or two static
+Other conflicts (a partner two or more columns away, or two static
 operands), and pairs with no site, insert SWAPs executed preemptively,
 one component per layer, except that a U3 layer also runs a swap's next
 rotation when it acts on another qubit (template steps 2-3 and 5-6
@@ -94,9 +94,10 @@ Xie, ASPLOS 2019): either operand of the conflicting CZ may trade places
 with a qubit from the other side, taking its site or column, and the
 trade that leaves the fewest of the next SWAP_WINDOW CZs conflicting,
 weighted by decay, wins (`_choose_swap`). A CZ conflicts unless exactly
-one operand is static or both are mobile in one column, the rule by
-which greedy grouping also packs the mobile qubits into columns
-(`pack_columns`).
+one operand is static, or both are mobile in one column or in
+neighbouring columns, counting only columns that hold atoms (the pairs
+a layer can run). Greedy grouping packs the mobile qubits into columns
+(`pack_columns`) by a stricter count, every CZ across columns.
 The techniques differ only in three values set in
 `Compiler.__init__`: the grouping function (degreesplit), whether a
 conflict tries a mid-circuit trap change before a SWAP (trapchange), and
@@ -849,14 +850,12 @@ class Compiler:
         trap_changes = self.trap_change_count
         stuck = False  # a column found no legal retreat
         paired = None  # the column an AOD pair took along with its own
-        done = None  # the column just before, if it placed or paired
         for k, col in enumerate(order):
             if col is paired:
-                done = col
                 continue
+            prev = order[k - 1] if k else None
             nxt = order[k + 1] if k + 1 < len(order) else None
-            action = self._find_action(col, staged, done, nxt, later, plan)
-            done = col if action == "placed" else None
+            action = self._find_action(col, staged, prev, nxt, later, plan)
             executed += action != "idle"
             if action == "paired":
                 paired = nxt
@@ -935,7 +934,7 @@ class Compiler:
         return _LayerPlan(order, side, targets, placements)
 
     def _find_action(self, col: _Column, staged: list[CzEntry],
-                     done: _Column | None, nxt: _Column | None,
+                     prev: _Column | None, nxt: _Column | None,
                      later: dict[int, tuple[float, int]], plan: _LayerPlan):
         """Pick and apply this column's action for the current layer:
         "placed", "paired" (an AOD pair with `nxt`, the next column of the
@@ -948,9 +947,10 @@ class Compiler:
         planned, its plan refused by the check, or its partner busy)
         waits for a later layer: it begins no SWAP and no trap change.
         Otherwise its highest atom whose executable CZ has a mobile
-        partner conflicts. If the partner is in `done`, the column just
-        before that placed or paired this layer, the column stays idle:
-        the next layer, in the reverse order, can run it as an AOD pair.
+        partner conflicts. If the partner is in `prev`, the column just
+        before in the layer's order, the column stays idle whatever
+        `prev` did: the next layer, in the reverse order, can run it as
+        an AOD pair.
         Else it tries an AOD pair (`_pair`, which may also wait), then
         (trapchange) a trap change, then a SWAP."""
         planned = plan.placements.get(col.cid)
@@ -974,7 +974,7 @@ class Compiler:
             return "idle"
         atom, q, p = conflict
         partner_atom = self.atom_of[p]
-        if done is not None and partner_atom in done.atoms:
+        if prev is not None and partner_atom in prev.atoms:
             return "idle"
         action = self._pair(col, nxt, atom, partner_atom, later, plan.side)
         if action == "wait":
@@ -1206,15 +1206,17 @@ class Compiler:
 
     def _places(self) -> list[int | None]:
         """Per qubit, where it stands once its in-flight SWAP ends: None on
-        a site, else its column's cid."""
-        cid_of = {a: col.cid for col in self.columns for a in col.atoms}
+        a site, else its column's rank among the live columns in cid
+        order, the order `_cz_layer` runs them in."""
+        live = [col for col in self.columns if col.atoms]
+        rank_of = {a: r for r, col in enumerate(live) for a in col.atoms}
         places = []
         for q in range(self.circuit.num_qubits):
             atom = self.atom_of[q]
             if q in self.frontier.lock:
                 qa, qb = self.frontier.swap_qubits(self.frontier.lock[q])
                 atom = self.atom_of[qb if q == qa else qa]
-            places.append(None if self.atom_site[atom] is not None else cid_of[atom])
+            places.append(None if self.atom_site[atom] is not None else rank_of[atom])
         return places
 
     def _choose_swap(self, q: int, p: int,
@@ -1224,7 +1226,8 @@ class Compiler:
         part.
 
         A CZ needs no SWAP when exactly one operand is static, or when both
-        are mobile in one AOD column (an AOD pair); any other CZ conflicts.
+        are mobile in one AOD column or in neighbouring ones, by `_places`'
+        ranks (an AOD pair); any other CZ conflicts.
         A candidate exchanges one operand o of the CZ with an unlocked
         qubit x on the other side, o taking x's site or column and x
         taking o's. Its cost is the decayed count of window CZs that
@@ -1245,7 +1248,7 @@ class Compiler:
         def conflicts(u: int | None, v: int | None) -> bool:
             if u is None or v is None:
                 return u is v
-            return u != v
+            return abs(u - v) > 1
 
         # qubit -> [(weight, other operand, conflicting now)] over the window
         touching: dict[int, list[tuple[float, int, bool]]] = {}
