@@ -1,6 +1,11 @@
 """Qubit grouping (greedy MaxCut or degree split) and atom assignment:
 the plan for loading atoms out of memory.
 
+The plan is fitted to the rule by which the compiler inserts SWAPs
+(`needs_swap`): greedy grouping fills free AOD column slots with static
+qubits where that leaves fewer CZs needing a SWAP, and static qubits take
+their sites centre-out, one site column at a time.
+
 All atoms start in memory SLM columns. The qubit-to-atom mapping is free
 at load time, so atoms are laid out in memory pre-grouped: one memory
 column per target site column (for the static group) or per target AOD
@@ -70,18 +75,35 @@ class _Grouper:
         return Grouping(self.groups[SLM], self.groups[AOD])
 
 
+def needs_swap(u: int | None, v: int | None) -> bool:
+    """Whether a CZ between qubits at places u and v needs a SWAP: a place
+    is None for a static qubit, else the rank of the qubit's AOD column
+    among the columns that hold atoms.
+
+    A CZ runs as it stands when exactly one operand is static (a
+    placement) or both are mobile in one column or in neighbouring ones
+    (an AOD pair); two static operands, or mobile ones two or more
+    columns apart, need a SWAP. The compiler's SWAP choice
+    (`Compiler._choose_swap`) and the load plan (`greedy_maxcut_group`)
+    both score CZs by this rule."""
+    if u is None or v is None:
+        return u is v
+    return abs(u - v) > 1
+
+
 def greedy_maxcut_group(circuit: Circuit, site_capacity: int,
                         aod_capacity: int,
                         per_column: int = PhysParams.max_atoms_per_column
                         ) -> Grouping:
-    """Greedy MaxCut over the CZ interaction graph, in circuit order.
+    """Greedy MaxCut over the CZ interaction graph, in circuit order,
+    fitted to the SWAP rule (`needs_swap`).
 
     First CZ touching two fresh qubits sends the first operand mobile and
     the second static; a gate with one grouped operand sends the other to
     the complementary group; full groups fall back to whichever side still
     has room. The mobile list is then packed into AOD columns of
-    `per_column` (`pack_columns`), which only reorders it: the static
-    list, and so every site, and the column sizes stay.
+    `per_column` (`pack_columns`), and the free slots of its last column
+    are filled from the static list (`fill_free_slots`).
     """
     g = _Grouper(circuit.num_qubits, site_capacity, aod_capacity)
     for a, b in circuit.cz_pairs():
@@ -95,7 +117,50 @@ def greedy_maxcut_group(circuit: Circuit, site_capacity: int,
             g.place(a, SLM if gb == AOD else AOD)
     grouping = g.finish(circuit.num_qubits)
     grouping.aod_qubits = pack_columns(circuit, grouping.aod_qubits, per_column)
-    return grouping
+    return fill_free_slots(circuit, grouping, aod_capacity, per_column)
+
+
+def fill_free_slots(circuit: Circuit, grouping: Grouping, aod_capacity: int,
+                    per_column: int) -> Grouping:
+    """`grouping` with static qubits moved into the free slots of its last
+    AOD column, each move lowering the count of CZs that need a SWAP.
+
+    MaxCut puts the operands of most CZs on opposite sides, but a CZ
+    between two static qubits needs a SWAP, and the last column may have
+    slots to spare. While it has one (and the AOD capacity room), the
+    static qubit whose move into it lowers that count the most moves
+    there, the earlier in the static list on a tie; the fill stops when
+    no move lowers the count. Each CZ counts with its multiplicity. A
+    move changes the verdict only on the moved qubit's own CZs, so each
+    candidate is scored from those alone, as `Compiler._choose_swap`
+    scores its exchanges. No column is added, so a grouping whose columns
+    are full comes back as it was; after a fill the mobile list is packed
+    again (`pack_columns`)."""
+    static, mobile = list(grouping.slm_qubits), list(grouping.aod_qubits)
+    n_cols = math.ceil(len(mobile) / per_column)
+    slots = min(n_cols * per_column, aod_capacity)
+    # weight[q][r]: the CZs of static q with r.
+    weight: dict[int, dict[int, int]] = {q: {} for q in static}
+    for a, b in circuit.cz_pairs():
+        for q, r in ((a, b), (b, a)):
+            if q in weight:
+                weight[q][r] = weight[q].get(r, 0) + 1
+    place: dict[int, int | None] = {q: None for q in static}
+    place.update((q, i // per_column) for i, q in enumerate(mobile))
+    last = n_cols - 1
+    while len(mobile) < slots and static:
+        change, i = min(
+            (sum(w * (needs_swap(last, place[r]) - needs_swap(None, place[r]))
+                 for r, w in weight[q].items()), i)
+            for i, q in enumerate(static))
+        if change >= 0:
+            break
+        q = static.pop(i)
+        mobile.append(q)
+        place[q] = last
+    if len(mobile) == len(grouping.aod_qubits):
+        return grouping
+    return Grouping(static, pack_columns(circuit, mobile, per_column))
 
 
 def pack_columns(circuit: Circuit, mobile: list[int],
@@ -115,12 +180,13 @@ def pack_columns(circuit: Circuit, mobile: list[int],
     Column sizes stay as they were.
 
     The count takes in every CZ across columns on purpose, although the
-    compiler's SWAP choice (`Compiler._choose_swap`) lets a CZ across
-    neighbouring columns pass: a pair of neighbours waits for a layer in
-    which one column comes just before the other. On the perfbench
-    workloads (seeds 1-10), counting only CZs between columns two or
-    more apart gave `deep` 41 SWAPs against 38, and counting those first
-    and every CZ across columns second gave `wide` 39 against 34.
+    SWAP rule (`needs_swap`) lets a CZ across neighbouring columns pass:
+    a pair of neighbours waits for a layer in which one column comes just
+    before the other. On the perfbench workloads (seeds 1-10, before the
+    load filled free slots and seated static qubits centre-out), counting
+    only CZs between columns two or more apart gave `deep` 41 SWAPs
+    against 38, and counting those first and every CZ across columns
+    second gave `wide` 39 against 34.
     """
     pos = {q: i for i, q in enumerate(mobile)}
     weight: dict[int, dict[int, int]] = {q: {} for q in mobile}
@@ -218,20 +284,35 @@ class InitialPlacement:
 def assign_atoms(grouping: Grouping, grid: SlmGrid, layout: ZoneLayout,
                  params: PhysParams,
                  clear_sites: list[int] | None = None) -> InitialPlacement:
-    """Deterministic atom assignment: static qubits take clear grid sites
-    (`clear_sites`, by default `pair_clear_sites` of the grid) in
-    grouping-by-site order; mobile qubits fill AOD columns of
-    `max_atoms_per_column` in the order of `grouping.aod_qubits` (which
-    greedy grouping has packed, `pack_columns`), parked in the right
-    cache. Atom ids equal qubit ids (the load mapping is arbitrary, so
-    identity is used)."""
+    """Deterministic atom assignment: static qubits, in the order of
+    `grouping.slm_qubits`, take clear grid sites (`clear_sites`, by
+    default `pair_clear_sites` of the grid) centre-out, one site column
+    at a time: by the distance of the site's x from the middle of the
+    clear sites' x range, then x, then y. Mobile qubits fill AOD columns
+    of `max_atoms_per_column` in the order of `grouping.aod_qubits`
+    (which greedy grouping has packed, `pack_columns`), parked in the
+    right cache. Atom ids equal qubit ids (the load mapping is
+    arbitrary, so identity is used).
+
+    Centre-out seats keep the site columns at both ends of compute free:
+    columns travel less to reach static atoms, and onecache's isolation
+    layer, which tucks the columns left of the placed one into memory,
+    stays left of them. Over `random_circuit(Random(k), n, g)`, k = 0..5,
+    n in {60, 70, 80, 100}, g in {100, 200}, on the four grids, onecache
+    raised `SchedulerError` 75 times with row-major seats and never with
+    centre-out ones."""
     usable = pair_clear_sites(grid, params) if clear_sites is None else clear_sites
     if len(grouping.slm_qubits) > len(usable):
         raise CapacityError(
             f"insufficient SLM capacity: {len(grouping.slm_qubits)} static "
             f"qubits, {len(usable)} clear sites on the {grid.kind} grid"
         )
-    site_of_qubit = {q: usable[i] for i, q in enumerate(grouping.slm_qubits)}
+    xs = [grid.sites[s][0] for s in usable]
+    x_mid = (min(xs, default=0.0) + max(xs, default=0.0)) / 2
+    # Distances are rounded so that mirror sites tie despite float error.
+    seats = sorted(usable, key=lambda s: (round(abs(grid.sites[s][0] - x_mid), 9),
+                                          *grid.sites[s]))
+    site_of_qubit = {q: seats[i] for i, q in enumerate(grouping.slm_qubits)}
 
     # A column loads from a memory column and hangs its atoms below compute
     # in one, so it holds no more atoms than memory has rows.

@@ -96,8 +96,9 @@ trade that leaves the fewest of the next SWAP_WINDOW CZs conflicting,
 weighted by decay, wins (`_choose_swap`). A CZ conflicts unless exactly
 one operand is static, or both are mobile in one column or in
 neighbouring columns, counting only columns that hold atoms (the pairs
-a layer can run). Greedy grouping packs the mobile qubits into columns
-(`pack_columns`) by a stricter count, every CZ across columns.
+a layer can run): `placement.needs_swap`, by which greedy grouping also
+fills free column slots at load time. It packs the mobile qubits into
+columns (`pack_columns`) by a stricter count, every CZ across columns.
 The techniques differ only in three values set in
 `Compiler.__init__`: the grouping function (degreesplit), whether a
 conflict tries a mid-circuit trap change before a SWAP (trapchange), and
@@ -134,6 +135,7 @@ from .placement import (
     assign_atoms,
     degree_split_group,
     greedy_maxcut_group,
+    needs_swap,
 )
 from .schedule import (
     AOD_TO_SLM,
@@ -1225,9 +1227,9 @@ class Compiler:
         atom, static atom) for `_begin_swap`, or None if no qubit can take
         part.
 
-        A CZ needs no SWAP when exactly one operand is static, or when both
-        are mobile in one AOD column or in neighbouring ones, by `_places`'
-        ranks (an AOD pair); any other CZ conflicts.
+        A CZ conflicts when `needs_swap` says so for its operands'
+        `_places`: unless exactly one operand is static, or both are mobile
+        in one AOD column or in neighbouring ones (an AOD pair).
         A candidate exchanges one operand o of the CZ with an unlocked
         qubit x on the other side, o taking x's site or column and x
         taking o's. Its cost is the decayed count of window CZs that
@@ -1245,18 +1247,13 @@ class Compiler:
                                if i != conflict][:SWAP_WINDOW]
         places = self._places()
 
-        def conflicts(u: int | None, v: int | None) -> bool:
-            if u is None or v is None:
-                return u is v
-            return abs(u - v) > 1
-
         # qubit -> [(weight, other operand, conflicting now)] over the window
         touching: dict[int, list[tuple[float, int, bool]]] = {}
         cost0 = 0.0
         w = 1.0
         for i in window:
             a, b = gates[i].qubits
-            now = conflicts(places[a], places[b])
+            now = needs_swap(places[a], places[b])
             if now:
                 cost0 += w
             touching.setdefault(a, []).append((w, b, now))
@@ -1267,7 +1264,7 @@ class Compiler:
             # Cost change from y taking place `to`, over the window CZs y
             # shares with neither `other`: a CZ of y and other only trades
             # its operands' places.
-            return sum(wk * (conflicts(to, places[z]) - was)
+            return sum(wk * (needs_swap(to, places[z]) - was)
                        for wk, z, was in touching.get(y, ()) if z != other)
 
         mobile = places[q] is not None

@@ -124,14 +124,16 @@ def full_sites_extraction() -> Circuit:
     193 (193 goes opposite its first partner, 187) form a 25th column of
     two atoms. Once each has run its CZ with a static, CZ(192, 193)
     conflicts inside that column: trapchange extracts a static atom whose
-    next CZ partner is static, as the atoms of the right-most site column
-    have, in pairs, into the column's free slot. The freed site then
-    takes the deposit that CZ(192, 100), across columns 24 and 12, asks
-    for."""
-    right = [24 * row + 23 for row in range(8)]  # statics at x = 265 um
+    next CZ partner is static, as the atoms of the site column seated
+    first (x = 175 um) have, in pairs, into the column's free slot. Their
+    mobile partners stand in columns 0-3, so moving one into column 24 at
+    load time would split a CZ as it joins a pair: the load leaves them
+    static. The freed site then takes the deposit that CZ(192, 100),
+    across columns 24 and 12, asks for."""
+    centre = list(range(1, 16, 2))  # statics at x = 175 um
     gates = [cz(2 * i, 2 * i + 1) for i in range(96)]
     gates += [cz(192, 189), cz(193, 187)]
-    gates += [cz(a, b) for a, b in zip(right[::2], right[1::2])]
+    gates += [cz(a, b) for a, b in zip(centre[::2], centre[1::2])]
     gates += [cz(192, 193), cz(192, 100)]
     return Circuit(194, gates, "fullsites")
 

@@ -167,10 +167,13 @@ def test_empty_circuit_runtime_is_tcs_plus_movement(params):
         6 * params.trap_change_time + move_time)
 
 
-def test_gate_counts_include_swap_components(params):
-    # A conflict between two static atoms inserts one 9-gate swap.
+def test_gate_counts_include_swap_components():
+    # A conflict between two static atoms inserts one 9-gate swap. The
+    # one column holds its two mobile qubits, so no free slot takes a
+    # static operand in at load time.
     from pachinqo.circuit import Circuit, cz
 
+    params = PhysParams(max_atoms_per_column=2)
     circ = Circuit(4, [cz(0, 1), cz(2, 3), cz(1, 3)])
     layout = build_layout(4, "auto", params)
     grid = generate_grid("large-square", layout, params)

@@ -1,6 +1,7 @@
 """Grouping heuristics and atom assignment (the load plan), and the
 compiler's emission of that plan as the initialization events."""
 import itertools
+import math
 import random
 
 import pytest
@@ -9,6 +10,7 @@ from pachinqo.circuit import Circuit, cz, u3
 from pachinqo.machine import (
     CapacityError,
     PhysParams,
+    SlmGrid,
     aod_capacity,
     build_layout,
     generate_grid,
@@ -17,15 +19,24 @@ from pachinqo.machine import (
 )
 from pachinqo import placement
 from pachinqo.placement import (
+    Grouping,
     assign_atoms,
     degree_split_group,
     greedy_maxcut_group,
+    needs_swap,
+    pack_columns,
 )
 from pachinqo.schedule import AOD_TO_SLM, SLM_TO_AOD, ColumnMove, TrapChange
 from pachinqo.scheduler import Compiler
 from pachinqo.verifier import validate_schedule
 
-from corpus import GRIDS, full_sites_extraction, random_circuit, staircase
+from corpus import (
+    GRIDS,
+    corpus_cases,
+    full_sites_extraction,
+    random_circuit,
+    staircase,
+)
 
 
 def _circ(n, pairs):
@@ -142,10 +153,11 @@ def test_packing_keeps_frequent_partners_in_one_column():
 @pytest.mark.parametrize("grid_kind", GRIDS)
 def test_packing_only_reorders_the_mobile_columns(grid_kind, params,
                                                   monkeypatch):
-    """Against grouping order (packing switched off): never more CZs
-    between mobile qubits in different columns, the same mobile set and
-    static list, the same sites, columns full but the last, and the same
-    order on a second run. Degree split does not pack."""
+    """`pack_columns` against the order it is given, a grouping's mobile
+    list with packing switched off: never more CZs between mobile qubits
+    in different columns, the same mobile set, the same sites, columns
+    full but the last, and the same order on a second run. Degree split
+    does not pack."""
     per_col = params.max_atoms_per_column
     rng = random.Random(20)
     fewer = 0
@@ -155,25 +167,105 @@ def test_packing_only_reorders_the_mobile_columns(grid_kind, params,
         layout = build_layout(n, "auto", params, grid_kind)
         grid = generate_grid(grid_kind, layout, params)
         caps = len(pair_clear_sites(grid, params)), aod_capacity(layout, params)
-        packed = greedy_maxcut_group(circ, *caps, per_col)
         split = degree_split_group(circ, *caps)
         with monkeypatch.context() as m:
             m.setattr(placement, "pack_columns", lambda c, mobile, k: mobile)
             plain = greedy_maxcut_group(circ, *caps, per_col)
             assert (degree_split_group(circ, *caps).aod_qubits
                     == split.aod_qubits)
-        assert packed.slm_qubits == plain.slm_qubits
+        packed = Grouping(plain.slm_qubits,
+                          pack_columns(circ, plain.aod_qubits, per_col))
         assert sorted(packed.aod_qubits) == sorted(plain.aod_qubits)
         cross = _cross_column_czs(circ, packed.aod_qubits, per_col)
         assert cross <= _cross_column_czs(circ, plain.aod_qubits, per_col)
         fewer += cross < _cross_column_czs(circ, plain.aod_qubits, per_col)
-        assert greedy_maxcut_group(circ, *caps, per_col) == packed
+        assert pack_columns(circ, plain.aod_qubits, per_col) == packed.aod_qubits
         a, b = (assign_atoms(g, grid, layout, params) for g in (packed, plain))
         assert a.site_of_qubit == b.site_of_qubit
         sizes = [len(g.atoms) for g in a.columns]
         assert sizes == [len(g.atoms) for g in b.columns]
         assert all(k == per_col for k in sizes[:-1])
     assert fewer
+
+
+# ---------------------------------------------------------------------------
+# filling free column slots
+
+def _swap_czs(circ, grouping, per_column):
+    """The CZs that need a SWAP at load time (`needs_swap`), every column
+    holding atoms."""
+    place = {q: None for q in grouping.slm_qubits}
+    place.update((q, i // per_column) for i, q in enumerate(grouping.aod_qubits))
+    return sum(needs_swap(place[a], place[b]) for a, b in circ.cz_pairs())
+
+
+def _unfilled(monkeypatch, *args):
+    """greedy_maxcut_group(*args) with the fill switched off."""
+    with monkeypatch.context() as m:
+        m.setattr(placement, "fill_free_slots", lambda c, g, cap, k: g)
+        return greedy_maxcut_group(*args)
+
+
+def test_needs_swap_rule():
+    assert needs_swap(None, None)
+    assert not needs_swap(None, 3) and not needs_swap(3, None)
+    assert not needs_swap(2, 2) and not needs_swap(2, 3) and not needs_swap(3, 2)
+    assert needs_swap(1, 3) and needs_swap(3, 1)
+
+
+def test_fill_moves_static_pairs_into_free_slots(monkeypatch):
+    """MaxCut makes 1, 3, 5, 7 and 9 static and 0, 2, 4, 6, 8 mobile, in
+    columns [0, 2, 4, 6] and [8], so the four CZs among static qubits
+    need a SWAP. Moving 3 or 7 (or 9, with CZ(7, 9) twice) into the last
+    column settles two of them; 3 comes first in the static list, then 7.
+    No move is left that lowers the count, and the columns stay two."""
+    circ = _circ(10, [(0, 1), (2, 3), (4, 5), (6, 7), (8, 9),
+                      (1, 3), (3, 5), (7, 9), (7, 9)])
+    plain = _unfilled(monkeypatch, circ, 96, 124)
+    assert plain == Grouping([1, 3, 5, 7, 9], [0, 2, 4, 6, 8])
+    assert _swap_czs(circ, plain, 4) == 4
+    g = greedy_maxcut_group(circ, 96, 124)
+    assert g.slm_qubits == [1, 5, 9]
+    assert sorted(g.aod_qubits) == [0, 2, 3, 4, 6, 7, 8]
+    assert _swap_czs(circ, g, 4) == 0
+    # With room for one more mobile qubit, the tie goes to the earlier.
+    assert greedy_maxcut_group(circ, 96, 6).slm_qubits == [1, 5, 7, 9]
+
+
+def test_fill_keeps_full_columns_and_moves_that_do_not_help(monkeypatch):
+    """Greedy's grouping comes back unchanged when its columns are full,
+    and when no move lowers the count: in columns of two, moving static 1
+    or 3 into column 2 settles CZ(1, 3) but leaves its CZ with its mobile
+    partner, in column 0, two columns apart."""
+    full = _circ(8, [(0, 1), (2, 3), (4, 5), (6, 7), (1, 3), (5, 7)])
+    g = greedy_maxcut_group(full, 96, 124)
+    assert g == _unfilled(monkeypatch, full, 96, 124)
+    assert g == Grouping([1, 3, 5, 7], [0, 2, 4, 6])
+    assert _swap_czs(full, g, 4) == 2
+    idle = _circ(10, [(0, 1), (2, 3), (4, 5), (6, 7), (8, 9), (1, 3)])
+    g = greedy_maxcut_group(idle, 96, 124, 2)
+    assert g == _unfilled(monkeypatch, idle, 96, 124, 2)
+    assert g == Grouping([1, 3, 5, 7, 9], [0, 2, 4, 6, 8])
+    assert _swap_czs(idle, g, 2) == 1
+
+
+def test_fill_never_raises_the_swap_count_or_adds_a_column(params,
+                                                           monkeypatch):
+    """Over the acceptance corpus, on each case's grid and capacities."""
+    per_col = params.max_atoms_per_column
+    fell = 0
+    for circ, _, grid_kind in corpus_cases():
+        layout = build_layout(circ.num_qubits, "auto", params, grid_kind)
+        grid = generate_grid(grid_kind, layout, params)
+        caps = len(pair_clear_sites(grid, params)), aod_capacity(layout, params)
+        filled = greedy_maxcut_group(circ, *caps, per_col)
+        plain = _unfilled(monkeypatch, circ, *caps, per_col)
+        assert (math.ceil(len(filled.aod_qubits) / per_col)
+                == math.ceil(len(plain.aod_qubits) / per_col))
+        after, before = (_swap_czs(circ, g, per_col) for g in (filled, plain))
+        assert after <= before
+        fell += after < before
+    assert fell
 
 
 # ---------------------------------------------------------------------------
@@ -207,11 +299,31 @@ def test_groupings_are_deterministic():
 # atom assignment
 
 def test_assign_slm_qubits_take_sites_in_order(default_layout, default_grid, params):
+    """Static qubits take the clear sites centre-out, one site column at a
+    time: by distance of the site's x from the middle of the sites' x
+    range, then x, then y. The middle, 182.5, lies between the site
+    columns x = 175 and 190, and the lower x goes first."""
     g = greedy_maxcut_group(_circ(8, [(0, 1), (2, 3), (4, 5), (6, 7)]), 96, 124)
     p = assign_atoms(g, default_grid, default_layout, params)
-    sites = [p.site_of_qubit[q] for q in g.slm_qubits]
-    assert sites == sorted(sites)
-    assert sites[0] == 0 and len(sites) == 4
+    xs = [default_grid.sites[s][0] for s in pair_clear_sites(default_grid, params)]
+    assert (min(xs) + max(xs)) / 2 == 182.5
+    assert [default_grid.sites[p.site_of_qubit[q]] for q in g.slm_qubits] == [
+        (175.0, 65.0), (175.0, 80.0), (175.0, 95.0), (175.0, 110.0)]
+
+
+def test_assign_seats_centre_out(default_layout, params):
+    """On a hand-made row of sites at x = 0-40, x_mid = 20: 20 first, then
+    10 before 30 (equal distance, lower x first), then 0 before 40; within
+    a site column, lower y first. Clear sites given in any order give the
+    same seats."""
+    grid = SlmGrid("large-square", ((40.0, 0.0), (30.0, 0.0), (20.0, 5.0),
+                                    (20.0, 0.0), (10.0, 0.0), (0.0, 0.0)))
+    g = Grouping(list(range(6)), [])
+    for clear in ([0, 1, 2, 3, 4, 5], [5, 4, 3, 2, 1, 0]):
+        p = assign_atoms(g, grid, default_layout, params, clear)
+        assert [grid.sites[p.site_of_qubit[q]] for q in range(6)] == [
+            (20.0, 0.0), (20.0, 5.0), (10.0, 0.0), (30.0, 0.0), (0.0, 0.0),
+            (40.0, 0.0)]
 
 
 def test_assign_packs_columns_of_four(default_layout, default_grid, params):

@@ -16,7 +16,7 @@ from pachinqo.circuit import (
     decompose_to_basis,
     u3,
 )
-from pachinqo.machine import build_layout, generate_grid
+from pachinqo.machine import PhysParams, build_layout, generate_grid
 from pachinqo.metrics import move_duration, movement_phase_time
 from pachinqo.qasm import parse_qasm
 from pachinqo.schedule import (
@@ -41,14 +41,19 @@ from pachinqo.verifier import (
 from corpus import GRIDS, random_circuit, random_qasm, staircase
 
 
-def _compile(circ, technique="pachinqo"):
-    from pachinqo.machine import PhysParams
-
-    params = PhysParams()
+def _compile(circ, technique="pachinqo", params=None):
+    params = params or PhysParams()
     layout = build_layout(circ.num_qubits, "auto", params)
     grid = generate_grid("large-square", layout, params)
     sched = Compiler(circ, technique, grid, layout, params).run()
     return sched, layout, grid, params
+
+
+# CZ(1, 3) joins static 1 and 3. In columns of two, mobile 0 and 2 fill
+# the one column, so no free slot takes 1 or 3 in at load time and the CZ
+# needs SWAP 0, which exchanges qubits 1 and 2.
+_STATIC_PAIR = Circuit(4, [cz(0, 1), cz(2, 3), cz(1, 3)])
+_FULL_COLUMN = PhysParams(max_atoms_per_column=2)
 
 
 # ---------------------------------------------------------------------------
@@ -175,8 +180,8 @@ def test_equivalence_detects_reordered_cz():
 
 
 def test_equivalence_detects_missing_final_permutation():
-    circ = Circuit(4, [cz(0, 1), cz(2, 3), cz(1, 3)])
-    sched, _, _, _ = _compile(circ)
+    circ = _STATIC_PAIR
+    sched, _, _, _ = _compile(circ, params=_FULL_COLUMN)
     assert sched.swap_count == 1
     mutated = copy.deepcopy(sched)
     mutated.final_mapping = {q: q for q in range(4)}
@@ -184,7 +189,7 @@ def test_equivalence_detects_missing_final_permutation():
     got = executed_distribution(mutated, 4)
     # the unpermuted distribution must differ for this circuit
     prep = Circuit(4, [u3(0, *H_ANGLES), u3(2, 1.0, 0.3, -0.2)] + circ.gates)
-    sched2, _, _, _ = _compile(prep)
+    sched2, _, _, _ = _compile(prep, params=_FULL_COLUMN)
     mut2 = copy.deepcopy(sched2)
     mut2.final_mapping = {q: q for q in range(4)}
     ok, _ = equivalence_check(mut2, prep)
@@ -268,8 +273,8 @@ def test_random_qasm_compiles_valid_and_equivalent(n, n_gates, grid_kind, rng):
 # ---------------------------------------------------------------------------
 # validator mutations
 
-def _mutate_and_check(circ, mutate):
-    sched, layout, grid, params = _compile(circ)
+def _mutate_and_check(circ, mutate, params=None):
+    sched, layout, grid, params = _compile(circ, params=params)
     assert validate_schedule(sched, layout, grid, params, circ) == []
     mutated = copy.deepcopy(sched)
     mutate(mutated)
@@ -646,7 +651,8 @@ def test_validator_reports_a_move_out_of_every_zone_once():
 def test_validator_reports_a_pickup_outside_every_zone_at_its_trap_change():
     # Lift one ferry atom from below every zone, in the column that moves
     # last in the phase after the pickup: it stays out until that move.
-    circ = random_circuit(random.Random(3), 8, 40)
+    # The static atoms fill two site columns, so two ferries move.
+    circ = random_circuit(random.Random(3), 24, 60)
     sched, layout, grid, params = _compile(circ)
     mutated = copy.deepcopy(sched)
     index = next(i for i, ev in enumerate(mutated.events)
@@ -666,7 +672,8 @@ def test_validator_reports_a_pickup_outside_every_zone_at_its_trap_change():
 def test_validator_reports_a_pickup_out_of_column_order_at_its_trap_change():
     # After readout, lift two measured atoms into two new columns whose
     # ids run against their x order, just before the last measurement.
-    circ = random_circuit(random.Random(3), 8, 40)
+    # The static atoms fill two site columns, so two ferries deposit them.
+    circ = random_circuit(random.Random(3), 24, 60)
     sched, layout, grid, params = _compile(circ)
     mutated = copy.deepcopy(sched)
     index = len(mutated.events) - 1
@@ -741,9 +748,10 @@ def test_validator_catches_two_rotations_of_one_atom_in_one_layer():
 
 @pytest.mark.parametrize("n, onto", [(2, None), (4, 1)])
 def test_validator_catches_deposit_off_a_free_site(n, onto):
-    # Carry the last static atom's ferry somewhere else and deposit it
-    # there: 3 um off its site, or onto the site static atom `onto` took
-    # in the same trap change.
+    # Carry the last static atom in its ferry somewhere else and deposit
+    # it there: 3 um off its site, or onto the site static atom `onto`
+    # took in the same trap change (1 and 3 share a site column, so one
+    # ferry carries both).
     circ = Circuit(n, [cz(2 * i, 2 * i + 1) for i in range(n // 2)])
     sched, layout, grid, params = _compile(circ)
     assert validate_schedule(sched, layout, grid, params, circ) == []
@@ -755,9 +763,10 @@ def test_validator_catches_deposit_off_a_free_site(n, onto):
     atom = n - 1
     x, y = at[onto] if onto is not None else (at[atom][0], at[atom][1] + 3.0)
     ferry = next(ev for ev in mutated.events[:index]
-                 if isinstance(ev, ColumnMove) and ev.atoms[0][0] == atom)
+                 if isinstance(ev, ColumnMove)
+                 and atom in [a for a, _, _ in ev.atoms])
     ferry.to_x = x
-    ferry.atoms = [(atom, ferry.atoms[0][1], y)]
+    ferry.atoms = [(a, fy, y if a == atom else ty) for a, fy, ty in ferry.atoms]
     deposit.transfers = [TrapTransfer(atom, x, y) if tr.atom == atom else tr
                          for tr in deposit.transfers]
     violations = validate_schedule(mutated, layout, grid, params, circ)
@@ -775,7 +784,7 @@ def _drop_swap_u3(step):
 def _foreign_swap_cz(sched):
     for ev in sched.events:
         if isinstance(ev, Illumination):
-            ev.pairs = [type(p)((p.qubits[0], 2), p.atoms, p.positions, p.origin)
+            ev.pairs = [type(p)((p.qubits[0], 0), p.atoms, p.positions, p.origin)
                         if p.origin == (0, 4) else p for p in ev.pairs]
 
 
@@ -783,23 +792,22 @@ def _foreign_swap_cz(sched):
     # The U3 that opens the SWAP is gone: it begins at step 1.
     (_drop_swap_u3(0), [("dependency", 10, "swap 0 began at step 1"),
                         ("dependency", 10, "swap 0 step 1, expected 0")]),
-    # Its middle CZ names qubit 2 in place of its partner.
-    (_foreign_swap_cz, [("dependency", 12, "swap 0 touched foreign qubits (1, 2)")]),
+    # Its middle CZ names qubit 0 in place of its partner.
+    (_foreign_swap_cz, [("dependency", 12, "swap 0 touched foreign qubits (1, 0)")]),
     # Its last U3 is gone: it never ends, so its qubits stay locked and
     # the mapping never exchanges.
     (_drop_swap_u3(8), [
         ("dependency", 17, "locked qubit in native cz (1, 3)"),
-        ("dependency", 20, "measure of atom 0 names qubit 1, mapped atom is 1"),
-        ("dependency", 25, "measure of atom 1 names qubit 0, mapped atom is 0"),
-        ("dependency", 25, "qubit 1 finished 1 of 2 gates"),
-        ("dependency", 25, "qubit 3 finished 1 of 2 gates"),
-        ("dependency", 25, "unfinished swaps [0]"),
-        ("dependency", 25, "final mapping of qubit 0 is 0, schedule says 1"),
-        ("dependency", 25, "final mapping of qubit 1 is 1, schedule says 0")]),
+        ("dependency", 20, "measure of atom 2 names qubit 1, mapped atom is 1"),
+        ("dependency", 24, "measure of atom 1 names qubit 2, mapped atom is 2"),
+        ("dependency", 24, "qubit 1 finished 1 of 2 gates"),
+        ("dependency", 24, "qubit 3 finished 1 of 2 gates"),
+        ("dependency", 24, "unfinished swaps [0]"),
+        ("dependency", 24, "final mapping of qubit 1 is 1, schedule says 2"),
+        ("dependency", 24, "final mapping of qubit 2 is 2, schedule says 1")]),
 ])
 def test_validator_catches_broken_swap_components(mutate, expected):
-    circ = Circuit(4, [cz(0, 1), cz(2, 3), cz(1, 3)])
-    violations = _mutate_and_check(circ, mutate)
+    violations = _mutate_and_check(_STATIC_PAIR, mutate, _FULL_COLUMN)
     assert [(v.code, v.event, v.description) for v in violations] == expected
 
 
@@ -873,8 +881,8 @@ def test_validator_catches_a_rotation_after_readout():
 
 
 def test_validator_catches_wrong_angle_on_a_swap_step():
-    circ = Circuit(4, [cz(0, 1), cz(2, 3), cz(1, 3)])
-    sched, layout, grid, params = _compile(circ)
+    circ = _STATIC_PAIR
+    sched, layout, grid, params = _compile(circ, params=_FULL_COLUMN)
     assert sched.swap_count == 1
     mutated = copy.deepcopy(sched)
     i, k = next((i, k) for i, ev in enumerate(mutated.events)
