@@ -13,12 +13,14 @@ carry every rotation due there and are as few as possible; the layers
 left empty are dropped. It changes no move, pair, SWAP or trap change,
 only when rotations run. A second pass (`_merge_phases`) then emits each
 run of move phases with no event between them, which a dropped layer can
-leave, as one phase. A last pass (`_hold_columns`) lets an idle column
+leave, as one phase. A third pass (`_hold_columns`) lets an idle column
 wait where it stands until its next move, which then takes it straight
 to its next target, when nothing in between involves it, it waits
 outside compute, no other column crosses it and no phase grows (keeping
 atoms near where they are next needed, as in ZAC: Lin, Tan & Cong, HPCA
-2025). No pass changes a decision.
+2025). No pass changes a decision or keeps a clock: the passes edit
+only the event list, and a last step (`_retime`) sets every event's
+start and end, in order, from the cost model.
 
 A CZ layer plans with all columns relocated to the starting cache's
 slots next to compute, then processes them from the cache side nearest
@@ -198,20 +200,17 @@ class _LayerPlan:
 
 @dataclass
 class _Phase:
-    """A move phase as `_hold_columns` reads and edits it: its times, the
-    U3 layers before it, its moves by cid in emission order and their
-    durations; the index of the state after it; and for each column whose
-    next move follows with no event involving it in between, that move's
-    phase."""
+    """A move phase as `_hold_columns` reads and edits it: the U3 layers
+    before it, its moves by cid in emission order and their durations
+    (which the pass weighs holds by; `_retime` times the phase); the
+    index of the state after it; and for each column whose next move
+    follows with no event involving it in between, that move's phase."""
 
-    t_start: float
-    t_end: float
     u3_before: int
     moves: dict[int, ColumnMove] = field(default_factory=dict)
     durations: dict[int, float] = field(default_factory=dict)
     state: int = 0
     next_move: dict[int, int] = field(default_factory=dict)
-    changed: bool = False
 
 
 class Compiler:
@@ -274,8 +273,9 @@ class Compiler:
         self.swap_count = 0
         self.trap_change_count = 0
 
+        # Untimed until `_retime`: a move phase's moves carry its ordinal.
         self.events: list = []
-        self.t = 0.0
+        self.phase = 0
         self.layer = 0
         self.direction = RIGHT
         # Atoms a CZ layer's placements keep crosstalk_radius from.
@@ -329,7 +329,7 @@ class Compiler:
         return cols
 
     # ------------------------------------------------------------------
-    # event emission with phase timing
+    # event emission
     def _flush_moves(self, cols: list[_Column] | None = None) -> None:
         """Close the open movement phase: one move for each of `cols` (by
         default every column) that is not where the phase found it, from
@@ -343,10 +343,9 @@ class Compiler:
         self.found_y = list(self.atom_y)
         if not moves:
             return
-        dur = movement_phase_time(moves, self.params, self.serial)
-        evs = ordered_phase_moves(moves, self.t, self.t + dur, self.layer)
-        self.events.extend(evs)
-        self.t += dur
+        self.phase += 1
+        self.events.extend(ordered_phase_moves(moves, self.phase, self.phase,
+                                               self.layer))
 
     def _move_column(self, col: _Column, to_x: float,
                      y_targets: dict[int, float]) -> None:
@@ -366,11 +365,8 @@ class Compiler:
 
     def _trap_change(self, direction: str,
                      transfers: list[TrapTransfer]) -> None:
-        """Emit and count one trap change at the current time."""
-        dur = self.params.trap_change_time
-        self.events.append(TrapChange(self.t, self.t + dur, self.layer,
-                                      direction, transfers))
-        self.t += dur
+        """Emit and count one trap change."""
+        self.events.append(TrapChange(0.0, 0.0, self.layer, direction, transfers))
         self.trap_change_count += 1
 
     def _fire(self, staged: list[CzEntry]) -> None:
@@ -381,9 +377,7 @@ class Compiler:
         joins the return to the next layer's phase."""
         self._flush_moves()
         if staged:
-            self.events.append(Illumination(self.t, self.t + self.params.cz_time,
-                                            self.layer, staged))
-            self.t += self.params.cz_time
+            self.events.append(Illumination(0.0, 0.0, self.layer, staged))
         if self.one_cache:
             self._relocate_all(RIGHT)
             self._flush_moves()
@@ -462,6 +456,7 @@ class Compiler:
         self._pack_rotations()
         self._merge_phases()
         self._hold_columns()
+        self._retime()
         schedule = Schedule(
             technique=self.technique,
             grid=self.grid.kind,
@@ -511,10 +506,7 @@ class Compiler:
                         self._complete_swap(*qubits)
                         break
                     g = self.frontier.swap_gate(sid)
-            self.events.append(
-                U3LayerEvent(self.t, self.t + self.params.u3_time, self.layer, entries)
-            )
-            self.t += self.params.u3_time
+            self.events.append(U3LayerEvent(0.0, 0.0, self.layer, entries))
             executed += len(entries)
 
     def _complete_swap(self, qa: int, qb: int) -> None:
@@ -533,9 +525,9 @@ class Compiler:
         rotating it; measures follow every U3 layer. Layers holding a SWAP
         step stay. By earliest deadline, each native rotation takes the
         earliest kept layer in its window, or else keeps its deadline
-        layer (a greedy interval cover). Each layer left empty is dropped,
-        and every later event starts u3_time earlier per dropped layer;
-        every other event and layer number stays as it was."""
+        layer (a greedy interval cover). Each layer left empty is dropped;
+        every other event and layer number stays as it was. The pass edits
+        only the event list; `_retime` sets the times."""
         k = sum(isinstance(ev, U3LayerEvent) for ev in self.events)
         # Scanning backward, bound[atom] is the last U3 layer (counted from
         # 0) before the next event on the atom.
@@ -560,21 +552,16 @@ class Compiler:
             if i == len(kept) or kept[i] > deadline:
                 kept.insert(i, deadline)
             placed[kept[i]].append((start, j, g))
-        events, dropped = [], 0
+        events = []
         layers = iter(placed)
         for ev in self.events:
             if isinstance(ev, U3LayerEvent):
                 here = next(layers)
                 if not here:
-                    dropped += 1
                     continue
                 ev.gates = [g for *_, g in sorted(here)]
-            if dropped:
-                ev.t_start -= dropped * self.params.u3_time
-                ev.t_end -= dropped * self.params.u3_time
             events.append(ev)
         self.events = events
-        self.t -= dropped * self.params.u3_time
 
     def _merge_phases(self) -> None:
         """Emit each run of back-to-back move phases as one phase, once
@@ -586,19 +573,11 @@ class Compiler:
         strictly x-ordered states, so one phase in which each column moves
         straight from where the first phase found it to where the last
         left it never crosses columns, and by the triangle inequality no
-        |dx| or |dy| grows. The merged phase takes the last phase's layer
-        number and its duration from the cost model; every later event
-        starts earlier by the time saved. Nothing merges across any other
-        event."""
+        |dx| or |dy| grows. The merged phase takes the first phase's name
+        and the last phase's layer number. Nothing merges across any other
+        event. The pass edits only the event list; `_retime` times the
+        merged phase."""
         events: list = []
-        saved = 0.0
-
-        def emit(evs: list) -> None:
-            for e in evs:
-                e.t_start -= saved
-                e.t_end -= saved
-            events.extend(evs)
-
         run: list[ColumnMove] = []
         for ev in self.events:
             if isinstance(ev, ColumnMove):
@@ -613,17 +592,12 @@ class Compiler:
                           [(a, fy, ty) for (a, fy, _), (_, _, ty)
                            in zip(m.atoms, last[cid].atoms)])
                          for cid, m in first.items()]
-                dur = movement_phase_time(moves, self.params, self.serial)
-                t0, t1 = run[0].t_start, run[-1].t_end
-                emit(ordered_phase_moves(moves, t0, t0 + dur, run[-1].layer))
-                saved += t1 - t0 - dur
-            else:
-                emit(run)
-            emit([ev])
+                name = run[0].t_start
+                run = ordered_phase_moves(moves, name, name, run[-1].layer)
+            events += run
+            events.append(ev)
             run = []
-        emit(run)
-        self.events = events
-        self.t -= saved
+        self.events = events + run
 
     def _hold_columns(self) -> None:
         """Let each idle column wait where it stands until its next move,
@@ -641,9 +615,10 @@ class Compiler:
         A -> C take no longer than the two phases did. Candidates are taken
         in time order, so holds chain, and the pass repeats until it holds
         nothing, since a hold can clear the way for a candidate it refused.
-        A phase left with no move is dropped, and every later event starts
-        earlier by the time saved. No pair, SWAP, trap change or U3 layer
-        changes, and by the triangle inequality no column travels further."""
+        A phase left with no move is dropped. No pair, SWAP, trap change or
+        U3 layer changes, and by the triangle inequality no column travels
+        further. The pass edits only the event list; `_retime` sets the
+        times."""
         comp = self.layout.compute
         params = self.params
         width = self.next_cid
@@ -666,16 +641,16 @@ class Compiler:
         column_of: dict[int, int] = {}
         last: dict[int, int] = {}  # column -> phase of its last move, if uninvolved since
         u3_layers = 0
-        phase = None
+        phase = name = None
         for ev in self.events:
             if phase is not None and not (isinstance(ev, ColumnMove)
-                                          and ev.t_start == phase.t_start):
+                                          and ev.t_start == name):
                 phase.state = len(states)
                 states.append(list(xs))
                 phase = None
             if isinstance(ev, ColumnMove):
                 if phase is None:
-                    phase = _Phase(ev.t_start, ev.t_end, u3_layers)
+                    phase, name = _Phase(u3_layers), ev.t_start
                     phases.append(phase)
                     items.append(phase)
                 cid = ev.column
@@ -780,33 +755,44 @@ class Compiler:
                                 heapq.heappush(todo, k)
                             else:
                                 woken.add(k)
-                    pa.changed = pb.changed = True
                     continue
                 waits += [key[0], j]
             for w in waits:
                 waiting.setdefault(w, set()).add(key)
 
         events: list = []
-        saved = 0.0
         for item in items:
-            if not isinstance(item, _Phase):
-                item.t_start -= saved
-                item.t_end -= saved
+            if isinstance(item, _Phase):
+                events += replay_order(list(item.moves.values()))
+            else:
                 events.append(item)
-                continue
-            t0, t1 = item.t_start - saved, item.t_end - saved
-            moves = list(item.moves.values())
-            if item.changed:
-                durs = item.durations.values()
-                dur = sum(durs, 0.0) if self.serial else max(durs, default=0.0)
-                saved += t1 - t0 - dur
-                t1 = t0 + dur
-                moves = replay_order(moves)
-            for m in moves:
-                m.t_start, m.t_end = t0, t1
-            events.extend(moves)
         self.events = events
-        self.t -= saved
+
+    def _retime(self) -> None:
+        """Time every event in order from the cost model, each starting
+        where the one before it ends: a move phase (a run of column moves
+        sharing a `t_start`, its name until now) lasts `movement_phase_time`
+        of its moves in emitted order, an illumination cz_time, a U3 layer
+        u3_time, a trap change trap_change_time and a measure no time."""
+        params = self.params
+        duration = {Illumination: params.cz_time, U3LayerEvent: params.u3_time,
+                    TrapChange: params.trap_change_time, Measure: 0.0}
+        events, t, i = self.events, 0.0, 0
+        while i < len(events):
+            j = i + 1
+            if isinstance(events[i], ColumnMove):
+                while (j < len(events) and isinstance(events[j], ColumnMove)
+                       and events[j].t_start == events[i].t_start):
+                    j += 1
+                dur = movement_phase_time(
+                    [(m.column, m.from_x, m.to_x, m.atoms) for m in events[i:j]],
+                    params, self.serial)
+            else:
+                dur = duration[type(events[i])]
+            for ev in events[i:j]:
+                ev.t_start, ev.t_end = t, t + dur
+            t += dur
+            i = j
 
     # ------------------------------------------------------------------
     # CZ layers
@@ -1490,7 +1476,7 @@ class Compiler:
         self._trap_change(AOD_TO_SLM, [TrapTransfer(a, x, y) for a, x, y in at])
         if at:
             self.events.append(Measure(
-                self.t, self.t, self.layer,
+                0.0, 0.0, self.layer,
                 sorted((a, self.qubit_of[a], x, y) for a, x, y in at)))
 
 

@@ -41,7 +41,9 @@ from pachinqo.metrics import (
     build_report,
     composed_swap_error,
     esp,
+    movement_phase_time,
     movement_total,
+    runtime_breakdown,
 )
 from pachinqo.schedule import (
     SLM_TO_AOD,
@@ -94,12 +96,29 @@ def _compile(circ, technique="pachinqo", grid_kind="large-square",
 
 
 # ---------------------------------------------------------------------------
+class _RecordingCompiler(Compiler):
+    """Keeps a copy of the events as `_merge_phases` finds them (`unmerged`),
+    so that the post-pass tests can rebuild the schedule without merged
+    phases or held columns from the same compile (`_from_record`)."""
+
+    unmerged: list | None = None
+
+    def _merge_phases(self) -> None:
+        self.unmerged = [copy.copy(ev) for ev in self.events]
+        super()._merge_phases()
+
+
 def _compile_corpus():
+    """(circuit, technique, grid kind, schedule, violations, compiler) for
+    every corpus case."""
     results = []
     for circ, technique, grid_kind in corpus_cases(count=208, seed=2024):
-        sched, layout, grid = _compile(circ, technique, grid_kind)
+        layout = build_layout(circ.num_qubits, "auto", PARAMS, grid_kind)
+        grid = generate_grid(grid_kind, layout, PARAMS)
+        compiler = _RecordingCompiler(circ, technique, grid, layout, PARAMS)
+        sched = compiler.run()
         violations = validate_schedule(sched, layout, grid, PARAMS, circ)
-        results.append((circ, technique, grid_kind, sched, violations))
+        results.append((circ, technique, grid_kind, sched, violations, compiler))
     return results
 
 
@@ -110,7 +129,7 @@ def corpus_results():
     return _compile_corpus()
 
 
-class _GuardForcingCompiler(Compiler):
+class _GuardForcingCompiler(_RecordingCompiler):
     """Turns the first two of every four CZ layers into no-ops that
     execute nothing, so `run()` falls into the progress guard (which
     waits for two rounds in a row that execute nothing) and its
@@ -142,10 +161,6 @@ class _UnmergedCompiler(Compiler):
 
     def _hold_columns(self) -> None:
         pass
-
-
-class _UnmergedGuardForcingCompiler(_UnmergedCompiler, _GuardForcingCompiler):
-    pass
 
 
 class _PhasedCompiler(_UnmergedCompiler):
@@ -192,10 +207,10 @@ class _PhasedGuardForcingCompiler(_PhasedCompiler, _GuardForcingCompiler):
 
 
 def _compile_forced_guard():
-    """(circuit, technique, grid kind, schedule, layout, grid, isolation
-    layers) for 9 random circuits under every technique x grid. The
-    8-qubit ones get one AOD column; the 16-qubit ones have several, so the
-    isolation layer also parks columns on both sides of the placed one."""
+    """(circuit, technique, grid kind, schedule, layout, grid, compiler)
+    for 9 random circuits under every technique x grid. The 8-qubit ones
+    get one AOD column; the 16-qubit ones have several, so the isolation
+    layer also parks columns on both sides of the placed one."""
     results = []
     for k, n, n_gates in [(k, 8, 60) for k in range(6)] + \
             [(k, 16, 80) for k in range(3)]:
@@ -209,7 +224,7 @@ def _compile_forced_guard():
                                                  PARAMS)
                 sched = compiler.run()
                 results.append((circ, technique, grid_kind, sched, layout,
-                                grid, compiler.isolation_layers))
+                                grid, compiler))
     return results
 
 
@@ -220,8 +235,8 @@ def forced_guard_results():
 
 class _PostPassCase(NamedTuple):
     """One schedule with its references for the post-pass tests: `unmerged`
-    comes from `_UnmergedCompiler` (neither phases merged nor columns
-    held), and `unheld` is that schedule with its phases merged, which is
+    is the same compile's schedule with neither phases merged nor columns
+    held, and `unheld` is that schedule with its phases merged, which is
     the compiler's schedule without holds. `violations` and `equivalent`
     (None above EQUIVALENCE_QUBIT_CAP qubits) are those of `sched`."""
 
@@ -239,40 +254,47 @@ class _PostPassCase(NamedTuple):
     equivalent: bool | None
 
 
-def _merged_copy(compiler: Compiler, sched: Schedule) -> Schedule:
-    """`sched`, which `compiler` compiled without merging phases or
-    holding columns, with its back-to-back move phases merged; the events
-    are copied, so `sched` is left as it was."""
-    compiler.events = [copy.copy(ev) for ev in sched.events]
-    Compiler._merge_phases(compiler)
+def _from_record(compiler: _RecordingCompiler, sched: Schedule,
+                 *passes) -> Schedule:
+    """`sched`, which `compiler` compiled, rebuilt from a copy of the events
+    it recorded before merging phases: `passes` run on them, then
+    `_retime`, as in `run()`. `sched` and the record are left as they
+    were."""
+    compiler.events = [copy.copy(ev) for ev in compiler.unmerged]
+    for post_pass in passes:
+        post_pass(compiler)
+    compiler._retime()
     return dataclasses.replace(sched, events=compiler.events)
 
 
 def _compile_unmerged(corpus_results, forced_guard_results):
     """A `_PostPassCase` for each case of the corpus and the forced-guard
     set, with concurrent and serial movement. The concurrent schedules
-    are those of the two fixtures, and each case compiles its unmerged
-    reference once."""
-    cases = [(circ, technique, grid_kind, sched, False)
-             for circ, technique, grid_kind, sched, _ in corpus_results]
-    cases += [(circ, technique, grid_kind, sched, True)
-              for circ, technique, grid_kind, sched, *_ in forced_guard_results]
+    are those of the two fixtures, and each case compiles once more, with
+    serial movement; the references come from the same compiles."""
+    cases = [(circ, technique, grid_kind, sched, compiler, False)
+             for circ, technique, grid_kind, sched, _, compiler in corpus_results]
+    cases += [(circ, technique, grid_kind, sched, compiler, True)
+              for circ, technique, grid_kind, sched, *_, compiler
+              in forced_guard_results]
     results = []
-    for circ, technique, grid_kind, concurrent, forced in cases:
-        cls, ref_cls = ((_GuardForcingCompiler, _UnmergedGuardForcingCompiler)
-                        if forced else (Compiler, _UnmergedCompiler))
+    for circ, technique, grid_kind, concurrent, compiled, forced in cases:
+        cls = _GuardForcingCompiler if forced else _RecordingCompiler
         layout = build_layout(circ.num_qubits, "auto", PARAMS, grid_kind)
         grid = generate_grid(grid_kind, layout, PARAMS)
         for serial in (False, True):
-            sched = (cls(circ, technique, grid, layout, PARAMS, serial).run()
-                     if serial else concurrent)
-            ref_compiler = ref_cls(circ, technique, grid, layout, PARAMS, serial)
-            ref = ref_compiler.run()
+            if serial:
+                compiler = cls(circ, technique, grid, layout, PARAMS, serial)
+                sched = compiler.run()
+            else:
+                compiler, sched = compiled, concurrent
             equivalent = (equivalence_check(sched, circ)[0]
                           if circ.num_qubits <= EQUIVALENCE_QUBIT_CAP else None)
             results.append(_PostPassCase(
-                circ, technique, grid_kind, serial, sched, ref,
-                _merged_copy(ref_compiler, ref), layout, grid, forced,
+                circ, technique, grid_kind, serial, sched,
+                _from_record(compiler, sched),
+                _from_record(compiler, sched, Compiler._merge_phases),
+                layout, grid, forced,
                 validate_schedule(sched, layout, grid, PARAMS, circ),
                 equivalent))
     return results
@@ -322,7 +344,7 @@ def _schedule_digests(corpus_results, forced_guard_results,
 
     digests = {f"corpus/{circ.source_name}/{technique}/{grid_kind}":
                digest(sched)
-               for circ, technique, grid_kind, sched, _ in corpus_results}
+               for circ, technique, grid_kind, sched, *_ in corpus_results}
     digests.update(
         (f"guard/{circ.source_name}/{technique}/{grid_kind}", digest(sched))
         for circ, technique, grid_kind, sched, *_ in forced_guard_results)
@@ -504,10 +526,52 @@ def test_held_columns_match_unheld_reference(unmerged_results):
     assert faster >= {"pachinqo", "degreesplit", "trapchange"}
 
 
+def _timing_faults(sched) -> tuple[list[int], list[int]]:
+    """Where `sched`'s times do not follow from its event list, as event
+    indices: each event that does not start exactly where the one before
+    it ends (a move phase, the run of column moves that share a start,
+    counting as one event), and the first move of each phase that does
+    not end exactly `movement_phase_time` of the phase's moves, in
+    emitted order, after it starts."""
+    spans: list[tuple[int, list]] = []  # (first index, events) per span
+    for i, ev in enumerate(sched.events):
+        last = spans[-1][1][-1] if spans else None
+        if (isinstance(ev, ColumnMove) and isinstance(last, ColumnMove)
+                and ev.t_start == last.t_start):
+            spans[-1][1].append(ev)
+        else:
+            spans.append((i, [ev]))
+    starts, phases, end = [], [], 0.0
+    for i, evs in spans:
+        if evs[0].t_start != end:
+            starts.append(i)
+        end = evs[-1].t_end
+        if isinstance(evs[0], ColumnMove):
+            dur = movement_phase_time(
+                [(m.column, m.from_x, m.to_x, m.atoms) for m in evs],
+                PARAMS, sched.serial_movement)
+            if any(m.t_end != m.t_start + dur for m in evs):
+                phases.append(i)
+    return starts, phases
+
+
+def test_times_follow_from_the_event_list(unmerged_results):
+    """Every event starts exactly where the one before it ends, and every
+    move phase lasts exactly `movement_phase_time` of its moves: the
+    times follow from the final event list alone, with nothing left of
+    the time each pass saved. Over the corpus and the forced-guard set,
+    on every technique x grid, with concurrent and serial movement."""
+    assert {case[1:4] for case in unmerged_results} == \
+        {(t, g, s) for t in TECHNIQUES for g in GRIDS for s in (False, True)}
+    for c in unmerged_results:
+        case = (c.circ.source_name, c.technique, c.grid_kind, c.serial)
+        assert _timing_faults(c.sched) == ([], []), case
+
+
 def test_runtime_breakdown_sums_to_runtime(corpus_results):
     """report.json's runtime breakdown adds up to its runtime, to the
     validator's 1e-9 us per event, and every schedule moves."""
-    for circ, technique, grid_kind, sched, _ in corpus_results:
+    for circ, technique, grid_kind, sched, *_ in corpus_results:
         report = build_report(sched, PARAMS)
         parts = report.runtime_breakdown_us
         assert set(parts) == {"movement", "trap_change", "u3", "cz"}
@@ -624,16 +688,17 @@ def test_packing_removes_only_u3_layers(corpus_results, unmerged_results):
     """Packing rotations keeps every other event in order, with its layer
     number and duration, and each atom's rotations in order. It only
     removes U3 layers, leaves none empty and none it could drop, moves
-    each rotation within its window, and the runtime falls by exactly
-    u3_time per removed layer. Over the corpus, on every technique x grid;
-    the packed schedules validate and match the oracle. Both sides leave
-    back-to-back move phases apart and hold no column, so that only U3
-    layers differ."""
+    each rotation within its window, and the modelled time of the U3
+    layers falls by exactly u3_time per removed layer while every other
+    kind's stays exactly as it was. Over the corpus, on every technique x
+    grid; the packed schedules validate and match the oracle. Both sides
+    leave back-to-back move phases apart and hold no column, so that only
+    U3 layers differ."""
     packed = {(c.circ.source_name, c.technique, c.grid_kind):
               (c.unmerged, c.layout, c.grid)
               for c in unmerged_results if not c.serial}
     removed = 0
-    for circ, technique, grid_kind, _, violations in corpus_results:
+    for circ, technique, grid_kind, _, violations, _ in corpus_results:
         case = (circ.source_name, technique, grid_kind)
         sched, layout, grid = packed[case]
         ref = _UnpackedCompiler(circ, technique, grid, layout, PARAMS).run()
@@ -649,7 +714,9 @@ def test_packing_removes_only_u3_layers(corpus_results, unmerged_results):
         assert all(ev.gates for ev in layers), case
         _check_packing(sched, ref, case)
         fewer = sum(isinstance(ev, U3LayerEvent) for ev in ref.events) - len(layers)
-        assert sched.end_time == ref.end_time - fewer * PARAMS.u3_time, case
+        ref_times = runtime_breakdown(ref.events, PARAMS)
+        assert runtime_breakdown(sched.events, PARAMS) == {
+            **ref_times, "u3": ref_times["u3"] - fewer * PARAMS.u3_time}, case
         removed += fewer
         assert violations == [], case
         if circ.num_qubits <= EQUIVALENCE_QUBIT_CAP:
@@ -664,9 +731,9 @@ def test_forced_guard_schedules_validate(forced_guard_results):
     grid, yields valid and equivalent schedules."""
     bad = []
     isolation = dict.fromkeys(TECHNIQUES, 0)
-    for circ, technique, grid_kind, sched, layout, grid, n_iso in \
+    for circ, technique, grid_kind, sched, layout, grid, compiler in \
             forced_guard_results:
-        isolation[technique] += n_iso
+        isolation[technique] += compiler.isolation_layers
         violations = validate_schedule(sched, layout, grid, PARAMS, circ)
         equal, tvd = (equivalence_check(sched, circ)
                       if circ.num_qubits <= EQUIVALENCE_QUBIT_CAP else (True, 0.0))
@@ -769,7 +836,7 @@ def test_only_pair_atoms_of_columns_stand_in_compute_under_the_pulse(
     on every technique x grid."""
     cases = [(circ, technique, grid_kind, sched,
               build_layout(circ.num_qubits, "auto", PARAMS, grid_kind))
-             for circ, technique, grid_kind, sched, _ in corpus_results]
+             for circ, technique, grid_kind, sched, *_ in corpus_results]
     cases += [(circ, technique, grid_kind, sched, layout)
               for circ, technique, grid_kind, sched, layout, *_ in
               forced_guard_results + qasm_results]
@@ -820,7 +887,7 @@ def test_onecache_stays_in_its_one_cache(corpus_results, forced_guard_results):
     forced isolation layers."""
     cases = [(circ, grid_kind, sched, build_layout(circ.num_qubits, "auto",
                                                    PARAMS, grid_kind))
-             for circ, technique, grid_kind, sched, _ in corpus_results
+             for circ, technique, grid_kind, sched, *_ in corpus_results
              if technique == "onecache"]
     cases += [(circ, grid_kind, sched, layout)
               for circ, technique, grid_kind, sched, layout, _, _ in
@@ -903,7 +970,7 @@ def test_criterion_3_error_composition():
 
 def test_criterion_4_validator_pass_rate(corpus_results):
     t0 = time.perf_counter()
-    bad = [(c.source_name, t, g, v) for c, t, g, _, v in corpus_results if v]
+    bad = [(c.source_name, t, g, v) for c, t, g, _, v, _ in corpus_results if v]
     dt = time.perf_counter() - t0
     ok = not bad and len(corpus_results) >= 200
     detail = (f"{len(corpus_results)} corpus schedules, "
@@ -918,7 +985,7 @@ def test_criterion_5_semantic_equivalence(corpus_results):
     checked = 0
     worst_err = 0.0
     ok = True
-    small = [c for c, _, _, _, _ in corpus_results if c.num_qubits <= 10]
+    small = [c for c, *_ in corpus_results if c.num_qubits <= 10]
     # dedupe by name; every small circuit runs under all four techniques
     seen = set()
     for circ in small:
@@ -975,7 +1042,7 @@ def test_criterion_7_directional_comparisons():
 def test_criterion_8_swap_bound(corpus_results):
     worst = 0.0
     ok = True
-    for circ, technique, grid_kind, sched, _ in corpus_results:
+    for circ, technique, grid_kind, sched, *_ in corpus_results:
         n_cz = circ.count("cz")
         if sched.swap_count > n_cz:
             ok = False

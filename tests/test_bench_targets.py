@@ -14,6 +14,7 @@ from pathlib import Path
 import pytest
 
 from pachinqo.machine import PhysParams, build_layout, generate_grid
+from pachinqo.schedule import ColumnMove
 from pachinqo.scheduler import Compiler
 from pachinqo.verifier import validate_schedule
 
@@ -54,3 +55,23 @@ def test_every_traced_metric_is_called(tracing):
     assert tracing.installed_wrappers() == []
     keys = {key for _, _, key, _ in tracing.TARGETS}
     assert sorted(k for k in keys if tracer.calls[k] == 0) == []
+
+
+@pytest.mark.parametrize("technique", ["pachinqo", "onecache"])
+def test_traced_move_phases_count_the_emitted_phases(tracing, technique):
+    """`scheduler.move_phases` counts the move phases the compiled schedule
+    holds: one cost-model call per phase, after every pass has merged or
+    dropped phases."""
+    circ = random_circuit(random.Random(5), 12, 60)
+    params = PhysParams()
+    layout = build_layout(circ.num_qubits, "auto", params)
+    grid = generate_grid("large-square", layout, params)
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        sched = Compiler(circ, technique, grid, layout, params).run()
+    finally:
+        tracer.uninstall()
+    phases = {(ev.t_start, ev.t_end) for ev in sched.events
+              if isinstance(ev, ColumnMove)}
+    assert tracer.calls["scheduler.move_phases"] == len(phases)

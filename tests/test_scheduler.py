@@ -1131,11 +1131,12 @@ def _hold_compiler(technique="pachinqo", serial=False):
 
 def _hold(compiler, parts):
     """Run `Compiler._hold_columns` alone on the hand-built events of
-    `parts`; returns the events as built. The compiler keeps them held."""
+    `parts`, then time them as `run()` would; returns the events as built.
+    The compiler keeps them held."""
     built = _hand_built(parts, compiler.params, compiler.serial)
     compiler.events = [copy.copy(ev) for ev in built]
-    compiler.t = built[-1].t_end
     compiler._hold_columns()
+    compiler._retime()
     return built
 
 
@@ -1170,7 +1171,7 @@ def test_hold_drops_a_tuck_and_return():
     assert len(_column_moves(built, 0)) == 2
     assert _column_moves(compiler.events, 0) == []
     assert _column_moves(compiler.events, 1) == _column_moves(built, 1)
-    assert compiler.events[-1].t_end == compiler.t == built[-1].t_end
+    assert compiler.events[-1].t_end == built[-1].t_end
 
 
 def test_hold_refused_where_a_neighbour_crosses_the_held_x():
@@ -1209,7 +1210,7 @@ def test_hold_refused_where_it_would_lengthen_the_schedule(serial):
     held = [(100.0, 265.0, list(zip((0, 2), _HUNG, _HUNG)))]
     assert _column_moves(compiler.events, 0) == (
         held if serial else _column_moves(built, 0))
-    assert compiler.t == pytest.approx(built[-1].t_end, abs=1e-9)
+    assert compiler.events[-1].t_end == pytest.approx(built[-1].t_end, abs=1e-9)
 
 
 @pytest.mark.parametrize("technique, at_home, holds", [
