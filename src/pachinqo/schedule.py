@@ -136,13 +136,14 @@ class Schedule:
 
 def ordered_phase_moves(
     moves: list[tuple[int, float, float, list[tuple[int, float, float]]]],
-    t_start: float,
-    t_end: float,
+    phase: float,
     layer: int,
 ) -> list[ColumnMove]:
     """Emit one phase of concurrent column moves in a replay-safe order
-    (`replay_order`); no-op moves are dropped."""
-    return replay_order([ColumnMove(t_start, t_end, layer, cid, fx, tx, list(atoms))
+    (`replay_order`); no-op moves are dropped. Each move carries the
+    phase's name as both of its times, which tell one phase from the
+    next until the compiler times every event (`Compiler._retime`)."""
+    return replay_order([ColumnMove(phase, phase, layer, cid, fx, tx, list(atoms))
                          for cid, fx, tx, atoms in moves])
 
 

@@ -43,9 +43,13 @@ room for the later columns, or memory under the column when no later
 planned placement (or in-flight SWAP's CZ step) lies beyond it (keeping
 atoms near where they are next needed, as in ZAC: Lin, Tan & Cong, HPCA
 2025); failing both, it drops into memory beside the column that blocks
-the way. One illumination then fires every staged pair at once. Start
-sides toggle right-left-right so no column gets standing priority; a
-layer in which a column finds no legal retreat keeps the same side.
+the way. Once every column has had its turn, the columns standing in
+compute (those that placed or paired) stage every further pair of two
+mobile atoms that fits where they stand (`_fill`, below), unless a column
+found no legal retreat or a trap change fired. One illumination then
+fires every staged pair at once. Start sides toggle right-left-right so
+no column gets standing priority; a layer in which a column finds no
+legal retreat keeps the same side.
 
 Move phases are fused. The compiler applies every move to its state at
 once and keeps one record of where the open phase found each column: the
@@ -69,8 +73,12 @@ nothing to place: both atoms stand within the interaction radius over a
 free clear site, one INTERACTION_OFFSET above the other when they share
 a column, or side by side, the lower cid's on the left, when the
 partner's column is the next in the layer's order (which then takes no
-turn of its own). When the partner's column is the one just before,
-whatever it did with its turn, the column stays idle instead: the next
+turn of its own). When the partner's column is the one just before and
+stands in compute, the column joins it: it moves INTERACTION_OFFSET past
+that column, toward the layer's far side, and the pair forms side by
+side at the clear site row nearest where the open phase found the atom
+(`_join`), if that x lies between the column's neighbours and short of
+every later column's wanted x. Otherwise the column stays idle: the next
 layer runs the columns in the reverse order, so the pair can form then.
 The site is the one nearest where the open phase found the columns,
 among those that are clear of obstacles and leave every later column's
@@ -78,11 +86,18 @@ wanted x reachable, as retreats do; a pair within one column that the
 neighbouring columns or that reach rule keep from every site also waits
 for the next layer. A round that executes nothing emits nothing, so the
 progress guard waits for a second one, in which such a pair can form.
-Each column's other atoms hang below compute as for a placement. Zoned
-arrays entangle any two atoms in blockade range under the global
-Rydberg pulse (Bluvstein et al., Nature 2024), and DPQA schedules
-AOD-AOD gates the same way (Tan, Bluvstein, Lukin & Cong, Quantum 2024),
-so every technique gets pairs.
+Each column's other atoms hang below compute as for a placement.
+
+A column takes one turn per layer but may run several pairs. After the
+turns, `_fill` lifts further atoms of the standing columns into pairs
+where the columns stand, with no move in x: two atoms of one column one
+above the other, or two atoms of standing columns INTERACTION_OFFSET
+apart side by side, each pair at the clear site row nearest where the
+open phase found its first atom. Zoned arrays entangle any two atoms in
+blockade range under the global Rydberg pulse (Bluvstein et al., Nature
+2024), and DPQA schedules several AOD-AOD gates per pulse the same way
+(Tan, Bluvstein, Lukin & Cong, Quantum 2024), so every technique gets
+pairs.
 
 Other conflicts (a partner two or more columns away, or two static
 operands), and pairs with no site, insert SWAPs executed preemptively,
@@ -189,13 +204,16 @@ class _Column:
 class _LayerPlan:
     """A CZ layer's plan (`_plan_layer`): its processing order and side,
     the CZ each column atom waits for when the layer starts (`_cz_target`,
-    read once per layer), and the placement chosen for each planned
-    column, by cid, as (gate, atom, partner atom, x)."""
+    read once per layer), the placement chosen for each planned column,
+    by cid, as (gate, atom, partner atom, x), and the standing columns."""
 
     order: list[_Column]
     side: int
     targets: dict[int, tuple[Gate, int, bool] | None]
     placements: dict[int, tuple[Gate, int, int, float]]
+    # The cids of the columns standing in compute: those that have placed
+    # or paired so far this layer (`_cz_layer` adds them).
+    standing: set[int] = field(default_factory=set)
 
 
 @dataclass
@@ -250,6 +268,9 @@ class Compiler:
             fit = [(x, y, s) for x, y, s in by_x
                    if comp.contains(x, y) and comp.contains(x + dx, y + dy)]
             self.pair_sites[dx, dy] = fit, [x for x, _, _ in fit]
+        # The clear sites' rows, ascending: the ys at which a standing
+        # column's pair of mobile atoms may form (`_fill`, `_join`).
+        self.pair_rows = sorted({grid.sites[s][1] for s in self.clear_sites})
 
         # Mutable machine state. Atom ids equal initial qubit ids. An atom
         # is held by its site in atom_site, or else by a column's atoms.
@@ -344,8 +365,7 @@ class Compiler:
         if not moves:
             return
         self.phase += 1
-        self.events.extend(ordered_phase_moves(moves, self.phase, self.phase,
-                                               self.layer))
+        self.events.extend(ordered_phase_moves(moves, self.phase, self.layer))
 
     def _move_column(self, col: _Column, to_x: float,
                      y_targets: dict[int, float]) -> None:
@@ -592,8 +612,7 @@ class Compiler:
                           [(a, fy, ty) for (a, fy, _), (_, _, ty)
                            in zip(m.atoms, last[cid].atoms)])
                          for cid, m in first.items()]
-                name = run[0].t_start
-                run = ordered_phase_moves(moves, name, name, run[-1].layer)
+                run = ordered_phase_moves(moves, run[0].t_start, run[-1].layer)
             events += run
             events.append(ev)
             run = []
@@ -816,9 +835,11 @@ class Compiler:
         """Run one CZ layer from `self.direction`'s cache: plan the
         placements (`_plan_layer`), then give every live column its action
         in processing order (`_find_action`), retreating each column that
-        neither placed nor paired, and fire. Every column gets its turn.
-        Returns the number of columns that executed a CZ, changed traps or
-        began a SWAP."""
+        neither placed nor paired, stage the further pairs the standing
+        columns can run where they stand (`_fill`, unless a column was
+        stuck or a trap change fired), and fire. Every column gets its
+        turn. Returns the number of columns that executed a CZ, changed
+        traps or began a SWAP."""
         self.layer += 1
         self.busy.clear()
         staged: list[CzEntry] = []
@@ -847,13 +868,18 @@ class Compiler:
             executed += action != "idle"
             if action == "paired":
                 paired = nxt
+                plan.standing.add(nxt.cid)
             if action in ("placed", "paired"):
+                plan.standing.add(col.cid)
                 continue
             # Clear the way, unless a deposit took the column's last atom.
             if col.atoms and not self._retreat(col, side, later):
                 stuck = True
                 break
-        if not staged and self.trap_change_count == trap_changes:
+        trap_changed = self.trap_change_count != trap_changes
+        if not (stuck or trap_changed):
+            self._fill(plan.standing, staged)
+        if not staged and not trap_changed:
             self._stay()
         self._fire(staged)
         if not (self.one_cache or stuck):
@@ -867,6 +893,67 @@ class Compiler:
         for col in self.columns:
             self._move_column(col, col.found_x,
                               {a: self.found_y[a] for a in col.atoms})
+
+    def _fill(self, standing: set[int], staged: list[CzEntry]) -> None:
+        """Stage each further CZ of two mobile atoms that the standing
+        columns can run where they stand, once every column has had its
+        turn.
+
+        The standing columns go in cid order, their atoms in slot order.
+        An atom that is not busy qualifies when its `_cz_target` is an
+        executable CZ, not a SWAP step, whose partner is mobile and not
+        busy. The pair stands one above the other, at (x, y) and
+        (x, y + INTERACTION_OFFSET), when both atoms share a column, or
+        side by side at y when the partner's column stands exactly
+        INTERACTION_OFFSET away; no column moves in x. y is the pair row
+        nearest where the open phase found the atom at which both spots
+        lie in compute and clear of every obstacle (`_clear_row`), and
+        both atoms then become obstacles."""
+        cols = [c for c in self.columns if c.cid in standing]
+        for col in cols:
+            for atom in col.atoms:
+                if atom in self.busy:
+                    continue
+                target = self._cz_target(atom)
+                if target is None or target[2]:
+                    continue
+                gate, partner, _ = target
+                if (partner in self.busy or self.atom_site[partner] is not None
+                        or not self.frontier.executable_cz(*gate.qubits)):
+                    continue
+                if partner in col.atoms:
+                    other, dx, dy = col, 0.0, INTERACTION_OFFSET
+                else:
+                    other = next((c for c in cols if partner in c.atoms), None)
+                    if other is None or abs(other.x - col.x) != INTERACTION_OFFSET:
+                        continue
+                    dx, dy = other.x - col.x, 0.0
+                y = self._clear_row(col.x, atom, dx, dy)
+                if y is None:
+                    continue
+                self._stand([(col, atom, y), (other, partner, y + dy)])
+                self._stage(gate, atom, partner, staged)
+
+    def _clear_row(self, x: float, atom: int, dx: float, dy: float) -> float | None:
+        """The pair row y nearest where the open phase found `atom`, the
+        lower on a tie, at which (x, y) and (x + dx, y + dy) both lie in
+        compute and clear of every obstacle; None if there is none."""
+        comp = self.layout.compute
+        r2 = self.params.crosstalk_radius ** 2
+        fy = self.found_y[atom]
+        for y in sorted(self.pair_rows, key=lambda r: (abs(r - fy), r)):
+            if all(comp.contains(px, py) and kernels.clear_from(
+                    self.obstacles, self.atom_x, self.atom_y, px, py, r2)
+                   for px, py in ((x, y), (x + dx, y + dy))):
+                return y
+        return None
+
+    def _stand(self, atoms: list[tuple[_Column, int, float]]) -> None:
+        """Lift each (column, atom, y) to y where its column stands, within
+        the open phase; the atoms become obstacles."""
+        for col, atom, y in atoms:
+            self._move_column(col, col.x, {atom: y})
+            self.obstacles.append(atom)
 
     # -- per-column decision -------------------------------------------
     def _can_place(self, target: tuple[Gate, int, bool]) -> bool:
@@ -936,9 +1023,10 @@ class Compiler:
         waits for a later layer: it begins no SWAP and no trap change.
         Otherwise its highest atom whose executable CZ has a mobile
         partner conflicts. If the partner is in `prev`, the column just
-        before in the layer's order, the column stays idle whatever
-        `prev` did: the next layer, in the reverse order, can run it as
-        an AOD pair.
+        before in the layer's order, the column joins `prev` when `prev`
+        stands in compute (`_join`, "placed"); else, or if the join finds
+        no legal x or clear row, it stays idle: the next layer, in the
+        reverse order, can run it as an AOD pair.
         Else it tries an AOD pair (`_pair`, which may also wait), then
         (trapchange) a trap change, then a SWAP."""
         planned = plan.placements.get(col.cid)
@@ -963,7 +1051,12 @@ class Compiler:
         atom, q, p = conflict
         partner_atom = self.atom_of[p]
         if prev is not None and partner_atom in prev.atoms:
-            return "idle"
+            if prev.cid not in plan.standing or not self._join(
+                    col, prev, atom, partner_atom, later, plan.side):
+                return "idle"
+            self._stage(self.circuit.gates[self.frontier.next_gate(q)],
+                        atom, partner_atom, staged)
+            return "placed"
         action = self._pair(col, nxt, atom, partner_atom, later, plan.side)
         if action == "wait":
             return "idle"
@@ -1055,6 +1148,27 @@ class Compiler:
         for a, c, (x, y) in zip(atoms, cols, spots):
             self._settle(c, x, {a: y})
         return "paired"
+
+    def _join(self, col: _Column, prev: _Column, atom: int, partner_atom: int,
+              later: dict[int, tuple[float, int]], side: int) -> bool:
+        """Stand `atom` of `col` beside `partner_atom` of `prev`, the column
+        just before in the layer's order, which stands in compute: `col`
+        moves to x = prev.x + side * INTERACTION_OFFSET, and the pair forms
+        at the clear pair row nearest where the open phase found `atom`,
+        the lower on a tie. False, changing nothing, when the partner is
+        busy, x is not strictly between `col`'s neighbours or not short of
+        every x a later column wants (`later`), or no row is clear."""
+        x = prev.x + side * INTERACTION_OFFSET
+        lo, hi = self._neighbors(col.cid)
+        if (partner_atom in self.busy or not lo < x < hi
+                or side * x >= later[col.cid][0]):
+            return False
+        y = self._clear_row(x, atom, prev.x - x, 0.0)
+        if y is None:
+            return False
+        self._settle(col, x, {atom: y})
+        self._stand([(prev, partner_atom, y)])
+        return True
 
     def _pair_site(self, atoms: list[int], cols: list[_Column],
                    offset: tuple[float, float], lo: float, hi: float

@@ -15,7 +15,7 @@ from pachinqo.machine import (
     build_layout,
     generate_grid,
 )
-from pachinqo.metrics import movement_phase_time, movement_total
+from pachinqo.metrics import movement_total
 from pachinqo.schedule import (
     AOD_TO_SLM,
     SLM_TO_AOD,
@@ -364,21 +364,36 @@ def test_same_column_pair_kept_from_every_site_by_a_later_column_waits():
     assert [p.qubits for p in staged] == [(0, 2)]
 
 
-def test_conflict_with_the_column_just_before_waits_for_an_aod_pair():
-    """In a right-side layer, column 0 places CZ(0, 1), and its atom 6
-    waits for CZ(6, 8) with column 1's atom 8. Column 0 has used its turn,
-    so column 1 stays idle rather than begin a SWAP; the next layer runs
-    the columns right to left, and CZ(6, 8) runs as a horizontal pair."""
+@pytest.mark.parametrize("by_row", [True, False])
+def test_conflict_with_the_column_just_before_joins_it_or_waits(by_row):
+    """In a right-side layer, column 0 places CZ(0, 1), INTERACTION_OFFSET
+    right of static 1 at x = 100, and its atom 6 waits for CZ(6, 8) with
+    column 1's atom 8. Column 0 stands in compute, so column 1 joins it:
+    8 stands INTERACTION_OFFSET right of 6, and both pairs fire in the
+    first illumination with no SWAP. With statics 1 to 15 filling the
+    site column at x = 100 (`by_row` false), every row at the join x lies
+    within the crosstalk radius of one, so column 1 stays idle rather
+    than begin a SWAP; the next layer runs the columns right to left,
+    and CZ(6, 8) runs as a horizontal pair then."""
     circ = Circuit(24, _BOUND_LOAD + [cz(0, 1), cz(6, 8)])
-    compiler = _three_column_compiler(circ)
+    compiler = _three_column_compiler(circ, by_row=by_row)
     for g in circ.gates[:len(_BOUND_LOAD)]:
         compiler.frontier.advance(g)
     assert compiler.direction == RIGHT
     compiler._cz_layer()
     (illum,) = [e for e in compiler.events if isinstance(e, Illumination)]
-    assert [p.qubits for p in illum.pairs] == [(0, 1)]
+    pairs = {p.qubits: p.positions for p in illum.pairs}
     assert compiler.swap_count == 0
     assert compiler.direction == LEFT
+    if by_row:
+        assert list(pairs) == [(0, 1), (6, 8)]
+        (x0, _), _ = pairs[0, 1]
+        (x6, y6), (x8, y8) = pairs[6, 8]
+        assert x6 == x0 == 100.0 + INTERACTION_OFFSET
+        assert (x8, y8) == (x6 + INTERACTION_OFFSET, y6)
+        assert compiler.frontier.done()
+        return
+    assert list(pairs) == [(0, 1)]
     compiler._cz_layer()
     illum = [e for e in compiler.events if isinstance(e, Illumination)][-1]
     assert [p.qubits for p in illum.pairs] == [(6, 8)]
@@ -386,6 +401,91 @@ def test_conflict_with_the_column_just_before_waits_for_an_aod_pair():
     assert (x8, y8) == (x6 + INTERACTION_OFFSET, y6)
     assert compiler.swap_count == 0
     assert compiler.frontier.done()
+
+
+def test_left_side_layer_joins_the_column_just_before_on_its_left():
+    """In a left-side layer the columns run right to left. Column 2 places
+    CZ(16, 23) INTERACTION_OFFSET right of static 23 at x = 265, the side
+    nearer the right cache where the layer found it; column 1's atom 14
+    waits for
+    CZ(14, 22) with column 2's atom 22, so column 1 joins column 2 from
+    the left, and 14 and 22 stand side by side, clear of the placed pair,
+    in the same illumination."""
+    circ = Circuit(24, _BOUND_LOAD + [cz(16, 23), cz(14, 22)])
+    compiler = _three_column_compiler(circ)
+    for g in circ.gates[:len(_BOUND_LOAD)]:
+        compiler.frontier.advance(g)
+    compiler.direction = LEFT
+    compiler._cz_layer()
+    (illum,) = [e for e in compiler.events if isinstance(e, Illumination)]
+    pairs = {p.qubits: p.positions for p in illum.pairs}
+    assert list(pairs) == [(16, 23), (14, 22)]
+    (x16, y16), _ = pairs[16, 23]
+    (x14, y14), (x22, y22) = pairs[14, 22]
+    assert x22 == x16 == 265.0 + INTERACTION_OFFSET
+    assert (x14, y14) == (x22 - INTERACTION_OFFSET, y22)
+    assert abs(y22 - y16) >= compiler.params.crosstalk_radius
+    assert compiler.swap_count == 0
+
+
+def test_two_horizontal_pairs_of_two_columns_fire_in_one_illumination():
+    """Columns 0 and 1 run CZ(6, 8) as a horizontal pair, and then CZ(4,
+    10), between the same two columns, stands side by side at another row,
+    at least the crosstalk radius from the first pair: both fire in one
+    illumination."""
+    circ = Circuit(24, _BOUND_LOAD + [cz(6, 8), cz(4, 10)])
+    compiler = _three_column_compiler(circ)
+    for g in circ.gates[:len(_BOUND_LOAD)]:
+        compiler.frontier.advance(g)
+    compiler._cz_layer()
+    (illum,) = [e for e in compiler.events if isinstance(e, Illumination)]
+    pairs = {p.qubits: p.positions for p in illum.pairs}
+    assert list(pairs) == [(6, 8), (4, 10)]
+    (x6, y6), (x8, _) = pairs[6, 8]
+    (x4, y4), (x10, y10) = pairs[4, 10]
+    assert (x4, x10) == (x6, x8) == (x6, x6 + INTERACTION_OFFSET)
+    assert y10 == y4 and abs(y4 - y6) >= compiler.params.crosstalk_radius
+    assert compiler.swap_count == 0 and compiler.frontier.done()
+
+
+def test_vertical_pair_fills_in_a_column_that_placed():
+    """Column 0 places CZ(0, 1) INTERACTION_OFFSET right of static 1, and
+    CZ(2, 4), within the column, then stands one atom above the other at
+    the same x, at the nearest row clear of the placed pair: both fire in
+    one illumination."""
+    circ = Circuit(24, _BOUND_LOAD + [cz(0, 1), cz(2, 4)])
+    compiler = _three_column_compiler(circ)
+    for g in circ.gates[:len(_BOUND_LOAD)]:
+        compiler.frontier.advance(g)
+    compiler._cz_layer()
+    (illum,) = [e for e in compiler.events if isinstance(e, Illumination)]
+    pairs = {p.qubits: p.positions for p in illum.pairs}
+    assert list(pairs) == [(0, 1), (2, 4)]
+    (x0, y0), _ = pairs[0, 1]
+    assert pairs[2, 4] == ((x0, y0 + 15.0), (x0, y0 + 15.0 + INTERACTION_OFFSET))
+    assert compiler.swap_count == 0 and compiler.frontier.done()
+
+
+@pytest.mark.parametrize("technique", ["pachinqo", "trapchange"])
+def test_no_fill_in_a_layer_whose_trap_change_fired(technique):
+    """A left-side layer runs the columns right to left. Column 2 places
+    CZ(16, 23), and CZ(18, 20) within it could fill; column 0, last, finds
+    CZ(6, 22) across two columns. Pachinqo begins a SWAP for it, and the
+    fill runs CZ(18, 20) in the same illumination. Trapchange deposits 6
+    into a free site instead, and a layer with a trap change stages no
+    further pair: CZ(18, 20) waits."""
+    circ = Circuit(24, _BOUND_LOAD + [cz(16, 23), cz(18, 20), cz(6, 22)])
+    compiler = _three_column_compiler(circ, technique)
+    for g in circ.gates[:len(_BOUND_LOAD)]:
+        compiler.frontier.advance(g)
+    loaded = compiler.trap_change_count
+    compiler.direction = LEFT
+    compiler._cz_layer()
+    (illum,) = [e for e in compiler.events if isinstance(e, Illumination)]
+    filled = technique == "pachinqo"
+    assert [p.qubits for p in illum.pairs] == [(16, 23)] + [(18, 20)] * filled
+    assert compiler.trap_change_count == loaded + (not filled)
+    assert compiler.swap_count == filled
 
 
 @pytest.mark.parametrize("partner", [12, 0])
@@ -619,22 +719,26 @@ def test_swap_choice_converges_where_an_unguarded_lookahead_livelocks():
     assert sched.swap_count <= circ.count("cz")
 
 
-# Pachinqo's total SWAPs over the broad set below when the bound was last
-# recorded. A change to SWAP insertion may lower it; one that raises it
-# fails here.
-BROAD_SET_SWAPS = 297
+# Pachinqo's total SWAPs and illuminations over the broad set below when
+# the bounds were last recorded. A change to SWAP insertion or to layer
+# planning may lower them; one that raises either fails here.
+BROAD_SET_SWAPS = 294
+BROAD_SET_ILLUMINATIONS = 2520
 
 
 def test_broad_set_swap_total_stays_within_its_record():
     """25 random circuits of n = 10, 16, 24, 32 and 40 qubits with 10n
     gates, seeds 1000n + 0..4, each on the next grid in turn, compiled
-    without validation."""
-    total = 0
+    without validation; their SWAPs and illuminations are counted."""
+    swaps = illuminations = 0
     for i, (n, s) in enumerate((n, s) for n in (10, 16, 24, 32, 40)
                                for s in range(5)):
         circ = random_circuit(random.Random(1000 * n + s), n, 10 * n)
-        total += _compile(circ, grid_kind=GRIDS[i % 4])[0].swap_count
-    assert total <= BROAD_SET_SWAPS
+        sched = _compile(circ, grid_kind=GRIDS[i % 4])[0]
+        swaps += sched.swap_count
+        illuminations += sum(isinstance(ev, Illumination) for ev in sched.events)
+    assert swaps <= BROAD_SET_SWAPS
+    assert illuminations <= BROAD_SET_ILLUMINATIONS
 
 
 def test_preemptive_swap_packs_independent_rotations():
@@ -995,7 +1099,7 @@ def test_onecache_retreat_tucks_in_at_memory_edge():
         mem.y0 + ZONE_MARGIN + i * params.storage_pitch for i in range(len(atoms))]
 
 
-def _three_column_compiler(circ=None):
+def _three_column_compiler(circ=None, technique="pachinqo", by_row=True):
     """Three columns of four mobile atoms, parked on the right cache; the
     static partners of columns 0, 1 and 2 stand at x = 100-145, 160-205
     and 220-265. `circ` must begin with the twelve CZs that load them,
@@ -1004,20 +1108,26 @@ def _three_column_compiler(circ=None):
     The load seats static qubits centre-out, here in the two site columns
     x = 175 and 190 (`assign_atoms`). The tests below need partners along
     the whole first site row, so static 2i + 1 is then put on the row's
-    i-th site, left to right."""
+    i-th site, left to right; with `by_row` false, on the i-th site
+    column by column, bottom to top, from x = 100 (so 1 to 15 fill the
+    first site column)."""
     params = PhysParams()
     circ = circ or Circuit(24, [cz(2 * i, 2 * i + 1) for i in range(12)])
     layout = build_layout(24, "auto", params)
     grid = generate_grid("large-square", layout, params)
-    compiler = Compiler(circ, "pachinqo", grid, layout, params)
+    compiler = Compiler(circ, technique, grid, layout, params)
     compiler._apply_initialization()
     assert [c.atoms for c in compiler.columns] == [
         [0, 2, 4, 6], [8, 10, 12, 14], [16, 18, 20, 22]]
-    row = sorted(compiler.clear_sites, key=lambda s: grid.sites[s][::-1])
+    row = sorted(compiler.clear_sites,
+                 key=lambda s: grid.sites[s][::-1] if by_row else grid.sites[s])
     for q, site in zip(compiler.placement.grouping.slm_qubits, row):
         compiler.atom_site[q] = compiler.placement.site_of_qubit[q] = site
         compiler.atom_x[q], compiler.atom_y[q] = grid.sites[site]
-    assert [compiler.atom_x[q] for q in (1, 23)] == [100.0, 265.0]
+    if by_row:
+        assert [compiler.atom_x[q] for q in (1, 23)] == [100.0, 265.0]
+    else:
+        assert {compiler.atom_x[q] for q in range(1, 16, 2)} == {100.0}
     return compiler
 
 
@@ -1095,27 +1205,27 @@ def test_memory_parking_refused_past_a_later_columns_target(start_x,
         assert col0.x == compiler.cache_slots[LEFT][-3]
 
 
-def _hand_built(parts, params, serial=False):
+def _hand_built(parts, compiler):
     """Events in sequence: a pickup trap change, then each part, a phase
     given as a list of (cid, from x, to x, [(atom, from y, to y)]), "u3"
-    for an empty U3 layer, or ("cz", atom, atom) for an illumination. The
-    pickup loads every atom of the first phase into its column where that
-    phase finds it."""
+    for an empty U3 layer, or ("cz", atom, atom) for an illumination,
+    timed by `compiler` as `run()` times its events. The pickup loads
+    every atom of the first phase into its column where that phase finds
+    it."""
     first = parts[0]
-    t = params.trap_change_time
-    events = [TrapChange(0.0, t, 0, SLM_TO_AOD, [
+    events = [TrapChange(0.0, 0.0, 0, SLM_TO_AOD, [
         TrapTransfer(a, fx, fy, column=cid)
         for cid, fx, _, atoms in first for a, fy, _ in atoms])]
-    for part in parts:
+    for phase, part in enumerate(parts, 1):
         if part == "u3":
-            events.append(U3LayerEvent(t, t + params.u3_time, 1, []))
+            events.append(U3LayerEvent(0.0, 0.0, 1, []))
         elif part[0] == "cz":
             pair = CzEntry((0, 1), part[1:], ((0.0, 0.0), (0.0, 0.0)))
-            events.append(Illumination(t, t + params.cz_time, 1, [pair]))
+            events.append(Illumination(0.0, 0.0, 1, [pair]))
         else:
-            dur = movement_phase_time(part, params, serial)
-            events += ordered_phase_moves(part, t, t + dur, 1)
-        t = events[-1].t_end
+            events += ordered_phase_moves(part, phase, 1)
+    compiler.events = events
+    compiler._retime()
     return events
 
 
@@ -1133,7 +1243,7 @@ def _hold(compiler, parts):
     """Run `Compiler._hold_columns` alone on the hand-built events of
     `parts`, then time them as `run()` would; returns the events as built.
     The compiler keeps them held."""
-    built = _hand_built(parts, compiler.params, compiler.serial)
+    built = _hand_built(parts, compiler)
     compiler.events = [copy.copy(ev) for ev in built]
     compiler._hold_columns()
     compiler._retime()

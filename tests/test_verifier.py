@@ -311,6 +311,50 @@ def test_validator_catches_a_pair_outside_compute():
         ("blockade", i, "pair (0, 2) stands outside compute")]
 
 
+class _CrowdedFillCompiler(Compiler):
+    """Stands each further pair a column runs where it stands 5 um above
+    the highest atom already standing at its x, inside that atom's
+    crosstalk radius, instead of at a clear row."""
+
+    def _clear_row(self, x, atom, dx, dy):
+        stood = [self.atom_y[a] for a in self.obstacles if self.atom_x[a] == x]
+        if not stood:
+            return super()._clear_row(x, atom, dx, dy)
+        return max(stood) + 5.0
+
+
+def test_validator_catches_two_pairs_stacked_in_one_column_too_close():
+    """Mobile 1, 0 and 2 share a column: it places CZ(1, 3) beside static
+    3, and CZ(0, 2) fills one atom above the other at the same x. Stacked
+    5 um above the placed pair, the second pair stands within the
+    crosstalk radius of the first pair's two atoms: one blockade
+    violation for each atom of the one pair within it of an atom of the
+    other, at that illumination, and no other violation."""
+    circ = Circuit(4, [cz(0, 2), cz(1, 3), cz(2, 3)])
+    params = PhysParams()
+    layout = build_layout(4, "auto", params)
+    grid = generate_grid("large-square", layout, params)
+    compiler = Compiler(circ, "pachinqo", grid, layout, params)
+    sched = compiler.run()
+    assert validate_schedule(sched, layout, grid, params, circ) == []
+    (illum,) = [ev for ev in sched.events if isinstance(ev, Illumination)
+                and len(ev.pairs) == 2]
+    (x1, y1), _ = illum.pairs[0].positions
+    assert [p.qubits for p in illum.pairs] == [(1, 3), (0, 2)]
+    assert [x for x, _ in illum.pairs[1].positions] == [x1, x1]
+
+    sched = _CrowdedFillCompiler(circ, "pachinqo", grid, layout, params).run()
+    (i, illum), = [(i, ev) for i, ev in enumerate(sched.events)
+                   if isinstance(ev, Illumination) and len(ev.pairs) == 2]
+    assert [xy for p in illum.pairs for xy in p.positions][1:] == [
+        (x1 - 1.5, y1), (x1, y1 + 5.0), (x1, y1 + 6.5)]
+    violations = validate_schedule(sched, layout, grid, params, circ)
+    assert [(v.code, v.event, v.description) for v in violations] == [
+        ("blockade", i, f"atoms {a},{b} within crosstalk radius ({d} um)")
+        for a, b, d in ((0, 1, "5.000"), (0, 3, "5.220"), (1, 2, "6.500"),
+                        (2, 3, "6.671"))]
+
+
 def test_validator_catches_crossing_columns():
     circ = Circuit(10, [cz(2 * i, 2 * i + 1) for i in range(5)])
 
