@@ -8,8 +8,8 @@ zone keeps a 10 um interior margin as a movement corridor: SLM sites and
 the compiler's parking slots start 10 um inside each zone. The one
 exception is a retreat's last resort, which tucks its column into memory
 beside the blocking column and can park it inside memory's margin: on
-perfbench `wide` (seed 1), 91 column moves end there, the first taking
-column 0 to x = 99.5, 9.5 um from the left cache, in layer 4. So no
+perfbench `wide` (seed 1), 5 column moves end there, the first taking
+column 12 to x = 274.0, 6 um from the right cache, in layer 2. So no
 distance between atoms in adjacent zones is promised; ROADMAP item 4
 plans the check that would see such a hazard.
 """

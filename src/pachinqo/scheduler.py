@@ -14,13 +14,15 @@ left empty are dropped. It changes no move, pair, SWAP or trap change,
 only when rotations run. A second pass (`_merge_phases`) then emits each
 run of move phases with no event between them, which a dropped layer can
 leave, as one phase. A third pass (`_hold_columns`) lets an idle column
-wait where it stands until its next move, which then takes it straight
-to its next target, when nothing in between involves it, it waits
-outside compute, no other column crosses it and no phase grows (keeping
-atoms near where they are next needed, as in ZAC: Lin, Tan & Cong, HPCA
-2025). No pass changes a decision or keeps a clock: the passes edit
-only the event list, and a last step (`_retime`) sets every event's
-start and end, in order, from the cost model.
+wait, until its next move, at the nearest legal spot: where it stands,
+else in memory on the hang rows nearest its path, else, if a retreat
+tucked it onto memory's bottom rows, on the hang rows above. A spot is
+legal when nothing in between involves the column, it waits outside
+compute, no other column crosses it, no phase grows and no atom travels
+further (keeping atoms near where they are next needed, as in ZAC: Lin,
+Tan & Cong, HPCA 2025). No pass changes a decision or keeps a clock:
+the passes edit only the event list, and a last step (`_retime`) sets
+every event's start and end, in order, from the cost model.
 
 A CZ layer plans with all columns relocated to the starting cache's
 slots next to compute, then processes them from the cache side nearest
@@ -619,31 +621,42 @@ class Compiler:
         self.events = events + run
 
     def _hold_columns(self) -> None:
-        """Let each idle column wait where it stands until its next move,
-        once every event is emitted.
+        """Let each idle column wait at the nearest legal spot until its
+        next move, once every event is emitted.
 
         Take two consecutive moves of column c: m in phase a (A -> B) and
-        m' in phase b (B -> C). The pass drops m and emits m' as A -> C,
-        each atom starting from its y at A, when no illumination pair or
-        trap-change transfer between the two phases involves c; every atom
-        of c at A stands outside compute, so no pulse in between reaches
-        it; with one cache, A is c's home slot if a U3 layer runs in
-        between; A's x lies strictly between the xs of c's nearest live
-        columns by cid after every phase and trap change from a up to b, so
-        no two columns cross; and phase a without m plus phase b with
-        A -> C take no longer than the two phases did. Candidates are taken
-        in time order, so holds chain, and the pass repeats until it holds
-        nothing, since a hold can clear the way for a candidate it refused.
-        A phase left with no move is dropped. No pair, SWAP, trap change or
-        U3 layer changes, and by the triangle inequality no column travels
-        further. The pass edits only the event list; `_retime` sets the
-        times."""
-        comp = self.layout.compute
+        m' in phase b (B -> C), with no illumination pair or trap-change
+        transfer involving c between the two phases. The pass lets c wait
+        at a spot W in place of B: it emits m as A -> W and m' as W -> C,
+        each atom starting m' from its y at W, and drops m where W is A.
+        It tries three spots in turn and takes the first legal one: A
+        itself; the memory x nearest the segment A..C that leaves a
+        storage pitch of room to c's nearest live columns in every state
+        of the span and lies inside memory's margin, with the atoms on the
+        hang rows (`_hang_y`); and, if `_retreat` tucked c onto memory's
+        bottom rows at B (`_parked_ys`), B's x with the atoms on the hang
+        rows. A spot is legal when every atom of c there stands outside
+        compute, so no pulse in between reaches it; with one cache, it is
+        c's home slot if a U3 layer runs in between; its x lies strictly
+        between the xs of c's nearest live columns by cid after every
+        phase and trap change from a up to b, so no two columns cross;
+        phases a and b take no longer than they did; and, for a spot other
+        than A, no atom of c travels further and one travels less (A -> C
+        is never longer, by the triangle inequality). Candidates are taken
+        in time order, so holds chain, and the pass repeats until it
+        changes nothing, since a hold can clear the way for a candidate it
+        refused or held short of A. A phase left with no move is dropped.
+        No pair, SWAP, trap change or U3 layer changes. The pass edits only
+        the event list; `_retime` sets the times."""
+        comp, mem = self.layout.compute, self.layout.memory
         params = self.params
+        pitch = params.storage_pitch
         width = self.next_cid
         # Each AOD column's home: where the load left it.
         home = {g.column: (g.atoms[0][2], [ty for *_, ty in g.atoms])
                 for g in self.placement.columns}
+        # Memory's xs inside its margin.
+        mem_x0, mem_x1 = mem.x0 + ZONE_MARGIN, mem.x1 - ZONE_MARGIN
 
         def time_without(ph: _Phase, cid: int) -> float:
             """The concurrent time of phase ph without cid's move."""
@@ -705,24 +718,45 @@ class Compiler:
             phase.state = len(states)
             states.append(list(xs))
 
-        def blocked(s: int, cid: int, x: float) -> tuple[int, int] | None:
-            """(s, k) if x is not strictly between cid's nearest live columns
-            in state s, k being one that x reaches."""
-            state, k = states[s], cid - 1
-            while k >= 0 and state[k] is None:
-                k -= 1
-            if k >= 0 and state[k] >= x:
-                return s, k
-            k = cid + 1
-            while k < width and state[k] is None:
-                k += 1
-            return (s, k) if k < width and x >= state[k] else None
+        # The ys of a column's atoms, in slot order, hung (`_hang_y`) and
+        # tucked onto memory's bottom rows (`_parked_ys`).
+        most = max((len(m.atoms) for ph in phases for m in ph.moves.values()),
+                   default=0)
+        hang = [self._hang_y(i) for i in range(most)]
+        tucked = [mem.y0 + ZONE_MARGIN + i * pitch for i in range(most)]
+
+        def near(s: int, cid: int) -> tuple[int, int]:
+            """The cids of cid's nearest live columns in state s, -1 or
+            width where there is none."""
+            state, lo, hi = states[s], cid - 1, cid + 1
+            while lo >= 0 and state[lo] is None:
+                lo -= 1
+            while hi < width and state[hi] is None:
+                hi += 1
+            return lo, hi
+
+        def spots(ma: ColumnMove, lo: float, hi: float):
+            """Where the column of ma (A -> B) may wait instead of B, as
+            (x, ys), in the order tried: A; the memory x nearest A that
+            lies a storage pitch inside (lo, hi) and inside memory's
+            margin, on the hang rows; and B on the hang rows, if B is on
+            memory's bottom rows. The hang rows lie below compute."""
+            n = len(ma.atoms)
+            yield ma.from_x, [fy for _, fy, _ in ma.atoms]
+            left, right = max(lo + pitch, mem_x0), min(hi - pitch, mem_x1)
+            if left <= right:
+                yield min(max(ma.from_x, left), right), hang[:n]
+            if [ty for *_, ty in ma.atoms] == tucked[:n]:
+                yield ma.to_x, hang[:n]
 
         # Each pass tries, in time order, the candidates (phase, cid) a hold
-        # woke; any other would be refused again. A refused one waits on the
-        # blocking column's x at a state (holds keep liveness), its own moves
-        # next to its span or, refused for time, its phases; a hold wakes it
-        # for this pass if it comes later, else for the next.
+        # woke; any other would be tried to the same end. A candidate not
+        # held at A waits on what could let it wait nearer: the x of its
+        # nearest live column on each side at the state where that column
+        # comes closest (holds keep liveness, and only that column moving
+        # away widens the room), its own moves next to its span and, if a
+        # spot was refused for time, its phases. A hold wakes it for this
+        # pass if it comes later, else for the next.
         todo = sorted((i, cid) for i, pa in enumerate(phases) for cid in pa.next_move)
         woken, waiting = set(), {}
         while todo or woken:
@@ -738,45 +772,83 @@ class Compiler:
             pb = phases[j]
             if ma is None or cid not in pb.moves:
                 continue
-            fx, span = ma.from_x, range(pa.state, pb.state)
-            waits = [(pa.state - 1, cid), (pb.state, cid)]
-            block = next(filter(None, (blocked(s, cid, fx) for s in span)), None)
-            if block:
-                waits.append(block)
-            elif not (any(comp.contains(fx, fy) for _, fy, _ in ma.atoms) or (
-                    self.one_cache and pb.u3_before > pa.u3_before
-                    and home.get(cid) != (fx, [fy for _, fy, _ in ma.atoms]))):
-                mb = pb.moves[cid]
-                start = {a: fy for a, fy, _ in ma.atoms}
-                held = [(a, start[a], ty) for a, _, ty in mb.atoms]
-                d = move_duration(mb.to_x - fx, [ty - fy for _, fy, ty in held], params)
-                da, db = pa.durations[cid], pb.durations[cid]
+            mb = pb.moves[cid]
+            ax, cx = ma.from_x, mb.to_x
+            span = range(pa.state, pb.state)
+            # The nearest live columns' closest xs over the span, each with
+            # the (state, cid) it comes from.
+            lo, hi = (-math.inf,), (math.inf,)
+            for s in span:
+                k, h = near(s, cid)
+                if k >= 0 and states[s][k] > lo[0]:
+                    lo = states[s][k], s, k
+                if h < width and states[s][h] < hi[0]:
+                    hi = states[s][h], s, h
+            path = travel = dys = None
+            da, db = pa.durations[cid], pb.durations[cid]
+            slow = False
+            for i, (x, ys) in enumerate(spots(ma, lo[0], hi[0])):
+                at_a = i == 0
+                if not lo[0] < x < hi[0] or (at_a and any(
+                        comp.contains(x, y) for y in ys)) or (
+                        self.one_cache and pb.u3_before > pa.u3_before
+                        and home.get(cid) != (x, ys)):
+                    continue
+                if path is None:
+                    end = {a: ty for a, _, ty in mb.atoms}
+                    path = [(a, fy, ty, end[a]) for a, fy, ty in ma.atoms]  # A, B, C
+                if not at_a:
+                    # Each atom's travel now, and its y travel through the
+                    # hang rows, where both other spots are.
+                    if travel is None:
+                        bx = ma.to_x
+                        travel = [abs(ax - bx) + abs(bx - cx) + abs(ya - yb) + abs(yb - yc)
+                                  for _, ya, yb, yc in path]
+                        dys = [abs(ya - y) + abs(y - yc)
+                               for (_, ya, _, yc), y in zip(path, ys)]
+                    dx = abs(ax - x) + abs(x - cx)
+                    if dx * len(dys) + sum(dys) >= sum(travel) or any(
+                            dx + dy > t for dy, t in zip(dys, travel)):
+                        continue
+                d1 = move_duration(x - ax, [y - ya for (_, ya, _, _), y in zip(path, ys)],
+                                   params)
+                d2 = move_duration(cx - x, [yc - y for (*_, yc), y in zip(path, ys)], params)
                 if self.serial:
-                    # Phase times are sums, so by the triangle inequality no
-                    # hold lengthens them.
-                    longer = d > da + db
+                    # Phase times are sums, so by the triangle inequality
+                    # no hold at A lengthens them.
+                    longer = d1 + d2 > da + db
                 else:
                     ta, tb = max(pa.durations.values()), max(pb.durations.values())
-                    longer = (time_without(pa, cid) if da == ta else ta) + max(
-                        time_without(pb, cid) if db == tb else tb, d) > ta + tb
-                if not longer:
-                    del pa.moves[cid], pa.durations[cid]
-                    if mb.to_x == fx and all(fy == ty for _, fy, ty in held):
-                        del pb.moves[cid], pb.durations[cid]
-                    else:
-                        mb.from_x, mb.atoms = fx, held
-                        pb.durations[cid] = d
-                    for s in span:
-                        states[s][cid] = fx
-                    for w in [key[0], j] + [(s, cid) for s in span]:
-                        for k in waiting.pop(w, ()):
-                            if k > key:
-                                heapq.heappush(todo, k)
-                            else:
-                                woken.add(k)
+                    longer = max(time_without(pa, cid) if da == ta else ta, d1) + max(
+                        time_without(pb, cid) if db == tb else tb, d2) > ta + tb
+                if longer:
+                    slow = True
                     continue
-                waits += [key[0], j]
-            for w in waits:
+                if not at_a:
+                    ma.to_x, ma.atoms = x, [(a, ya, y) for (a, ya, _, _), y in zip(path, ys)]
+                    pa.durations[cid] = d1
+                else:
+                    del pa.moves[cid], pa.durations[cid]
+                at = {a: y for (a, *_), y in zip(path, ys)}
+                if cx == x and all(at[a] == ty for a, _, ty in mb.atoms):
+                    del pb.moves[cid], pb.durations[cid]
+                else:
+                    mb.from_x, mb.atoms = x, [(a, at[a], ty) for a, _, ty in mb.atoms]
+                    pb.durations[cid] = d2
+                for s in span:
+                    states[s][cid] = x
+                for w in [key[0], j] + [(s, cid) for s in span]:
+                    for k in waiting.pop(w, ()):
+                        if k > key:
+                            heapq.heappush(todo, k)
+                        else:
+                            woken.add(k)
+                break
+            if cid not in pa.moves:
+                continue
+            waits = [(pa.state - 1, cid), (pb.state, cid)] + [
+                bound[1:] for bound in (lo, hi) if len(bound) > 1]
+            for w in waits + ([key[0], j] if slow else []):
                 waiting.setdefault(w, set()).add(key)
 
         events: list = []
@@ -1261,7 +1333,12 @@ class Compiler:
         near side. Returns False if no legal spot exists, in which case
         the column stays parked (and blocks the rest of the layer). With
         one cache there is no opposite cache, so an idle column always
-        drops into memory."""
+        drops into memory. Where the column waits until its next move is
+        refined later by `_hold_columns`, which sees the whole schedule:
+        it may wait where it stood, nearer in memory, or on the hang rows
+        rather than memory's bottom rows. Those spots are not chosen here,
+        because the layer's travel tie-breaks read this spot and later
+        SWAP choices would change (ROADMAP item 1)."""
         mem = self.layout.memory
         lo, hi = self._neighbors(col.cid)
         reach, n_later = later[col.cid]
@@ -1438,13 +1515,8 @@ class Compiler:
                     continue
                 if not self._next_partner_static(s):
                     continue  # no CZ left, or a mobile partner: no help
-                sx, sy = self.grid.sites[site]
-                if not (lo < sx < hi):
-                    continue
-                if any(abs(self.atom_y[a] - sy) < params.storage_pitch
-                       for a in col.atoms):
-                    continue
-                return s_atom, site
+                if lo < self.grid.sites[site][0] < hi:
+                    return s_atom, site
         return None
 
     def _trapchange_action(self, col: _Column, atom: int, site: int) -> None:

@@ -493,16 +493,25 @@ def test_merged_phases_match_unmerged_reference(unmerged_results):
     assert {("onecache", False), ("onecache", True)} <= faster
 
 
+def _column_travel(sched) -> dict[int, float]:
+    """Per column, the summed |dx| + |dy| of its atoms over its moves."""
+    travel: dict[int, float] = {}
+    for ev in sched.events:
+        if isinstance(ev, ColumnMove):
+            travel[ev.column] = travel.get(ev.column, 0.0) + ev.manhattan_total
+    return travel
+
+
 def test_held_columns_match_unheld_reference(unmerged_results):
-    """Holding idle columns changes only column moves and times: every
+    """Letting idle columns wait changes only column moves and times: every
     other event (kinds, layers, pairs, gates, transfers and their order),
     the SWAP and trap-change counts and the final mapping equal those of
-    the schedule compiled without holds. The schedule is never slower and
-    never moves atoms further; it validates and matches the oracle (up to
-    EQUIVALENCE_QUBIT_CAP qubits). Over the corpus and the forced-guard
-    set, on every technique x grid, with concurrent and serial movement.
-    Holds drop column moves on every technique, and shorten schedules on
-    pachinqo, degreesplit and trapchange."""
+    the schedule compiled without holds. The schedule is never slower, and
+    no column's atoms travel further in sum; it validates and matches the
+    oracle (up to EQUIVALENCE_QUBIT_CAP qubits). Over the corpus and the
+    forced-guard set, on every technique x grid, with concurrent and
+    serial movement. Holds drop column moves on every technique, and
+    shorten schedules on pachinqo, degreesplit and trapchange."""
     assert {case[1:4] for case in unmerged_results} == \
         {(t, g, s) for t in TECHNIQUES for g in GRIDS for s in (False, True)}
     fewer_moves, faster = set(), set()
@@ -513,6 +522,9 @@ def test_held_columns_match_unheld_reference(unmerged_results):
         tol = 1e-9 * len(unheld.events)
         assert sched.end_time <= unheld.end_time + tol, case
         assert movement_total(sched) <= movement_total(unheld) + tol, case
+        travel = _column_travel(sched)
+        for cid, was in _column_travel(unheld).items():
+            assert travel.get(cid, 0.0) <= was + tol, (case, cid)
         assert c.violations == [], case
         assert c.equivalent in (True, None), case
         n_moves, n_unheld = (sum(isinstance(ev, ColumnMove) for ev in s.events)

@@ -864,6 +864,26 @@ def test_trapchange_extracts_static_atom_into_column():
     assert validate_schedule(sched, layout, grid, params, circ) == []
 
 
+def test_extraction_takes_a_static_on_the_lowest_site_row():
+    """`full_sites_extraction` seats static 1 on the lowest site row, at
+    (175, 65), and its static partner 3 above it, at (175, 80); both next
+    run a CZ with a static, and the scan takes the first site in site
+    order. When the extraction is planned, the layer's relocation has
+    parked column 24 on the cache rows (65, 67 um), one of them level with
+    the lowest site row; the trap change hangs those atoms below compute
+    first (`_hung`), so that row is no reason to refuse the site."""
+    circ = full_sites_extraction()
+    sched, layout, grid, params = _compile(circ, technique="trapchange")
+    assert min(y for _, y in grid.sites) == 65.0
+    last_layer = sched.events[-1].layer
+    pickup = next(e for e in sched.events
+                  if isinstance(e, TrapChange) and e.direction == SLM_TO_AOD
+                  and 0 < e.layer < last_layer)
+    (tr,) = pickup.transfers
+    assert (tr.atom, tr.x, tr.y) == (1, 175.0, 65.0)
+    assert validate_schedule(sched, layout, grid, params, circ) == []
+
+
 class _PairlessCompiler(Compiler):
     """Plans each AOD pair with an obstacle on every free clear site, so
     no pair can form."""
@@ -1284,10 +1304,10 @@ def test_hold_drops_a_tuck_and_return():
     assert compiler.events[-1].t_end == built[-1].t_end
 
 
-def test_hold_refused_where_a_neighbour_crosses_the_held_x():
+def _crossed_hold():
     """Column 1 places at x = 140, left of where column 0 stood (150)
-    before it tucked in at 120. Held at 150, column 0 would stand right
-    of column 1 while the pulse fires, so both its moves stay."""
+    before it tucked in at 120; both return once the pulse has fired.
+    Returns the compiler, holding the events, and the events as built."""
     placed = (100.0, 110.0)
     parts = [[_col(0, 150.0, 120.0, _HUNG, _TUCKED),
               _col(1, 200.0, 140.0, _HUNG, placed)],
@@ -1295,10 +1315,71 @@ def test_hold_refused_where_a_neighbour_crosses_the_held_x():
              [_col(0, 120.0, 150.0, _TUCKED, _HUNG),
               _col(1, 140.0, 200.0, placed, _HUNG)]]
     compiler = _hold_compiler()
-    built = _hold(compiler, parts)
-    assert _column_moves(compiler.events, 0) == _column_moves(built, 0)
+    return compiler, _hold(compiler, parts)
+
+
+def test_hold_refused_where_a_neighbour_crosses_the_held_x():
+    """Held at 150, column 0 would stand right of column 1 while the pulse
+    fires, so it does not wait there. It waits instead at the memory x
+    nearest 150 that leaves a storage pitch of room to column 1 (138), on
+    the hang rows, 12 um from where it stood each way in place of 60 um
+    (30 across, 30 down). Column 1's moves, and every time, stay."""
+    compiler, built = _crossed_hold()
+    wait = list(zip((0, 2), _HUNG, _HUNG))
+    assert _column_moves(compiler.events, 0) == [(150.0, 138.0, wait),
+                                                 (138.0, 150.0, wait)]
+    assert _column_moves(compiler.events, 1) == _column_moves(built, 1)
     assert [(ev.t_start, ev.t_end) for ev in compiler.events] == \
         [(ev.t_start, ev.t_end) for ev in built]
+
+
+def _validated(compiler, events):
+    """The validator's violations of `events`, read as a schedule of
+    `compiler`'s circuit on its layout."""
+    c = compiler
+    sched = Schedule(c.technique, c.grid.kind, c.params, "hold", 10,
+                     events=events)
+    return validate_schedule(sched, c.layout, c.grid, c.params, c.circuit)
+
+
+def test_validator_catches_a_wait_that_a_neighbour_crosses():
+    """A mutant of the held schedule above that waits in memory at x = 145,
+    which column 1 passes on its way to 140, gets the validator's
+    `ordering` violation in the phase before the pulse; the held schedule
+    gets none. The hand-built events break other rules, which the test
+    does not read."""
+    compiler, _ = _crossed_hold()
+    held = compiler.events
+    mutant = [copy.copy(ev) for ev in held]
+    moves = [i for i, ev in enumerate(mutant)
+             if isinstance(ev, ColumnMove) and ev.column == 0]
+    mutant[moves[0]].to_x = mutant[moves[1]].from_x = 145.0
+    cz_at = next(i for i, ev in enumerate(held) if isinstance(ev, Illumination))
+    assert not [v for v in _validated(compiler, held) if v.code == "ordering"]
+    crossed = [v.event for v in _validated(compiler, mutant)
+               if v.code == "ordering"]
+    assert crossed and moves[0] <= crossed[0] < cz_at
+
+
+def test_tucked_column_waits_on_the_hang_rows():
+    """Column 1 places at x = 100, memory's near margin, left of where
+    column 0 stood (110), and column 0 tucks in beside it at 98, inside the
+    margin, as a blocked retreat does. No memory x inside the margin leaves
+    a storage pitch of room left of 100, so column 0 waits at 98 on the
+    hang rows in place of memory's bottom rows: 12 um across each way, and
+    no climb."""
+    placed = (100.0, 110.0)
+    parts = [[_col(0, 110.0, 98.0, _HUNG, _TUCKED),
+              _col(1, 200.0, 100.0, _HUNG, placed)],
+             ("cz", 4, 9),
+             [_col(0, 98.0, 110.0, _TUCKED, _HUNG),
+              _col(1, 100.0, 200.0, placed, _HUNG)]]
+    compiler = _hold_compiler()
+    built = _hold(compiler, parts)
+    wait = list(zip((0, 2), _HUNG, _HUNG))
+    assert _column_moves(compiler.events, 0) == [(110.0, 98.0, wait),
+                                                 (98.0, 110.0, wait)]
+    assert _column_moves(compiler.events, 1) == _column_moves(built, 1)
 
 
 @pytest.mark.parametrize("serial", [False, True])
