@@ -2,7 +2,8 @@
 
 Event list order is part of the contract: the validator replays events in
 order, so simultaneous moves are emitted in an order that keeps the AOD
-column ordering invariant true at every step. Format:
+column ordering invariant true at every step (`scheduler.replay_order`).
+Format:
 
   {"meta": {"technique", "grid", "params_hash", ...},
    "events": [{"kind", "t_start_us", "t_end_us", "layer", ...}, ...],
@@ -132,39 +133,6 @@ class Schedule:
         for ev in self.events:
             layers.setdefault(ev.layer, []).append(ev)
         return layers
-
-
-def ordered_phase_moves(
-    moves: list[tuple[int, float, float, list[tuple[int, float, float]]]],
-    phase: float,
-    layer: int,
-) -> list[ColumnMove]:
-    """Emit one phase of concurrent column moves in a replay-safe order
-    (`replay_order`); no-op moves are dropped. Each move carries the
-    phase's name as both of its times, which tell one phase from the
-    next until the compiler times every event (`Compiler._retime`)."""
-    return replay_order([ColumnMove(phase, phase, layer, cid, fx, tx, list(atoms))
-                         for cid, fx, tx, atoms in moves])
-
-
-def replay_order(moves: list[ColumnMove]) -> list[ColumnMove]:
-    """One phase's moves in a replay-safe order, without the no-op ones.
-
-    Column positions are strictly ordered before the phase and its targets
-    preserve that order. Emitting rightward movers from the right and
-    leftward movers from the left keeps the column x ordering strictly
-    increasing after every single event, so a step-by-step replay never
-    sees a crossing.
-    """
-    stationary, rightward, leftward = [], [], []
-    for m in sorted(moves, key=lambda m: m.from_x):
-        if m.to_x > m.from_x:
-            rightward.append(m)
-        elif m.to_x < m.from_x:
-            leftward.append(m)
-        elif any(fy != ty for _, fy, ty in m.atoms):
-            stationary.append(m)
-    return stationary + rightward[::-1] + leftward
 
 
 def _event_from_dict(d: dict) -> Event:

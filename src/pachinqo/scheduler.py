@@ -11,18 +11,22 @@ event is emitted, one pass (`_pack_rotations`) lets each native rotation
 wait, up to the next event on its atom, so that the U3 layers left each
 carry every rotation due there and are as few as possible; the layers
 left empty are dropped. It changes no move, pair, SWAP or trap change,
-only when rotations run. A second pass (`_merge_phases`) then emits each
-run of move phases with no event between them, which a dropped layer can
-leave, as one phase. A third pass (`_hold_columns`) lets an idle column
-wait, until its next move, at the nearest legal spot: where it stands,
-else in memory on the hang rows nearest its path, else, if a retreat
-tucked it onto memory's bottom rows, on the hang rows above. A spot is
-legal when nothing in between involves the column, it waits outside
-compute, no other column crosses it, no phase grows and no atom travels
-further (keeping atoms near where they are next needed, as in ZAC: Lin,
-Tan & Cong, HPCA 2025). No pass changes a decision or keeps a clock:
-the passes edit only the event list, and a last step (`_retime`) sets
-every event's start and end, in order, from the cost model.
+only when rotations run. A second pass (`_merge_phases`) then composes
+each move phase with the one just before it when no event is left
+between them, which a dropped layer can leave. A third pass
+(`_hold_columns`) lets an idle column wait, until its next move, at the
+nearest legal spot: where it stands, else in memory on the hang rows
+nearest its path, else, if a retreat tucked it onto memory's bottom
+rows, on the hang rows above. A spot is legal when nothing in between
+involves the column, it waits outside compute, no other column crosses
+it, no phase grows and no atom travels further (keeping atoms near where
+they are next needed, as in ZAC: Lin, Tan & Cong, HPCA 2025). No pass
+changes a decision or keeps a clock: the passes edit only the event
+list, in which each move phase is one record, its moves by cid. A last
+step (`_retime`) is the only one that orders a record's moves and times
+them: it emits each record's moves in a replay-safe order
+(`replay_order`) and sets every event's start and end, in order, from
+the cost model.
 
 A CZ layer plans with all columns relocated to the starting cache's
 slots next to compute, then processes them from the cache side nearest
@@ -54,21 +58,21 @@ no column gets standing priority; a layer in which a column finds no
 legal retreat keeps the same side.
 
 Move phases are fused. The compiler applies every move to its state at
-once and keeps one record of where the open phase found each column: the
-column's `found_x` and each atom's `found_y`. Closing the phase emits one
-move per column that is not where the phase found it, straight from there
-to where the column is now, and the current state becomes the next
-phase's record. A CZ layer's relocation is therefore planned but never
-travelled: it shares its phase with the placements and retreats that
-follow, as an isolation layer's parking shares its phase with the one
-placement. Retreats measure travel from the same record. A trap change
-closes the phase before it; the measurement epilogue and onecache's return
-home open phases of their own, which `_merge_phases` joins to the move
-phase next to them when no event is left between. Both ends of a phase
-are strictly x-ordered, so straight concurrent moves never cross
-columns. A CZ layer that stages no pair and changes no trap puts every
-column back where the phase found it (`_stay`), so it emits no move; the
-progress guard starts from there.
+once and keeps where the open phase found each column: the column's
+`found_x` and each atom's `found_y`. Closing the phase emits its record:
+one untimed move per column that is not where the phase found it,
+straight from there to where the column is now, by cid; the current
+state is where the next phase finds the columns. A CZ layer's relocation
+is therefore planned but never travelled: it shares its phase with the
+placements and retreats that follow, as an isolation layer's parking
+shares its phase with the one placement. Retreats measure travel from
+the same found positions. A trap change closes the phase before it; the
+measurement epilogue and onecache's return home open phases of their
+own, which `_merge_phases` composes with the move phase next to them when
+no event is left between. Both ends of a phase are strictly x-ordered,
+so straight concurrent moves never cross columns. A CZ layer that stages
+no pair and changes no trap puts every column back where the phase found
+it (`_stay`), so it emits no move; the progress guard starts from there.
 
 A CZ between two mobile atoms runs as an AOD pair when the column has
 nothing to place: both atoms stand within the interaction radius over a
@@ -168,8 +172,6 @@ from .schedule import (
     TrapTransfer,
     U3Entry,
     U3LayerEvent,
-    ordered_phase_moves,
-    replay_order,
 )
 
 TECHNIQUES = ("pachinqo", "degreesplit", "onecache", "trapchange")
@@ -189,6 +191,31 @@ class SchedulerError(RuntimeError):
 
 def toggle_direction(direction: int) -> int:
     return -direction
+
+
+def _moves(m: ColumnMove) -> bool:
+    """Whether m goes anywhere: its column's x or an atom's y changes."""
+    return m.from_x != m.to_x or any(fy != ty for _, fy, ty in m.atoms)
+
+
+def replay_order(moves) -> list[ColumnMove]:
+    """One phase's moves in a replay-safe order, without the no-op ones.
+
+    Column positions are strictly ordered before the phase and its targets
+    preserve that order. Emitting rightward movers from the right and
+    leftward movers from the left keeps the column x ordering strictly
+    increasing after every single event, so a step-by-step replay never
+    sees a crossing.
+    """
+    stationary, rightward, leftward = [], [], []
+    for m in sorted(moves, key=lambda m: m.from_x):
+        if m.to_x > m.from_x:
+            rightward.append(m)
+        elif m.to_x < m.from_x:
+            leftward.append(m)
+        elif _moves(m):
+            stationary.append(m)
+    return stationary + rightward[::-1] + leftward
 
 
 @dataclass
@@ -221,15 +248,16 @@ class _LayerPlan:
 @dataclass
 class _Phase:
     """A move phase as `_hold_columns` reads and edits it: the U3 layers
-    before it, its moves by cid in emission order and their durations
-    (which the pass weighs holds by; `_retime` times the phase); the
-    index of the state after it; and for each column whose next move
-    follows with no event involving it in between, that move's phase."""
+    before it; its record (the event list's dict of its moves by cid,
+    which the pass edits in place); the index of the state after it; its
+    moves' durations, which the pass weighs holds by (`_retime` times the
+    phase); and for each column whose next move follows with no event
+    involving it in between, that move's phase."""
 
     u3_before: int
-    moves: dict[int, ColumnMove] = field(default_factory=dict)
+    moves: dict[int, ColumnMove]
+    state: int
     durations: dict[int, float] = field(default_factory=dict)
-    state: int = 0
     next_move: dict[int, int] = field(default_factory=dict)
 
 
@@ -296,9 +324,9 @@ class Compiler:
         self.swap_count = 0
         self.trap_change_count = 0
 
-        # Untimed until `_retime`: a move phase's moves carry its ordinal.
+        # Untimed until `_retime`, each move phase as its record: a dict of
+        # its moves by cid (`_flush_moves`).
         self.events: list = []
-        self.phase = 0
         self.layer = 0
         self.direction = RIGHT
         # Atoms a CZ layer's placements keep crosstalk_radius from.
@@ -354,20 +382,20 @@ class Compiler:
     # ------------------------------------------------------------------
     # event emission
     def _flush_moves(self, cols: list[_Column] | None = None) -> None:
-        """Close the open movement phase: one move for each of `cols` (by
-        default every column) that is not where the phase found it, from
-        there to where it is now. The current state opens the next phase."""
-        moves = []
+        """Close the open movement phase: append its record, one untimed
+        move by cid for each of `cols` (by default every column) that is
+        not where the phase found it, from there to where it is now, unless
+        no column moved. The current state opens the next phase."""
+        moves = {}
         for col in self.columns if cols is None else cols:
-            atoms = [(a, self.found_y[a], self.atom_y[a]) for a in col.atoms]
-            if col.x != col.found_x or any(fy != ty for _, fy, ty in atoms):
-                moves.append((col.cid, col.found_x, col.x, atoms))
+            m = ColumnMove(0.0, 0.0, self.layer, col.cid, col.found_x, col.x,
+                           [(a, self.found_y[a], self.atom_y[a]) for a in col.atoms])
+            if _moves(m):
+                moves[col.cid] = m
             col.found_x = col.x
         self.found_y = list(self.atom_y)
-        if not moves:
-            return
-        self.phase += 1
-        self.events.extend(ordered_phase_moves(moves, self.phase, self.layer))
+        if moves:
+            self.events.append(moves)
 
     def _move_column(self, col: _Column, to_x: float,
                      y_targets: dict[int, float]) -> None:
@@ -586,39 +614,38 @@ class Compiler:
         self.events = events
 
     def _merge_phases(self) -> None:
-        """Emit each run of back-to-back move phases as one phase, once
-        rotations are packed.
+        """Compose each move phase's record with the record just before
+        it, once rotations are packed.
 
         Packing can drop the U3 layer between two move phases (onecache's
         return home and the next CZ layer's phase), and then columns
-        travel home and straight out again. Both ends of the run are
-        strictly x-ordered states, so one phase in which each column moves
-        straight from where the first phase found it to where the last
-        left it never crosses columns, and by the triangle inequality no
-        |dx| or |dy| grows. The merged phase takes the first phase's name
-        and the last phase's layer number. Nothing merges across any other
-        event. The pass edits only the event list; `_retime` times the
-        merged phase."""
+        travel home and straight out again. Composed, each column keeps
+        its first move's `from_x` and from-ys and its last move's `to_x`
+        and to-ys, and every move takes the later record's layer. A move
+        that ends where it began is dropped, and so is a record left
+        empty. Both ends are strictly x-ordered states, so the straight
+        moves never cross columns, and by the triangle inequality no |dx|
+        or |dy| grows. Nothing merges across any other event. The pass
+        edits only the event list; `_retime` orders and times the
+        composed record."""
         events: list = []
-        run: list[ColumnMove] = []
         for ev in self.events:
-            if isinstance(ev, ColumnMove):
-                run.append(ev)
+            if not (isinstance(ev, dict) and events and isinstance(events[-1], dict)):
+                events.append(ev)
                 continue
-            if run and run[0].t_start != run[-1].t_start:
-                first, last = {}, {}
-                for m in run:
-                    first.setdefault(m.column, m)
-                    last[m.column] = m
-                moves = [(cid, m.from_x, last[cid].to_x,
-                          [(a, fy, ty) for (a, fy, _), (_, _, ty)
-                           in zip(m.atoms, last[cid].atoms)])
-                         for cid, m in first.items()]
-                run = ordered_phase_moves(moves, run[0].t_start, run[-1].layer)
-            events += run
-            events.append(ev)
-            run = []
-        self.events = events + run
+            moves = events.pop()
+            for cid, m in ev.items():
+                first = moves.setdefault(cid, m)
+                first.to_x = m.to_x
+                first.atoms = [(a, fy, ty) for (a, fy, _), (_, _, ty)
+                               in zip(first.atoms, m.atoms)]
+            layer = next(iter(ev.values())).layer
+            moves = {cid: m for cid, m in moves.items() if _moves(m)}
+            for m in moves.values():
+                m.layer = layer
+            if moves:
+                events.append(moves)
+        self.events = events
 
     def _hold_columns(self) -> None:
         """Let each idle column wait at the nearest legal spot until its
@@ -645,9 +672,10 @@ class Compiler:
         is never longer, by the triangle inequality). Candidates are taken
         in time order, so holds chain, and the pass repeats until it
         changes nothing, since a hold can clear the way for a candidate it
-        refused or held short of A. A phase left with no move is dropped.
-        No pair, SWAP, trap change or U3 layer changes. The pass edits only
-        the event list; `_retime` sets the times."""
+        refused or held short of A. The pass edits the records in place,
+        and a record left with no move emits nothing (`_retime`). No pair,
+        SWAP, trap change or U3 layer changes; `_retime` orders and times
+        the moves."""
         comp, mem = self.layout.compute, self.layout.memory
         params = self.params
         pitch = params.storage_pitch
@@ -665,7 +693,6 @@ class Compiler:
         # Replay the events once: the move phases, and after each phase
         # and each trap change the x of every live column by cid (None
         # for a column holding no atom).
-        items: list = []  # each phase, and every event but the moves
         phases: list[_Phase] = []
         states: list[list[float | None]] = []
         xs: list[float | None] = [None] * width
@@ -673,29 +700,19 @@ class Compiler:
         column_of: dict[int, int] = {}
         last: dict[int, int] = {}  # column -> phase of its last move, if uninvolved since
         u3_layers = 0
-        phase = name = None
         for ev in self.events:
-            if phase is not None and not (isinstance(ev, ColumnMove)
-                                          and ev.t_start == name):
-                phase.state = len(states)
+            if isinstance(ev, dict):
+                phase = _Phase(u3_layers, ev, state=len(states))
+                for cid, m in ev.items():
+                    phase.durations[cid] = move_duration(
+                        m.to_x - m.from_x, [ty - fy for _, fy, ty in m.atoms], params)
+                    xs[cid] = m.to_x
+                    if cid in last:
+                        phases[last[cid]].next_move[cid] = len(phases)
+                    last[cid] = len(phases)
+                phases.append(phase)
                 states.append(list(xs))
-                phase = None
-            if isinstance(ev, ColumnMove):
-                if phase is None:
-                    phase, name = _Phase(u3_layers), ev.t_start
-                    phases.append(phase)
-                    items.append(phase)
-                cid = ev.column
-                phase.moves[cid] = ev
-                phase.durations[cid] = move_duration(
-                    ev.to_x - ev.from_x, [ty - fy for _, fy, ty in ev.atoms], params)
-                xs[cid] = ev.to_x
-                if cid in last:
-                    phases[last[cid]].next_move[cid] = len(phases) - 1
-                last[cid] = len(phases) - 1
-                continue
-            items.append(ev)
-            if isinstance(ev, U3LayerEvent):
+            elif isinstance(ev, U3LayerEvent):
                 u3_layers += 1
             elif isinstance(ev, Illumination):
                 for p in ev.pairs:
@@ -714,9 +731,6 @@ class Compiler:
                             xs[cid] = None
                     last.pop(cid, None)
                 states.append(list(xs))
-        if phase is not None:
-            phase.state = len(states)
-            states.append(list(xs))
 
         # The ys of a column's atoms, in slot order, hung (`_hang_y`) and
         # tucked onto memory's bottom rows (`_parked_ys`).
@@ -851,39 +865,33 @@ class Compiler:
             for w in waits + ([key[0], j] if slow else []):
                 waiting.setdefault(w, set()).add(key)
 
-        events: list = []
-        for item in items:
-            if isinstance(item, _Phase):
-                events += replay_order(list(item.moves.values()))
-            else:
-                events.append(item)
-        self.events = events
-
     def _retime(self) -> None:
-        """Time every event in order from the cost model, each starting
-        where the one before it ends: a move phase (a run of column moves
-        sharing a `t_start`, its name until now) lasts `movement_phase_time`
-        of its moves in emitted order, an illumination cz_time, a U3 layer
-        u3_time, a trap change trap_change_time and a measure no time."""
+        """Turn each move phase's record into its moves in a replay-safe
+        order (`replay_order`), and time every event in order from the
+        cost model, each starting where the one before it ends: a move
+        phase lasts `movement_phase_time` of its moves in that order, an
+        illumination cz_time, a U3 layer u3_time, a trap change
+        trap_change_time and a measure no time; a record with no move
+        left emits nothing. The only step that orders or times a move."""
         params = self.params
         duration = {Illumination: params.cz_time, U3LayerEvent: params.u3_time,
                     TrapChange: params.trap_change_time, Measure: 0.0}
-        events, t, i = self.events, 0.0, 0
-        while i < len(events):
-            j = i + 1
-            if isinstance(events[i], ColumnMove):
-                while (j < len(events) and isinstance(events[j], ColumnMove)
-                       and events[j].t_start == events[i].t_start):
-                    j += 1
+        events, t = [], 0.0
+        for ev in self.events:
+            if isinstance(ev, dict):
+                group = replay_order(ev.values())
+                if not group:  # its moves were all held away
+                    continue
                 dur = movement_phase_time(
-                    [(m.column, m.from_x, m.to_x, m.atoms) for m in events[i:j]],
+                    [(m.column, m.from_x, m.to_x, m.atoms) for m in group],
                     params, self.serial)
             else:
-                dur = duration[type(events[i])]
-            for ev in events[i:j]:
-                ev.t_start, ev.t_end = t, t + dur
+                group, dur = [ev], duration[type(ev)]
+            for m in group:
+                m.t_start, m.t_end = t, t + dur
+            events += group
             t += dur
-            i = j
+        self.events = events
 
     # ------------------------------------------------------------------
     # CZ layers

@@ -8,10 +8,12 @@ import copy
 import csv
 import dataclasses
 import hashlib
+import importlib.util
 import json
 import math
 import random
 import statistics
+import sys
 import time
 from pathlib import Path
 from typing import NamedTuple
@@ -79,6 +81,7 @@ from corpus import (
 PARAMS = PhysParams()
 GOLDEN_DIGESTS = Path(__file__).with_name("golden_digests.json")
 ADDER_QASM = Path(__file__).with_name("adder8.qasm")
+PERFBENCH_WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
 
 
 def _report(criterion: int, ok: bool, detail: str) -> None:
@@ -104,8 +107,15 @@ class _RecordingCompiler(Compiler):
     unmerged: list | None = None
 
     def _merge_phases(self) -> None:
-        self.unmerged = [copy.copy(ev) for ev in self.events]
+        self.unmerged = _copied(self.events)
         super()._merge_phases()
+
+
+def _copied(events: list) -> list:
+    """A copy of `events` before `_retime`, each move phase's record with
+    copies of its moves, which the post-passes and `_retime` edit."""
+    return [{cid: copy.copy(m) for cid, m in ev.items()}
+            if isinstance(ev, dict) else copy.copy(ev) for ev in events]
 
 
 def _compile_corpus():
@@ -260,7 +270,7 @@ def _from_record(compiler: _RecordingCompiler, sched: Schedule,
     it recorded before merging phases: `passes` run on them, then
     `_retime`, as in `run()`. `sched` and the record are left as they
     were."""
-    compiler.events = [copy.copy(ev) for ev in compiler.unmerged]
+    compiler.events = _copied(compiler.unmerged)
     for post_pass in passes:
         post_pass(compiler)
     compiler._retime()
@@ -337,8 +347,8 @@ def _schedule_digests(corpus_results, forced_guard_results,
                       qasm_results) -> dict[str, str]:
     """sha256 of `schedule_to_json` for every corpus case, every
     benchmark-suite x technique x grid case that compiles, every
-    forced-guard case, the trapchange extraction case and every QASM
-    case (parsed and lowered)."""
+    forced-guard case, the trapchange extraction case, every QASM case
+    (parsed and lowered) and each perfbench workload at seed 1."""
     def digest(sched):
         return hashlib.sha256(schedule_to_json(sched).encode()).hexdigest()
 
@@ -363,6 +373,28 @@ def _schedule_digests(corpus_results, forced_guard_results,
                     continue
                 key = f"suite/{circ.source_name}/{technique}/{grid_kind}"
                 digests[key] = digest(sched)
+    # The benchmark's own schedules: what `perfbench/run.py --seed 1`
+    # prints per workload, the sha256 of its cases' digests joined, each
+    # case compiled as `perfbench/pipeline.run_case` compiles it.
+    spec = importlib.util.spec_from_file_location("perfbench_workloads",
+                                                  PERFBENCH_WORKLOADS)
+    workloads = importlib.util.module_from_spec(spec)
+    # Its dataclass looks its module up by name while being built.
+    sys.modules[spec.name] = workloads
+    try:
+        spec.loader.exec_module(workloads)
+    finally:
+        del sys.modules[spec.name]
+    for workload in ("wide", "deep", "sweep"):
+        parts = []
+        for case in workloads.make_cases(workload, 1):
+            circ = decompose_to_basis(parse_qasm(case.qasm, case.name))
+            layout = build_layout(circ.num_qubits, "auto", PARAMS, case.grid)
+            grid = generate_grid(case.grid, layout, PARAMS)
+            parts.append(digest(Compiler(circ, case.technique, grid, layout,
+                                         PARAMS, False).run()))
+        digests[f"perfbench/{workload}/seed1"] = hashlib.sha256(
+            "".join(parts).encode()).hexdigest()
     return digests
 
 

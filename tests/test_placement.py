@@ -417,8 +417,9 @@ def test_init_timestamps_nondecreasing(default_layout, default_grid, params):
 
 def _assert_state_equals_replay(compiler, grid):
     """The compiler's machine state is what its events did: replaying the
-    transfers and column moves gives every atom's position, its site or
-    column, and the live columns left to right by cid."""
+    transfers and column moves (each move phase's record, before
+    `_retime`) gives every atom's position, its site or column, and the
+    live columns left to right by cid."""
     pos, col, site = {}, {}, {}
     for ev in compiler.events:
         if isinstance(ev, TrapChange):
@@ -432,10 +433,11 @@ def _assert_state_equals_replay(compiler, grid):
                     pos[tr.atom] = (tr.x, tr.y)
                     col[tr.atom] = tr.column
                     site.pop(tr.atom, None)
-        elif isinstance(ev, ColumnMove):
-            for a, fy, ty in ev.atoms:
-                assert col[a] == ev.column and pos[a] == (ev.from_x, fy)
-                pos[a] = (ev.to_x, ty)
+        elif isinstance(ev, (dict, ColumnMove)):
+            for m in ev.values() if isinstance(ev, dict) else [ev]:
+                for a, fy, ty in m.atoms:
+                    assert col[a] == m.column and pos[a] == (m.from_x, fy)
+                    pos[a] = (m.to_x, ty)
 
     n = compiler.circuit.num_qubits
     assert sorted(pos) == list(range(n))

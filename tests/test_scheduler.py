@@ -28,7 +28,6 @@ from pachinqo.schedule import (
     TrapTransfer,
     U3Entry,
     U3LayerEvent,
-    ordered_phase_moves,
     schedule_to_json,
 )
 from pachinqo.scheduler import Compiler, toggle_direction, LEFT, RIGHT
@@ -1085,10 +1084,11 @@ def test_retreat_fallback_tucks_beside_blocker():
 
 
 def _flushed_moves(compiler):
-    """Close the compiler's open move phase; returns the moves it emits."""
+    """Close the compiler's open move phase; returns the moves of the
+    record it appends, if any."""
     n = len(compiler.events)
     compiler._flush_moves()
-    return [e for e in compiler.events[n:] if isinstance(e, ColumnMove)]
+    return [m for record in compiler.events[n:] for m in record.values()]
 
 
 def test_onecache_retreat_tucks_in_at_memory_edge():
@@ -1225,28 +1225,38 @@ def test_memory_parking_refused_past_a_later_columns_target(start_x,
         assert col0.x == compiler.cache_slots[LEFT][-3]
 
 
-def _hand_built(parts, compiler):
-    """Events in sequence: a pickup trap change, then each part, a phase
-    given as a list of (cid, from x, to x, [(atom, from y, to y)]), "u3"
-    for an empty U3 layer, or ("cz", atom, atom) for an illumination,
-    timed by `compiler` as `run()` times its events. The pickup loads
-    every atom of the first phase into its column where that phase finds
-    it."""
+def _records(parts):
+    """Events in sequence, untimed as the compiler emits them: a pickup
+    trap change, then each part, a phase given as a list of (cid, from x,
+    to x, [(atom, from y, to y)]) and emitted as its record, "u3" for an
+    empty U3 layer, or ("cz", atom, atom) for an illumination. The pickup
+    loads every atom of the first phase into its column where that phase
+    finds it."""
     first = parts[0]
     events = [TrapChange(0.0, 0.0, 0, SLM_TO_AOD, [
         TrapTransfer(a, fx, fy, column=cid)
         for cid, fx, _, atoms in first for a, fy, _ in atoms])]
-    for phase, part in enumerate(parts, 1):
+    for part in parts:
         if part == "u3":
             events.append(U3LayerEvent(0.0, 0.0, 1, []))
         elif part[0] == "cz":
             pair = CzEntry((0, 1), part[1:], ((0.0, 0.0), (0.0, 0.0)))
             events.append(Illumination(0.0, 0.0, 1, [pair]))
         else:
-            events += ordered_phase_moves(part, phase, 1)
-    compiler.events = events
-    compiler._retime()
+            events.append({cid: ColumnMove(0.0, 0.0, 1, cid, fx, tx, list(atoms))
+                           for cid, fx, tx, atoms in part})
     return events
+
+
+def _hand_built(parts, compiler, *passes):
+    """The events of `parts` (`_records`), on which each of `passes` runs,
+    timed by `compiler` as `run()` times its events; the compiler keeps
+    them."""
+    compiler.events = _records(parts)
+    for post_pass in passes:
+        post_pass(compiler)
+    compiler._retime()
+    return compiler.events
 
 
 def _hold_compiler(technique="pachinqo", serial=False):
@@ -1264,9 +1274,7 @@ def _hold(compiler, parts):
     `parts`, then time them as `run()` would; returns the events as built.
     The compiler keeps them held."""
     built = _hand_built(parts, compiler)
-    compiler.events = [copy.copy(ev) for ev in built]
-    compiler._hold_columns()
-    compiler._retime()
+    _hand_built(parts, compiler, Compiler._hold_columns)
     return built
 
 
@@ -1284,6 +1292,47 @@ _TUCKED = (15.0, 17.0)
 def _col(cid, fx, tx, from_ys, to_ys):
     atoms = (0, 2) if cid == 0 else (4, 6)
     return (cid, fx, tx, list(zip(atoms, from_ys, to_ys)))
+
+
+def test_merge_composes_back_to_back_records():
+    """Column 0 moves A -> B in one record and B -> C in the next, with no
+    event between. Merged, they are one record holding the single move
+    A -> C, with the later record's layer."""
+    placed = (100.0, 110.0)
+    parts = [[_col(0, 150.0, 120.0, _HUNG, _TUCKED)],
+             [_col(0, 120.0, 200.0, _TUCKED, placed)]]
+    compiler = _hold_compiler()
+    compiler.events = _records(parts)
+    for m in compiler.events[2].values():
+        m.layer = 2
+    compiler._merge_phases()
+    assert compiler.events[1:] == [
+        {0: ColumnMove(0.0, 0.0, 2, 0, 150.0, 200.0,
+                       list(zip((0, 2), _HUNG, placed)))}]
+
+
+def test_merge_drops_a_round_trip_and_an_emptied_record():
+    """Three back-to-back records: column 0 goes A -> B, then back to A
+    with its ys restored, and column 1 moves only in the third. The first
+    two leave nothing, and the timed schedule has one move phase, holding
+    column 1's move, where it had three."""
+    placed = (100.0, 110.0)
+    parts = [[_col(0, 150.0, 120.0, _HUNG, _TUCKED)],
+             [_col(0, 120.0, 150.0, _TUCKED, _HUNG)],
+             [_col(1, 200.0, 161.5, _HUNG, placed)]]
+    compiler = _hold_compiler()
+    compiler.events = _records(parts)
+    compiler._merge_phases()
+    assert compiler.events[1:] == [
+        {1: ColumnMove(0.0, 0.0, 1, 1, 200.0, 161.5,
+                       list(zip((4, 6), _HUNG, placed)))}]
+    compiler._retime()
+    merged = compiler.events
+    assert [type(ev) for ev in merged] == [TrapChange, ColumnMove]
+    unmerged = _hand_built(parts, compiler)
+    assert len({(ev.t_start, ev.t_end) for ev in unmerged
+                if isinstance(ev, ColumnMove)}) == 3
+    assert merged[-1].t_end < unmerged[-1].t_end
 
 
 def test_hold_drops_a_tuck_and_return():
