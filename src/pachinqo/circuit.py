@@ -280,7 +280,7 @@ class Frontier:
             for q in g.qubits:
                 self._by_qubit[q].append(i)
         self._pos = [0] * circuit.num_qubits
-        # Every gate before this index has executed (see pending_czs).
+        # Every gate before this index has executed (see first_pending).
         self._first_pending = 0
         # qubit -> swap_id for in-flight inserted SWAPs
         self.lock: dict[int, int] = {}
@@ -302,14 +302,24 @@ class Frontier:
         lst, p = self._by_qubit[q], self._pos[q]
         return p == len(lst) or lst[p] > i
 
-    def pending_czs(self, limit: int) -> list[int]:
-        """Indices of the first `limit` CZs not yet executed, in circuit
-        order."""
+    def first_pending(self) -> int:
+        """Index of the circuit's first unexecuted gate, or END. Gates only
+        ever execute, so the scan resumes where the last call stopped; a
+        gate whose qubit an in-flight SWAP locks has not executed."""
         gates = self.circuit.gates
         i = self._first_pending
         while i < len(gates) and self._executed(i):
             i += 1
         self._first_pending = i
+        return i if i < len(gates) else END
+
+    def pending_czs(self, limit: int) -> list[int]:
+        """Indices of the first `limit` CZs not yet executed, in circuit
+        order."""
+        gates = self.circuit.gates
+        i = self.first_pending()
+        if i == END:
+            return []
         out: list[int] = []
         while i < len(gates) and len(out) < limit:
             if gates[i].kind == "cz" and not self._executed(i):

@@ -91,8 +91,9 @@ among those that are clear of obstacles and leave every later column's
 wanted x reachable, as retreats do; a pair within one column that the
 neighbouring columns or that reach rule keep from every site also waits
 for the next layer. A round that executes nothing emits nothing, so the
-progress guard waits for a second one, in which such a pair can form.
-Each column's other atoms hang below compute as for a placement.
+progress guard (`_guard`) waits for a second one, in which such a pair
+can form. Each column's other atoms hang below compute as for a
+placement.
 
 A column takes one turn per layer but may run several pairs. After the
 turns, `_fill` lifts further atoms of the standing columns into pairs
@@ -109,7 +110,16 @@ Other conflicts (a partner two or more columns away, or two static
 operands), and pairs with no site, insert SWAPs executed preemptively,
 one component per layer, except that a U3 layer also runs a swap's next
 rotation when it acts on another qubit (template steps 2-3 and 5-6
-share a layer). The frontier is the only record of an in-flight SWAP:
+share a layer). A column begins the SWAP for its own conflict in its
+turn. A CZ of two static atoms belongs to no column, so it gets its SWAP
+from the head rule (`_head_swap`): when the circuit's first unexecuted
+gate is such a CZ, executable, and was already first when the last CZ
+layer began, the next CZ layer begins, before it plans, the SWAP the
+guard would force for it (`_force_swap`), and the other columns keep
+working while it runs (SABRE, below, routes a blocked front-layer gate
+as soon as it blocks). The guard stays the fallback for a static pair
+the head rule has not reached, after two rounds that executed nothing.
+The frontier is the only record of an in-flight SWAP:
 its two qubits, its gate template and its step. The qubits' atoms do
 not change until the SWAP completes, so the compiler keeps nothing of
 its own. Each SWAP is chosen by lookahead, as in SABRE (Li, Ding &
@@ -138,7 +148,7 @@ import math
 from dataclasses import dataclass, field
 
 from . import kernels
-from .circuit import Circuit, Frontier, Gate
+from .circuit import END, Circuit, Frontier, Gate
 from .machine import (
     INTERACTION_OFFSET,
     PhysParams,
@@ -315,6 +325,9 @@ class Compiler:
         self.next_cid = len(self.placement.ferries) + len(self.placement.columns)
 
         self.frontier = Frontier(circuit)
+        # The circuit's first unexecuted gate when the last CZ layer began
+        # (`_head_swap`).
+        self.head = END
         # The index of each qubit pair's first CZ: the progress guard tries
         # executable CZs in this order.
         self.first_cz: dict[frozenset[int], int] = {}
@@ -917,13 +930,15 @@ class Compiler:
         in processing order (`_find_action`), retreating each column that
         neither placed nor paired, stage the further pairs the standing
         columns can run where they stand (`_fill`, unless a column was
-        stuck or a trap change fired), and fire. Every column gets its
+        stuck or a trap change fired), and fire. Before planning, the head
+        rule (`_head_swap`) may begin the SWAP of a static pair that has
+        headed the circuit for a whole CZ layer. Every column gets its
         turn. Returns the number of columns that executed a CZ, changed
-        traps or began a SWAP."""
+        traps or began a SWAP, plus one if the head rule began one."""
         self.layer += 1
         self.busy.clear()
         staged: list[CzEntry] = []
-        executed = 0
+        executed = self._head_swap()
 
         side = self.direction
         order = [c for c in self.columns if c.atoms]
@@ -965,6 +980,24 @@ class Compiler:
         if not (self.one_cache or stuck):
             self.direction = toggle_direction(self.direction)
         return executed
+
+    def _head_swap(self) -> int:
+        """The head rule: begin the SWAP `_guard` would force
+        (`_force_swap`) for the circuit's first unexecuted gate g if g is
+        an executable CZ of two static atoms and was already first when
+        the last CZ layer began. No column begins a SWAP for g, so without
+        this rule it waits for two rounds that execute nothing. Waiting
+        one layer first leaves a layer SWAP the chance to move either
+        operand into a column. Returns 1 if a SWAP began, else 0."""
+        head, self.head = self.head, self.frontier.first_pending()
+        if head != self.head or head == END:
+            return 0
+        gate = self.circuit.gates[head]
+        if gate.kind != "cz" or not self.frontier.executable_cz(*gate.qubits):
+            return 0
+        if any(self.atom_site[self.atom_of[q]] is None for q in gate.qubits):
+            return 0
+        return int(self._force_swap(*gate.qubits))
 
     def _stay(self) -> None:
         """Put every column and atom back where the open phase found it, so
@@ -1567,7 +1600,11 @@ class Compiler:
         serviced in an isolation layer: every other column parks out of the
         way, so the placement is geometrically guaranteed. Same-trap
         conflicts fall back to a forced swap initiation. Pairs are tried in
-        the order of their first CZ in the circuit.
+        the order of their first CZ in the circuit. The head rule
+        (`_head_swap`) begins most static pairs' SWAPs earlier, while other
+        columns still work; the guard is the fallback for a static pair
+        that does not head the circuit, or has headed it for less than a
+        CZ layer, when every column is stuck.
         """
         for sid in self.frontier.swap_ids():
             gate = self.frontier.swap_gate(sid)
@@ -1588,12 +1625,18 @@ class Compiler:
                     self._isolation_layer(mobile, static, gates[i])
                     return
                 continue
-            # Same side: force a swap, preferring to move the lower qubit.
-            choice = self._choose_swap(min(q1, q2), max(q1, q2), forced=True)
-            if choice is not None:
-                self._begin_swap(*choice)
+            if self._force_swap(q1, q2):
                 return
         raise SchedulerError("progress guard found no actionable gate")
+
+    def _force_swap(self, q1: int, q2: int) -> bool:
+        """Begin the forced SWAP for the executable CZ (q1, q2) of two
+        atoms on the same side, preferring to move the lower qubit;
+        whether one began."""
+        choice = self._choose_swap(min(q1, q2), max(q1, q2), forced=True)
+        if choice is not None:
+            self._begin_swap(*choice)
+        return choice is not None
 
     def _isolation_layer(self, active_atom: int, partner_atom: int,
                          gate: Gate) -> None:

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pachinqo.circuit import (
+    END,
     Circuit,
     CircuitError,
     Frontier,
@@ -449,3 +450,47 @@ def test_frontier_executable_u3s_matches_per_qubit_test():
             break
         f.advance(gates[0])
     assert 1 not in f.executable_u3s() and 4 not in f.executable_u3s()
+
+
+def test_frontier_first_pending_skips_executed_gates_and_never_moves_back():
+    """`first_pending` is the lowest index of a gate not yet executed, or
+    END once every gate has run, whatever order executable gates run in;
+    so it never decreases."""
+    rng = random.Random(7)
+    for _ in range(10):
+        circ = random_circuit(rng, rng.randint(2, 6), rng.randint(5, 60))
+        f = Frontier(circ)
+        done = [False] * len(circ.gates)
+        last = 0
+        while not f.done():
+            ready = [i for i, g in enumerate(circ.gates) if not done[i] and (
+                f.executable_cz(*g.qubits) and f.next_gate(g.qubits[0]) == i
+                if g.kind == "cz" else
+                f.executable_u3(g.qubits[0]) and f.next_gate(g.qubits[0]) == i)]
+            i = rng.choice(ready)
+            f.advance(circ.gates[i])
+            done[i] = True
+            head = f.first_pending()
+            assert head == next((j for j, d in enumerate(done) if not d), END)
+            if head != END:
+                assert head >= last
+                last = head
+        assert f.first_pending() == END
+
+
+def test_frontier_first_pending_stays_on_a_gate_a_swap_locked():
+    """A SWAP on the head CZ's qubits holds it: the cursor stays there while
+    the SWAP's steps and a later rotation run, and moves past both the CZ
+    and the rotation once the CZ runs."""
+    circ = Circuit(3, [cz(0, 1), u3(2, 0.1, 0.2, 0.3), cz(1, 2)])
+    f = Frontier(circ)
+    f.begin_swap(0, 0, 1)
+    f.advance(circ.gates[1])
+    assert f.first_pending() == 0
+    for g in decompose_swap(0, 1, swap_id=0):
+        f.advance(g)
+        assert f.first_pending() == 0
+    f.advance(circ.gates[0])
+    assert f.first_pending() == 2
+    f.advance(circ.gates[2])
+    assert f.first_pending() == END
