@@ -11,9 +11,11 @@ event is emitted, one pass (`_pack_rotations`) lets each native rotation
 wait, up to the next event on its atom, so that the U3 layers left each
 carry every rotation due there and are as few as possible; the layers
 left empty are dropped. It changes no move, pair, SWAP or trap change,
-only when rotations run. A second pass (`_merge_phases`) then composes
-each move phase with the one just before it when no event is left
-between them, which a dropped layer can leave. A third pass
+only when rotations run. Each move phase is one record in the event
+list, its moves by cid, and a record enters a list only through
+`_append_phase`, which composes it with a record just before it; so no
+two records stand back to back, whether the compiler emits them so or
+packing drops the U3 layer between them. A second pass
 (`_hold_columns`) lets an idle column wait, until its next move, at the
 nearest legal spot: where it stands, else in memory on the hang rows
 nearest its path, else, if a retreat tucked it onto memory's bottom
@@ -22,11 +24,10 @@ involves the column, it waits outside compute, no other column crosses
 it, no phase grows and no atom travels further (keeping atoms near where
 they are next needed, as in ZAC: Lin, Tan & Cong, HPCA 2025). No pass
 changes a decision or keeps a clock: the passes edit only the event
-list, in which each move phase is one record, its moves by cid. A last
-step (`_retime`) is the only one that orders a record's moves and times
-them: it emits each record's moves in a replay-safe order
-(`replay_order`) and sets every event's start and end, in order, from
-the cost model.
+list. A last step (`_retime`) is the only one that orders a record's
+moves and times them: it emits each record's moves in a replay-safe
+order (`replay_order`) and sets every event's start and end, in order,
+from the cost model.
 
 A CZ layer plans with all columns relocated to the starting cache's
 slots next to compute, then processes them from the cache side nearest
@@ -68,7 +69,7 @@ placements and retreats that follow, as an isolation layer's parking
 shares its phase with the one placement. Retreats measure travel from
 the same found positions. A trap change closes the phase before it; the
 measurement epilogue and onecache's return home open phases of their
-own, which `_merge_phases` composes with the move phase next to them when
+own, which `_append_phase` composes with the move phase next to them when
 no event is left between. Both ends of a phase are strictly x-ordered,
 so straight concurrent moves never cross columns. A CZ layer that stages
 no pair and changes no trap puts every column back where the phase found
@@ -257,14 +258,13 @@ class _LayerPlan:
 
 @dataclass
 class _Phase:
-    """A move phase as `_hold_columns` reads and edits it: the U3 layers
-    before it; its record (the event list's dict of its moves by cid,
-    which the pass edits in place); the index of the state after it; its
-    moves' durations, which the pass weighs holds by (`_retime` times the
-    phase); and for each column whose next move follows with no event
-    involving it in between, that move's phase."""
+    """A move phase as `_hold_columns` reads and edits it: its record (the
+    event list's dict of its moves by cid, which the pass edits in place);
+    the index of the state after it; its moves' durations, which the pass
+    weighs holds by (`_retime` times the phase); and for each column whose
+    next move follows with no event involving it in between, that move's
+    phase."""
 
-    u3_before: int
     moves: dict[int, ColumnMove]
     state: int
     durations: dict[int, float] = field(default_factory=dict)
@@ -408,7 +408,29 @@ class Compiler:
             col.found_x = col.x
         self.found_y = list(self.atom_y)
         if moves:
-            self.events.append(moves)
+            self._append_phase(self.events, moves)
+
+    def _append_phase(self, events: list, moves: dict[int, ColumnMove]) -> None:
+        """Append a move phase's record to `events`, the only way one enters
+        an event list, composed with the record that ends `events` if any:
+        each column keeps its first `from_x` and from-ys and its last `to_x`
+        and to-ys, and every move takes the later record's layer. A move
+        that ends where it began is dropped, and so is a record left empty.
+        Both ends are strictly x-ordered states, so the straight moves never
+        cross columns, and by the triangle inequality no |dx| or |dy|
+        grows."""
+        composed = events.pop() if events and isinstance(events[-1], dict) else {}
+        layer = next(iter(moves.values())).layer
+        for cid, m in moves.items():
+            first = composed.setdefault(cid, m)
+            first.to_x = m.to_x
+            first.atoms = [(a, fy, ty) for (a, fy, _), (_, _, ty)
+                           in zip(first.atoms, m.atoms)]
+        composed = {cid: m for cid, m in composed.items() if _moves(m)}
+        for m in composed.values():
+            m.layer = layer
+        if composed:
+            events.append(composed)
 
     def _move_column(self, col: _Column, to_x: float,
                      y_targets: dict[int, float]) -> None:
@@ -436,8 +458,9 @@ class Compiler:
         """Close a CZ layer: its move phase ends, one illumination fires
         every staged pair, and with one cache the columns return home in
         a phase of their own, so that a U3 layer after it runs with every
-        column home. When no U3 layer is left after it, `_merge_phases`
-        joins the return to the next layer's phase."""
+        column home. When no U3 layer runs after it, or packing drops those
+        that do, `_append_phase` composes the return with the next layer's
+        phase."""
         self._flush_moves()
         if staged:
             self.events.append(Illumination(0.0, 0.0, self.layer, staged))
@@ -517,7 +540,6 @@ class Compiler:
                 idle = 0
         self._measurement()
         self._pack_rotations()
-        self._merge_phases()
         self._hold_columns()
         self._retime()
         schedule = Schedule(
@@ -588,9 +610,11 @@ class Compiler:
         rotating it; measures follow every U3 layer. Layers holding a SWAP
         step stay. By earliest deadline, each native rotation takes the
         earliest kept layer in its window, or else keeps its deadline
-        layer (a greedy interval cover). Each layer left empty is dropped;
-        every other event and layer number stays as it was. The pass edits
-        only the event list; `_retime` sets the times."""
+        layer (a greedy interval cover). Each layer left empty is dropped,
+        and the move records it stood between are composed
+        (`_append_phase`); every other event and layer number stays as it
+        was. The pass edits only the event list; `_retime` sets the
+        times."""
         k = sum(isinstance(ev, U3LayerEvent) for ev in self.events)
         # Scanning backward, bound[atom] is the last U3 layer (counted from
         # 0) before the next event on the atom.
@@ -615,9 +639,12 @@ class Compiler:
             if i == len(kept) or kept[i] > deadline:
                 kept.insert(i, deadline)
             placed[kept[i]].append((start, j, g))
-        events = []
+        events: list = []
         layers = iter(placed)
         for ev in self.events:
+            if isinstance(ev, dict):
+                self._append_phase(events, ev)
+                continue
             if isinstance(ev, U3LayerEvent):
                 here = next(layers)
                 if not here:
@@ -626,48 +653,16 @@ class Compiler:
             events.append(ev)
         self.events = events
 
-    def _merge_phases(self) -> None:
-        """Compose each move phase's record with the record just before
-        it, once rotations are packed.
-
-        Packing can drop the U3 layer between two move phases (onecache's
-        return home and the next CZ layer's phase), and then columns
-        travel home and straight out again. Composed, each column keeps
-        its first move's `from_x` and from-ys and its last move's `to_x`
-        and to-ys, and every move takes the later record's layer. A move
-        that ends where it began is dropped, and so is a record left
-        empty. Both ends are strictly x-ordered states, so the straight
-        moves never cross columns, and by the triangle inequality no |dx|
-        or |dy| grows. Nothing merges across any other event. The pass
-        edits only the event list; `_retime` orders and times the
-        composed record."""
-        events: list = []
-        for ev in self.events:
-            if not (isinstance(ev, dict) and events and isinstance(events[-1], dict)):
-                events.append(ev)
-                continue
-            moves = events.pop()
-            for cid, m in ev.items():
-                first = moves.setdefault(cid, m)
-                first.to_x = m.to_x
-                first.atoms = [(a, fy, ty) for (a, fy, _), (_, _, ty)
-                               in zip(first.atoms, m.atoms)]
-            layer = next(iter(ev.values())).layer
-            moves = {cid: m for cid, m in moves.items() if _moves(m)}
-            for m in moves.values():
-                m.layer = layer
-            if moves:
-                events.append(moves)
-        self.events = events
-
     def _hold_columns(self) -> None:
         """Let each idle column wait at the nearest legal spot until its
         next move, once every event is emitted.
 
         Take two consecutive moves of column c: m in phase a (A -> B) and
         m' in phase b (B -> C), with no illumination pair or trap-change
-        transfer involving c between the two phases. The pass lets c wait
-        at a spot W in place of B: it emits m as A -> W and m' as W -> C,
+        transfer involving c between the two phases and, with one cache,
+        no U3 layer (every column stands home when one runs: `_fire`). The
+        pass lets c wait at a spot W in place of B: it emits m as A -> W and
+        m' as W -> C,
         each atom starting m' from its y at W, and drops m where W is A.
         It tries three spots in turn and takes the first legal one: A
         itself; the memory x nearest the segment A..C that leaves a
@@ -676,26 +671,24 @@ class Compiler:
         hang rows (`_hang_y`); and, if `_retreat` tucked c onto memory's
         bottom rows at B (`_parked_ys`), B's x with the atoms on the hang
         rows. A spot is legal when every atom of c there stands outside
-        compute, so no pulse in between reaches it; with one cache, it is
-        c's home slot if a U3 layer runs in between; its x lies strictly
+        compute, so no pulse in between reaches it; its x lies strictly
         between the xs of c's nearest live columns by cid after every
         phase and trap change from a up to b, so no two columns cross;
         phases a and b take no longer than they did; and, for a spot other
         than A, no atom of c travels further and one travels less (A -> C
         is never longer, by the triangle inequality). Candidates are taken
-        in time order, so holds chain, and the pass repeats until it
-        changes nothing, since a hold can clear the way for a candidate it
-        refused or held short of A. The pass edits the records in place,
-        and a record left with no move emits nothing (`_retime`). No pair,
+        in time order, so holds chain, and a hold wakes each candidate it
+        may let wait nearer (below): one held short of A after a spot was
+        refused for time wakes itself, as its hold changed its phases'
+        times. So the pass ends where plain repeated passes would: run once
+        more, it changes nothing. The pass edits the records in place, and
+        a record left with no move emits nothing (`_retime`). No pair,
         SWAP, trap change or U3 layer changes; `_retime` orders and times
         the moves."""
         comp, mem = self.layout.compute, self.layout.memory
         params = self.params
         pitch = params.storage_pitch
         width = self.next_cid
-        # Each AOD column's home: where the load left it.
-        home = {g.column: (g.atoms[0][2], [ty for *_, ty in g.atoms])
-                for g in self.placement.columns}
         # Memory's xs inside its margin.
         mem_x0, mem_x1 = mem.x0 + ZONE_MARGIN, mem.x1 - ZONE_MARGIN
 
@@ -712,10 +705,9 @@ class Compiler:
         count = [0] * width
         column_of: dict[int, int] = {}
         last: dict[int, int] = {}  # column -> phase of its last move, if uninvolved since
-        u3_layers = 0
         for ev in self.events:
             if isinstance(ev, dict):
-                phase = _Phase(u3_layers, ev, state=len(states))
+                phase = _Phase(ev, state=len(states))
                 for cid, m in ev.items():
                     phase.durations[cid] = move_duration(
                         m.to_x - m.from_x, [ty - fy for _, fy, ty in m.atoms], params)
@@ -726,7 +718,8 @@ class Compiler:
                 phases.append(phase)
                 states.append(list(xs))
             elif isinstance(ev, U3LayerEvent):
-                u3_layers += 1
+                if self.one_cache:  # every column stands home (`_fire`)
+                    last.clear()
             elif isinstance(ev, Illumination):
                 for p in ev.pairs:
                     for a in p.atoms:
@@ -783,7 +776,8 @@ class Compiler:
         # comes closest (holds keep liveness, and only that column moving
         # away widens the room), its own moves next to its span and, if a
         # spot was refused for time, its phases. A hold wakes it for this
-        # pass if it comes later, else for the next.
+        # pass if it comes later, else for the next; a candidate held short
+        # of A after a refusal for time wakes itself for the next.
         todo = sorted((i, cid) for i, pa in enumerate(phases) for cid in pa.next_move)
         woken, waiting = set(), {}
         while todo or woken:
@@ -817,9 +811,7 @@ class Compiler:
             for i, (x, ys) in enumerate(spots(ma, lo[0], hi[0])):
                 at_a = i == 0
                 if not lo[0] < x < hi[0] or (at_a and any(
-                        comp.contains(x, y) for y in ys)) or (
-                        self.one_cache and pb.u3_before > pa.u3_before
-                        and home.get(cid) != (x, ys)):
+                        comp.contains(x, y) for y in ys)):
                     continue
                 if path is None:
                     end = {a: ty for a, _, ty in mb.atoms}
@@ -870,6 +862,8 @@ class Compiler:
                             heapq.heappush(todo, k)
                         else:
                             woken.add(k)
+                if slow and not at_a:
+                    woken.add(key)
                 break
             if cid not in pa.moves:
                 continue

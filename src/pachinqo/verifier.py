@@ -7,7 +7,8 @@ column membership (a pickup of an atom that a column already holds is
 reported at its trap change), illumination blockade geometry (both atoms
 of a pair inside compute, the only zone the Rydberg pulse reaches,
 within the interaction radius and clear of other compute atoms'
-crosstalk), zone containment,
+crosstalk, and every column-held atom in compute in a pair, since the
+pulse would gate it anyway), zone containment,
 deposits into compute landing on a free grid site,
 dependency order of executed gates (a native CZ names its gate's qubits
 in the gate's order, and no gate runs on an atom already measured) and
@@ -422,6 +423,13 @@ class _Replay:
             (a, xy) for a, xy in sorted(self.pos.items())
             if comp.contains(*xy) and a not in self.measured
         ]
+        # A column atom the pulse reaches but no pair names would be gated
+        # all the same: unpaired column atoms hang outside compute.
+        held = set().union(*self.col_atoms.values())
+        for a, (x, y) in in_compute:
+            if a in held and a not in pair_of:
+                self.bad("blockade", i, f"column atom {a} stands in compute "
+                         f"at ({x:.2f}, {y:.2f}) in no pair")
         for ii in range(len(in_compute)):
             a, (ax, ay) = in_compute[ii]
             for jj in range(ii + 1, len(in_compute)):

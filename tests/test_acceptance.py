@@ -100,15 +100,36 @@ def _compile(circ, technique="pachinqo", grid_kind="large-square",
 
 # ---------------------------------------------------------------------------
 class _RecordingCompiler(Compiler):
-    """Keeps a copy of the events as `_merge_phases` finds them (`unmerged`),
-    so that the post-pass tests can rebuild the schedule without merged
-    phases or held columns from the same compile (`_from_record`)."""
+    """Appends move records as they come, and keeps a copy of the events as
+    `_hold_columns` finds them (`unmerged`) before composing back-to-back
+    records (`_composed`), so that the post-pass tests can rebuild the
+    schedule without composed phases or held columns from the same compile
+    (`_from_record`), and one as it leaves them (`held`). Composing decides
+    nothing, so the schedule is the compiler's."""
 
     unmerged: list | None = None
+    held: list | None = None
 
-    def _merge_phases(self) -> None:
+    def _append_phase(self, events, moves) -> None:
+        events.append(moves)
+
+    def _hold_columns(self) -> None:
         self.unmerged = _copied(self.events)
-        super()._merge_phases()
+        _composed(self)
+        super()._hold_columns()
+        self.held = _copied(self.events)
+
+
+def _composed(compiler: Compiler) -> None:
+    """Compose each run of back-to-back move records in `compiler.events`
+    into one, appending each record through `Compiler._append_phase`."""
+    events: list = []
+    for ev in compiler.events:
+        if isinstance(ev, dict):
+            Compiler._append_phase(compiler, events, ev)
+        else:
+            events.append(ev)
+    compiler.events = events
 
 
 def _copied(events: list) -> list:
@@ -163,11 +184,11 @@ class _GuardForcingCompiler(_RecordingCompiler):
 
 class _UnmergedCompiler(Compiler):
     """Leaves back-to-back move phases apart and every column move where
-    the compiler put it, as the compiler did before it merged phases and
+    the compiler put it, as the compiler did before it composed phases and
     held idle columns."""
 
-    def _merge_phases(self) -> None:
-        pass
+    def _append_phase(self, events, moves) -> None:
+        events.append(moves)
 
     def _hold_columns(self) -> None:
         pass
@@ -245,10 +266,12 @@ def forced_guard_results():
 
 class _PostPassCase(NamedTuple):
     """One schedule with its references for the post-pass tests: `unmerged`
-    is the same compile's schedule with neither phases merged nor columns
-    held, and `unheld` is that schedule with its phases merged, which is
-    the compiler's schedule without holds. `violations` and `equivalent`
-    (None above EQUIVALENCE_QUBIT_CAP qubits) are those of `sched`."""
+    is the same compile's schedule with neither phases composed nor columns
+    held, `unheld` is that schedule with its phases composed, which is the
+    compiler's schedule without holds. `holds_again` says whether the hold
+    pass, run once more on its own output, changes a move (`_holds_again`).
+    `violations` and `equivalent` (None above EQUIVALENCE_QUBIT_CAP qubits)
+    are those of `sched`."""
 
     circ: Circuit
     technique: str
@@ -260,6 +283,7 @@ class _PostPassCase(NamedTuple):
     layout: ZoneLayout
     grid: SlmGrid
     forced: bool
+    holds_again: bool
     violations: list
     equivalent: bool | None
 
@@ -267,7 +291,7 @@ class _PostPassCase(NamedTuple):
 def _from_record(compiler: _RecordingCompiler, sched: Schedule,
                  *passes) -> Schedule:
     """`sched`, which `compiler` compiled, rebuilt from a copy of the events
-    it recorded before merging phases: `passes` run on them, then
+    it recorded before composing phases: `passes` run on them, then
     `_retime`, as in `run()`. `sched` and the record are left as they
     were."""
     compiler.events = _copied(compiler.unmerged)
@@ -275,6 +299,14 @@ def _from_record(compiler: _RecordingCompiler, sched: Schedule,
         post_pass(compiler)
     compiler._retime()
     return dataclasses.replace(sched, events=compiler.events)
+
+
+def _holds_again(compiler: _RecordingCompiler) -> bool:
+    """Whether the hold pass, run once more on a copy of the events it left
+    in `compiler`'s compile, changes a move."""
+    compiler.events = _copied(compiler.held)
+    Compiler._hold_columns(compiler)
+    return compiler.events != compiler.held
 
 
 def _compile_unmerged(corpus_results, forced_guard_results):
@@ -303,8 +335,8 @@ def _compile_unmerged(corpus_results, forced_guard_results):
             results.append(_PostPassCase(
                 circ, technique, grid_kind, serial, sched,
                 _from_record(compiler, sched),
-                _from_record(compiler, sched, Compiler._merge_phases),
-                layout, grid, forced,
+                _from_record(compiler, sched, _composed),
+                layout, grid, forced, _holds_again(compiler),
                 validate_schedule(sched, layout, grid, PARAMS, circ),
                 equivalent))
     return results
@@ -374,8 +406,20 @@ def _schedule_digests(corpus_results, forced_guard_results,
                 key = f"suite/{circ.source_name}/{technique}/{grid_kind}"
                 digests[key] = digest(sched)
     # The benchmark's own schedules: what `perfbench/run.py --seed 1`
-    # prints per workload, the sha256 of its cases' digests joined, each
-    # case compiled as `perfbench/pipeline.run_case` compiles it.
+    # prints per workload, the sha256 of its cases' digests joined.
+    for workload, cases in _perfbench_cases(1).items():
+        parts = [digest(Compiler(circ, technique, grid, layout, PARAMS,
+                                 False).run())
+                 for circ, technique, layout, grid in cases]
+        digests[f"perfbench/{workload}/seed1"] = hashlib.sha256(
+            "".join(parts).encode()).hexdigest()
+    return digests
+
+
+def _perfbench_cases(seed: int) -> dict[str, list]:
+    """Per perfbench workload, (lowered circuit, technique, layout, grid)
+    of each of its cases at `seed`, set up as `perfbench/pipeline.run_case`
+    sets it up."""
     spec = importlib.util.spec_from_file_location("perfbench_workloads",
                                                   PERFBENCH_WORKLOADS)
     workloads = importlib.util.module_from_spec(spec)
@@ -385,17 +429,15 @@ def _schedule_digests(corpus_results, forced_guard_results,
         spec.loader.exec_module(workloads)
     finally:
         del sys.modules[spec.name]
+    out = {}
     for workload in ("wide", "deep", "sweep"):
-        parts = []
-        for case in workloads.make_cases(workload, 1):
+        out[workload] = []
+        for case in workloads.make_cases(workload, seed):
             circ = decompose_to_basis(parse_qasm(case.qasm, case.name))
             layout = build_layout(circ.num_qubits, "auto", PARAMS, case.grid)
             grid = generate_grid(case.grid, layout, PARAMS)
-            parts.append(digest(Compiler(circ, case.technique, grid, layout,
-                                         PARAMS, False).run()))
-        digests[f"perfbench/{workload}/seed1"] = hashlib.sha256(
-            "".join(parts).encode()).hexdigest()
-    return digests
+            out[workload].append((circ, case.technique, layout, grid))
+    return out
 
 
 def test_golden_schedule_digests(corpus_results, forced_guard_results,
@@ -568,6 +610,28 @@ def test_held_columns_match_unheld_reference(unmerged_results):
             faster.add(technique)
     assert fewer_moves == set(TECHNIQUES)
     assert faster >= {"pachinqo", "degreesplit", "trapchange"}
+
+
+def test_held_columns_reach_a_fixpoint(unmerged_results):
+    """Running the hold pass once more on its own output changes no move:
+    the pass's wait lists retry every candidate a hold could let wait
+    nearer. Over the corpus, the forced-guard set and every perfbench
+    case at seed 1, with concurrent and serial movement."""
+    moved = [(c.circ.source_name, c.technique, c.grid_kind, c.serial)
+             for c in unmerged_results if c.holds_again]
+    compiles = len(unmerged_results)
+    for workload, cases in _perfbench_cases(1).items():
+        for circ, technique, layout, grid in cases:
+            for serial in (False, True):
+                compiler = _RecordingCompiler(circ, technique, grid, layout,
+                                              PARAMS, serial)
+                compiler.run()
+                compiles += 1
+                if _holds_again(compiler):
+                    moved.append((workload, circ.source_name, technique,
+                                  serial))
+    assert compiles == 2 * (208 + 144 + 34)
+    assert not moved, (len(moved), moved[:5])
 
 
 def _timing_faults(sched) -> tuple[list[int], list[int]]:

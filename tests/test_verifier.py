@@ -355,6 +355,71 @@ def test_validator_catches_two_pairs_stacked_in_one_column_too_close():
                         (2, 3, "6.671"))]
 
 
+class _LiftedBystanderCompiler(Compiler):
+    """Once columns are held, lifts the first atom of a column that the
+    next illumination does not pair into compute, in the record just
+    before that pulse, at the lowest clear-site row at least
+    crosstalk_radius from every other compute atom, and starts the
+    column's next move from there (`lifted`: atom, x, y, the pulse's
+    index among the timed events)."""
+
+    lifted = None
+
+    def _hold_columns(self):
+        super()._hold_columns()
+        comp, r_ct = self.layout.compute, self.params.crosstalk_radius
+        pos = {}
+        for k, ev in enumerate(self.events):
+            if isinstance(ev, TrapChange):
+                pos.update((tr.atom, (tr.x, tr.y)) for tr in ev.transfers)
+            elif isinstance(ev, dict):
+                for m in ev.values():
+                    pos.update((a, (m.to_x, ty)) for a, _, ty in m.atoms)
+            if not (isinstance(ev, Illumination) and isinstance(self.events[k - 1], dict)):
+                continue
+            paired = {a for p in ev.pairs for a in p.atoms}
+            for cid, m in self.events[k - 1].items():
+                atom, fy, _ = m.atoms[0]
+                if paired & {a for a, *_ in m.atoms}:
+                    continue
+                others = [xy for a, xy in pos.items()
+                          if a != atom and comp.contains(*xy)]
+                y = next((y for y in self.pair_rows if comp.contains(m.to_x, y)
+                          and all(math.dist((m.to_x, y), xy) >= r_ct
+                                  for xy in others)), None)
+                nxt = next((later[cid] for later in self.events[k + 1:]
+                            if isinstance(later, dict) and cid in later), None)
+                if y is None or nxt is None:
+                    continue
+                m.atoms[0] = (atom, fy, y)
+                a, _, ty = nxt.atoms[0]
+                nxt.atoms[0] = (a, y, ty)
+                timed = sum(len(e) if isinstance(e, dict) else 1
+                            for e in self.events[:k] if e)
+                self.lifted = atom, m.to_x, y, timed
+                return
+
+
+def test_validator_catches_an_unpaired_column_atom_in_compute():
+    """A column atom that stands in compute while the pulse fires, in no
+    pair, would be gated all the same. Lifted there clear of every other
+    compute atom's crosstalk radius, it breaks no other check: one
+    blockade violation, at that illumination."""
+    circ = random_circuit(random.Random(0), 16, 80)
+    params = PhysParams()
+    layout = build_layout(16, "auto", params)
+    grid = generate_grid("large-square", layout, params)
+    compiler = _LiftedBystanderCompiler(circ, "pachinqo", grid, layout, params)
+    sched = compiler.run()
+    atom, x, y, i = compiler.lifted
+    assert layout.compute.contains(x, y)
+    assert isinstance(sched.events[i], Illumination)
+    violations = validate_schedule(sched, layout, grid, params, circ)
+    assert [(v.code, v.event, v.description) for v in violations] == [
+        ("blockade", i,
+         f"column atom {atom} stands in compute at ({x:.2f}, {y:.2f}) in no pair")]
+
+
 def test_validator_catches_crossing_columns():
     circ = Circuit(10, [cz(2 * i, 2 * i + 1) for i in range(5)])
 
