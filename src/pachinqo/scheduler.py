@@ -7,15 +7,17 @@ only code that emits events or changes machine state.
 Execution alternates U3 layers (parallel single-qubit rotations, location
 independent) with CZ layers. While compiling, a U3 layer runs every
 exposed rotation, so each CZ layer sees every CZ they unblock. Once every
-event is emitted, one pass (`_pack_rotations`) lets each native rotation
-wait, up to the next event on its atom, so that the U3 layers left each
-carry every rotation due there and are as few as possible; the layers
-left empty are dropped. It changes no move, pair, SWAP or trap change,
-only when rotations run. Each move phase is one record in the event
-list, its moves by cid, and a record enters a list only through
-`_append_phase`, which composes it with a record just before it; so no
-two records stand back to back, whether the compiler emits them so or
-packing drops the U3 layer between them. A second pass
+event is emitted, one pass (`_pack_rotations`) moves each rotation, SWAP
+steps included, to any U3 layer between the illuminations on its atom
+before and after it, keeping each atom's and each SWAP's order, so that
+the U3 layers left each carry every rotation due there and are few (an
+earliest-deadline interval cover); the layers left empty are dropped.
+It changes no move, pair, SWAP or trap change, only when rotations run.
+Each move phase is one record in the event list, its moves by cid, and
+a record enters a list only through `_append_phase`, which composes it
+with a record just before it; so no two records stand back to back,
+whether the compiler emits them so or packing drops the U3 layer
+between them. A second pass
 (`_hold_columns`) lets an idle column wait, until its next move, at the
 nearest legal spot: where it stands, else in memory on the hang rows
 nearest its path, else, if a retreat tucked it onto memory's bottom
@@ -149,7 +151,7 @@ import math
 from dataclasses import dataclass, field
 
 from . import kernels
-from .circuit import END, Circuit, Frontier, Gate
+from .circuit import END, Circuit, Frontier, Gate, decompose_swap
 from .machine import (
     INTERACTION_OFFSET,
     PhysParams,
@@ -194,6 +196,10 @@ LEFT = -1
 # unexecuted CZs, the k-th weighted SWAP_DECAY**k (SABRE's extended set).
 SWAP_WINDOW = 20
 SWAP_DECAY = 0.5
+
+# The step of the SWAP template that completes it: a rotation, after
+# which its qubits exchange atoms and unlock.
+SWAP_LAST_STEP = len(decompose_swap(0, 1)) - 1
 
 
 class SchedulerError(RuntimeError):
@@ -561,8 +567,8 @@ class Compiler:
     def _u3_rounds(self) -> int:
         """Greedy U3 layers until no rotation is frontier-exposed. Each
         layer runs every exposed rotation, so the next CZ layer sees every
-        CZ they unblock; `_pack_rotations` later moves the native ones that
-        need not run yet into fewer layers."""
+        CZ they unblock; `_pack_rotations` later moves rotations into fewer
+        layers."""
         executed = 0
         while True:
             native = self.frontier.executable_u3s()
@@ -601,44 +607,89 @@ class Compiler:
         self.qubit_of[aa], self.qubit_of[ab] = qb, qa
 
     def _pack_rotations(self) -> None:
-        """Run the native rotations in the fewest U3 layers, once every
-        event is emitted.
+        """Run every rotation, SWAP steps included, in the fewest U3 layers,
+        once every event is emitted.
 
-        A native rotation commutes with every event that leaves its atom
-        alone, so it may run in any U3 layer from its own up to the last
-        one before the next illumination pairing its atom or U3 layer
-        rotating it; measures follow every U3 layer. Layers holding a SWAP
-        step stay. By earliest deadline, each native rotation takes the
-        earliest kept layer in its window, or else keeps its deadline
-        layer (a greedy interval cover). Each layer left empty is dropped,
-        and the move records it stood between are composed
-        (`_append_phase`); every other event and layer number stays as it
-        was. The pass edits only the event list; `_retime` sets the
-        times."""
-        k = sum(isinstance(ev, U3LayerEvent) for ev in self.events)
-        # Scanning backward, bound[atom] is the last U3 layer (counted from
-        # 0) before the next event on the atom.
-        bound = [k - 1] * self.circuit.num_qubits
-        placed: list[list] = [[] for _ in range(k)]  # (from layer, slot, entry)
-        native = []  # (deadline, from layer, slot, entry)
-        for ev in reversed(self.events):
+        A rotation commutes with every event that leaves its atom alone, so
+        its window runs from the first U3 layer after the last illumination
+        pairing its atom to the last one before the next; measures follow
+        every U3 layer. A SWAP's last step also closes before the next
+        illumination on the SWAP's other atom, since only that step
+        exchanges the qubits' atoms and unlocks them. Each atom's rotations
+        keep their order, one per layer; a SWAP's steps keep template
+        order (steps 2-3 and 5-6 may share a layer), and the first rotation
+        on its other atom after a SWAP runs in its last step's layer or
+        later. Deadlines tighten backward through these orders. Then, by
+        earliest deadline, each rotation takes the earliest kept layer at
+        or after the layer its window and orders release it at, or else
+        keeps its deadline layer (a greedy interval cover). Each layer
+        lists its rotations in their original order, which keeps every
+        order within a layer. Each layer left empty is dropped, and the
+        move records it stood between are composed (`_append_phase`);
+        every other event and layer number stays as it was. The pass edits
+        only the event list; `_retime` sets the times."""
+        n = self.circuit.num_qubits
+        entries: list[U3Entry] = []  # every rotation, in event order
+        release: list[int] = []
+        deadline: list[float] = []
+        # preds[r]: (rotation, 1 if r runs in a strictly later layer, else 0)
+        preds: list[list[tuple[int, int]]] = []
+        opened = [0] * n  # first U3 layer after the atom's last illumination
+        last: dict[int, int] = {}  # atom -> its last rotation
+        # closing[atom]: rotations whose window its next illumination closes
+        closing: list[list[int]] = [[] for _ in range(n)]
+        step_before: dict[int, int] = {}  # swap id -> its last rotation step
+        unlocks: dict[int, int] = {}  # atom -> last step of a SWAP that left it
+        swap_atoms: dict[int, tuple[int, int]] = {}  # swap id -> its atoms
+        k = 0
+        for ev in self.events:
             if isinstance(ev, U3LayerEvent):
-                k -= 1
-                for j, g in enumerate(ev.gates):
-                    if g.origin is None:
-                        native.append((bound[g.atom], k, j, g))
-                    else:
-                        placed[k].append((k, j, g))
-                    bound[g.atom] = k - 1
+                for g in ev.gates:
+                    r = len(entries)
+                    entries.append(g)
+                    release.append(opened[g.atom])
+                    deadline.append(math.inf)
+                    pr = [(last[g.atom], 1)] if g.atom in last else []
+                    if g.atom in unlocks:
+                        pr.append((unlocks.pop(g.atom), 0))
+                    last[g.atom] = r
+                    closing[g.atom].append(r)
+                    if g.origin is not None:
+                        sid, step = g.origin
+                        if sid in step_before:
+                            pr.append((step_before[sid], 0))
+                        step_before[sid] = r
+                        if step == SWAP_LAST_STEP:
+                            a, b = swap_atoms.pop(sid)
+                            other = a if b == g.atom else b
+                            closing[other].append(r)
+                            unlocks[other] = r
+                    preds.append(pr)
+                k += 1
             elif isinstance(ev, Illumination):
                 for p in ev.pairs:
-                    bound[p.atoms[0]] = bound[p.atoms[1]] = k - 1
-        kept = [i for i, here in enumerate(placed) if here]
-        for deadline, start, j, g in sorted(native):
-            i = bisect.bisect_left(kept, start)
-            if i == len(kept) or kept[i] > deadline:
-                kept.insert(i, deadline)
-            placed[kept[i]].append((start, j, g))
+                    if p.origin is not None:
+                        swap_atoms[p.origin[0]] = p.atoms
+                    for a in p.atoms:
+                        opened[a] = k
+                        for r in closing[a]:
+                            deadline[r] = min(deadline[r], k - 1)
+                        closing[a] = []
+        deadline = [min(d, k - 1) for d in deadline]
+        for r in reversed(range(len(entries))):
+            for p, strict in preds[r]:
+                deadline[p] = min(deadline[p], deadline[r] - strict)
+        kept: list[int] = []
+        at = [0] * len(entries)
+        for r in sorted(range(len(entries)), key=lambda r: (deadline[r], r)):
+            lo = max([release[r]] + [at[p] + strict for p, strict in preds[r]])
+            i = bisect.bisect_left(kept, lo)
+            if i == len(kept) or kept[i] > deadline[r]:
+                kept.insert(i, deadline[r])
+            at[r] = kept[i]
+        placed: list[list[U3Entry]] = [[] for _ in range(k)]
+        for r, g in enumerate(entries):
+            placed[at[r]].append(g)
         events: list = []
         layers = iter(placed)
         for ev in self.events:
@@ -646,10 +697,9 @@ class Compiler:
                 self._append_phase(events, ev)
                 continue
             if isinstance(ev, U3LayerEvent):
-                here = next(layers)
-                if not here:
+                ev.gates = next(layers)
+                if not ev.gates:
                     continue
-                ev.gates = [g for *_, g in sorted(here)]
             events.append(ev)
         self.events = events
 

@@ -734,29 +734,43 @@ def _rotations_by_atom(sched):
     return out
 
 
+# The SWAP template step that completes a SWAP: its qubits exchange atoms
+# and unlock there.
+_SWAP_LAST_STEP = len(decompose_swap(0, 1)) - 1
+
+
 def _rotation_windows(ref):
     """(atom, k) -> [first, last] for the k-th rotation of each atom in an
-    unpacked schedule, if it is native: the positions among the U3 layers
-    of its own layer and of the last one before the next event on its
-    atom."""
-    windows, open_, n_layers = {}, {}, 0
+    unpacked schedule, native or SWAP step: the positions among the U3
+    layers of the first one after the last illumination on its atom and of
+    the last one before the next illumination or measure on its atom. A
+    SWAP's last step also closes before the next illumination on the
+    SWAP's other atom."""
+    windows, n_layers = {}, 0
+    first: dict[int, int] = {}  # atom -> first layer after its last illumination
+    open_: dict[int, list] = {}  # atom -> windows its next illumination closes
     counts: dict[int, int] = {}
+    swap_atoms: dict[int, tuple[int, int]] = {}
 
     def close(atom):
-        if atom in open_:
-            windows[open_.pop(atom)][1] = n_layers - 1
+        for window in open_.pop(atom, []):
+            window[1] = min(window[1], n_layers - 1)
+        first[atom] = n_layers
 
     for ev in ref.events:
         if isinstance(ev, U3LayerEvent):
             for g in ev.gates:
-                close(g.atom)
                 k = counts[g.atom] = counts.get(g.atom, -1) + 1
-                if g.origin is None:
-                    open_[g.atom] = (g.atom, k)
-                    windows[g.atom, k] = [n_layers, None]
+                window = windows[g.atom, k] = [first.get(g.atom, 0), math.inf]
+                open_.setdefault(g.atom, []).append(window)
+                if g.origin is not None and g.origin[1] == _SWAP_LAST_STEP:
+                    other, = set(swap_atoms[g.origin[0]]) - {g.atom}
+                    open_.setdefault(other, []).append(window)
             n_layers += 1
         elif isinstance(ev, Illumination):
             for p in ev.pairs:
+                if p.origin is not None:
+                    swap_atoms[p.origin[0]] = p.atoms
                 for a in p.atoms:
                     close(a)
         elif isinstance(ev, Measure):
@@ -768,28 +782,58 @@ def _rotation_windows(ref):
 
 
 def _check_packing(sched, ref, case):
-    """Every native rotation runs inside its window, and every U3 layer left
-    with native rotations only holds one whose window has no other layer
-    left, so none could be dropped."""
+    """Every rotation runs inside its window and keeps its orders, and every
+    U3 layer left holds a rotation that no other layer left could take, so
+    none could be dropped. Given where the other rotations run, a rotation
+    could run in any U3 layer of its window after its atom's rotation
+    before it and before its atom's rotation after it, no earlier than its
+    SWAP's step before it or than the last step of a SWAP that just left
+    its atom, and no later than the mirror of each."""
     windows = _rotation_windows(ref)
     position = {ev.layer: i for i, ev in enumerate(
         ev for ev in ref.events if isinstance(ev, U3LayerEvent))}
     kept = [ev for ev in sched.events if isinstance(ev, U3LayerEvent)]
     kept_at = sorted(position[ev.layer] for ev in kept)
+    rotations = []  # [layer position, window, lowest, highest, layer event]
+    latest: dict[int, list] = {}  # atom -> its last rotation so far
+    step_before: dict[int, list] = {}  # swap id -> its last step so far
+    unlocks: dict[int, list] = {}  # atom -> last step of the SWAP that left it
+    swap_atoms: dict[int, tuple[int, int]] = {}
     counts: dict[int, int] = {}
-    for ev in kept:
-        at, needed = position[ev.layer], False
+    for ev in sched.events:
+        if isinstance(ev, Illumination):
+            for p in ev.pairs:
+                if p.origin is not None:
+                    swap_atoms[p.origin[0]] = p.atoms
+        if not isinstance(ev, U3LayerEvent):
+            continue
+        at = position[ev.layer]
         for g in ev.gates:
             k = counts[g.atom] = counts.get(g.atom, -1) + 1
+            rot = [at, windows[g.atom, k], -math.inf, math.inf, ev]
+            rotations.append(rot)
+            before = [(latest.get(g.atom), 1), (unlocks.pop(g.atom, None), 0)]
+            latest[g.atom] = rot
             if g.origin is not None:
-                needed = True
-                continue
-            first, last = windows[g.atom, k]
-            assert first <= at <= last, case
-            others = bisect.bisect_right(kept_at, last) - \
-                bisect.bisect_left(kept_at, first)
-            needed |= others == 1
-        assert needed, (case, ev.layer)
+                sid, step = g.origin
+                before.append((step_before.get(sid), 0))
+                step_before[sid] = rot
+                if step == _SWAP_LAST_STEP:
+                    other, = set(swap_atoms[sid]) - {g.atom}
+                    unlocks[other] = rot
+            for prev, strict in before:
+                if prev is not None:
+                    rot[2] = max(rot[2], prev[0] + strict)
+                    prev[3] = min(prev[3], at - strict)
+    needed = set()
+    for at, (first, last), lowest, highest, ev in rotations:
+        lo, hi = max(first, lowest), min(last, highest)
+        assert lo <= at <= hi, (case, ev.layer)
+        others = bisect.bisect_right(kept_at, hi) - \
+            bisect.bisect_left(kept_at, lo)
+        if others == 1:
+            needed.add(ev.layer)
+    assert needed == {ev.layer for ev in kept}, case
 
 
 def test_packing_removes_only_u3_layers(corpus_results, unmerged_results):
