@@ -211,6 +211,12 @@ def aod_capacity(layout: ZoneLayout, params: PhysParams) -> int:
     return cache_column_slots(layout, params) * params.max_atoms_per_column
 
 
+def hang_y(layout: ZoneLayout, params: PhysParams, j: int) -> float:
+    """The y of a column's j-th hung atom, below compute and inside
+    memory's margin, out of the pulse's reach."""
+    return layout.memory.y1 - ZONE_MARGIN - j * params.storage_pitch
+
+
 @dataclass(frozen=True)
 class SlmGrid:
     kind: str

@@ -6,30 +6,32 @@ only code that emits events or changes machine state.
 
 Execution alternates U3 layers (parallel single-qubit rotations, location
 independent) with CZ layers. While compiling, a U3 layer runs every
-exposed rotation, so each CZ layer sees every CZ they unblock. Once every
-event is emitted, one pass (`_pack_rotations`) moves each rotation, SWAP
-steps included, to any U3 layer between the illuminations on its atom
-before and after it, keeping each atom's and each SWAP's order, so that
-the U3 layers left each carry every rotation due there and are few (an
+exposed rotation, so each CZ layer sees every CZ they unblock. Each move
+phase is one record in the event list, its moves by cid, appended as the
+phase closes. `Compiler.emit` returns that list; `Compiler.run` then
+runs the decision-free passes of `postpass` on it, in order, and builds
+the schedule. `pack_rotations` moves each rotation, SWAP steps included,
+to any U3 layer between the illuminations on its atom before and after
+it, keeping each atom's and each SWAP's order, so that the U3 layers
+left each carry every rotation due there and are few (an
 earliest-deadline interval cover); the layers left empty are dropped.
 It changes no move, pair, SWAP or trap change, only when rotations run.
-Each move phase is one record in the event list, its moves by cid, and
-a record enters a list only through `_append_phase`, which composes it
-with a record just before it; so no two records stand back to back,
-whether the compiler emits them so or packing drops the U3 layer
-between them. A second pass
-(`_hold_columns`) lets an idle column wait, until its next move, at the
-nearest legal spot: where it stands, else in memory on the hang rows
-nearest its path, else, if a retreat tucked it onto memory's bottom
-rows, on the hang rows above. A spot is legal when nothing in between
-involves the column, it waits outside compute, no other column crosses
-it, no phase grows and no atom travels further (keeping atoms near where
-they are next needed, as in ZAC: Lin, Tan & Cong, HPCA 2025). No pass
-changes a decision or keeps a clock: the passes edit only the event
-list. A last step (`_retime`) is the only one that orders a record's
-moves and times them: it emits each record's moves in a replay-safe
-order (`replay_order`) and sets every event's start and end, in order,
-from the cost model.
+`compose` then composes each run of back-to-back move records into one,
+whether the compiler emitted them so or packing dropped the U3 layer
+between them. `hold_columns` lets an idle column wait, until its next
+move, at the nearest legal spot: where it stands, else in memory on the
+hang rows nearest its path, else, if a retreat tucked it onto memory's
+bottom rows, on the hang rows above. A spot is legal when nothing in
+between involves the column, it waits outside compute, no other column
+crosses it, no phase grows and no atom travels further (keeping atoms
+near where they are next needed, as in ZAC: Lin, Tan & Cong, HPCA
+2025). No pass makes a decision or keeps a clock: the passes edit only
+the event list. A last step (`retime`, here) is the only one that orders
+a record's moves and times them: it emits each record's moves in a
+replay-safe order (`replay_order`) and sets every event's start and end,
+in order, from the cost model. Movement timing (`serial_movement`) is
+read only by `hold_columns` and `retime`: it decides nothing in the
+compiler.
 
 A CZ layer plans with all columns relocated to the starting cache's
 slots next to compute, then processes them from the cache side nearest
@@ -71,8 +73,8 @@ placements and retreats that follow, as an isolation layer's parking
 shares its phase with the one placement. Retreats measure travel from
 the same found positions. A trap change closes the phase before it; the
 measurement epilogue and onecache's return home open phases of their
-own, which `_append_phase` composes with the move phase next to them when
-no event is left between. Both ends of a phase are strictly x-ordered,
+own, which `compose` composes with the move phase next to them when no
+event is left between. Both ends of a phase are strictly x-ordered,
 so straight concurrent moves never cross columns. A CZ layer that stages
 no pair and changes no trap puts every column back where the phase found
 it (`_stay`), so it emits no move; the progress guard starts from there.
@@ -146,12 +148,11 @@ placed one in memory, and columns are back home whenever a U3 layer runs.
 from __future__ import annotations
 
 import bisect
-import heapq
 import math
 from dataclasses import dataclass, field
 
 from . import kernels
-from .circuit import END, Circuit, Frontier, Gate, decompose_swap
+from .circuit import END, Circuit, Frontier, Gate
 from .machine import (
     INTERACTION_OFFSET,
     PhysParams,
@@ -162,9 +163,10 @@ from .machine import (
     build_layout,
     cache_column_slots,
     generate_grid,
+    hang_y,
     pair_clear_sites,
 )
-from .metrics import move_duration, movement_phase_time
+from .metrics import movement_phase_time
 from .placement import (
     InitialPlacement,
     MemoryGroup,
@@ -173,6 +175,7 @@ from .placement import (
     greedy_maxcut_group,
     needs_swap,
 )
+from .postpass import compose, hold_columns, pack_rotations, travels
 from .schedule import (
     AOD_TO_SLM,
     SLM_TO_AOD,
@@ -197,10 +200,6 @@ LEFT = -1
 SWAP_WINDOW = 20
 SWAP_DECAY = 0.5
 
-# The step of the SWAP template that completes it: a rotation, after
-# which its qubits exchange atoms and unlock.
-SWAP_LAST_STEP = len(decompose_swap(0, 1)) - 1
-
 
 class SchedulerError(RuntimeError):
     """Internal contract violation; indicates a compiler bug."""
@@ -208,11 +207,6 @@ class SchedulerError(RuntimeError):
 
 def toggle_direction(direction: int) -> int:
     return -direction
-
-
-def _moves(m: ColumnMove) -> bool:
-    """Whether m goes anywhere: its column's x or an atom's y changes."""
-    return m.from_x != m.to_x or any(fy != ty for _, fy, ty in m.atoms)
 
 
 def replay_order(moves) -> list[ColumnMove]:
@@ -230,9 +224,37 @@ def replay_order(moves) -> list[ColumnMove]:
             rightward.append(m)
         elif m.to_x < m.from_x:
             leftward.append(m)
-        elif _moves(m):
+        elif travels(m):
             stationary.append(m)
     return stationary + rightward[::-1] + leftward
+
+
+def retime(events: list, params: PhysParams, serial: bool) -> list:
+    """`events` timed: each move phase's record turned into its moves in
+    a replay-safe order (`replay_order`), and every event timed in order
+    from the cost model, each starting where the one before it ends: a
+    move phase lasts `movement_phase_time` of its moves in that order
+    under `serial` timing, an illumination cz_time, a U3 layer u3_time, a
+    trap change trap_change_time and a measure no time; a record with no
+    move left emits nothing. The only step that orders or times a move."""
+    duration = {Illumination: params.cz_time, U3LayerEvent: params.u3_time,
+                TrapChange: params.trap_change_time, Measure: 0.0}
+    out, t = [], 0.0
+    for ev in events:
+        if isinstance(ev, dict):
+            group = replay_order(ev.values())
+            if not group:  # its moves were all held away
+                continue
+            dur = movement_phase_time(
+                [(m.column, m.from_x, m.to_x, m.atoms) for m in group],
+                params, serial)
+        else:
+            group, dur = [ev], duration[type(ev)]
+        for m in group:
+            m.t_start, m.t_end = t, t + dur
+        out += group
+        t += dur
+    return out
 
 
 @dataclass
@@ -260,21 +282,6 @@ class _LayerPlan:
     # The cids of the columns standing in compute: those that have placed
     # or paired so far this layer (`_cz_layer` adds them).
     standing: set[int] = field(default_factory=set)
-
-
-@dataclass
-class _Phase:
-    """A move phase as `_hold_columns` reads and edits it: its record (the
-    event list's dict of its moves by cid, which the pass edits in place);
-    the index of the state after it; its moves' durations, which the pass
-    weighs holds by (`_retime` times the phase); and for each column whose
-    next move follows with no event involving it in between, that move's
-    phase."""
-
-    moves: dict[int, ColumnMove]
-    state: int
-    durations: dict[int, float] = field(default_factory=dict)
-    next_move: dict[int, int] = field(default_factory=dict)
 
 
 class Compiler:
@@ -343,7 +350,7 @@ class Compiler:
         self.swap_count = 0
         self.trap_change_count = 0
 
-        # Untimed until `_retime`, each move phase as its record: a dict of
+        # Untimed until `retime`, each move phase as its record: a dict of
         # its moves by cid (`_flush_moves`).
         self.events: list = []
         self.layer = 0
@@ -409,34 +416,12 @@ class Compiler:
         for col in self.columns if cols is None else cols:
             m = ColumnMove(0.0, 0.0, self.layer, col.cid, col.found_x, col.x,
                            [(a, self.found_y[a], self.atom_y[a]) for a in col.atoms])
-            if _moves(m):
+            if travels(m):
                 moves[col.cid] = m
             col.found_x = col.x
         self.found_y = list(self.atom_y)
         if moves:
-            self._append_phase(self.events, moves)
-
-    def _append_phase(self, events: list, moves: dict[int, ColumnMove]) -> None:
-        """Append a move phase's record to `events`, the only way one enters
-        an event list, composed with the record that ends `events` if any:
-        each column keeps its first `from_x` and from-ys and its last `to_x`
-        and to-ys, and every move takes the later record's layer. A move
-        that ends where it began is dropped, and so is a record left empty.
-        Both ends are strictly x-ordered states, so the straight moves never
-        cross columns, and by the triangle inequality no |dx| or |dy|
-        grows."""
-        composed = events.pop() if events and isinstance(events[-1], dict) else {}
-        layer = next(iter(moves.values())).layer
-        for cid, m in moves.items():
-            first = composed.setdefault(cid, m)
-            first.to_x = m.to_x
-            first.atoms = [(a, fy, ty) for (a, fy, _), (_, _, ty)
-                           in zip(first.atoms, m.atoms)]
-        composed = {cid: m for cid, m in composed.items() if _moves(m)}
-        for m in composed.values():
-            m.layer = layer
-        if composed:
-            events.append(composed)
+            self.events.append(moves)
 
     def _move_column(self, col: _Column, to_x: float,
                      y_targets: dict[int, float]) -> None:
@@ -465,7 +450,7 @@ class Compiler:
         every staged pair, and with one cache the columns return home in
         a phase of their own, so that a U3 layer after it runs with every
         column home. When no U3 layer runs after it, or packing drops those
-        that do, `_append_phase` composes the return with the next layer's
+        that do, `compose` composes the return with the next layer's
         phase."""
         self._flush_moves()
         if staged:
@@ -498,15 +483,12 @@ class Compiler:
         return {a: base + i * self.params.storage_pitch
                 for i, a in enumerate(col.atoms)}
 
-    def _hang_y(self, j: int) -> float:
-        """The y of a column's j-th hung atom, inside memory's margin."""
-        return self.layout.memory.y1 - ZONE_MARGIN - j * self.params.storage_pitch
-
     def _hung(self, col: _Column, fixed: dict[int, float]) -> dict[int, float]:
         """`col`'s target ys: `fixed`'s atoms at their ys, and the j-th other
-        atom in slot order hung below compute at `_hang_y(j)`."""
+        atom in slot order hung below compute at `hang_y(j)`."""
         others = (a for a in col.atoms if a not in fixed)
-        return {**{a: self._hang_y(j) for j, a in enumerate(others)}, **fixed}
+        return {**{a: hang_y(self.layout, self.params, j)
+                   for j, a in enumerate(others)}, **fixed}
 
     def _neighbors(self, cid: int) -> tuple[float, float]:
         """Current x of the nearest nonempty columns either side of cid."""
@@ -525,10 +507,19 @@ class Compiler:
     # ------------------------------------------------------------------
     # compilation entry point
     def run(self) -> Schedule:
+        """Compile: emit the events, run the post-passes on them in order,
+        and build the schedule."""
+        events = compose(pack_rotations(self.emit(), self.circuit.num_qubits))
+        events = hold_columns(events, self.layout, self.params, self.serial, self.one_cache)
+        return self.schedule(retime(events, self.params, self.serial))
+
+    def emit(self) -> list:
+        """The load, every layer and the measurement epilogue: returns the
+        event list, untimed, each move phase's record appended as it
+        closes."""
         self._apply_initialization()
         guard_budget = 60 * (len(self.circuit.gates) + self.circuit.num_qubits + 10)
-        rounds = 0
-        idle = 0  # rounds in a row that executed nothing
+        rounds = idle = 0  # idle: rounds in a row that executed nothing
         while not self.frontier.done():
             rounds += 1
             if rounds > guard_budget:
@@ -545,29 +536,23 @@ class Compiler:
                 self._guard()
                 idle = 0
         self._measurement()
-        self._pack_rotations()
-        self._hold_columns()
-        self._retime()
-        schedule = Schedule(
-            technique=self.technique,
-            grid=self.grid.kind,
-            params=self.params,
-            source_name=self.circuit.source_name,
-            num_qubits=self.circuit.num_qubits,
-            serial_movement=self.serial,
-            events=self.events,
-            final_mapping={q: self.atom_of[q] for q in range(self.circuit.num_qubits)},
-            swap_count=self.swap_count,
-            trap_change_count=self.trap_change_count,
-        )
-        return schedule
+        return self.events
+
+    def schedule(self, events: list) -> Schedule:
+        """The schedule of the emitted compile with its timed `events`."""
+        return Schedule(
+            technique=self.technique, grid=self.grid.kind, params=self.params,
+            source_name=self.circuit.source_name, num_qubits=self.circuit.num_qubits,
+            serial_movement=self.serial, events=events,
+            final_mapping=dict(enumerate(self.atom_of)),
+            swap_count=self.swap_count, trap_change_count=self.trap_change_count)
 
     # ------------------------------------------------------------------
     # U3 layers
     def _u3_rounds(self) -> int:
         """Greedy U3 layers until no rotation is frontier-exposed. Each
         layer runs every exposed rotation, so the next CZ layer sees every
-        CZ they unblock; `_pack_rotations` later moves rotations into fewer
+        CZ they unblock; `pack_rotations` later moves rotations into fewer
         layers."""
         executed = 0
         while True:
@@ -605,350 +590,6 @@ class Compiler:
         aa, ab = self.atom_of[qa], self.atom_of[qb]
         self.atom_of[qa], self.atom_of[qb] = ab, aa
         self.qubit_of[aa], self.qubit_of[ab] = qb, qa
-
-    def _pack_rotations(self) -> None:
-        """Run every rotation, SWAP steps included, in the fewest U3 layers,
-        once every event is emitted.
-
-        A rotation commutes with every event that leaves its atom alone, so
-        its window runs from the first U3 layer after the last illumination
-        pairing its atom to the last one before the next; measures follow
-        every U3 layer. A SWAP's last step also closes before the next
-        illumination on the SWAP's other atom, since only that step
-        exchanges the qubits' atoms and unlocks them. Each atom's rotations
-        keep their order, one per layer; a SWAP's steps keep template
-        order (steps 2-3 and 5-6 may share a layer), and the first rotation
-        on its other atom after a SWAP runs in its last step's layer or
-        later. Deadlines tighten backward through these orders. Then, by
-        earliest deadline, each rotation takes the earliest kept layer at
-        or after the layer its window and orders release it at, or else
-        keeps its deadline layer (a greedy interval cover). Each layer
-        lists its rotations in their original order, which keeps every
-        order within a layer. Each layer left empty is dropped, and the
-        move records it stood between are composed (`_append_phase`);
-        every other event and layer number stays as it was. The pass edits
-        only the event list; `_retime` sets the times."""
-        n = self.circuit.num_qubits
-        entries: list[U3Entry] = []  # every rotation, in event order
-        release: list[int] = []
-        deadline: list[float] = []
-        # preds[r]: (rotation, 1 if r runs in a strictly later layer, else 0)
-        preds: list[list[tuple[int, int]]] = []
-        opened = [0] * n  # first U3 layer after the atom's last illumination
-        last: dict[int, int] = {}  # atom -> its last rotation
-        # closing[atom]: rotations whose window its next illumination closes
-        closing: list[list[int]] = [[] for _ in range(n)]
-        step_before: dict[int, int] = {}  # swap id -> its last rotation step
-        unlocks: dict[int, int] = {}  # atom -> last step of a SWAP that left it
-        swap_atoms: dict[int, tuple[int, int]] = {}  # swap id -> its atoms
-        k = 0
-        for ev in self.events:
-            if isinstance(ev, U3LayerEvent):
-                for g in ev.gates:
-                    r = len(entries)
-                    entries.append(g)
-                    release.append(opened[g.atom])
-                    deadline.append(math.inf)
-                    pr = [(last[g.atom], 1)] if g.atom in last else []
-                    if g.atom in unlocks:
-                        pr.append((unlocks.pop(g.atom), 0))
-                    last[g.atom] = r
-                    closing[g.atom].append(r)
-                    if g.origin is not None:
-                        sid, step = g.origin
-                        if sid in step_before:
-                            pr.append((step_before[sid], 0))
-                        step_before[sid] = r
-                        if step == SWAP_LAST_STEP:
-                            a, b = swap_atoms.pop(sid)
-                            other = a if b == g.atom else b
-                            closing[other].append(r)
-                            unlocks[other] = r
-                    preds.append(pr)
-                k += 1
-            elif isinstance(ev, Illumination):
-                for p in ev.pairs:
-                    if p.origin is not None:
-                        swap_atoms[p.origin[0]] = p.atoms
-                    for a in p.atoms:
-                        opened[a] = k
-                        for r in closing[a]:
-                            deadline[r] = min(deadline[r], k - 1)
-                        closing[a] = []
-        deadline = [min(d, k - 1) for d in deadline]
-        for r in reversed(range(len(entries))):
-            for p, strict in preds[r]:
-                deadline[p] = min(deadline[p], deadline[r] - strict)
-        kept: list[int] = []
-        at = [0] * len(entries)
-        for r in sorted(range(len(entries)), key=lambda r: (deadline[r], r)):
-            lo = max([release[r]] + [at[p] + strict for p, strict in preds[r]])
-            i = bisect.bisect_left(kept, lo)
-            if i == len(kept) or kept[i] > deadline[r]:
-                kept.insert(i, deadline[r])
-            at[r] = kept[i]
-        placed: list[list[U3Entry]] = [[] for _ in range(k)]
-        for r, g in enumerate(entries):
-            placed[at[r]].append(g)
-        events: list = []
-        layers = iter(placed)
-        for ev in self.events:
-            if isinstance(ev, dict):
-                self._append_phase(events, ev)
-                continue
-            if isinstance(ev, U3LayerEvent):
-                ev.gates = next(layers)
-                if not ev.gates:
-                    continue
-            events.append(ev)
-        self.events = events
-
-    def _hold_columns(self) -> None:
-        """Let each idle column wait at the nearest legal spot until its
-        next move, once every event is emitted.
-
-        Take two consecutive moves of column c: m in phase a (A -> B) and
-        m' in phase b (B -> C), with no illumination pair or trap-change
-        transfer involving c between the two phases and, with one cache,
-        no U3 layer (every column stands home when one runs: `_fire`). The
-        pass lets c wait at a spot W in place of B: it emits m as A -> W and
-        m' as W -> C,
-        each atom starting m' from its y at W, and drops m where W is A.
-        It tries three spots in turn and takes the first legal one: A
-        itself; the memory x nearest the segment A..C that leaves a
-        storage pitch of room to c's nearest live columns in every state
-        of the span and lies inside memory's margin, with the atoms on the
-        hang rows (`_hang_y`); and, if `_retreat` tucked c onto memory's
-        bottom rows at B (`_parked_ys`), B's x with the atoms on the hang
-        rows. A spot is legal when every atom of c there stands outside
-        compute, so no pulse in between reaches it; its x lies strictly
-        between the xs of c's nearest live columns by cid after every
-        phase and trap change from a up to b, so no two columns cross;
-        phases a and b take no longer than they did; and, for a spot other
-        than A, no atom of c travels further and one travels less (A -> C
-        is never longer, by the triangle inequality). Candidates are taken
-        in time order, so holds chain, and a hold wakes each candidate it
-        may let wait nearer (below): one held short of A after a spot was
-        refused for time wakes itself, as its hold changed its phases'
-        times. So the pass ends where plain repeated passes would: run once
-        more, it changes nothing. The pass edits the records in place, and
-        a record left with no move emits nothing (`_retime`). No pair,
-        SWAP, trap change or U3 layer changes; `_retime` orders and times
-        the moves."""
-        comp, mem = self.layout.compute, self.layout.memory
-        params = self.params
-        pitch = params.storage_pitch
-        width = self.next_cid
-        # Memory's xs inside its margin.
-        mem_x0, mem_x1 = mem.x0 + ZONE_MARGIN, mem.x1 - ZONE_MARGIN
-
-        def time_without(ph: _Phase, cid: int) -> float:
-            """The concurrent time of phase ph without cid's move."""
-            return max((v for c, v in ph.durations.items() if c != cid), default=0.0)
-
-        # Replay the events once: the move phases, and after each phase
-        # and each trap change the x of every live column by cid (None
-        # for a column holding no atom).
-        phases: list[_Phase] = []
-        states: list[list[float | None]] = []
-        xs: list[float | None] = [None] * width
-        count = [0] * width
-        column_of: dict[int, int] = {}
-        last: dict[int, int] = {}  # column -> phase of its last move, if uninvolved since
-        for ev in self.events:
-            if isinstance(ev, dict):
-                phase = _Phase(ev, state=len(states))
-                for cid, m in ev.items():
-                    phase.durations[cid] = move_duration(
-                        m.to_x - m.from_x, [ty - fy for _, fy, ty in m.atoms], params)
-                    xs[cid] = m.to_x
-                    if cid in last:
-                        phases[last[cid]].next_move[cid] = len(phases)
-                    last[cid] = len(phases)
-                phases.append(phase)
-                states.append(list(xs))
-            elif isinstance(ev, U3LayerEvent):
-                if self.one_cache:  # every column stands home (`_fire`)
-                    last.clear()
-            elif isinstance(ev, Illumination):
-                for p in ev.pairs:
-                    for a in p.atoms:
-                        last.pop(column_of.get(a), None)
-            elif isinstance(ev, TrapChange):
-                for tr in ev.transfers:
-                    if ev.direction == SLM_TO_AOD:
-                        cid = column_of[tr.atom] = tr.column
-                        count[cid] += 1
-                        xs[cid] = tr.x
-                    else:
-                        cid = column_of.pop(tr.atom)
-                        count[cid] -= 1
-                        if not count[cid]:
-                            xs[cid] = None
-                    last.pop(cid, None)
-                states.append(list(xs))
-
-        # The ys of a column's atoms, in slot order, hung (`_hang_y`) and
-        # tucked onto memory's bottom rows (`_parked_ys`).
-        most = max((len(m.atoms) for ph in phases for m in ph.moves.values()),
-                   default=0)
-        hang = [self._hang_y(i) for i in range(most)]
-        tucked = [mem.y0 + ZONE_MARGIN + i * pitch for i in range(most)]
-
-        def near(s: int, cid: int) -> tuple[int, int]:
-            """The cids of cid's nearest live columns in state s, -1 or
-            width where there is none."""
-            state, lo, hi = states[s], cid - 1, cid + 1
-            while lo >= 0 and state[lo] is None:
-                lo -= 1
-            while hi < width and state[hi] is None:
-                hi += 1
-            return lo, hi
-
-        def spots(ma: ColumnMove, lo: float, hi: float):
-            """Where the column of ma (A -> B) may wait instead of B, as
-            (x, ys), in the order tried: A; the memory x nearest A that
-            lies a storage pitch inside (lo, hi) and inside memory's
-            margin, on the hang rows; and B on the hang rows, if B is on
-            memory's bottom rows. The hang rows lie below compute."""
-            n = len(ma.atoms)
-            yield ma.from_x, [fy for _, fy, _ in ma.atoms]
-            left, right = max(lo + pitch, mem_x0), min(hi - pitch, mem_x1)
-            if left <= right:
-                yield min(max(ma.from_x, left), right), hang[:n]
-            if [ty for *_, ty in ma.atoms] == tucked[:n]:
-                yield ma.to_x, hang[:n]
-
-        # Each pass tries, in time order, the candidates (phase, cid) a hold
-        # woke; any other would be tried to the same end. A candidate not
-        # held at A waits on what could let it wait nearer: the x of its
-        # nearest live column on each side at the state where that column
-        # comes closest (holds keep liveness, and only that column moving
-        # away widens the room), its own moves next to its span and, if a
-        # spot was refused for time, its phases. A hold wakes it for this
-        # pass if it comes later, else for the next; a candidate held short
-        # of A after a refusal for time wakes itself for the next.
-        todo = sorted((i, cid) for i, pa in enumerate(phases) for cid in pa.next_move)
-        woken, waiting = set(), {}
-        while todo or woken:
-            if not todo:
-                todo, woken = sorted(woken), set()
-            key = heapq.heappop(todo)
-            pa, cid = phases[key[0]], key[1]
-            ma = pa.moves.get(cid)
-            # Past the phases whose move of cid a hold dropped.
-            j = pa.next_move[cid]
-            while cid not in phases[j].moves and cid in phases[j].next_move:
-                j = phases[j].next_move[cid]
-            pb = phases[j]
-            if ma is None or cid not in pb.moves:
-                continue
-            mb = pb.moves[cid]
-            ax, cx = ma.from_x, mb.to_x
-            span = range(pa.state, pb.state)
-            # The nearest live columns' closest xs over the span, each with
-            # the (state, cid) it comes from.
-            lo, hi = (-math.inf,), (math.inf,)
-            for s in span:
-                k, h = near(s, cid)
-                if k >= 0 and states[s][k] > lo[0]:
-                    lo = states[s][k], s, k
-                if h < width and states[s][h] < hi[0]:
-                    hi = states[s][h], s, h
-            path = travel = dys = None
-            da, db = pa.durations[cid], pb.durations[cid]
-            slow = False
-            for i, (x, ys) in enumerate(spots(ma, lo[0], hi[0])):
-                at_a = i == 0
-                if not lo[0] < x < hi[0] or (at_a and any(
-                        comp.contains(x, y) for y in ys)):
-                    continue
-                if path is None:
-                    end = {a: ty for a, _, ty in mb.atoms}
-                    path = [(a, fy, ty, end[a]) for a, fy, ty in ma.atoms]  # A, B, C
-                if not at_a:
-                    # Each atom's travel now, and its y travel through the
-                    # hang rows, where both other spots are.
-                    if travel is None:
-                        bx = ma.to_x
-                        travel = [abs(ax - bx) + abs(bx - cx) + abs(ya - yb) + abs(yb - yc)
-                                  for _, ya, yb, yc in path]
-                        dys = [abs(ya - y) + abs(y - yc)
-                               for (_, ya, _, yc), y in zip(path, ys)]
-                    dx = abs(ax - x) + abs(x - cx)
-                    if dx * len(dys) + sum(dys) >= sum(travel) or any(
-                            dx + dy > t for dy, t in zip(dys, travel)):
-                        continue
-                d1 = move_duration(x - ax, [y - ya for (_, ya, _, _), y in zip(path, ys)],
-                                   params)
-                d2 = move_duration(cx - x, [yc - y for (*_, yc), y in zip(path, ys)], params)
-                if self.serial:
-                    # Phase times are sums, so by the triangle inequality
-                    # no hold at A lengthens them.
-                    longer = d1 + d2 > da + db
-                else:
-                    ta, tb = max(pa.durations.values()), max(pb.durations.values())
-                    longer = max(time_without(pa, cid) if da == ta else ta, d1) + max(
-                        time_without(pb, cid) if db == tb else tb, d2) > ta + tb
-                if longer:
-                    slow = True
-                    continue
-                if not at_a:
-                    ma.to_x, ma.atoms = x, [(a, ya, y) for (a, ya, _, _), y in zip(path, ys)]
-                    pa.durations[cid] = d1
-                else:
-                    del pa.moves[cid], pa.durations[cid]
-                at = {a: y for (a, *_), y in zip(path, ys)}
-                if cx == x and all(at[a] == ty for a, _, ty in mb.atoms):
-                    del pb.moves[cid], pb.durations[cid]
-                else:
-                    mb.from_x, mb.atoms = x, [(a, at[a], ty) for a, _, ty in mb.atoms]
-                    pb.durations[cid] = d2
-                for s in span:
-                    states[s][cid] = x
-                for w in [key[0], j] + [(s, cid) for s in span]:
-                    for k in waiting.pop(w, ()):
-                        if k > key:
-                            heapq.heappush(todo, k)
-                        else:
-                            woken.add(k)
-                if slow and not at_a:
-                    woken.add(key)
-                break
-            if cid not in pa.moves:
-                continue
-            waits = [(pa.state - 1, cid), (pb.state, cid)] + [
-                bound[1:] for bound in (lo, hi) if len(bound) > 1]
-            for w in waits + ([key[0], j] if slow else []):
-                waiting.setdefault(w, set()).add(key)
-
-    def _retime(self) -> None:
-        """Turn each move phase's record into its moves in a replay-safe
-        order (`replay_order`), and time every event in order from the
-        cost model, each starting where the one before it ends: a move
-        phase lasts `movement_phase_time` of its moves in that order, an
-        illumination cz_time, a U3 layer u3_time, a trap change
-        trap_change_time and a measure no time; a record with no move
-        left emits nothing. The only step that orders or times a move."""
-        params = self.params
-        duration = {Illumination: params.cz_time, U3LayerEvent: params.u3_time,
-                    TrapChange: params.trap_change_time, Measure: 0.0}
-        events, t = [], 0.0
-        for ev in self.events:
-            if isinstance(ev, dict):
-                group = replay_order(ev.values())
-                if not group:  # its moves were all held away
-                    continue
-                dur = movement_phase_time(
-                    [(m.column, m.from_x, m.to_x, m.atoms) for m in group],
-                    params, self.serial)
-            else:
-                group, dur = [ev], duration[type(ev)]
-            for m in group:
-                m.t_start, m.t_end = t, t + dur
-            events += group
-            t += dur
-        self.events = events
 
     # ------------------------------------------------------------------
     # CZ layers
@@ -1419,7 +1060,7 @@ class Compiler:
         the column stays parked (and blocks the rest of the layer). With
         one cache there is no opposite cache, so an idle column always
         drops into memory. Where the column waits until its next move is
-        refined later by `_hold_columns`, which sees the whole schedule:
+        refined later by `hold_columns`, which sees the whole event list:
         it may wait where it stood, nearer in memory, or on the hang rows
         rather than memory's bottom rows. Those spots are not chosen here,
         because the layer's travel tie-breaks read this spot and later
@@ -1771,5 +1412,4 @@ def compile_circuit(circuit: Circuit, technique: str = "pachinqo",
     if layout is None:
         layout = build_layout(circuit.num_qubits, "auto", params, grid_kind)
     grid = generate_grid(grid_kind, layout, params)
-    compiler = Compiler(circuit, technique, grid, layout, params, serial_movement)
-    return compiler.run()
+    return Compiler(circuit, technique, grid, layout, params, serial_movement).run()

@@ -59,8 +59,9 @@ from pachinqo.schedule import (
     U3LayerEvent,
     schedule_to_json,
 )
+from pachinqo.postpass import compose, hold_columns, pack_rotations
 from pachinqo.qasm import parse_qasm
-from pachinqo.scheduler import Compiler
+from pachinqo.scheduler import Compiler, retime
 from pachinqo.verifier import (
     EQUIVALENCE_QUBIT_CAP,
     equivalence_check,
@@ -99,57 +100,63 @@ def _compile(circ, technique="pachinqo", grid_kind="large-square",
 
 
 # ---------------------------------------------------------------------------
-class _RecordingCompiler(Compiler):
-    """Appends move records as they come, and keeps a copy of the events as
-    `_hold_columns` finds them (`unmerged`) before composing back-to-back
-    records (`_composed`), so that the post-pass tests can rebuild the
-    schedule without composed phases or held columns from the same compile
-    (`_from_record`), and one as it leaves them (`held`). Composing decides
-    nothing, so the schedule is the compiler's."""
-
-    unmerged: list | None = None
-    held: list | None = None
-
-    def _append_phase(self, events, moves) -> None:
-        events.append(moves)
-
-    def _hold_columns(self) -> None:
-        self.unmerged = _copied(self.events)
-        _composed(self)
-        super()._hold_columns()
-        self.held = _copied(self.events)
-
-
-def _composed(compiler: Compiler) -> None:
-    """Compose each run of back-to-back move records in `compiler.events`
-    into one, appending each record through `Compiler._append_phase`."""
-    events: list = []
-    for ev in compiler.events:
-        if isinstance(ev, dict):
-            Compiler._append_phase(compiler, events, ev)
-        else:
-            events.append(ev)
-    compiler.events = events
-
-
 def _copied(events: list) -> list:
-    """A copy of `events` before `_retime`, each move phase's record with
-    copies of its moves, which the post-passes and `_retime` edit."""
+    """A copy of `events` before `retime`, each move phase's record with
+    copies of its moves, which the post-passes and `retime` edit."""
     return [{cid: copy.copy(m) for cid, m in ev.items()}
             if isinstance(ev, dict) else copy.copy(ev) for ev in events]
 
 
+def _passed(compiler: Compiler, emitted: list, serial: bool, pack=True,
+            merge=True, hold=True) -> list:
+    """A copy of `emitted`, which `compiler` emitted, run through the
+    post-passes asked for in `run()`'s order, with `serial` movement
+    timing, up to `retime`. `emitted` is left as it was."""
+    events = _copied(emitted)
+    if pack:
+        events = pack_rotations(events, compiler.circuit.num_qubits)
+    if merge:
+        events = compose(events)
+    if hold:
+        events = hold_columns(events, compiler.layout, PARAMS, serial,
+                              compiler.one_cache)
+    return events
+
+
+def _timed(compiler: Compiler, events: list, serial: bool) -> Schedule:
+    """The schedule `compiler` builds from `events`, which it emitted and
+    the post-passes left, timed (`retime`) with `serial` movement timing."""
+    return dataclasses.replace(
+        compiler.schedule(retime(events, PARAMS, serial)), serial_movement=serial)
+
+
+def _unmerged(compiler: Compiler, emitted: list, serial: bool) -> Schedule:
+    """The schedule of a copy of `emitted`, packed but neither composed
+    nor held."""
+    return _timed(compiler, _passed(compiler, emitted, serial, merge=False,
+                                    hold=False), serial)
+
+
+def _emitted(cls, circ, technique, grid, layout):
+    """A `cls` compiler for `circ`, and a copy of the events it emits."""
+    compiler = cls(circ, technique, grid, layout, PARAMS)
+    return compiler, _copied(compiler.emit())
+
+
 def _compile_corpus():
-    """(circuit, technique, grid kind, schedule, violations, compiler) for
-    every corpus case."""
+    """(circuit, technique, grid kind, schedule, violations, compiler,
+    emitted events) for every corpus case: the schedule is what `run()`
+    makes of the events, which `_passed` and `_timed` leave as they
+    were."""
     results = []
     for circ, technique, grid_kind in corpus_cases(count=208, seed=2024):
         layout = build_layout(circ.num_qubits, "auto", PARAMS, grid_kind)
         grid = generate_grid(grid_kind, layout, PARAMS)
-        compiler = _RecordingCompiler(circ, technique, grid, layout, PARAMS)
-        sched = compiler.run()
+        compiler, emitted = _emitted(Compiler, circ, technique, grid, layout)
+        sched = _timed(compiler, _passed(compiler, emitted, False), False)
         violations = validate_schedule(sched, layout, grid, PARAMS, circ)
-        results.append((circ, technique, grid_kind, sched, violations, compiler))
+        results.append((circ, technique, grid_kind, sched, violations,
+                        compiler, emitted))
     return results
 
 
@@ -160,7 +167,7 @@ def corpus_results():
     return _compile_corpus()
 
 
-class _GuardForcingCompiler(_RecordingCompiler):
+class _GuardForcingCompiler(Compiler):
     """Turns the first two of every four CZ layers into no-ops that
     execute nothing, so `run()` falls into the progress guard (which
     waits for two rounds in a row that execute nothing) and its
@@ -182,28 +189,16 @@ class _GuardForcingCompiler(_RecordingCompiler):
         super()._isolation_layer(*args)
 
 
-class _UnmergedCompiler(Compiler):
-    """Leaves back-to-back move phases apart and every column move where
-    the compiler put it, as the compiler did before it composed phases and
-    held idle columns."""
-
-    def _append_phase(self, events, moves) -> None:
-        events.append(moves)
-
-    def _hold_columns(self) -> None:
-        pass
-
-
-class _PhasedCompiler(_UnmergedCompiler):
+class _PhasedCompiler(Compiler):
     """Emits a CZ layer's relocation and an isolation layer's parking as
     move phases of their own, as the compiler did before it fused each
-    into the placement phase that follows, and leaves back-to-back phases
-    apart. It records the state right after relocating or parking and
-    splits the phase there when it closes, so the compiler's record of
-    where the phase found each column, which retreats read, is the fused
-    one. Every decision is the same, so it is the reference the fused
-    schedules must match, event for event apart from column moves and
-    times."""
+    into the placement phase that follows. It records the state right
+    after relocating or parking and splits the phase there when it
+    closes, so the compiler's record of where the phase found each
+    column, which retreats read, is the fused one. Every decision is the
+    same, so, packed but neither composed nor held, its schedule is the
+    reference the fused schedules must match, event for event apart from
+    column moves and times."""
 
     split = None  # (column xs, atom ys) right after relocating or parking
 
@@ -238,10 +233,11 @@ class _PhasedGuardForcingCompiler(_PhasedCompiler, _GuardForcingCompiler):
 
 
 def _compile_forced_guard():
-    """(circuit, technique, grid kind, schedule, layout, grid, compiler)
-    for 9 random circuits under every technique x grid. The 8-qubit ones
-    get one AOD column; the 16-qubit ones have several, so the isolation
-    layer also parks columns on both sides of the placed one."""
+    """(circuit, technique, grid kind, schedule, layout, grid, compiler,
+    emitted events) for 9 random circuits under every technique x grid,
+    as `_compile_corpus` makes them. The 8-qubit ones get one AOD column;
+    the 16-qubit ones have several, so the isolation layer also parks
+    columns on both sides of the placed one."""
     results = []
     for k, n, n_gates in [(k, 8, 60) for k in range(6)] + \
             [(k, 16, 80) for k in range(3)]:
@@ -251,11 +247,11 @@ def _compile_forced_guard():
             for technique in TECHNIQUES:
                 layout = build_layout(circ.num_qubits, "auto", PARAMS, grid_kind)
                 grid = generate_grid(grid_kind, layout, PARAMS)
-                compiler = _GuardForcingCompiler(circ, technique, grid, layout,
-                                                 PARAMS)
-                sched = compiler.run()
+                compiler, emitted = _emitted(_GuardForcingCompiler, circ,
+                                             technique, grid, layout)
+                sched = _timed(compiler, _passed(compiler, emitted, False), False)
                 results.append((circ, technique, grid_kind, sched, layout,
-                                grid, compiler))
+                                grid, compiler, emitted))
     return results
 
 
@@ -265,8 +261,9 @@ def forced_guard_results():
 
 
 class _PostPassCase(NamedTuple):
-    """One schedule with its references for the post-pass tests: `unmerged`
-    is the same compile's schedule with neither phases composed nor columns
+    """One schedule with its references for the post-pass tests, all from
+    one compile's emitted events (`emitted`, which `compiler` emitted):
+    `unmerged` is the schedule with neither phases composed nor columns
     held, `unheld` is that schedule with its phases composed, which is the
     compiler's schedule without holds. `holds_again` says whether the hold
     pass, run once more on its own output, changes a move (`_holds_again`).
@@ -286,59 +283,48 @@ class _PostPassCase(NamedTuple):
     holds_again: bool
     violations: list
     equivalent: bool | None
+    compiler: Compiler
+    emitted: list
 
 
-def _from_record(compiler: _RecordingCompiler, sched: Schedule,
-                 *passes) -> Schedule:
-    """`sched`, which `compiler` compiled, rebuilt from a copy of the events
-    it recorded before composing phases: `passes` run on them, then
-    `_retime`, as in `run()`. `sched` and the record are left as they
-    were."""
-    compiler.events = _copied(compiler.unmerged)
-    for post_pass in passes:
-        post_pass(compiler)
-    compiler._retime()
-    return dataclasses.replace(sched, events=compiler.events)
-
-
-def _holds_again(compiler: _RecordingCompiler) -> bool:
-    """Whether the hold pass, run once more on a copy of the events it left
-    in `compiler`'s compile, changes a move."""
-    compiler.events = _copied(compiler.held)
-    Compiler._hold_columns(compiler)
-    return compiler.events != compiler.held
+def _holds_again(compiler: Compiler, held: list, serial: bool) -> bool:
+    """Whether the hold pass, run once more on a copy of `held`, the events
+    it left in `compiler`'s compile, changes a move."""
+    again = hold_columns(_copied(held), compiler.layout, PARAMS, serial,
+                         compiler.one_cache)
+    return again != held
 
 
 def _compile_unmerged(corpus_results, forced_guard_results):
     """A `_PostPassCase` for each case of the corpus and the forced-guard
     set, with concurrent and serial movement. The concurrent schedules
-    are those of the two fixtures, and each case compiles once more, with
-    serial movement; the references come from the same compiles."""
-    cases = [(circ, technique, grid_kind, sched, compiler, False)
-             for circ, technique, grid_kind, sched, _, compiler in corpus_results]
-    cases += [(circ, technique, grid_kind, sched, compiler, True)
-              for circ, technique, grid_kind, sched, *_, compiler
+    are those of the two fixtures; every schedule and reference comes from
+    the post-passes run on a copy of the fixture's emitted events, with
+    the case's movement timing, since that timing decides nothing in the
+    compiler (`test_serial_timing_decides_nothing_in_the_compiler`)."""
+    cases = [(circ, technique, grid_kind, sched, compiler, emitted, False)
+             for circ, technique, grid_kind, sched, _, compiler, emitted
+             in corpus_results]
+    cases += [(circ, technique, grid_kind, sched, compiler, emitted, True)
+              for circ, technique, grid_kind, sched, *_, compiler, emitted
               in forced_guard_results]
     results = []
-    for circ, technique, grid_kind, concurrent, compiled, forced in cases:
-        cls = _GuardForcingCompiler if forced else _RecordingCompiler
-        layout = build_layout(circ.num_qubits, "auto", PARAMS, grid_kind)
-        grid = generate_grid(grid_kind, layout, PARAMS)
+    for circ, technique, grid_kind, concurrent, compiler, emitted, forced in cases:
+        layout, grid = compiler.layout, compiler.grid
         for serial in (False, True):
-            if serial:
-                compiler = cls(circ, technique, grid, layout, PARAMS, serial)
-                sched = compiler.run()
-            else:
-                compiler, sched = compiled, concurrent
+            held = _passed(compiler, emitted, serial)
+            holds_again = _holds_again(compiler, held, serial)
+            sched = _timed(compiler, held, serial) if serial else concurrent
             equivalent = (equivalence_check(sched, circ)[0]
                           if circ.num_qubits <= EQUIVALENCE_QUBIT_CAP else None)
             results.append(_PostPassCase(
                 circ, technique, grid_kind, serial, sched,
-                _from_record(compiler, sched),
-                _from_record(compiler, sched, _composed),
-                layout, grid, forced, _holds_again(compiler),
+                _unmerged(compiler, emitted, serial),
+                _timed(compiler, _passed(compiler, emitted, serial,
+                                         hold=False), serial),
+                layout, grid, forced, holds_again,
                 validate_schedule(sched, layout, grid, PARAMS, circ),
-                equivalent))
+                equivalent, compiler, emitted))
     return results
 
 
@@ -506,15 +492,21 @@ def test_fused_phases_match_phased_reference(unmerged_results):
     phased reference, and no column moves twice in one phase. Over the
     corpus and the forced-guard set, on every technique x grid, with
     concurrent and serial movement, the fused schedule is never slower and
-    never moves atoms further, and it is faster somewhere."""
+    never moves atoms further, and it is faster somewhere. Each case's
+    reference is emitted once and timed both ways."""
     assert {case[1:3] for case in unmerged_results} == \
         {(t, g) for t in TECHNIQUES for g in GRIDS}
     faster = set()
+    phased = {}  # the fused compile -> the phased reference's emission
     for c in unmerged_results:
         circ, technique, grid_kind, serial, sched = c[:5]
         case = (circ.source_name, technique, grid_kind, serial)
-        phased_cls = _PhasedGuardForcingCompiler if c.forced else _PhasedCompiler
-        ref = phased_cls(circ, technique, c.grid, c.layout, PARAMS, serial).run()
+        if c.compiler not in phased:
+            phased_cls = (_PhasedGuardForcingCompiler if c.forced
+                          else _PhasedCompiler)
+            phased[c.compiler] = _emitted(phased_cls, circ, technique, c.grid,
+                                          c.layout)
+        ref = _unmerged(*phased[c.compiler], serial)
         assert _move_free_events(sched) == _move_free_events(ref), case
         tol = 1e-9 * len(ref.events)
         assert sched.end_time <= ref.end_time + tol, case
@@ -616,21 +608,22 @@ def test_held_columns_reach_a_fixpoint(unmerged_results):
     """Running the hold pass once more on its own output changes no move:
     the pass's wait lists retry every candidate a hold could let wait
     nearer. Over the corpus, the forced-guard set and every perfbench
-    case at seed 1, with concurrent and serial movement."""
+    case at seed 1, with concurrent and serial movement; each perfbench
+    case is emitted once and held both ways."""
     moved = [(c.circ.source_name, c.technique, c.grid_kind, c.serial)
              for c in unmerged_results if c.holds_again]
-    compiles = len(unmerged_results)
+    checked = len(unmerged_results)
     for workload, cases in _perfbench_cases(1).items():
         for circ, technique, layout, grid in cases:
+            compiler, emitted = _emitted(Compiler, circ, technique, grid,
+                                         layout)
             for serial in (False, True):
-                compiler = _RecordingCompiler(circ, technique, grid, layout,
-                                              PARAMS, serial)
-                compiler.run()
-                compiles += 1
-                if _holds_again(compiler):
+                checked += 1
+                held = _passed(compiler, emitted, serial)
+                if _holds_again(compiler, held, serial):
                     moved.append((workload, circ.source_name, technique,
                                   serial))
-    assert compiles == 2 * (208 + 144 + 34)
+    assert checked == 2 * (208 + 144 + 34)
     assert not moved, (len(moved), moved[:5])
 
 
@@ -676,6 +669,38 @@ def test_times_follow_from_the_event_list(unmerged_results):
         assert _timing_faults(c.sched) == ([], []), case
 
 
+def test_serial_timing_decides_nothing_in_the_compiler(corpus_results,
+                                                       forced_guard_results):
+    """Movement timing is read only by the post-passes: run with serial
+    timing on the events a concurrent compile emitted, they give byte for
+    byte the schedule compiled with serial movement. Under every technique,
+    on two corpus circuits of at most 10 qubits, two of more and one
+    forced-guard case whose guard ran an isolation layer; the post-pass
+    fixtures time one emission both ways on this ground. A decision that
+    read the timing would emit other events under it, and fail here."""
+    cases = []  # (class, concurrent schedule, compiler, emitted events)
+    for technique in TECHNIQUES:
+        corpus = [(Compiler, r[3], *r[5:]) for r in corpus_results
+                  if r[1] == technique]
+        small = [c for c in corpus if c[2].circuit.num_qubits <= 10]
+        large = [c for c in corpus if c[2].circuit.num_qubits > 10]
+        forced = next((_GuardForcingCompiler, r[3], *r[6:])
+                      for r in forced_guard_results
+                      if r[1] == technique and r[6].isolation_layers)
+        cases += small[:2] + large[:2] + [forced]
+    slower = 0
+    for cls, concurrent, compiler, emitted in cases:
+        circ = compiler.circuit
+        case = (circ.source_name, compiler.technique, compiler.grid.kind)
+        passed = _timed(compiler, _passed(compiler, emitted, True), True)
+        serial = cls(circ, compiler.technique, compiler.grid, compiler.layout,
+                     PARAMS, True).run()
+        assert schedule_to_json(passed) == schedule_to_json(serial), case
+        slower += serial.end_time > concurrent.end_time
+    assert len(cases) == 5 * len(TECHNIQUES)
+    assert slower
+
+
 def test_runtime_breakdown_sums_to_runtime(corpus_results):
     """report.json's runtime breakdown adds up to its runtime, to the
     validator's 1e-9 us per event, and every schedule moves."""
@@ -701,8 +726,8 @@ def test_u3_fusion_removes_only_u3_layers(qasm_results):
     for circ, technique, grid_kind, _, layout, grid, unfused, _ in \
             qasm_results:
         case = (circ.source_name, technique, grid_kind)
-        sched, ref = (_UnmergedCompiler(c, technique, grid, layout,
-                                        PARAMS).run()
+        sched, ref = (_unmerged(*_emitted(Compiler, c, technique, grid,
+                                          layout), False)
                       for c in (circ, unfused))
         assert _non_u3_events(sched) == _non_u3_events(ref), case
         n_u3, n_ref = (sum(isinstance(ev, U3LayerEvent) for ev in s.events)
@@ -714,14 +739,6 @@ def test_u3_fusion_removes_only_u3_layers(qasm_results):
             assert equivalence_check(sched, unfused)[0], case
     assert len(qasm_results) == 64
     assert fewer
-
-
-class _UnpackedCompiler(_UnmergedCompiler):
-    """Leaves every rotation in the U3 layer that first exposed it,
-    back-to-back move phases apart and every column move in place."""
-
-    def _pack_rotations(self) -> None:
-        pass
 
 
 def _rotations_by_atom(sched):
@@ -845,15 +862,16 @@ def test_packing_removes_only_u3_layers(corpus_results, unmerged_results):
     kind's stays exactly as it was. Over the corpus, on every technique x
     grid; the packed schedules validate and match the oracle. Both sides
     leave back-to-back move phases apart and hold no column, so that only
-    U3 layers differ."""
-    packed = {(c.circ.source_name, c.technique, c.grid_kind):
-              (c.unmerged, c.layout, c.grid)
+    U3 layers differ; the unpacked reference is the same compile's
+    emitted events, timed as they are."""
+    packed = {(c.circ.source_name, c.technique, c.grid_kind): c.unmerged
               for c in unmerged_results if not c.serial}
     removed = 0
-    for circ, technique, grid_kind, _, violations, _ in corpus_results:
+    for circ, technique, grid_kind, _, violations, compiler, emitted in \
+            corpus_results:
         case = (circ.source_name, technique, grid_kind)
-        sched, layout, grid = packed[case]
-        ref = _UnpackedCompiler(circ, technique, grid, layout, PARAMS).run()
+        sched = packed[case]
+        ref = _timed(compiler, _copied(emitted), False)
         rest, ref_rest = ([ev for ev in s.events
                            if not isinstance(ev, U3LayerEvent)]
                           for s in (sched, ref))
@@ -883,7 +901,7 @@ def test_forced_guard_schedules_validate(forced_guard_results):
     grid, yields valid and equivalent schedules."""
     bad = []
     isolation = dict.fromkeys(TECHNIQUES, 0)
-    for circ, technique, grid_kind, sched, layout, grid, compiler in \
+    for circ, technique, grid_kind, sched, layout, grid, compiler, _ in \
             forced_guard_results:
         isolation[technique] += compiler.isolation_layers
         violations = validate_schedule(sched, layout, grid, PARAMS, circ)
@@ -1042,7 +1060,7 @@ def test_onecache_stays_in_its_one_cache(corpus_results, forced_guard_results):
              for circ, technique, grid_kind, sched, *_ in corpus_results
              if technique == "onecache"]
     cases += [(circ, grid_kind, sched, layout)
-              for circ, technique, grid_kind, sched, layout, _, _ in
+              for circ, technique, grid_kind, sched, layout, *_ in
               forced_guard_results if technique == "onecache"]
     assert {grid_kind for _, grid_kind, _, _ in cases} == set(GRIDS)
     u3_layers = tucked = 0
@@ -1122,7 +1140,7 @@ def test_criterion_3_error_composition():
 
 def test_criterion_4_validator_pass_rate(corpus_results):
     t0 = time.perf_counter()
-    bad = [(c.source_name, t, g, v) for c, t, g, _, v, _ in corpus_results if v]
+    bad = [(c.source_name, t, g, v) for c, t, g, _, v, *_ in corpus_results if v]
     dt = time.perf_counter() - t0
     ok = not bad and len(corpus_results) >= 200
     detail = (f"{len(corpus_results)} corpus schedules, "

@@ -27,7 +27,7 @@ from pachinqo.placement import (
     pack_columns,
 )
 from pachinqo.schedule import AOD_TO_SLM, SLM_TO_AOD, ColumnMove, TrapChange
-from pachinqo.scheduler import Compiler
+from pachinqo.scheduler import Compiler, retime
 from pachinqo.verifier import validate_schedule
 
 from corpus import (
@@ -383,42 +383,42 @@ def test_assignment_deterministic(default_layout, default_grid, params):
 
 def _loaded(circ, layout, grid, params, aod_capacity=500):
     """A compiler that has run initialization for `circ` grouped greedily
-    with the given mobile capacity, its events timed as `run()` would."""
+    with the given mobile capacity, and its events timed as `run()` would
+    time them."""
     compiler = Compiler(circ, "pachinqo", grid, layout, params)
     g = greedy_maxcut_group(circ, 500, aod_capacity)
     compiler.placement = assign_atoms(g, grid, layout, params)
     compiler._apply_initialization()
-    compiler._retime()
-    return compiler
+    return compiler, retime(compiler.events, params, False)
 
 
 def test_init_exactly_three_trap_changes(default_layout, default_grid, params):
     # Cases with both groups, an empty static group and an empty mobile one.
     for circ, aod_capacity in ((staircase(6), 500), (_circ(2, [(0, 1)]), 500),
                                (Circuit(3, []), 500), (_circ(2, [(0, 1)]), 0)):
-        compiler = _loaded(circ, default_layout, default_grid, params,
-                           aod_capacity)
+        compiler, events = _loaded(circ, default_layout, default_grid, params,
+                                   aod_capacity)
         assert compiler.trap_change_count == 3
-        assert sum(1 for e in compiler.events if isinstance(e, TrapChange)) == 3
+        assert sum(1 for e in events if isinstance(e, TrapChange)) == 3
 
 
 def test_init_movement_positive_with_static_group(default_layout, default_grid, params):
-    compiler = _loaded(staircase(6), default_layout, default_grid, params)
-    moves = [e for e in compiler.events if isinstance(e, ColumnMove)]
+    _, events = _loaded(staircase(6), default_layout, default_grid, params)
+    moves = [e for e in events if isinstance(e, ColumnMove)]
     assert moves
-    assert compiler.events[-1].t_end > 3 * params.trap_change_time
+    assert events[-1].t_end > 3 * params.trap_change_time
 
 
 def test_init_timestamps_nondecreasing(default_layout, default_grid, params):
-    compiler = _loaded(staircase(8, 2), default_layout, default_grid, params)
-    starts = [e.t_start for e in compiler.events]
+    _, events = _loaded(staircase(8, 2), default_layout, default_grid, params)
+    starts = [e.t_start for e in events]
     assert starts == sorted(starts)
 
 
 def _assert_state_equals_replay(compiler, grid):
     """The compiler's machine state is what its events did: replaying the
     transfers and column moves (each move phase's record, before
-    `_retime`) gives every atom's position, its site or column, and the
+    `retime`) gives every atom's position, its site or column, and the
     live columns left to right by cid."""
     pos, col, site = {}, {}, {}
     for ev in compiler.events:
@@ -470,7 +470,7 @@ def test_trapchange_state_equals_replayed_events(params):
     grid = generate_grid("large-square", layout, params)
     compiler = Compiler(circ, "trapchange", grid, layout, params)
     compiler._measurement = lambda: None
-    compiler.run()
+    compiler.emit()
     mid = {ev.direction for ev in compiler.events
            if isinstance(ev, TrapChange) and ev.layer > 0}
     assert mid == {AOD_TO_SLM, SLM_TO_AOD}

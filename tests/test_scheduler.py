@@ -1,5 +1,6 @@
 """Scheduler behavior: layer structure, variants, conflicts, determinism."""
 import copy
+import functools
 import itertools
 import json
 import math
@@ -15,6 +16,7 @@ from pachinqo.machine import (
     PhysParams,
     build_layout,
     generate_grid,
+    hang_y,
 )
 from pachinqo.metrics import esp, movement_total
 from pachinqo.schedule import (
@@ -31,7 +33,8 @@ from pachinqo.schedule import (
     U3LayerEvent,
     schedule_to_json,
 )
-from pachinqo.scheduler import Compiler, toggle_direction, LEFT, RIGHT
+from pachinqo.postpass import SWAP_LAST_STEP, compose, hold_columns, pack_rotations
+from pachinqo.scheduler import Compiler, retime, toggle_direction, LEFT, RIGHT
 from pachinqo.verifier import equivalence_check, validate_schedule
 
 from corpus import (
@@ -121,30 +124,22 @@ def test_packed_rotation_lands_just_before_its_cz():
     assert equivalence_check(sched, circ)[0]
 
 
-class _IlluminationBlindPacking(Compiler):
+def _illumination_blind_packing(events, n):
     """Packs rotations as if no illumination touched any atom."""
-
-    def _pack_rotations(self):
-        illuminations = [ev for ev in self.events if isinstance(ev, Illumination)]
-        pairs = [ev.pairs for ev in illuminations]
-        for ev in illuminations:
-            ev.pairs = []
-        super()._pack_rotations()
-        for ev, kept in zip(illuminations, pairs):
-            ev.pairs = kept
+    illuminations = [ev for ev in events if isinstance(ev, Illumination)]
+    pairs = [ev.pairs for ev in illuminations]
+    for ev in illuminations:
+        ev.pairs = []
+    events = pack_rotations(events, n)
+    for ev, kept in zip(illuminations, pairs):
+        ev.pairs = kept
+    return events
 
 
 def test_packing_past_an_illumination_fails_the_dependency_check():
     circ = Circuit(3, [u3(0, 1, 0, 0), cz(0, 1), u3(1, 2, 0, 0), cz(1, 2)])
-    params = PhysParams()
-    layout = build_layout(3, "auto", params)
-    grid = generate_grid("large-square", layout, params)
-    sched = _IlluminationBlindPacking(circ, "pachinqo", grid, layout,
-                                      params).run()
-    violations = validate_schedule(sched, layout, grid, params, circ)
-    assert "dependency" in {v.code for v in violations}
-    assert validate_schedule(_compile(circ)[0], layout, grid, params,
-                             circ) == []
+    codes = _packing_violations(_illumination_blind_packing, circ)
+    assert "dependency" in codes
 
 
 # SWAP 0 trades qubits 2 and 1 (atoms 2 and 1) for CZ(1, 3). Its first
@@ -172,86 +167,83 @@ def _pairs_atom(ev, atom):
                                                 for p in ev.pairs)
 
 
-class _UnlockBlindPacking(Compiler):
+def _unlock_blind_packing(events, n):
     """Packs rotations, then defers SWAP 0's last step past the next
     illumination on the SWAP's other atom, into the U3 layer after it."""
-
-    def _pack_rotations(self):
-        super()._pack_rotations()
-        layer, g = _swap_step(self.events, 0, scheduler.SWAP_LAST_STEP)
-        other, = set(_swap_pair(self.events, 0)[1]) - {g.atom}
-        i = self.events.index(layer)
-        j = next(j for j in range(i, len(self.events))
-                 if _pairs_atom(self.events[j], other))
-        later = next(ev for ev in self.events[j:]
-                     if isinstance(ev, U3LayerEvent))
-        layer.gates.remove(g)
-        later.gates.insert(0, g)
+    events = pack_rotations(events, n)
+    layer, g = _swap_step(events, 0, SWAP_LAST_STEP)
+    other, = set(_swap_pair(events, 0)[1]) - {g.atom}
+    i = events.index(layer)
+    j = next(j for j in range(i, len(events)) if _pairs_atom(events[j], other))
+    later = next(ev for ev in events[j:] if isinstance(ev, U3LayerEvent))
+    layer.gates.remove(g)
+    later.gates.insert(0, g)
+    return events
 
 
-class _HoistedSwapPacking(Compiler):
+def _hoisted_swap_packing(events, n):
     """Packs rotations, then hoists SWAP 0's first step above the last
     illumination on its atom, into the U3 layer before it."""
-
-    def _pack_rotations(self):
-        super()._pack_rotations()
-        layer, g = _swap_step(self.events, 0, 0)
-        i = self.events.index(layer)
-        j = next(j for j in reversed(range(i))
-                 if _pairs_atom(self.events[j], g.atom))
-        earlier = next(ev for ev in reversed(self.events[:j])
-                       if isinstance(ev, U3LayerEvent))
-        layer.gates.remove(g)
-        earlier.gates.append(g)
+    events = pack_rotations(events, n)
+    layer, g = _swap_step(events, 0, 0)
+    i = events.index(layer)
+    j = next(j for j in reversed(range(i)) if _pairs_atom(events[j], g.atom))
+    earlier = next(ev for ev in reversed(events[:j])
+                   if isinstance(ev, U3LayerEvent))
+    layer.gates.remove(g)
+    earlier.gates.append(g)
+    return events
 
 
-class _LockBlindListing(Compiler):
+def _lock_blind_listing(events, n, listed_before):
     """Packs rotations, then lists each native rotation on a SWAP's qubit
-    that shares the SWAP's last step's layer before that step."""
+    that shares the SWAP's last step's layer before that step, appending
+    each to `listed_before`."""
+    events = pack_rotations(events, n)
+    for ev in events:
+        if not isinstance(ev, U3LayerEvent):
+            continue
+        for g in [g for g in ev.gates if g.origin is not None
+                  and g.origin[1] == SWAP_LAST_STEP]:
+            qubits = _swap_pair(events, g.origin[0])[0]
+            for native in [r for r in ev.gates[ev.gates.index(g):]
+                           if r.origin is None and r.qubit in qubits]:
+                ev.gates.remove(native)
+                ev.gates.insert(ev.gates.index(g), native)
+                listed_before.append(native)
+    return events
 
-    def _pack_rotations(self):
-        super()._pack_rotations()
-        self.listed_before = 0
-        for ev in self.events:
-            if not isinstance(ev, U3LayerEvent):
-                continue
-            for g in [g for g in ev.gates if g.origin is not None
-                      and g.origin[1] == scheduler.SWAP_LAST_STEP]:
-                qubits = _swap_pair(self.events, g.origin[0])[0]
-                for native in [n for n in ev.gates[ev.gates.index(g):]
-                               if n.origin is None and n.qubit in qubits]:
-                    ev.gates.remove(native)
-                    ev.gates.insert(ev.gates.index(g), native)
-                    self.listed_before += 1
 
-
-def _packing_violations(cls, circ, technique="pachinqo",
+def _packing_violations(pack, circ, technique="pachinqo",
                         grid_kind="large-square", params=None):
-    """The validator's codes for `circ` compiled by `cls`, and for the
-    same circuit compiled as is."""
+    """The validator's codes for `circ` compiled with `pack` in place of
+    `pack_rotations`, each other pass as `run()` runs it; the same circuit
+    compiled as is validates clean."""
     params = params or PhysParams()
     layout = build_layout(circ.num_qubits, "auto", params, grid_kind)
     grid = generate_grid(grid_kind, layout, params)
-    compiler = cls(circ, technique, grid, layout, params)
-    broken = validate_schedule(compiler.run(), layout, grid, params, circ)
+    compiler = Compiler(circ, technique, grid, layout, params)
+    events = compose(pack(compiler.emit(), circ.num_qubits))
+    events = hold_columns(events, layout, params, False, compiler.one_cache)
+    broken = compiler.schedule(retime(events, params, False))
     honest = Compiler(circ, technique, grid, layout, params).run()
     assert validate_schedule(honest, layout, grid, params, circ) == []
-    return {v.code for v in broken}, compiler
+    return {v.code for v in validate_schedule(broken, layout, grid, params, circ)}
 
 
 def test_deferring_a_swaps_last_step_past_its_other_atom_fails():
     """The validator exchanges the SWAP's qubits and unlocks them at its
     last step, so a CZ on the other atom before it runs a locked qubit."""
-    codes, _ = _packing_violations(_UnlockBlindPacking, _SWAP_BETWEEN_CZS,
-                                   params=_FULL_COLUMN)
+    codes = _packing_violations(_unlock_blind_packing, _SWAP_BETWEEN_CZS,
+                                params=_FULL_COLUMN)
     assert "dependency" in codes
 
 
 def test_hoisting_a_swaps_first_step_above_its_atom_fails():
     """A SWAP locks its first step's qubit, so the CZ that step was hoisted
     above runs a locked qubit."""
-    codes, _ = _packing_violations(_HoistedSwapPacking, _SWAP_BETWEEN_CZS,
-                                   params=_FULL_COLUMN)
+    codes = _packing_violations(_hoisted_swap_packing, _SWAP_BETWEEN_CZS,
+                                params=_FULL_COLUMN)
     assert "dependency" in codes
 
 
@@ -261,9 +253,11 @@ def test_listing_a_native_before_its_swaps_last_step_fails():
     it; listed before it, it runs a locked qubit."""
     circ, technique, grid_kind = next(itertools.islice(corpus_cases(), 155,
                                                        None))
-    codes, compiler = _packing_violations(_LockBlindListing, circ, technique,
-                                          grid_kind)
-    assert compiler.listed_before
+    listed_before = []
+    codes = _packing_violations(
+        functools.partial(_lock_blind_listing, listed_before=listed_before),
+        circ, technique, grid_kind)
+    assert listed_before
     assert "dependency" in codes
 
 
@@ -1272,7 +1266,7 @@ def test_placement_hangs_the_other_atoms_below_compute():
     ys = {a: ty for a, _, ty in place.atoms}
     assert [a for a, _, _ in place.atoms] == [0, 2, 3, 4]
     assert ys[0] == illum.pairs[0].positions[0][1]
-    assert [ys[a] for a in (2, 3, 4)] == [compiler._hang_y(j) for j in range(3)]
+    assert [ys[a] for a in (2, 3, 4)] == [hang_y(layout, params, j) for j in range(3)]
     assert all(layout.memory.contains(place.to_x, ys[a]) for a in (2, 3, 4))
 
 
@@ -1416,7 +1410,7 @@ def test_retreat_takes_the_cache_slot_next_to_compute_that_leaves_room():
     assert xs == [mem.x0 + ZONE_MARGIN, right[1], right[2]]
     col = compiler.columns[0]
     assert [compiler.atom_y[a] for a in col.atoms] == [
-        compiler._hang_y(j) for j in range(4)]
+        hang_y(compiler.layout, compiler.params, j) for j in range(4)]
 
 
 @pytest.mark.parametrize("start_x, parks_in_memory", [(150.0, True),
@@ -1443,7 +1437,7 @@ def test_memory_parking_refused_past_a_later_columns_target(start_x,
     if parks_in_memory:
         assert col0.x == start_x
         assert [compiler.atom_y[a] for a in col0.atoms] == [
-            compiler._hang_y(j) for j in range(4)]
+            hang_y(compiler.layout, compiler.params, j) for j in range(4)]
     else:
         assert col0.x == compiler.cache_slots[LEFT][-3]
 
@@ -1471,46 +1465,29 @@ def _records(parts):
     return events
 
 
-def _composed(compiler):
-    """Compose the back-to-back records of the compiler's events, appending
-    each record through `_append_phase`, as the compiler emits them."""
-    events = []
-    for ev in compiler.events:
-        if isinstance(ev, dict):
-            compiler._append_phase(events, ev)
-        else:
-            events.append(ev)
-    compiler.events = events
+def _hand_built(parts, layout, params, serial=False):
+    """The events of `parts` (`_records`), timed as `run()` times its
+    events."""
+    return retime(_records(parts), params, serial)
 
 
-def _hand_built(parts, compiler, *passes):
-    """The events of `parts` (`_records`), on which each of `passes` runs,
-    timed by `compiler` as `run()` times its events; the compiler keeps
-    them."""
-    compiler.events = _records(parts)
-    for post_pass in passes:
-        post_pass(compiler)
-    compiler._retime()
-    return compiler.events
+# Ten qubits, whose geometry the hand-built events use: compute spans x
+# 90-280 and y 55-185, memory lies under it at y 5-55.
+_HOLD_CIRCUIT = Circuit(10, [cz(2 * i, 2 * i + 1) for i in range(5)])
 
 
-def _hold_compiler(technique="pachinqo", serial=False):
-    """A compiler for 10 qubits, whose geometry the hand-built events use:
-    compute spans x 90-280 and y 55-185, memory lies under it at y 5-55."""
+def _hold_layout():
+    """The layout and parameters of `_HOLD_CIRCUIT`."""
     params = PhysParams()
-    circ = Circuit(10, [cz(2 * i, 2 * i + 1) for i in range(5)])
-    layout = build_layout(10, "auto", params)
-    grid = generate_grid("large-square", layout, params)
-    return Compiler(circ, technique, grid, layout, params, serial)
+    return build_layout(10, "auto", params), params
 
 
-def _hold(compiler, parts):
-    """Run `Compiler._hold_columns` alone on the hand-built events of
-    `parts`, then time them as `run()` would; returns the events as built.
-    The compiler keeps them held."""
-    built = _hand_built(parts, compiler)
-    _hand_built(parts, compiler, Compiler._hold_columns)
-    return built
+def _hold(parts, serial=False, one_cache=False):
+    """The hand-built events of `parts`, timed as `run()` would, and the
+    same events held by `hold_columns` alone, then timed: (built, held)."""
+    layout, params = _hold_layout()
+    held = hold_columns(_records(parts), layout, params, serial, one_cache)
+    return _hand_built(parts, layout, params, serial), retime(held, params, serial)
 
 
 def _column_moves(events, cid):
@@ -1536,12 +1513,10 @@ def test_merge_composes_back_to_back_records():
     placed = (100.0, 110.0)
     parts = [[_col(0, 150.0, 120.0, _HUNG, _TUCKED)],
              [_col(0, 120.0, 200.0, _TUCKED, placed)]]
-    compiler = _hold_compiler()
-    compiler.events = _records(parts)
-    for m in compiler.events[2].values():
+    events = _records(parts)
+    for m in events[2].values():
         m.layer = 2
-    _composed(compiler)
-    assert compiler.events[1:] == [
+    assert compose(events)[1:] == [
         {0: ColumnMove(0.0, 0.0, 2, 0, 150.0, 200.0,
                        list(zip((0, 2), _HUNG, placed)))}]
 
@@ -1555,59 +1530,40 @@ def test_merge_drops_a_round_trip_and_an_emptied_record():
     parts = [[_col(0, 150.0, 120.0, _HUNG, _TUCKED)],
              [_col(0, 120.0, 150.0, _TUCKED, _HUNG)],
              [_col(1, 200.0, 161.5, _HUNG, placed)]]
-    compiler = _hold_compiler()
-    compiler.events = _records(parts)
-    _composed(compiler)
-    assert compiler.events[1:] == [
+    layout, params = _hold_layout()
+    merged = compose(_records(parts))
+    assert merged[1:] == [
         {1: ColumnMove(0.0, 0.0, 1, 1, 200.0, 161.5,
                        list(zip((4, 6), _HUNG, placed)))}]
-    compiler._retime()
-    merged = compiler.events
+    merged = retime(merged, params, False)
     assert [type(ev) for ev in merged] == [TrapChange, ColumnMove]
-    unmerged = _hand_built(parts, compiler)
+    unmerged = _hand_built(parts, layout, params)
     assert len({(ev.t_start, ev.t_end) for ev in unmerged
                 if isinstance(ev, ColumnMove)}) == 3
     assert merged[-1].t_end < unmerged[-1].t_end
 
 
-class _BackToBackCounter(Compiler):
-    """Counts, as the hold pass finds the events, the move records that
-    stand right after another; with `apart`, appends records as they
-    come."""
-
-    apart = False
-    back_to_back = None
-
-    def _append_phase(self, events, moves):
-        if self.apart:
-            events.append(moves)
-        else:
-            super()._append_phase(events, moves)
-
-    def _hold_columns(self):
-        self.back_to_back = sum(isinstance(a, dict) and isinstance(b, dict)
-                                for a, b in zip(self.events, self.events[1:]))
-        super()._hold_columns()
+def _back_to_back(events):
+    """How many move records of `events` stand right after another."""
+    return sum(isinstance(a, dict) and isinstance(b, dict)
+               for a, b in zip(events, events[1:]))
 
 
 @pytest.mark.parametrize("technique", scheduler.TECHNIQUES)
 def test_no_two_move_records_stand_back_to_back(technique):
-    """Every move record enters the event list through `_append_phase`, so
-    the hold pass finds no two back to back, though the epilogue's phase
-    and, with one cache, the return home follow a phase with no event
-    between or with a U3 layer that packing drops. Appended as they come,
-    they would."""
+    """`compose` runs after packing, so the hold pass finds no two move
+    records back to back, though the epilogue's phase and, with one cache,
+    the return home follow a phase with no event between or with a U3
+    layer that packing drops. Packed as they were emitted, they stand
+    so."""
     circ = random_circuit(random.Random(3), 10, 60)
     params = PhysParams()
     layout = build_layout(10, "auto", params)
     grid = generate_grid("large-square", layout, params)
-    counts = []
-    for apart in (False, True):
-        compiler = _BackToBackCounter(circ, technique, grid, layout, params)
-        compiler.apart = apart
-        compiler.run()
-        counts.append(compiler.back_to_back)
-    assert counts[0] == 0 < counts[1]
+    compiler = Compiler(circ, technique, grid, layout, params)
+    packed = pack_rotations(compiler.emit(), circ.num_qubits)
+    apart = _back_to_back(packed)
+    assert _back_to_back(compose(packed)) == 0 < apart
 
 
 def test_hold_drops_a_tuck_and_return():
@@ -1620,26 +1576,24 @@ def test_hold_drops_a_tuck_and_return():
              ("cz", 4, 9),
              [_col(0, 120.0, 150.0, _TUCKED, _HUNG),
               _col(1, 161.5, 200.0, placed, _HUNG)]]
-    compiler = _hold_compiler()
-    built = _hold(compiler, parts)
+    built, held = _hold(parts)
     assert len(_column_moves(built, 0)) == 2
-    assert _column_moves(compiler.events, 0) == []
-    assert _column_moves(compiler.events, 1) == _column_moves(built, 1)
-    assert compiler.events[-1].t_end == built[-1].t_end
+    assert _column_moves(held, 0) == []
+    assert _column_moves(held, 1) == _column_moves(built, 1)
+    assert held[-1].t_end == built[-1].t_end
 
 
 def _crossed_hold():
     """Column 1 places at x = 140, left of where column 0 stood (150)
     before it tucked in at 120; both return once the pulse has fired.
-    Returns the compiler, holding the events, and the events as built."""
+    Returns the events as built and as held (`_hold`)."""
     placed = (100.0, 110.0)
     parts = [[_col(0, 150.0, 120.0, _HUNG, _TUCKED),
               _col(1, 200.0, 140.0, _HUNG, placed)],
              ("cz", 4, 9),
              [_col(0, 120.0, 150.0, _TUCKED, _HUNG),
               _col(1, 140.0, 200.0, placed, _HUNG)]]
-    compiler = _hold_compiler()
-    return compiler, _hold(compiler, parts)
+    return _hold(parts)
 
 
 def test_hold_refused_where_a_neighbour_crosses_the_held_x():
@@ -1648,22 +1602,22 @@ def test_hold_refused_where_a_neighbour_crosses_the_held_x():
     nearest 150 that leaves a storage pitch of room to column 1 (138), on
     the hang rows, 12 um from where it stood each way in place of 60 um
     (30 across, 30 down). Column 1's moves, and every time, stay."""
-    compiler, built = _crossed_hold()
+    built, held = _crossed_hold()
     wait = list(zip((0, 2), _HUNG, _HUNG))
-    assert _column_moves(compiler.events, 0) == [(150.0, 138.0, wait),
-                                                 (138.0, 150.0, wait)]
-    assert _column_moves(compiler.events, 1) == _column_moves(built, 1)
-    assert [(ev.t_start, ev.t_end) for ev in compiler.events] == \
+    assert _column_moves(held, 0) == [(150.0, 138.0, wait),
+                                      (138.0, 150.0, wait)]
+    assert _column_moves(held, 1) == _column_moves(built, 1)
+    assert [(ev.t_start, ev.t_end) for ev in held] == \
         [(ev.t_start, ev.t_end) for ev in built]
 
 
-def _validated(compiler, events):
+def _validated(events):
     """The validator's violations of `events`, read as a schedule of
-    `compiler`'s circuit on its layout."""
-    c = compiler
-    sched = Schedule(c.technique, c.grid.kind, c.params, "hold", 10,
-                     events=events)
-    return validate_schedule(sched, c.layout, c.grid, c.params, c.circuit)
+    `_HOLD_CIRCUIT` on its layout."""
+    layout, params = _hold_layout()
+    grid = generate_grid("large-square", layout, params)
+    sched = Schedule("pachinqo", grid.kind, params, "hold", 10, events=events)
+    return validate_schedule(sched, layout, grid, params, _HOLD_CIRCUIT)
 
 
 def test_validator_catches_a_wait_that_a_neighbour_crosses():
@@ -1672,15 +1626,14 @@ def test_validator_catches_a_wait_that_a_neighbour_crosses():
     `ordering` violation in the phase before the pulse; the held schedule
     gets none. The hand-built events break other rules, which the test
     does not read."""
-    compiler, _ = _crossed_hold()
-    held = compiler.events
+    _, held = _crossed_hold()
     mutant = [copy.copy(ev) for ev in held]
     moves = [i for i, ev in enumerate(mutant)
              if isinstance(ev, ColumnMove) and ev.column == 0]
     mutant[moves[0]].to_x = mutant[moves[1]].from_x = 145.0
     cz_at = next(i for i, ev in enumerate(held) if isinstance(ev, Illumination))
-    assert not [v for v in _validated(compiler, held) if v.code == "ordering"]
-    crossed = [v.event for v in _validated(compiler, mutant)
+    assert not [v for v in _validated(held) if v.code == "ordering"]
+    crossed = [v.event for v in _validated(mutant)
                if v.code == "ordering"]
     assert crossed and moves[0] <= crossed[0] < cz_at
 
@@ -1698,12 +1651,11 @@ def test_tucked_column_waits_on_the_hang_rows():
              ("cz", 4, 9),
              [_col(0, 98.0, 110.0, _TUCKED, _HUNG),
               _col(1, 100.0, 200.0, placed, _HUNG)]]
-    compiler = _hold_compiler()
-    built = _hold(compiler, parts)
+    built, held = _hold(parts)
     wait = list(zip((0, 2), _HUNG, _HUNG))
-    assert _column_moves(compiler.events, 0) == [(110.0, 98.0, wait),
-                                                 (98.0, 110.0, wait)]
-    assert _column_moves(compiler.events, 1) == _column_moves(built, 1)
+    assert _column_moves(held, 0) == [(110.0, 98.0, wait),
+                                      (98.0, 110.0, wait)]
+    assert _column_moves(held, 1) == _column_moves(built, 1)
 
 
 @pytest.mark.parametrize("serial", [False, True])
@@ -1720,12 +1672,11 @@ def test_hold_refused_where_it_would_lengthen_the_schedule(serial):
              ("cz", 4, 9),
              [_col(0, 210.0, 265.0, _HUNG, _HUNG),
               _col(1, 270.0, 275.0, _HUNG, _HUNG)]]
-    compiler = _hold_compiler(serial=serial)
-    built = _hold(compiler, parts)
-    held = [(100.0, 265.0, list(zip((0, 2), _HUNG, _HUNG)))]
-    assert _column_moves(compiler.events, 0) == (
-        held if serial else _column_moves(built, 0))
-    assert compiler.events[-1].t_end == pytest.approx(built[-1].t_end, abs=1e-9)
+    built, held = _hold(parts, serial)
+    wait = [(100.0, 265.0, list(zip((0, 2), _HUNG, _HUNG)))]
+    assert _column_moves(held, 0) == (
+        wait if serial else _column_moves(built, 0))
+    assert held[-1].t_end == pytest.approx(built[-1].t_end, abs=1e-9)
 
 
 @pytest.mark.parametrize("technique, at_home, holds", [
@@ -1739,7 +1690,9 @@ def test_onecache_holds_across_a_u3_layer_only_at_home(technique, at_home,
     not even where the load left it; with two caches it may wait anywhere.
     A held column's two phases drop out and the U3 layer starts that much
     earlier."""
-    compiler = _hold_compiler(technique)
+    layout, params = _hold_layout()
+    grid = generate_grid("large-square", layout, params)
+    compiler = Compiler(_HOLD_CIRCUIT, technique, grid, layout, params)
     home = compiler.placement.columns[0]
     atoms = [a for a, *_ in home.atoms]
     if at_home:
@@ -1749,11 +1702,11 @@ def test_onecache_holds_across_a_u3_layer_only_at_home(technique, at_home,
     tucked = [15.0 + 2 * i for i in range(len(atoms))]
     parts = [[(0, x, 120.0, list(zip(atoms, ys, tucked)))], "u3",
              [(0, 120.0, x, list(zip(atoms, tucked, ys)))]]
-    built = _hold(compiler, parts)
-    moves = _column_moves(compiler.events, 0)
+    built, held = _hold(parts, one_cache=compiler.one_cache)
+    moves = _column_moves(held, 0)
     assert moves == ([] if holds else _column_moves(built, 0))
-    u3 = next(ev for ev in compiler.events if isinstance(ev, U3LayerEvent))
-    assert (u3.t_start == compiler.events[0].t_end) == holds
+    u3 = next(ev for ev in held if isinstance(ev, U3LayerEvent))
+    assert (u3.t_start == held[0].t_end) == holds
 
 
 def test_schedule_json_roundtrip():

@@ -29,7 +29,8 @@ from pachinqo.schedule import (
     TrapTransfer,
     U3LayerEvent,
 )
-from pachinqo.scheduler import TECHNIQUES, Compiler
+from pachinqo.postpass import compose, hold_columns, pack_rotations
+from pachinqo.scheduler import TECHNIQUES, Compiler, retime
 from pachinqo.verifier import (
     _apply_cz,
     equivalence_check,
@@ -355,49 +356,44 @@ def test_validator_catches_two_pairs_stacked_in_one_column_too_close():
                         (2, 3, "6.671"))]
 
 
-class _LiftedBystanderCompiler(Compiler):
-    """Once columns are held, lifts the first atom of a column that the
-    next illumination does not pair into compute, in the record just
-    before that pulse, at the lowest clear-site row at least
+def _lift_bystander(events, layout, params, rows):
+    """Lifts, in held `events` (before `retime`), the first atom of a
+    column that the next illumination does not pair into compute, in the
+    record just before that pulse, at the lowest of `rows` at least
     crosstalk_radius from every other compute atom, and starts the
-    column's next move from there (`lifted`: atom, x, y, the pulse's
-    index among the timed events)."""
-
-    lifted = None
-
-    def _hold_columns(self):
-        super()._hold_columns()
-        comp, r_ct = self.layout.compute, self.params.crosstalk_radius
-        pos = {}
-        for k, ev in enumerate(self.events):
-            if isinstance(ev, TrapChange):
-                pos.update((tr.atom, (tr.x, tr.y)) for tr in ev.transfers)
-            elif isinstance(ev, dict):
-                for m in ev.values():
-                    pos.update((a, (m.to_x, ty)) for a, _, ty in m.atoms)
-            if not (isinstance(ev, Illumination) and isinstance(self.events[k - 1], dict)):
+    column's next move from there. Returns the atom, x, y and the pulse's
+    index among the timed events."""
+    comp, r_ct = layout.compute, params.crosstalk_radius
+    pos = {}
+    for k, ev in enumerate(events):
+        if isinstance(ev, TrapChange):
+            pos.update((tr.atom, (tr.x, tr.y)) for tr in ev.transfers)
+        elif isinstance(ev, dict):
+            for m in ev.values():
+                pos.update((a, (m.to_x, ty)) for a, _, ty in m.atoms)
+        if not (isinstance(ev, Illumination) and isinstance(events[k - 1], dict)):
+            continue
+        paired = {a for p in ev.pairs for a in p.atoms}
+        for cid, m in events[k - 1].items():
+            atom, fy, _ = m.atoms[0]
+            if paired & {a for a, *_ in m.atoms}:
                 continue
-            paired = {a for p in ev.pairs for a in p.atoms}
-            for cid, m in self.events[k - 1].items():
-                atom, fy, _ = m.atoms[0]
-                if paired & {a for a, *_ in m.atoms}:
-                    continue
-                others = [xy for a, xy in pos.items()
-                          if a != atom and comp.contains(*xy)]
-                y = next((y for y in self.pair_rows if comp.contains(m.to_x, y)
-                          and all(math.dist((m.to_x, y), xy) >= r_ct
-                                  for xy in others)), None)
-                nxt = next((later[cid] for later in self.events[k + 1:]
-                            if isinstance(later, dict) and cid in later), None)
-                if y is None or nxt is None:
-                    continue
-                m.atoms[0] = (atom, fy, y)
-                a, _, ty = nxt.atoms[0]
-                nxt.atoms[0] = (a, y, ty)
-                timed = sum(len(e) if isinstance(e, dict) else 1
-                            for e in self.events[:k] if e)
-                self.lifted = atom, m.to_x, y, timed
-                return
+            others = [xy for a, xy in pos.items()
+                      if a != atom and comp.contains(*xy)]
+            y = next((y for y in rows if comp.contains(m.to_x, y)
+                      and all(math.dist((m.to_x, y), xy) >= r_ct
+                              for xy in others)), None)
+            nxt = next((later[cid] for later in events[k + 1:]
+                        if isinstance(later, dict) and cid in later), None)
+            if y is None or nxt is None:
+                continue
+            m.atoms[0] = (atom, fy, y)
+            a, _, ty = nxt.atoms[0]
+            nxt.atoms[0] = (a, y, ty)
+            timed = sum(len(e) if isinstance(e, dict) else 1
+                        for e in events[:k] if e)
+            return atom, m.to_x, y, timed
+    return None
 
 
 def test_validator_catches_an_unpaired_column_atom_in_compute():
@@ -409,9 +405,11 @@ def test_validator_catches_an_unpaired_column_atom_in_compute():
     params = PhysParams()
     layout = build_layout(16, "auto", params)
     grid = generate_grid("large-square", layout, params)
-    compiler = _LiftedBystanderCompiler(circ, "pachinqo", grid, layout, params)
-    sched = compiler.run()
-    atom, x, y, i = compiler.lifted
+    compiler = Compiler(circ, "pachinqo", grid, layout, params)
+    events = compose(pack_rotations(compiler.emit(), circ.num_qubits))
+    events = hold_columns(events, layout, params, False, compiler.one_cache)
+    atom, x, y, i = _lift_bystander(events, layout, params, compiler.pair_rows)
+    sched = compiler.schedule(retime(events, params, False))
     assert layout.compute.contains(x, y)
     assert isinstance(sched.events[i], Illumination)
     violations = validate_schedule(sched, layout, grid, params, circ)
