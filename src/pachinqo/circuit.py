@@ -26,10 +26,6 @@ _FIXED_1Q = {
     "tdg": (0.0, 0.0, -PI / 4),
 }
 
-SUPPORTED_GATES = frozenset(
-    ["u3", "u2", "u1", "u", "p", "rx", "ry", "rz", "cx", "cz", "swap", "ccx"]
-) | frozenset(_FIXED_1Q)
-
 
 class CircuitError(ValueError):
     """Raised for malformed circuits or gate arguments."""
@@ -128,14 +124,13 @@ def decompose_swap(a: int, b: int, swap_id: int = 0) -> list[Gate]:
 
 
 def _lower_gate(g: Gate) -> list[Gate]:
-    """One rewrite step toward the basis. May emit non-basis gates (cx)."""
+    """One rewrite step toward the basis for a gate outside it. May emit
+    non-basis gates (cx)."""
     k = g.kind
-    if k in ("u3", "cz"):
-        return [g]
     if k in _FIXED_1Q:
         return [u3(g.qubits[0], *_FIXED_1Q[k])]
     q = g.qubits[0]
-    if k in ("u", "u3"):
+    if k == "u":
         return [u3(q, *g.params)]
     if k == "u2":
         return [u3(q, PI / 2, g.params[0], g.params[1])]
@@ -326,6 +321,26 @@ class Frontier:
                 out.append(i)
             i += 1
         return out
+
+    def next_cz(self, q: int) -> Gate | None:
+        """The CZ q waits for: its in-flight SWAP's next step if q is
+        locked, else its next circuit gate; None if that is not a CZ."""
+        if q in self.lock:
+            gate = self.swap_gate(self.lock[q])
+        else:
+            lst, p = self._by_qubit[q], self._pos[q]
+            gate = self.circuit.gates[lst[p]] if p < len(lst) else None
+        return gate if gate is not None and gate.kind == "cz" else None
+
+    def next_partner(self, q: int) -> int | None:
+        """The other qubit of q's next CZ in the circuit, past any U3 and
+        whether or not q is locked; None if q has no CZ left."""
+        gates = self.circuit.gates
+        for i in self._by_qubit[q][self._pos[q]:]:
+            g = gates[i]
+            if g.kind == "cz":
+                return g.qubits[0] if g.qubits[1] == q else g.qubits[1]
+        return None
 
     def swap_ids(self) -> list[int]:
         """The in-flight SWAPs, in the order they began."""

@@ -211,6 +211,23 @@ def aod_capacity(layout: ZoneLayout, params: PhysParams) -> int:
     return cache_column_slots(layout, params) * params.max_atoms_per_column
 
 
+def slot_x(zone: Rect, params: PhysParams, i: int) -> float:
+    """The x of `zone`'s i-th storage column: from its left margin at
+    storage pitch. The load plan, cache parking and readout use these."""
+    return zone.x0 + ZONE_MARGIN + i * params.storage_pitch
+
+
+def slot_y(zone: Rect, params: PhysParams, j: int) -> float:
+    """The y of `zone`'s j-th storage row: from its bottom margin at
+    storage pitch."""
+    return zone.y0 + ZONE_MARGIN + j * params.storage_pitch
+
+
+def inner_x(zone: Rect) -> tuple[float, float]:
+    """`zone`'s x-interval inside its margin."""
+    return zone.x0 + ZONE_MARGIN, zone.x1 - ZONE_MARGIN
+
+
 def hang_y(layout: ZoneLayout, params: PhysParams, j: int) -> float:
     """The y of a column's j-th hung atom, below compute and inside
     memory's margin, out of the pulse's reach."""

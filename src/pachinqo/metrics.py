@@ -16,7 +16,7 @@ import math
 from dataclasses import asdict, dataclass
 
 from .machine import PhysParams
-from .schedule import ColumnMove, Illumination, Schedule, TrapChange, U3LayerEvent
+from .schedule import ColumnMove, Illumination, Measure, Schedule, TrapChange, U3LayerEvent
 
 _US_PER_S = 1e6
 
@@ -52,25 +52,31 @@ def movement_phase_time(
     return sum(durs, 0.0) if serial else max(durs, default=0.0)
 
 
+def fixed_durations(params: PhysParams) -> dict[type, float]:
+    """The modelled time of each kind of event but a column move: an
+    illumination takes cz_time, a U3 layer u3_time, a trap change
+    trap_change_time and a measure none."""
+    return {Illumination: params.cz_time, U3LayerEvent: params.u3_time,
+            TrapChange: params.trap_change_time, Measure: 0.0}
+
+
 def runtime_breakdown(events: list, params: PhysParams,
                       serial: bool = False) -> dict[str, float]:
     """Modelled time of `events` in us by kind: movement, trap_change, u3
-    and cz (measures take none).
+    and cz (measures take none), each kind's `fixed_durations` summed.
 
     Move events sharing a time interval form one `movement_phase_time` phase.
     """
     phases: dict[tuple[float, float], list] = {}
-    out = dict.fromkeys(("movement", "trap_change", "u3", "cz"), 0.0)
+    durations = fixed_durations(params)
+    names = {TrapChange: "trap_change", U3LayerEvent: "u3", Illumination: "cz"}
+    out = dict.fromkeys(("movement", *names.values()), 0.0)
     for ev in events:
         if isinstance(ev, ColumnMove):
             phases.setdefault((ev.t_start, ev.t_end), []).append(
                 (ev.column, ev.from_x, ev.to_x, ev.atoms))
-        elif isinstance(ev, Illumination):
-            out["cz"] += params.cz_time
-        elif isinstance(ev, U3LayerEvent):
-            out["u3"] += params.u3_time
-        elif isinstance(ev, TrapChange):
-            out["trap_change"] += params.trap_change_time
+        elif type(ev) in names:
+            out[names[type(ev)]] += durations[type(ev)]
     for moves in phases.values():
         out["movement"] += movement_phase_time(moves, params, serial)
     return out

@@ -23,12 +23,13 @@ from .machine import (
     CapacityError,
     PhysParams,
     SlmGrid,
-    ZONE_MARGIN,
     ZoneLayout,
     cache_column_slots,
     memory_column_slots,
     memory_rows,
     pair_clear_sites,
+    slot_x,
+    slot_y,
 )
 from .circuit import Circuit
 from .metrics import movement_phase_time  # noqa: F401  (perfbench/tracing.py wraps this name)
@@ -338,31 +339,27 @@ def assign_atoms(grouping: Grouping, grid: SlmGrid, layout: ZoneLayout,
     if n_groups > memory_column_slots(layout, params):
         raise CapacityError("memory columns exhausted by initialization plan")
     rc = layout.right_cache
-    pitch = params.storage_pitch
 
     ferries: list[MemoryGroup] = []
     n_ferries = len(by_site_x)
     for i, x in enumerate(sorted(by_site_x)):
         # Ferry cids start after the final AOD column cids.
         cid = n_cols + i
-        mem_x = mem.x0 + ZONE_MARGIN + i * pitch
         qubits = sorted(by_site_x[x], key=lambda q: grid.sites[site_of_qubit[q]][1])
         if len(qubits) > rows:
             raise CapacityError("memory column height exhausted")
-        g = MemoryGroup(cid, mem_x)
+        g = MemoryGroup(cid, slot_x(mem, params, i))
         for k, q in enumerate(qubits):
             sx, sy = grid.sites[site_of_qubit[q]]
-            g.atoms.append((q, mem.y0 + ZONE_MARGIN + k * pitch, sx, sy))
+            g.atoms.append((q, slot_y(mem, params, k), sx, sy))
         ferries.append(g)
     # Mobile column c parks at right-cache slot c, one atom per slot.
     columns: list[MemoryGroup] = []
     for c in range(n_cols):
-        mem_x = mem.x0 + ZONE_MARGIN + (n_ferries + c) * pitch
-        g = MemoryGroup(c, mem_x)
-        home_x = rc.x0 + ZONE_MARGIN + c * pitch
+        g = MemoryGroup(c, slot_x(mem, params, n_ferries + c))
         for k, q in enumerate(grouping.aod_qubits[c * per_col:(c + 1) * per_col]):
-            g.atoms.append((q, mem.y0 + ZONE_MARGIN + k * pitch,
-                            home_x, rc.y0 + ZONE_MARGIN + k * pitch))
+            g.atoms.append((q, slot_y(mem, params, k),
+                            slot_x(rc, params, c), slot_y(rc, params, k)))
         columns.append(g)
 
     return InitialPlacement(grouping, site_of_qubit, ferries, columns)

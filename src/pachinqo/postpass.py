@@ -25,7 +25,7 @@ import math
 from dataclasses import dataclass, field
 
 from .circuit import decompose_swap
-from .machine import ZONE_MARGIN, PhysParams, ZoneLayout, hang_y
+from .machine import PhysParams, ZoneLayout, hang_y, inner_x, slot_y
 from .metrics import move_duration
 from .schedule import SLM_TO_AOD, ColumnMove, Illumination, TrapChange, U3LayerEvent
 
@@ -184,8 +184,8 @@ def hold_columns(events: list, layout: ZoneLayout, params: PhysParams,
     segment A..C that leaves a storage pitch of room to c's nearest live
     columns in every state of the span and lies inside memory's margin,
     with the atoms on the hang rows (`hang_y`); and, if a retreat tucked
-    c onto memory's bottom rows at B (`Compiler._parked_ys`), B's x with
-    the atoms on the hang rows. A spot is legal when every atom of c
+    c onto memory's bottom rows at B (its storage rows, `slot_y`), B's x
+    with the atoms on the hang rows. A spot is legal when every atom of c
     there stands outside compute, so no pulse in between reaches it; its
     x lies strictly between the xs of c's nearest live columns by cid
     after every phase and trap change from a up to b, so no two columns
@@ -204,8 +204,7 @@ def hold_columns(events: list, layout: ZoneLayout, params: PhysParams,
     # Columns take atoms only in pickups, so these bound every cid.
     width = 1 + max((tr.column for ev in events if isinstance(ev, TrapChange)
                      for tr in ev.transfers if tr.column is not None), default=-1)
-    # Memory's xs inside its margin.
-    mem_x0, mem_x1 = mem.x0 + ZONE_MARGIN, mem.x1 - ZONE_MARGIN
+    mem_x0, mem_x1 = inner_x(mem)
 
     def time_without(ph: _Phase, cid: int) -> float:
         """The concurrent time of phase ph without cid's move."""
@@ -254,10 +253,10 @@ def hold_columns(events: list, layout: ZoneLayout, params: PhysParams,
             states.append(list(xs))
 
     # The ys of a column's atoms, in slot order, hung (`hang_y`) and
-    # tucked onto memory's bottom rows (`Compiler._parked_ys`).
+    # tucked onto memory's bottom rows (its storage rows, `slot_y`).
     most = max((len(m.atoms) for ph in phases for m in ph.moves.values()), default=0)
     hang = [hang_y(layout, params, i) for i in range(most)]
-    tucked = [mem.y0 + ZONE_MARGIN + i * pitch for i in range(most)]
+    tucked = [slot_y(mem, params, i) for i in range(most)]
 
     def near(s: int, cid: int) -> tuple[int, int]:
         """The cids of cid's nearest live columns in state s, -1 or

@@ -12,8 +12,9 @@ import math
 import re
 from dataclasses import dataclass
 
-from .circuit import SUPPORTED_GATES, Circuit, Gate
+from .circuit import Circuit, Gate
 
+# Every gate the frontend accepts, as (qubit arguments, parameters).
 _GATE_ARITY = {
     "u3": (1, 3), "u2": (1, 2), "u1": (1, 1), "u": (1, 3), "p": (1, 1),
     "rx": (1, 1), "ry": (1, 1), "rz": (1, 1),
@@ -200,7 +201,7 @@ class _Parser:
 
     def _gate_call(self, name_tok: _Token):
         name = name_tok.text
-        if name not in SUPPORTED_GATES:
+        if name not in _GATE_ARITY:
             self._error(f"unsupported gate {name!r}", name_tok)
         n_qubits, n_params = _GATE_ARITY[name]
         params: tuple[float, ...] = ()

@@ -2,7 +2,14 @@
 
 Placement plans the load out of memory; the compiler emits it with the
 trap-change and column-move emitters every later layer uses, and is the
-only code that emits events or changes machine state.
+only code that emits events or changes machine state. Two emitters build
+every trap transfer: `_pick_up` lifts atoms out of their SLM traps into
+columns (the load, the readout's ferries, a trapchange extraction) and
+`_deposit` drops atoms where they stand (onto sites, or into readout).
+Column slots and storage rows are the zones' storage grid, which
+`machine.slot_x` and `machine.slot_y` own. The frontier owns each qubit's
+cursor: the compiler asks it for the CZ a qubit waits for
+(`Frontier.next_cz`) and for its next CZ partner (`next_partner`).
 
 Execution alternates U3 layers (parallel single-qubit rotations, location
 independent) with CZ layers. While compiling, a U3 layer runs every
@@ -93,12 +100,13 @@ every later column's wanted x. Otherwise the column stays idle: the next
 layer runs the columns in the reverse order, so the pair can form then.
 The site is the one nearest where the open phase found the columns,
 among those that are clear of obstacles and leave every later column's
-wanted x reachable, as retreats do; a pair within one column that the
-neighbouring columns or that reach rule keep from every site also waits
-for the next layer. A round that executes nothing emits nothing, so the
-progress guard (`_guard`) waits for a second one, in which such a pair
-can form. Each column's other atoms hang below compute as for a
-placement.
+wanted x reachable, as retreats do (`_free_site`, the one search for a
+free clear site, which also finds a trapchange deposit's site); a pair
+within one column that the neighbouring columns or that reach rule keep
+from every site also waits for the next layer. A round that executes
+nothing emits nothing, so the progress guard (`_guard`) waits for a
+second one, in which such a pair can form. Each column's other atoms
+hang below compute as for a placement.
 
 A column takes one turn per layer but may run several pairs. After the
 turns, `_fill` lifts further atoms of the standing columns into pairs
@@ -157,16 +165,18 @@ from .machine import (
     INTERACTION_OFFSET,
     PhysParams,
     SlmGrid,
-    ZONE_MARGIN,
     ZoneLayout,
     aod_capacity,
     build_layout,
     cache_column_slots,
     generate_grid,
     hang_y,
+    inner_x,
     pair_clear_sites,
+    slot_x,
+    slot_y,
 )
-from .metrics import movement_phase_time
+from .metrics import fixed_durations, movement_phase_time
 from .placement import (
     InitialPlacement,
     MemoryGroup,
@@ -234,11 +244,10 @@ def retime(events: list, params: PhysParams, serial: bool) -> list:
     a replay-safe order (`replay_order`), and every event timed in order
     from the cost model, each starting where the one before it ends: a
     move phase lasts `movement_phase_time` of its moves in that order
-    under `serial` timing, an illumination cz_time, a U3 layer u3_time, a
-    trap change trap_change_time and a measure no time; a record with no
-    move left emits nothing. The only step that orders or times a move."""
-    duration = {Illumination: params.cz_time, U3LayerEvent: params.u3_time,
-                TrapChange: params.trap_change_time, Measure: 0.0}
+    under `serial` timing, and any other event its `fixed_durations`; a
+    record with no move left emits nothing. The only step that orders or
+    times a move."""
+    duration = fixed_durations(params)
     out, t = [], 0.0
     for ev in events:
         if isinstance(ev, dict):
@@ -312,15 +321,16 @@ class Compiler:
                                            params.max_atoms_per_column)
         self.placement: InitialPlacement = assign_atoms(grouping, grid, layout,
                                                         params, self.clear_sites)
-        # Per AOD pair offset: (x, y, site) of every clear site that keeps
-        # both atoms of the pair in compute, by x, and those xs.
+        # Per offset of a site's second spot ((0, 0) for a deposit, which
+        # has one, or an AOD pair's): (x, y, site) of every clear site whose
+        # spots both lie in compute, by x, and those xs (`_free_site`).
         by_x = sorted((*grid.sites[s], s) for s in self.clear_sites)
         comp = layout.compute
-        self.pair_sites: dict[tuple[float, float], tuple[list, list]] = {}
-        for dx, dy in ((0.0, INTERACTION_OFFSET), (INTERACTION_OFFSET, 0.0)):
+        self.sites_by_x: dict[tuple[float, float], tuple[list, list]] = {}
+        for dx, dy in ((0.0, 0.0), (0.0, INTERACTION_OFFSET), (INTERACTION_OFFSET, 0.0)):
             fit = [(x, y, s) for x, y, s in by_x
                    if comp.contains(x, y) and comp.contains(x + dx, y + dy)]
-            self.pair_sites[dx, dy] = fit, [x for x, _, _ in fit]
+            self.sites_by_x[dx, dy] = fit, [x for x, _, _ in fit]
         # The clear sites' rows, ascending: the ys at which a standing
         # column's pair of mobile atoms may form (`_fill`, `_join`).
         self.pair_rows = sorted({grid.sites[s][1] for s in self.clear_sites})
@@ -357,20 +367,24 @@ class Compiler:
         self.direction = RIGHT
         # Atoms a CZ layer's placements keep crosstalk_radius from.
         self.obstacles: list[int] = []
-        # Each cache's column-slot x, ascending.
+        # Each zone's storage-row ys, as many as a column holds, and each
+        # cache's column-slot xs, ascending.
+        self.rows = {z: [slot_y(z, params, j) for j in range(params.max_atoms_per_column)]
+                     for z in layout.zones()}
         n_slots = cache_column_slots(layout, params)
-        self.cache_slots = {side: [self._cache_slot_x(side, i) for i in range(n_slots)]
-                            for side in (RIGHT, LEFT)}
-        # Isolation layers park the columns left of the placed one from
-        # park_x0 rightward at storage pitch: in the left cache, or in
-        # memory when there is one cache.
+        self.cache_slots = {side: [slot_x(self._cache(side), params, i)
+                                   for i in range(n_slots)] for side in (RIGHT, LEFT)}
+        # Isolation layers park the columns left of the placed one on the
+        # park slots: the left cache's, or, with one cache, from memory's
+        # left edge at storage pitch.
         if self.one_cache:
             self.cache_slots[LEFT] = []
             self.park_zone = layout.memory
-            self.park_x0 = layout.memory.x0
+            self.park_slots = [layout.memory.x0 + i * params.storage_pitch
+                               for i in range(n_slots)]
         else:
             self.park_zone = layout.left_cache
-            self.park_x0 = self._cache_slot_x(LEFT, 0)
+            self.park_slots = self.cache_slots[LEFT]
         self.busy: set[int] = set()
 
     # ------------------------------------------------------------------
@@ -380,25 +394,22 @@ class Compiler:
         the static group, carry it over its site columns and dissolve into
         the sites; then the mobile group is lifted into its AOD columns,
         which park in the right cache."""
-        ferries = self._load(self.placement.ferries)
-        self._to_sites([(a, self.placement.site_of_qubit[a])
-                        for col in ferries for a in col.atoms])
+        atoms = [a for col in self._load(self.placement.ferries) for a in col.atoms]
+        self._deposit(atoms)
+        for a in atoms:
+            self.atom_site[a] = self.placement.site_of_qubit[a]
         self.columns = self._load(self.placement.columns)
 
     def _load(self, groups: list[MemoryGroup]) -> list[_Column]:
         """Pick groups of SLM-held atoms (a memory column, or a site column
         at readout) up into new columns in one trap change and move each
         over its targets in one phase."""
-        cols = []
-        transfers = []
+        cols = [_Column(g.column, g.mem_x) for g in groups]
         for g in groups:
-            cols.append(_Column(g.column, g.mem_x, [a for a, *_ in g.atoms]))
             for a, my, _, _ in g.atoms:
                 self.atom_x[a], self.atom_y[a] = g.mem_x, my
                 self.found_y[a] = my
-                self.atom_site[a] = None
-                transfers.append(TrapTransfer(a, g.mem_x, my, column=g.column))
-        self._trap_change(SLM_TO_AOD, transfers)
+        self._pick_up([(col, a) for g, col in zip(groups, cols) for a, *_ in g.atoms])
         for g, col in zip(groups, cols):
             self._move_column(col, g.atoms[0][2],
                               {a: ty for a, _, _, ty in g.atoms})
@@ -431,13 +442,21 @@ class Compiler:
             self.atom_y[a] = y_targets.get(a, self.atom_y[a])
         col.x = to_x
 
-    def _to_sites(self, placed: list[tuple[int, int]]) -> None:
-        """Deposit each (atom, site) into its site, over which the atom
-        already stands, in one trap change."""
+    def _pick_up(self, picked: list[tuple[_Column, int]]) -> None:
+        """Lift each (column, atom) out of its SLM trap, where the atom
+        stands, into the column's next slot, in one trap change."""
+        self._trap_change(SLM_TO_AOD, [
+            TrapTransfer(a, self.atom_x[a], self.atom_y[a], column=col.cid)
+            for col, a in picked])
+        for col, a in picked:
+            self.atom_site[a] = None
+            col.atoms.append(a)
+
+    def _deposit(self, atoms: list[int]) -> None:
+        """Drop each atom into an SLM trap where it stands, in one trap
+        change; the caller records where it now sits."""
         self._trap_change(AOD_TO_SLM, [
-            TrapTransfer(a, self.atom_x[a], self.atom_y[a]) for a, _ in placed])
-        for a, site in placed:
-            self.atom_site[a] = site
+            TrapTransfer(a, self.atom_x[a], self.atom_y[a]) for a in atoms])
 
     def _trap_change(self, direction: str,
                      transfers: list[TrapTransfer]) -> None:
@@ -475,13 +494,9 @@ class Compiler:
     def _cache(self, side: int):
         return self.layout.right_cache if side == RIGHT else self.layout.left_cache
 
-    def _cache_slot_x(self, side: int, i: int) -> float:
-        return self._cache(side).x0 + ZONE_MARGIN + i * self.params.storage_pitch
-
     def _parked_ys(self, col: _Column, zone) -> dict[int, float]:
-        base = zone.y0 + ZONE_MARGIN
-        return {a: base + i * self.params.storage_pitch
-                for i, a in enumerate(col.atoms)}
+        """`col`'s atoms on `zone`'s storage rows, in slot order."""
+        return dict(zip(col.atoms, self.rows[zone]))
 
     def _hung(self, col: _Column, fixed: dict[int, float]) -> dict[int, float]:
         """`col`'s target ys: `fixed`'s atoms at their ys, and the j-th other
@@ -556,32 +571,27 @@ class Compiler:
         layers."""
         executed = 0
         while True:
-            native = self.frontier.executable_u3s()
-            swap_due = [sid for sid in self.frontier.swap_ids()
-                        if self.frontier.swap_gate(sid).kind == "u3"]
-            if not native and not swap_due:
-                return executed
-            self.layer += 1
             entries = []
-            for q in native:
+            for q in self.frontier.executable_u3s():
                 g = self.circuit.gates[self.frontier.next_gate(q)]
                 entries.append(U3Entry(q, self.atom_of[q], g.params))
                 self.frontier.advance(g)
-            used = set(native)
-            for sid in swap_due:
-                # Run the swap's consecutive rotations on distinct qubits
-                # together: template steps 2-3 and 5-6.
+            for sid in self.frontier.swap_ids():
+                # Run the swap's consecutive rotations together: template
+                # steps 2-3 and 5-6, each pair on its two qubits.
                 qubits = self.frontier.swap_qubits(sid)
                 g = self.frontier.swap_gate(sid)
-                while g.kind == "u3" and g.qubits[0] not in used:
+                while g.kind == "u3":
                     q = g.qubits[0]
-                    used.add(q)
                     entries.append(U3Entry(q, self.atom_of[q], g.params,
                                            (sid, g.origin.step)))
                     if self.frontier.advance(g) is not None:
                         self._complete_swap(*qubits)
                         break
                     g = self.frontier.swap_gate(sid)
+            if not entries:
+                return executed
+            self.layer += 1
             self.events.append(U3LayerEvent(0.0, 0.0, self.layer, entries))
             executed += len(entries)
 
@@ -593,21 +603,21 @@ class Compiler:
 
     # ------------------------------------------------------------------
     # CZ layers
-    def _park(self, cols: list[_Column], zone, x0: float, first: int = 0) -> None:
-        """Park `cols` in `zone`, the k-th at x `x0 + (first + k) * storage_pitch`."""
-        for i, col in enumerate(cols, first):
-            self._move_column(col, x0 + i * self.params.storage_pitch,
-                              self._parked_ys(col, zone))
+    def _park(self, cols: list[_Column], zone, xs: list[float]) -> None:
+        """Park `cols` on `zone`'s storage rows, the k-th at x `xs[k]`."""
+        for col, x in zip(cols, xs):
+            self._move_column(col, x, self._parked_ys(col, zone))
 
     def _relocate_all(self, side: int) -> None:
         """Move every nonempty column, within the open phase, to the `side`
         cache parking slots next to compute. With one cache, no column
         ever empties, so `_relocate_all(RIGHT)` puts every column on its
         home slot."""
-        cache = self._cache(side)
         live = [c for c in self.columns if c.atoms]
-        first = 0 if side == RIGHT else len(self.cache_slots[RIGHT]) - len(live)
-        self._park(live, cache, cache.x0 + ZONE_MARGIN, first)
+        slots = self.cache_slots[side]
+        if side == LEFT:  # the slots next to compute
+            slots = slots[len(slots) - len(live):]
+        self._park(live, self._cache(side), slots)
 
     def _cz_layer(self) -> int:
         """Run one CZ layer from `self.direction`'s cache: plan the
@@ -972,31 +982,34 @@ class Compiler:
                    offset: tuple[float, float], lo: float, hi: float
                    ) -> list[tuple[float, float]] | None:
         """Where the pair `atoms` (of `cols`) stands: the first at a free
-        clear site, the second `offset` from it. Of the sites whose two
-        positions lie in compute, strictly between lo and hi in x, and
-        clear of obstacles, the one nearest where the open phase found the
-        columns; None if there is none."""
+        clear site, the second `offset` from it; the site `_free_site`
+        finds nearest where the open phase found the columns, or None."""
+        found = self._free_site(offset, lo, hi, lambda spots: max(
+            abs(x - c.found_x) + abs(y - self.found_y[a])
+            for (x, y), c, a in zip(spots, cols, atoms)))
+        return None if found is None else found[1]
+
+    def _free_site(self, offset: tuple[float, float], lo: float, hi: float,
+                   cost) -> tuple[int, list[tuple[float, float]]] | None:
+        """The free clear site whose spots (the site, and `offset` from it)
+        both lie in compute, strictly between lo and hi in x, and clear of
+        every obstacle, of least `cost(spots)`, the lower site on a tie, as
+        (site, spots); None if there is none."""
         occupied = {s for s in self.atom_site if s is not None}
         dx, dy = offset
         # The sites with lo < x < hi; the offset spot is checked on its own.
-        sites, xs = self.pair_sites[offset]
+        sites, xs = self.sites_by_x[offset]
         i, j = bisect.bisect_right(xs, lo), bisect.bisect_left(xs, hi)
-        (a0, a1), (c0, c1) = atoms, cols
         candidates = []
         for sx, sy, site in sites[i:j]:
-            if site in occupied:
-                continue
-            tx, ty = sx + dx, sy + dy
-            if not lo < tx < hi:
-                continue
-            travel = max(abs(sx - c0.found_x) + abs(sy - self.found_y[a0]),
-                         abs(tx - c1.found_x) + abs(ty - self.found_y[a1]))
-            candidates.append((travel, site, [(sx, sy), (tx, ty)]))
+            if site not in occupied and lo < sx + dx < hi:
+                spots = [(sx, sy), (sx + dx, sy + dy)] if dx or dy else [(sx, sy)]
+                candidates.append((cost(spots), site, spots))
         r2 = self.params.crosstalk_radius ** 2
-        for *_, spots in sorted(candidates):
+        for _, site, spots in sorted(candidates):
             if all(kernels.clear_from(self.obstacles, self.atom_x, self.atom_y,
                                       x, y, r2) for x, y in spots):
-                return spots
+                return site, spots
         return None
 
     # -- retreat ----------------------------------------------------------
@@ -1024,26 +1037,17 @@ class Compiler:
 
     def _cz_target(self, atom: int) -> tuple[Gate, int, bool] | None:
         """(gate, partner atom, whether it is a SWAP step) for the CZ column
-        atom `atom` waits for: its in-flight SWAP's CZ step, or its next
-        gate if that is a CZ; else None. `_plan_layer` runs it once per
-        column atom per layer, so it reads the frontier's cursors
-        directly."""
+        atom `atom` waits for (`Frontier.next_cz`): its in-flight SWAP's CZ
+        step if its qubit moves in that SWAP, or its next gate if that is a
+        CZ; else None."""
         q = self.qubit_of[atom]
-        frontier = self.frontier
-        if q not in frontier.lock:
-            cursor, by_qubit = frontier._pos[q], frontier._by_qubit[q]
-            if cursor < len(by_qubit):
-                gate = self.circuit.gates[by_qubit[cursor]]
-                if gate.kind == "cz":
-                    q0, q1 = gate.qubits
-                    return gate, self.atom_of[q1 if q0 == q else q0], False
+        gate = self.frontier.next_cz(q)
+        # The SWAP's first qubit is the one whose atom moves (`_begin_swap`).
+        if gate is None or (gate.origin is not None and
+                            self.frontier.swap_qubits(gate.origin.swap_id)[0] != q):
             return None
-        sid = frontier.lock[q]
-        gate = frontier.swap_gate(sid)
-        qa, qb = frontier.swap_qubits(sid)
-        if gate.kind == "cz" and q == qa:  # qa's atom is the mobile one
-            return gate, self.atom_of[qb], True
-        return None
+        q0, q1 = gate.qubits
+        return gate, self.atom_of[q1 if q0 == q else q0], gate.origin is not None
 
     def _retreat(self, col: _Column, side: int,
                  later: dict[int, tuple[float, int]]) -> bool:
@@ -1077,7 +1081,8 @@ class Compiler:
         if i < j:
             k = max(i, j - 1 - n_later) if side == RIGHT else min(j - 1, i + n_later)
             spots.append((slots[k], self._parked_ys(col, self._cache(-side))))
-        x = min(max(x0, mem.x0 + ZONE_MARGIN), mem.x1 - ZONE_MARGIN)
+        mem_x0, mem_x1 = inner_x(mem)
+        x = min(max(x0, mem_x0), mem_x1)
         if lo < x < hi and side * x < reach:
             spots.append((x, self._hung(col, {})))
         if spots:
@@ -1090,7 +1095,7 @@ class Compiler:
             return True
         # Blocked: tuck in beside the neighbor and drop into memory.
         if side == RIGHT:
-            x = mem.x0 + ZONE_MARGIN if lo == -math.inf else lo + self.params.storage_pitch
+            x = mem_x0 if lo == -math.inf else lo + self.params.storage_pitch
         else:
             x = hi - self.params.storage_pitch
         if not (mem.x0 <= x <= mem.x1) or not (lo < x < hi):
@@ -1102,12 +1107,8 @@ class Compiler:
     def _next_partner_static(self, q: int) -> bool | None:
         """Whether q's next CZ partner sits in a static trap; None if q has
         no CZ left."""
-        for i in self.frontier._by_qubit[q][self.frontier._pos[q]:]:
-            g = self.circuit.gates[i]
-            if g.kind == "cz":
-                p = g.qubits[0] if g.qubits[1] == q else g.qubits[1]
-                return self.atom_site[self.atom_of[p]] is not None
-        return None
+        p = self.frontier.next_partner(q)
+        return None if p is None else self.atom_site[self.atom_of[p]] is not None
 
     def _places(self) -> list[int | None]:
         """Per qubit, where it stands once its in-flight SWAP ends: None on
@@ -1212,30 +1213,15 @@ class Compiler:
         """(atom, site) of a mid-circuit trap change: the conflicted atom
         deposited into a free clear site, or else a statically-conflicted
         atom extracted from its site into this column's free slot."""
-        atom, q, p = conflict
-        params = self.params
-        r2 = params.crosstalk_radius ** 2
+        atom = conflict[0]
+        ax, ay = self.atom_x[atom], self.atom_y[atom]
         lo, hi = self._neighbors(col.cid)
-        static = self._static_atoms()
-        occupied = {site for site, _ in static}
-        best = None
-        for site in self.clear_sites:
-            if site in occupied:
-                continue
-            sx, sy = self.grid.sites[site]
-            if not (lo < sx < hi):
-                continue
-            if not kernels.clear_from(self.obstacles, self.atom_x, self.atom_y,
-                                      sx, sy, r2):
-                continue
-            d = (sx - self.atom_x[atom]) ** 2 + (sy - self.atom_y[atom]) ** 2
-            key = (d, site)
-            if best is None or key < best:
-                best = key
-        if best is not None:
-            return atom, best[1]
-        if len(col.atoms) < params.max_atoms_per_column:
-            for site, s_atom in static:
+        found = self._free_site((0.0, 0.0), lo, hi, lambda spots: (
+            (spots[0][0] - ax) ** 2 + (spots[0][1] - ay) ** 2))
+        if found is not None:
+            return atom, found[0]
+        if len(col.atoms) < self.params.max_atoms_per_column:
+            for site, s_atom in self._static_atoms():
                 s = self.qubit_of[s_atom]
                 if s in self.frontier.lock or s_atom in self.busy:
                     continue
@@ -1256,13 +1242,11 @@ class Compiler:
         self._settle(col, sx, {atom: sy} if deposit else {})
         self._flush_moves()
         if deposit:
-            self._to_sites([(atom, site)])
+            self._deposit([atom])
+            self.atom_site[atom] = site
             col.atoms.remove(atom)
         else:  # extract
-            self._trap_change(SLM_TO_AOD,
-                              [TrapTransfer(atom, sx, sy, column=col.cid)])
-            self.atom_site[atom] = None
-            col.atoms.append(atom)
+            self._pick_up([(col, atom)])
 
     # ------------------------------------------------------------------
     # progress guard
@@ -1275,7 +1259,7 @@ class Compiler:
         """
         cid = self._column_of(mobile_atom).cid
         k = sum(1 for c in self.columns[:cid] if c.atoms)
-        lo_after = self.park_x0 + (k - 1) * self.params.storage_pitch if k else -math.inf
+        lo_after = self.park_slots[k - 1] if k else -math.inf
         return lo_after < self.atom_x[static_atom] + INTERACTION_OFFSET
 
     def _guard(self) -> None:
@@ -1342,14 +1326,13 @@ class Compiler:
     def _park_others(self, col: _Column) -> None:
         """Park every nonempty column but `col` out of its way, within the
         open phase."""
-        # Left of it from park_x0 rightward; right of it up to the right
-        # cache's far edge.
+        # Left of it on the park slots; right of it up to the right cache's
+        # far edge.
         left = [c for c in self.columns[:col.cid] if c.atoms]
         right = [c for c in self.columns[col.cid + 1:] if c.atoms]
-        self._park(left, self.park_zone, self.park_x0)
-        rc = self.layout.right_cache
-        self._park(right, rc, rc.x0 + ZONE_MARGIN,
-                   len(self.cache_slots[RIGHT]) - len(right))
+        slots = self.cache_slots[RIGHT]
+        self._park(left, self.park_zone, self.park_slots)
+        self._park(right, self.layout.right_cache, slots[len(slots) - len(right):])
 
     # ------------------------------------------------------------------
     # measurement epilogue
@@ -1380,11 +1363,11 @@ class Compiler:
         by_x: dict[float, list[int]] = {}
         for _, atom in self._static_atoms():
             by_x.setdefault(self.atom_x[atom], []).append(atom)
-        y_base = rc.y0 + ZONE_MARGIN + params.max_atoms_per_column * params.storage_pitch
+        y_base = slot_y(rc, params, params.max_atoms_per_column)
         groups = []
         for i, x in enumerate(sorted(by_x)):
             groups.append(MemoryGroup(self.next_cid, x, [
-                (a, self.atom_y[a], self._cache_slot_x(RIGHT, i),
+                (a, self.atom_y[a], slot_x(rc, params, i),
                  y_base + j * params.storage_pitch) for j, a in enumerate(by_x[x])]))
             self.next_cid += 1
         ferries = self._load(groups)
@@ -1394,12 +1377,10 @@ class Compiler:
 
     def _deposit_and_measure(self, atoms: list[int]) -> None:
         """Readout trap change for `atoms` where they stand, then measure."""
-        at = [(a, self.atom_x[a], self.atom_y[a]) for a in atoms]
-        self._trap_change(AOD_TO_SLM, [TrapTransfer(a, x, y) for a, x, y in at])
-        if at:
-            self.events.append(Measure(
-                0.0, 0.0, self.layer,
-                sorted((a, self.qubit_of[a], x, y) for a, x, y in at)))
+        self._deposit(atoms)
+        if atoms:
+            self.events.append(Measure(0.0, 0.0, self.layer, sorted(
+                (a, self.qubit_of[a], self.atom_x[a], self.atom_y[a]) for a in atoms)))
 
 
 def compile_circuit(circuit: Circuit, technique: str = "pachinqo",

@@ -386,6 +386,45 @@ def test_frontier_swap_queries_follow_begin_swap():
     assert f.done()
 
 
+def test_frontier_next_cz_is_the_cz_a_qubit_waits_for():
+    """`next_cz` gives a qubit's next gate if that is a CZ, and None behind
+    a U3 or past its last gate. A qubit that an in-flight SWAP locks gets
+    the SWAP's next step if that is a CZ, else None, whatever its next
+    circuit gate."""
+    circ = Circuit(4, [u3(0, 1, 1, 1), cz(0, 1), cz(1, 2), cz(2, 3)])
+    f = Frontier(circ)
+    assert f.next_cz(0) is None
+    assert f.next_cz(1) == circ.gates[1]
+    assert f.next_cz(3) == circ.gates[3]
+    f.begin_swap(7, 3, 2)
+    steps = decompose_swap(3, 2, swap_id=7)
+    assert f.next_cz(3) is None and f.next_cz(2) is None  # step 0 is a U3
+    f.advance(steps[0])
+    assert f.next_cz(3) == f.next_cz(2) == steps[1]
+    for g in steps[1:]:
+        f.advance(g)
+    assert f.next_cz(2) == circ.gates[2]
+    f.advance(circ.gates[0])
+    f.advance(circ.gates[1])
+    assert f.next_cz(0) is None
+
+
+def test_frontier_next_partner_skips_u3s_and_ignores_the_lock():
+    """`next_partner` gives the other qubit of a qubit's next circuit CZ,
+    past any U3, also while an in-flight SWAP locks the qubit, and None
+    once the qubit has no CZ left."""
+    circ = Circuit(3, [u3(0, 1, 1, 1), u3(0, 2, 2, 2), cz(2, 0), cz(0, 1)])
+    f = Frontier(circ)
+    assert [f.next_partner(q) for q in range(3)] == [2, 0, 0]
+    f.begin_swap(0, 0, 1)
+    assert [f.next_partner(q) for q in range(3)] == [2, 0, 0]
+    for g in decompose_swap(0, 1):
+        f.advance(g)
+    for g in circ.gates[:3]:
+        f.advance(g)
+    assert [f.next_partner(q) for q in range(3)] == [1, 0, None]
+
+
 def test_frontier_swap_step_order_enforced():
     circ = Circuit(2, [])
     f = Frontier(circ)

@@ -1658,6 +1658,47 @@ def test_tucked_column_waits_on_the_hang_rows():
     assert _column_moves(held, 1) == _column_moves(built, 1)
 
 
+def _emptied_neighbour_events():
+    """Three columns: column 1 deposits its atoms where it stands (180)
+    after the first phase. Column 0 then places atom 0 at x = 210, right of
+    where column 2 stood (200), while column 2, idle, tucks into memory at
+    230; both return once the pulse has fired. Column 2's first move
+    stands still."""
+    col2 = (8, 9)
+    placed = (100.0, _HUNG[1])
+    events = _records([
+        [_col(0, 120.0, 150.0, _HUNG, _HUNG), _col(1, 160.0, 180.0, _HUNG, _HUNG),
+         (2, 200.0, 200.0, list(zip(col2, _HUNG, _HUNG)))],
+        [_col(0, 150.0, 210.0, _HUNG, placed),
+         (2, 200.0, 230.0, list(zip(col2, _HUNG, _TUCKED)))],
+        ("cz", 0, 1),
+        [_col(0, 210.0, 150.0, placed, _HUNG),
+         (2, 230.0, 200.0, list(zip(col2, _TUCKED, _HUNG)))]])
+    events.insert(2, TrapChange(0.0, 0.0, 1, AOD_TO_SLM, [
+        TrapTransfer(a, 180.0, y) for a, y in zip((4, 6), _HUNG)]))
+    return events
+
+
+def test_hold_bounds_a_wait_by_the_live_column_past_an_emptied_one():
+    """Column 2's nearest live column on the left, while it is idle, is
+    column 0: the pass skips column 1, which holds no atom by then. Column
+    0 stands at 210 while the pulse fires, so column 2 does not wait at
+    200; it waits at the memory x nearest 200 that leaves a storage pitch
+    of room to column 0 (212), on the hang rows, 12 um from where it stood
+    each way in place of 30 across and 30 down. Column 0's moves, and
+    every time, stay."""
+    layout, params = _hold_layout()
+    built = retime(_emptied_neighbour_events(), params, False)
+    held = retime(hold_columns(_emptied_neighbour_events(), layout, params,
+                               False, False), params, False)
+    wait = list(zip((8, 9), _HUNG, _HUNG))
+    assert _column_moves(held, 2) == [(200.0, 212.0, wait),
+                                      (212.0, 200.0, wait)]
+    assert _column_moves(held, 0) == _column_moves(built, 0)
+    assert [(ev.t_start, ev.t_end) for ev in held] == \
+        [(ev.t_start, ev.t_end) for ev in built]
+
+
 @pytest.mark.parametrize("serial", [False, True])
 def test_hold_refused_where_it_would_lengthen_the_schedule(serial):
     """Column 0 moves 110 um, then 55 um on; column 1, which the pulse
