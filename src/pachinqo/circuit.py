@@ -407,8 +407,10 @@ class Frontier:
 
         A swap-tagged gate must equal its swap's next template gate; after
         the last one both qubits unlock and the completed swap_id is
-        returned so the caller can exchange the qubit-atom mapping.
-        Advancing a non-executable gate is a contract violation.
+        returned so the caller can exchange the qubit-atom mapping. The
+        validator exchanges it and unlocks qubit b at step 7 already,
+        wire a's last; doing so here would change decisions (a later
+        step). Advancing a non-executable gate is a contract violation.
         """
         if gate.origin is not None:
             sid = gate.origin.swap_id

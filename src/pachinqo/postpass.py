@@ -7,8 +7,8 @@ then runs `pack_rotations`, `compose`, `hold_columns` and
 or keeps a clock: each edits only the event list, so any of them can run
 on a copy of saved events. What each reads:
 
-- `pack_rotations(events, n)`: the U3 layers, the illuminations' pairs
-  and the qubit count;
+- `pack_rotations(events, n)`: the U3 layers, the atoms each
+  illumination pairs and the qubit count;
 - `compose(events)`: the move records and whether an event stands
   between two of them;
 - `hold_columns(events, layout, params, serial, one_cache)`: every event,
@@ -24,14 +24,9 @@ import heapq
 import math
 from dataclasses import dataclass, field
 
-from .circuit import decompose_swap
 from .machine import PhysParams, ZoneLayout, hang_y, inner_x, slot_y
 from .metrics import move_duration
 from .schedule import SLM_TO_AOD, ColumnMove, Illumination, TrapChange, U3LayerEvent
-
-# The step of the SWAP template that completes it: a rotation, after
-# which its qubits exchange atoms and unlock.
-SWAP_LAST_STEP = len(decompose_swap(0, 1)) - 1
 
 
 def travels(m: ColumnMove) -> bool:
@@ -61,20 +56,19 @@ def pack_rotations(events: list, n: int) -> list:
     A rotation commutes with every event that leaves its atom alone, so
     its window runs from the first U3 layer after the last illumination
     pairing its atom to the last one before the next; measures follow
-    every U3 layer. A SWAP's last step also closes before the next
-    illumination on the SWAP's other atom, since only that step
-    exchanges the qubits' atoms and unlocks them. Each atom's rotations
-    keep their order, one per layer; a SWAP's steps keep template
-    order (steps 2-3 and 5-6 may share a layer), and the first rotation
-    on its other atom after a SWAP runs in its last step's layer or
-    later. Deadlines tighten backward through these orders. Then, by
-    earliest deadline, each rotation takes the earliest kept layer at
-    or after the layer its window and orders release it at, or else
-    keeps its deadline layer (a greedy interval cover). Each layer
-    lists its rotations in their original order, which keeps every
-    order within a layer. Returns `events` without the layers left
-    empty; the kept layers' rotations are set in place, and every other
-    event and layer number stays as it was."""
+    every U3 layer. That holds for a SWAP's steps too: after step 7,
+    wire a's last, wire a's atom holds qubit b, which unlocks there
+    (`verifier`), so step 8, a U3 on wire b, waits only for the next
+    illumination on its own atom. Each atom's rotations keep their
+    order, one per layer, and a SWAP's steps keep template order (steps
+    2-3 and 5-6 may share a layer). Deadlines tighten backward through
+    these orders. Then, by earliest deadline, each rotation takes the
+    earliest kept layer at or after the layer its window and orders
+    release it at, or else keeps its deadline layer (a greedy interval
+    cover). Each layer lists its rotations in their original order,
+    which keeps every order within a layer. Returns `events` without the
+    layers left empty; the kept layers' rotations are set in place, and
+    every other event and layer number stays as it was."""
     entries: list = []  # every rotation, in event order
     release: list[int] = []
     deadline: list[float] = []
@@ -85,8 +79,6 @@ def pack_rotations(events: list, n: int) -> list:
     # closing[atom]: rotations whose window its next illumination closes
     closing: list[list[int]] = [[] for _ in range(n)]
     step_before: dict[int, int] = {}  # swap id -> its last rotation step
-    unlocks: dict[int, int] = {}  # atom -> last step of a SWAP that left it
-    swap_atoms: dict[int, tuple[int, int]] = {}  # swap id -> its atoms
     layers: list[U3LayerEvent] = []  # the U3 layers so far
     for ev in events:
         if isinstance(ev, U3LayerEvent):
@@ -96,26 +88,17 @@ def pack_rotations(events: list, n: int) -> list:
                 release.append(opened[g.atom])
                 deadline.append(math.inf)
                 pr = [(last[g.atom], 1)] if g.atom in last else []
-                if g.atom in unlocks:
-                    pr.append((unlocks.pop(g.atom), 0))
                 last[g.atom] = r
                 closing[g.atom].append(r)
                 if g.origin is not None:
-                    sid, step = g.origin
+                    sid = g.origin[0]
                     if sid in step_before:
                         pr.append((step_before[sid], 0))
                     step_before[sid] = r
-                    if step == SWAP_LAST_STEP:
-                        a, b = swap_atoms.pop(sid)
-                        other = a if b == g.atom else b
-                        closing[other].append(r)
-                        unlocks[other] = r
                 preds.append(pr)
             layers.append(ev)
         elif isinstance(ev, Illumination):
             for p in ev.pairs:
-                if p.origin is not None:
-                    swap_atoms[p.origin[0]] = p.atoms
                 for a in p.atoms:
                     opened[a] = len(layers)
                     for r in closing[a]:

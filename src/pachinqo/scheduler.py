@@ -596,7 +596,11 @@ class Compiler:
             executed += len(entries)
 
     def _complete_swap(self, qa: int, qb: int) -> None:
-        """Exchange the atoms of the qubits of a SWAP that just completed."""
+        """Exchange the atoms of the qubits of a SWAP that just completed,
+        at its last step (`Frontier.advance`). The validator exchanges
+        them at step 7, wire a's last; exchanging there too would let
+        qubit b's next CZ be planned a layer earlier, a decision change
+        left for a later step."""
         aa, ab = self.atom_of[qa], self.atom_of[qb]
         self.atom_of[qa], self.atom_of[qb] = ab, aa
         self.qubit_of[aa], self.qubit_of[ab] = qb, qa

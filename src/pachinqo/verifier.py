@@ -14,7 +14,9 @@ dependency order of executed gates (a native CZ names its gate's qubits
 in the gate's order, and no gate runs on an atom already measured) and
 each rotation's angles (a native
 U3 bit for bit equal to its circuit gate, a SWAP step to its template
-step), single measurement per atom, the
+step), each SWAP step's qubits and atoms (its template wires' qubits, on
+the atoms they held when they joined the SWAP), single measurement per
+atom, the
 qubit each measurement names (the replayed mapping's qubit for that
 atom), and timing: every event starts where the previous one (or move
 phase) ended, lasts what the cost model says, each column moves at most
@@ -35,7 +37,10 @@ gates on |0...0> and seeded random product states and compares the
 amplitudes up to one global phase, so a dropped phase-only gate shows.
 
 Convention: atom ids equal the qubits initially mapped onto them; the
-mapping then evolves only through completed inserted SWAPs.
+mapping then evolves only through inserted SWAPs. A SWAP
+`decompose_swap(a, b)` exchanges it at step 7, wire a's last gate: from
+there wire a's atom holds qubit b, which unlocks. Qubit a, bound for
+wire b's atom, stays locked until step 8, a U3 there, completes the SWAP.
 
 The validator is pure Python. numpy is imported only inside the
 state-vector oracle's functions, so parsing, compiling and validating
@@ -73,8 +78,13 @@ EQUIVALENCE_QUBIT_CAP = 10
 EQUIVALENCE_RANDOM_STATES = 2
 EQUIVALENCE_SEED = 2021
 AMPLITUDE_TOLERANCE = 1e-9
-# The SWAP template's gate kinds and angles, step by step.
-_SWAP_STEPS = tuple((g.kind, g.params) for g in decompose_swap(0, 1))
+# The SWAP template of `decompose_swap(a, b)`, step by step: each gate's
+# kind, angles and wires (0 for qubit a's, 1 for qubit b's).
+_SWAP_STEPS = tuple((g.kind, g.params, g.qubits) for g in decompose_swap(0, 1))
+# Wire a's last step, a CZ: after it, wire a's atom holds qubit b's final
+# state, so the mapping exchanges and qubit b unlocks. Qubit a unlocks at
+# the last step, a U3 on wire b.
+_SWAP_EXCHANGE = max(k for k, (_, _, wires) in enumerate(_SWAP_STEPS) if 0 in wires)
 
 
 @dataclass
@@ -105,8 +115,8 @@ class _Replay:
         for i, g in enumerate(circuit.gates):
             for q in g.qubits:
                 self.by_qubit[q].append(i)
-        # swap id -> (qubits seen so far, next template step)
-        self.swaps: dict[int, tuple[tuple[int, ...], int]] = {}
+        # swap id -> ({wire: (its qubit, its atom)} seen so far, next step)
+        self.swaps: dict[int, tuple[dict[int, tuple[int, int]], int]] = {}
         self.locked: dict[int, int] = {}
         self.swap_ids: set[int] = set()  # every inserted SWAP replayed
         self.measured: set[int] = set()
@@ -224,7 +234,7 @@ class _Replay:
         self.cursor[q1] += 1
         self.cursor[q2] += 1
 
-    def _swap_component(self, i: int, origin, kind: str, qubits,
+    def _swap_component(self, i: int, origin, kind: str, qubits, atoms,
                         angles=()) -> None:
         sid, step = origin
         self.swap_ids.add(sid)
@@ -234,38 +244,51 @@ class _Replay:
         if self._unknown_qubits(i, qubits, f"swap {sid} step {step}"):
             return
         if sid in self.swaps:
-            seen, expect = self.swaps[sid]
+            wires, expect = self.swaps[sid]
         else:
-            seen, expect = (), 0
+            wires, expect = {}, 0
             if step != 0:
                 self.bad("dependency", i, f"swap {sid} began at step {step}")
         if step != expect:
             self.bad("dependency", i,
                      f"swap {sid} step {step}, expected {expect}")
-        # A U3 opener names one qubit; the partner shows at step 1.
-        for q in qubits:
-            if q in seen:
-                continue
-            if len(seen) == 2:
+        want_kind, want_angles, want_wires = _SWAP_STEPS[step]
+        # A qubit takes its wire where it first appears (a U3 opener names
+        # one qubit; the partner shows at step 1), or the free one if the
+        # other qubit holds that, and the wire keeps the atom the qubit
+        # was then mapped to.
+        wire_of = {q: w for w, (q, _) in wires.items()}
+        for q, atom, w in zip(qubits, atoms, want_wires):
+            if q not in wire_of:
+                if len(wires) == 2:
+                    self.bad("dependency", i,
+                             f"swap {sid} touched foreign qubits {qubits}")
+                    break
+                if q in self.locked:
+                    self.bad("dependency", i, f"qubit {q} double-locked")
+                self.locked[q] = sid
+                wire_of[q] = w if w not in wires else 1 - w
+                wires[wire_of[q]] = (q, self.atom_of[q])
+            if wire_of[q] != w:
+                self.bad("dependency", i, f"swap {sid} step {step} names "
+                         f"qubit {q} on its other wire")
+            elif atom != wires[w][1]:
                 self.bad("dependency", i,
-                         f"swap {sid} touched foreign qubits {qubits}")
-                break
-            if q in self.locked:
-                self.bad("dependency", i, f"qubit {q} double-locked")
-            self.locked[q] = sid
-            seen += (q,)
-        want_kind, want_angles = _SWAP_STEPS[step]
+                         f"swap {sid} step {step} runs qubit {q} on atom "
+                         f"{atom}, its wire's atom is {wires[w][1]}")
         if want_kind != kind:
             self.bad("dependency", i,
                      f"swap {sid} step {step} should be {want_kind}")
         elif tuple(angles) != want_angles:
             self.bad("dependency", i, f"swap {sid} step {step} has angles "
                      f"{tuple(angles)}, the template has {want_angles}")
-        self.swaps[sid] = (seen, step + 1)
+        self.swaps[sid] = (wires, step + 1)
+        if step == _SWAP_EXCHANGE and len(wires) == 2:
+            (qa, aa), (qb, ab) = wires[0], wires[1]
+            self.atom_of[qa], self.atom_of[qb] = ab, aa
+            if self.locked.get(qb) == sid:
+                del self.locked[qb]
         if step == len(_SWAP_STEPS) - 1:
-            if len(seen) == 2:
-                a, b = seen
-                self.atom_of[a], self.atom_of[b] = self.atom_of[b], self.atom_of[a]
             del self.swaps[sid]
             self.locked = {q: s for q, s in self.locked.items() if s != sid}
 
@@ -301,7 +324,7 @@ class _Replay:
                 self._check_unmeasured(i, g.atom, "u3")
                 if g.origin is not None:
                     self._swap_component(i, g.origin, "u3", (g.qubit,),
-                                         g.angles)
+                                         (g.atom,), g.angles)
                 else:
                     self._native_u3(i, g.qubit, g.atom, g.angles)
         elif isinstance(ev, Illumination):
@@ -416,7 +439,7 @@ class _Replay:
             for a in p.atoms:
                 self._check_unmeasured(i, a, f"cz {tuple(p.qubits)}")
             if p.origin is not None:
-                self._swap_component(i, p.origin, "cz", p.qubits)
+                self._swap_component(i, p.origin, "cz", p.qubits, p.atoms)
             else:
                 self._native_cz(i, p.qubits, p.atoms)
         in_compute = [
@@ -459,7 +482,8 @@ class _Replay:
                          f"{len(self.by_qubit[q])} gates")
         if self.swaps:
             self.bad("dependency", n_events - 1,
-                     f"unfinished swaps {sorted(self.swaps)}")
+                     f"unfinished swaps {sorted(self.swaps)} leave qubits "
+                     f"{sorted(self.locked)} locked")
         # Reports read these counters, not the events they count.
         trap_changes = sum(isinstance(ev, TrapChange) for ev in self.sched.events)
         for what, stated, replayed in (

@@ -1,7 +1,6 @@
 """Scheduler behavior: layer structure, variants, conflicts, determinism."""
 import copy
 import functools
-import itertools
 import json
 import math
 import random
@@ -33,13 +32,12 @@ from pachinqo.schedule import (
     U3LayerEvent,
     schedule_to_json,
 )
-from pachinqo.postpass import SWAP_LAST_STEP, compose, hold_columns, pack_rotations
+from pachinqo.postpass import compose, hold_columns, pack_rotations
 from pachinqo.scheduler import Compiler, retime, toggle_direction, LEFT, RIGHT
 from pachinqo.verifier import equivalence_check, validate_schedule
 
 from corpus import (
     GRIDS,
-    corpus_cases,
     full_sites_extraction,
     random_circuit,
     staircase,
@@ -138,8 +136,8 @@ def _illumination_blind_packing(events, n):
 
 def test_packing_past_an_illumination_fails_the_dependency_check():
     circ = Circuit(3, [u3(0, 1, 0, 0), cz(0, 1), u3(1, 2, 0, 0), cz(1, 2)])
-    codes = _packing_violations(_illumination_blind_packing, circ)
-    assert "dependency" in codes
+    violations, _ = _packing_violations(_illumination_blind_packing, circ)
+    assert "dependency" in {v.code for v in violations}
 
 
 # SWAP 0 trades qubits 2 and 1 (atoms 2 and 1) for CZ(1, 3). Its first
@@ -147,6 +145,14 @@ def test_packing_past_an_illumination_fails_the_dependency_check():
 # CZ(1, 3) on atom 2, with U3 layers before and after each.
 _SWAP_BETWEEN_CZS = Circuit(4, [u3(2, 1, 0, 0), cz(0, 1), cz(2, 3), cz(1, 3),
                                 u3(3, 1, 0, 0), cz(0, 3)])
+# SWAP 0 above is decompose_swap(2, 1): qubit 2 rides wire a (atom 2) and
+# qubit 1 wire b (atom 1). Wire a's last step is step 7; step 8, a U3 on
+# wire b, is the last. Here, after step 7, qubit 1 runs CZ(1, 3) on atom 2
+# before step 8 and a rotation in step 8's layer, listed after it; then
+# qubit 2 runs CZ(0, 2) on atom 1, and qubit 0 a rotation after that.
+_SWAP_THEN_BOTH = Circuit(4, _SWAP_BETWEEN_CZS.gates + [
+    u3(1, 2, 0, 0), cz(0, 2), u3(0, 1, 0, 0)])
+_SWAP_LAST_STEP = 8
 
 
 def _swap_step(events, sid, step):
@@ -155,26 +161,18 @@ def _swap_step(events, sid, step):
                 for g in ev.gates if g.origin == (sid, step))
 
 
-def _swap_pair(events, sid):
-    """The qubits and atoms of SWAP `sid`'s CZ steps."""
-    return next((p.qubits, p.atoms) for ev in events
-                if isinstance(ev, Illumination)
-                for p in ev.pairs if p.origin is not None and p.origin[0] == sid)
-
-
 def _pairs_atom(ev, atom):
     return isinstance(ev, Illumination) and any(atom in p.atoms
                                                 for p in ev.pairs)
 
 
-def _unlock_blind_packing(events, n):
+def _late_last_step_packing(events, n):
     """Packs rotations, then defers SWAP 0's last step past the next
-    illumination on the SWAP's other atom, into the U3 layer after it."""
+    illumination on its atom, into the U3 layer after it."""
     events = pack_rotations(events, n)
-    layer, g = _swap_step(events, 0, SWAP_LAST_STEP)
-    other, = set(_swap_pair(events, 0)[1]) - {g.atom}
+    layer, g = _swap_step(events, 0, _SWAP_LAST_STEP)
     i = events.index(layer)
-    j = next(j for j in range(i, len(events)) if _pairs_atom(events[j], other))
+    j = next(j for j in range(i, len(events)) if _pairs_atom(events[j], g.atom))
     later = next(ev for ev in events[j:] if isinstance(ev, U3LayerEvent))
     layer.gates.remove(g)
     later.gates.insert(0, g)
@@ -195,30 +193,26 @@ def _hoisted_swap_packing(events, n):
     return events
 
 
-def _lock_blind_listing(events, n, listed_before):
-    """Packs rotations, then lists each native rotation on a SWAP's qubit
-    that shares the SWAP's last step's layer before that step, appending
-    each to `listed_before`."""
+def _listed_first(events, n, atom=None):
+    """Packs rotations, then lists the native rotation that shares SWAP 0's
+    last step's layer and names that step's qubit (qubit b) before the
+    step, on `atom` if one is given."""
     events = pack_rotations(events, n)
-    for ev in events:
-        if not isinstance(ev, U3LayerEvent):
-            continue
-        for g in [g for g in ev.gates if g.origin is not None
-                  and g.origin[1] == SWAP_LAST_STEP]:
-            qubits = _swap_pair(events, g.origin[0])[0]
-            for native in [r for r in ev.gates[ev.gates.index(g):]
-                           if r.origin is None and r.qubit in qubits]:
-                ev.gates.remove(native)
-                ev.gates.insert(ev.gates.index(g), native)
-                listed_before.append(native)
+    layer, g = _swap_step(events, 0, _SWAP_LAST_STEP)
+    native = next(r for r in layer.gates if r.origin is None
+                  and r.qubit == g.qubit)
+    if atom is not None:
+        native.atom = atom
+    layer.gates.remove(native)
+    layer.gates.insert(layer.gates.index(g), native)
     return events
 
 
 def _packing_violations(pack, circ, technique="pachinqo",
                         grid_kind="large-square", params=None):
-    """The validator's codes for `circ` compiled with `pack` in place of
-    `pack_rotations`, each other pass as `run()` runs it; the same circuit
-    compiled as is validates clean."""
+    """The validator's violations for `circ` compiled with `pack` in place
+    of `pack_rotations`, each other pass as `run()` runs it, and the
+    schedule; the same circuit compiled as is validates clean."""
     params = params or PhysParams()
     layout = build_layout(circ.num_qubits, "auto", params, grid_kind)
     grid = generate_grid(grid_kind, layout, params)
@@ -228,37 +222,54 @@ def _packing_violations(pack, circ, technique="pachinqo",
     broken = compiler.schedule(retime(events, params, False))
     honest = Compiler(circ, technique, grid, layout, params).run()
     assert validate_schedule(honest, layout, grid, params, circ) == []
-    return {v.code for v in validate_schedule(broken, layout, grid, params, circ)}
+    return validate_schedule(broken, layout, grid, params, circ), broken
 
 
-def test_deferring_a_swaps_last_step_past_its_other_atom_fails():
-    """The validator exchanges the SWAP's qubits and unlocks them at its
-    last step, so a CZ on the other atom before it runs a locked qubit."""
-    codes = _packing_violations(_unlock_blind_packing, _SWAP_BETWEEN_CZS,
-                                params=_FULL_COLUMN)
-    assert "dependency" in codes
+def test_qubit_a_running_a_gate_between_swap_steps_7_and_8_fails():
+    """Qubit a stays locked until step 8 runs on wire b's atom, its new
+    atom: the CZ that step 8 was deferred past runs it before then."""
+    violations, _ = _packing_violations(_late_last_step_packing, _SWAP_THEN_BOTH,
+                                        params=_FULL_COLUMN)
+    assert "locked qubit in native cz (0, 2)" in [v.description for v in violations]
+
+
+def test_qubit_b_running_a_gate_on_its_old_atom_after_swap_step_7_fails():
+    """Step 7 exchanges the mapping, so qubit b's rotation listed before
+    step 8 on its old atom, wire b's, runs on an atom that no longer holds
+    it."""
+    violations, _ = _packing_violations(
+        functools.partial(_listed_first, atom=1), _SWAP_THEN_BOTH,
+        params=_FULL_COLUMN)
+    assert ("dependency", "u3 on qubit 1 used atom 1, mapped atom is 2") in [
+        (v.code, v.description) for v in violations]
+
+
+def test_qubit_b_runs_before_its_swaps_last_step():
+    """After step 7, wire a's atom holds qubit b's final state and qubit b
+    unlocks. Compiled, its CZ(1, 3) runs before step 8, which the packing
+    no longer closes before the next illumination on wire a's atom; its
+    rotation listed before step 8 is legal too. Both schedules validate
+    clean and match the oracle."""
+    sched, layout, grid, params = _compile(_SWAP_THEN_BOTH, params=_FULL_COLUMN)
+    layer, g = _swap_step(sched.events, 0, _SWAP_LAST_STEP)
+    first_cz = next(i for i, ev in enumerate(sched.events)
+                    if isinstance(ev, Illumination)
+                    and any(p.qubits == (1, 3) for p in ev.pairs))
+    assert g.qubit == 1 and first_cz < sched.events.index(layer)
+    assert validate_schedule(sched, layout, grid, params, _SWAP_THEN_BOTH) == []
+    assert equivalence_check(sched, _SWAP_THEN_BOTH)[0]
+    violations, listed = _packing_violations(_listed_first, _SWAP_THEN_BOTH,
+                                             params=_FULL_COLUMN)
+    assert violations == []
+    assert equivalence_check(listed, _SWAP_THEN_BOTH)[0]
 
 
 def test_hoisting_a_swaps_first_step_above_its_atom_fails():
     """A SWAP locks its first step's qubit, so the CZ that step was hoisted
     above runs a locked qubit."""
-    codes = _packing_violations(_hoisted_swap_packing, _SWAP_BETWEEN_CZS,
-                                params=_FULL_COLUMN)
-    assert "dependency" in codes
-
-
-def test_listing_a_native_before_its_swaps_last_step_fails():
-    """In corpus case 155 a native rotation on a SWAP's qubit that waited
-    for the SWAP to unlock shares the layer of its last step, listed after
-    it; listed before it, it runs a locked qubit."""
-    circ, technique, grid_kind = next(itertools.islice(corpus_cases(), 155,
-                                                       None))
-    listed_before = []
-    codes = _packing_violations(
-        functools.partial(_lock_blind_listing, listed_before=listed_before),
-        circ, technique, grid_kind)
-    assert listed_before
-    assert "dependency" in codes
+    violations, _ = _packing_violations(_hoisted_swap_packing, _SWAP_BETWEEN_CZS,
+                                        params=_FULL_COLUMN)
+    assert "dependency" in {v.code for v in violations}
 
 
 def test_direction_toggles_between_cz_layers():
@@ -931,8 +942,8 @@ def test_broad_set_swap_total_stays_within_its_record():
 # here, to keep this suite's time.
 SCALE_SET_SWAPS = 1140
 SCALE_SET_ILLUMINATIONS = 4367
-SCALE_SET_RUNTIME_US = 28227.4
-SCALE_SET_NEG_LOG10_ESP = 53.368
+SCALE_SET_RUNTIME_US = 27917.4
+SCALE_SET_NEG_LOG10_ESP = 53.353
 
 
 def test_scale_set_totals_stay_within_their_records():

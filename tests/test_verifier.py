@@ -32,6 +32,7 @@ from pachinqo.schedule import (
 from pachinqo.postpass import compose, hold_columns, pack_rotations
 from pachinqo.scheduler import TECHNIQUES, Compiler, retime
 from pachinqo.verifier import (
+    EQUIVALENCE_QUBIT_CAP,
     _apply_cz,
     equivalence_check,
     executed_distribution,
@@ -895,27 +896,84 @@ def _foreign_swap_cz(sched):
                         if p.origin == (0, 4) else p for p in ev.pairs]
 
 
+def _swap_u3_on_wire_a(sched):
+    """Names and runs SWAP 0's last step, a U3 on wire b, on wire a: its
+    step-1 CZ's first qubit and atom."""
+    qubit, atom = next((p.qubits[0], p.atoms[0]) for ev in sched.events
+                       if isinstance(ev, Illumination)
+                       for p in ev.pairs if p.origin == (0, 1))
+    for ev in sched.events:
+        if isinstance(ev, U3LayerEvent):
+            for g in ev.gates:
+                if g.origin == (0, 8):
+                    g.qubit, g.atom = qubit, atom
+
+
 @pytest.mark.parametrize("mutate, expected", [
     # The U3 that opens the SWAP is gone: it begins at step 1.
     (_drop_swap_u3(0), [("dependency", 10, "swap 0 began at step 1"),
                         ("dependency", 10, "swap 0 step 1, expected 0")]),
     # Its middle CZ names qubit 0 in place of its partner.
     (_foreign_swap_cz, [("dependency", 12, "swap 0 touched foreign qubits (1, 0)")]),
-    # Its last U3 is gone: it never ends, so its qubits stay locked and
-    # the mapping never exchanges.
+    # Its last U3 is gone: it never ends, so qubit 2 (its wire a) stays
+    # locked. Qubit 1 (wire b) unlocked at step 7, where the mapping
+    # exchanged, so its CZ and every measure pass.
     (_drop_swap_u3(8), [
-        ("dependency", 17, "locked qubit in native cz (1, 3)"),
-        ("dependency", 20, "measure of atom 2 names qubit 1, mapped atom is 1"),
-        ("dependency", 24, "measure of atom 1 names qubit 2, mapped atom is 2"),
-        ("dependency", 24, "qubit 1 finished 1 of 2 gates"),
-        ("dependency", 24, "qubit 3 finished 1 of 2 gates"),
-        ("dependency", 24, "unfinished swaps [0]"),
-        ("dependency", 24, "final mapping of qubit 1 is 1, schedule says 2"),
-        ("dependency", 24, "final mapping of qubit 2 is 2, schedule says 1")]),
+        ("dependency", 24, "unfinished swaps [0] leave qubits [2] locked")]),
+    # Its last step rotates wire a's qubit 2 in place of wire b's.
+    (_swap_u3_on_wire_a, [
+        ("dependency", 15, "swap 0 step 8 names qubit 2 on its other wire")]),
 ])
 def test_validator_catches_broken_swap_components(mutate, expected):
     violations = _mutate_and_check(_STATIC_PAIR, mutate, _FULL_COLUMN)
     assert [(v.code, v.event, v.description) for v in violations] == expected
+
+
+# 50 qubits, above the oracle's cap: only the validator can catch a SWAP
+# step on the wrong atom.
+_FIFTY = random_circuit(random.Random(3), 50, 150)
+
+
+def test_validator_catches_a_swap_u3_step_on_a_third_atom():
+    """SWAP 0's step-5 U3, moved onto an atom that no rotation of its layer
+    uses, keeps every kind, angle, order, lock and span; only the check of
+    its wire's atom sees it."""
+    sched, layout, grid, params = _compile(_FIFTY)
+    assert _FIFTY.num_qubits > EQUIVALENCE_QUBIT_CAP and sched.swap_count
+    mutated = copy.deepcopy(sched)
+    i, g = next((i, g) for i, ev in enumerate(mutated.events)
+                if isinstance(ev, U3LayerEvent)
+                for g in ev.gates if g.origin == (0, 5))
+    wire = g.atom
+    busy = {r.atom for r in mutated.events[i].gates}
+    g.atom = min(set(range(_FIFTY.num_qubits)) - busy)
+    violations = validate_schedule(mutated, layout, grid, params, _FIFTY)
+    assert [(v.code, v.event, v.description) for v in violations] == [
+        ("dependency", i, f"swap 0 step 5 runs qubit {g.qubit} on atom "
+                          f"{g.atom}, its wire's atom is {wire}")]
+
+
+def test_validator_catches_a_swap_cz_step_on_other_atoms():
+    """SWAP 0's step-7 CZ and a native CZ of its illumination trade atoms
+    and positions: every pulse still gates the same two pairs, but each
+    CZ names atoms that do not hold its qubits."""
+    sched, layout, grid, params = _compile(_FIFTY)
+    mutated = copy.deepcopy(sched)
+    i, ev = next((i, ev) for i, ev in enumerate(mutated.events)
+                 if isinstance(ev, Illumination)
+                 and any(p.origin == (0, 7) for p in ev.pairs))
+    k = next(k for k, p in enumerate(ev.pairs) if p.origin == (0, 7))
+    m = next(m for m, p in enumerate(ev.pairs) if p.origin is None)
+    step, native = ev.pairs[k], ev.pairs[m]
+    ev.pairs[k] = replace(step, atoms=native.atoms, positions=native.positions)
+    ev.pairs[m] = replace(native, atoms=step.atoms, positions=step.positions)
+    swap_msgs = [("dependency", i, f"swap 0 step 7 runs qubit {q} on atom {a}, "
+                  f"its wire's atom is {w}")
+                 for q, a, w in zip(step.qubits, native.atoms, step.atoms)]
+    native_msg = [("dependency", i, f"cz {native.qubits} on wrong atoms {step.atoms}")]
+    violations = validate_schedule(mutated, layout, grid, params, _FIFTY)
+    assert [(v.code, v.event, v.description) for v in violations] == (
+        swap_msgs + native_msg if k < m else native_msg + swap_msgs)
 
 
 def _native_u3s(sched):
