@@ -8,6 +8,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 PI = math.pi
 
@@ -31,9 +32,9 @@ class CircuitError(ValueError):
     """Raised for malformed circuits or gate arguments."""
 
 
-@dataclass(frozen=True)
-class SwapTag:
-    """Marks a gate as step `step` (0..8) of inserted SWAP `swap_id`."""
+class SwapTag(NamedTuple):
+    """Marks a gate as step `step` (0..8) of inserted SWAP `swap_id`; a
+    schedule entry's `(swap_id, step)` origin."""
 
     swap_id: int
     step: int
@@ -289,7 +290,8 @@ class Frontier:
         return lst[p] if p < len(lst) else END
 
     def done(self) -> bool:
-        return all(self.next_gate(q) == END for q in range(self.circuit.num_qubits)) and not self.lock
+        """Whether every gate has executed and no SWAP is in flight."""
+        return self.first_pending() == END and not self.lock
 
     def _executed(self, i: int) -> bool:
         # Both cursors of a CZ pass it together, so its first qubit decides.
@@ -379,18 +381,6 @@ class Frontier:
         return [q for q, (lst, p) in enumerate(zip(self._by_qubit, self._pos))
                 if p < len(lst) and gates[lst[p]].kind == "u3" and q not in lock]
 
-    def executable_czs(self) -> set[int]:
-        """Index of every CZ for which `executable_cz` holds, read off the
-        qubits' cursors."""
-        gates = self.circuit.gates
-        out = set()
-        for q in range(self.circuit.num_qubits):
-            i = self.next_gate(q)
-            if i != END and gates[i].kind == "cz" and \
-                    self.executable_cz(*gates[i].qubits):
-                out.add(i)
-        return out
-
     def executable_cz(self, q1: int, q2: int) -> bool:
         """True iff both cursors point at the same CZ(q1,q2) and neither
         qubit is locked into a SWAP."""
@@ -409,8 +399,10 @@ class Frontier:
         the last one both qubits unlock and the completed swap_id is
         returned so the caller can exchange the qubit-atom mapping. The
         validator exchanges it and unlocks qubit b at step 7 already,
-        wire a's last; doing so here would change decisions (a later
-        step). Advancing a non-executable gate is a contract violation.
+        wire a's last. Doing so here could not let qubit b's next CZ be
+        planned any earlier: the compiler runs step 8 in the first U3
+        layer after step 7's illumination, before the next CZ layer
+        plans. Advancing a non-executable gate is a contract violation.
         """
         if gate.origin is not None:
             sid = gate.origin.swap_id

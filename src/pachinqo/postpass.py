@@ -334,8 +334,8 @@ def hold_columns(events: list, layout: ZoneLayout, params: PhysParams,
                 longer = d1 + d2 > da + db
             else:
                 ta, tb = max(pa.durations.values()), max(pb.durations.values())
-                longer = max(time_without(pa, cid) if da == ta else ta, d1) + max(
-                    time_without(pb, cid) if db == tb else tb, d2) > ta + tb
+                longer = (max(time_without(pa, cid), d1) + max(time_without(pb, cid), d2)
+                          > ta + tb)
             if longer:
                 slow = True
                 continue

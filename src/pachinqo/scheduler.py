@@ -67,7 +67,13 @@ mobile atoms that fits where they stand (`_fill`, below), unless a column
 found no legal retreat or a trap change fired. One illumination then
 fires every staged pair at once. Start sides toggle right-left-right so
 no column gets standing priority; a layer in which a column finds no
-legal retreat keeps the same side.
+legal retreat keeps the same side. The layer's whole state is one
+record, `Compiler.plan` (`_LayerPlan`), which `_plan_layer` builds and
+the next layer replaces: the order and side, each column atom's CZ, the
+placements and retreat bounds, the obstacles, the staged pairs and
+their busy atoms, and the standing columns. Each column's turn
+(`_find_action`, `_pair`, `_join`, `_retreat`) and `_fill` read and
+extend it; an isolation layer gets a record with no columns.
 
 Move phases are fused. The compiler applies every move to its state at
 once and keeps where the open phase found each column: the column's
@@ -279,17 +285,29 @@ class _Column:
 
 @dataclass
 class _LayerPlan:
-    """A CZ layer's plan (`_plan_layer`): its processing order and side,
-    the CZ each column atom waits for when the layer starts (`_cz_target`,
+    """A CZ layer's whole state, `Compiler.plan`, replaced once per layer:
+    `_plan_layer` builds a CZ layer's, and an isolation layer gets one
+    with no columns. It holds the layer's processing order and side, the
+    CZ each column atom waits for when the layer starts (`_cz_target`,
     read once per layer), the placement chosen for each planned column,
-    by cid, as (gate, atom, partner atom, x), and the standing columns."""
+    by cid, as (gate, atom, partner atom, x), and the atoms a placement
+    keeps crosstalk_radius from, at first the static atoms; each atom
+    that stands for a pair joins them."""
 
     order: list[_Column]
     side: int
     targets: dict[int, tuple[Gate, int, bool] | None]
     placements: dict[int, tuple[Gate, int, int, float]]
+    obstacles: list[int]
+    # Per cid of the order, the bounds `_retreat` and the AOD pairs obey
+    # (`_plan_retreats`).
+    later: dict[int, tuple[float, int]] = field(default_factory=dict)
+    # The pairs the layer's illumination fires, and their atoms, busy for
+    # the rest of the layer (`_stage`).
+    staged: list[CzEntry] = field(default_factory=list)
+    busy: set[int] = field(default_factory=set)
     # The cids of the columns standing in compute: those that have placed
-    # or paired so far this layer (`_cz_layer` adds them).
+    # or paired so far this layer.
     standing: set[int] = field(default_factory=set)
 
 
@@ -365,8 +383,9 @@ class Compiler:
         self.events: list = []
         self.layer = 0
         self.direction = RIGHT
-        # Atoms a CZ layer's placements keep crosstalk_radius from.
-        self.obstacles: list[int] = []
+        # The current CZ layer's state (`_cz_layer`, `_isolation_layer`),
+        # empty before the first.
+        self.plan = _LayerPlan([], RIGHT, {}, {}, [])
         # Each zone's storage-row ys, as many as a column holds, and each
         # cache's column-slot xs, ascending.
         self.rows = {z: [slot_y(z, params, j) for j in range(params.max_atoms_per_column)]
@@ -385,7 +404,6 @@ class Compiler:
         else:
             self.park_zone = layout.left_cache
             self.park_slots = self.cache_slots[LEFT]
-        self.busy: set[int] = set()
 
     # ------------------------------------------------------------------
     # setup helpers
@@ -464,7 +482,7 @@ class Compiler:
         self.events.append(TrapChange(0.0, 0.0, self.layer, direction, transfers))
         self.trap_change_count += 1
 
-    def _fire(self, staged: list[CzEntry]) -> None:
+    def _fire(self) -> None:
         """Close a CZ layer: its move phase ends, one illumination fires
         every staged pair, and with one cache the columns return home in
         a phase of their own, so that a U3 layer after it runs with every
@@ -472,15 +490,11 @@ class Compiler:
         that do, `compose` composes the return with the next layer's
         phase."""
         self._flush_moves()
-        if staged:
-            self.events.append(Illumination(0.0, 0.0, self.layer, staged))
+        if self.plan.staged:
+            self.events.append(Illumination(0.0, 0.0, self.layer, self.plan.staged))
         if self.one_cache:
             self._relocate_all(RIGHT)
             self._flush_moves()
-
-    def _reset_obstacles(self) -> None:
-        """Static compute atoms are a CZ layer's initial obstacle set."""
-        self.obstacles = [atom for _, atom in self._static_atoms()]
 
     def _static_atoms(self) -> list[tuple[int, int]]:
         """(site, atom) for every site-held atom, in site order."""
@@ -583,8 +597,7 @@ class Compiler:
                 g = self.frontier.swap_gate(sid)
                 while g.kind == "u3":
                     q = g.qubits[0]
-                    entries.append(U3Entry(q, self.atom_of[q], g.params,
-                                           (sid, g.origin.step)))
+                    entries.append(U3Entry(q, self.atom_of[q], g.params, g.origin))
                     if self.frontier.advance(g) is not None:
                         self._complete_swap(*qubits)
                         break
@@ -598,9 +611,11 @@ class Compiler:
     def _complete_swap(self, qa: int, qb: int) -> None:
         """Exchange the atoms of the qubits of a SWAP that just completed,
         at its last step (`Frontier.advance`). The validator exchanges
-        them at step 7, wire a's last; exchanging there too would let
-        qubit b's next CZ be planned a layer earlier, a decision change
-        left for a later step."""
+        them at step 7, wire a's last. Exchanging there too could not let
+        qubit b's next CZ be planned any earlier: step 7's atoms are busy
+        for the rest of its CZ layer, and step 8 always runs in the first
+        U3 layer after step 7's illumination, before the next CZ layer
+        plans."""
         aa, ab = self.atom_of[qa], self.atom_of[qb]
         self.atom_of[qa], self.atom_of[qb] = ab, aa
         self.qubit_of[aa], self.qubit_of[ab] = qb, qa
@@ -624,58 +639,45 @@ class Compiler:
         self._park(live, self._cache(side), slots)
 
     def _cz_layer(self) -> int:
-        """Run one CZ layer from `self.direction`'s cache: plan the
-        placements (`_plan_layer`), then give every live column its action
-        in processing order (`_find_action`), retreating each column that
+        """Run one CZ layer from `self.direction`'s cache: plan it
+        (`_plan_layer`, whose record is the layer's state), then give
+        every live column that is not yet standing its action in
+        processing order (`_find_action`), retreating each column that
         neither placed nor paired, stage the further pairs the standing
         columns can run where they stand (`_fill`, unless a column was
         stuck or a trap change fired), and fire. Before planning, the head
         rule (`_head_swap`) may begin the SWAP of a static pair that has
         headed the circuit for a whole CZ layer. Every column gets its
-        turn. Returns the number of columns that executed a CZ, changed
-        traps or began a SWAP, plus one if the head rule began one."""
+        turn, but a column an AOD pair took along stands already. Returns
+        the number of columns that executed a CZ, changed traps or began
+        a SWAP, plus one if the head rule began one."""
         self.layer += 1
-        self.busy.clear()
-        staged: list[CzEntry] = []
         executed = self._head_swap()
-
-        side = self.direction
-        order = [c for c in self.columns if c.atoms]
-        if side == LEFT:
-            order.reverse()
-        plan = self._plan_layer(order, side)
-        later = self._plan_retreats(plan)
-        # Plan against every column parked on `side`, but let each column
-        # travel once, straight to where the layer leaves it.
-        self._relocate_all(side)
-        self._reset_obstacles()
+        plan = self.plan = self._plan_layer()
+        # Plan against every column parked on the layer's side, but let
+        # each column travel once, straight to where the layer leaves it.
+        self._relocate_all(plan.side)
 
         trap_changes = self.trap_change_count
         stuck = False  # a column found no legal retreat
-        paired = None  # the column an AOD pair took along with its own
+        order = plan.order
         for k, col in enumerate(order):
-            if col is paired:
+            if col.cid in plan.standing:
                 continue
             prev = order[k - 1] if k else None
             nxt = order[k + 1] if k + 1 < len(order) else None
-            action = self._find_action(col, staged, prev, nxt, later, plan)
-            executed += action != "idle"
-            if action == "paired":
-                paired = nxt
-                plan.standing.add(nxt.cid)
-            if action in ("placed", "paired"):
-                plan.standing.add(col.cid)
-                continue
-            # Clear the way, unless a deposit took the column's last atom.
-            if col.atoms and not self._retreat(col, side, later):
+            executed += self._find_action(col, prev, nxt)
+            # Clear the way, unless the column stands or a deposit took
+            # its last atom.
+            if col.cid not in plan.standing and col.atoms and not self._retreat(col):
                 stuck = True
                 break
         trap_changed = self.trap_change_count != trap_changes
         if not (stuck or trap_changed):
-            self._fill(plan.standing, staged)
-        if not staged and not trap_changed:
+            self._fill()
+        if not plan.staged and not trap_changed:
             self._stay()
-        self._fire(staged)
+        self._fire()
         if not (self.one_cache or stuck):
             self.direction = toggle_direction(self.direction)
         return executed
@@ -706,10 +708,10 @@ class Compiler:
             self._move_column(col, col.found_x,
                               {a: self.found_y[a] for a in col.atoms})
 
-    def _fill(self, standing: set[int], staged: list[CzEntry]) -> None:
-        """Stage each further CZ of two mobile atoms that the standing
-        columns can run where they stand, once every column has had its
-        turn.
+    def _fill(self) -> None:
+        """Stage each further CZ of two mobile atoms that the layer's
+        standing columns can run where they stand, once every column has
+        had its turn.
 
         The standing columns go in cid order, their atoms in slot order.
         An atom that is not busy qualifies when its `_cz_target` is an
@@ -721,16 +723,17 @@ class Compiler:
         nearest where the open phase found the atom at which both spots
         lie in compute and clear of every obstacle (`_clear_row`), and
         both atoms then become obstacles."""
-        cols = [c for c in self.columns if c.cid in standing]
+        busy = self.plan.busy
+        cols = [c for c in self.columns if c.cid in self.plan.standing]
         for col in cols:
             for atom in col.atoms:
-                if atom in self.busy:
+                if atom in busy:
                     continue
                 target = self._cz_target(atom)
                 if target is None or target[2]:
                     continue
                 gate, partner, _ = target
-                if (partner in self.busy or self.atom_site[partner] is not None
+                if (partner in busy or self.atom_site[partner] is not None
                         or not self.frontier.executable_cz(*gate.qubits)):
                     continue
                 if partner in col.atoms:
@@ -744,7 +747,7 @@ class Compiler:
                 if y is None:
                     continue
                 self._stand([(col, atom, y), (other, partner, y + dy)])
-                self._stage(gate, atom, partner, staged)
+                self._stage(gate, atom, partner)
 
     def _clear_row(self, x: float, atom: int, dx: float, dy: float) -> float | None:
         """The pair row y nearest where the open phase found `atom`, the
@@ -755,7 +758,7 @@ class Compiler:
         fy = self.found_y[atom]
         for y in sorted(self.pair_rows, key=lambda r: (abs(r - fy), r)):
             if all(comp.contains(px, py) and kernels.clear_from(
-                    self.obstacles, self.atom_x, self.atom_y, px, py, r2)
+                    self.plan.obstacles, self.atom_x, self.atom_y, px, py, r2)
                    for px, py in ((x, y), (x + dx, y + dy))):
                 return y
         return None
@@ -765,7 +768,7 @@ class Compiler:
         the open phase; the atoms become obstacles."""
         for col, atom, y in atoms:
             self._move_column(col, col.x, {atom: y})
-            self.obstacles.append(atom)
+            self.plan.obstacles.append(atom)
 
     # -- per-column decision -------------------------------------------
     def _can_place(self, target: tuple[Gate, int, bool]) -> bool:
@@ -776,9 +779,12 @@ class Compiler:
         return is_swap or (self.atom_site[partner] is not None
                            and self.frontier.executable_cz(*gate.qubits))
 
-    def _plan_layer(self, order: list[_Column], side: int) -> _LayerPlan:
-        """Choose the layer's placements together, as one chain along
-        `order`.
+    def _plan_layer(self) -> _LayerPlan:
+        """The record of a CZ layer from `self.direction`'s cache: its
+        live columns in processing order, from the cache side nearest
+        compute, the placements chosen together as one chain along that
+        order, the retreat bounds (`_plan_retreats`) and the static atoms
+        as its obstacles.
 
         A column atom can place its in-flight SWAP's CZ step, or an
         executable CZ with a static partner. Each such CZ offers two xs,
@@ -791,6 +797,10 @@ class Compiler:
         plus |dy| of its CZ atom), then the first found: a longest
         increasing subsequence over the candidates, columns in order and
         atoms in slot order."""
+        side = self.direction
+        order = [c for c in self.columns if c.atoms]
+        if side == LEFT:
+            order.reverse()
         targets: dict[int, tuple[Gate, int, bool] | None] = {}
         # Per candidate: side * x, its chain's rank (-placements, travel),
         # the index of the chain's previous candidate or -1, and its
@@ -818,16 +828,18 @@ class Compiler:
         while i >= 0:
             _, _, i, cid, placement = nodes[i]
             placements[cid] = placement
-        return _LayerPlan(order, side, targets, placements)
+        plan = _LayerPlan(order, side, targets, placements,
+                          [atom for _, atom in self._static_atoms()])
+        plan.later = self._plan_retreats(plan)
+        return plan
 
-    def _find_action(self, col: _Column, staged: list[CzEntry],
-                     prev: _Column | None, nxt: _Column | None,
-                     later: dict[int, tuple[float, int]], plan: _LayerPlan):
-        """Pick and apply this column's action for the current layer:
-        "placed", "paired" (an AOD pair with `nxt`, the next column of the
-        layer's order, which it takes along), "tc" (a trap change closed
-        the phase with the column over the site, so the next phase finds
-        it there), "swap" (a SWAP began) or "idle".
+    def _find_action(self, col: _Column, prev: _Column | None,
+                     nxt: _Column | None) -> bool:
+        """Pick and apply this column's action for the current layer, and
+        say whether it acted: placed, paired, changed traps or began a
+        SWAP. A column that places or pairs stands in compute
+        (`plan.standing`); a trap change closes the phase with the column
+        over the site, so the next phase finds it there.
 
         A planned column places at its planned x if the clearance check
         still passes there. A column left with a CZ it could place (not
@@ -836,56 +848,53 @@ class Compiler:
         Otherwise its highest atom whose executable CZ has a mobile
         partner conflicts. If the partner is in `prev`, the column just
         before in the layer's order, the column joins `prev` when `prev`
-        stands in compute (`_join`, "placed"); else, or if the join finds
-        no legal x or clear row, it stays idle: the next layer, in the
-        reverse order, can run it as an AOD pair.
-        Else it tries an AOD pair (`_pair`, which may also wait), then
-        (trapchange) a trap change, then a SWAP."""
+        stands in compute (`_join`); else, or if the join finds no legal
+        x or clear row, it stays idle: the next layer, in the reverse
+        order, can run it as an AOD pair. Else it tries an AOD pair
+        (`_pair`, with `nxt`, the next column of the order, or within the
+        column; it may also wait), then (trapchange) a trap change, then
+        a SWAP."""
+        plan = self.plan
         planned = plan.placements.get(col.cid)
-        if planned is not None:
+        if planned is not None and self._try_place(col, planned[2], planned[3]):
             gate, atom, partner_atom, x = planned
-            if self._try_place(col, partner_atom, x):
-                self._settle(col, x, {atom: self.atom_y[partner_atom]})
-                self._stage(gate, atom, partner_atom, staged)
-                return "placed"
+            self._settle(col, x, {atom: self.atom_y[partner_atom]})
+            self._stage(gate, atom, partner_atom)
+            plan.standing.add(col.cid)
+            return True
         conflict: tuple[int, int, int] | None = None  # (atom, q, partner q)
         for atom in sorted(col.atoms, key=lambda a: -self.atom_y[a]):
             target = plan.targets.get(atom)
             if target is None:
                 continue
             if self._can_place(target):
-                return "idle"
+                return False
             gate, partner_atom, _ = target
             if conflict is None and self.frontier.executable_cz(*gate.qubits):
                 conflict = (atom, self.qubit_of[atom], self.qubit_of[partner_atom])
         if conflict is None:
-            return "idle"
+            return False
         atom, q, p = conflict
         partner_atom = self.atom_of[p]
         if prev is not None and partner_atom in prev.atoms:
-            if prev.cid not in plan.standing or not self._join(
-                    col, prev, atom, partner_atom, later, plan.side):
-                return "idle"
-            self._stage(self.circuit.gates[self.frontier.next_gate(q)],
-                        atom, partner_atom, staged)
-            return "placed"
-        action = self._pair(col, nxt, atom, partner_atom, later, plan.side)
-        if action == "wait":
-            return "idle"
-        if action is not None:
-            self._stage(self.circuit.gates[self.frontier.next_gate(q)],
-                        atom, partner_atom, staged)
-            return action
+            stood = prev.cid in plan.standing and self._join(col, prev, atom, partner_atom)
+        else:
+            stood = self._pair(col, nxt, atom, partner_atom)
+        if stood:
+            self._stage(self.circuit.gates[self.frontier.next_gate(q)], atom, partner_atom)
+            plan.standing.add(col.cid)
+            return True
+        if stood is not None:  # the join or the pair waits
+            return False
         if self.trap_change_first:
             tc = self._plan_trapchange(col, conflict)
             if tc is not None:
                 self._trapchange_action(col, *tc)
-                return "tc"
+                return True
         choice = self._choose_swap(q, p, forced=False)
-        if choice is None:
-            return "idle"
-        self._begin_swap(*choice)
-        return "swap"
+        if choice is not None:
+            self._begin_swap(*choice)
+        return choice is not None
 
     # -- placement geometry ----------------------------------------------
     def _try_place(self, col: _Column, partner_atom: int, x: float) -> bool:
@@ -893,40 +902,38 @@ class Compiler:
         neighbours and clear of every obstacle but the partner."""
         lo, hi = self._neighbors(col.cid)
         return lo < x < hi and kernels.clear_from_except(
-            self.obstacles, self.atom_x, self.atom_y, x, self.atom_y[partner_atom],
-            self.params.crosstalk_radius ** 2, partner_atom)
+            self.plan.obstacles, self.atom_x, self.atom_y, x,
+            self.atom_y[partner_atom], self.params.crosstalk_radius ** 2, partner_atom)
 
     def _settle(self, col: _Column, x: float, fixed: dict[int, float]) -> None:
         """Move `col` to x and `_hung` ys within the open phase; the atoms of
         `fixed` become obstacles."""
         self._move_column(col, x, self._hung(col, fixed))
-        self.obstacles.extend(fixed)
+        self.plan.obstacles.extend(fixed)
 
-    def _stage(self, gate: Gate, atom: int, partner_atom: int,
-               staged: list[CzEntry]) -> None:
-        """Stage `gate` on two atoms where they now stand; both stay busy
-        for the rest of the layer."""
-        self.busy.update((atom, partner_atom))
+    def _stage(self, gate: Gate, atom: int, partner_atom: int) -> None:
+        """Stage `gate` on two atoms where they now stand, for the layer's
+        illumination; both stay busy for the rest of the layer."""
+        self.plan.busy.update((atom, partner_atom))
         atoms = (atom, partner_atom)
         if gate.qubits != (self.qubit_of[atom], self.qubit_of[partner_atom]):
             atoms = atoms[::-1]
         positions = tuple((self.atom_x[a], self.atom_y[a]) for a in atoms)
-        origin = (gate.origin.swap_id, gate.origin.step) if gate.origin else None
-        staged.append(CzEntry(gate.qubits, atoms, positions, origin))
+        self.plan.staged.append(CzEntry(gate.qubits, atoms, positions, gate.origin))
         self.frontier.advance(gate)
 
     # -- AOD pairs ----------------------------------------------------------
     def _pair(self, col: _Column, nxt: _Column | None, atom: int,
-              partner_atom: int, later: dict[int, tuple[float, int]],
-              side: int) -> str | None:
-        """Run the CZ of two mobile atoms as an AOD pair over a free clear
-        site: one above the other when both are in `col` ("placed"), side
-        by side, the lower cid's on the left, when the partner is in `nxt`
-        ("paired"). None when the partner is in neither column or no site
-        fits (`_pair_site`), except that a pair within `col` that only the
-        neighbouring columns or a later column's wanted x keep from every
-        site is "wait": the next layer runs the columns in the reverse
-        order."""
+              partner_atom: int) -> bool | None:
+        """Stand the CZ of two mobile atoms as an AOD pair over a free
+        clear site: one above the other when both are in `col`, side by
+        side, the lower cid's on the left, when the partner is in `nxt`,
+        the next column of the layer's order, which then stands too
+        (`plan.standing`). True if the pair stands; None when the partner
+        is in neither column or no site fits (`_pair_site`), except that
+        a pair within `col` that only the neighbouring columns or a later
+        column's wanted x keep from every site waits (False): the next
+        layer runs the columns in the reverse order."""
         if partner_atom in col.atoms:
             atoms = sorted((atom, partner_atom), key=lambda a: self.atom_y[a])
             cols, last = [col, col], col
@@ -942,8 +949,8 @@ class Compiler:
         # Between the columns' outer neighbours and short of every x a
         # later column wants (`later`, as `_retreat` obeys).
         lo, hi = self._neighbors(cols[0].cid)[0], self._neighbors(cols[1].cid)[1]
-        reach = later[last.cid][0]
-        if side == RIGHT:
+        reach = self.plan.later[last.cid][0]
+        if self.plan.side == RIGHT:
             hi = min(hi, reach)
         else:
             lo = max(lo, -reach)
@@ -951,29 +958,31 @@ class Compiler:
         if spots is None:
             if cols[0] is cols[1] and self._pair_site(
                     atoms, cols, offset, -math.inf, math.inf) is not None:
-                return "wait"
+                return False
             return None
         if cols[0] is cols[1]:
             (x, y0), (_, y1) = spots
             self._settle(col, x, dict(zip(atoms, (y0, y1))))
-            return "placed"
+            return True
         for a, c, (x, y) in zip(atoms, cols, spots):
             self._settle(c, x, {a: y})
-        return "paired"
+        self.plan.standing.add(nxt.cid)
+        return True
 
-    def _join(self, col: _Column, prev: _Column, atom: int, partner_atom: int,
-              later: dict[int, tuple[float, int]], side: int) -> bool:
+    def _join(self, col: _Column, prev: _Column, atom: int, partner_atom: int) -> bool:
         """Stand `atom` of `col` beside `partner_atom` of `prev`, the column
         just before in the layer's order, which stands in compute: `col`
-        moves to x = prev.x + side * INTERACTION_OFFSET, and the pair forms
-        at the clear pair row nearest where the open phase found `atom`,
-        the lower on a tie. False, changing nothing, when the partner is
-        busy, x is not strictly between `col`'s neighbours or not short of
-        every x a later column wants (`later`), or no row is clear."""
+        moves to x = prev.x + side * INTERACTION_OFFSET, for the layer's
+        side, and the pair forms at the clear pair row nearest where the
+        open phase found `atom`, the lower on a tie. False, changing
+        nothing, when the partner is busy, x is not strictly between
+        `col`'s neighbours or not short of every x a later column wants
+        (`plan.later`), or no row is clear."""
+        side = self.plan.side
         x = prev.x + side * INTERACTION_OFFSET
         lo, hi = self._neighbors(col.cid)
-        if (partner_atom in self.busy or not lo < x < hi
-                or side * x >= later[col.cid][0]):
+        if (partner_atom in self.plan.busy or not lo < x < hi
+                or side * x >= self.plan.later[col.cid][0]):
             return False
         y = self._clear_row(x, atom, prev.x - x, 0.0)
         if y is None:
@@ -1011,7 +1020,7 @@ class Compiler:
                 candidates.append((cost(spots), site, spots))
         r2 = self.params.crosstalk_radius ** 2
         for _, site, spots in sorted(candidates):
-            if all(kernels.clear_from(self.obstacles, self.atom_x, self.atom_y,
+            if all(kernels.clear_from(self.plan.obstacles, self.atom_x, self.atom_y,
                                       x, y, r2) for x, y in spots):
                 return site, spots
         return None
@@ -1053,13 +1062,13 @@ class Compiler:
         q0, q1 = gate.qubits
         return gate, self.atom_of[q1 if q0 == q else q0], gate.origin is not None
 
-    def _retreat(self, col: _Column, side: int,
-                 later: dict[int, tuple[float, int]]) -> bool:
-        """Clear the way for the columns processed after this one, at the
-        legal spot nearest where the open phase found the column, by
-        `later` (`_plan_retreats`). Two spots compete: the opposite cache's
-        free slot nearest compute that still leaves a free slot on its
-        compute side for each later live column, and memory under the
+    def _retreat(self, col: _Column) -> bool:
+        """Clear the way for the columns processed after this one in the
+        layer, at the legal spot nearest where the open phase found the
+        column, by the layer's side and `plan.later` (`_plan_retreats`).
+        Two spots compete: the opposite cache's free slot nearest compute
+        that still leaves a free slot on its compute side for each later
+        live column, and memory under the
         column's found x (inside memory's margin), legal only when every
         placement a later column could want lies beyond it. If neither is
         legal, the column tucks in beside the blocking column and drops
@@ -1074,8 +1083,9 @@ class Compiler:
         because the layer's travel tie-breaks read this spot and later
         SWAP choices would change (ROADMAP item 1)."""
         mem = self.layout.memory
+        side = self.plan.side
         lo, hi = self._neighbors(col.cid)
-        reach, n_later = later[col.cid]
+        reach, n_later = self.plan.later[col.cid]
         x0 = col.found_x
         spots = []
         # Live columns are x-ordered by cid, so every slot in (lo, hi) is
@@ -1227,7 +1237,7 @@ class Compiler:
         if len(col.atoms) < self.params.max_atoms_per_column:
             for site, s_atom in self._static_atoms():
                 s = self.qubit_of[s_atom]
-                if s in self.frontier.lock or s_atom in self.busy:
+                if s in self.frontier.lock or s_atom in self.plan.busy:
                     continue
                 if not self._next_partner_static(s):
                     continue  # no CZ left, or a mobile partner: no help
@@ -1287,8 +1297,9 @@ class Compiler:
                 self._isolation_layer(mobile, static, gate)
                 return
         gates = self.circuit.gates
-        for i in sorted(self.frontier.executable_czs(),
-                        key=lambda i: self.first_cz[frozenset(gates[i].qubits)]):
+        ready = [i for i in self.frontier.pending_czs(len(gates))
+                 if self.frontier.executable_cz(*gates[i].qubits)]
+        for i in sorted(ready, key=lambda i: self.first_cz[frozenset(gates[i].qubits)]):
             q1, q2 = gates[i].qubits
             a1, a2 = self.atom_of[q1], self.atom_of[q2]
             s1, s2 = self.atom_site[a1] is not None, self.atom_site[a2] is not None
@@ -1313,19 +1324,19 @@ class Compiler:
 
     def _isolation_layer(self, active_atom: int, partner_atom: int,
                          gate: Gate) -> None:
-        """One CZ layer with a single column placed and all others parked."""
+        """One CZ layer with a single column placed and all others parked;
+        its record (`Compiler.plan`) has no columns."""
         self.layer += 1
-        self.busy.clear()
+        self.plan = _LayerPlan([], self.direction, {}, {},
+                               [atom for _, atom in self._static_atoms()])
         col = self._column_of(active_atom)
         self._park_others(col)
-        self._reset_obstacles()
         x = self.atom_x[partner_atom] + INTERACTION_OFFSET
         if not self._try_place(col, partner_atom, x):
             raise SchedulerError("isolation placement failed")
-        staged: list[CzEntry] = []
         self._settle(col, x, {active_atom: self.atom_y[partner_atom]})
-        self._stage(gate, active_atom, partner_atom, staged)
-        self._fire(staged)
+        self._stage(gate, active_atom, partner_atom)
+        self._fire()
 
     def _park_others(self, col: _Column) -> None:
         """Park every nonempty column but `col` out of its way, within the

@@ -948,6 +948,37 @@ def test_inserted_swaps_run_one_step_per_layer(corpus_results,
     assert not bad, bad[:3]
 
 
+def test_swap_step_8_runs_in_the_first_u3_layer_after_step_7(
+        corpus_results, forced_guard_results):
+    """In the events the compiler emits, every inserted SWAP's step 8 runs
+    in the first U3 layer after the illumination of its step 7, so it is
+    done before the next CZ layer plans. Exchanging the mapping at step 7
+    in `Frontier.advance` and `Compiler._complete_swap` therefore could
+    not let qubit b's next CZ be planned any earlier (ROADMAP item 19).
+    The forced-guard set also runs step 7 in the guard's isolation
+    layers."""
+    bad = []
+    count = 0
+    for circ, technique, grid_kind, *_, compiler, emitted in (
+            corpus_results + forced_guard_results):
+        fired: set[int] = set()  # SWAPs whose step 7 fired, step 8 not yet
+        for ev in emitted:
+            if isinstance(ev, Illumination):
+                fired |= {p.origin[0] for p in ev.pairs
+                          if p.origin is not None and p.origin[1] == 7}
+            elif isinstance(ev, U3LayerEvent) and fired:
+                ran = {g.origin[0] for g in ev.gates
+                       if g.origin is not None and g.origin[1] == 8}
+                bad += [(circ.source_name, technique, grid_kind, sid)
+                        for sid in sorted(fired - ran)]
+                count += len(fired & ran)
+                fired = set()
+        assert not fired
+    assert count == sum(r[-2].swap_count for r in corpus_results
+                        + forced_guard_results) > 0
+    assert not bad, bad[:3]
+
+
 def test_every_moving_layer_illuminates_or_changes_traps(
         corpus_results, forced_guard_results, qasm_results):
     """A layer that holds a column move also holds an illumination, a trap

@@ -437,11 +437,18 @@ def test_frontier_swap_step_order_enforced():
 
 
 def test_frontier_matches_brute_force():
-    """Executability equals 'all earlier gates touching the operands done'."""
+    """Executability equals 'all earlier gates touching the operands done',
+    and `done()` equals 'every cursor at its end and no lock' after every
+    step, a SWAP begun after the last gate included."""
     rng = random.Random(99)
     for _ in range(20):
         circ = random_circuit(rng, rng.randint(2, 8), rng.randint(10, 200))
         f = Frontier(circ)
+
+        def brute_done():
+            return (all(f.next_gate(q) == END for q in range(circ.num_qubits))
+                    and not f.lock)
+
         done = [False] * len(circ.gates)
         order = list(range(len(circ.gates)))
         rng.shuffle(order)
@@ -468,7 +475,13 @@ def test_frontier_matches_brute_force():
                     f.advance(g)
                     done[i] = True
                     progressed = True
+                    assert f.done() == brute_done() == all(done)
         assert all(done)
+        f.begin_swap(0, 0, 1)
+        for g in decompose_swap(0, 1, swap_id=0):
+            assert f.done() is brute_done() is False
+            f.advance(g)
+        assert f.done() is brute_done() is True
 
 
 def test_frontier_executable_u3s_matches_per_qubit_test():

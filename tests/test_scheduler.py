@@ -482,17 +482,17 @@ def test_same_column_pair_kept_from_every_site_by_a_later_column_waits():
     compiler = _loaded(circ, 2)
     (col,) = compiler.columns
     compiler._relocate_all(RIGHT)
-    compiler._reset_obstacles()
     first_x = min(compiler.grid.sites[s][0] for s in compiler.clear_sites)
-    staged = []
-    plan = compiler._plan_layer([col], RIGHT)
-    assert plan.placements == {}
-    assert compiler._find_action(col, staged, None, None,
-                                 {col.cid: (first_x, 1)}, plan) == "idle"
-    assert compiler.swap_count == 0 and staged == []
-    assert compiler._find_action(col, staged, None, None,
-                                 {col.cid: (math.inf, 0)}, plan) == "placed"
-    assert [p.qubits for p in staged] == [(0, 2)]
+    plan = compiler.plan = compiler._plan_layer()
+    assert plan.order == [col] and plan.placements == {}
+    plan.later = {col.cid: (first_x, 1)}
+    assert compiler._find_action(col, None, None) is False
+    assert compiler.swap_count == 0 and plan.staged == []
+    assert col.cid not in plan.standing
+    plan.later = {col.cid: (math.inf, 0)}
+    assert compiler._find_action(col, None, None) is True
+    assert col.cid in plan.standing
+    assert [p.qubits for p in plan.staged] == [(0, 2)]
 
 
 @pytest.mark.parametrize("by_row", [True, False])
@@ -634,7 +634,7 @@ def test_conflict_with_the_previous_column_waits_even_if_it_did_not_place(
     for g in circ.gates[:len(_BOUND_LOAD)]:
         compiler.frontier.advance(g)
     assert compiler.direction == RIGHT
-    assert list(compiler._plan_layer(compiler.columns, RIGHT).placements) == [0]
+    assert list(compiler._plan_layer().placements) == [0]
     compiler._cz_layer()
     (illum,) = [e for e in compiler.events if isinstance(e, Illumination)]
     assert [p.qubits for p in illum.pairs] == [(6, 23)]
@@ -657,7 +657,7 @@ def test_layer_plan_places_both_columns_where_greedy_blocks_the_second():
     for g in circ.gates[:len(_BOUND_LOAD)]:
         compiler.frontier.advance(g)
     assert compiler.atom_x[23] == 265.0 and compiler.atom_x[1] == 100.0
-    plan = compiler._plan_layer(compiler.columns, RIGHT)
+    plan = compiler._plan_layer()
     assert {cid: atom for cid, (_, atom, _, _) in plan.placements.items()} == {
         0: 0, 1: 8}
     compiler._cz_layer()
@@ -705,7 +705,7 @@ def test_left_side_placement_refused_next_to_an_occupied_site():
     px, py = compiler.atom_x[3], compiler.atom_y[3]
     compiler.atom_site[1] = grid.sites.index((px - 10.0, py))
     compiler.atom_x[1], compiler.atom_y[1] = px - 10.0, py
-    compiler._reset_obstacles()
+    compiler.plan = compiler._plan_layer()
     assert not compiler._try_place(col, 3, px - INTERACTION_OFFSET)
     assert compiler._try_place(col, 3, px + INTERACTION_OFFSET)
 
@@ -1119,15 +1119,15 @@ class _PairlessCompiler(Compiler):
         real ones, one on each free clear site."""
         occupied = {site for site, _ in self._static_atoms()}
         free = [self.grid.sites[s] for s in self.clear_sites if s not in occupied]
-        real = self.obstacles, self.atom_x, self.atom_y
+        real = self.plan.obstacles, self.atom_x, self.atom_y
         n = len(self.atom_x)
-        self.obstacles = real[0] + list(range(n, n + len(free)))
+        self.plan.obstacles = real[0] + list(range(n, n + len(free)))
         self.atom_x = real[1] + [x for x, _ in free]
         self.atom_y = real[2] + [y for _, y in free]
         try:
             return plan(*args)
         finally:
-            self.obstacles, self.atom_x, self.atom_y = real
+            self.plan.obstacles, self.atom_x, self.atom_y = real
 
     def _pair_site(self, *args):
         return self._crowded(super()._pair_site, *args)
@@ -1182,13 +1182,13 @@ def test_extraction_leaves_no_obstacle_at_the_vacated_site():
     grid = generate_grid("large-square", layout, params)
     compiler = Compiler(circ, "trapchange", grid, layout, params)
     compiler._apply_initialization()
-    compiler._reset_obstacles()
+    compiler.plan = compiler._plan_layer()
     site, atom = compiler._static_atoms()[0]
     sx, sy = grid.sites[site]
     r2 = params.crosstalk_radius ** 2
 
     def site_clear():
-        return kernels.clear_from(compiler.obstacles, compiler.atom_x,
+        return kernels.clear_from(compiler.plan.obstacles, compiler.atom_x,
                                   compiler.atom_y, sx, sy, r2)
 
     assert not site_clear()
@@ -1300,8 +1300,10 @@ def test_retreat_fallback_tucks_beside_blocker():
     col1.x = col1.found_x = 105.0
     for a in col1.atoms:
         compiler.atom_x[a] = 105.0
-    later = compiler._plan_retreats(compiler._plan_layer([col1, col0], LEFT))
-    assert compiler._retreat(col0, LEFT, later)
+    compiler.direction = LEFT
+    compiler.plan = compiler._plan_layer()
+    assert compiler.plan.order[-2:] == [col1, col0]
+    assert compiler._retreat(col0)
     moves = _flushed_moves(compiler)
     assert len(moves) == 1, "a move must be emitted"
     to_x, atoms = moves[0].to_x, moves[0].atoms
@@ -1333,9 +1335,9 @@ def test_onecache_retreat_tucks_in_at_memory_edge():
     compiler._apply_initialization()
     assert compiler.cache_slots[LEFT] == []
     col0 = compiler.columns[0]
-    later = compiler._plan_retreats(compiler._plan_layer(compiler.columns, RIGHT))
+    compiler.plan = compiler._plan_layer()
     from_x = col0.x
-    assert compiler._retreat(col0, RIGHT, later)
+    assert compiler._retreat(col0)
     moves = _flushed_moves(compiler)
     assert len(moves) == 1
     m = moves[0]
@@ -1386,10 +1388,12 @@ def _retreat_in_order(compiler, side):
     order = list(compiler.columns)
     if side == LEFT:
         order.reverse()
-    later = compiler._plan_retreats(compiler._plan_layer(order, side))
+    compiler.direction = side
+    compiler.plan = compiler._plan_layer()
+    assert compiler.plan.order == order
     compiler._relocate_all(side)
     for col in order:
-        assert compiler._retreat(col, side, later)
+        assert compiler._retreat(col)
     compiler._flush_moves()
     return [c.x for c in compiler.columns]
 
@@ -1441,10 +1445,10 @@ def test_memory_parking_refused_past_a_later_columns_target(start_x,
     col0.x = col0.found_x = start_x
     for a in col0.atoms:
         compiler.atom_x[a] = start_x
-    later = compiler._plan_retreats(compiler._plan_layer(compiler.columns, RIGHT))
-    assert later[col0.cid][0] == 160.0 + INTERACTION_OFFSET
+    compiler.plan = compiler._plan_layer()
+    assert compiler.plan.later[col0.cid][0] == 160.0 + INTERACTION_OFFSET
     compiler._relocate_all(RIGHT)
-    assert compiler._retreat(col0, RIGHT, later)
+    assert compiler._retreat(col0)
     if parks_in_memory:
         assert col0.x == start_x
         assert [compiler.atom_y[a] for a in col0.atoms] == [

@@ -319,7 +319,7 @@ class _CrowdedFillCompiler(Compiler):
     crosstalk radius, instead of at a clear row."""
 
     def _clear_row(self, x, atom, dx, dy):
-        stood = [self.atom_y[a] for a in self.obstacles if self.atom_x[a] == x]
+        stood = [self.atom_y[a] for a in self.plan.obstacles if self.atom_x[a] == x]
         if not stood:
             return super()._clear_row(x, atom, dx, dy)
         return max(stood) + 5.0
