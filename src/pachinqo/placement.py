@@ -34,10 +34,6 @@ from .machine import (
 from .circuit import Circuit
 from .metrics import movement_phase_time  # noqa: F401  (perfbench/tracing.py wraps this name)
 
-AOD = "aod"
-SLM = "slm"
-
-
 @dataclass
 class Grouping:
     slm_qubits: list[int]
@@ -55,25 +51,27 @@ class _Grouper:
         if site_capacity + aod_capacity < num_qubits:
             raise CapacityError(f"{num_qubits} qubits exceed capacity "
                                 f"{site_capacity}+{aod_capacity}")
-        self.caps = {SLM: site_capacity, AOD: aod_capacity}
-        self.groups: dict[str, list[int]] = {SLM: [], AOD: []}
-        self.of: dict[int, str] = {}
+        # Keyed by mobile: True for the AOD group, False for the SLM one.
+        self.caps = {False: site_capacity, True: aod_capacity}
+        self.groups: dict[bool, list[int]] = {False: [], True: []}
+        self.of: dict[int, bool] = {}
 
-    def place(self, q: int, want: str) -> None:
-        """Put q in `want`, or in the other group when `want` is full;
-        `__init__`'s capacity check leaves room for every qubit."""
-        g = want if len(self.groups[want]) < self.caps[want] else (
-            SLM if want == AOD else AOD)
-        self.groups[g].append(q)
-        self.of[q] = g
+    def place(self, q: int, mobile: bool) -> None:
+        """Put q in the mobile group if `mobile`, else in the static one,
+        or in the other group when that one is full; `__init__`'s capacity
+        check leaves room for every qubit."""
+        if len(self.groups[mobile]) >= self.caps[mobile]:
+            mobile = not mobile
+        self.groups[mobile].append(q)
+        self.of[q] = mobile
 
     def finish(self, num_qubits: int) -> Grouping:
         # Qubits no CZ gate ever touched go mobile first: they never need
         # compute proximity, which keeps SLM sites for interacting qubits.
         for q in range(num_qubits):
             if q not in self.of:
-                self.place(q, AOD)
-        return Grouping(self.groups[SLM], self.groups[AOD])
+                self.place(q, True)
+        return Grouping(self.groups[False], self.groups[True])
 
 
 def needs_swap(u: int | None, v: int | None) -> bool:
@@ -110,12 +108,12 @@ def greedy_maxcut_group(circuit: Circuit, site_capacity: int,
     for a, b in circuit.cz_pairs():
         ga, gb = g.of.get(a), g.of.get(b)
         if ga is None and gb is None:
-            g.place(a, AOD)
-            g.place(b, SLM)
+            g.place(a, True)
+            g.place(b, False)
         elif ga is not None and gb is None:
-            g.place(b, SLM if ga == AOD else AOD)
+            g.place(b, not ga)
         elif gb is not None and ga is None:
-            g.place(a, SLM if gb == AOD else AOD)
+            g.place(a, not gb)
     grouping = g.finish(circuit.num_qubits)
     grouping.aod_qubits = pack_columns(circuit, grouping.aod_qubits, per_column)
     return fill_free_slots(circuit, grouping, aod_capacity, per_column)
@@ -255,9 +253,9 @@ def degree_split_group(circuit: Circuit, site_capacity: int,
     n_aod = min(aod_capacity, math.ceil(circuit.num_qubits / 2))
     g = _Grouper(circuit.num_qubits, site_capacity, aod_capacity)
     for q in order[:n_aod]:
-        g.place(q, AOD)
+        g.place(q, True)
     for q in order[n_aod:]:
-        g.place(q, SLM)
+        g.place(q, False)
     return g.finish(circuit.num_qubits)
 
 

@@ -221,10 +221,6 @@ class SchedulerError(RuntimeError):
     """Internal contract violation; indicates a compiler bug."""
 
 
-def toggle_direction(direction: int) -> int:
-    return -direction
-
-
 def replay_order(moves) -> list[ColumnMove]:
     """One phase's moves in a replay-safe order, without the no-op ones.
 
@@ -679,7 +675,7 @@ class Compiler:
             self._stay()
         self._fire()
         if not (self.one_cache or stuck):
-            self.direction = toggle_direction(self.direction)
+            self.direction = -self.direction
         return executed
 
     def _head_swap(self) -> int:

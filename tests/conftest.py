@@ -6,6 +6,9 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 from pachinqo.machine import PhysParams, build_layout, generate_grid
+from pachinqo.scheduler import Compiler
+
+from corpus import broad_set, scale_set
 
 
 @pytest.fixture(scope="session")
@@ -21,3 +24,25 @@ def default_layout(params):
 @pytest.fixture(scope="session")
 def default_grid(default_layout, params):
     return generate_grid("large-square", default_layout, params)
+
+
+def _schedules(cases, params):
+    """The schedule of each (circuit, technique, grid kind) case."""
+    schedules = []
+    for circ, technique, grid_kind in cases:
+        layout = build_layout(circ.num_qubits, "auto", params, grid_kind)
+        grid = generate_grid(grid_kind, layout, params)
+        schedules.append(Compiler(circ, technique, grid, layout, params).run())
+    return schedules
+
+
+@pytest.fixture(scope="session")
+def broad_set_schedules(params):
+    """The broad set's schedules, compiled once for its records
+    (`tests/test_scheduler.py`) and the digest tool's totals."""
+    return _schedules(broad_set(), params)
+
+
+@pytest.fixture(scope="session")
+def scale_set_schedules(params):
+    return _schedules(scale_set(), params)

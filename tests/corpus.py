@@ -1,10 +1,19 @@
-"""Deterministic random-circuit corpus shared by tests and acceptance."""
+"""The fixed input sets, shared by the tests, `tools/schedule_digests.py`
+and CI: the deterministic random-circuit corpus, the benchmark suite, the
+broad and scale sets, the scale cases CI checks and perfbench's cases.
+Each set but the benchmark suite (circuits, run under every technique
+and grid) is given as (circuit, technique, grid kind) cases, each
+compiled on `build_layout(n, "auto", params, grid kind)`."""
 from __future__ import annotations
 
+import importlib.util
 import math
 import random
+import sys
+from pathlib import Path
 
-from pachinqo.circuit import Circuit, cz, u3
+from pachinqo.circuit import Circuit, cz, decompose_to_basis, u3
+from pachinqo.qasm import parse_qasm
 
 TECHNIQUES = ("pachinqo", "degreesplit", "onecache", "trapchange")
 GRIDS = ("large-square", "small-square", "triangle", "star")
@@ -180,3 +189,65 @@ def random_qasm(rng: random.Random, n: int, n_gates: int) -> str:
                 f"{rng.uniform(-3, 3):.6f}) q[{rng.randrange(n)}];")
     lines.append("measure q -> c;")
     return "\n".join(lines) + "\n"
+
+
+def broad_set() -> list:
+    """25 random circuits of n = 10, 16, 24, 32 and 40 qubits with 10n
+    gates, seeds 1000n + 0..4, each on the next grid in turn, pachinqo."""
+    sizes = [(n, s) for n in (10, 16, 24, 32, 40) for s in range(5)]
+    return [(random_circuit(random.Random(1000 * n + s), n, 10 * n),
+             "pachinqo", GRIDS[i % 4]) for i, (n, s) in enumerate(sizes)]
+
+
+def _scale_case(n: int, seed: int, technique: str = "pachinqo") -> tuple:
+    """`random_circuit(Random(seed), n, 10n)` under `technique` on
+    large-square: the shape of every scale case."""
+    return (random_circuit(random.Random(seed), n, 10 * n), technique,
+            "large-square")
+
+
+def scale_set() -> list:
+    """12 random circuits of n = 60, 100 and 150 qubits with 10n gates,
+    seeds 1-4, pachinqo on large-square."""
+    return [_scale_case(n, s) for n in (60, 100, 150) for s in range(1, 5)]
+
+
+def scale_fixpoint_cases() -> list:
+    """The cases CI holds to a fixpoint: pachinqo at 200 and 400 qubits
+    and trapchange at 200, seed 1, in the scale set's shape."""
+    return [_scale_case(n, 1, technique) for technique, n in
+            (("pachinqo", 200), ("pachinqo", 400), ("trapchange", 200))]
+
+
+def scale_validation_cases() -> list:
+    """The cases CI validates: the scale set, pachinqo at 200 and 400
+    qubits, and degreesplit, onecache and trapchange at 100, seed 1, in
+    the scale set's shape."""
+    return (scale_set() + [_scale_case(n, 1) for n in (200, 400)]
+            + [_scale_case(100, 1, technique)
+               for technique in ("degreesplit", "onecache", "trapchange")])
+
+
+def load_module(name: str, path: Path):
+    """The module at `path`, loaded under `name`."""
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    # A dataclass looks its module up by name while being built.
+    sys.modules[name] = module
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        del sys.modules[name]
+    return module
+
+
+PERFBENCH_WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+
+
+def perfbench_cases(workload: str, seed: int) -> list:
+    """The cases of a perfbench workload at `seed`, each parsed and
+    lowered as `perfbench/pipeline.run_case` does."""
+    workloads = load_module("corpus_perfbench_workloads", PERFBENCH_WORKLOADS)
+    return [(decompose_to_basis(parse_qasm(case.qasm, case.name)),
+             case.technique, case.grid)
+            for case in workloads.make_cases(workload, seed)]

@@ -8,12 +8,10 @@ import copy
 import csv
 import dataclasses
 import hashlib
-import importlib.util
 import json
 import math
 import random
 import statistics
-import sys
 import time
 from pathlib import Path
 from typing import NamedTuple
@@ -31,8 +29,6 @@ from pachinqo.circuit import (
 )
 from pachinqo.cli import CSV_HEADER, main
 from pachinqo.machine import (
-    CapacityError,
-    GeometryError,
     PhysParams,
     SlmGrid,
     ZoneLayout,
@@ -74,6 +70,7 @@ from corpus import (
     benchmark_suite,
     corpus_cases,
     full_sites_extraction,
+    perfbench_cases,
     random_circuit,
     random_qasm,
     staircase,
@@ -82,7 +79,6 @@ from corpus import (
 PARAMS = PhysParams()
 GOLDEN_DIGESTS = Path(__file__).with_name("golden_digests.json")
 ADDER_QASM = Path(__file__).with_name("adder8.qasm")
-PERFBENCH_WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
 
 
 def _report(criterion: int, ok: bool, detail: str) -> None:
@@ -143,18 +139,27 @@ def _emitted(cls, circ, technique, grid, layout):
     return compiler, _copied(compiler.emit())
 
 
+def _compiled(cls, circ, technique, grid_kind):
+    """(schedule, compiler, emitted events) of one case: a `cls` compiler
+    for `circ` on a `grid_kind` grid, a copy of the events it emits, and
+    the schedule `run()` makes of them, which `_passed` and `_timed` leave
+    as they were."""
+    layout = build_layout(circ.num_qubits, "auto", PARAMS, grid_kind)
+    grid = generate_grid(grid_kind, layout, PARAMS)
+    compiler, emitted = _emitted(cls, circ, technique, grid, layout)
+    return (_timed(compiler, _passed(compiler, emitted, False), False),
+            compiler, emitted)
+
+
 def _compile_corpus():
     """(circuit, technique, grid kind, schedule, violations, compiler,
-    emitted events) for every corpus case: the schedule is what `run()`
-    makes of the events, which `_passed` and `_timed` leave as they
-    were."""
+    emitted events) for every corpus case (`_compiled`)."""
     results = []
     for circ, technique, grid_kind in corpus_cases(count=208, seed=2024):
-        layout = build_layout(circ.num_qubits, "auto", PARAMS, grid_kind)
-        grid = generate_grid(grid_kind, layout, PARAMS)
-        compiler, emitted = _emitted(Compiler, circ, technique, grid, layout)
-        sched = _timed(compiler, _passed(compiler, emitted, False), False)
-        violations = validate_schedule(sched, layout, grid, PARAMS, circ)
+        sched, compiler, emitted = _compiled(Compiler, circ, technique,
+                                             grid_kind)
+        violations = validate_schedule(sched, compiler.layout, compiler.grid,
+                                       PARAMS, circ)
         results.append((circ, technique, grid_kind, sched, violations,
                         compiler, emitted))
     return results
@@ -245,13 +250,11 @@ def _compile_forced_guard():
                               name=f"guard{n}q{k}")
         for grid_kind in GRIDS:
             for technique in TECHNIQUES:
-                layout = build_layout(circ.num_qubits, "auto", PARAMS, grid_kind)
-                grid = generate_grid(grid_kind, layout, PARAMS)
-                compiler, emitted = _emitted(_GuardForcingCompiler, circ,
-                                             technique, grid, layout)
-                sched = _timed(compiler, _passed(compiler, emitted, False), False)
-                results.append((circ, technique, grid_kind, sched, layout,
-                                grid, compiler, emitted))
+                sched, compiler, emitted = _compiled(
+                    _GuardForcingCompiler, circ, technique, grid_kind)
+                results.append((circ, technique, grid_kind, sched,
+                                compiler.layout, compiler.grid, compiler,
+                                emitted))
     return results
 
 
@@ -335,10 +338,12 @@ def unmerged_results(corpus_results, forced_guard_results):
 
 def _compile_qasm():
     """(lowered circuit, technique, grid kind, schedule, layout, grid,
-    unfused circuit, unfused schedule) for QASM sources under every
-    technique x grid: three seeded `random_qasm` circuits and a
-    hand-written adder with ccx and swap. The unfused reference keeps
-    every U3 of the fixed expansion."""
+    unfused circuit, emission, unfused emission) for QASM sources under
+    every technique x grid: three seeded `random_qasm` circuits and a
+    hand-written adder with ccx and swap. An emission is a compiler and
+    a copy of the events it emitted (`_emitted`); the schedule is made
+    from the first (`_compiled`). The unfused circuit keeps every U3 of
+    the fixed expansion."""
     rng = random.Random(909)
     sources = [(f"rq{n}", random_qasm(rng, n, n_gates))
                for n, n_gates in ((5, 40), (8, 70), (12, 90))]
@@ -349,10 +354,13 @@ def _compile_qasm():
         fused, unfused = decompose_to_basis(raw), _expand_to_basis(raw)
         for grid_kind in GRIDS:
             for technique in TECHNIQUES:
-                sched, layout, grid = _compile(fused, technique, grid_kind)
-                ref, _, _ = _compile(unfused, technique, grid_kind)
+                sched, compiler, emitted = _compiled(Compiler, fused,
+                                                     technique, grid_kind)
+                layout, grid = compiler.layout, compiler.grid
                 results.append((fused, technique, grid_kind, sched, layout,
-                                grid, unfused, ref))
+                                grid, unfused, (compiler, emitted),
+                                _emitted(Compiler, unfused, technique, grid,
+                                         layout)))
     return results
 
 
@@ -361,12 +369,45 @@ def qasm_results():
     return _compile_qasm()
 
 
-def _schedule_digests(corpus_results, forced_guard_results,
-                      qasm_results) -> dict[str, str]:
+def _compile_suite():
+    """(circuit, technique, grid kind, schedule) for every benchmark-suite
+    circuit under every technique x grid, and the seconds it took."""
+    t0 = time.perf_counter()
+    results = [(circ, technique, grid_kind,
+                _compile(circ, technique, grid_kind)[0])
+               for circ in benchmark_suite() for grid_kind in GRIDS
+               for technique in TECHNIQUES]
+    return results, time.perf_counter() - t0
+
+
+@pytest.fixture(scope="module")
+def suite_results():
+    return _compile_suite()
+
+
+def _compile_perfbench():
+    """Per perfbench workload, (circuit, technique, grid kind, schedule,
+    compiler, emitted events) for each of its cases at seed 1
+    (`_compiled`): the schedules `perfbench/run.py --seed 1` hashes."""
+    return {workload: [(circ, technique, grid_kind,
+                        *_compiled(Compiler, circ, technique, grid_kind))
+                       for circ, technique, grid_kind
+                       in perfbench_cases(workload, 1)]
+            for workload in ("wide", "deep", "sweep")}
+
+
+@pytest.fixture(scope="module")
+def perfbench_results():
+    return _compile_perfbench()
+
+
+def _schedule_digests(corpus_results, forced_guard_results, qasm_results,
+                      suite, perfbench_results) -> dict[str, str]:
     """sha256 of `schedule_to_json` for every corpus case, every
-    benchmark-suite x technique x grid case that compiles, every
-    forced-guard case, the trapchange extraction case, every QASM case
-    (parsed and lowered) and each perfbench workload at seed 1."""
+    benchmark-suite x technique x grid case (`suite`, the cases of
+    `_compile_suite`), every forced-guard case, the trapchange extraction
+    case, every QASM case (parsed and lowered) and each perfbench workload
+    at seed 1."""
     def digest(sched):
         return hashlib.sha256(schedule_to_json(sched).encode()).hexdigest()
 
@@ -382,61 +423,27 @@ def _schedule_digests(corpus_results, forced_guard_results,
     # One mid-circuit SLM->AOD extraction (see test_scheduler.py).
     sched, _, _ = _compile(full_sites_extraction(), "trapchange")
     digests["extract/fullsites/trapchange/large-square"] = digest(sched)
-    for circ in benchmark_suite():
-        for grid_kind in GRIDS:
-            for technique in TECHNIQUES:
-                try:
-                    sched, _, _ = _compile(circ, technique, grid_kind)
-                except (CapacityError, GeometryError):
-                    continue
-                key = f"suite/{circ.source_name}/{technique}/{grid_kind}"
-                digests[key] = digest(sched)
+    digests.update(
+        (f"suite/{circ.source_name}/{technique}/{grid_kind}", digest(sched))
+        for circ, technique, grid_kind, sched in suite)
     # The benchmark's own schedules: what `perfbench/run.py --seed 1`
     # prints per workload, the sha256 of its cases' digests joined.
-    for workload, cases in _perfbench_cases(1).items():
-        parts = [digest(Compiler(circ, technique, grid, layout, PARAMS,
-                                 False).run())
-                 for circ, technique, layout, grid in cases]
+    for workload, cases in perfbench_results.items():
+        parts = [digest(sched) for _, _, _, sched, *_ in cases]
         digests[f"perfbench/{workload}/seed1"] = hashlib.sha256(
             "".join(parts).encode()).hexdigest()
     return digests
 
 
-def _perfbench_cases(seed: int) -> dict[str, list]:
-    """Per perfbench workload, (lowered circuit, technique, layout, grid)
-    of each of its cases at `seed`, set up as `perfbench/pipeline.run_case`
-    sets it up."""
-    spec = importlib.util.spec_from_file_location("perfbench_workloads",
-                                                  PERFBENCH_WORKLOADS)
-    workloads = importlib.util.module_from_spec(spec)
-    # Its dataclass looks its module up by name while being built.
-    sys.modules[spec.name] = workloads
-    try:
-        spec.loader.exec_module(workloads)
-    finally:
-        del sys.modules[spec.name]
-    out = {}
-    for workload in ("wide", "deep", "sweep"):
-        out[workload] = []
-        for case in workloads.make_cases(workload, seed):
-            circ = decompose_to_basis(parse_qasm(case.qasm, case.name))
-            layout = build_layout(circ.num_qubits, "auto", PARAMS, case.grid)
-            grid = generate_grid(case.grid, layout, PARAMS)
-            out[workload].append((circ, case.technique, layout, grid))
-    return out
-
-
-def test_perfbench_rotations_pack_past_swap_step_7():
+def test_perfbench_rotations_pack_past_swap_step_7(perfbench_results):
     """After a SWAP's step 7, qubit b unlocks on wire a's atom, so step 8
     need not close before the next illumination there. Perfbench `wide`
     at seed 1 ran in 135 U3 layers and `deep` in 605 while it had to; the
     packing now needs at most 125 on `wide` and fewer than 605 on `deep`,
     with the SWAPs and trap changes of `wide` unchanged."""
-    cases = _perfbench_cases(1)
     layers = {}
     for workload in ("wide", "deep"):
-        (circ, technique, layout, grid), = cases[workload]
-        sched = Compiler(circ, technique, grid, layout, PARAMS, False).run()
+        (_, _, _, sched, *_), = perfbench_results[workload]
         layers[workload] = sum(isinstance(ev, U3LayerEvent) for ev in sched.events)
         if workload == "wide":
             assert (sched.swap_count, sched.trap_change_count) == (35, 6)
@@ -445,13 +452,14 @@ def test_perfbench_rotations_pack_past_swap_step_7():
 
 
 def test_golden_schedule_digests(corpus_results, forced_guard_results,
-                                qasm_results):
+                                qasm_results, suite_results,
+                                perfbench_results):
     """Schedules stay byte-identical to the recorded ones. Re-record only in
     a change that alters schedules on purpose:
     `PYTHONPATH=src python tests/test_acceptance.py`."""
     golden = json.loads(GOLDEN_DIGESTS.read_text())
     got = _schedule_digests(corpus_results, forced_guard_results,
-                            qasm_results)
+                            qasm_results, suite_results[0], perfbench_results)
     changed = sorted(k for k in golden.keys() | got.keys()
                      if golden.get(k) != got.get(k))
     assert not changed, (f"{len(changed)} of {len(golden)} schedule digests "
@@ -622,7 +630,7 @@ def test_held_columns_match_unheld_reference(unmerged_results):
     assert faster >= {"pachinqo", "degreesplit", "trapchange"}
 
 
-def test_held_columns_reach_a_fixpoint(unmerged_results):
+def test_held_columns_reach_a_fixpoint(unmerged_results, perfbench_results):
     """Running the hold pass once more on its own output changes no move:
     the pass's wait lists retry every candidate a hold could let wait
     nearer. Over the corpus, the forced-guard set and every perfbench
@@ -631,10 +639,8 @@ def test_held_columns_reach_a_fixpoint(unmerged_results):
     moved = [(c.circ.source_name, c.technique, c.grid_kind, c.serial)
              for c in unmerged_results if c.holds_again]
     checked = len(unmerged_results)
-    for workload, cases in _perfbench_cases(1).items():
-        for circ, technique, layout, grid in cases:
-            compiler, emitted = _emitted(Compiler, circ, technique, grid,
-                                         layout)
+    for workload, cases in perfbench_results.items():
+        for circ, technique, _, _, compiler, emitted in cases:
             for serial in (False, True):
                 checked += 1
                 held = _passed(compiler, emitted, serial)
@@ -741,12 +747,10 @@ def test_u3_fusion_removes_only_u3_layers(qasm_results):
     phases apart and hold no column, since fewer U3 layers leave more
     phases to merge and, with one cache, more columns free to hold."""
     fewer = 0
-    for circ, technique, grid_kind, _, layout, grid, unfused, _ in \
+    for circ, technique, grid_kind, _, layout, grid, unfused, *emissions in \
             qasm_results:
         case = (circ.source_name, technique, grid_kind)
-        sched, ref = (_unmerged(*_emitted(Compiler, c, technique, grid,
-                                          layout), False)
-                      for c in (circ, unfused))
+        sched, ref = (_unmerged(*emission, False) for emission in emissions)
         assert _non_u3_events(sched) == _non_u3_events(ref), case
         n_u3, n_ref = (sum(isinstance(ev, U3LayerEvent) for ev in s.events)
                        for s in (sched, ref))
@@ -1130,28 +1134,23 @@ def test_criterion_1_swap_template():
                    f"{dt * 1e3:.0f} ms")
 
 
-def test_criterion_2_trap_change_accounting():
-    t0 = time.perf_counter()
+def test_criterion_2_trap_change_accounting(suite_results):
+    suite, dt = suite_results  # dt: the seconds the suite's compiles took
     checked = 0
     ok = True
     worst = ""
-    for circ in benchmark_suite():
-        for grid_kind in GRIDS:
-            for technique in TECHNIQUES:
-                sched, _, _ = _compile(circ, technique, grid_kind)
-                n_tc_events = sum(1 for e in sched.events
-                                  if isinstance(e, TrapChange))
-                checked += 1
-                if technique == "trapchange":
-                    good = sched.trap_change_count >= 6
-                else:
-                    good = (sched.trap_change_count == 6 == n_tc_events)
-                if not good:
-                    ok = False
-                    worst = (f" first failure: {circ.source_name}/"
-                             f"{technique}/{grid_kind} -> "
-                             f"{sched.trap_change_count}")
-    dt = time.perf_counter() - t0
+    for circ, technique, grid_kind, sched in suite:
+        n_tc_events = sum(1 for e in sched.events if isinstance(e, TrapChange))
+        checked += 1
+        if technique == "trapchange":
+            good = sched.trap_change_count >= 6
+        else:
+            good = (sched.trap_change_count == 6 == n_tc_events)
+        if not good:
+            ok = False
+            worst = (f" first failure: {circ.source_name}/"
+                     f"{technique}/{grid_kind} -> "
+                     f"{sched.trap_change_count}")
     ok = ok and dt < 10.0
     _report(2, ok, f"6 serial trap changes across {checked} "
                    f"benchmark compiles ({dt:.1f} s){worst}")
@@ -1343,7 +1342,8 @@ def test_criterion_11_determinism(tmp_path):
 if __name__ == "__main__":
     old = json.loads(GOLDEN_DIGESTS.read_text()) if GOLDEN_DIGESTS.exists() else {}
     new = _schedule_digests(_compile_corpus(), _compile_forced_guard(),
-                            _compile_qasm())
+                            _compile_qasm(), _compile_suite()[0],
+                            _compile_perfbench())
     GOLDEN_DIGESTS.write_text(json.dumps(new, indent=1, sort_keys=True) + "\n")
     changed = sum(1 for k in new.keys() & old.keys() if new[k] != old[k])
     print(f"{len(new)} digests: {changed} changed, "

@@ -1,15 +1,13 @@
 """`tools/code_lines.py` counts the lines that hold code."""
-import importlib.util
 from pathlib import Path
+
+from corpus import load_module
 
 CODE_LINES = Path(__file__).resolve().parents[1] / "tools" / "code_lines.py"
 
 
 def _code_lines(source: str) -> int:
-    spec = importlib.util.spec_from_file_location("code_lines", CODE_LINES)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module.code_lines(source)
+    return load_module("code_lines", CODE_LINES).code_lines(source)
 
 
 def test_code_lines_skip_comments_docstrings_and_blank_lines():

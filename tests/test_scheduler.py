@@ -33,7 +33,7 @@ from pachinqo.schedule import (
     schedule_to_json,
 )
 from pachinqo.postpass import compose, hold_columns, pack_rotations
-from pachinqo.scheduler import Compiler, retime, toggle_direction, LEFT, RIGHT
+from pachinqo.scheduler import Compiler, retime, LEFT, RIGHT
 from pachinqo.verifier import equivalence_check, validate_schedule
 
 from corpus import (
@@ -51,11 +51,6 @@ def _compile(circ, technique="pachinqo", grid_kind="large-square", params=None,
     grid = generate_grid(grid_kind, layout, params)
     sched = Compiler(circ, technique, grid, layout, params, serial).run()
     return sched, layout, grid, params
-
-
-def test_toggle_direction():
-    assert toggle_direction(RIGHT) == LEFT
-    assert toggle_direction(LEFT) == RIGHT
 
 
 def test_single_cz_schedule_shape(params):
@@ -914,29 +909,25 @@ def test_head_static_pair_made_mobile_by_a_layer_swap_is_not_forced():
     assert compiler.swap_count == 1
 
 
-# Pachinqo's total SWAPs and illuminations over the broad set below when
+# Pachinqo's total SWAPs and illuminations over the broad set when
 # the bounds were last recorded. A change to SWAP insertion or to layer
 # planning may lower them; one that raises either fails here.
 BROAD_SET_SWAPS = 290
 BROAD_SET_ILLUMINATIONS = 2396
 
 
-def test_broad_set_swap_total_stays_within_its_record():
-    """25 random circuits of n = 10, 16, 24, 32 and 40 qubits with 10n
-    gates, seeds 1000n + 0..4, each on the next grid in turn, compiled
-    without validation; their SWAPs and illuminations are counted."""
-    swaps = illuminations = 0
-    for i, (n, s) in enumerate((n, s) for n in (10, 16, 24, 32, 40)
-                               for s in range(5)):
-        circ = random_circuit(random.Random(1000 * n + s), n, 10 * n)
-        sched = _compile(circ, grid_kind=GRIDS[i % 4])[0]
-        swaps += sched.swap_count
-        illuminations += sum(isinstance(ev, Illumination) for ev in sched.events)
+def test_broad_set_swap_total_stays_within_its_record(broad_set_schedules):
+    """The broad set (`corpus.broad_set`: 25 random circuits of 10-40
+    qubits on the four grids), compiled without validation; its SWAPs
+    and illuminations are counted."""
+    swaps = sum(sched.swap_count for sched in broad_set_schedules)
+    illuminations = sum(isinstance(ev, Illumination)
+                        for sched in broad_set_schedules for ev in sched.events)
     assert swaps <= BROAD_SET_SWAPS
     assert illuminations <= BROAD_SET_ILLUMINATIONS
 
 
-# Pachinqo's totals over the scale set below when the records were last
+# Pachinqo's totals over the scale set when the records were last
 # set. A change to SWAP insertion, layer planning or packing may lower
 # them; one that raises any fails here. The set is validated in CI, not
 # here, to keep this suite's time.
@@ -946,21 +937,17 @@ SCALE_SET_RUNTIME_US = 27917.4
 SCALE_SET_NEG_LOG10_ESP = 53.353
 
 
-def test_scale_set_totals_stay_within_their_records():
-    """12 random circuits of n = 60, 100 and 150 qubits with 10n gates,
-    seeds 1-4, on large-square, compiled without validation, so that gains
+def test_scale_set_totals_stay_within_their_records(scale_set_schedules,
+                                                    params):
+    """The scale set (`corpus.scale_set`: 12 random circuits of 60-150
+    qubits on large-square), compiled without validation, so that gains
     at 10-40 qubits cannot hide losses at scale."""
-    swaps = illuminations = 0
-    runtime = neg_log10_esp = 0.0
-    for n in (60, 100, 150):
-        for s in range(1, 5):
-            sched, _, _, params = _compile(
-                random_circuit(random.Random(s), n, 10 * n))
-            swaps += sched.swap_count
-            illuminations += sum(isinstance(ev, Illumination)
-                                 for ev in sched.events)
-            runtime += sched.end_time
-            neg_log10_esp -= math.log10(esp(sched, params))
+    swaps = sum(sched.swap_count for sched in scale_set_schedules)
+    illuminations = sum(isinstance(ev, Illumination)
+                        for sched in scale_set_schedules for ev in sched.events)
+    runtime = sum(sched.end_time for sched in scale_set_schedules)
+    neg_log10_esp = -sum(math.log10(esp(sched, params))
+                         for sched in scale_set_schedules)
     assert swaps <= SCALE_SET_SWAPS
     assert illuminations <= SCALE_SET_ILLUMINATIONS
     assert runtime <= SCALE_SET_RUNTIME_US
