@@ -17,7 +17,7 @@ from .placement import degree_split_group, greedy_maxcut_group
 from .qasm import QasmError, parse_qasm
 from .schedule import Schedule, schedule_from_json, schedule_to_json
 from .scheduler import TECHNIQUES, compile_circuit
-from .verifier import equivalence_check, statevector_oracle, validate_schedule
+from .verifier import equivalence_check, validate_schedule
 
 __version__ = "0.1.0"
 
@@ -47,6 +47,5 @@ __all__ = [
     "parse_qasm",
     "schedule_from_json",
     "schedule_to_json",
-    "statevector_oracle",
     "validate_schedule",
 ]

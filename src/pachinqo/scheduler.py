@@ -268,7 +268,7 @@ def retime(events: list, params: PhysParams, serial: bool) -> list:
     return out
 
 
-@dataclass
+@dataclass(eq=False)
 class _Column:
     cid: int
     x: float
@@ -357,7 +357,8 @@ class Compiler:
         self.atom_site: list[int | None] = [None] * n
         self.qubit_of = list(range(n))
         self.atom_of = list(range(n))
-        # Indexed by cid, which is also left-to-right order.
+        # The live columns, those that hold atoms, in cid order, which is
+        # also left-to-right order.
         self.columns: list[_Column] = []
         self.next_cid = len(self.placement.ferries) + len(self.placement.columns)
 
@@ -515,18 +516,11 @@ class Compiler:
         return {**{a: hang_y(self.layout, self.params, j)
                    for j, a in enumerate(others)}, **fixed}
 
-    def _neighbors(self, cid: int) -> tuple[float, float]:
-        """Current x of the nearest nonempty columns either side of cid."""
-        lo = -math.inf
-        for c in reversed(self.columns[:cid]):
-            if c.atoms:
-                lo = c.x
-                break
-        hi = math.inf
-        for c in self.columns[cid + 1:]:
-            if c.atoms:
-                hi = c.x
-                break
+    def _neighbors(self, col: _Column) -> tuple[float, float]:
+        """Current x of the live columns either side of `col`."""
+        k = self.columns.index(col)
+        lo = self.columns[k - 1].x if k else -math.inf
+        hi = self.columns[k + 1].x if k + 1 < len(self.columns) else math.inf
         return lo, hi
 
     # ------------------------------------------------------------------
@@ -624,15 +618,14 @@ class Compiler:
             self._move_column(col, x, self._parked_ys(col, zone))
 
     def _relocate_all(self, side: int) -> None:
-        """Move every nonempty column, within the open phase, to the `side`
-        cache parking slots next to compute. With one cache, no column
-        ever empties, so `_relocate_all(RIGHT)` puts every column on its
-        home slot."""
-        live = [c for c in self.columns if c.atoms]
+        """Move every column, within the open phase, to the `side` cache
+        parking slots next to compute. With one cache, no column ever
+        empties, so `_relocate_all(RIGHT)` puts every column on its home
+        slot."""
         slots = self.cache_slots[side]
         if side == LEFT:  # the slots next to compute
-            slots = slots[len(slots) - len(live):]
-        self._park(live, self._cache(side), slots)
+            slots = slots[len(slots) - len(self.columns):]
+        self._park(self.columns, self._cache(side), slots)
 
     def _cz_layer(self) -> int:
         """Run one CZ layer from `self.direction`'s cache: plan it
@@ -794,9 +787,7 @@ class Compiler:
         increasing subsequence over the candidates, columns in order and
         atoms in slot order."""
         side = self.direction
-        order = [c for c in self.columns if c.atoms]
-        if side == LEFT:
-            order.reverse()
+        order = self.columns[::side]  # LEFT reverses the cid order
         targets: dict[int, tuple[Gate, int, bool] | None] = {}
         # Per candidate: side * x, its chain's rank (-placements, travel),
         # the index of the chain's previous candidate or -1, and its
@@ -896,7 +887,7 @@ class Compiler:
     def _try_place(self, col: _Column, partner_atom: int, x: float) -> bool:
         """Whether `col` can place at x level with `partner_atom`: between its
         neighbours and clear of every obstacle but the partner."""
-        lo, hi = self._neighbors(col.cid)
+        lo, hi = self._neighbors(col)
         return lo < x < hi and kernels.clear_from_except(
             self.plan.obstacles, self.atom_x, self.atom_y, x,
             self.atom_y[partner_atom], self.params.crosstalk_radius ** 2, partner_atom)
@@ -944,7 +935,7 @@ class Compiler:
             return None
         # Between the columns' outer neighbours and short of every x a
         # later column wants (`later`, as `_retreat` obeys).
-        lo, hi = self._neighbors(cols[0].cid)[0], self._neighbors(cols[1].cid)[1]
+        lo, hi = self._neighbors(cols[0])[0], self._neighbors(cols[1])[1]
         reach = self.plan.later[last.cid][0]
         if self.plan.side == RIGHT:
             hi = min(hi, reach)
@@ -976,7 +967,7 @@ class Compiler:
         (`plan.later`), or no row is clear."""
         side = self.plan.side
         x = prev.x + side * INTERACTION_OFFSET
-        lo, hi = self._neighbors(col.cid)
+        lo, hi = self._neighbors(col)
         if (partner_atom in self.plan.busy or not lo < x < hi
                 or side * x >= self.plan.later[col.cid][0]):
             return False
@@ -1030,11 +1021,10 @@ class Compiler:
         SWAP waits for its CZ step wants the nearer x beside that step's
         partner."""
         later = {}
-        reach, live = math.inf, 0
+        reach = math.inf
         side = plan.side
-        for col in reversed(plan.order):
+        for live, col in enumerate(reversed(plan.order)):
             later[col.cid] = reach, live
-            live += bool(col.atoms)
             planned = plan.placements.get(col.cid)
             if planned is not None:
                 reach = min(reach, side * planned[3])
@@ -1080,7 +1070,7 @@ class Compiler:
         SWAP choices would change (ROADMAP item 1)."""
         mem = self.layout.memory
         side = self.plan.side
-        lo, hi = self._neighbors(col.cid)
+        lo, hi = self._neighbors(col)
         reach, n_later = self.plan.later[col.cid]
         x0 = col.found_x
         spots = []
@@ -1124,8 +1114,7 @@ class Compiler:
         """Per qubit, where it stands once its in-flight SWAP ends: None on
         a site, else its column's rank among the live columns in cid
         order, the order `_cz_layer` runs them in."""
-        live = [col for col in self.columns if col.atoms]
-        rank_of = {a: r for r, col in enumerate(live) for a in col.atoms}
+        rank_of = {a: r for r, col in enumerate(self.columns) for a in col.atoms}
         places = []
         for q in range(self.circuit.num_qubits):
             atom = self.atom_of[q]
@@ -1225,7 +1214,7 @@ class Compiler:
         atom extracted from its site into this column's free slot."""
         atom = conflict[0]
         ax, ay = self.atom_x[atom], self.atom_y[atom]
-        lo, hi = self._neighbors(col.cid)
+        lo, hi = self._neighbors(col)
         found = self._free_site((0.0, 0.0), lo, hi, lambda spots: (
             (spots[0][0] - ax) ** 2 + (spots[0][1] - ay) ** 2))
         if found is not None:
@@ -1255,6 +1244,8 @@ class Compiler:
             self._deposit([atom])
             self.atom_site[atom] = site
             col.atoms.remove(atom)
+            if not col.atoms:
+                self.columns.remove(col)
         else:  # extract
             self._pick_up([(col, atom)])
 
@@ -1267,8 +1258,7 @@ class Compiler:
         left of compute; with one cache it bounds how far left a site can
         be serviced.
         """
-        cid = self._column_of(mobile_atom).cid
-        k = sum(1 for c in self.columns[:cid] if c.atoms)
+        k = self.columns.index(self._column_of(mobile_atom))
         lo_after = self.park_slots[k - 1] if k else -math.inf
         return lo_after < self.atom_x[static_atom] + INTERACTION_OFFSET
 
@@ -1335,12 +1325,12 @@ class Compiler:
         self._fire()
 
     def _park_others(self, col: _Column) -> None:
-        """Park every nonempty column but `col` out of its way, within the
-        open phase."""
+        """Park every column but `col` out of its way, within the open
+        phase."""
         # Left of it on the park slots; right of it up to the right cache's
         # far edge.
-        left = [c for c in self.columns[:col.cid] if c.atoms]
-        right = [c for c in self.columns[col.cid + 1:] if c.atoms]
+        k = self.columns.index(col)
+        left, right = self.columns[:k], self.columns[k + 1:]
         slots = self.cache_slots[RIGHT]
         self._park(left, self.park_zone, self.park_slots)
         self._park(right, self.layout.right_cache, slots[len(slots) - len(right):])
@@ -1361,10 +1351,8 @@ class Compiler:
         self._flush_moves()
 
         # TC a: deposit every mobile atom where it is parked.
-        mobile = []
-        for col in self.columns:
-            mobile.extend(col.atoms)
-            col.atoms = []
+        mobile = [a for col in self.columns for a in col.atoms]
+        self.columns = []
         self._deposit_and_measure(mobile)
 
         # TC b: pick the compute atoms up, one ferry column per site

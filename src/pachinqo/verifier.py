@@ -19,22 +19,25 @@ the atoms they held when they joined the SWAP), single measurement per
 atom, the
 qubit each measurement names (the replayed mapping's qubit for that
 atom), and timing: every event starts where the previous one (or move
-phase) ended, lasts what the cost model says, each column moves at most
-once per move phase and each atom rotates at most once per U3 layer (a
-phase or layer is timed as concurrent work, so a second hop or rotation
-would go uncounted), and the schedule's end time
-is the sum of its layer times, so the reported runtime is checked rather
-than only emitted. The reported counts are checked the same way: the
+phase) ended, lasts what the cost model says (a move phase its
+`movement_phase_time`, any other event its kind's `fixed_durations`),
+each column moves at most once per move phase and each atom rotates at
+most once per U3 layer (a phase or layer is timed as concurrent work,
+so a second hop or rotation would go uncounted), and the schedule's end
+time is the sum of its layer times, so the reported runtime is checked
+rather than only emitted. The reported counts are checked the same way: the
 schedule's `swap_count` against the inserted-SWAP ids its events run, and
 its `trap_change_count` against its trap-change events. Zone and order
 checks run at the event that changes
 positions: each pickup and column move zone-checks the atoms it places,
 and column order is checked after each column move and trap change.
 
-The oracle is the independent cross-check for circuits of up to
-EQUIVALENCE_QUBIT_CAP qubits: it runs the circuit and the schedule's
-gates on |0...0> and seeded random product states and compares the
-amplitudes up to one global phase, so a dropped phase-only gate shows.
+The oracle, `equivalence_check`, is the one dense cross-check, for
+circuits of up to EQUIVALENCE_QUBIT_CAP qubits. One gate loop runs the
+circuit's gates in qubit space and the schedule's U3 entries and CZ
+pairs in atom space, whose basis the final mapping then relabels, each
+on |0...0> and seeded random product states; the amplitudes must agree
+up to one global phase, so a dropped phase-only gate shows.
 
 Convention: atom ids equal the qubits initially mapped onto them; the
 mapping then evolves only through inserted SWAPs. A SWAP
@@ -56,9 +59,8 @@ from typing import TYPE_CHECKING
 
 from .circuit import Circuit, decompose_swap
 from .machine import PhysParams, SlmGrid, ZoneLayout
-from .metrics import layer_time, movement_phase_time
+from .metrics import fixed_durations, layer_time, movement_phase_time
 from .schedule import (
-    AOD_TO_SLM,
     SLM_TO_AOD,
     ColumnMove,
     Illumination,
@@ -71,7 +73,6 @@ from .schedule import (
 if TYPE_CHECKING:
     import numpy as np
 
-ORACLE_QUBIT_CAP = 12
 EQUIVALENCE_QUBIT_CAP = 10
 # The oracle compares amplitudes on |0...0> and this many seeded random
 # product states, to this tolerance.
@@ -128,10 +129,7 @@ class _Replay:
         self.phase: list[ColumnMove] = []
         self.phase_columns: set[int] = set()
         self.phase_at = 0
-        self.duration = {TrapChange: params.trap_change_time,
-                         Illumination: params.cz_time,
-                         U3LayerEvent: params.u3_time,
-                         Measure: 0.0}
+        self.duration = fixed_durations(params)
 
     def bad(self, code: str, i: int, msg: str) -> None:
         self.violations.append(Violation(code, i, msg))
@@ -556,48 +554,31 @@ def _apply_cz(state: np.ndarray, a: int, b: int, n: int) -> np.ndarray:
     return state
 
 
-def _run_circuit(circuit: Circuit, state: np.ndarray) -> np.ndarray:
-    n = circuit.num_qubits
-    for g in circuit.gates:
-        if g.kind == "u3":
-            state = _apply_u3(state, g.qubits[0], *g.params, n)
+def _run(state: np.ndarray, gates, n: int) -> np.ndarray:
+    """Apply `gates`, each (wires, angles), to an n-qubit state or batch
+    in order: a U3 on one wire, a CZ on two."""
+    for wires, angles in gates:
+        if len(wires) == 1:
+            state = _apply_u3(state, wires[0], *angles, n)
         else:
-            state = _apply_cz(state, g.qubits[0], g.qubits[1], n)
+            state = _apply_cz(state, *wires, n)
     return state
-
-
-def statevector_oracle(circuit: Circuit, initial: int = 0) -> np.ndarray:
-    """Exact output distribution of a basis circuit from a basis state.
-
-    Returns a 2**n probability vector indexed little-endian (qubit 0 is
-    the least significant bit).
-    """
-    import numpy as np
-
-    n = circuit.num_qubits
-    if n > ORACLE_QUBIT_CAP:
-        raise ValueError(f"oracle capped at {ORACLE_QUBIT_CAP} qubits, got {n}")
-    if not circuit.is_basis():
-        raise ValueError("oracle requires a basis circuit")
-    state = np.zeros(2**n, dtype=complex)
-    state[initial] = 1.0
-    return np.abs(_run_circuit(circuit, state)) ** 2
 
 
 def _executed(schedule: Schedule, state: np.ndarray,
               num_qubits: int) -> np.ndarray:
-    """Run the schedule's gates on `state` in atom space (atom a starts
-    holding qubit a), then relabel the basis through the final
-    qubit-to-atom permutation, so that bit q is qubit q again."""
+    """Run the schedule's U3 entries and CZ pairs on `state` in atom space
+    (atom a starts holding qubit a), then relabel the basis through the
+    final qubit-to-atom permutation, so that bit q is qubit q again."""
     import numpy as np
 
+    gates = []
     for ev in schedule.events:
         if isinstance(ev, U3LayerEvent):
-            for g in ev.gates:
-                state = _apply_u3(state, g.atom, *g.angles, num_qubits)
+            gates += [((g.atom,), g.angles) for g in ev.gates]
         elif isinstance(ev, Illumination):
-            for p in ev.pairs:
-                state = _apply_cz(state, p.atoms[0], p.atoms[1], num_qubits)
+            gates += [(p.atoms, ()) for p in ev.pairs]
+    state = _run(state, gates, num_qubits)
     mapping = schedule.final_mapping
     ks = np.arange(2**num_qubits)
     js = np.zeros_like(ks)
@@ -606,16 +587,6 @@ def _executed(schedule: Schedule, state: np.ndarray,
     out = np.empty_like(state)
     out[js] = state
     return out
-
-
-def executed_distribution(schedule: Schedule, num_qubits: int) -> np.ndarray:
-    """Simulate the executed gate sequence from |0...0> and return the
-    outcome distribution over qubit bitstrings."""
-    import numpy as np
-
-    state = np.zeros(2**num_qubits, dtype=complex)
-    state[0] = 1.0
-    return np.abs(_executed(schedule, state, num_qubits)) ** 2
 
 
 def _input_states(n: int) -> np.ndarray:
@@ -652,7 +623,7 @@ def equivalence_check(schedule: Schedule, circuit: Circuit
             f"equivalence check capped at {EQUIVALENCE_QUBIT_CAP} qubits"
         )
     states = _input_states(n)
-    ref = _run_circuit(circuit, states.copy())
+    ref = _run(states.copy(), [(g.qubits, g.params) for g in circuit.gates], n)
     got = _executed(schedule, states, n)
     overlap = np.vdot(ref, got)
     phase = overlap / abs(overlap) if abs(overlap) > 0 else 1.0

@@ -904,10 +904,10 @@ def test_forced_guard_schedules_validate(forced_guard_results):
             forced_guard_results:
         isolation[technique] += compiler.isolation_layers
         violations = validate_schedule(sched, layout, grid, PARAMS, circ)
-        equal, tvd = (equivalence_check(sched, circ)
+        equal, err = (equivalence_check(sched, circ)
                       if circ.num_qubits <= EQUIVALENCE_QUBIT_CAP else (True, 0.0))
         if violations or not equal:
-            bad.append((circ.source_name, technique, grid_kind, tvd))
+            bad.append((circ.source_name, technique, grid_kind, err))
     assert len(forced_guard_results) == 144
     assert not bad, bad
     assert all(isolation.values()), isolation

@@ -63,8 +63,8 @@ from pachinqo import compile_circuit, equivalence_check
 
 assert "numpy" not in sys.modules
 circuit = random_circuit(random.Random(3), 5, 40)
-equal, tvd = equivalence_check(compile_circuit(circuit), circuit)
-assert equal, tvd
+equal, err = equivalence_check(compile_circuit(circuit), circuit)
+assert equal, err
 assert "numpy" in sys.modules
 print("ok")
 """
