@@ -1,8 +1,9 @@
 """Command-line entry point: compile one QASM file or sweep a directory.
 
 Single compile writes the schedule and metrics report as JSON; suite mode
-writes one CSV row per (circuit, technique, grid). Exit codes: 1 parse,
-usage or write error (an output path that cannot be written), 2
+writes one CSV row per (circuit, technique, grid). Exit codes: 0 success
+or --help, 1 parse, usage (argparse's own usage errors included) or write
+error (an output path that cannot be written), 2
 capacity/geometry error, 3 validation failure, 4 compile error (the
 scheduler raised SchedulerError). In suite mode a file that fails to parse
 or compile gets an error row instead, and so, with --validate, does a
@@ -69,16 +70,27 @@ def _opened_all(*paths: str):
         yield handles
 
 
+def _names(known):
+    """An argparse type: a comma list whose every name is one of `known`."""
+    def parse(text: str) -> list[str]:
+        names = text.split(",")
+        unknown = [n for n in names if n not in known]
+        if unknown:
+            raise argparse.ArgumentTypeError(
+                f"unknown {', '.join(map(repr, unknown))} (choose from "
+                f"{', '.join(known)})")
+        return names
+    return parse
+
+
 def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="pachinqo",
         description="Compile QASM circuits onto a zoned Rydberg atom array.",
     )
     p.add_argument("--input", help="QASM 2.0 file to compile")
-    p.add_argument("--technique", default="pachinqo",
-                   help=f"one of {', '.join(TECHNIQUES)}")
-    p.add_argument("--grid", default="large-square",
-                   help=f"one of {', '.join(GRID_KINDS)}")
+    p.add_argument("--technique", default="pachinqo", choices=TECHNIQUES)
+    p.add_argument("--grid", default="large-square", choices=GRID_KINDS)
     p.add_argument("--params",
                    default=os.environ.get("PACHINQO_PARAMS") or None,
                    help="JSON parameter file (default: $PACHINQO_PARAMS)")
@@ -88,9 +100,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-report", default="report.json")
     p.add_argument("--suite-dir", help="directory of QASM files to sweep")
     p.add_argument("--out-csv", default="suite.csv")
-    p.add_argument("--techniques",
+    p.add_argument("--techniques", type=_names(TECHNIQUES),
                    help="comma list for suite mode (default: all)")
-    p.add_argument("--grids",
+    p.add_argument("--grids", type=_names(GRID_KINDS),
                    help="comma list for suite mode (default: --grid)")
     p.add_argument("--validate", action="store_true",
                    help="run the schedule validator (and the equivalence "
@@ -173,17 +185,8 @@ def run_compile(args) -> int:
 def run_suite(args) -> int:
     params, file_scale = load_params(args.params)
     scale = args.scale if args.scale != "auto" else (file_scale or "auto")
-    techniques = (args.techniques.split(",") if args.techniques
-                  else list(TECHNIQUES))
-    grids = args.grids.split(",") if args.grids else [args.grid]
-    for t in techniques:
-        if t not in TECHNIQUES:
-            print(f"unknown technique {t!r}", file=sys.stderr)
-            return EXIT_PARSE
-    for g in grids:
-        if g not in GRID_KINDS:
-            print(f"unknown grid {g!r}", file=sys.stderr)
-            return EXIT_PARSE
+    techniques = args.techniques or list(TECHNIQUES)
+    grids = args.grids or [args.grid]
     files = sorted(Path(args.suite_dir).glob("*.qasm"))
     if not files:
         print(f"no .qasm files in {args.suite_dir}", file=sys.stderr)
@@ -229,15 +232,12 @@ def run_suite(args) -> int:
 
 def main(argv=None) -> int:
     parser = _build_parser()
-    args = parser.parse_args(argv)
-    if args.technique not in TECHNIQUES:
-        parser.print_usage(sys.stderr)
-        print(f"unknown technique {args.technique!r}", file=sys.stderr)
-        return EXIT_PARSE
-    if args.grid not in GRID_KINDS:
-        parser.print_usage(sys.stderr)
-        print(f"unknown grid {args.grid!r}", file=sys.stderr)
-        return EXIT_PARSE
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as e:
+        # argparse exits 0 after --help and 2, the capacity code here, on a
+        # usage error it has already printed with the usage line.
+        return EXIT_OK if e.code == 0 else EXIT_PARSE
     try:
         if args.suite_dir:
             return run_suite(args)

@@ -16,7 +16,8 @@ import math
 from dataclasses import asdict, dataclass
 
 from .machine import PhysParams
-from .schedule import ColumnMove, Illumination, Measure, Schedule, TrapChange, U3LayerEvent
+from .schedule import (ColumnMove, Illumination, Measure, Schedule, TrapChange,
+                       U3LayerEvent, phases)
 
 _US_PER_S = 1e6
 
@@ -41,14 +42,11 @@ def move_duration(dx: float, dys: list[float], params: PhysParams) -> float:
     return (abs(dx) + max(map(abs, dys), default=0.0)) / params.aod_speed
 
 
-def movement_phase_time(
-    moves: list[tuple[int, float, float, list[tuple[int, float, float]]]],
-    params: PhysParams,
-    serial: bool = False,
-) -> float:
+def movement_phase_time(moves: list[ColumnMove], params: PhysParams,
+                        serial: bool = False) -> float:
     """Duration of one phase of column moves (concurrent max or serial sum)."""
-    durs = [move_duration(tx - fx, [ty - fy for _, fy, ty in atoms], params)
-            for _, fx, tx, atoms in moves]
+    durs = [move_duration(m.to_x - m.from_x, [ty - fy for _, fy, ty in m.atoms],
+                          params) for m in moves]
     return sum(durs, 0.0) if serial else max(durs, default=0.0)
 
 
@@ -63,28 +61,17 @@ def fixed_durations(params: PhysParams) -> dict[type, float]:
 def runtime_breakdown(events: list, params: PhysParams,
                       serial: bool = False) -> dict[str, float]:
     """Modelled time of `events` in us by kind: movement, trap_change, u3
-    and cz (measures take none), each kind's `fixed_durations` summed.
-
-    Move events sharing a time interval form one `movement_phase_time` phase.
-    """
-    phases: dict[tuple[float, float], list] = {}
+    and cz (measures take none), each kind's `fixed_durations` summed and
+    each move phase (`schedule.phases`) its `movement_phase_time`."""
     durations = fixed_durations(params)
     names = {TrapChange: "trap_change", U3LayerEvent: "u3", Illumination: "cz"}
     out = dict.fromkeys(("movement", *names.values()), 0.0)
-    for ev in events:
-        if isinstance(ev, ColumnMove):
-            phases.setdefault((ev.t_start, ev.t_end), []).append(
-                (ev.column, ev.from_x, ev.to_x, ev.atoms))
-        elif type(ev) in names:
-            out[names[type(ev)]] += durations[type(ev)]
-    for moves in phases.values():
-        out["movement"] += movement_phase_time(moves, params, serial)
+    for _, run in phases(events):
+        if isinstance(run[0], ColumnMove):
+            out["movement"] += movement_phase_time(run, params, serial)
+        elif type(run[0]) in names:
+            out[names[type(run[0])]] += durations[type(run[0])]
     return out
-
-
-def layer_time(events: list, params: PhysParams, serial: bool = False) -> float:
-    """Duration of one layer's events."""
-    return sum(runtime_breakdown(events, params, serial).values())
 
 
 def gate_counts(schedule: Schedule) -> dict[str, int]:

@@ -3,6 +3,9 @@
 Event list order is part of the contract: the validator replays events in
 order, so simultaneous moves are emitted in an order that keeps the AOD
 column ordering invariant true at every step (`scheduler.replay_order`).
+A move phase is stored only by its times: it is a maximal run of
+consecutive column moves that share `(t_start, t_end)`. `phases` is the
+one reader of that rule; the validator and the cost model iterate it.
 Format:
 
   {"meta": {"technique", "grid", "params_hash", ...},
@@ -15,6 +18,7 @@ import hashlib
 import json
 from collections.abc import Iterator
 from dataclasses import asdict, dataclass, field
+from itertools import groupby
 from json.encoder import encode_basestring_ascii
 from typing import ClassVar
 
@@ -128,11 +132,18 @@ class Schedule:
         blob = json.dumps(asdict(self.params), sort_keys=True)
         return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
-    def by_layer(self) -> dict[int, list[Event]]:
-        layers: dict[int, list[Event]] = {}
-        for ev in self.events:
-            layers.setdefault(ev.layer, []).append(ev)
-        return layers
+
+def phases(events: list[Event]) -> Iterator[tuple[int, list[Event]]]:
+    """Yield `(index of its first event, run)` for each run of `events`:
+    a move phase (a maximal run of consecutive `ColumnMove`s sharing
+    `(t_start, t_end)`) or any other single event."""
+    i = 0
+    # A fresh object() equals no other key, so any other event runs alone.
+    for _, group in groupby(events, lambda ev: (ev.t_start, ev.t_end)
+                            if isinstance(ev, ColumnMove) else object()):
+        run = list(group)
+        yield i, run
+        i += len(run)
 
 
 def _event_from_dict(d: dict) -> Event:

@@ -256,9 +256,7 @@ def retime(events: list, params: PhysParams, serial: bool) -> list:
             group = replay_order(ev.values())
             if not group:  # its moves were all held away
                 continue
-            dur = movement_phase_time(
-                [(m.column, m.from_x, m.to_x, m.atoms) for m in group],
-                params, serial)
+            dur = movement_phase_time(group, params, serial)
         else:
             group, dur = [ev], duration[type(ev)]
         for m in group:

@@ -24,9 +24,10 @@ phase) ended, lasts what the cost model says (a move phase its
 each column moves at most once per move phase and each atom rotates at
 most once per U3 layer (a phase or layer is timed as concurrent work,
 so a second hop or rotation would go uncounted), and the schedule's end
-time is the sum of its layer times, so the reported runtime is checked
-rather than only emitted. The reported counts are checked the same way: the
-schedule's `swap_count` against the inserted-SWAP ids its events run, and
+time is the sum of the modelled event and phase times, so the reported
+runtime is checked rather than only emitted. The reported counts are
+checked the same way: the schedule's `swap_count` against the
+inserted-SWAP ids its events run, and
 its `trap_change_count` against its trap-change events. Zone and order
 checks run at the event that changes
 positions: each pickup and column move zone-checks the atoms it places,
@@ -59,7 +60,7 @@ from typing import TYPE_CHECKING
 
 from .circuit import Circuit, decompose_swap
 from .machine import PhysParams, SlmGrid, ZoneLayout
-from .metrics import fixed_durations, layer_time, movement_phase_time
+from .metrics import fixed_durations, movement_phase_time
 from .schedule import (
     SLM_TO_AOD,
     ColumnMove,
@@ -68,6 +69,7 @@ from .schedule import (
     Schedule,
     TrapChange,
     U3LayerEvent,
+    phases,
 )
 
 if TYPE_CHECKING:
@@ -122,13 +124,10 @@ class _Replay:
         self.swap_ids: set[int] = set()  # every inserted SWAP replayed
         self.measured: set[int] = set()
         self.violations: list[Violation] = []
-        # Timing: the end of the previous event or move phase, and the
-        # open phase (consecutive moves sharing (t_start, t_end)) with the
-        # columns it has moved.
+        # Timing: the end of the previous event or move phase, and the sum
+        # of the modelled durations the span checks used.
         self.clock = 0.0
-        self.phase: list[ColumnMove] = []
-        self.phase_columns: set[int] = set()
-        self.phase_at = 0
+        self.modelled = 0.0
         self.duration = fixed_durations(params)
 
     def bad(self, code: str, i: int, msg: str) -> None:
@@ -160,17 +159,7 @@ class _Replay:
             self.bad("timing", i, f"{what} lasts {t_end - t_start} us, "
                      f"expected {duration}")
         self.clock = t_end
-
-    def _close_phase(self) -> None:
-        if not self.phase:
-            return
-        moves = [(m.column, m.from_x, m.to_x, m.atoms) for m in self.phase]
-        first = self.phase[0]
-        self._check_span(self.phase_at, "move phase", first.t_start,
-                         first.t_end, movement_phase_time(
-                             moves, self.params, self.sched.serial_movement))
-        self.phase = []
-        self.phase_columns.clear()
+        self.modelled += duration
 
     def _unknown_qubits(self, i: int, qubits, what: str) -> bool:
         """Report each of `qubits` that is not a circuit qubit; whether
@@ -291,27 +280,24 @@ class _Replay:
             self.locked = {q: s for q, s in self.locked.items() if s != sid}
 
     # -- event handlers ---------------------------------------------------
-    def handle(self, i: int, ev) -> None:
+    def handle(self, i: int, run: list) -> None:
+        """Replay one run of `schedule.phases`, whose first event is event i."""
+        ev = run[0]
         if isinstance(ev, ColumnMove):
-            if self.phase and (ev.t_start, ev.t_end) != (
-                    self.phase[0].t_start, self.phase[0].t_end):
-                self._close_phase()
-            if not self.phase:
-                self.phase_at = i
-            self.phase.append(ev)
-            if ev.column in self.phase_columns:
-                self.bad("double-move", i,
-                         f"column {ev.column} moves twice in one phase")
-            self.phase_columns.add(ev.column)
-        else:
-            self._close_phase()
-            self._check_span(i, ev.kind, ev.t_start, ev.t_end,
-                             self.duration[type(ev)])
-
+            columns: set[int] = set()
+            for j, m in enumerate(run, i):
+                if m.column in columns:
+                    self.bad("double-move", j,
+                             f"column {m.column} moves twice in one phase")
+                columns.add(m.column)
+                self._column_move(j, m)
+            self._check_span(i, "move phase", ev.t_start, ev.t_end,
+                             movement_phase_time(run, self.params,
+                                                 self.sched.serial_movement))
+            return
+        self._check_span(i, ev.kind, ev.t_start, ev.t_end, self.duration[type(ev)])
         if isinstance(ev, TrapChange):
             self._trap_change(i, ev)
-        elif isinstance(ev, ColumnMove):
-            self._column_move(i, ev)
         elif isinstance(ev, U3LayerEvent):
             atoms: set[int] = set()
             for g in ev.gates:
@@ -464,15 +450,12 @@ class _Replay:
 
     def finish(self) -> None:
         n_events = len(self.sched.events)
-        self._close_phase()
-        total = sum(layer_time(evs, self.params, self.sched.serial_movement)
-                    for evs in self.sched.by_layer().values())
         # Both sides are running sums over every event, so rounding alone
         # grows with the event count: allow 1e-9 per event.
-        if abs(self.sched.end_time - total) > 1e-9 * max(1, n_events):
+        if abs(self.sched.end_time - self.modelled) > 1e-9 * max(1, n_events):
             self.bad("timing", n_events - 1,
                      f"end time {self.sched.end_time} us is not the sum of "
-                     f"layer times {total} us")
+                     f"modelled event and phase times {self.modelled} us")
         for q in range(self.circuit.num_qubits):
             if self.cursor[q] != len(self.by_qubit[q]):
                 self.bad("dependency", n_events - 1,
@@ -509,8 +492,8 @@ def validate_schedule(schedule: Schedule, layout: ZoneLayout, grid: SlmGrid,
     Returns every violation found (empty list means the schedule is ok).
     """
     replay = _Replay(schedule, layout, grid, params, circuit)
-    for i, ev in enumerate(schedule.events):
-        replay.handle(i, ev)
+    for i, run in phases(schedule.events):
+        replay.handle(i, run)
     replay.finish()
     return replay.violations
 

@@ -53,6 +53,7 @@ from pachinqo.schedule import (
     TrapChange,
     U3Entry,
     U3LayerEvent,
+    phases,
     schedule_to_json,
 )
 from pachinqo.postpass import compose, hold_columns, pack_rotations
@@ -498,16 +499,11 @@ def _move_free_events(sched):
 
 def _columns_moving_twice(sched):
     """(phase start, column) for every column listed twice in one phase."""
-    twice, seen, span = [], set(), None
-    for ev in sched.events:
-        if not isinstance(ev, ColumnMove):
-            span = None
-            continue
-        if (ev.t_start, ev.t_end) != span:
-            span, seen = (ev.t_start, ev.t_end), set()
-        if ev.column in seen:
-            twice.append((ev.t_start, ev.column))
-        seen.add(ev.column)
+    twice = []
+    for _, run in phases(sched.events):
+        columns = [ev.column for ev in run if isinstance(ev, ColumnMove)]
+        twice += [(run[0].t_start, c) for k, c in enumerate(columns)
+                  if c in columns[:k]]
     return twice
 
 
@@ -547,10 +543,9 @@ def test_fused_phases_match_phased_reference(unmerged_results):
 def _back_to_back_phases(sched):
     """Event index of every move phase that starts where another move
     phase ends."""
-    return [i for i, (prev, ev) in enumerate(zip(sched.events,
-                                                 sched.events[1:]), 1)
-            if isinstance(prev, ColumnMove) and isinstance(ev, ColumnMove)
-            and prev.t_start != ev.t_start]
+    runs = list(phases(sched.events))
+    return [i for (_, prev), (i, run) in zip(runs, runs[1:])
+            if isinstance(prev[0], ColumnMove) and isinstance(run[0], ColumnMove)]
 
 
 def test_merged_phases_match_unmerged_reference(unmerged_results):
@@ -654,30 +649,20 @@ def test_held_columns_reach_a_fixpoint(unmerged_results, perfbench_results):
 def _timing_faults(sched) -> tuple[list[int], list[int]]:
     """Where `sched`'s times do not follow from its event list, as event
     indices: each event that does not start exactly where the one before
-    it ends (a move phase, the run of column moves that share a start,
-    counting as one event), and the first move of each phase that does
-    not end exactly `movement_phase_time` of the phase's moves, in
-    emitted order, after it starts."""
-    spans: list[tuple[int, list]] = []  # (first index, events) per span
-    for i, ev in enumerate(sched.events):
-        last = spans[-1][1][-1] if spans else None
-        if (isinstance(ev, ColumnMove) and isinstance(last, ColumnMove)
-                and ev.t_start == last.t_start):
-            spans[-1][1].append(ev)
-        else:
-            spans.append((i, [ev]))
-    starts, phases, end = [], [], 0.0
-    for i, evs in spans:
-        if evs[0].t_start != end:
+    it ends (a move phase, a run of `schedule.phases`, counting as one
+    event), and the first move of each phase that does not end exactly
+    `movement_phase_time` of the phase's moves, in emitted order, after
+    it starts."""
+    starts, mistimed, end = [], [], 0.0
+    for i, run in phases(sched.events):
+        if run[0].t_start != end:
             starts.append(i)
-        end = evs[-1].t_end
-        if isinstance(evs[0], ColumnMove):
-            dur = movement_phase_time(
-                [(m.column, m.from_x, m.to_x, m.atoms) for m in evs],
-                PARAMS, sched.serial_movement)
-            if any(m.t_end != m.t_start + dur for m in evs):
-                phases.append(i)
-    return starts, phases
+        end = run[-1].t_end
+        if isinstance(run[0], ColumnMove):
+            dur = movement_phase_time(run, PARAMS, sched.serial_movement)
+            if any(m.t_end != m.t_start + dur for m in run):
+                mistimed.append(i)
+    return starts, mistimed
 
 
 def test_times_follow_from_the_event_list(unmerged_results):

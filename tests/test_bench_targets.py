@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 from pachinqo.machine import PhysParams, build_layout, generate_grid
-from pachinqo.schedule import ColumnMove
+from pachinqo.schedule import ColumnMove, phases
 from pachinqo.scheduler import Compiler
 from pachinqo.verifier import validate_schedule
 
@@ -72,6 +72,5 @@ def test_traced_move_phases_count_the_emitted_phases(tracing, technique):
         sched = Compiler(circ, technique, grid, layout, params).run()
     finally:
         tracer.uninstall()
-    phases = {(ev.t_start, ev.t_end) for ev in sched.events
-              if isinstance(ev, ColumnMove)}
-    assert tracer.calls["scheduler.move_phases"] == len(phases)
+    moves = [run for _, run in phases(sched.events) if isinstance(run[0], ColumnMove)]
+    assert tracer.calls["scheduler.move_phases"] == len(moves)

@@ -110,6 +110,29 @@ def test_unknown_grid_exits_one(ghz_file):
     assert main(["--input", str(ghz_file), "--grid", "hex"]) == 1
 
 
+@pytest.mark.parametrize("flags", [
+    ["--scale", "bogus"],
+    ["--bogus"],
+    ["--suite-dir", ".", "--techniques", "pachinqo,sabre"],
+    ["--suite-dir", ".", "--grids", "large-square,hex"],
+], ids=["bad-scale", "unknown-flag", "unknown-technique-in-list",
+        "unknown-grid-in-list"])
+def test_usage_errors_exit_one_with_usage(ghz_file, capsys, flags):
+    """argparse's own usage errors exit 1, the usage code, not its 2, which
+    is the capacity code here, and print the usage line."""
+    assert main(["--input", str(ghz_file), *flags]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage: pachinqo")
+    assert "error:" in err
+
+
+def test_help_exits_zero(capsys):
+    assert main(["--help"]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("usage: pachinqo")
+    assert "--techniques" in out
+
+
 def test_parse_error_exits_one(tmp_path):
     f = tmp_path / "bad.qasm"
     f.write_text("OPENQASM 2.0;\nqreg q[1];\nsx q[0];\n")

@@ -10,7 +10,6 @@ from pachinqo.metrics import (
     composed_swap_error,
     esp,
     gate_counts,
-    layer_time,
     movement_phase_time,
     movement_total,
     runtime_breakdown,
@@ -24,6 +23,7 @@ from pachinqo.schedule import (
     TrapChange,
     U3Entry,
     U3LayerEvent,
+    phases,
 )
 from pachinqo.scheduler import Compiler
 
@@ -36,19 +36,18 @@ def _move(cid, fx, tx, dys, t0=0.0, t1=1.0):
 
 
 def test_single_column_move_time(params):
-    assert movement_phase_time([(0, 0.0, 55.0, [(0, 0.0, 0.0)])], params) == 1.0
+    assert movement_phase_time([_move(0, 0.0, 55.0, [0.0])], params) == 1.0
 
 
 def test_concurrent_movement_takes_max(params):
-    moves = [(0, 0.0, 55.0, [(0, 0.0, 0.0)]),
-             (1, 60.0, 170.0, [(1, 0.0, 0.0)])]
+    moves = [_move(0, 0.0, 55.0, [0.0]), _move(1, 60.0, 170.0, [0.0])]
     assert movement_phase_time(moves, params) == 2.0
     assert movement_phase_time(moves, params, serial=True) == 3.0
 
 
 def test_column_time_adds_max_dy(params):
     # |dx| + max |dy| over the column's atoms
-    moves = [(0, 0.0, 55.0, [(0, 0.0, 27.5), (1, 0.0, 55.0)])]
+    moves = [_move(0, 0.0, 55.0, [27.5, 55.0])]
     assert movement_phase_time(moves, params) == 2.0
 
 
@@ -59,7 +58,7 @@ def test_layer_time_components(params):
         U3LayerEvent(2.0, 4.0, 1, []),
         TrapChange(4.0, 129.0, 1, "aod_to_slm", []),
     ]
-    t = layer_time(events, params)
+    t = sum(runtime_breakdown(events, params).values())
     assert t == pytest.approx(1.0 + 0.8 + 2.0 + 125.0)
 
 
@@ -78,7 +77,7 @@ def test_runtime_breakdown_splits_layer_time_by_kind(params):
                                    "u3": 4.0, "cz": 0.8})
     assert runtime_breakdown(events, params, serial=True)["movement"] == \
         pytest.approx(2.0)
-    assert sum(parts.values()) == layer_time(events, params)
+    assert sum(parts.values()) == pytest.approx(events[-1].t_end)
 
 
 def test_layer_time_groups_phases_by_interval(params):
@@ -87,7 +86,24 @@ def test_layer_time_groups_phases_by_interval(params):
         _move(1, 100.0, 128.5, [26.5], 0.0, 1.0),   # same phase: max
         _move(0, 55.0, 110.0, [0.0], 1.0, 2.0),     # second phase
     ]
-    assert layer_time(events, params) == pytest.approx(2.0)
+    assert sum(runtime_breakdown(events, params).values()) == pytest.approx(2.0)
+
+
+def test_phases_split_runs_of_moves_sharing_a_span():
+    a, b = _move(0, 0.0, 55.0, [0.0]), _move(1, 100.0, 128.5, [26.5])
+    u3_layer = U3LayerEvent(1.0, 3.0, 1, [])
+    c = _move(0, 55.0, 110.0, [0.0], 3.0, 4.0)
+    # Two move runs split by a U3 layer.
+    assert list(phases([a, b, u3_layer, c])) == [(0, [a, b]), (2, [u3_layer]),
+                                                (3, [c])]
+    # Back-to-back phases with different spans are two runs.
+    d = _move(1, 128.5, 140.0, [0.0], 1.0, 2.0)
+    assert list(phases([a, b, d])) == [(0, [a, b]), (2, [d])]
+    # A non-move event is a run of its own, even beside one of equal span.
+    m1, m2 = Measure(4.0, 4.0, 1, []), Measure(4.0, 4.0, 1, [])
+    assert list(phases([m1])) == [(0, [m1])]
+    assert [(i, len(run)) for i, run in phases([m1, m2])] == [(0, 1), (1, 1)]
+    assert list(phases([])) == []
 
 
 def test_composed_swap_error_matches_table(params):
@@ -149,7 +165,7 @@ def test_runtime_equals_sum_of_layer_times(params):
     layout = build_layout(6, "auto", params)
     grid = generate_grid("large-square", layout, params)
     sched = Compiler(circ, "pachinqo", grid, layout, params).run()
-    total = sum(layer_time(evs, params) for evs in sched.by_layer().values())
+    total = sum(runtime_breakdown(sched.events, params).values())
     assert total == pytest.approx(sched.end_time)
 
 
@@ -160,7 +176,7 @@ def test_empty_circuit_runtime_is_tcs_plus_movement(params):
     grid = generate_grid("large-square", layout, params)
     sched = Compiler(Circuit(3, []), "pachinqo", grid, layout, params).run()
     move_time = sum(
-        layer_time([e], params)
+        movement_phase_time([e], params)
         for e in sched.events if isinstance(e, ColumnMove)
     )
     assert sched.end_time == pytest.approx(

@@ -28,6 +28,7 @@ from pachinqo.schedule import (
     TrapChange,
     TrapTransfer,
     U3LayerEvent,
+    phases,
 )
 from pachinqo.postpass import compose, hold_columns, pack_rotations
 from pachinqo.scheduler import TECHNIQUES, Compiler, retime
@@ -688,6 +689,30 @@ def test_validator_catches_mistimed_span(kind, scale, delay):
     assert violations[0].event == index
 
 
+def test_validator_catches_end_time_drifting_inside_every_span():
+    """Every event (a move phase as one) starts 0.8e-9 us after the one
+    before it ends and lasts 0.8e-9 us longer than modelled. Each span
+    check allows 1e-9 us, so each passes; but the end time drifts from
+    the sum of modelled times by more than the 1e-9 us per event that the
+    end-time check allows, which reports it once, at the last event."""
+    circ = random_circuit(random.Random(3), 8, 60)
+    sched, layout, grid, params = _compile(circ)
+    assert validate_schedule(sched, layout, grid, params, circ) == []
+    out = copy.deepcopy(sched)
+    runs = list(phases(out.events))
+    assert 1.6e-9 * len(runs) > 1e-9 * len(out.events)
+    end = 0.0
+    for _, run in runs:
+        start = end + 0.8e-9
+        end = start + (run[0].t_end - run[0].t_start) + 0.8e-9
+        for ev in run:
+            ev.t_start, ev.t_end = start, end
+    violations = validate_schedule(out, layout, grid, params, circ)
+    assert [(v.code, v.event) for v in violations] == \
+        [("timing", len(out.events) - 1)]
+    assert violations[0].description.startswith("end time ")
+
+
 def _split_move(sched, layout, params):
     """Copy of `sched` with its first x move (after loading) split into two
     hops of the same column inside one phase: x halfway first, then the
@@ -711,8 +736,7 @@ def _split_move(sched, layout, params):
     span = (m.t_start, m.t_end)
     phase = [ev for ev in evs if isinstance(ev, ColumnMove)
              and (ev.t_start, ev.t_end) == span]
-    new_end = m.t_start + movement_phase_time(
-        [(ev.column, ev.from_x, ev.to_x, ev.atoms) for ev in phase], params)
+    new_end = m.t_start + movement_phase_time(phase, params)
     for ev in evs[i:]:
         if (ev.t_start, ev.t_end) == span:
             ev.t_end = new_end
